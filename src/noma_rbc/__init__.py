@@ -20,9 +20,7 @@ from .core import (
     PowerSplit,
     RatePair,
     Scheme,
-    bits_to_nats,
     is_degraded_ordered,
-    nats_to_bits,
     noma_condition_holds,
     received_snr_relay,
     received_snr_second,

@@ -18,16 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence, Union
 
 LN2 = math.log(2.0)
 
+# A set of named random variables for the information evaluators: one name
+# or a sequence of names.
+VarSpec = Union[str, Sequence[str]]
 
-def bits_to_nats(bits: float) -> float:
-    return bits * LN2
 
-
-def nats_to_bits(nats: float) -> float:
-    return nats / LN2
+def as_names(spec: VarSpec) -> tuple[str, ...]:
+    if isinstance(spec, str):
+        return (spec,)
+    return tuple(spec)
 
 
 class Scheme(Enum):

@@ -33,22 +33,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
+
+from .core import VarSpec, as_names
 
 MAX_CELLS = 10_000_000
 NORMALISATION_TOL = 1e-12
 
-VarSpec = Union[str, Sequence[str]]
-
 BOUND_FAMILIES = ("broadcast", "decode-forward", "compress-forward")
-
-
-def _as_names(spec: VarSpec) -> tuple[str, ...]:
-    if isinstance(spec, str):
-        return (spec,)
-    return tuple(spec)
 
 
 def _dedupe(names: Sequence[str]) -> tuple[str, ...]:
@@ -101,7 +95,7 @@ class DiscreteJoint:
 
     def marginal(self, names: VarSpec) -> np.ndarray:
         """Marginal pmf over the named variables, axes in the given order."""
-        names = _as_names(names)
+        names = as_names(names)
         keep = self._axes(names)
         drop = tuple(i for i in range(self.pmf.ndim) if i not in keep)
         out = self.pmf.sum(axis=drop) if drop else self.pmf
@@ -113,20 +107,20 @@ class DiscreteJoint:
     def entropy(self, names: VarSpec) -> float:
         """Joint entropy H(names) in bits; names are a set (duplicates
         collapse)."""
-        p = self.marginal(_dedupe(_as_names(names))).ravel()
+        p = self.marginal(_dedupe(as_names(names))).ravel()
         p = p[p > 0.0]
         return float(-(p * np.log2(p)).sum())
 
     def conditional_entropy(self, left: VarSpec, given: VarSpec = ()) -> float:
         """H(left | given) in bits."""
-        left, given = _as_names(left), _as_names(given)
+        left, given = as_names(left), as_names(given)
         if not given:
             return self.entropy(left)
         return self.entropy(left + given) - self.entropy(given)
 
     def mutual_information(self, left: VarSpec, right: VarSpec, given: VarSpec = ()) -> float:
         """I(left; right | given) in bits, by direct entropy summation."""
-        left, right, given = _as_names(left), _as_names(right), _as_names(given)
+        left, right, given = as_names(left), as_names(right), as_names(given)
         if not left or not right:
             return 0.0
         return (

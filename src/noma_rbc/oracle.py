@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -50,20 +50,14 @@ from .core import (
     LinkGains,
     PowerSplit,
     Scheme,
+    VarSpec,
+    as_names,
 )
 from . import rates
 
 RANK_TOL = 1e-12
 
 _PRIMITIVES = ("U", "V", "X1", "Z1", "Z2", "ZH")
-
-VarSpec = Union[str, Sequence[str]]
-
-
-def _as_names(spec: VarSpec) -> tuple[str, ...]:
-    if isinstance(spec, str):
-        return (spec,)
-    return tuple(spec)
 
 
 @dataclass(frozen=True)
@@ -171,7 +165,7 @@ def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: Va
     rank decisions use the RANK_TOL pivot tolerance on covariance
     eigenvalues.
     """
-    left, right, given = _as_names(left), _as_names(right), _as_names(given)
+    left, right, given = as_names(left), as_names(right), as_names(given)
     if not left or not right:
         return 0.0
     rows_l = system.whitened_rows(left)
@@ -244,74 +238,32 @@ def verify_scheme(
     each mutual-information term is compared on its own.
     """
     sys_ = GaussianSystem.from_model(gains, params, split, n_hat)
-    a, ab = split.alpha, split.alpha_bar
-    g01, g02, g12 = gains.g01, gains.g02, gains.g12
-    p0, p1, n1, n2 = params.p0, params.p1, params.n1, params.n2
-
-    def nats(bits):
-        return bits * LN2
-
-    terms = []
+    a, g01, g02, g12 = split.alpha, gains.g01, gains.g02, gains.g12
+    r1 = rates.relay_rate(scheme, g01, params, a)
+    # (term, closed form in bits, oracle (left, right, given))
     if scheme is Scheme.GBC:
-        terms.append(TermDelta(
-            "r1",
-            nats(rates._r1_sic(g01, p0, a, n1)),
-            gaussian_mi(sys_, "U", "Y1", "V"),
-        ))
-        terms.append(TermDelta(
-            "r2",
-            nats(rates._r2_gbc(g02, p0, a, ab, n2)),
-            gaussian_mi(sys_, "V", "Y2", "X1"),  # conditioning removes the relay path
-        ))
+        specs = [
+            ("r1", r1, ("U", "Y1", "V")),
+            # conditioning removes the relay path
+            ("r2", rates._forward_bound(g02, 0.0, params, a), ("V", "Y2", "X1")),
+        ]
     elif scheme is Scheme.RBC_DF:
-        terms.append(TermDelta(
-            "r1",
-            nats(rates._r1_sic(g01, p0, a, n1)),
-            gaussian_mi(sys_, "U", "Y1", ("V", "X1")),
-        ))
-        terms.append(TermDelta(
-            "r2_forward",
-            nats(rates._r2_forward(g02, g12, p0, p1, a, ab, n2)),
-            gaussian_mi(sys_, ("V", "X1"), "Y2"),
-        ))
-        terms.append(TermDelta(
-            "r2_decode",
-            nats(rates._r2_df_decode(g01, p0, a, ab, n1)),
-            gaussian_mi(sys_, "V", "Y1", "X1"),
-        ))
-    elif scheme in (Scheme.RBC_CF, Scheme.RBC_CF_DPC):
-        cutset, forward, loss = rates._cf_terms(
-            g01, g02, g12, p0, p1, a, ab, n1, n2, n_hat.n_hat
-        )
-        if scheme is Scheme.RBC_CF:
-            terms.append(TermDelta(
-                "r1",
-                nats(rates._r1_no_sic(g01, p0, a, ab, n1)),
-                gaussian_mi(sys_, "U", "Y1"),
-            ))
-        else:
-            terms.append(TermDelta(
-                "r1",
-                nats(rates._r1_sic(g01, p0, a, n1)),
-                gaussian_mi(sys_, "U", "Y1", "V"),
-            ))
-        terms.append(TermDelta(
-            "r2_cutset",
-            nats(cutset),
-            gaussian_mi(sys_, "V", ("Y1HAT", "Y2"), "X1"),
-        ))
-        terms.append(TermDelta(
-            "r2_forward",
-            nats(forward),
-            gaussian_mi(sys_, ("V", "X1"), "Y2"),
-        ))
-        terms.append(TermDelta(
-            "r2_compression_loss",
-            nats(loss),
-            gaussian_mi(sys_, "Y1HAT", "Y1", ("V", "X1", "Y2")),
-        ))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown scheme {scheme!r}")
+        specs = [
+            ("r1", r1, ("U", "Y1", ("V", "X1"))),
+            ("r2_forward", rates._forward_bound(g02, g12, params, a), (("V", "X1"), "Y2")),
+            ("r2_decode", rates._decode_bound(g01, params, a), ("V", "Y1", "X1")),
+        ]
+    else:
+        cf = rates._CFBounds(g01, g02, g12, params, a)
+        cutset, loss = cf.terms(n_hat.n_hat)
+        specs = [
+            ("r1", r1, ("U", "Y1") if scheme is Scheme.RBC_CF else ("U", "Y1", "V")),
+            ("r2_cutset", cutset, ("V", ("Y1HAT", "Y2"), "X1")),
+            ("r2_forward", cf.forward, (("V", "X1"), "Y2")),
+            ("r2_compression_loss", loss, ("Y1HAT", "Y1", ("V", "X1", "Y2"))),
+        ]
+    terms = [TermDelta(name, float(bits) * LN2, gaussian_mi(sys_, *mi))
+             for name, bits, mi in specs]
     return VerifyReport(scheme=scheme, terms=tuple(terms))
 
 

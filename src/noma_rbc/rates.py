@@ -16,23 +16,29 @@ power p1; noise powers n1, n2.
 
 The CF second-user rate depends on the compression-noise variance n_hat:
 the cut-set bound decreases and the forwarding-minus-loss bound increases
-strictly in n_hat, so the max over n_hat of their min sits at the unique
-interior crossing whenever one exists.  ``optimize_n_hat`` finds that
-crossing in closed form (clearing denominators gives a quadratic in n_hat)
-and falls back to a bracketed golden-section search over ``N_HAT_BRACKET``
-when no positive root exists, in which case the supremum is approached at a
-boundary of the bracket.
+strictly in n_hat, so the max over n_hat of their min sits at their
+crossing whenever one exists.  Cleared of denominators, the crossing is a
+quadratic in n_hat, solved in closed form.  Without a positive root the
+bounds never cross: one of them is the smaller for every n_hat, so their
+min is monotone and its best value over ``N_HAT_BRACKET`` sits at an end of
+the bracket (the low end when the cut-set bound binds, the high end when
+the forwarding-minus-loss bound does).  The optimum is therefore the best
+of at most two roots or, failing those, of the two bracket ends; no search
+is needed.
 
-GBC and RBC-DF presuppose the degraded role ordering and reject inputs that
-violate it; callers own role assignment and swap before calling.  The
-scalar helpers ``relay_rate_bits`` / ``second_rate_bits`` / ``serve_pair``
-evaluate the formulas literally without the ordering check, which is what
-the scheduler's selection metrics require.
+``rate_kernel`` evaluates one scheme over broadcastable gain and
+power-split arrays; it and ``relay_rate``, its r1 part, are the only code
+that dispatches on the scheme.  The typed operations (``gbc_rates`` ...
+``optimize_n_hat``, ``sweep_region``) validate their inputs and call it;
+the scheduler calls it on whole candidate blocks.  GBC and RBC-DF
+presuppose the degraded role ordering: the typed operations reject inputs
+that violate it, while the kernel and the scalar helpers
+``relay_rate_bits`` / ``second_rate_bits`` / ``serve_pair`` evaluate the
+formulas literally, as the scheduler's selection metrics require.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,156 +55,135 @@ from .core import (
     is_degraded_ordered,
 )
 
-# Fallback search range for the compression-noise variance (log-spaced).
+# Range of the compression-noise variance when the CF bounds never cross.
 N_HAT_BRACKET = (1e-6, 1e12)
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-def _log2_1p(x: float) -> float:
-    return math.log1p(x) / LN2
-
-
-# ---------------------------------------------------------------------------
-# scalar formula kernels (no validation, no ordering checks)
-
-def _r1_sic(g01, p0, a, n1):
-    """Relay-user rate with the second user's component removed."""
-    return _log2_1p(g01 * a * p0 / n1)
-
-
-def _r1_no_sic(g01, p0, a, ab, n1):
-    """Relay-user rate with the second user's component left as noise."""
-    return _log2_1p(g01 * a * p0 / (g01 * ab * p0 + n1))
-
-
-def _r2_gbc(g02, p0, a, ab, n2):
-    return _log2_1p(g02 * ab * p0 / (g02 * a * p0 + n2))
-
-
-def _r2_forward(g02, g12, p0, p1, a, ab, n2):
-    """Second-user decoding bound with the relay user's help."""
-    return _log2_1p((g02 * ab * p0 + g12 * p1) / (g02 * a * p0 + n2))
-
-
-def _r2_df_decode(g01, p0, a, ab, n1):
-    """Bound from the relay user having to decode the second user's message."""
-    return _log2_1p(g01 * ab * p0 / (g01 * a * p0 + n1))
-
-
-def _cf_terms(g01, g02, g12, p0, p1, a, ab, n1, n2, n_hat):
-    """(cut-set, forwarding, compression-loss) bounds of the CF second-user
-    rate, in bits."""
-    s1 = g01 * a * p0
-    s2 = g02 * a * p0
-    t1 = g01 * ab * p0
-    t2 = g02 * ab * p0
-    m2 = s2 + n2
-    cutset = _log2_1p(t1 / (n1 + n_hat) + t2 / m2)
-    forward = _r2_forward(g02, g12, p0, p1, a, ab, n2)
-    loss = _log2_1p(
-        n1 * n1 * m2 / (n_hat * (n1 * n2 + n2 * s1 + n1 * s2) + n1 * n2 * s1)
-    )
-    return cutset, forward, loss
-
-
-def _cf_r2_args(g01, g02, g12, p0, p1, a, ab, n1, n2, n_hat):
-    """Both arguments of the CF second-user min; the second may be negative
-    (callers clamp)."""
-    cutset, forward, loss = _cf_terms(g01, g02, g12, p0, p1, a, ab, n1, n2, n_hat)
-    return cutset, forward - loss
-
-
-def _cf_r2(g01, g02, g12, p0, p1, a, ab, n1, n2, n_hat):
-    first, second = _cf_r2_args(g01, g02, g12, p0, p1, a, ab, n1, n2, n_hat)
-    return max(0.0, min(first, second))
+def _log2_1p(x):
+    return np.log1p(x) / LN2
 
 
 # ---------------------------------------------------------------------------
-# compression-noise optimisation
+# array kernel (no validation, no ordering checks; arrays broadcast)
 
-def _quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
-    """Real roots of qa*x^2 + qb*x + qc = 0, numerically stable form."""
-    if qa == 0.0:
-        if qb == 0.0:
-            return []
-        return [-qc / qb]
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        return []
-    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
-    roots = [q / qa]
-    if q != 0.0:
-        roots.append(qc / q)
-    return roots
+def relay_rate(scheme: Scheme, g01, params: ChannelParams, alpha):
+    """r1 in bits for relay-user BS gains ``g01``: the relay user removes
+    the second user's component, except under RBC-CF, which leaves it as
+    noise."""
+    if scheme is Scheme.RBC_CF:
+        return _log2_1p(g01 * alpha * params.p0 / (g01 * (1.0 - alpha) * params.p0 + params.n1))
+    return _log2_1p(g01 * alpha * params.p0 / params.n1)
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
-    """Golden-section maximiser for a unimodal scalar function on [lo, hi]."""
-    a_, b_ = lo, hi
-    x1 = b_ - _INV_PHI * (b_ - a_)
-    x2 = a_ + _INV_PHI * (b_ - a_)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(max_iter):
-        if (b_ - a_) <= tol:
-            break
-        if f1 >= f2:
-            b_, x2, f2 = x2, x1, f1
-            x1 = b_ - _INV_PHI * (b_ - a_)
-            f1 = fun(x1)
-        else:
-            a_, x1, f1 = x1, x2, f2
-            x2 = a_ + _INV_PHI * (b_ - a_)
-            f2 = fun(x2)
-    x = 0.5 * (a_ + b_)
-    return x, fun(x)
+def _forward_bound(g02, g12, params: ChannelParams, alpha):
+    """Second-user decoding bound with the relay user's help (bits)."""
+    return _log2_1p((g02 * (1.0 - alpha) * params.p0 + g12 * params.p1)
+                    / (g02 * alpha * params.p0 + params.n2))
 
 
-def _optimal_n_hat(g01, g02, g12, p0, p1, a, ab, n1, n2):
-    """Argmax over n_hat of the CF second-user rate.
+def _decode_bound(g01, params: ChannelParams, alpha):
+    """RBC-DF bound from the relay user having to decode the second user's
+    message (bits)."""
+    return _log2_1p(g01 * (1.0 - alpha) * params.p0 / (g01 * alpha * params.p0 + params.n1))
 
-    Returns (n_hat, r2_bits, clamped).  The crossing of the two min
-    arguments, cleared of denominators, is a quadratic in n_hat; its
-    positive root (unique, since cut-set minus forwarding-minus-loss is
-    strictly decreasing) is the interior optimum.  Without a positive root
-    the supremum sits at a boundary and a golden-section search over
-    log10(n_hat) in N_HAT_BRACKET is used instead.
-    """
-    if ab == 0.0:
-        # no power on the second user's message: r2 = 0 for every n_hat
-        _, second = _cf_r2_args(g01, g02, g12, p0, p1, a, ab, n1, n2, 1.0)
-        return 1.0, 0.0, second < 0.0
 
-    s1 = g01 * a * p0
-    s2 = g02 * a * p0
-    t1 = g01 * ab * p0
-    t2 = g02 * ab * p0
-    m2 = s2 + n2
-    w = g12 * p1
-    dd = n1 * n2 + n2 * s1 + n1 * s2
+class _CFBounds:
+    """The two arguments of the CF second-user min for broadcastable pair
+    arrays, as functions of the compression noise n_hat, and the n_hat that
+    maximises their min."""
 
-    # linear-domain crossing: (1 + t1/(n1+x) + t2/m2) * (1 + n1^2*m2/(x*dd + n1*n2*s1))
-    #                          = 1 + (t2+w)/m2, cleared of denominators;
-    # both sides are products of polynomials linear in x
-    la1, la0 = m2 + t2, n1 * (m2 + t2) + t1 * m2
-    lb1, lb0 = dd, n1 * n2 * s1 + n1 * n1 * m2
-    rr = m2 + t2 + w
-    qa = la1 * lb1 - rr * dd
-    qb = la1 * lb0 + la0 * lb1 - rr * (n1 * dd + n1 * n2 * s1)
-    qc = la0 * lb0 - rr * (n1 * n1 * n2 * s1)
+    def __init__(self, g01, g02, g12, params: ChannelParams, alpha):
+        p0, n1, n2 = params.p0, params.n1, params.n2
+        ab = 1.0 - alpha
+        s2 = g02 * alpha * p0
+        self.s1 = g01 * alpha * p0     # relay user's component at the relay user
+        self.t1 = g01 * ab * p0        # second user's component at the relay user
+        self.t2 = g02 * ab * p0        # second user's component at the second user
+        self.m2 = s2 + n2
+        self.dd = n1 * n2 + n2 * self.s1 + n1 * s2
+        self.n1, self.n2, self.w, self.alpha = n1, n2, g12 * params.p1, alpha
+        self.t2_m2 = self.t2 / self.m2
+        self.loss_num = n1 * n1 * self.m2
+        self.loss_off = n1 * n2 * self.s1
+        self.forward = _log2_1p((self.t2 + self.w) / self.m2)
 
-    def objective(n_hat):
-        return _cf_r2(g01, g02, g12, p0, p1, a, ab, n1, n2, n_hat)
+    def terms(self, n_hat):
+        """(cut-set bound, compression loss) in bits."""
+        cutset = _log2_1p(self.t1 / (self.n1 + n_hat) + self.t2_m2)
+        loss = _log2_1p(self.loss_num / (n_hat * self.dd + self.loss_off))
+        return cutset, loss
 
-    candidates = [r for r in _quadratic_roots(qa, qb, qc) if math.isfinite(r) and r > 0.0]
-    if candidates:
-        best = max(candidates, key=objective)
-    else:
+    def objective(self, n_hat):
+        """Clamped r2 and the forwarding-minus-loss argument."""
+        cutset, loss = self.terms(n_hat)
+        second = self.forward - loss
+        return np.maximum(0.0, np.minimum(cutset, second)), second
+
+    def crossing_roots(self):
+        """Both real roots of the quadratic in n_hat whose positive root is
+        where the two bounds cross; NaN marks a missing root."""
+        s1, t1, t2, m2, dd, n1, n2 = self.s1, self.t1, self.t2, self.m2, self.dd, self.n1, self.n2
+        # linear-domain crossing: (1 + t1/(n1+x) + t2/m2) * (1 + n1^2*m2/(x*dd + n1*n2*s1))
+        #                          = 1 + (t2+w)/m2, cleared of denominators;
+        # both sides are products of polynomials linear in x
+        la1 = m2 + t2
+        la0 = n1 * la1 + t1 * m2
+        lb0 = self.loss_off + self.loss_num
+        rr = la1 + self.w
+        qa = la1 * dd - rr * dd
+        qb = la1 * lb0 + la0 * dd - rr * (n1 * dd + self.loss_off)
+        qc = la0 * lb0 - rr * (n1 * n1 * n2 * s1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # numerically stable form; a negative discriminant gives NaN
+            # roots, a zero divisor infinite ones (np.divide: the inputs may
+            # be Python floats, which would raise)
+            q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+            linear = qa == 0.0
+            return (np.where(linear, np.divide(-qc, qb), q / qa),
+                    np.where(linear | (q == 0.0), np.nan, qc / q))
+
+    def optimum(self):
+        """(n_hat, clamped r2, forwarding-minus-loss argument) at the best
+        n_hat: the better positive root (the first on ties) or, with none,
+        the better end of ``N_HAT_BRACKET`` (the low end on ties)."""
+        root0, root1 = self.crossing_roots()
+        ok0 = np.isfinite(root0) & (root0 > 0.0)
+        ok1 = np.isfinite(root1) & (root1 > 0.0)
         lo, hi = N_HAT_BRACKET
-        x, _ = _golden_max(lambda u: objective(10.0 ** u), math.log10(lo), math.log10(hi))
-        best = 10.0 ** x
-    first, second = _cf_r2_args(g01, g02, g12, p0, p1, a, ab, n1, n2, best)
-    return best, max(0.0, min(first, second)), second < 0.0
+        first = np.where(ok0, root0, np.where(ok1, root1, lo))
+        other = np.where(ok0 & ok1, root1, np.where(ok0 | ok1, first, hi))
+        at_one = self.alpha == 1.0  # r2 is 0 for every n_hat; report n_hat = 1
+        if np.any(at_one):
+            first, other = np.where(at_one, 1.0, first), np.where(at_one, 1.0, other)
+        r2s, seconds = self.objective(np.stack((first, other)))
+        take = r2s[1] > r2s[0]
+        return (np.where(take, other, first), np.where(take, r2s[1], r2s[0]),
+                np.where(take, seconds[1], seconds[0]))
+
+
+def rate_kernel(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_hat=None):
+    """``(r1, r2, n_hat, clamped)`` of ``scheme`` for broadcastable gain
+    arrays and a scalar or array ``alpha``.
+
+    r1 broadcasts over ``g01`` and ``alpha`` only, the rest over all
+    inputs.  CF schemes use the fixed compression noise ``n_hat`` when it is
+    given and the optimal one otherwise; ``clamped`` marks where the
+    forwarding-minus-loss argument is negative, i.e. where the clamp of r2
+    at zero acted.  Other schemes return ``n_hat`` None and ``clamped``
+    False.
+    """
+    r1 = relay_rate(scheme, g01, params, alpha)
+    if scheme is Scheme.GBC:  # the forwarding bound without the relay's help
+        return r1, _forward_bound(g02, 0.0, params, alpha), None, False
+    if scheme is Scheme.RBC_DF:
+        r2 = np.minimum(_forward_bound(g02, g12, params, alpha), _decode_bound(g01, params, alpha))
+        return r1, r2, None, False
+    cf = _CFBounds(g01, g02, g12, params, alpha)
+    if n_hat is None:
+        n_hat, r2, second = cf.optimum()
+    else:
+        r2, second = cf.objective(n_hat)
+    return r1, r2, n_hat, second < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -212,26 +197,24 @@ def _require_ordered(gains: LinkGains, params: ChannelParams) -> None:
         )
 
 
+def _typed(scheme, gains: LinkGains, params, split: PowerSplit, n_hat=None):
+    r1, r2, n_hat, _ = rate_kernel(
+        scheme, gains.g01, gains.g02, gains.g12, params, split.alpha, n_hat
+    )
+    return RatePair(r1=float(r1), r2=float(r2)), n_hat
+
+
 def gbc_rates(gains: LinkGains, params: ChannelParams, split: PowerSplit) -> RatePair:
     """Capacity-region corner point of the plain superposition/SIC scheme."""
     _require_ordered(gains, params)
-    a, ab = split.alpha, split.alpha_bar
-    return RatePair(
-        r1=_r1_sic(gains.g01, params.p0, a, params.n1),
-        r2=_r2_gbc(gains.g02, params.p0, a, ab, params.n2),
-    )
+    return _typed(Scheme.GBC, gains, params, split)[0]
 
 
 def rbc_df_rates(gains: LinkGains, params: ChannelParams, split: PowerSplit) -> RatePair:
     """Rates when the relay user decodes and forwards the second user's
     message."""
     _require_ordered(gains, params)
-    a, ab = split.alpha, split.alpha_bar
-    r2 = min(
-        _r2_forward(gains.g02, gains.g12, params.p0, params.p1, a, ab, params.n2),
-        _r2_df_decode(gains.g01, params.p0, a, ab, params.n1),
-    )
-    return RatePair(r1=_r1_sic(gains.g01, params.p0, a, params.n1), r2=r2)
+    return _typed(Scheme.RBC_DF, gains, params, split)[0]
 
 
 def rbc_cf_rates(
@@ -239,12 +222,7 @@ def rbc_cf_rates(
 ) -> RatePair:
     """Rates when the relay user compresses and forwards its observation;
     the relay user cannot cancel the second user's component."""
-    a, ab = split.alpha, split.alpha_bar
-    r2 = _cf_r2(
-        gains.g01, gains.g02, gains.g12, params.p0, params.p1,
-        a, ab, params.n1, params.n2, n_hat.n_hat,
-    )
-    return RatePair(r1=_r1_no_sic(gains.g01, params.p0, a, ab, params.n1), r2=r2)
+    return _typed(Scheme.RBC_CF, gains, params, split, n_hat.n_hat)[0]
 
 
 def rbc_cf_dpc_rates(
@@ -252,12 +230,7 @@ def rbc_cf_dpc_rates(
 ) -> RatePair:
     """Compress-and-forward with transmitter-side pre-cancellation: r1 is
     restored to the interference-free value, r2 is unchanged."""
-    a, ab = split.alpha, split.alpha_bar
-    r2 = _cf_r2(
-        gains.g01, gains.g02, gains.g12, params.p0, params.p1,
-        a, ab, params.n1, params.n2, n_hat.n_hat,
-    )
-    return RatePair(r1=_r1_sic(gains.g01, params.p0, a, params.n1), r2=r2)
+    return _typed(Scheme.RBC_CF_DPC, gains, params, split, n_hat.n_hat)[0]
 
 
 def cf_clamp_active(
@@ -265,11 +238,9 @@ def cf_clamp_active(
 ) -> bool:
     """True when the CF forwarding-minus-loss argument is negative, i.e. the
     r2 clamp at zero is what the rate functions returned."""
-    _, second = _cf_r2_args(
-        gains.g01, gains.g02, gains.g12, params.p0, params.p1,
-        split.alpha, split.alpha_bar, params.n1, params.n2, n_hat.n_hat,
-    )
-    return second < 0.0
+    return bool(rate_kernel(
+        Scheme.RBC_CF, gains.g01, gains.g02, gains.g12, params, split.alpha, n_hat.n_hat
+    )[3])
 
 
 def optimize_n_hat(
@@ -285,13 +256,8 @@ def optimize_n_hat(
     """
     if not scheme.uses_compression:
         raise ValueError(f"scheme {scheme.label} has no compression noise to optimize")
-    best, _, _ = _optimal_n_hat(
-        gains.g01, gains.g02, gains.g12, params.p0, params.p1,
-        split.alpha, split.alpha_bar, params.n1, params.n2,
-    )
-    n_hat = CompressionNoise(best)
-    rate_fn = rbc_cf_rates if scheme is Scheme.RBC_CF else rbc_cf_dpc_rates
-    return n_hat, rate_fn(gains, params, split, n_hat)
+    pair, n_hat = _typed(scheme, gains, params, split)
+    return CompressionNoise(float(n_hat)), pair
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +290,7 @@ def sweep_region(
     optimize: bool = True,
     n_hat: Optional[CompressionNoise] = None,
 ) -> RateRegionCurve:
-    """Rate pair per grid alpha.
+    """Rate pair per grid alpha, from one kernel call over the grid.
 
     For CF schemes the compression noise is optimised per point when
     ``optimize`` is true, otherwise the supplied fixed ``n_hat`` is used.
@@ -336,41 +302,37 @@ def sweep_region(
         raise ValueError("alpha grid values must lie in [0, 1]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("alpha grid must be strictly increasing")
+    fixed = None
+    if not scheme.uses_compression:
+        _require_ordered(gains, params)
+    elif not optimize:
+        if n_hat is None:
+            raise ValueError("fixed n_hat required when optimize=False")
+        fixed = n_hat.n_hat
 
-    points = []
-    n_hats = [] if scheme.uses_compression else None
-    for alpha in grid:
-        split = PowerSplit(alpha)
-        if scheme is Scheme.GBC:
-            pair = gbc_rates(gains, params, split)
-        elif scheme is Scheme.RBC_DF:
-            pair = rbc_df_rates(gains, params, split)
-        else:
-            if optimize:
-                point_n_hat, pair = optimize_n_hat(gains, params, split, scheme)
-            else:
-                if n_hat is None:
-                    raise ValueError("fixed n_hat required when optimize=False")
-                point_n_hat = n_hat
-                rate_fn = rbc_cf_rates if scheme is Scheme.RBC_CF else rbc_cf_dpc_rates
-                pair = rate_fn(gains, params, split, point_n_hat)
-            n_hats.append(point_n_hat)
-        points.append((alpha, pair))
-    return RateRegionCurve(
-        scheme=scheme,
-        points=tuple(points),
-        n_hats=tuple(n_hats) if n_hats is not None else None,
+    r1, r2, n_hats, _ = rate_kernel(
+        scheme, gains.g01, gains.g02, gains.g12, params, np.array(grid), fixed
     )
+    points = tuple((alpha, RatePair(r1=x, r2=y))
+                   for alpha, x, y in zip(grid, r1.tolist(), r2.tolist()))
+    if not scheme.uses_compression:
+        n_hats = None
+    elif optimize:
+        n_hats = tuple(CompressionNoise(x) for x in n_hats.tolist())
+    else:
+        n_hats = (n_hat,) * len(grid)
+    return RateRegionCurve(scheme=scheme, points=points, n_hats=n_hats)
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers for the scheduler (literal formula evaluation, no ordering
-# checks; selection metrics are computed exactly as written)
+# scalar helpers (literal formula evaluation, no ordering checks; the
+# scheduler's selection metrics are computed exactly as written)
 
 @dataclass(frozen=True)
 class ServedRates:
-    """Rates actually served to one pair, with the compression noise used
-    (CF schemes) and whether the r2 clamp at zero fired."""
+    """Rates actually served, with the compression noise used (CF schemes)
+    and whether the r2 clamp at zero fired: floats for one pair, arrays for
+    a batch."""
 
     r1: float
     r2: float
@@ -380,9 +342,7 @@ class ServedRates:
 
 def relay_rate_bits(scheme: Scheme, g01: float, params: ChannelParams, split: PowerSplit) -> float:
     """r1 of a candidate relay user, a function of its own BS gain only."""
-    if scheme is Scheme.RBC_CF:
-        return _r1_no_sic(g01, params.p0, split.alpha, split.alpha_bar, params.n1)
-    return _r1_sic(g01, params.p0, split.alpha, params.n1)
+    return float(relay_rate(scheme, g01, params, split.alpha))
 
 
 def second_rate_bits(
@@ -391,41 +351,15 @@ def second_rate_bits(
 ) -> float:
     """r2 of a candidate pair (relay gain g01, second-user gain g02, cross
     gain g12); CF schemes evaluate at the optimal compression noise."""
-    a, ab = split.alpha, split.alpha_bar
-    if scheme is Scheme.GBC:
-        return _r2_gbc(g02, params.p0, a, ab, params.n2)
-    if scheme is Scheme.RBC_DF:
-        return min(
-            _r2_forward(g02, g12, params.p0, params.p1, a, ab, params.n2),
-            _r2_df_decode(g01, params.p0, a, ab, params.n1),
-        )
-    _, r2, _ = _optimal_n_hat(g01, g02, g12, params.p0, params.p1, a, ab, params.n1, params.n2)
-    return r2
+    return float(rate_kernel(scheme, g01, g02, g12, params, split.alpha)[1])
 
 
-def serve_pair(
-    scheme: Scheme, g01: float, g02: float, g12: float,
-    params: ChannelParams, split: PowerSplit,
-) -> ServedRates:
-    """Rates served to an ordered pair; CF schemes optimise the compression
-    noise for the pair's true gains."""
-    a, ab = split.alpha, split.alpha_bar
-    if scheme is Scheme.GBC:
-        return ServedRates(
-            r1=_r1_sic(g01, params.p0, a, params.n1),
-            r2=_r2_gbc(g02, params.p0, a, ab, params.n2),
-        )
-    if scheme is Scheme.RBC_DF:
-        r2 = min(
-            _r2_forward(g02, g12, params.p0, params.p1, a, ab, params.n2),
-            _r2_df_decode(g01, params.p0, a, ab, params.n1),
-        )
-        return ServedRates(r1=_r1_sic(g01, params.p0, a, params.n1), r2=r2)
-    n_hat, r2, clamped = _optimal_n_hat(
-        g01, g02, g12, params.p0, params.p1, a, ab, params.n1, params.n2
-    )
-    if scheme is Scheme.RBC_CF:
-        r1 = _r1_no_sic(g01, params.p0, a, ab, params.n1)
-    else:
-        r1 = _r1_sic(g01, params.p0, a, params.n1)
+def serve_pair(scheme: Scheme, g01, g02, g12, params: ChannelParams, split: PowerSplit) -> ServedRates:
+    """Rates served to an ordered pair, or to a batch of pairs given as
+    arrays; CF schemes optimise the compression noise for each pair's true
+    gains."""
+    r1, r2, n_hat, clamped = rate_kernel(scheme, g01, g02, g12, params, split.alpha)
+    if np.ndim(r2) == 0:
+        r1, r2, clamped = float(r1), float(r2), bool(clamped)
+        n_hat = None if n_hat is None else float(n_hat)
     return ServedRates(r1=r1, r2=r2, n_hat=n_hat, r2_clamped=clamped)

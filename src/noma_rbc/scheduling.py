@@ -21,20 +21,21 @@ under nearest pairing), roles are swapped before serving and the event is
 counted.
 
 Blocks are processed in order with cumulative removals, so no user is
-scheduled twice within one interval.  Every tie-break picks the lowest
-user index; identical inputs give identical assignments.
+scheduled twice within one interval.  Each selection stage scores all its
+candidates in one call of the rate kernel.  Every tie-break picks the
+lowest user index, a NaN score never wins and a stage without a finite
+score is an error; identical inputs give identical assignments.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import ChannelParams, PowerSplit, Scheme
-from .rates import relay_rate_bits, second_rate_bits, serve_pair
+from .rates import rate_kernel, relay_rate, serve_pair
 
 PAIRINGS = ("near-far", "nearest")
 NEIGHBOR_MODES = ("recompute", "static")
@@ -54,14 +55,13 @@ def split_groups(block_gains: np.ndarray, ids=None):
     return np.sort(order[:n_strong]), np.sort(order[n_strong:])
 
 
-def _pf_argmax(ids, score: Callable[[int], float]) -> int:
-    """Index with the largest score; first (lowest) index wins ties."""
-    best_id, best = -1, -math.inf
-    for i in ids:
-        s = score(int(i))
-        if s > best:
-            best, best_id = s, int(i)
-    return best_id
+def _pf_argmax(scores: np.ndarray) -> int:
+    """Position of the largest PF score; the first (lowest) position wins
+    ties and a NaN score never wins.  Raises when no score is finite, which
+    would leave the choice to the order of the candidates."""
+    if not np.isfinite(scores).any():
+        raise ValueError(f"no candidate has a finite PF score: {scores}")
+    return int(np.argmax(np.where(np.isnan(scores), -np.inf, scores)))
 
 
 def near_far_pair(
@@ -79,33 +79,35 @@ def near_far_pair(
     ``block_gains`` holds that block's true per-user BS power gains,
     ``est_gain[i, j]`` the distance-based inter-user power-gain estimate.
     The relay stage needs only each candidate's own BS gain; the second
-    stage scores r2 given the chosen relay.
+    stage scores r2 given the chosen relay.  Each stage scores all its
+    candidates in one kernel call.
     """
+    g1_ids, g2_ids = np.asarray(g1_ids, dtype=int), np.asarray(g2_ids, dtype=int)
     if len(g1_ids) == 0 or len(g2_ids) == 0:
         raise ValueError("empty candidate group")
-    k1 = _pf_argmax(
-        g1_ids,
-        lambda i: relay_rate_bits(scheme, block_gains[i], params, split) / avg_rates[i],
+    gains, avg = np.asarray(block_gains), np.asarray(avg_rates)
+    r1 = relay_rate(scheme, gains[g1_ids], params, split.alpha)
+    k1 = int(g1_ids[_pf_argmax(r1 / avg[g1_ids])])
+    _, r2, _, _ = rate_kernel(
+        scheme, gains[k1], gains[g2_ids], est_gain[k1, g2_ids], params, split.alpha
     )
-    k2 = _pf_argmax(
-        g2_ids,
-        lambda j: second_rate_bits(
-            scheme, block_gains[k1], block_gains[j], est_gain[k1, j], params, split
-        ) / avg_rates[j],
-    )
-    return k1, k2
+    return k1, int(g2_ids[_pf_argmax(r2 / avg[g2_ids])])
+
+
+def _nearest(ids: np.ndarray, dist_matrix: np.ndarray) -> np.ndarray:
+    """Nearest neighbour of each of the ascending ``ids`` among them."""
+    if len(ids) < 2:
+        raise ValueError("need at least two users to form neighbours")
+    sub = dist_matrix[np.ix_(ids, ids)].copy()
+    np.fill_diagonal(sub, np.inf)
+    return ids[np.argmin(sub, axis=1)]  # argmin returns the first (lowest id) tie
 
 
 def nearest_remaining(ids, dist_matrix: np.ndarray) -> dict[int, int]:
     """Nearest neighbour of each listed user among the listed users,
     Euclidean distance, ties to the lower index."""
     ids = np.sort(np.asarray(ids, dtype=int))
-    if len(ids) < 2:
-        raise ValueError("need at least two users to form neighbours")
-    sub = dist_matrix[np.ix_(ids, ids)].copy()
-    np.fill_diagonal(sub, np.inf)
-    nearest = ids[np.argmin(sub, axis=1)]  # argmin returns the first (lowest id) tie
-    return {int(i): int(j) for i, j in zip(ids, nearest)}
+    return dict(zip(ids.tolist(), _nearest(ids, dist_matrix).tolist()))
 
 
 def nearest_neighbor_pair(
@@ -123,35 +125,29 @@ def nearest_neighbor_pair(
 
     Each candidate i is evaluated as the relay with its neighbour N(i) as
     the second user; the joint PF metric r1(i)/avg(i) + r2(N(i)|i)/avg(N(i))
-    decides.  ``neighbor_of`` overrides the nearest-remaining map (static
-    neighbour mode); candidates whose mapped neighbour is unavailable are
-    skipped.
+    decides, all candidates being scored in one kernel call.
+    ``neighbor_of`` overrides the nearest-remaining map (static neighbour
+    mode): candidates whose mapped neighbour is unavailable are skipped, and
+    when that leaves none the nearest-remaining map is used for the block.
     """
     ids = np.sort(np.asarray(ids, dtype=int))
     if len(ids) < 2:
         raise ValueError("fewer than two remaining users")
-    if neighbor_of is None:
-        neighbor_of = nearest_remaining(ids, dist_matrix)
-        candidates = ids
-    else:
-        present = set(int(i) for i in ids)
-        candidates = [
-            i for i in ids
-            if neighbor_of.get(int(i)) in present and neighbor_of[int(i)] != int(i)
-        ]
-        if not candidates:
-            raise ValueError("no candidate has an available neighbour")
-
-    def metric(i: int) -> float:
-        j = neighbor_of[i]
-        r1 = relay_rate_bits(scheme, block_gains[i], params, split)
-        r2 = second_rate_bits(
-            scheme, block_gains[i], block_gains[j], est_gain[i, j], params, split
-        )
-        return r1 / avg_rates[i] + r2 / avg_rates[j]
-
-    k1 = _pf_argmax(candidates, metric)
-    return k1, neighbor_of[k1]
+    candidates, neighbors = ids, None
+    if neighbor_of is not None:
+        mapped = np.array([neighbor_of.get(i, -1) for i in ids.tolist()])
+        usable = np.isin(mapped, ids) & (mapped != ids)
+        if usable.any():
+            candidates, neighbors = ids[usable], mapped[usable]
+    if neighbors is None:
+        neighbors = _nearest(ids, dist_matrix)
+    gains, avg = np.asarray(block_gains), np.asarray(avg_rates)
+    r1, r2, _, _ = rate_kernel(
+        scheme, gains[candidates], gains[neighbors], est_gain[candidates, neighbors],
+        params, split.alpha,
+    )
+    k = _pf_argmax(r1 / avg[candidates] + r2 / avg[neighbors])
+    return int(candidates[k]), int(neighbors[k])
 
 
 def pf_update(avg_rates: np.ndarray, served_rates: np.ndarray, tau: float) -> np.ndarray:
@@ -177,21 +173,20 @@ class IntervalResult:
 
 
 def _cross_check_pair(scheme, g01, g02, g12, params, split, sr) -> None:
-    """Per-pair dominance checks against the plain superposition baseline."""
-    base = serve_pair(Scheme.GBC, g01, g02, 0.0, params, split)
-    if scheme is Scheme.RBC_DF:
-        ok = sr.r1 == base.r1 and sr.r2 >= base.r2 - 1e-12
-    elif scheme is Scheme.RBC_CF_DPC:
-        ok = sr.r1 == base.r1 and sr.r2 >= base.r2 - 1e-6
-    elif scheme is Scheme.RBC_CF:
-        ok = sr.r2 >= base.r2 - 1e-6
-    else:
+    """Per-pair dominance checks of served pairs against the plain
+    superposition baseline."""
+    if scheme is Scheme.GBC:
         return
-    if not ok:
+    base = serve_pair(Scheme.GBC, g01, g02, 0.0, params, split)
+    ok = sr.r2 >= base.r2 - (1e-12 if scheme is Scheme.RBC_DF else 1e-6)
+    if scheme is not Scheme.RBC_CF:
+        ok &= sr.r1 == base.r1
+    if not ok.all():
+        b = int(np.argmin(ok))
         raise RuntimeError(
             f"per-pair dominance violated for {scheme.label}: "
-            f"served=({sr.r1}, {sr.r2}) baseline=({base.r1}, {base.r2}) "
-            f"g01={g01} g02={g02} g12={g12} alpha={split.alpha}"
+            f"served=({sr.r1[b]}, {sr.r2[b]}) baseline=({base.r1[b]}, {base.r2[b]}) "
+            f"g01={g01[b]} g02={g02[b]} g12={g12[b]} alpha={split.alpha}"
         )
 
 
@@ -211,12 +206,14 @@ def schedule_interval(
     """Assign and serve all blocks of one scheduling interval.
 
     ``bs_gains`` is (K, B) with this interval's true BS power gains,
-    ``est_gain`` the (K, K) inter-user power-gain estimates and
-    ``draw_pair_gain(i, j)`` the true inter-user gain sampler used at serve
-    time.  Blocks run in order with cumulative removals.  When removals
-    exhaust one near-far half for a block (possible only for small K
-    relative to B, since group membership is per block), the remaining
-    users are re-split for that block.
+    ``avg_rates`` the (K,) PF ledger, finite and positive, ``est_gain`` the
+    (K, K) inter-user power-gain estimates and ``draw_pair_gain(i, j)`` the
+    true inter-user gain sampler used at serve time, called once per block
+    in block order.  Blocks run in order with cumulative removals.  When
+    removals exhaust one near-far half for a block (possible only for small
+    K relative to B, since group membership is per block), the remaining
+    users are re-split for that block.  All pairs are then served in one
+    call.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}; expected one of {PAIRINGS}")
@@ -225,6 +222,11 @@ def schedule_interval(
     n_users, n_blocks = bs_gains.shape
     if n_users < 2 * n_blocks:
         raise ValueError(f"{n_users} users cannot fill {n_blocks} blocks with pairs")
+    avg_rates = np.asarray(avg_rates, dtype=float)
+    if avg_rates.shape != (n_users,) or not (
+            np.isfinite(avg_rates).all() and avg_rates.min() > 0.0):
+        raise ValueError("the PF ledger avg_rates must hold one finite, positive "
+                         f"rate per user, got {avg_rates}")
 
     available = np.ones(n_users, dtype=bool)
     static_map = None
@@ -232,11 +234,7 @@ def schedule_interval(
         static_map = nearest_remaining(np.arange(n_users), dist_matrix)
 
     assignment = []
-    block_rates = []
-    served = np.zeros(n_users)
     role_swaps = 0
-    r2_clamps = 0
-
     for b in range(n_blocks):
         ids = np.flatnonzero(available)
         if pairing == "near-far":
@@ -250,43 +248,34 @@ def schedule_interval(
                 scheme, params, split,
             )
         else:
-            neighbor_of = static_map
-            if neighbor_of is not None:
-                present = set(int(i) for i in ids)
-                if not any(
-                    neighbor_of[int(i)] in present and neighbor_of[int(i)] != int(i)
-                    for i in ids
-                ):
-                    neighbor_of = None  # static map exhausted; recompute for this block
             k1, k2 = nearest_neighbor_pair(
                 ids, dist_matrix, bs_gains[:, b], avg_rates, est_gain,
-                scheme, params, split, neighbor_of=neighbor_of,
+                scheme, params, split, neighbor_of=static_map,
             )
         available[k1] = False
         available[k2] = False
-
-        relay, second = k1, k2
-        if bs_gains[relay, b] * params.n2 < bs_gains[second, b] * params.n1:
-            relay, second = second, relay
+        if bs_gains[k1, b] * params.n2 < bs_gains[k2, b] * params.n1:
+            k1, k2 = k2, k1
             role_swaps += 1
-        g12 = 0.0 if scheme is Scheme.GBC else draw_pair_gain(relay, second)
-        sr = serve_pair(scheme, bs_gains[relay, b], bs_gains[second, b], g12, params, split)
-        if sr.r2_clamped:
-            r2_clamps += 1
-        if cross_check:
-            _cross_check_pair(
-                scheme, bs_gains[relay, b], bs_gains[second, b], g12, params, split, sr
-            )
-        served[relay] += sr.r1
-        served[second] += sr.r2
-        assignment.append((relay, second))
-        block_rates.append((sr.r1, sr.r2))
+        assignment.append((k1, k2))
 
+    relays, seconds = np.array(assignment).T
+    blocks = np.arange(n_blocks)
+    g01, g02 = bs_gains[relays, blocks], bs_gains[seconds, blocks]
+    g12 = np.zeros(n_blocks) if scheme is Scheme.GBC else \
+        np.array([draw_pair_gain(relay, second) for relay, second in assignment])
+    sr = serve_pair(scheme, g01, g02, g12, params, split)
+    if cross_check:
+        _cross_check_pair(scheme, g01, g02, g12, params, split, sr)
+    served = np.zeros(n_users)
+    served[relays] = sr.r1
+    served[seconds] = sr.r2
+    block_rates = tuple(zip(sr.r1.tolist(), sr.r2.tolist()))
     return IntervalResult(
         assignment=tuple(assignment),
-        block_rates=tuple(block_rates),
+        block_rates=block_rates,
         served=served,
         sum_rate=float(sum(r1 + r2 for r1, r2 in block_rates)),
         role_swaps=role_swaps,
-        r2_clamps=r2_clamps,
+        r2_clamps=int(np.count_nonzero(sr.r2_clamped)),
     )

@@ -1,0 +1,173 @@
+"""Property tests of the array rate kernel over gains 1e-6..1e8 and powers
+1e-2..1e6: the compression-noise optimum against a dense grid and against a
+scalar transcription of its closed form, and the batched candidate scoring
+against the scalar reference loops."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from noma_rbc.core import ChannelParams, PowerSplit, Scheme
+from noma_rbc.rates import N_HAT_BRACKET, rate_kernel, relay_rate_bits, second_rate_bits
+from noma_rbc.scheduling import near_far_pair, nearest_neighbor_pair, nearest_remaining
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+CF_SCHEMES = (Scheme.RBC_CF, Scheme.RBC_CF_DPC)
+DENSE_N_HAT = np.logspace(math.log10(N_HAT_BRACKET[0]), math.log10(N_HAT_BRACKET[1]), 20_001)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+GAIN = log_uniform(1e-6, 1e8)
+POWER = log_uniform(1e-2, 1e6)
+# g12 * p1 = 0 leaves the forwarding bound at the cut-set bound's limit, so
+# the bounds never cross and the high bracket end wins
+RELAY_GAIN = st.one_of(st.just(0.0), GAIN)
+ALPHA = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+# no positive root: the cut-set bound binds everywhere (a strong relay link
+# and a relay user with some power of its own), or the forwarding-minus-loss
+# bound does (no relay power at all)
+LOW_END_WINS = (1.0, 0.5, 1e8, 1.0, 1e6, 0.5)
+HIGH_END_WINS = (1.0, 0.5, 0.0, 1.0, 1.0, 0.5)
+
+
+def scalar_cf_reference(g01, g02, g12, p0, p1, alpha, n1=1.0, n2=1.0):
+    """Written out apart from the package: the CF r2 at the best of the
+    crossing quadratic's positive roots and both bracket ends, the roots
+    and whether any of them is positive."""
+    a, ab = alpha, 1.0 - alpha
+    s1, s2 = g01 * a * p0, g02 * a * p0
+    t1, t2 = g01 * ab * p0, g02 * ab * p0
+    m2, w = s2 + n2, g12 * p1
+    dd = n1 * n2 + n2 * s1 + n1 * s2
+    forward = math.log1p((t2 + w) / m2) / math.log(2.0)
+
+    def objective(x):
+        cutset = math.log1p(t1 / (n1 + x) + t2 / m2) / math.log(2.0)
+        loss = math.log1p(n1 * n1 * m2 / (x * dd + n1 * n2 * s1)) / math.log(2.0)
+        return max(0.0, min(cutset, forward - loss))
+
+    # (la1*x + la0) * (lb1*x + lb0) = rr * (x + n1) * (dd*x + n1*n2*s1)
+    la1, la0 = m2 + t2, n1 * (m2 + t2) + t1 * m2
+    lb1, lb0 = dd, n1 * n2 * s1 + n1 * n1 * m2
+    rr = m2 + t2 + w
+    qa = la1 * lb1 - rr * dd
+    qb = la1 * lb0 + la0 * lb1 - rr * (n1 * dd + n1 * n2 * s1)
+    qc = la0 * lb0 - rr * (n1 * n1 * n2 * s1)
+    if qa == 0.0:
+        roots = [-qc / qb] if qb != 0.0 else []
+    else:
+        disc = qb * qb - 4.0 * qa * qc
+        roots = []
+        if disc >= 0.0:
+            q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+            roots = [q / qa] + ([qc / q] if q != 0.0 else [])
+    roots = [r for r in roots if math.isfinite(r) and r > 0.0]
+    return max(map(objective, roots + list(N_HAT_BRACKET))), roots, objective
+
+
+def cf_kernel(g01, g02, g12, p0, p1, alpha, n_hat=None):
+    return rate_kernel(Scheme.RBC_CF, g01, g02, g12, ChannelParams(p0=p0, p1=p1), alpha, n_hat)
+
+
+@pytest.mark.parametrize("case, end", [(LOW_END_WINS, 0), (HIGH_END_WINS, 1)],
+                         ids=["low-end", "high-end"])
+def test_no_root_cases_take_the_better_bracket_end(case, end):
+    _, roots, objective = scalar_cf_reference(*case)
+    assert roots == []
+    ends = [objective(x) for x in N_HAT_BRACKET]
+    assert ends[end] > ends[1 - end]
+    _, r2, n_hat, _ = cf_kernel(*case)
+    assert n_hat == N_HAT_BRACKET[end]
+    assert r2 == pytest.approx(ends[end], abs=1e-12)
+
+
+@PROPERTY
+@given(GAIN, GAIN, RELAY_GAIN, POWER, POWER, ALPHA)
+@example(*LOW_END_WINS)
+@example(*HIGH_END_WINS)
+def test_cf_r2_is_not_below_a_dense_n_hat_grid(g01, g02, g12, p0, p1, alpha):
+    _, r2, _, _ = cf_kernel(g01, g02, g12, p0, p1, alpha)
+    _, on_grid, _, _ = cf_kernel(g01, g02, g12, p0, p1, alpha, DENSE_N_HAT)
+    assert r2 >= on_grid.max() - 1e-9
+
+
+@PROPERTY
+@given(GAIN, GAIN, RELAY_GAIN, POWER, POWER, ALPHA)
+@example(*LOW_END_WINS)
+@example(*HIGH_END_WINS)
+def test_cf_r2_matches_the_scalar_reference(g01, g02, g12, p0, p1, alpha):
+    reference, _, _ = scalar_cf_reference(g01, g02, g12, p0, p1, alpha)
+    _, r2, _, _ = cf_kernel(g01, g02, g12, p0, p1, alpha)
+    assert r2 == pytest.approx(reference, abs=1e-12)
+
+
+@st.composite
+def blocks(draw):
+    """One block's candidates: BS gains, PF ledger, inter-user gain
+    estimates and positions of 2..10 users, and the powers."""
+    k = draw(st.integers(2, 10))
+    gains = np.array(draw(st.lists(GAIN, min_size=k, max_size=k)))
+    avg = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k)))
+    est = np.array(draw(st.lists(GAIN, min_size=k * k, max_size=k * k))).reshape(k, k)
+    xy = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=2 * k, max_size=2 * k)))
+    xy = xy.reshape(k, 2)
+    dist = np.sqrt(((xy[:, None] - xy[None]) ** 2).sum(-1))
+    params = ChannelParams(p0=draw(POWER), p1=draw(POWER))
+    return gains, avg, est, dist, params, PowerSplit(draw(st.floats(0.0, 1.0)))
+
+
+def pf_best(scores):
+    """Reference argmax: the largest score, the lowest index on ties."""
+    return -max((s, -i) for i, s in scores)[1]
+
+
+@PROPERTY
+@given(blocks(), st.sampled_from(list(Scheme)))
+def test_near_far_scoring_matches_the_scalar_loop(block, scheme):
+    gains, avg, est, _, params, split = block
+    order = np.argsort(-gains, kind="stable")
+    strong, weak = np.sort(order[: (len(gains) + 1) // 2]), np.sort(order[(len(gains) + 1) // 2:])
+    k1, k2 = near_far_pair(strong, weak, gains, avg, est, scheme, params, split)
+    assert k1 == pf_best((i, relay_rate_bits(scheme, gains[i], params, split) / avg[i])
+                         for i in strong)
+    assert k2 == pf_best(
+        (j, second_rate_bits(scheme, gains[k1], gains[j], est[k1, j], params, split) / avg[j])
+        for j in weak)
+
+
+@PROPERTY
+@given(blocks(), st.sampled_from(list(Scheme)))
+def test_nearest_scoring_matches_the_scalar_loop(block, scheme):
+    gains, avg, est, dist, params, split = block
+    ids = list(range(len(gains)))
+    nn = nearest_remaining(ids, dist)
+    k1, k2 = nearest_neighbor_pair(ids, dist, gains, avg, est, scheme, params, split)
+    expect = pf_best(
+        (i, relay_rate_bits(scheme, gains[i], params, split) / avg[i]
+         + second_rate_bits(scheme, gains[i], gains[nn[i]], est[i, nn[i]], params, split)
+         / avg[nn[i]])
+        for i in ids)
+    assert (k1, k2) == (expect, nn[expect])
+
+
+@pytest.mark.parametrize("scheme", CF_SCHEMES)
+def test_nearest_scoring_picks_an_unordered_cf_pair(scheme):
+    # user 0 is the weaker one but starved, so the metric makes it the relay
+    # of its stronger neighbour: the scored pair is unordered (g02 > g01)
+    gains = np.array([1.0, 50.0, 0.5])
+    avg = np.array([1e-3, 1.0, 1.0])
+    dist = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
+    est = np.full((3, 3), 2.0)
+    params, split = ChannelParams(p0=10.0, p1=10.0), PowerSplit(0.8)
+    assert nearest_neighbor_pair([0, 1, 2], dist, gains, avg, est, scheme, params, split) == (0, 1)
+    metric = [relay_rate_bits(scheme, gains[i], params, split) / avg[i]
+              + second_rate_bits(scheme, gains[i], gains[j], est[i, j], params, split) / avg[j]
+              for i, j in ((0, 1), (1, 0), (2, 0))]
+    assert metric[0] == max(metric)

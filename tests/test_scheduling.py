@@ -350,3 +350,51 @@ def test_schedule_interval_rejects_bad_inputs():
             split=SPLIT, est_gain=np.ones((4, 4)),
             draw_pair_gain=no_fading_pair_gain(np.ones((4, 4))),
         )
+
+
+def test_no_finite_score_is_rejected_not_mapped_to_the_last_user():
+    # an all-zero ledger at alpha = 1: every relay score is r1/0 = inf and
+    # every second-user score 0/0 = NaN; no user may be picked by position
+    gains = np.array([5.0, 4.0, 1.0, 2.0])
+    est = np.full((4, 4), 0.3)
+    split = PowerSplit(1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite PF score"):
+            near_far_pair([0, 1], [2, 3], gains, np.zeros(4), est, Scheme.GBC, PARAMS, split)
+        # an infinite score wins, a NaN one never does
+        avg = np.array([1.0, 0.0, 1.0, 1.0])
+        assert near_far_pair([0, 1], [2, 3], gains, avg, est, Scheme.GBC, PARAMS, split)[0] == 1
+        avg = np.array([1.0, 1.0, 0.0, 1.0])
+        assert near_far_pair([0, 1], [2, 3], gains, avg, est, Scheme.GBC, PARAMS, split) == (0, 3)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_schedule_interval_rejects_a_ledger_that_is_not_finite_and_positive(bad):
+    rng = rng_for(73)
+    gains, dist, est, avg = _interval_inputs(rng, k=6, b=2)
+    avg[3] = bad
+    with pytest.raises(ValueError, match="ledger"):
+        schedule_interval(
+            scheme=Scheme.GBC, pairing="near-far", bs_gains=gains, dist_matrix=dist,
+            avg_rates=avg, params=PARAMS, split=SPLIT, est_gain=est,
+            draw_pair_gain=no_fading_pair_gain(est),
+        )
+
+
+def test_static_neighbours_fall_back_to_the_nearest_remaining():
+    # static map 0->1, 1->0, 2->1, 3->0: once (0, 1) is served, neither
+    # remaining user has its mapped neighbour left, so the block recomputes
+    xy = np.array([[0.0, 0.0], [1.0, 0.0], [2.1, 0.0], [-1.1, 0.0]])
+    dist = np.sqrt(((xy[:, None] - xy[None]) ** 2).sum(-1))
+    static = nearest_remaining(range(4), dist)
+    assert static == {0: 1, 1: 0, 2: 1, 3: 0}
+    gains = np.array([[9.0, 1.0], [8.0, 1.0], [1.0, 3.0], [1.0, 2.0]])
+    est = np.full((4, 4), 0.5)
+    assert nearest_neighbor_pair([2, 3], dist, gains[:, 1], np.ones(4), est, Scheme.GBC,
+                                 PARAMS, SPLIT, neighbor_of=static) == (2, 3)
+    res = schedule_interval(
+        scheme=Scheme.GBC, pairing="nearest", bs_gains=gains, dist_matrix=dist,
+        avg_rates=np.ones(4), params=PARAMS, split=SPLIT, est_gain=est,
+        draw_pair_gain=no_fading_pair_gain(est), neighbors="static",
+    )
+    assert res.assignment == ((0, 1), (2, 3))
