@@ -23,6 +23,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -31,7 +32,13 @@ from . import __version__
 from .core import ChannelParams, CompressionNoise, LinkGains, Scheme, is_degraded_ordered
 from .oracle import random_verification_draw, verify_scheme
 from .rates import sweep_region, uniform_alpha_grid
-from .simulation import SimConfig, run_experiment, write_results_csv
+from .simulation import (
+    SimConfig,
+    effective_parallel,
+    plan_tasks,
+    run_experiment,
+    write_results_csv,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -111,7 +118,7 @@ def _jsonable(value):
 
 
 def _write_manifest(out_dir: Path, stem: str, command: str, config_snapshot: dict,
-                    seed, outputs, started: float) -> Path:
+                    seed, outputs, started: float, extra: Optional[dict] = None) -> Path:
     path = out_dir / f"{stem}.manifest.json"
     manifest = {
         "artifact_version": __version__,
@@ -120,6 +127,7 @@ def _write_manifest(out_dir: Path, stem: str, command: str, config_snapshot: dic
         "seed": seed,
         "outputs": [str(o) for o in outputs],
         "duration_s": round(time.monotonic() - started, 3),
+        **_jsonable(extra or {}),
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
@@ -230,6 +238,8 @@ def cmd_simulate(args) -> int:
     for key in _SIM_REQUIRED_KEYS:
         if file_cfg.get(key) is None and overridden.get(key) is None:
             errors.append(f"missing required key {key!r}")
+    if args.parallel < 1:
+        errors.append(f"parallel must be >= 1, got {args.parallel}")
 
     schemes = pairings = sweep = None
     base = None
@@ -241,7 +251,9 @@ def cmd_simulate(args) -> int:
                         else file_cfg.get("pairings", file_cfg.get("pairing", "near-far")))
         pairings = [pairing_spec] if isinstance(pairing_spec, str) else list(pairing_spec)
         raw_sweep = file_cfg.get("p1_over_p0_db", 0.0)
-        sweep = [float(x) for x in (raw_sweep if isinstance(raw_sweep, (list, tuple)) else [raw_sweep])]
+        sweep = raw_sweep if isinstance(raw_sweep, (list, tuple)) else [raw_sweep]
+        if not sweep:
+            raise ValueError("p1_over_p0_db must list at least one relay power")
         fields = {
             k: file_cfg[k] for k in file_cfg
             if k in _SIM_KEYS - {"scheme", "schemes", "pairing", "pairings", "p1_over_p0_db"}
@@ -251,7 +263,14 @@ def cmd_simulate(args) -> int:
             if value is not None:
                 base = replace(base, **{key: value})
         base = replace(base, scheme=schemes[0], pairing=pairings[0], p1_over_p0_db=sweep[0])
-        errors.extend(base.validate())
+        # every sweep point and pairing must make a valid config; each
+        # message once
+        point_errors = list(dict.fromkeys(
+            e for db in sweep for pairing in pairings
+            for e in replace(base, p1_over_p0_db=db, pairing=pairing).validate()))
+        errors.extend(point_errors)
+        if not point_errors:
+            sweep = [float(db) for db in sweep]
     except (TypeError, ValueError) as exc:
         errors.append(str(exc))
     if errors:
@@ -272,9 +291,18 @@ def cmd_simulate(args) -> int:
         "schemes": [s.label for s in schemes],
         "pairings": pairings,
         "p1_over_p0_db": sweep,
-        "parallel": args.parallel,
     })
-    _write_manifest(out_dir, "sum_rate", "simulate", snapshot, base.seed, [csv_path], started)
+    tasks = len(plan_tasks(base, sweep, schemes, pairings, args.parallel))
+    counters = [
+        {"scheme": r.scheme, "pairing": r.pairing, "p1_over_p0_db": r.p1_over_p0_db,
+         "role_swaps": r.role_swaps, "r2_clamps": r.r2_clamps}
+        for r in results
+    ]
+    _write_manifest(out_dir, "sum_rate", "simulate", snapshot, base.seed, [csv_path], started,
+                    extra={"parallel": {"requested": args.parallel,
+                                        "effective": effective_parallel(args.parallel, tasks),
+                                        "tasks": tasks},
+                           "counters": counters})
     _info(f"wrote {csv_path}")
     return EXIT_OK
 
@@ -349,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--intervals", type=int, help="scheduling intervals override")
     simulate.add_argument("--trials", type=int, help="trial count override")
     simulate.add_argument("--parallel", type=int, default=1,
-                          help="worker processes for trials (output is identical for any degree)")
+                          help="worker processes, at least 1, clamped to the CPU and task "
+                               "counts (output is identical for any degree)")
     simulate.set_defaults(func=cmd_simulate)
 
     verify = sub.add_parser("verify", help="randomized closed-form vs oracle equivalence check")

@@ -245,16 +245,17 @@ def verify_scheme(
         specs = [
             ("r1", r1, ("U", "Y1", "V")),
             # conditioning removes the relay path
-            ("r2", rates._forward_bound(g02, 0.0, params, a), ("V", "Y2", "X1")),
+            ("r2", rates._forward_bound(g02, 0.0, params, a, params.p1), ("V", "Y2", "X1")),
         ]
     elif scheme is Scheme.RBC_DF:
         specs = [
             ("r1", r1, ("U", "Y1", ("V", "X1"))),
-            ("r2_forward", rates._forward_bound(g02, g12, params, a), (("V", "X1"), "Y2")),
+            ("r2_forward", rates._forward_bound(g02, g12, params, a, params.p1),
+             (("V", "X1"), "Y2")),
             ("r2_decode", rates._decode_bound(g01, params, a), ("V", "Y1", "X1")),
         ]
     else:
-        cf = rates._CFBounds(g01, g02, g12, params, a)
+        cf = rates._CFBounds(g01, g02, g12, params, a, params.p1)
         cutset, loss = cf.terms(n_hat.n_hat)
         specs = [
             ("r1", r1, ("U", "Y1") if scheme is Scheme.RBC_CF else ("U", "Y1", "V")),

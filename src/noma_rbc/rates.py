@@ -75,9 +75,9 @@ def relay_rate(scheme: Scheme, g01, params: ChannelParams, alpha):
     return _log2_1p(g01 * alpha * params.p0 / params.n1)
 
 
-def _forward_bound(g02, g12, params: ChannelParams, alpha):
+def _forward_bound(g02, g12, params: ChannelParams, alpha, p1):
     """Second-user decoding bound with the relay user's help (bits)."""
-    return _log2_1p((g02 * (1.0 - alpha) * params.p0 + g12 * params.p1)
+    return _log2_1p((g02 * (1.0 - alpha) * params.p0 + g12 * p1)
                     / (g02 * alpha * params.p0 + params.n2))
 
 
@@ -92,7 +92,7 @@ class _CFBounds:
     arrays, as functions of the compression noise n_hat, and the n_hat that
     maximises their min."""
 
-    def __init__(self, g01, g02, g12, params: ChannelParams, alpha):
+    def __init__(self, g01, g02, g12, params: ChannelParams, alpha, p1):
         p0, n1, n2 = params.p0, params.n1, params.n2
         ab = 1.0 - alpha
         s2 = g02 * alpha * p0
@@ -101,7 +101,7 @@ class _CFBounds:
         self.t2 = g02 * ab * p0        # second user's component at the second user
         self.m2 = s2 + n2
         self.dd = n1 * n2 + n2 * self.s1 + n1 * s2
-        self.n1, self.n2, self.w, self.alpha = n1, n2, g12 * params.p1, alpha
+        self.n1, self.n2, self.w, self.alpha = n1, n2, g12 * p1, alpha
         self.t2_m2 = self.t2 / self.m2
         self.loss_num = n1 * n1 * self.m2
         self.loss_off = n1 * n2 * self.s1
@@ -161,24 +161,29 @@ class _CFBounds:
                 np.where(take, seconds[1], seconds[0]))
 
 
-def rate_kernel(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_hat=None):
+def rate_kernel(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_hat=None,
+                p1=None):
     """``(r1, r2, n_hat, clamped)`` of ``scheme`` for broadcastable gain
     arrays and a scalar or array ``alpha``.
 
-    r1 broadcasts over ``g01`` and ``alpha`` only, the rest over all
-    inputs.  CF schemes use the fixed compression noise ``n_hat`` when it is
-    given and the optimal one otherwise; ``clamped`` marks where the
+    The relay power is ``params.p1`` unless ``p1`` is given, which may be
+    an array broadcasting with the gains (one relay power per simulation
+    lane).  r1 broadcasts over ``g01`` and ``alpha`` only, the rest over
+    all inputs.  CF schemes use the fixed compression noise ``n_hat`` when
+    it is given and the optimal one otherwise; ``clamped`` marks where the
     forwarding-minus-loss argument is negative, i.e. where the clamp of r2
     at zero acted.  Other schemes return ``n_hat`` None and ``clamped``
     False.
     """
     r1 = relay_rate(scheme, g01, params, alpha)
+    p1 = params.p1 if p1 is None else p1
     if scheme is Scheme.GBC:  # the forwarding bound without the relay's help
-        return r1, _forward_bound(g02, 0.0, params, alpha), None, False
+        return r1, _forward_bound(g02, 0.0, params, alpha, p1), None, False
     if scheme is Scheme.RBC_DF:
-        r2 = np.minimum(_forward_bound(g02, g12, params, alpha), _decode_bound(g01, params, alpha))
+        r2 = np.minimum(_forward_bound(g02, g12, params, alpha, p1),
+                        _decode_bound(g01, params, alpha))
         return r1, r2, None, False
-    cf = _CFBounds(g01, g02, g12, params, alpha)
+    cf = _CFBounds(g01, g02, g12, params, alpha, p1)
     if n_hat is None:
         n_hat, r2, second = cf.optimum()
     else:
@@ -354,11 +359,12 @@ def second_rate_bits(
     return float(rate_kernel(scheme, g01, g02, g12, params, split.alpha)[1])
 
 
-def serve_pair(scheme: Scheme, g01, g02, g12, params: ChannelParams, split: PowerSplit) -> ServedRates:
+def serve_pair(scheme: Scheme, g01, g02, g12, params: ChannelParams, split: PowerSplit,
+               p1=None) -> ServedRates:
     """Rates served to an ordered pair, or to a batch of pairs given as
-    arrays; CF schemes optimise the compression noise for each pair's true
-    gains."""
-    r1, r2, n_hat, clamped = rate_kernel(scheme, g01, g02, g12, params, split.alpha)
+    arrays (with ``p1`` overriding the relay power as in ``rate_kernel``);
+    CF schemes optimise the compression noise for each pair's true gains."""
+    r1, r2, n_hat, clamped = rate_kernel(scheme, g01, g02, g12, params, split.alpha, p1=p1)
     if np.ndim(r2) == 0:
         r1, r2, clamped = float(r1), float(r2), bool(clamped)
         n_hat = None if n_hat is None else float(n_hat)

@@ -1,4 +1,12 @@
-"""User pairing and proportional-fair scheduling.
+"""User pairing and proportional-fair scheduling over simulation lanes.
+
+A lane is one independent scheduling problem: its own per-block BS gains,
+inter-user gain estimates, PF ledger and relay power.  ``schedule_lanes``
+schedules one interval of L lanes at once: every selection stage scores the
+candidates of all lanes as (L, K) masked arrays in one call of the rate
+kernel.  It is the only scheduler; ``schedule_interval``,
+``near_far_pair``, ``nearest_neighbor_pair``, ``nearest_remaining`` and
+``split_groups`` are its one-lane case.
 
 Two pairing policies fill the per-interval resource blocks:
 
@@ -21,10 +29,10 @@ under nearest pairing), roles are swapped before serving and the event is
 counted.
 
 Blocks are processed in order with cumulative removals, so no user is
-scheduled twice within one interval.  Each selection stage scores all its
-candidates in one call of the rate kernel.  Every tie-break picks the
-lowest user index, a NaN score never wins and a stage without a finite
-score is an error; identical inputs give identical assignments.
+scheduled twice within one interval.  Every tie-break picks the lowest
+user index, a NaN score never wins and a lane without a finite score is an
+error; identical inputs give identical assignments, and lanes never
+interact.
 """
 
 from __future__ import annotations
@@ -41,6 +49,219 @@ PAIRINGS = ("near-far", "nearest")
 NEIGHBOR_MODES = ("recompute", "static")
 
 
+# ---------------------------------------------------------------------------
+# lane stages: every array leads with the lane axis L
+
+def _strong_half(gains: np.ndarray, avail: np.ndarray) -> np.ndarray:
+    """Mask of the strong half, ceil(n/2) users, of the n available users
+    along the last axis, ranked by gain with ties to the lower index."""
+    order = np.argsort(-gains, axis=-1, kind="stable")
+    ranked = np.take_along_axis(avail, order, axis=-1)
+    position = np.cumsum(ranked, axis=-1)
+    strong = np.empty_like(ranked)
+    np.put_along_axis(strong, order, ranked & (position <= (position[..., -1:] + 1) // 2),
+                      axis=-1)
+    return strong
+
+
+def _pf_argmax(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Per lane, the candidate with the largest PF score; the lowest index
+    wins ties and a NaN score never wins.  Raises when a lane has no
+    candidate with a finite score, which would leave the choice to the
+    order of the candidates."""
+    usable = (np.isfinite(scores) & candidates).any(axis=1)
+    if not usable.all():
+        lane = int(np.argmin(usable))
+        raise ValueError(f"no candidate has a finite PF score in lane {lane}: "
+                         f"{scores[lane][candidates[lane]]}")
+    return np.argmax(np.where(candidates & ~np.isnan(scores), scores, -np.inf), axis=1)
+
+
+def _near_far_select(strong, weak, relay_scores, gains, avg, est_gain, scheme, params, alpha, p1):
+    """(relay, second) per lane: the relay from ``strong`` by its PF ratio
+    ``relay_scores`` = r1/avg, which needs only its own BS gain, then the
+    second user from ``weak`` by the PF ratio of r2 given that relay."""
+    lanes = np.arange(len(gains))
+    k1 = _pf_argmax(relay_scores, strong)
+    _, r2, _, _ = rate_kernel(scheme, gains[lanes, k1][:, None], gains, est_gain[lanes, k1],
+                              params, alpha, p1=p1)
+    return k1, _pf_argmax(r2 / avg, weak)
+
+
+def nearest_available(avail: np.ndarray, dist_matrix: np.ndarray) -> np.ndarray:
+    """(L, K) nearest available neighbour of every user of each lane,
+    Euclidean distance, ties to the lower index; ``avail`` is (L, K) and
+    ``dist_matrix`` (L, K, K).  Rows of users without an available
+    neighbour hold an arbitrary index."""
+    n_users = avail.shape[1]
+    others = avail[:, None, :] & ~np.eye(n_users, dtype=bool)
+    return np.argmin(np.where(others, dist_matrix, np.inf), axis=2)
+
+
+def _nearest_select(avail, dist_matrix, gains, avg, est_gain, scheme, params, alpha, p1,
+                    neighbor_of=None):
+    """(relay, second) per lane under nearest-neighbour pairing: each
+    candidate i is scored as the relay with its neighbour N(i) as the second
+    user by r1(i)/avg(i) + r2(N(i)|i)/avg(N(i)).  ``neighbor_of`` (L, K,
+    -1 for none) overrides the nearest-remaining map: candidates whose
+    mapped neighbour is unavailable are skipped, and a lane left without
+    candidates uses the nearest-remaining map for the block."""
+    lanes, users = np.arange(len(gains))[:, None], np.arange(avail.shape[1])
+    candidates = avail
+    if neighbor_of is None:
+        neighbors = nearest_available(avail, dist_matrix)
+    else:
+        neighbors = np.maximum(neighbor_of, 0)
+        usable = avail & (neighbor_of >= 0) & (neighbors != users) & avail[lanes, neighbors]
+        mapped = usable.any(axis=1)
+        candidates = np.where(mapped[:, None], usable, avail)
+        if not mapped.all():
+            neighbors = np.where(mapped[:, None], neighbors,
+                                 nearest_available(avail, dist_matrix))
+    r1, r2, _, _ = rate_kernel(scheme, gains, gains[lanes, neighbors],
+                               est_gain[lanes, users, neighbors], params, alpha, p1=p1)
+    k = _pf_argmax(r1 / avg + r2 / avg[lanes, neighbors], candidates)
+    return k, neighbors[lanes[:, 0], k]
+
+
+def pf_update(avg_rates: np.ndarray, served_rates: np.ndarray, tau: float) -> np.ndarray:
+    """One forgetting-factor update of the average-rate ledger, of any
+    shape; unscheduled users contribute a served rate of zero."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
+    avg = np.asarray(avg_rates, dtype=float)
+    served = np.asarray(served_rates, dtype=float)
+    return (1.0 - tau) * avg + tau * served
+
+
+def _cross_check_pair(scheme, g01, g02, g12, params, split, r1, r2) -> None:
+    """Per-pair dominance checks of served pairs against the plain
+    superposition baseline."""
+    if scheme is Scheme.GBC:
+        return
+    g01, g02, g12, r1, r2 = (np.ravel(x) for x in (g01, g02, g12, r1, r2))
+    base = serve_pair(Scheme.GBC, g01, g02, 0.0, params, split)
+    ok = r2 >= base.r2 - (1e-12 if scheme is Scheme.RBC_DF else 1e-6)
+    if scheme is not Scheme.RBC_CF:
+        ok &= r1 == base.r1
+    if not ok.all():
+        b = int(np.argmin(ok))
+        raise RuntimeError(
+            f"per-pair dominance violated for {scheme.label}: "
+            f"served=({r1[b]}, {r2[b]}) baseline=({base.r1[b]}, {base.r2[b]}) "
+            f"g01={g01[b]} g02={g02[b]} g12={g12[b]} alpha={split.alpha}"
+        )
+
+
+@dataclass(frozen=True)
+class LaneInterval:
+    """Outcome of one scheduling interval over L lanes and B blocks."""
+
+    relays: np.ndarray      # (L, B) relay user per block, roles as served
+    seconds: np.ndarray     # (L, B) second user per block
+    r1: np.ndarray          # (L, B) served rates
+    r2: np.ndarray
+    served: np.ndarray      # (L, K) per-user served rate this interval
+    sum_rate: np.ndarray    # (L,)
+    role_swaps: np.ndarray  # (L,)
+    r2_clamps: np.ndarray   # (L,)
+
+
+def schedule_lanes(
+    scheme: Scheme,
+    pairing: str,
+    bs_gains: np.ndarray,
+    dist_matrix: np.ndarray,
+    avg_rates: np.ndarray,
+    params: ChannelParams,
+    split: PowerSplit,
+    est_gain: np.ndarray,
+    pair_gains: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    neighbor_of: Optional[np.ndarray] = None,
+    relay_power: Optional[np.ndarray] = None,
+    cross_check: bool = False,
+) -> LaneInterval:
+    """Assign and serve all blocks of one scheduling interval in every lane.
+
+    ``bs_gains`` is (L, K, B) with this interval's true BS power gains,
+    ``dist_matrix`` and ``est_gain`` are (L, K, K) distances and inter-user
+    power-gain estimates, ``avg_rates`` the (L, K) PF ledger, finite and
+    positive.  ``relay_power`` (L,) overrides ``params.p1`` per lane.
+    ``pair_gains(relays, seconds)`` returns the (L, B) true inter-user
+    gains of the selected pairs; it is called once, after all blocks are
+    assigned, and not at all under GBC.  ``neighbor_of`` (L, K) is the
+    static neighbour map of nearest pairing, None to recompute the nearest
+    remaining neighbour per block.  All pairs are served in one call.
+    """
+    if pairing not in PAIRINGS:
+        raise ValueError(f"unknown pairing {pairing!r}; expected one of {PAIRINGS}")
+    n_lanes, n_users, n_blocks = bs_gains.shape
+    if n_users < 2 * n_blocks:
+        raise ValueError(f"{n_users} users cannot fill {n_blocks} blocks with pairs")
+    avg_rates = np.asarray(avg_rates, dtype=float)
+    if avg_rates.shape != (n_lanes, n_users) or not (
+            np.isfinite(avg_rates).all() and avg_rates.min() > 0.0):
+        raise ValueError("the PF ledger avg_rates must hold one finite, positive "
+                         f"rate per user, got {avg_rates}")
+    p1 = None if relay_power is None else np.asarray(relay_power, dtype=float)[:, None]
+
+    lanes = np.arange(n_lanes)
+    avail = np.ones((n_lanes, n_users), dtype=bool)
+    relays = np.empty((n_lanes, n_blocks), dtype=int)
+    seconds = np.empty((n_lanes, n_blocks), dtype=int)
+    role_swaps = np.zeros(n_lanes, dtype=int)
+    if pairing == "near-far":
+        by_block = np.moveaxis(bs_gains, 2, 1)  # (L, B, K)
+        strong_halves = _strong_half(by_block, np.ones(by_block.shape, dtype=bool))
+        relay_scores = relay_rate(scheme, bs_gains, params, split.alpha) / avg_rates[:, :, None]
+    for b in range(n_blocks):
+        gains = bs_gains[:, :, b]
+        if pairing == "near-far":
+            strong, weak = strong_halves[:, b] & avail, ~strong_halves[:, b] & avail
+            # 2b removals can exhaust a half only once it has at most 2b
+            # users (small K relative to B); such a lane re-splits the
+            # remaining users for this block
+            if n_users // 2 <= 2 * b:
+                resplit = ~(strong.any(axis=1) & weak.any(axis=1))
+                if resplit.any():
+                    again = _strong_half(gains, avail)
+                    strong = np.where(resplit[:, None], again, strong)
+                    weak = np.where(resplit[:, None], avail & ~again, weak)
+            k1, k2 = _near_far_select(strong, weak, relay_scores[:, :, b], gains, avg_rates,
+                                      est_gain, scheme, params, split.alpha, p1)
+        else:
+            k1, k2 = _nearest_select(avail, dist_matrix, gains, avg_rates, est_gain,
+                                     scheme, params, split.alpha, p1, neighbor_of)
+        avail[lanes, k1] = False
+        avail[lanes, k2] = False
+        swap = gains[lanes, k1] * params.n2 < gains[lanes, k2] * params.n1
+        relays[:, b] = np.where(swap, k2, k1)
+        seconds[:, b] = np.where(swap, k1, k2)
+        role_swaps += swap
+
+    lane_col, blocks = lanes[:, None], np.arange(n_blocks)
+    g01, g02 = bs_gains[lane_col, relays, blocks], bs_gains[lane_col, seconds, blocks]
+    g12 = np.zeros((n_lanes, n_blocks)) if scheme is Scheme.GBC else pair_gains(relays, seconds)
+    sr = serve_pair(scheme, g01, g02, g12, params, split, p1=p1)
+    r1, r2 = sr.r1, sr.r2
+    if cross_check:
+        _cross_check_pair(scheme, g01, g02, g12, params, split, r1, r2)
+    served = np.zeros((n_lanes, n_users))
+    served[lane_col, relays] = r1
+    served[lane_col, seconds] = r2
+    sum_rate = r1[:, 0] + r2[:, 0]
+    for b in range(1, n_blocks):  # block order, as a running float sum
+        sum_rate = sum_rate + (r1[:, b] + r2[:, b])
+    return LaneInterval(
+        relays=relays, seconds=seconds, r1=r1, r2=r2, served=served, sum_rate=sum_rate,
+        role_swaps=role_swaps,
+        r2_clamps=np.broadcast_to(sr.r2_clamped, g01.shape).sum(axis=1),
+    )
+
+
+# ---------------------------------------------------------------------------
+# one-lane case
+
 def split_groups(block_gains: np.ndarray, ids=None):
     """Strong-gain half (ceil(n/2)) and weak half of the given users.
 
@@ -49,19 +270,18 @@ def split_groups(block_gains: np.ndarray, ids=None):
     index.
     """
     gains = np.asarray(block_gains, dtype=float)
-    ids = np.arange(gains.shape[0]) if ids is None else np.asarray(ids, dtype=int)
-    order = ids[np.lexsort((ids, -gains[ids]))]
-    n_strong = (len(ids) + 1) // 2
-    return np.sort(order[:n_strong]), np.sort(order[n_strong:])
+    avail = np.ones(len(gains), dtype=bool)
+    if ids is not None:
+        avail[:] = False
+        avail[np.asarray(ids, dtype=int)] = True
+    strong = _strong_half(gains[None], avail[None])[0]
+    return np.flatnonzero(strong), np.flatnonzero(avail & ~strong)
 
 
-def _pf_argmax(scores: np.ndarray) -> int:
-    """Position of the largest PF score; the first (lowest) position wins
-    ties and a NaN score never wins.  Raises when no score is finite, which
-    would leave the choice to the order of the candidates."""
-    if not np.isfinite(scores).any():
-        raise ValueError(f"no candidate has a finite PF score: {scores}")
-    return int(np.argmax(np.where(np.isnan(scores), -np.inf, scores)))
+def _lane_mask(n_users: int, ids) -> np.ndarray:
+    mask = np.zeros((1, n_users), dtype=bool)
+    mask[0, np.asarray(ids, dtype=int)] = True
+    return mask
 
 
 def near_far_pair(
@@ -74,40 +294,33 @@ def near_far_pair(
     params: ChannelParams,
     split: PowerSplit,
 ) -> tuple[int, int]:
-    """(relay, second) for one block under near-far pairing.
+    """(relay, second) for one block under near-far pairing, the relay from
+    the candidates ``g1_ids`` and the second user from ``g2_ids``.
 
     ``block_gains`` holds that block's true per-user BS power gains,
     ``est_gain[i, j]`` the distance-based inter-user power-gain estimate.
-    The relay stage needs only each candidate's own BS gain; the second
-    stage scores r2 given the chosen relay.  Each stage scores all its
-    candidates in one kernel call.
     """
-    g1_ids, g2_ids = np.asarray(g1_ids, dtype=int), np.asarray(g2_ids, dtype=int)
     if len(g1_ids) == 0 or len(g2_ids) == 0:
         raise ValueError("empty candidate group")
-    gains, avg = np.asarray(block_gains), np.asarray(avg_rates)
-    r1 = relay_rate(scheme, gains[g1_ids], params, split.alpha)
-    k1 = int(g1_ids[_pf_argmax(r1 / avg[g1_ids])])
-    _, r2, _, _ = rate_kernel(
-        scheme, gains[k1], gains[g2_ids], est_gain[k1, g2_ids], params, split.alpha
+    gains = np.asarray(block_gains, dtype=float)[None]
+    avg = np.asarray(avg_rates, dtype=float)[None]
+    k1, k2 = _near_far_select(
+        _lane_mask(gains.shape[1], g1_ids), _lane_mask(gains.shape[1], g2_ids),
+        relay_rate(scheme, gains, params, split.alpha) / avg, gains, avg,
+        np.asarray(est_gain)[None], scheme, params, split.alpha, None,
     )
-    return k1, int(g2_ids[_pf_argmax(r2 / avg[g2_ids])])
-
-
-def _nearest(ids: np.ndarray, dist_matrix: np.ndarray) -> np.ndarray:
-    """Nearest neighbour of each of the ascending ``ids`` among them."""
-    if len(ids) < 2:
-        raise ValueError("need at least two users to form neighbours")
-    sub = dist_matrix[np.ix_(ids, ids)].copy()
-    np.fill_diagonal(sub, np.inf)
-    return ids[np.argmin(sub, axis=1)]  # argmin returns the first (lowest id) tie
+    return int(k1[0]), int(k2[0])
 
 
 def nearest_remaining(ids, dist_matrix: np.ndarray) -> dict[int, int]:
     """Nearest neighbour of each listed user among the listed users,
     Euclidean distance, ties to the lower index."""
     ids = np.sort(np.asarray(ids, dtype=int))
-    return dict(zip(ids.tolist(), _nearest(ids, dist_matrix).tolist()))
+    if len(ids) < 2:
+        raise ValueError("need at least two users to form neighbours")
+    dist = np.asarray(dist_matrix)
+    nearest = nearest_available(_lane_mask(len(dist), ids), dist[None])[0]
+    return dict(zip(ids.tolist(), nearest[ids].tolist()))
 
 
 def nearest_neighbor_pair(
@@ -121,43 +334,23 @@ def nearest_neighbor_pair(
     split: PowerSplit,
     neighbor_of: Optional[dict] = None,
 ) -> tuple[int, int]:
-    """(relay, second) for one block under nearest-neighbour pairing.
-
-    Each candidate i is evaluated as the relay with its neighbour N(i) as
-    the second user; the joint PF metric r1(i)/avg(i) + r2(N(i)|i)/avg(N(i))
-    decides, all candidates being scored in one kernel call.
-    ``neighbor_of`` overrides the nearest-remaining map (static neighbour
-    mode): candidates whose mapped neighbour is unavailable are skipped, and
-    when that leaves none the nearest-remaining map is used for the block.
-    """
-    ids = np.sort(np.asarray(ids, dtype=int))
+    """(relay, second) for one block under nearest-neighbour pairing among
+    the remaining users ``ids``; ``neighbor_of`` is the static neighbour
+    map, None to use the nearest remaining neighbours."""
     if len(ids) < 2:
         raise ValueError("fewer than two remaining users")
-    candidates, neighbors = ids, None
+    gains = np.asarray(block_gains, dtype=float)
+    mapped = None
     if neighbor_of is not None:
-        mapped = np.array([neighbor_of.get(i, -1) for i in ids.tolist()])
-        usable = np.isin(mapped, ids) & (mapped != ids)
-        if usable.any():
-            candidates, neighbors = ids[usable], mapped[usable]
-    if neighbors is None:
-        neighbors = _nearest(ids, dist_matrix)
-    gains, avg = np.asarray(block_gains), np.asarray(avg_rates)
-    r1, r2, _, _ = rate_kernel(
-        scheme, gains[candidates], gains[neighbors], est_gain[candidates, neighbors],
-        params, split.alpha,
+        mapped = np.full((1, len(gains)), -1)
+        for i, j in neighbor_of.items():
+            mapped[0, i] = j
+    k1, k2 = _nearest_select(
+        _lane_mask(len(gains), ids), np.asarray(dist_matrix)[None], gains[None],
+        np.asarray(avg_rates, dtype=float)[None], np.asarray(est_gain)[None],
+        scheme, params, split.alpha, None, mapped,
     )
-    k = _pf_argmax(r1 / avg[candidates] + r2 / avg[neighbors])
-    return int(candidates[k]), int(neighbors[k])
-
-
-def pf_update(avg_rates: np.ndarray, served_rates: np.ndarray, tau: float) -> np.ndarray:
-    """One forgetting-factor update of the average-rate ledger; unscheduled
-    users contribute a served rate of zero."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
-    avg = np.asarray(avg_rates, dtype=float)
-    served = np.asarray(served_rates, dtype=float)
-    return (1.0 - tau) * avg + tau * served
+    return int(k1[0]), int(k2[0])
 
 
 @dataclass(frozen=True)
@@ -170,24 +363,6 @@ class IntervalResult:
     sum_rate: float
     role_swaps: int
     r2_clamps: int
-
-
-def _cross_check_pair(scheme, g01, g02, g12, params, split, sr) -> None:
-    """Per-pair dominance checks of served pairs against the plain
-    superposition baseline."""
-    if scheme is Scheme.GBC:
-        return
-    base = serve_pair(Scheme.GBC, g01, g02, 0.0, params, split)
-    ok = sr.r2 >= base.r2 - (1e-12 if scheme is Scheme.RBC_DF else 1e-6)
-    if scheme is not Scheme.RBC_CF:
-        ok &= sr.r1 == base.r1
-    if not ok.all():
-        b = int(np.argmin(ok))
-        raise RuntimeError(
-            f"per-pair dominance violated for {scheme.label}: "
-            f"served=({sr.r1[b]}, {sr.r2[b]}) baseline=({base.r1[b]}, {base.r2[b]}) "
-            f"g01={g01[b]} g02={g02[b]} g12={g12[b]} alpha={split.alpha}"
-        )
 
 
 def schedule_interval(
@@ -203,79 +378,34 @@ def schedule_interval(
     neighbors: str = "recompute",
     cross_check: bool = False,
 ) -> IntervalResult:
-    """Assign and serve all blocks of one scheduling interval.
+    """Assign and serve all blocks of one scheduling interval: the one-lane
+    case of ``schedule_lanes``.
 
     ``bs_gains`` is (K, B) with this interval's true BS power gains,
-    ``avg_rates`` the (K,) PF ledger, finite and positive, ``est_gain`` the
-    (K, K) inter-user power-gain estimates and ``draw_pair_gain(i, j)`` the
-    true inter-user gain sampler used at serve time, called once per block
-    in block order.  Blocks run in order with cumulative removals.  When
-    removals exhaust one near-far half for a block (possible only for small
-    K relative to B, since group membership is per block), the remaining
-    users are re-split for that block.  All pairs are then served in one
-    call.
+    ``avg_rates`` the (K,) PF ledger, ``est_gain`` the (K, K) inter-user
+    power-gain estimates and ``draw_pair_gain(i, j)`` the true inter-user
+    gain sampler used at serve time, called once per block in block order.
     """
-    if pairing not in PAIRINGS:
-        raise ValueError(f"unknown pairing {pairing!r}; expected one of {PAIRINGS}")
     if neighbors not in NEIGHBOR_MODES:
         raise ValueError(f"unknown neighbour mode {neighbors!r}; expected one of {NEIGHBOR_MODES}")
-    n_users, n_blocks = bs_gains.shape
-    if n_users < 2 * n_blocks:
-        raise ValueError(f"{n_users} users cannot fill {n_blocks} blocks with pairs")
-    avg_rates = np.asarray(avg_rates, dtype=float)
-    if avg_rates.shape != (n_users,) or not (
-            np.isfinite(avg_rates).all() and avg_rates.min() > 0.0):
-        raise ValueError("the PF ledger avg_rates must hold one finite, positive "
-                         f"rate per user, got {avg_rates}")
-
-    available = np.ones(n_users, dtype=bool)
-    static_map = None
+    bs_gains = np.asarray(bs_gains, dtype=float)[None]
+    dist = np.asarray(dist_matrix)[None]
+    static = None
     if pairing == "nearest" and neighbors == "static":
-        static_map = nearest_remaining(np.arange(n_users), dist_matrix)
+        static = nearest_available(np.ones(bs_gains.shape[:2], dtype=bool), dist)
 
-    assignment = []
-    role_swaps = 0
-    for b in range(n_blocks):
-        ids = np.flatnonzero(available)
-        if pairing == "near-far":
-            g1_ids, g2_ids = split_groups(bs_gains[:, b])
-            g1_ids = g1_ids[available[g1_ids]]
-            g2_ids = g2_ids[available[g2_ids]]
-            if len(g1_ids) == 0 or len(g2_ids) == 0:
-                g1_ids, g2_ids = split_groups(bs_gains[:, b], ids=ids)
-            k1, k2 = near_far_pair(
-                g1_ids, g2_ids, bs_gains[:, b], avg_rates, est_gain,
-                scheme, params, split,
-            )
-        else:
-            k1, k2 = nearest_neighbor_pair(
-                ids, dist_matrix, bs_gains[:, b], avg_rates, est_gain,
-                scheme, params, split, neighbor_of=static_map,
-            )
-        available[k1] = False
-        available[k2] = False
-        if bs_gains[k1, b] * params.n2 < bs_gains[k2, b] * params.n1:
-            k1, k2 = k2, k1
-            role_swaps += 1
-        assignment.append((k1, k2))
+    def pair_gains(relays, seconds):
+        return np.array([[draw_pair_gain(i, j)
+                          for i, j in zip(relays[0].tolist(), seconds[0].tolist())]])
 
-    relays, seconds = np.array(assignment).T
-    blocks = np.arange(n_blocks)
-    g01, g02 = bs_gains[relays, blocks], bs_gains[seconds, blocks]
-    g12 = np.zeros(n_blocks) if scheme is Scheme.GBC else \
-        np.array([draw_pair_gain(relay, second) for relay, second in assignment])
-    sr = serve_pair(scheme, g01, g02, g12, params, split)
-    if cross_check:
-        _cross_check_pair(scheme, g01, g02, g12, params, split, sr)
-    served = np.zeros(n_users)
-    served[relays] = sr.r1
-    served[seconds] = sr.r2
-    block_rates = tuple(zip(sr.r1.tolist(), sr.r2.tolist()))
+    res = schedule_lanes(scheme, pairing, bs_gains, dist, np.asarray(avg_rates, dtype=float)[None],
+                         params, split, np.asarray(est_gain)[None], pair_gains,
+                         neighbor_of=static, cross_check=cross_check)
     return IntervalResult(
-        assignment=tuple(assignment),
-        block_rates=block_rates,
-        served=served,
-        sum_rate=float(sum(r1 + r2 for r1, r2 in block_rates)),
-        role_swaps=role_swaps,
-        r2_clamps=int(np.count_nonzero(sr.r2_clamped)),
+        assignment=tuple(zip(res.relays[0].tolist(), res.seconds[0].tolist())),
+        block_rates=tuple(zip(res.r1[0].tolist(), res.r2[0].tolist())),
+        served=res.served[0],
+        sum_rate=float(res.sum_rate[0]),
+        role_swaps=int(res.role_swaps[0]),
+        r2_clamps=int(res.r2_clamps[0]),
     )

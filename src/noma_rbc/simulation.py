@@ -10,19 +10,43 @@ cell-edge user has unit expected gain and therefore sees exactly the
 configured edge SNR.  Inter-user links use the same model with independent
 fading, drawn per served pair per block.
 
+Lanes.  A lane is one (trial, relay-power point) of a (scheme, pairing)
+combination.  ``run_lanes`` advances all lanes of a task together, one
+interval at a time: ``schedule_lanes`` scores every lane's candidates in
+one rate-kernel call per selection stage and serves all lanes' pairs in
+one call, and the PF ledger is an (L, K) array.  Only the interval loop is
+sequential, because each PF update depends on the previous interval.
+Lanes never interact, so a lane's result does not depend on which other
+lanes share its batch.
+
 Randomness uses the counter-based Philox generator.  Each trial's seed is
-derived from (master seed, trial index) only, and splits into three child
-streams (topology, BS fading, inter-user fading), so any two runs with the
-same master seed see identical topologies and BS fading regardless of
-scheme, pairing, sweep point or parallel degree.  Within a trial, intervals
-are strictly sequential (the PF ledger is a dependency chain); independent
-trials may run in parallel.
+derived from (master seed, trial index) only and splits into three child
+streams, drawn in this order and shared by the trial's relay-power lanes:
+
+* topology: the user positions, once per trial, hence the distance matrix
+  and the inter-user gain estimates;
+* BS fading: one (K, B) draw per interval (real parts, then imaginary
+  parts), or one per trial with ``fading: static``;
+* inter-user fading: one (B, 2) draw per interval, real and imaginary part
+  block by block, the order of one scalar draw per served pair (none
+  under GBC, which has no relay link).
+
+Any two runs with the same master seed therefore see identical topologies
+and fading regardless of scheme, pairing, relay power, chunking or
+parallel degree (common random numbers).
+
+Process pool.  ``run_experiment`` cuts each combination's trials into as
+few contiguous chunks as keep the workers busy; a task is one (scheme,
+pairing, trial chunk) with all relay-power points of its trials.  All
+tasks of one call share one pool of ``min(parallel, CPUs, tasks)``
+workers; with one worker they run in this process.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -30,11 +54,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import ChannelParams, PowerSplit, Scheme
-from .scheduling import NEIGHBOR_MODES, PAIRINGS, pf_update, schedule_interval
+from .scheduling import NEIGHBOR_MODES, PAIRINGS, nearest_available, pf_update, schedule_lanes
 
 SECTOR_HALF_ANGLE = math.pi / 3.0  # 120-degree sector, centred on the x axis
 AVG_RATE_INIT = 1e-3               # PF ledger start value; washed out within tens of intervals
-DEFAULT_P1_SWEEP_DB = (-20.0, -15.0, -10.0, -5.0, 0.0)
 
 FADING_MODES = ("iid", "static")
 
@@ -72,42 +95,84 @@ class SimConfig:
         return self.p0 * 10.0 ** (self.p1_over_p0_db / 10.0)
 
     def validate(self) -> list[str]:
-        """All violated constraints, empty when the config is usable."""
-        errors = []
-        if self.users < 2:
-            errors.append(f"users must be >= 2, got {self.users}")
-        if self.blocks < 1:
-            errors.append(f"blocks must be >= 1, got {self.blocks}")
-        if self.users < 2 * self.blocks:
-            errors.append(f"users ({self.users}) must be >= 2 * blocks ({self.blocks})")
-        if not self.inner_radius_m > 0.0:
-            errors.append(f"inner_radius_m must be positive, got {self.inner_radius_m}")
-        if not self.edge_radius_m > self.inner_radius_m:
-            errors.append(
-                f"edge_radius_m ({self.edge_radius_m}) must exceed "
-                f"inner_radius_m ({self.inner_radius_m})"
-            )
-        if self.path_loss_exp < 0.0:
-            errors.append(f"path_loss_exp must be non-negative, got {self.path_loss_exp}")
-        if not 0.0 < self.tau < 1.0:
-            errors.append(f"tau must lie in (0, 1), got {self.tau}")
-        if not 0.0 <= self.alpha <= 1.0:
-            errors.append(f"alpha must lie in [0, 1], got {self.alpha}")
+        """All violated constraints, empty when the config is usable.  A
+        field of the wrong type is reported once and skips its range
+        checks."""
+        bad = {name for name in _INT_FIELDS if not _is_int(getattr(self, name))}
+        errors = [f"{name} must be an integer, got {getattr(self, name)!r}"
+                  for name in _INT_FIELDS if name in bad]
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value)):
+                bad.add(name)
+                errors.append(f"{name} must be a finite number, got {value!r}")
+
+        def check(names, ok, message) -> bool:
+            """Record ``message`` unless one of ``names`` is mistyped or
+            ``ok()`` holds; False when it was recorded."""
+            if bad.isdisjoint(names.split()) and not ok():
+                errors.append(message)
+                return False
+            return True
+
+        check("users", lambda: self.users >= 2, f"users must be >= 2, got {self.users}")
+        check("blocks", lambda: self.blocks >= 1, f"blocks must be >= 1, got {self.blocks}")
+        check("users blocks", lambda: self.users >= 2 * self.blocks,
+              f"users ({self.users}) must be >= 2 * blocks ({self.blocks})")
+        check("inner_radius_m", lambda: self.inner_radius_m > 0.0,
+              f"inner_radius_m must be positive, got {self.inner_radius_m}")
+        check("edge_radius_m inner_radius_m", lambda: self.edge_radius_m > self.inner_radius_m,
+              f"edge_radius_m ({self.edge_radius_m}) must exceed "
+              f"inner_radius_m ({self.inner_radius_m})")
+        check("path_loss_exp", lambda: self.path_loss_exp >= 0.0,
+              f"path_loss_exp must be non-negative, got {self.path_loss_exp}")
+        check("tau", lambda: 0.0 < self.tau < 1.0, f"tau must lie in (0, 1), got {self.tau}")
+        check("alpha", lambda: 0.0 <= self.alpha <= 1.0,
+              f"alpha must lie in [0, 1], got {self.alpha}")
+        check("intervals", lambda: self.intervals >= 1,
+              f"intervals must be >= 1, got {self.intervals}")
+        check("trials", lambda: self.trials >= 1, f"trials must be >= 1, got {self.trials}")
+        check("seed", lambda: self.seed >= 0, f"seed must be >= 0, got {self.seed}")
+        check("noise_power", lambda: self.noise_power > 0.0,
+              f"noise_power must be positive, got {self.noise_power}")
+        if not check("edge_snr_db noise_power", lambda: _power_ok(lambda: self.p0, positive=True),
+                     f"edge_snr_db ({self.edge_snr_db}) gives a BS power that is not "
+                     "finite and positive"):
+            bad.add("edge_snr_db")  # the relay power scales the BS power
+        check("edge_snr_db noise_power p1_over_p0_db", lambda: _power_ok(lambda: self.p1),
+              f"p1_over_p0_db ({self.p1_over_p0_db}) gives a relay power that is not finite")
         if not isinstance(self.scheme, Scheme):
             errors.append(f"scheme must be a Scheme, got {self.scheme!r}")
         if self.pairing not in PAIRINGS:
             errors.append(f"pairing must be one of {PAIRINGS}, got {self.pairing!r}")
-        if self.intervals < 1:
-            errors.append(f"intervals must be >= 1, got {self.intervals}")
-        if self.trials < 1:
-            errors.append(f"trials must be >= 1, got {self.trials}")
         if self.fading not in FADING_MODES:
             errors.append(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
         if self.neighbors not in NEIGHBOR_MODES:
             errors.append(f"neighbors must be one of {NEIGHBOR_MODES}, got {self.neighbors!r}")
-        if not self.noise_power > 0.0:
-            errors.append(f"noise_power must be positive, got {self.noise_power}")
+        if not isinstance(self.cross_check, bool):
+            errors.append(f"cross_check must be true or false, got {self.cross_check!r}")
         return errors
+
+
+_INT_FIELDS = ("users", "blocks", "intervals", "trials", "seed")
+_FLOAT_FIELDS = ("edge_radius_m", "inner_radius_m", "path_loss_exp", "edge_snr_db",
+                 "p1_over_p0_db", "tau", "alpha", "noise_power")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _power_ok(power: Callable[[], float], positive: bool = False) -> bool:
+    try:
+        value = power()
+    except OverflowError:
+        return False
+    return math.isfinite(value) and (value > 0.0 or not positive)
 
 
 def generate_topology(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -150,10 +215,144 @@ def draw_bs_gains(radii: np.ndarray, config: SimConfig, rng: np.random.Generator
     return rayleigh_power(rng, (len(radii), config.blocks)) * pl[:, None]
 
 
-def draw_pair_gain(distance_m: float, config: SimConfig, rng: np.random.Generator) -> float:
-    """True inter-user power gain: same path-loss model as the BS links with
-    an independent fading draw."""
-    return float(path_gain(distance_m, config) * rayleigh_power(rng))
+def pair_fading(rng: np.random.Generator, intervals: int, blocks: int) -> np.ndarray:
+    """(intervals, blocks) Rayleigh power fading of the served pairs' inter-user
+    links for one trial: per interval one (blocks, 2) standard-normal draw,
+    real part then imaginary part, block by block.  Each |f|^2 is squared
+    as a Python float, so that a seed gives the same gains as one scalar
+    draw per served pair did; numpy's array square rounds a few draws in
+    10^4 differently."""
+    f = np.abs((rng.standard_normal((intervals, blocks, 2)) / np.sqrt(2.0)).view(complex))
+    return np.array([x ** 2 for x in f.ravel().tolist()]).reshape(intervals, blocks)
+
+
+def pair_path_gain(dist_m: np.ndarray, config: SimConfig) -> np.ndarray:
+    """(K, K) expected inter-user power gain of every pair, each a scalar
+    power like the per-pair path gains it replaces (numpy's array power
+    rounds some distances differently); the diagonal is 1."""
+    d_safe = dist_m / config.edge_radius_m
+    np.fill_diagonal(d_safe, 1.0)
+    return np.array([[x ** -config.path_loss_exp for x in row] for row in d_safe.tolist()])
+
+
+def _trial_streams(trial_seed):
+    """Topology, BS-fading and inter-user-fading generators of one trial:
+    a stateless equivalent of ``spawn(3)``, which would advance the
+    parent's child counter and break seed reuse across combinations."""
+    ss = trial_seed if isinstance(trial_seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(trial_seed)
+    return tuple(
+        np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + (k,))))
+        for k in range(3)
+    )
+
+
+@dataclass(frozen=True)
+class LaneResult:
+    """Per-lane outcome of ``run_lanes``; lane t * S + s is trial t at
+    relay-power point s."""
+
+    mean_sum_rate: np.ndarray   # (L,) time-averaged sum rate
+    role_swaps: np.ndarray      # (L,)
+    r2_clamps: np.ndarray       # (L,)
+    assignments: Optional[np.ndarray] = None  # (intervals, L, B, 2) when recorded
+
+
+def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[float],
+              keep_assignments: bool = False) -> LaneResult:
+    """Every (trial, relay-power point) lane of one (scheme, pairing)
+    combination, advanced together one interval at a time.
+
+    Each trial draws its topology, inter-user gain estimates and, per
+    interval, its (K, B) BS gains and (B,) inter-user fading once; its S
+    relay-power lanes share them.  ``trial_seeds`` are ints or numpy
+    SeedSequences.
+    """
+    errors = [e for db in p1_sweep_db for e in replace(config, p1_over_p0_db=db).validate()]
+    if errors:
+        raise ValueError("invalid config: " + "; ".join(dict.fromkeys(errors)))
+    sweep = [float(db) for db in p1_sweep_db]
+    n_points, n_trials = len(sweep), len(trial_seeds)
+    trial_of = np.repeat(np.arange(n_trials), n_points)
+    relay_power = np.tile([replace(config, p1_over_p0_db=db).p1 for db in sweep], n_trials)
+    params = ChannelParams(p0=config.p0, p1=float(relay_power[0]),
+                           n1=config.noise_power, n2=config.noise_power)
+    split = PowerSplit(config.alpha)
+    has_relay_link = config.scheme is not Scheme.GBC
+
+    streams = [_trial_streams(s) for s in trial_seeds]
+    radii, dist, est_gain, path, fading = [], [], [], [], []
+    for rng_topo, _, rng_pair in streams:
+        polar = generate_topology(config, rng_topo)
+        radii.append(polar[:, 0])
+        xy = positions_xy(polar)
+        diff = xy[:, None, :] - xy[None, :, :]
+        d = np.sqrt((diff ** 2).sum(axis=2))
+        dist.append(d)
+        # inter-user gain estimate C0 * d^(-gamma) with C0 = De^gamma, so the
+        # estimate equals the expected power gain of the fading model
+        d_safe = d.copy()
+        np.fill_diagonal(d_safe, 1.0)
+        est = path_gain(d_safe, config)
+        np.fill_diagonal(est, 0.0)
+        est_gain.append(est)
+        if has_relay_link:
+            path.append(pair_path_gain(d, config))
+            fading.append(pair_fading(rng_pair, config.intervals, config.blocks))
+    dist, est_gain = np.stack(dist)[trial_of], np.stack(est_gain)[trial_of]
+    if has_relay_link:
+        path, fading = np.stack(path), np.stack(fading)
+    static_gains = None
+    if config.fading == "static":
+        static_gains = np.stack([draw_bs_gains(r, config, rng_fading)
+                                 for r, (_, rng_fading, _) in zip(radii, streams)])[trial_of]
+    neighbor_of = None
+    if config.pairing == "nearest" and config.neighbors == "static":
+        neighbor_of = nearest_available(np.ones(dist.shape[:2], dtype=bool), dist)
+
+    n_lanes = len(trial_of)
+    lane_trial = trial_of[:, None]
+    avg = np.full((n_lanes, config.users), AVG_RATE_INIT)
+    total = np.zeros(n_lanes)
+    role_swaps = np.zeros(n_lanes, dtype=int)
+    r2_clamps = np.zeros(n_lanes, dtype=int)
+    assignments = [] if keep_assignments else None
+    for interval in range(config.intervals):
+        gains = static_gains if static_gains is not None else np.stack([
+            draw_bs_gains(r, config, rng_fading)
+            for r, (_, rng_fading, _) in zip(radii, streams)])[trial_of]
+
+        def pair_gains(relays, seconds):
+            return path[lane_trial, relays, seconds] * fading[trial_of, interval]
+
+        res = schedule_lanes(
+            scheme=config.scheme,
+            pairing=config.pairing,
+            bs_gains=gains,
+            dist_matrix=dist,
+            avg_rates=avg,
+            params=params,
+            split=split,
+            est_gain=est_gain,
+            pair_gains=pair_gains,
+            neighbor_of=neighbor_of,
+            relay_power=relay_power,
+            cross_check=config.cross_check,
+        )
+        total += res.sum_rate
+        role_swaps += res.role_swaps
+        r2_clamps += res.r2_clamps
+        if assignments is not None:
+            assignments.append(np.stack((res.relays, res.seconds), axis=-1))
+        avg = pf_update(avg, res.served, config.tau)
+
+    return LaneResult(
+        mean_sum_rate=total / config.intervals,
+        role_swaps=role_swaps,
+        r2_clamps=r2_clamps,
+        assignments=np.stack(assignments) if assignments is not None else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -165,81 +364,22 @@ class TrialResult:
 
 
 def run_trial(config: SimConfig, trial_seed, keep_assignments: bool = False) -> TrialResult:
-    """One placement realisation: draw a topology, schedule ``intervals``
-    times with fresh fading per the redraw policy, PF-update after every
-    interval, and return the time-averaged sum rate.
+    """One placement realisation at the config's relay power, the one-lane
+    case of ``run_lanes``: draw a topology, schedule ``intervals`` times
+    with fresh fading per the redraw policy, PF-update after every interval,
+    and return the time-averaged sum rate.
 
     ``trial_seed`` is an int or a numpy SeedSequence.
     """
-    errors = config.validate()
-    if errors:
-        raise ValueError("invalid config: " + "; ".join(errors))
-    ss = trial_seed if isinstance(trial_seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(trial_seed)
-    # stateless equivalent of ss.spawn(3): spawn() advances the parent's
-    # child counter, which would break seed reuse across sweep combinations
-    topo_ss, fading_ss, pair_ss = (
-        np.random.SeedSequence(entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + (k,))
-        for k in range(3)
-    )
-    rng_topo = np.random.Generator(np.random.Philox(topo_ss))
-    rng_fading = np.random.Generator(np.random.Philox(fading_ss))
-    rng_pair = np.random.Generator(np.random.Philox(pair_ss))
-
-    polar = generate_topology(config, rng_topo)
-    radii = polar[:, 0]
-    xy = positions_xy(polar)
-    diff = xy[:, None, :] - xy[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-
-    # inter-user gain estimate C0 * d^(-gamma) with C0 = De^gamma, so the
-    # estimate equals the expected power gain of the fading model
-    d_safe = dist.copy()
-    np.fill_diagonal(d_safe, 1.0)
-    est_gain = path_gain(d_safe, config)
-    np.fill_diagonal(est_gain, 0.0)
-
-    params = ChannelParams(p0=config.p0, p1=config.p1,
-                           n1=config.noise_power, n2=config.noise_power)
-    split = PowerSplit(config.alpha)
-    avg = np.full(config.users, AVG_RATE_INIT)
-    static_gains = draw_bs_gains(radii, config, rng_fading) if config.fading == "static" else None
-
-    def trial_pair_gain(i: int, j: int) -> float:
-        return draw_pair_gain(dist[i, j], config, rng_pair)
-
-    total = 0.0
-    role_swaps = 0
-    r2_clamps = 0
-    assignments = [] if keep_assignments else None
-    for _ in range(config.intervals):
-        gains = static_gains if static_gains is not None \
-            else draw_bs_gains(radii, config, rng_fading)
-        res = schedule_interval(
-            scheme=config.scheme,
-            pairing=config.pairing,
-            bs_gains=gains,
-            dist_matrix=dist,
-            avg_rates=avg,
-            params=params,
-            split=split,
-            est_gain=est_gain,
-            draw_pair_gain=trial_pair_gain,
-            neighbors=config.neighbors,
-            cross_check=config.cross_check,
-        )
-        total += res.sum_rate
-        role_swaps += res.role_swaps
-        r2_clamps += res.r2_clamps
-        if assignments is not None:
-            assignments.append(res.assignment)
-        avg = pf_update(avg, res.served, config.tau)
-
+    res = run_lanes(config, [trial_seed], [config.p1_over_p0_db], keep_assignments)
+    assignments = None
+    if res.assignments is not None:
+        assignments = tuple(tuple(map(tuple, a[0].tolist())) for a in res.assignments)
     return TrialResult(
-        mean_sum_rate=total / config.intervals,
-        role_swaps=role_swaps,
-        r2_clamps=r2_clamps,
-        assignments=tuple(assignments) if assignments is not None else None,
+        mean_sum_rate=float(res.mean_sum_rate[0]),
+        role_swaps=int(res.role_swaps[0]),
+        r2_clamps=int(res.r2_clamps[0]),
+        assignments=assignments,
     )
 
 
@@ -264,9 +404,44 @@ CSV_COLUMNS = ("scheme", "pairing", "p1_over_p0_db", "mean_sum_rate",
                "stderr", "trials", "intervals", "seed")
 
 
-def _trial_task(args):
-    config, seed_seq = args
-    return run_trial(config, seed_seq)
+@dataclass(frozen=True)
+class LaneTask:
+    """One unit of pool work: a (scheme, pairing) combination's trials
+    ``first`` .. ``first + len(seeds) - 1`` at every relay-power point."""
+
+    config: SimConfig
+    first: int
+    seeds: tuple
+    sweep: tuple
+
+
+def _run_task(task: LaneTask) -> LaneResult:
+    return run_lanes(task.config, task.seeds, task.sweep)
+
+
+def plan_tasks(config: SimConfig, p1_sweep_db: Sequence[float], schemes: Sequence[Scheme],
+               pairings: Sequence[str], parallel: int) -> list[LaneTask]:
+    """The experiment's tasks, in (scheme, pairing, trial) order.  Each
+    combination's trials are cut into as few contiguous chunks as keep
+    ``parallel`` workers busy, so lanes stay batched; a chunk holds all
+    relay-power points of its trials."""
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
+    seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
+    n_combos = len(schemes) * len(pairings)
+    chunks = min(config.trials, -(-parallel // n_combos))
+    bounds = [config.trials * c // chunks for c in range(chunks + 1)]
+    sweep = tuple(float(db) for db in p1_sweep_db)
+    return [
+        LaneTask(replace(config, scheme=scheme, pairing=pairing), a, tuple(seeds[a:b]), sweep)
+        for scheme in schemes for pairing in pairings for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def effective_parallel(parallel: int, n_tasks: int) -> int:
+    """Worker processes actually used: the requested degree clamped to the
+    CPU count and the task count."""
+    return max(1, min(parallel, os.cpu_count() or 1, n_tasks))
 
 
 def run_experiment(
@@ -277,48 +452,63 @@ def run_experiment(
     parallel: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> list[SimResult]:
-    """One SimResult per (scheme, pairing, sweep point).
+    """One SimResult per (scheme, pairing, sweep point), in that order.
 
-    Trial seeds depend on the master seed and trial index only, so every
-    combination reuses the same topologies and BS fading (common random
-    numbers) and the output is independent of the parallel degree.
+    All tasks run in one process pool when more than one worker is
+    used.  Trial seeds depend on the master seed and trial index only, and
+    lanes never interact, so every combination reuses the same topologies
+    and fading (common random numbers) and the output is independent of
+    the parallel degree and of the chunking.
     """
     sweep = list(p1_sweep_db) if p1_sweep_db is not None else [config.p1_over_p0_db]
     schemes = list(schemes) if schemes is not None else [config.scheme]
     pairings = list(pairings) if pairings is not None else [config.pairing]
-    trial_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
+    tasks = plan_tasks(config, sweep, schemes, pairings, parallel)
+    workers = effective_parallel(parallel, len(tasks))
+    if progress is not None:
+        progress(f"running {len(tasks)} tasks on {workers} worker(s): "
+                 f"{len(schemes)} schemes x {len(pairings)} pairings, {len(sweep)} relay powers x "
+                 f"{config.trials} trials x {config.intervals} intervals each")
+
+    def finished(results):
+        for k, (task, res) in enumerate(zip(tasks, results), 1):
+            if progress is not None:
+                progress(f"done {task.config.scheme.label} / {task.config.pairing}, trials "
+                         f"{task.first}-{task.first + len(task.seeds) - 1} ({k}/{len(tasks)})")
+            yield res
+
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(finished(pool.map(_run_task, tasks)))
+    else:
+        outcomes = list(finished(map(_run_task, tasks)))
 
     results = []
-    for scheme in schemes:
-        for pairing in pairings:
-            for p1_db in sweep:
-                cfg = replace(config, scheme=scheme, pairing=pairing,
-                              p1_over_p0_db=float(p1_db))
-                if progress is not None:
-                    progress(
-                        f"running {scheme.label} / {pairing} / p1_over_p0 = {p1_db} dB "
-                        f"({cfg.trials} trials x {cfg.intervals} intervals)"
-                    )
-                if parallel > 1:
-                    with ProcessPoolExecutor(max_workers=parallel) as pool:
-                        trials = list(pool.map(_trial_task, [(cfg, s) for s in trial_seeds]))
-                else:
-                    trials = [run_trial(cfg, s) for s in trial_seeds]
-                means = np.array([t.mean_sum_rate for t in trials])
-                stderr = float(means.std(ddof=1) / math.sqrt(len(means))) if len(means) > 1 else 0.0
-                results.append(SimResult(
-                    scheme=scheme.label,
-                    pairing=pairing,
-                    p1_over_p0_db=float(p1_db),
-                    mean_sum_rate=float(means.mean()),
-                    stderr=stderr,
-                    trials=cfg.trials,
-                    intervals=cfg.intervals,
-                    seed=cfg.seed,
-                    role_swaps=sum(t.role_swaps for t in trials),
-                    r2_clamps=sum(t.r2_clamps for t in trials),
-                    trial_means=tuple(float(m) for m in means),
-                ))
+    per_combo = len(tasks) // (len(schemes) * len(pairings))
+    for c in range(0, len(tasks), per_combo):
+        cfg = tasks[c].config
+        lanes = outcomes[c:c + per_combo]
+        # lane t * S + s: trial t at point s; one row of trials per point
+        means = np.ascontiguousarray(
+            np.concatenate([r.mean_sum_rate for r in lanes]).reshape(-1, len(sweep)).T)
+        swaps = np.concatenate([r.role_swaps for r in lanes]).reshape(-1, len(sweep)).sum(axis=0)
+        clamps = np.concatenate([r.r2_clamps for r in lanes]).reshape(-1, len(sweep)).sum(axis=0)
+        for s, p1_db in enumerate(sweep):
+            m = means[s]
+            stderr = float(m.std(ddof=1) / math.sqrt(len(m))) if len(m) > 1 else 0.0
+            results.append(SimResult(
+                scheme=cfg.scheme.label,
+                pairing=cfg.pairing,
+                p1_over_p0_db=float(p1_db),
+                mean_sum_rate=float(m.mean()),
+                stderr=stderr,
+                trials=cfg.trials,
+                intervals=cfg.intervals,
+                seed=cfg.seed,
+                role_swaps=int(swaps[s]),
+                r2_clamps=int(clamps[s]),
+                trial_means=tuple(m.tolist()),
+            ))
     return results
 
 

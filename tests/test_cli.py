@@ -2,6 +2,9 @@ import csv
 import time
 import json
 
+import pytest
+
+from noma_rbc import simulation
 from noma_rbc.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -206,3 +209,55 @@ def test_verify_injected_error_fails(capsys):
     rc = main(["verify", "--count", "2", "--inject-error"])
     assert rc == EXIT_VERIFY_FAILED
     assert "worst case" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, key", [
+    ("path_loss_exp: .nan", "path_loss_exp"),
+    ("edge_snr_db: .nan", "edge_snr_db"),
+    ("seed: -1", "seed"),
+    ("users: 8.5", "users"),
+    ("p1_over_p0_db: [0, .inf]", "p1_over_p0_db"),
+    ("pairings: [near-far, far-near]", "pairing"),
+])
+def test_simulate_bad_value_exits_2_naming_the_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(SIM_CONFIG.replace("seed: 11\n", "seed: 11\n" + line + "\n")
+                   .replace("p1_over_p0_db: [0]\n", "").replace("pairings: [near-far]\n", "")
+                   if key in ("p1_over_p0_db", "pairing") else SIM_CONFIG + line + "\n",
+                   encoding="utf-8")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "sum_rate.csv").exists()
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_simulate_parallel_below_one_exits_2(tmp_path, capsys, parallel):
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(SIM_CONFIG, encoding="utf-8")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+               "--parallel", parallel])
+    assert rc == EXIT_CONFIG_ERROR
+    assert "parallel" in capsys.readouterr().err
+
+
+def test_simulate_manifest_records_parallel_degree_and_counters(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 1)
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(SIM_CONFIG.replace("pairings: [near-far]", "pairings: [nearest]"),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--parallel", "8"]) == EXIT_OK
+    manifest = json.loads((out / "sum_rate.manifest.json").read_text())
+    # two schemes x two one-trial chunks; one CPU leaves one worker
+    assert manifest["parallel"] == {"requested": 8, "effective": 1, "tasks": 4}
+    counters = manifest["counters"]
+    assert [(c["scheme"], c["pairing"], c["p1_over_p0_db"]) for c in counters] == \
+        [("gbc", "nearest", 0.0), ("rbc-df", "nearest", 0.0)]
+    assert all(c["r2_clamps"] == 0 for c in counters)
+    assert all(isinstance(c["role_swaps"], int) for c in counters)
+    # the CSV columns are unchanged
+    assert list(read_csv(out / "sum_rate.csv")[0]) == [
+        "scheme", "pairing", "p1_over_p0_db", "mean_sum_rate", "stderr", "trials",
+        "intervals", "seed"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,12 @@ from noma_rbc.core import ChannelParams, PowerSplit, Scheme
 from noma_rbc.rates import relay_rate_bits, second_rate_bits
 from noma_rbc.scheduling import (
     near_far_pair,
+    nearest_available,
     nearest_neighbor_pair,
     nearest_remaining,
     pf_update,
     schedule_interval,
+    schedule_lanes,
     split_groups,
 )
 
@@ -398,3 +402,41 @@ def test_static_neighbours_fall_back_to_the_nearest_remaining():
         draw_pair_gain=no_fading_pair_gain(est), neighbors="static",
     )
     assert res.assignment == ((0, 1), (2, 3))
+
+
+@pytest.mark.parametrize("pairing, neighbors", [
+    ("near-far", "recompute"), ("nearest", "recompute"), ("nearest", "static"),
+])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_lanes_do_not_interact(scheme, pairing, neighbors):
+    # one batched call over five lanes, each with its own gains, ledger and
+    # relay power, equals five one-lane calls; K=8, B=3 lets near-far
+    # removals exhaust a half
+    rng = rng_for(79)
+    gains, dist, est, avg = (np.stack(x) for x in zip(*[_interval_inputs(rng, k=8, b=3)
+                                                         for _ in range(5)]))
+    relay_power = np.array([0.0, 0.1, 1.0, 10.0, 100.0])
+    static = nearest_available(np.ones((5, 8), dtype=bool), dist) \
+        if neighbors == "static" else None
+    lanes = np.arange(5)[:, None]
+    res = schedule_lanes(scheme, pairing, gains, dist, avg, PARAMS, SPLIT, est,
+                         pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
+                         neighbor_of=static, relay_power=relay_power, cross_check=True)
+    for lane in range(5):
+        one = schedule_interval(scheme, pairing, gains[lane], dist[lane], avg[lane],
+                                replace(PARAMS, p1=float(relay_power[lane])), SPLIT, est[lane],
+                                no_fading_pair_gain(est[lane]), neighbors=neighbors)
+        assert tuple(zip(res.relays[lane].tolist(), res.seconds[lane].tolist())) == one.assignment
+        assert res.sum_rate[lane] == one.sum_rate
+        assert np.array_equal(res.served[lane], one.served)
+        assert res.role_swaps[lane] == one.role_swaps
+
+
+def test_a_lane_without_a_finite_score_is_named():
+    rng = rng_for(83)
+    gains, dist, est, avg = (np.stack(x) for x in zip(*[_interval_inputs(rng, k=6, b=2)
+                                                         for _ in range(2)]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite PF score in lane 1"):
+            schedule_lanes(Scheme.GBC, "near-far", gains, dist, avg, PARAMS, PowerSplit(1.0), est,
+                           pair_gains=None, relay_power=np.array([1.0, np.nan]))

@@ -4,19 +4,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from noma_rbc import simulation
 from noma_rbc.core import ChannelParams, PowerSplit, Scheme
 from noma_rbc.rates import serve_pair
 from noma_rbc.simulation import (
     SECTOR_HALF_ANGLE,
     SimConfig,
     draw_bs_gains,
-    draw_pair_gain,
     generate_topology,
     mean_radius_analytic,
+    pair_fading,
+    pair_path_gain,
     path_gain,
+    plan_tasks,
     positions_xy,
     rayleigh_power,
     run_experiment,
+    run_lanes,
     run_trial,
     write_results_csv,
 )
@@ -86,11 +90,27 @@ def test_path_gain_anchors():
 
 def test_pair_gain_model():
     cfg = SimConfig()
-    draws = np.array([draw_pair_gain(250.0, cfg, rng) for rng in [rng_for(5)]
-                      for _ in range(100_000)])
+    dist = np.array([[0.0, 250.0], [250.0, 0.0]])
+    draws = pair_path_gain(dist, cfg)[0, 1] * pair_fading(rng_for(5), 25_000, 4).ravel()
     # independent Rayleigh fading on top of the distance path gain
     assert abs(draws.mean() - 8.0) / 8.0 < 0.02
-    assert draw_pair_gain(250.0, cfg, rng_for(3)) == draw_pair_gain(250.0, cfg, rng_for(3))
+    assert np.array_equal(pair_fading(rng_for(3), 2, 4), pair_fading(rng_for(3), 2, 4))
+
+
+def test_pair_gains_equal_one_scalar_draw_per_served_pair():
+    # the (intervals, blocks, 2) draw is the per-pair scalar draw order,
+    # real then imaginary part, block by block; values match bit for bit
+    # (numpy's array square differs from the scalar one on a few draws in
+    # 10^4, hence the count)
+    rng = rng_for(8)
+    scalar = [np.abs((rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)) ** 2
+              for _ in range(12_500 * 4)]
+    assert pair_fading(rng_for(8), 12_500, 4).ravel().tolist() == scalar
+    cfg = replace(SimConfig(), path_loss_exp=3.7)
+    dist = rng_for(9).uniform(1.0, 900.0, size=(30, 30))
+    table = pair_path_gain(dist, cfg)
+    assert all(table[i, j] == path_gain(dist[i, j], cfg)
+               for i in range(30) for j in range(30) if i != j)
 
 
 def test_edge_user_sees_configured_snr():
@@ -175,10 +195,124 @@ def test_run_experiment_stderr_matches_trials():
     assert r.stderr == pytest.approx(means.std(ddof=1) / 2.0, rel=1e-12)
 
 
+ALL_PAIRINGS = ["near-far", "nearest"]
+
+
 def test_parallel_degree_does_not_change_results():
-    serial = run_experiment(SMALL, schemes=[Scheme.GBC])
-    parallel = run_experiment(SMALL, schemes=[Scheme.GBC], parallel=2)
-    assert serial[0].trial_means == parallel[0].trial_means
+    kwargs = dict(p1_sweep_db=[-10.0, 0.0], schemes=list(Scheme), pairings=ALL_PAIRINGS)
+    serial = run_experiment(SMALL, **kwargs)
+    parallel = run_experiment(SMALL, parallel=2, **kwargs)
+    assert len(serial) == 16
+    assert [r.trial_means for r in serial] == [r.trial_means for r in parallel]
+    assert serial == parallel
+
+
+def test_relay_power_row_is_the_same_alone_or_inside_a_sweep():
+    for scheme in (Scheme.RBC_DF, Scheme.RBC_CF):
+        sweep = run_experiment(SMALL, p1_sweep_db=[-10.0, -3.0, 5.0], schemes=[scheme],
+                               pairings=ALL_PAIRINGS)
+        for pairing in ALL_PAIRINGS:
+            alone = run_experiment(SMALL, p1_sweep_db=[-3.0], schemes=[scheme],
+                                   pairings=[pairing])[0]
+            inside = [r for r in sweep if r.pairing == pairing and r.p1_over_p0_db == -3.0]
+            assert inside == [alone]
+
+
+def test_first_trials_do_not_depend_on_the_trial_count():
+    # SeedSequence.spawn children do not depend on how many are spawned,
+    # and trials are lanes that never interact
+    kwargs = dict(p1_sweep_db=[-10.0, 0.0], schemes=[Scheme.RBC_CF_DPC], pairings=ALL_PAIRINGS)
+    short = run_experiment(replace(SMALL, trials=2), **kwargs)
+    longer = run_experiment(replace(SMALL, trials=3), **kwargs)
+    for a, b in zip(short, longer):
+        assert b.trial_means[:2] == a.trial_means
+
+
+def test_lanes_match_one_lane_trials():
+    cfg = replace(SMALL, scheme=Scheme.RBC_CF, pairing="nearest", neighbors="static")
+    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
+    lanes = run_lanes(cfg, seeds, [-10.0, 0.0])
+    for t, seed in enumerate(seeds):
+        for s, db in enumerate([-10.0, 0.0]):
+            one = run_trial(replace(cfg, p1_over_p0_db=db), seed)
+            assert lanes.mean_sum_rate[2 * t + s] == one.mean_sum_rate
+            assert lanes.role_swaps[2 * t + s] == one.role_swaps
+
+
+class RecordingPool:
+    """Stands in for the process pool: records each pool's ``max_workers``
+    and runs the tasks in this process."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.created = []
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 6)
+    return RecordingPool.created
+
+
+def test_one_pool_per_experiment(recording_pool):
+    results = run_experiment(SMALL, p1_sweep_db=[-10.0, 0.0], schemes=list(Scheme),
+                             pairings=ALL_PAIRINGS, parallel=2)
+    assert recording_pool == [2]
+    assert results == run_experiment(SMALL, p1_sweep_db=[-10.0, 0.0], schemes=list(Scheme),
+                                     pairings=ALL_PAIRINGS)
+    assert recording_pool == [2]  # the serial run starts no pool
+
+
+@pytest.mark.parametrize("parallel, trials, schemes, workers", [
+    (64, 2, 4, 6),   # clamped to the CPU count
+    (64, 2, 1, 2),   # clamped to the task count: one task per trial
+    (5, 10, 4, 5),   # 2 chunks x 4 schemes = 8 tasks
+    (3, 1, 2, 2),    # one trial: one task per scheme
+    (1, 4, 4, None),
+])
+def test_parallel_degree_is_clamped(recording_pool, parallel, trials, schemes, workers):
+    cfg = replace(SMALL, trials=trials, intervals=2)
+    run_experiment(cfg, schemes=list(Scheme)[:schemes], parallel=parallel)
+    assert recording_pool == ([] if workers is None else [workers])
+
+
+def test_tasks_hold_every_relay_power_of_their_trials():
+    tasks = plan_tasks(replace(SMALL, trials=5), [-10.0, 0.0], list(Scheme), ALL_PAIRINGS, 16)
+    assert len(tasks) == 8 * 2
+    assert [(t.first, len(t.seeds)) for t in tasks[:2]] == [(0, 2), (2, 3)]
+    assert all(t.sweep == (-10.0, 0.0) for t in tasks)
+    with pytest.raises(ValueError, match="parallel"):
+        plan_tasks(SMALL, [0.0], [Scheme.GBC], ["near-far"], 0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("path_loss_exp", float("nan")),
+    ("edge_snr_db", float("nan")),
+    ("seed", -1),
+    ("users", 8.5),
+    ("blocks", True),
+    ("tau", float("inf")),
+    ("p1_over_p0_db", "x"),
+    ("edge_snr_db", 4000.0),
+    ("p1_over_p0_db", 4000.0),
+])
+def test_validation_names_mistyped_and_non_finite_fields(field, value):
+    errors = replace(SMALL, **{field: value}).validate()
+    assert len(errors) == 1 and errors[0].startswith(field)
+    with pytest.raises(ValueError, match=field):
+        run_trial(replace(SMALL, **{field: value}), 1)
 
 
 def test_common_random_numbers_across_schemes():
