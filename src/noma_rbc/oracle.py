@@ -33,12 +33,25 @@ the residuals' singular values.  Rank decisions use a pivot tolerance of
 or 1, p1 of 0) reduce cleanly instead of producing singular solves:
 directions of the left set that are deterministic given the conditioning
 stay deterministic under further conditioning and contribute zero.
+
+A system is one draw (every field a scalar) or a stack of N draws (fields
+are equal-length 1-D arrays, scalars shared by all draws).  Both take the
+same path: rows are ``(..., m, 6)`` stacks, every SVD and projection is a
+stacked numpy call, and rank decisions are masks rather than column
+selections.  A conditioning basis keeps each matrix's full ``vt`` with the
+rows past its numerical rank zeroed, the log-determinants sum the logs of
+the singular values each entry keeps, and the second SVD of an entry keeps
+its top rank(A) values, rank(A) being the first block's.  One draw gives
+Python floats, a stack gives arrays of N values.  ``verify_terms`` compares
+every closed-form term of a scheme with the oracle over a stack of draws
+in one pass; ``verify_scheme`` is its one-draw case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,12 +70,31 @@ from . import rates
 
 RANK_TOL = 1e-12
 
-_PRIMITIVES = ("U", "V", "X1", "Z1", "Z2", "ZH")
+# Variance fields in the order of the primitives U, V, X1, Z1, Z2, ZH.
+_VARIANCES = ("var_u", "var_v", "var_x1", "var_z1", "var_z2", "var_zh")
+
+# Each observable as {primitive column: coefficient}; a string coefficient
+# is the square root of that link power gain.
+_OBSERVABLES = {
+    "U": {0: 1.0},
+    "V": {1: 1.0},
+    "X1": {2: 1.0},
+    "Y1": {0: "g01", 1: "g01", 3: 1.0},
+    "Y1HAT": {1: "g01", 3: 1.0, 5: 1.0},
+    "Y2": {0: "g02", 1: "g02", 2: "g12", 4: 1.0},
+}
+_ROW_INDEX = {name: i for i, name in enumerate(_OBSERVABLES)}
+
+
+def _unstack(value):
+    """A Python float for one draw, the array itself for a stack."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
 class GaussianSystem:
-    """Variances of the six primitives plus the three link power gains."""
+    """Variances of the six primitives plus the three link power gains,
+    each a scalar or a 1-D array with one entry per draw of a stack."""
 
     var_u: float
     var_v: float
@@ -82,78 +114,93 @@ class GaussianSystem:
         split: PowerSplit,
         n_hat: CompressionNoise,
     ) -> "GaussianSystem":
+        return cls.from_values(gains.g01, gains.g02, gains.g12, params, split.alpha, n_hat.n_hat)
+
+    @classmethod
+    def from_values(cls, g01, g02, g12, params: ChannelParams, alpha, n_hat) -> "GaussianSystem":
+        """System of one draw (scalars) or a stack of draws (equal-length
+        arrays) sharing ``params``."""
         return cls(
-            var_u=split.alpha * params.p0,
-            var_v=split.alpha_bar * params.p0,
+            var_u=alpha * params.p0,
+            var_v=(1.0 - alpha) * params.p0,
             var_x1=params.p1,
             var_z1=params.n1,
             var_z2=params.n2,
-            var_zh=n_hat.n_hat,
-            g01=gains.g01,
-            g02=gains.g02,
-            g12=gains.g12,
+            var_zh=n_hat,
+            g01=g01,
+            g02=g02,
+            g12=g12,
         )
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        names = tuple(self.__dataclass_fields__)
+        values = [np.asarray(getattr(self, name), dtype=float) for name in names]
+        for name, value in zip(names, values):
+            if value.ndim > 1:
+                raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {value.shape}")
+        lengths = sorted({value.size for value in values if value.ndim})
+        if len(lengths) > 1:
+            raise ValueError(f"stacked fields must have equal lengths, got {lengths}")
+        table = np.stack(np.broadcast_arrays(*values))
+        bad = ~(np.isfinite(table) & (table >= 0.0))
+        if np.any(bad):
+            first = np.argwhere(bad)[0]
+            at = f" at draw {first[1]}" if len(first) > 1 else ""
+            raise ValueError(f"{names[first[0]]} must be finite and non-negative, "
+                             f"got {float(table[tuple(first)])!r}{at}")
 
-    def _coefficients(self) -> dict[str, np.ndarray]:
-        a01 = math.sqrt(self.g01)
-        a02 = math.sqrt(self.g02)
-        a12 = math.sqrt(self.g12)
-        return {
-            "U": np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-            "V": np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
-            "X1": np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
-            "Y1": np.array([a01, a01, 0.0, 1.0, 0.0, 0.0]),
-            "Y1HAT": np.array([0.0, a01, 0.0, 1.0, 0.0, 1.0]),
-            "Y2": np.array([a02, a02, a12, 0.0, 1.0, 0.0]),
-        }
+    @cached_property
+    def shape(self) -> tuple:
+        """() for one draw, (N,) for a stack of N draws."""
+        return np.broadcast_shapes(*(np.shape(getattr(self, f)) for f in self.__dataclass_fields__))
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Every observable of ``_OBSERVABLES`` as whitened rows, (..., 6, 6)."""
+        rows = np.zeros(self.shape + (len(_OBSERVABLES), len(_VARIANCES)))
+        for i, coefs in enumerate(_OBSERVABLES.values()):
+            for col, coef in coefs.items():
+                rows[..., i, col] = np.sqrt(getattr(self, coef)) if isinstance(coef, str) else coef
+        variances = np.stack(np.broadcast_arrays(*(getattr(self, f) for f in _VARIANCES)), axis=-1)
+        return rows * np.sqrt(variances)[..., None, :]
 
     def covariance(self, names: Sequence[str]) -> np.ndarray:
         """Joint covariance of the named observables (order preserved)."""
         rows = self.whitened_rows(names)
-        return rows @ rows.T
+        return rows @ rows.swapaxes(-1, -2)
 
     def whitened_rows(self, names: Sequence[str]) -> np.ndarray:
         """Each named observable as a row over the unit-variance primitives,
-        so inner products of rows are covariances."""
-        table = self._coefficients()
-        unknown = [n for n in names if n not in table]
+        so inner products of rows are covariances: shape (..., m, 6)."""
+        unknown = [n for n in names if n not in _OBSERVABLES]
         if unknown:
             raise ValueError(
-                f"unknown variable(s) {unknown}; available: {sorted(table)}"
+                f"unknown variable(s) {unknown}; available: {sorted(_OBSERVABLES)}"
             )
-        rows = np.array([table[n] for n in names])
-        variances = np.array(
-            [self.var_u, self.var_v, self.var_x1, self.var_z1, self.var_z2, self.var_zh]
-        )
-        return rows * np.sqrt(variances)
+        return np.take(self._rows, np.array([_ROW_INDEX[n] for n in names], dtype=np.intp), axis=-2)
 
 
 def _orthonormal_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the row space, rank-revealed at RANK_TOL."""
-    if rows.size == 0:
-        return np.zeros((rows.shape[1] if rows.ndim == 2 else 0, 0))
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((rows.shape[1], 0))
-    return vt[s > s[0] * RANK_TOL].T
+    """Orthonormal basis of each matrix's row space as the rows of its
+    ``vt``, rank-revealed at RANK_TOL: rows past the rank are zeroed."""
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    return vt * (s > s[..., :1] * RANK_TOL)[..., None]
 
 
 def _residual_rows(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Rows with their projection onto the conditioning subspace removed;
     the Gram matrix of the result is the conditional covariance block."""
-    if basis.shape[1] == 0:
-        return rows
-    return rows - (rows @ basis) @ basis.T
+    return rows - (rows @ basis.swapaxes(-1, -2)) @ basis
 
 
-def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: VarSpec = ()) -> float:
-    """I(left; right | given) in nats.
+def _sum_log(s: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """2 * sum of ln(s) over the kept singular values: a log-determinant."""
+    return 2.0 * np.sum(np.log(np.where(keep, s, 1.0)), axis=-1)
+
+
+def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: VarSpec = ()):
+    """I(left; right | given) in nats: a float for one draw, an array for
+    a stack.
 
     Variable sets are names among U, V, X1, Y1, Y1HAT, Y2 (a bare string is
     a singleton set).  The value is h(left|given) - h(left|right, given),
@@ -167,28 +214,26 @@ def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: Va
     """
     left, right, given = as_names(left), as_names(right), as_names(given)
     if not left or not right:
-        return 0.0
+        return _unstack(np.zeros(system.shape))
     rows_l = system.whitened_rows(left)
-    rows_r = system.whitened_rows(right)
-    rows_g = system.whitened_rows(given) if given else np.zeros((0, rows_l.shape[1]))
+    rows_g = system.whitened_rows(given)
+    rows_rg = np.concatenate([system.whitened_rows(right), rows_g], axis=-2)
 
-    res_g = _residual_rows(rows_l, _orthonormal_basis(rows_g))
+    res_g = _residual_rows(rows_l, _orthonormal_basis(rows_g)) if given else rows_l
     u, s, _ = np.linalg.svd(res_g, full_matrices=False)
-    smax = float(s[0]) if s.size else 0.0
-    if smax <= 0.0:
-        return 0.0  # left set deterministic given the conditioning
-    keep = s > smax * math.sqrt(RANK_TOL)  # eigenvalue tolerance on s^2
-    if not np.any(keep):
-        return 0.0
-    w = u[:, keep]
-    logdet_a = 2.0 * float(np.sum(np.log(s[keep])))
-
-    res_rg = _residual_rows(rows_l, _orthonormal_basis(np.vstack([rows_r, rows_g])))
-    s_ab = np.linalg.svd(w.T @ res_rg, compute_uv=False)
-    if s_ab.size and float(s_ab.min()) <= smax * RANK_TOL:
-        raise ValueError("right set determines left set; mutual information diverges")
-    logdet_ab = 2.0 * float(np.sum(np.log(s_ab)))
-    return logdet_a - logdet_ab
+    smax = s[..., :1]
+    # eigenvalue tolerance on s^2; nothing is kept where the left set is
+    # deterministic given the conditioning
+    keep = s > smax * math.sqrt(RANK_TOL)
+    w = u * keep[..., None, :]
+    res_rg = _residual_rows(rows_l, _orthonormal_basis(rows_rg))
+    s_ab = np.linalg.svd(w.swapaxes(-1, -2) @ res_rg, compute_uv=False)
+    keep_ab = np.arange(s_ab.shape[-1]) < np.sum(keep, axis=-1, keepdims=True)
+    diverged = np.any(keep_ab & (s_ab <= smax * RANK_TOL), axis=-1)
+    if np.any(diverged):
+        at = f" at draw {int(np.argmax(diverged))}" if diverged.ndim else ""
+        raise ValueError(f"right set determines left set{at}; mutual information diverges")
+    return _unstack(_sum_log(s, keep) - _sum_log(s_ab, keep_ab))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +241,8 @@ def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: Va
 
 @dataclass(frozen=True)
 class TermDelta:
-    """One rate-expression term, closed form and oracle, both in nats."""
+    """One rate-expression term, closed form and oracle, both in nats:
+    floats for one draw, arrays for a stack."""
 
     name: str
     closed_form_nats: float
@@ -226,6 +272,42 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def verify_terms(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_hat) -> tuple:
+    """Every closed-form term of ``scheme`` next to the log-det oracle's
+    value of the same mutual information, as ``TermDelta``s, for one draw
+    (scalars) or a stack of draws (equal-length 1-D arrays sharing
+    ``params``).  The min/clamp structure is excluded on purpose; each
+    mutual-information term is compared on its own.
+    """
+    system = GaussianSystem.from_values(g01, g02, g12, params, alpha, n_hat)
+    r1 = rates.relay_rate(scheme, g01, params, alpha)
+    # (term, closed form in bits, oracle (left, right, given))
+    if scheme is Scheme.GBC:
+        specs = [
+            ("r1", r1, ("U", "Y1", "V")),
+            # conditioning removes the relay path
+            ("r2", rates._forward_bound(g02, 0.0, params, alpha, params.p1), ("V", "Y2", "X1")),
+        ]
+    elif scheme is Scheme.RBC_DF:
+        specs = [
+            ("r1", r1, ("U", "Y1", ("V", "X1"))),
+            ("r2_forward", rates._forward_bound(g02, g12, params, alpha, params.p1),
+             (("V", "X1"), "Y2")),
+            ("r2_decode", rates._decode_bound(g01, params, alpha), ("V", "Y1", "X1")),
+        ]
+    else:
+        cf = rates._CFBounds(g01, g02, g12, params, alpha, params.p1)
+        cutset, loss = cf.terms(n_hat)
+        specs = [
+            ("r1", r1, ("U", "Y1") if scheme is Scheme.RBC_CF else ("U", "Y1", "V")),
+            ("r2_cutset", cutset, ("V", ("Y1HAT", "Y2"), "X1")),
+            ("r2_forward", cf.forward, (("V", "X1"), "Y2")),
+            ("r2_compression_loss", loss, ("Y1HAT", "Y1", ("V", "X1", "Y2"))),
+        ]
+    return tuple(TermDelta(name, _unstack(np.multiply(bits, LN2)), gaussian_mi(system, *mi))
+                 for name, bits, mi in specs)
+
+
 def verify_scheme(
     gains: LinkGains,
     params: ChannelParams,
@@ -234,38 +316,10 @@ def verify_scheme(
     scheme: Scheme,
 ) -> VerifyReport:
     """Per-term |closed form - log-det oracle| for one scheme's rate
-    expressions (nats).  The min/clamp structure is excluded on purpose;
-    each mutual-information term is compared on its own.
+    expressions (nats) at one draw: the one-draw case of ``verify_terms``.
     """
-    sys_ = GaussianSystem.from_model(gains, params, split, n_hat)
-    a, g01, g02, g12 = split.alpha, gains.g01, gains.g02, gains.g12
-    r1 = rates.relay_rate(scheme, g01, params, a)
-    # (term, closed form in bits, oracle (left, right, given))
-    if scheme is Scheme.GBC:
-        specs = [
-            ("r1", r1, ("U", "Y1", "V")),
-            # conditioning removes the relay path
-            ("r2", rates._forward_bound(g02, 0.0, params, a, params.p1), ("V", "Y2", "X1")),
-        ]
-    elif scheme is Scheme.RBC_DF:
-        specs = [
-            ("r1", r1, ("U", "Y1", ("V", "X1"))),
-            ("r2_forward", rates._forward_bound(g02, g12, params, a, params.p1),
-             (("V", "X1"), "Y2")),
-            ("r2_decode", rates._decode_bound(g01, params, a), ("V", "Y1", "X1")),
-        ]
-    else:
-        cf = rates._CFBounds(g01, g02, g12, params, a, params.p1)
-        cutset, loss = cf.terms(n_hat.n_hat)
-        specs = [
-            ("r1", r1, ("U", "Y1") if scheme is Scheme.RBC_CF else ("U", "Y1", "V")),
-            ("r2_cutset", cutset, ("V", ("Y1HAT", "Y2"), "X1")),
-            ("r2_forward", cf.forward, (("V", "X1"), "Y2")),
-            ("r2_compression_loss", loss, ("Y1HAT", "Y1", ("V", "X1", "Y2"))),
-        ]
-    terms = [TermDelta(name, float(bits) * LN2, gaussian_mi(sys_, *mi))
-             for name, bits, mi in specs]
-    return VerifyReport(scheme=scheme, terms=tuple(terms))
+    return VerifyReport(scheme=scheme, terms=verify_terms(
+        scheme, gains.g01, gains.g02, gains.g12, params, split.alpha, n_hat.n_hat))
 
 
 def random_verification_draw(
@@ -292,3 +346,16 @@ def random_verification_draw(
     nlo, nhi = math.log10(n_hat_range[0]), math.log10(n_hat_range[1])
     n_hat = CompressionNoise(float(10.0 ** rng.uniform(nlo, nhi)))
     return gains, params, split, n_hat
+
+
+def stack_draws(draws: Sequence[tuple]) -> tuple:
+    """``random_verification_draw`` results as the arguments of
+    ``verify_terms`` after the scheme: ``(g01, g02, g12, params, alpha,
+    n_hat)``, one array entry per draw.  The draws must share their
+    ``ChannelParams``."""
+    gains, params, splits, n_hats = zip(*draws)
+    if any(p != params[0] for p in params):
+        raise ValueError("stacked draws must share one ChannelParams")
+    return (np.array([g.g01 for g in gains]), np.array([g.g02 for g in gains]),
+            np.array([g.g12 for g in gains]), params[0],
+            np.array([s.alpha for s in splits]), np.array([n.n_hat for n in n_hats]))

@@ -211,6 +211,33 @@ def test_verify_injected_error_fails(capsys):
     assert "worst case" in capsys.readouterr().out
 
 
+def test_verify_reports_every_term(capsys):
+    assert main(["verify", "--count", "3"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("verified 4 schemes x 3 draws: max delta = ")
+    terms = [line.split()[:2] for line in lines[1:]]
+    assert terms == [
+        ["gbc", "r1"], ["gbc", "r2"],
+        ["rbc-df", "r1"], ["rbc-df", "r2_forward"], ["rbc-df", "r2_decode"],
+        ["rbc-cf", "r1"], ["rbc-cf", "r2_cutset"], ["rbc-cf", "r2_forward"],
+        ["rbc-cf", "r2_compression_loss"],
+        ["rbc-cf-dpc", "r1"], ["rbc-cf-dpc", "r2_cutset"], ["rbc-cf-dpc", "r2_forward"],
+        ["rbc-cf-dpc", "r2_compression_loss"]]
+    assert all(line.endswith(" nats") and "max delta = " in line for line in lines[1:])
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--count", "0"], "count"),
+    (["--count", "-5"], "count"),
+    (["--seed", "-1"], "seed"),
+])
+def test_verify_bad_count_or_seed_exits_2(capsys, flags, key):
+    assert main(["verify"] + flags) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert key in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("line, key", [
     ("path_loss_exp: .nan", "path_loss_exp"),
     ("edge_snr_db: .nan", "edge_snr_db"),

@@ -1,7 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from noma_rbc import cli
 from noma_rbc.core import (
     LN2,
     ChannelParams,
@@ -12,9 +16,12 @@ from noma_rbc.core import (
 )
 from noma_rbc.oracle import (
     GaussianSystem,
+    TermDelta,
     gaussian_mi,
     random_verification_draw,
+    stack_draws,
     verify_scheme,
+    verify_terms,
 )
 
 from helpers import rng_for
@@ -142,3 +149,190 @@ def test_report_string_mentions_every_term():
     text = str(report)
     for term in report.terms:
         assert term.name in text
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+
+MI_SPECS = [("U", "Y1", ()), ("U", "Y1", "V"), ("V", "Y2", "X1"), (("V", "X1"), "Y2", ()),
+            ("V", ("Y1HAT", "Y2"), "X1"), ("Y1HAT", "Y1", ("V", "X1", "Y2")),
+            (("U", "V"), ("Y1", "Y2"), ()), ("X1", "Y2", ()), ("U", "Y2", "U")]
+
+
+def mixed_draws(seed, count=60):
+    """Random draws with degenerate ones mixed in: alpha 0, alpha 1 and no
+    relay link."""
+    rng = rng_for(seed)
+    draws = []
+    for k in range(count):
+        gains, params, split, n_hat = random_verification_draw(rng)
+        if k % 4 == 1:
+            split = PowerSplit(0.0)
+        elif k % 4 == 2:
+            split = PowerSplit(1.0)
+        elif k % 4 == 3:
+            gains = LinkGains(gains.g01, gains.g02, 0.0)
+        draws.append((gains, params, split, n_hat))
+    return draws
+
+
+def test_stacked_mi_equals_one_draw_calls_bit_for_bit():
+    draws = mixed_draws(29)
+    stacked = GaussianSystem.from_values(*stack_draws(draws))
+    assert stacked.shape == (len(draws),)
+    for left, right, cond in MI_SPECS:
+        values = gaussian_mi(stacked, left, right, cond)
+        assert isinstance(values, np.ndarray) and values.shape == (len(draws),)
+        singles = [gaussian_mi(GaussianSystem.from_model(*d), left, right, cond) for d in draws]
+        assert all(isinstance(x, float) for x in singles)
+        assert values.tolist() == singles, (left, right, cond)
+
+
+def test_zero_relay_power_stack_equals_one_draw_calls():
+    # p1 = 0 is shared by the whole stack, so it gets a stack of its own
+    params = ChannelParams(p0=10.0, p1=0.0, n1=1.0, n2=1.0)
+    draws = [(g, params, s, n) for g, _, s, n in mixed_draws(31, 24)]
+    stacked = GaussianSystem.from_values(*stack_draws(draws))
+    for left, right, cond in MI_SPECS:
+        singles = [gaussian_mi(GaussianSystem.from_model(*d), left, right, cond) for d in draws]
+        assert gaussian_mi(stacked, left, right, cond).tolist() == singles
+
+
+def test_stacked_terms_equal_verify_scheme_bit_for_bit():
+    draws = mixed_draws(37)
+    batch = stack_draws(draws)
+    for scheme in Scheme:
+        terms = verify_terms(scheme, *batch)
+        for k, draw in enumerate(draws):
+            report = verify_scheme(*draw, scheme)
+            assert [t.name for t in terms] == [t.name for t in report.terms]
+            for stacked, single in zip(terms, report.terms):
+                assert stacked.closed_form_nats[k] == single.closed_form_nats
+                assert stacked.oracle_nats[k] == single.oracle_nats
+                assert stacked.delta_nats[k] == single.delta_nats
+
+
+def test_one_draw_gives_python_floats():
+    report = verify_scheme(REF_GAINS, REF_PARAMS, REF_SPLIT, REF_NHAT, Scheme.RBC_CF)
+    for term in report.terms:
+        assert type(term.closed_form_nats) is float and type(term.oracle_nats) is float
+    assert type(gaussian_mi(ref_system(), "U", "Y1")) is float
+    assert type(gaussian_mi(ref_system(), (), "Y1")) is float
+
+
+def test_divergence_names_the_first_offending_draw():
+    # I(U; U) is infinite wherever U has variance; alpha 0 makes it 0
+    stacked = GaussianSystem.from_values(
+        np.full(4, 2.0), np.ones(4), np.ones(4), REF_PARAMS,
+        np.array([0.0, 0.0, 0.3, 0.6]), np.ones(4))
+    with pytest.raises(ValueError, match=r"at draw 2; mutual information diverges"):
+        gaussian_mi(stacked, "U", "U")
+    with pytest.raises(ValueError, match=r"determines left set; mutual information diverges"):
+        gaussian_mi(ref_system(), "U", "U")
+    zero = GaussianSystem.from_values(np.full(2, 2.0), np.ones(2), np.ones(2), REF_PARAMS,
+                                  np.zeros(2), np.ones(2))
+    assert gaussian_mi(zero, "U", "U").tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("var_zh", np.array([1.0, -1.0, -2.0]), r"var_zh must be finite and non-negative, got -1\.0 at draw 1"),
+    ("g12", np.array([1.0, 2.0, np.nan]), r"g12 must be finite and non-negative, got nan at draw 2"),
+    ("var_u", np.array([np.inf, 1.0, 1.0]), r"var_u must be finite and non-negative, got inf at draw 0"),
+    ("g01", np.ones((3, 1)), r"g01 must be a scalar or a 1-D array"),
+    ("var_v", np.ones(2), r"equal lengths, got \[2, 3\]"),
+])
+def test_stacked_system_validation_names_the_field(field, bad, message):
+    fields = dict(var_u=np.ones(3), var_v=np.ones(3), var_x1=1.0, var_z1=1.0, var_z2=1.0,
+                  var_zh=np.ones(3), g01=np.ones(3), g02=np.ones(3), g12=np.ones(3))
+    fields[field] = bad
+    with pytest.raises(ValueError, match=message):
+        GaussianSystem(**fields)
+
+
+def test_stack_draws_requires_shared_params():
+    rng = rng_for(41)
+    first = random_verification_draw(rng)
+    other = random_verification_draw(rng, p1=1.0)
+    with pytest.raises(ValueError, match="share one ChannelParams"):
+        stack_draws([first, other])
+
+
+def reference_verify_output(count, seed, inject_error):
+    """``verify``'s report written out as a scalar loop: one draw and one
+    scheme at a time, the worst case kept on a strict improvement."""
+    rng = rng_for(seed)
+    worst_delta, worst, term_worst = 0.0, None, {}
+    for _ in range(count):
+        draw = random_verification_draw(rng)
+        for scheme in Scheme:
+            report = verify_scheme(*draw, scheme)
+            for term in report.terms:
+                key = (scheme.label, term.name)
+                term_worst[key] = max(term_worst.get(key, 0.0), term.delta_nats)
+            delta = report.max_delta_nats + (1e-6 if inject_error else 0.0)
+            if delta > worst_delta:
+                worst_delta, worst = delta, (*draw, scheme)
+    lines = [f"verified 4 schemes x {count} draws: max delta = {worst_delta:.3e} nats "
+             f"(tolerance 1e-09)"]
+    lines += [f"  {label:10s} {name:19s} max delta = {delta:.3e} nats"
+              for (label, name), delta in term_worst.items()]
+    if worst_delta > 1e-9:
+        gains, params, split, n_hat, scheme = worst
+        lines += ["worst case:", f"  scheme = {scheme.label}",
+                  f"  gains  = g01={gains.g01!r} g02={gains.g02!r} g12={gains.g12!r}",
+                  f"  params = p0={params.p0!r} p1={params.p1!r} n1={params.n1!r} n2={params.n2!r}",
+                  f"  alpha  = {split.alpha!r}  n_hat = {n_hat.n_hat!r}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [3, 20240, 77])
+@pytest.mark.parametrize("inject_error", [False, True])
+def test_cmd_verify_equals_scalar_reference_loop(monkeypatch, capsys, seed, inject_error):
+    # small chunks, so the worst case is carried across chunk boundaries
+    monkeypatch.setattr(cli, "VERIFY_CHUNK_DRAWS", 7)
+    argv = ["verify", "--count", "30", "--seed", str(seed)] + (["--inject-error"] * inject_error)
+    rc = cli.main(argv)
+    assert rc == (cli.EXIT_VERIFY_FAILED if inject_error else cli.EXIT_OK)
+    assert capsys.readouterr().out == reference_verify_output(30, seed, inject_error)
+
+
+def test_cmd_verify_worst_case_is_the_first_of_equal_deltas(monkeypatch, capsys):
+    # every draw and scheme gets the same delta, so the worst case must be
+    # the first draw under the first scheme, in whichever chunk it falls
+    monkeypatch.setattr(cli, "VERIFY_CHUNK_DRAWS", 4)
+    monkeypatch.setattr(cli, "verify_terms", lambda scheme, g01, *rest: (
+        TermDelta("r1", np.full(len(g01), 2.0), np.ones(len(g01))),))
+    assert cli.main(["verify", "--count", "10", "--seed", "5", "--inject-error"]) == \
+        cli.EXIT_VERIFY_FAILED
+    gains = random_verification_draw(rng_for(5))[0]
+    out = capsys.readouterr().out
+    assert "max delta = 1.000e+00 nats" in out.splitlines()[0]
+    assert "  scheme = gbc\n" in out and f"g01={gains.g01!r} " in out
+
+
+# ---------------------------------------------------------------------------
+# oracle equivalence away from the reference point
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+POWER = log_uniform(1e-2, 1e6)
+NOISE = log_uniform(0.1, 10.0)
+GAIN = log_uniform(1e-2, 1e2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p0=POWER, p1=POWER, n1=NOISE, n2=NOISE, g=st.tuples(GAIN, GAIN, GAIN),
+       alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       n_hat=log_uniform(1e-2, 1e2))
+@example(p0=1e6, p1=1e6, n1=0.1, n2=10.0, g=(1e2, 1e-2, 1e2), alpha=0.5, n_hat=1e-2)
+@example(p0=1e-2, p1=1e6, n1=10.0, n2=0.1, g=(1e-2, 1e-2, 1e2), alpha=1.0, n_hat=1e2)
+def test_oracle_equivalence_away_from_reference_point(p0, p1, n1, n2, g, alpha, n_hat):
+    # the BS gains in degraded order, as random_verification_draw orders them
+    g01, g02 = (g[0], g[1]) if g[0] * n2 >= g[1] * n1 else (g[1], g[0])
+    draw = (LinkGains(g01, g02, g[2]), ChannelParams(p0=p0, p1=p1, n1=n1, n2=n2),
+            PowerSplit(alpha), CompressionNoise(n_hat))
+    for scheme in Scheme:
+        report = verify_scheme(*draw, scheme)
+        assert report.max_delta_nats <= 1e-9, str(report)
