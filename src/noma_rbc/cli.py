@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .core import ChannelParams, CompressionNoise, LinkGains, Scheme, is_degraded_ordered
@@ -74,6 +73,8 @@ def _info(msg: str) -> None:
 
 
 def _load_yaml(path: str):
+    import yaml  # only configs need it; every other command skips its import
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -254,8 +255,10 @@ def cmd_simulate(args) -> int:
         pairings = [pairing_spec] if isinstance(pairing_spec, str) else list(pairing_spec)
         raw_sweep = file_cfg.get("p1_over_p0_db", 0.0)
         sweep = raw_sweep if isinstance(raw_sweep, (list, tuple)) else [raw_sweep]
-        if not sweep:
-            raise ValueError("p1_over_p0_db must list at least one relay power")
+        for key, values in (("schemes", schemes), ("pairings", pairings),
+                            ("p1_over_p0_db", sweep)):
+            if not values:
+                raise ValueError(f"{key} must list at least one value")
         fields = {
             k: file_cfg[k] for k in file_cfg
             if k in _SIM_KEYS - {"scheme", "schemes", "pairing", "pairings", "p1_over_p0_db"}

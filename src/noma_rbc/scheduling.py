@@ -8,6 +8,16 @@ kernel.  It is the only scheduler; ``schedule_interval``,
 ``near_far_pair``, ``nearest_neighbor_pair``, ``nearest_remaining`` and
 ``split_groups`` are its one-lane case.
 
+``schedule_lanes`` does the work that depends on the PF ledger: the PF
+argmaxes, r2 given the chosen relay, serving.  What depends on the gains
+or positions alone comes in precomputed, so that the engine can compute it
+once per trial rather than per lane and interval: ``near_far_ranks`` gives
+each block's strong half and every user's r1, ``distance_order`` each
+user's other users by distance.  Nearest pairing walks that order with a
+pointer per (lane, user) that skips the users already served this
+interval, instead of a masked (L, K, K) argmin per block.  Near-far
+pairing evaluates r2 for the weak-half candidates only.
+
 Two pairing policies fill the per-interval resource blocks:
 
 * near-far: for each block the users are split into a strong-gain half and
@@ -80,12 +90,31 @@ def _pf_argmax(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 def _near_far_select(strong, weak, relay_scores, gains, avg, est_gain, scheme, params, alpha, p1):
     """(relay, second) per lane: the relay from ``strong`` by its PF ratio
     ``relay_scores`` = r1/avg, which needs only its own BS gain, then the
-    second user from ``weak`` by the PF ratio of r2 given that relay."""
-    lanes = np.arange(len(gains))
+    second user from ``weak`` by the PF ratio of r2 given that relay.  r2 is
+    evaluated for the weak candidates only, lane by lane in ascending user
+    order; the kernel works element by element, so the scores equal those
+    of a full (L, K) evaluation."""
     k1 = _pf_argmax(relay_scores, strong)
-    _, r2, _, _ = rate_kernel(scheme, gains[lanes, k1][:, None], gains, est_gain[lanes, k1],
-                              params, alpha, p1=p1)
-    return k1, _pf_argmax(r2 / avg, weak)
+    flat = weak.ravel().nonzero()[0]  # lane by lane, ascending user order
+    lane = flat // weak.shape[1]
+    rows = np.arange(len(gains))
+    _, r2, _, _ = rate_kernel(scheme, gains[rows, k1][lane], gains.ravel()[flat],
+                              est_gain[rows, k1].ravel()[flat], params, alpha,
+                              p1=None if p1 is None else p1.ravel()[lane])
+    scores = np.full(weak.size, -np.inf)
+    scores[flat] = r2 / avg.ravel()[flat]
+    return k1, _pf_argmax(scores.reshape(weak.shape), weak)
+
+
+def near_far_ranks(scheme: Scheme, bs_gains: np.ndarray, params: ChannelParams, alpha):
+    """What near-far pairing needs of BS gains (..., K, B) before any PF
+    ledger: the (..., B, K) masks of each block's strong half, ceil(K/2)
+    users ranked by gain with ties to the lower index, and the (..., K, B)
+    r1 of every user as the relay.  The engine computes them once per
+    trial for a chunk of intervals and gathers them to the lanes."""
+    by_block = np.moveaxis(bs_gains, -1, -2)
+    return (_strong_half(by_block, np.ones(by_block.shape, dtype=bool)),
+            relay_rate(scheme, bs_gains, params, alpha))
 
 
 def nearest_available(avail: np.ndarray, dist_matrix: np.ndarray) -> np.ndarray:
@@ -98,26 +127,63 @@ def nearest_available(avail: np.ndarray, dist_matrix: np.ndarray) -> np.ndarray:
     return np.argmin(np.where(others, dist_matrix, np.inf), axis=2)
 
 
-def _nearest_select(avail, dist_matrix, gains, avg, est_gain, scheme, params, alpha, p1,
+def distance_order(dist_matrix: np.ndarray) -> np.ndarray:
+    """(..., K, K-1) order of every user's other users by distance, ties
+    to the lower index (a stable sort), for distances (..., K, K).  Its
+    first column is the nearest-neighbour map of all users."""
+    n_users = dist_matrix.shape[-1]
+    order = np.argsort(dist_matrix, axis=-1, kind="stable")
+    return order[order != np.arange(n_users)[:, None]].reshape(*dist_matrix.shape[:-1],
+                                                                n_users - 1)
+
+
+class _NeighborCursor:
+    """Nearest available neighbour of every (lane, user) within one
+    interval, from per-lane ``distance_order`` rows (L, K, K-1) and a
+    pointer per (lane, user).  Availability only shrinks within an
+    interval, so a pointer only moves forward: ``nearest`` advances just
+    the available users whose neighbour was removed, past every
+    unavailable user.  Rows of users without an available neighbour hold
+    an arbitrary index, as in ``nearest_available``."""
+
+    def __init__(self, order: np.ndarray):
+        self.order = order
+        self.step = np.zeros(order.shape[:2], dtype=np.intp)
+        self.neighbors = order[:, :, 0].copy()
+
+    def nearest(self, avail: np.ndarray) -> np.ndarray:
+        lane, user = np.nonzero(avail & ~np.take_along_axis(avail, self.neighbors, axis=1))
+        last = self.order.shape[2] - 1
+        while len(lane):
+            step = self.step[lane, user] + 1
+            neighbor = self.order[lane, user, step]
+            self.step[lane, user] = step
+            self.neighbors[lane, user] = neighbor
+            stale = ~avail[lane, neighbor] & (step < last)
+            lane, user = lane[stale], user[stale]
+        return self.neighbors
+
+
+def _nearest_select(avail, cursor, gains, avg, est_gain, scheme, params, alpha, p1,
                     neighbor_of=None):
     """(relay, second) per lane under nearest-neighbour pairing: each
     candidate i is scored as the relay with its neighbour N(i) as the second
-    user by r1(i)/avg(i) + r2(N(i)|i)/avg(N(i)).  ``neighbor_of`` (L, K,
-    -1 for none) overrides the nearest-remaining map: candidates whose
-    mapped neighbour is unavailable are skipped, and a lane left without
-    candidates uses the nearest-remaining map for the block."""
+    user by r1(i)/avg(i) + r2(N(i)|i)/avg(N(i)).  N is the nearest
+    remaining neighbour from ``cursor``.  ``neighbor_of`` (L, K, -1 for
+    none) overrides it: candidates whose mapped neighbour is unavailable
+    are skipped, and a lane left without candidates uses the nearest
+    remaining neighbours for the block."""
     lanes, users = np.arange(len(gains))[:, None], np.arange(avail.shape[1])
     candidates = avail
     if neighbor_of is None:
-        neighbors = nearest_available(avail, dist_matrix)
+        neighbors = cursor.nearest(avail)
     else:
         neighbors = np.maximum(neighbor_of, 0)
         usable = avail & (neighbor_of >= 0) & (neighbors != users) & avail[lanes, neighbors]
         mapped = usable.any(axis=1)
         candidates = np.where(mapped[:, None], usable, avail)
         if not mapped.all():
-            neighbors = np.where(mapped[:, None], neighbors,
-                                 nearest_available(avail, dist_matrix))
+            neighbors = np.where(mapped[:, None], neighbors, cursor.nearest(avail))
     r1, r2, _, _ = rate_kernel(scheme, gains, gains[lanes, neighbors],
                                est_gain[lanes, users, neighbors], params, alpha, p1=p1)
     k = _pf_argmax(r1 / avg + r2 / avg[lanes, neighbors], candidates)
@@ -171,12 +237,13 @@ def schedule_lanes(
     scheme: Scheme,
     pairing: str,
     bs_gains: np.ndarray,
-    dist_matrix: np.ndarray,
     avg_rates: np.ndarray,
     params: ChannelParams,
     split: PowerSplit,
     est_gain: np.ndarray,
     pair_gains: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ranks: Optional[tuple] = None,
+    neighbor_order: Optional[np.ndarray] = None,
     neighbor_of: Optional[np.ndarray] = None,
     relay_power: Optional[np.ndarray] = None,
     cross_check: bool = False,
@@ -184,17 +251,25 @@ def schedule_lanes(
     """Assign and serve all blocks of one scheduling interval in every lane.
 
     ``bs_gains`` is (L, K, B) with this interval's true BS power gains,
-    ``dist_matrix`` and ``est_gain`` are (L, K, K) distances and inter-user
-    power-gain estimates, ``avg_rates`` the (L, K) PF ledger, finite and
-    positive.  ``relay_power`` (L,) overrides ``params.p1`` per lane.
+    ``est_gain`` the (L, K, K) inter-user power-gain estimates,
+    ``avg_rates`` the (L, K) PF ledger, finite and positive.
+    ``relay_power`` (L,) overrides ``params.p1`` per lane.
     ``pair_gains(relays, seconds)`` returns the (L, B) true inter-user
     gains of the selected pairs; it is called once, after all blocks are
-    assigned, and not at all under GBC.  ``neighbor_of`` (L, K) is the
-    static neighbour map of nearest pairing, None to recompute the nearest
-    remaining neighbour per block.  All pairs are served in one call.
+    assigned, and not at all under GBC.  All pairs are served in one call.
+
+    Near-far pairing takes ``ranks``, the ``near_far_ranks`` of
+    ``bs_gains``.  Nearest pairing takes ``neighbor_order``, the (L, K,
+    K-1) ``distance_order`` of each lane's distances, and ``neighbor_of``
+    (L, K), the static neighbour map, None to use the nearest remaining
+    neighbour per block.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}; expected one of {PAIRINGS}")
+    if pairing == "near-far" and ranks is None:
+        raise ValueError("near-far pairing needs the near_far_ranks of the BS gains")
+    if pairing == "nearest" and neighbor_order is None:
+        raise ValueError("nearest pairing needs the distance_order of the users")
     n_lanes, n_users, n_blocks = bs_gains.shape
     if n_users < 2 * n_blocks:
         raise ValueError(f"{n_users} users cannot fill {n_blocks} blocks with pairs")
@@ -211,9 +286,10 @@ def schedule_lanes(
     seconds = np.empty((n_lanes, n_blocks), dtype=int)
     role_swaps = np.zeros(n_lanes, dtype=int)
     if pairing == "near-far":
-        by_block = np.moveaxis(bs_gains, 2, 1)  # (L, B, K)
-        strong_halves = _strong_half(by_block, np.ones(by_block.shape, dtype=bool))
-        relay_scores = relay_rate(scheme, bs_gains, params, split.alpha) / avg_rates[:, :, None]
+        strong_halves, relay_r1 = ranks
+        relay_scores = relay_r1 / avg_rates[:, :, None]
+    else:
+        cursor = _NeighborCursor(neighbor_order)
     for b in range(n_blocks):
         gains = bs_gains[:, :, b]
         if pairing == "near-far":
@@ -230,7 +306,7 @@ def schedule_lanes(
             k1, k2 = _near_far_select(strong, weak, relay_scores[:, :, b], gains, avg_rates,
                                       est_gain, scheme, params, split.alpha, p1)
         else:
-            k1, k2 = _nearest_select(avail, dist_matrix, gains, avg_rates, est_gain,
+            k1, k2 = _nearest_select(avail, cursor, gains, avg_rates, est_gain,
                                      scheme, params, split.alpha, p1, neighbor_of)
         avail[lanes, k1] = False
         avail[lanes, k2] = False
@@ -345,8 +421,9 @@ def nearest_neighbor_pair(
         mapped = np.full((1, len(gains)), -1)
         for i, j in neighbor_of.items():
             mapped[0, i] = j
+    cursor = _NeighborCursor(distance_order(np.asarray(dist_matrix)[None]))
     k1, k2 = _nearest_select(
-        _lane_mask(len(gains), ids), np.asarray(dist_matrix)[None], gains[None],
+        _lane_mask(len(gains), ids), cursor, gains[None],
         np.asarray(avg_rates, dtype=float)[None], np.asarray(est_gain)[None],
         scheme, params, split.alpha, None, mapped,
     )
@@ -389,18 +466,21 @@ def schedule_interval(
     if neighbors not in NEIGHBOR_MODES:
         raise ValueError(f"unknown neighbour mode {neighbors!r}; expected one of {NEIGHBOR_MODES}")
     bs_gains = np.asarray(bs_gains, dtype=float)[None]
-    dist = np.asarray(dist_matrix)[None]
-    static = None
-    if pairing == "nearest" and neighbors == "static":
-        static = nearest_available(np.ones(bs_gains.shape[:2], dtype=bool), dist)
+    ranks = order = static = None
+    if pairing == "near-far":
+        ranks = near_far_ranks(scheme, bs_gains, params, split.alpha)
+    elif pairing == "nearest":
+        order = distance_order(np.asarray(dist_matrix)[None])
+        if neighbors == "static":
+            static = order[:, :, 0]
 
     def pair_gains(relays, seconds):
         return np.array([[draw_pair_gain(i, j)
                           for i, j in zip(relays[0].tolist(), seconds[0].tolist())]])
 
-    res = schedule_lanes(scheme, pairing, bs_gains, dist, np.asarray(avg_rates, dtype=float)[None],
-                         params, split, np.asarray(est_gain)[None], pair_gains,
-                         neighbor_of=static, cross_check=cross_check)
+    res = schedule_lanes(scheme, pairing, bs_gains, np.asarray(avg_rates, dtype=float)[None],
+                         params, split, np.asarray(est_gain)[None], pair_gains, ranks=ranks,
+                         neighbor_order=order, neighbor_of=static, cross_check=cross_check)
     return IntervalResult(
         assignment=tuple(zip(res.relays[0].tolist(), res.seconds[0].tolist())),
         block_rates=tuple(zip(res.r1[0].tolist(), res.r2[0].tolist())),

@@ -15,9 +15,14 @@ combination.  ``run_lanes`` advances all lanes of a task together, one
 interval at a time: ``schedule_lanes`` scores every lane's candidates in
 one rate-kernel call per selection stage and serves all lanes' pairs in
 one call, and the PF ledger is an (L, K) array.  Only the interval loop is
-sequential, because each PF update depends on the previous interval.
-Lanes never interact, so a lane's result does not depend on which other
-lanes share its batch.
+sequential, because each PF update depends on the previous interval, and
+it does only the work that depends on the ledger.  What depends on a
+trial's draws alone is computed on the T trial rows, not the S * T lanes,
+and gathered to the lanes through ``trial_of``: the distance order of
+nearest pairing (and its static neighbour map) once per trial, and per
+chunk of ``BS_CHUNK_INTERVALS`` intervals the BS gains with near-far's
+per-block strong halves and relay rates r1.  Lanes never interact, so a
+lane's result does not depend on which other lanes share its batch.
 
 Randomness uses the counter-based Philox generator.  Each trial's seed is
 derived from (master seed, trial index) only and splits into three child
@@ -25,8 +30,11 @@ streams, drawn in this order and shared by the trial's relay-power lanes:
 
 * topology: the user positions, once per trial, hence the distance matrix
   and the inter-user gain estimates;
-* BS fading: one (K, B) draw per interval (real parts, then imaginary
-  parts), or one per trial with ``fading: static``;
+* BS fading: per interval a (K, B) draw of real parts, then one of
+  imaginary parts, drawn per trial in chunks of ``BS_CHUNK_INTERVALS``
+  intervals as one (n, 2, K, B) draw, which keeps that stream order and
+  so the values of one draw per interval; with ``fading: static`` one
+  interval's draw per trial serves every interval;
 * inter-user fading: one (B, 2) draw per interval, real and imaginary part
   block by block, the order of one scalar draw per served pair (none
   under GBC, which has no relay link).
@@ -54,12 +62,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import ChannelParams, PowerSplit, Scheme
-from .scheduling import NEIGHBOR_MODES, PAIRINGS, nearest_available, pf_update, schedule_lanes
+from .scheduling import (NEIGHBOR_MODES, PAIRINGS, distance_order, near_far_ranks, pf_update,
+                         schedule_lanes)
 
 SECTOR_HALF_ANGLE = math.pi / 3.0  # 120-degree sector, centred on the x axis
 AVG_RATE_INIT = 1e-3               # PF ledger start value; washed out within tens of intervals
 
 FADING_MODES = ("iid", "static")
+BS_CHUNK_INTERVALS = 32            # intervals of i.i.d. BS fading drawn per trial at once
 
 
 @dataclass(frozen=True)
@@ -198,9 +208,14 @@ def mean_radius_analytic(config: SimConfig) -> float:
 
 
 def rayleigh_power(rng: np.random.Generator, size=None):
-    """|f|^2 for f ~ CN(0, 1); the complex factor exists only here."""
-    f = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
-    return np.abs(f) ** 2
+    """|f|^2 for f ~ CN(0, 1): real parts, then imaginary parts."""
+    return _fading_power(rng.standard_normal(size), rng.standard_normal(size))
+
+
+def _fading_power(re, im):
+    """|f|^2 for f = (re + j im) / sqrt(2); the complex factor exists only
+    here."""
+    return np.abs((re + 1j * im) / np.sqrt(2.0)) ** 2
 
 
 def path_gain(distance_m, config: SimConfig):
@@ -208,11 +223,17 @@ def path_gain(distance_m, config: SimConfig):
     return (np.asarray(distance_m, dtype=float) / config.edge_radius_m) ** (-config.path_loss_exp)
 
 
-def draw_bs_gains(radii: np.ndarray, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """(K, B) true BS power gains for one interval: Rayleigh power fading
-    times the distance path gain, i.i.d. per (user, block)."""
+def draw_bs_gains(radii: np.ndarray, config: SimConfig, rng: np.random.Generator,
+                  intervals: int = 1) -> np.ndarray:
+    """(intervals, K, B) true BS power gains of consecutive intervals:
+    Rayleigh power fading times the distance path gain, i.i.d. per
+    (interval, user, block).  One (intervals, 2, K, B) standard-normal
+    draw gives per interval the real parts, then the imaginary parts: the
+    stream order, and the values, of one ``rayleigh_power`` call per
+    interval."""
     pl = path_gain(radii, config)
-    return rayleigh_power(rng, (len(radii), config.blocks)) * pl[:, None]
+    z = rng.standard_normal((intervals, 2, len(radii), config.blocks))
+    return _fading_power(z[:, 0], z[:, 1]) * pl[:, None]
 
 
 def pair_fading(rng: np.random.Generator, intervals: int, blocks: int) -> np.ndarray:
@@ -227,12 +248,17 @@ def pair_fading(rng: np.random.Generator, intervals: int, blocks: int) -> np.nda
 
 
 def pair_path_gain(dist_m: np.ndarray, config: SimConfig) -> np.ndarray:
-    """(K, K) expected inter-user power gain of every pair, each a scalar
-    power like the per-pair path gains it replaces (numpy's array power
-    rounds some distances differently); the diagonal is 1."""
-    d_safe = dist_m / config.edge_radius_m
-    np.fill_diagonal(d_safe, 1.0)
-    return np.array([[x ** -config.path_loss_exp for x in row] for row in d_safe.tolist()])
+    """(K, K) expected inter-user power gain of every pair for symmetric
+    distances, each a scalar power like the per-pair path gains it
+    replaces (numpy's array power rounds some distances differently); the
+    upper triangle is computed and mirrored, the diagonal is 1."""
+    upper = np.triu_indices(len(dist_m), 1)
+    exponent = -config.path_loss_exp
+    values = [math.pow(x, exponent) for x in (dist_m[upper] / config.edge_radius_m).tolist()]
+    table = np.ones(dist_m.shape)
+    table[upper] = values
+    table[upper[::-1]] = values
+    return table
 
 
 def _trial_streams(trial_seed):
@@ -264,11 +290,17 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
     """Every (trial, relay-power point) lane of one (scheme, pairing)
     combination, advanced together one interval at a time.
 
-    Each trial draws its topology, inter-user gain estimates and, per
-    interval, its (K, B) BS gains and (B,) inter-user fading once; its S
-    relay-power lanes share them.  ``trial_seeds`` are ints or numpy
-    SeedSequences.
+    What depends on a trial's draws only is computed on trial rows and
+    shared by its S relay-power lanes: the topology, inter-user gain
+    estimates and distance order once, and the BS gains, strong halves and
+    relay rates per chunk of ``BS_CHUNK_INTERVALS`` intervals.  The
+    interval loop does the ledger-dependent work.  ``trial_seeds`` are ints
+    or numpy SeedSequences.
     """
+    if not len(trial_seeds):
+        raise ValueError("trial_seeds must not be empty")
+    if not len(p1_sweep_db):
+        raise ValueError("p1_sweep_db must not be empty")
     errors = [e for db in p1_sweep_db for e in replace(config, p1_over_p0_db=db).validate()]
     if errors:
         raise ValueError("invalid config: " + "; ".join(dict.fromkeys(errors)))
@@ -280,6 +312,7 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
                            n1=config.noise_power, n2=config.noise_power)
     split = PowerSplit(config.alpha)
     has_relay_link = config.scheme is not Scheme.GBC
+    near_far = config.pairing == "near-far"
 
     streams = [_trial_streams(s) for s in trial_seeds]
     radii, dist, est_gain, path, fading = [], [], [], [], []
@@ -300,16 +333,15 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
         if has_relay_link:
             path.append(pair_path_gain(d, config))
             fading.append(pair_fading(rng_pair, config.intervals, config.blocks))
-    dist, est_gain = np.stack(dist)[trial_of], np.stack(est_gain)[trial_of]
+    est_gain = np.stack(est_gain)[trial_of]
     if has_relay_link:
         path, fading = np.stack(path), np.stack(fading)
-    static_gains = None
-    if config.fading == "static":
-        static_gains = np.stack([draw_bs_gains(r, config, rng_fading)
-                                 for r, (_, rng_fading, _) in zip(radii, streams)])[trial_of]
-    neighbor_of = None
-    if config.pairing == "nearest" and config.neighbors == "static":
-        neighbor_of = nearest_available(np.ones(dist.shape[:2], dtype=bool), dist)
+    order = neighbor_of = None
+    if not near_far:
+        order = distance_order(np.stack(dist))
+        if config.neighbors == "static":
+            neighbor_of = order[trial_of, :, 0]
+        order = order[trial_of]
 
     n_lanes = len(trial_of)
     lane_trial = trial_of[:, None]
@@ -318,34 +350,45 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
     role_swaps = np.zeros(n_lanes, dtype=int)
     r2_clamps = np.zeros(n_lanes, dtype=int)
     assignments = [] if keep_assignments else None
-    for interval in range(config.intervals):
-        gains = static_gains if static_gains is not None else np.stack([
-            draw_bs_gains(r, config, rng_fading)
-            for r, (_, rng_fading, _) in zip(radii, streams)])[trial_of]
+    # static fading: one chunk of all intervals, drawn once for all of them
+    static = config.fading == "static"
+    step = config.intervals if static else BS_CHUNK_INTERVALS
+    for first in range(0, config.intervals, step):
+        n = min(step, config.intervals - first)
+        chunk = np.stack([draw_bs_gains(r, config, rng_fading, 1 if static else n)
+                          for r, (_, rng_fading, _) in zip(radii, streams)])  # (T, n or 1, K, B)
+        if near_far:
+            strong, r1 = near_far_ranks(config.scheme, chunk, params, config.alpha)
+        for interval in range(first, first + n):
+            i = interval - first
+            if i < chunk.shape[1]:
+                gains = chunk[trial_of, i]
+                ranks = (strong[trial_of, i], r1[trial_of, i]) if near_far else None
 
-        def pair_gains(relays, seconds):
-            return path[lane_trial, relays, seconds] * fading[trial_of, interval]
+            def pair_gains(relays, seconds):
+                return path[lane_trial, relays, seconds] * fading[trial_of, interval]
 
-        res = schedule_lanes(
-            scheme=config.scheme,
-            pairing=config.pairing,
-            bs_gains=gains,
-            dist_matrix=dist,
-            avg_rates=avg,
-            params=params,
-            split=split,
-            est_gain=est_gain,
-            pair_gains=pair_gains,
-            neighbor_of=neighbor_of,
-            relay_power=relay_power,
-            cross_check=config.cross_check,
-        )
-        total += res.sum_rate
-        role_swaps += res.role_swaps
-        r2_clamps += res.r2_clamps
-        if assignments is not None:
-            assignments.append(np.stack((res.relays, res.seconds), axis=-1))
-        avg = pf_update(avg, res.served, config.tau)
+            res = schedule_lanes(
+                scheme=config.scheme,
+                pairing=config.pairing,
+                bs_gains=gains,
+                avg_rates=avg,
+                params=params,
+                split=split,
+                est_gain=est_gain,
+                pair_gains=pair_gains,
+                ranks=ranks,
+                neighbor_order=order,
+                neighbor_of=neighbor_of,
+                relay_power=relay_power,
+                cross_check=config.cross_check,
+            )
+            total += res.sum_rate
+            role_swaps += res.role_swaps
+            r2_clamps += res.r2_clamps
+            if assignments is not None:
+                assignments.append(np.stack((res.relays, res.seconds), axis=-1))
+            avg = pf_update(avg, res.served, config.tau)
 
     return LaneResult(
         mean_sum_rate=total / config.intervals,
@@ -427,6 +470,10 @@ def plan_tasks(config: SimConfig, p1_sweep_db: Sequence[float], schemes: Sequenc
     relay-power points of its trials."""
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
+    for name, values in (("p1_sweep_db", p1_sweep_db), ("schemes", schemes),
+                         ("pairings", pairings)):
+        if not len(values):
+            raise ValueError(f"{name} must not be empty")
     seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
     n_combos = len(schemes) * len(pairings)
     chunks = min(config.trials, -(-parallel // n_combos))

@@ -259,6 +259,18 @@ def test_simulate_bad_value_exits_2_naming_the_key(tmp_path, capsys, line, key):
     assert not (tmp_path / "out" / "sum_rate.csv").exists()
 
 
+@pytest.mark.parametrize("line", ["schemes: [gbc, rbc-df]", "pairings: [near-far]",
+                                  "p1_over_p0_db: [0]"])
+def test_simulate_empty_list_exits_2_naming_the_key(tmp_path, capsys, line):
+    key = line.split(":")[0]
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(SIM_CONFIG.replace(line, f"{key}: []"), encoding="utf-8")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("parallel", ["0", "-3"])
 def test_simulate_parallel_below_one_exits_2(tmp_path, capsys, parallel):
     cfg = tmp_path / "sim.yaml"

@@ -6,7 +6,10 @@ import pytest
 from noma_rbc.core import ChannelParams, PowerSplit, Scheme
 from noma_rbc.rates import relay_rate_bits, second_rate_bits
 from noma_rbc.scheduling import (
+    _NeighborCursor,
+    distance_order,
     near_far_pair,
+    near_far_ranks,
     nearest_available,
     nearest_neighbor_pair,
     nearest_remaining,
@@ -209,6 +212,38 @@ def test_nearest_pair_needs_two_users():
     with pytest.raises(ValueError, match="fewer than two"):
         nearest_neighbor_pair([1], d, np.ones(3), np.ones(3), np.ones((3, 3)),
                               Scheme.GBC, PARAMS, SPLIT)
+
+
+def _compare_with_nearest_available(cursor, avail, dist):
+    """The cursor's neighbours equal ``nearest_available`` on every
+    available user that has another available user."""
+    expect = nearest_available(avail, dist)
+    got = cursor.nearest(avail)
+    rows = avail & (avail.sum(axis=1) >= 2)[:, None]
+    assert np.array_equal(got[rows], expect[rows])
+
+
+def test_pointer_neighbours_equal_nearest_available():
+    # 6 lanes of 12 users; positions on a coarse integer grid with some
+    # users copied onto others, so zero and tied distances occur
+    rng = rng_for(89)
+    for _ in range(40):
+        xy = rng.integers(0, 4, size=(6, 12, 2)).astype(float)
+        xy[:, 5] = xy[:, 2]
+        xy[:, 9] = xy[:, 2]
+        dist = np.sqrt(((xy[:, :, None] - xy[:, None, :]) ** 2).sum(-1))
+        order = distance_order(dist)
+        assert np.array_equal(order[:, :, 0], nearest_available(np.ones((6, 12), dtype=bool),
+                                                                 dist))
+        # availability shrinking within an interval, two users per block
+        cursor, avail = _NeighborCursor(order), np.ones((6, 12), dtype=bool)
+        for _ in range(5):
+            for lane in range(6):
+                avail[lane, rng.choice(np.flatnonzero(avail[lane]), 2, replace=False)] = False
+            _compare_with_nearest_available(cursor, avail, dist)
+        # and any random mask from a fresh cursor
+        _compare_with_nearest_available(_NeighborCursor(order), rng.uniform(size=(6, 12)) < 0.4,
+                                        dist)
 
 
 def _interval_inputs(rng, k, b):
@@ -419,8 +454,10 @@ def test_lanes_do_not_interact(scheme, pairing, neighbors):
     static = nearest_available(np.ones((5, 8), dtype=bool), dist) \
         if neighbors == "static" else None
     lanes = np.arange(5)[:, None]
-    res = schedule_lanes(scheme, pairing, gains, dist, avg, PARAMS, SPLIT, est,
+    res = schedule_lanes(scheme, pairing, gains, avg, PARAMS, SPLIT, est,
                          pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
+                         ranks=near_far_ranks(scheme, gains, PARAMS, SPLIT.alpha),
+                         neighbor_order=distance_order(dist),
                          neighbor_of=static, relay_power=relay_power, cross_check=True)
     for lane in range(5):
         one = schedule_interval(scheme, pairing, gains[lane], dist[lane], avg[lane],
@@ -438,5 +475,7 @@ def test_a_lane_without_a_finite_score_is_named():
                                                          for _ in range(2)]))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite PF score in lane 1"):
-            schedule_lanes(Scheme.GBC, "near-far", gains, dist, avg, PARAMS, PowerSplit(1.0), est,
-                           pair_gains=None, relay_power=np.array([1.0, np.nan]))
+            schedule_lanes(Scheme.GBC, "near-far", gains, avg, PARAMS, PowerSplit(1.0), est,
+                           pair_gains=None,
+                           ranks=near_far_ranks(Scheme.GBC, gains, PARAMS, 1.0),
+                           relay_power=np.array([1.0, np.nan]))

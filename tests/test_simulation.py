@@ -25,6 +25,7 @@ from noma_rbc.simulation import (
     write_results_csv,
 )
 from noma_rbc.scheduling import split_groups
+from noma_rbc.simulation import BS_CHUNK_INTERVALS
 
 from helpers import rng_for
 
@@ -107,10 +108,63 @@ def test_pair_gains_equal_one_scalar_draw_per_served_pair():
               for _ in range(12_500 * 4)]
     assert pair_fading(rng_for(8), 12_500, 4).ravel().tolist() == scalar
     cfg = replace(SimConfig(), path_loss_exp=3.7)
-    dist = rng_for(9).uniform(1.0, 900.0, size=(30, 30))
+    dist = np.triu(rng_for(9).uniform(1.0, 900.0, size=(30, 30)), 1)
+    dist += dist.T  # distances are symmetric
     table = pair_path_gain(dist, cfg)
     assert all(table[i, j] == path_gain(dist[i, j], cfg)
                for i in range(30) for j in range(30) if i != j)
+
+
+def test_symmetric_pair_path_gain_equals_the_per_element_table():
+    # the mirrored upper triangle equals one scalar power per (i, j), as
+    # computed before, on distance matrices of drawn topologies
+    for seed, gamma in ((1, 3.0), (2, 3.7), (3, 2.0), (4, 0.0)):
+        cfg = SimConfig(users=30, path_loss_exp=gamma)
+        xy = positions_xy(generate_topology(cfg, rng_for(seed)))
+        dist = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
+        d_safe = dist / cfg.edge_radius_m
+        np.fill_diagonal(d_safe, 1.0)
+        per_element = np.array([[x ** -gamma for x in row] for row in d_safe.tolist()])
+        assert pair_path_gain(dist, cfg).tolist() == per_element.tolist()
+
+
+@pytest.mark.parametrize("intervals", [1, BS_CHUNK_INTERVALS - 1, BS_CHUNK_INTERVALS,
+                                       BS_CHUNK_INTERVALS + 1, 2 * BS_CHUNK_INTERVALS + 3])
+def test_chunked_bs_draws_equal_one_draw_per_interval(intervals):
+    # chunk after chunk, as the engine draws them, against one
+    # rayleigh_power call per interval from the same stream: bit for bit
+    cfg = SimConfig(users=6, blocks=3)
+    radii = np.linspace(cfg.inner_radius_m, cfg.edge_radius_m, cfg.users)
+    pl = path_gain(radii, cfg)[:, None]
+    for seed in range(100):
+        rng = rng_for(seed)
+        chunked = np.concatenate([
+            draw_bs_gains(radii, cfg, rng, min(BS_CHUNK_INTERVALS, intervals - first))
+            for first in range(0, intervals, BS_CHUNK_INTERVALS)])
+        rng = rng_for(seed)
+        per_interval = np.stack([rayleigh_power(rng, (cfg.users, cfg.blocks)) * pl
+                                 for _ in range(intervals)])
+        assert chunked.tolist() == per_interval.tolist()
+
+
+@pytest.mark.parametrize("pairing, fading, neighbors", [
+    ("near-far", "iid", "recompute"), ("nearest", "iid", "recompute"),
+    ("nearest", "static", "static"),
+])
+def test_lane_results_do_not_depend_on_the_chunk_size(monkeypatch, pairing, fading, neighbors):
+    cfg = replace(SMALL, pairing=pairing, fading=fading, neighbors=neighbors, intervals=20)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
+    for scheme in Scheme:
+        runs = []
+        for chunk in (1, 7, BS_CHUNK_INTERVALS):
+            monkeypatch.setattr(simulation, "BS_CHUNK_INTERVALS", chunk)
+            runs.append(run_lanes(replace(cfg, scheme=scheme), seeds, [-10.0, 0.0],
+                                  keep_assignments=True))
+        for other in runs[1:]:
+            assert other.mean_sum_rate.tolist() == runs[0].mean_sum_rate.tolist()
+            assert np.array_equal(other.role_swaps, runs[0].role_swaps)
+            assert np.array_equal(other.r2_clamps, runs[0].r2_clamps)
+            assert np.array_equal(other.assignments, runs[0].assignments)
 
 
 def test_edge_user_sees_configured_snr():
@@ -131,7 +185,7 @@ def test_degenerate_trial_equals_direct_computation():
     ss = np.random.SeedSequence(42)
     topo_ss, fading_ss, pair_ss = ss.spawn(3)
     polar = generate_topology(cfg, np.random.Generator(np.random.Philox(topo_ss)))
-    gains = draw_bs_gains(polar[:, 0], cfg, np.random.Generator(np.random.Philox(fading_ss)))
+    gains = draw_bs_gains(polar[:, 0], cfg, np.random.Generator(np.random.Philox(fading_ss)))[0]
     strong, weak = split_groups(gains[:, 0])
     relay, second = int(strong[0]), int(weak[0])
     xy = positions_xy(polar)
@@ -237,6 +291,21 @@ def test_lanes_match_one_lane_trials():
             one = run_trial(replace(cfg, p1_over_p0_db=db), seed)
             assert lanes.mean_sum_rate[2 * t + s] == one.mean_sum_rate
             assert lanes.role_swaps[2 * t + s] == one.role_swaps
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(p1_sweep_db=[]), "p1_sweep_db"),
+    (dict(schemes=[]), "schemes"),
+    (dict(pairings=[]), "pairings"),
+])
+def test_run_experiment_names_an_empty_argument(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} must not be empty"):
+        run_experiment(SMALL, **kwargs)
+
+
+def test_run_lanes_names_empty_trial_seeds():
+    with pytest.raises(ValueError, match="trial_seeds must not be empty"):
+        run_lanes(SMALL, [], [0.0])
 
 
 class RecordingPool:
