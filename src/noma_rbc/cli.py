@@ -7,6 +7,10 @@ Three subcommands wire configs to the library:
                 CSV plus a JSON run manifest
 * ``verify``    randomized closed-form-vs-oracle equivalence checks
 
+``region`` writes each scheme's ``sweep_region`` arrays to the CSV with
+one ``writerows``; ``verify`` draws each chunk as one array and checks all
+schemes in one ``verify_terms`` pass.  Neither builds per-point objects.
+
 Exit codes: 0 success, 2 config error, 3 verification failure.  Progress
 and status go to stderr; ``verify`` prints its report on stdout.  Every
 output file lands inside the declared output directory and is paired with
@@ -28,9 +32,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import ChannelParams, CompressionNoise, LinkGains, Scheme, is_degraded_ordered
-from .oracle import random_verification_draw, stack_draws, verify_terms
-from .rates import sweep_region, uniform_alpha_grid
+from .core import (ChannelParams, CompressionNoise, LinkGains, PowerSplit, Scheme,
+                   is_degraded_ordered)
+from .oracle import random_verification_draws, verify_terms
+from .rates import check_alpha_grid, sweep_region, uniform_alpha_grid
 from .simulation import (
     SimConfig,
     effective_parallel,
@@ -97,15 +102,40 @@ def _parse_schemes(text) -> list[Scheme]:
     return [Scheme.from_label(str(t)) for t in labels]
 
 
-def _parse_alpha_grid(spec) -> list[float]:
+def _parse_alpha_grid(spec) -> np.ndarray:
     """Either a point count (uniform grid on [0, 1]) or an explicit
-    comma-separated / list grid."""
-    if isinstance(spec, (list, tuple)):
-        return [float(x) for x in spec]
-    text = str(spec).strip()
-    if "," in text:
-        return [float(t) for t in text.split(",") if t.strip()]
-    return list(uniform_alpha_grid(int(text)))
+    comma-separated / list grid, as sorted distinct alphas in [0, 1]."""
+    try:
+        if spec is None:
+            grid = uniform_alpha_grid()
+        elif isinstance(spec, (list, tuple)):
+            grid = [float(x) for x in spec]
+        elif "," in str(spec):
+            grid = [float(t) for t in str(spec).split(",") if t.strip()]
+        else:
+            grid = uniform_alpha_grid(int(str(spec).strip()))
+        return check_alpha_grid(sorted(set(grid)))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"alpha_grid: {exc}") from None
+
+
+def _number(key: str, value) -> float:
+    """``value`` as a float; the error names ``key``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def _db_to_linear(key: str, value) -> float:
+    """10^(value/10), which must be finite; the error names ``key``."""
+    try:
+        linear = 10.0 ** (_number(key, value) / 10.0)
+    except OverflowError:
+        linear = np.inf
+    if not np.isfinite(linear):
+        raise ValueError(f"{key} must give a finite linear power, got {value!r} dB")
+    return linear
 
 
 def _jsonable(value):
@@ -173,24 +203,31 @@ def cmd_region(args) -> int:
         return EXIT_CONFIG_ERROR
 
     try:
-        gains = LinkGains(g01=float(g01), g02=float(g02), g12=float(g12))
+        gains = LinkGains(g01=_number("g01", g01), g02=_number("g02", g02),
+                          g12=_number("g12", g12))
         params = ChannelParams(
-            p0=10.0 ** (float(p0_db) / 10.0),
-            p1=0.0 if p1_db is None else 10.0 ** (float(p1_db) / 10.0),
-            n1=float(n1), n2=float(n2),
+            p0=_db_to_linear("p0_db", p0_db),
+            p1=0.0 if p1_db is None else _db_to_linear("p1_db", p1_db),
+            n1=_number("n1", n1), n2=_number("n2", n2),
         )
         schemes = _parse_schemes(schemes_spec) if schemes_spec else list(ALL_SCHEMES)
-        grid = sorted(set(
-            _parse_alpha_grid(grid_spec) if grid_spec is not None else uniform_alpha_grid()
-        ))
-        fixed = CompressionNoise(float(n_hat)) if n_hat is not None else None
-    except ValueError as exc:
+        grid = _parse_alpha_grid(grid_spec)
+        mark = PowerSplit(_number("alpha", alpha_mark)).alpha
+        fixed = CompressionNoise(_number("n_hat", n_hat)) if n_hat is not None else None
+    except (TypeError, ValueError) as exc:
         _err(str(exc))
         return EXIT_CONFIG_ERROR
 
     if not is_degraded_ordered(gains, params):
         _err("gains violate the degraded ordering (g01/n1 >= g02/n2); "
              "swap the two user roles and rerun")
+        return EXIT_CONFIG_ERROR
+    try:
+        curves = [sweep_region(scheme, gains, params, grid, optimize=fixed is None, n_hat=fixed)
+                  for scheme in schemes]
+    except ValueError as exc:
+        _err(f"{exc}: the rates overflow at these gains and powers "
+             "(g01, g02, g12, p0_db, p1_db, n1, n2)")
         return EXIT_CONFIG_ERROR
 
     out_dir = Path(args.out)
@@ -199,21 +236,16 @@ def cmd_region(args) -> int:
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "alpha", "r1_bits", "r2_bits", "n_hat", "alpha_marked"])
-        for scheme in schemes:
-            curve = sweep_region(
-                scheme, gains, params, grid,
-                optimize=fixed is None, n_hat=fixed,
-            )
-            for idx, (alpha, pair) in enumerate(curve.points):
-                nh = curve.n_hats[idx].n_hat if curve.n_hats is not None else ""
-                writer.writerow([
-                    scheme.label, alpha, pair.r1, pair.r2, nh,
-                    1 if abs(alpha - float(alpha_mark)) <= 1e-12 else 0,
-                ])
+        for curve in curves:
+            n = len(curve.alphas)
+            n_hats = [""] * n if curve.n_hat is None else curve.n_hat.tolist()
+            marked = (np.abs(curve.alphas - mark) <= 1e-12).astype(int).tolist()
+            writer.writerows(zip([curve.scheme.label] * n, curve.alphas.tolist(),
+                                 curve.r1.tolist(), curve.r2.tolist(), n_hats, marked))
     snapshot = {
         "g01": gains.g01, "g02": gains.g02, "g12": gains.g12,
         "p0": params.p0, "p1": params.p1, "n1": params.n1, "n2": params.n2,
-        "alpha_grid_points": len(grid), "alpha_mark": float(alpha_mark),
+        "alpha_grid_points": len(grid), "alpha_mark": mark,
         "schemes": [s.label for s in schemes],
         "n_hat": fixed.n_hat if fixed is not None else "optimized",
     }
@@ -331,16 +363,15 @@ def cmd_verify(args) -> int:
     worst = None
     term_worst = {}  # (scheme, term) -> worst delta over all draws, nats
     for start in range(0, args.count, VERIFY_CHUNK_DRAWS):
-        draws = [random_verification_draw(rng)
-                 for _ in range(min(VERIFY_CHUNK_DRAWS, args.count - start))]
-        batch = stack_draws(draws)
+        batch = random_verification_draws(rng, min(VERIFY_CHUNK_DRAWS, args.count - start))
+        terms = verify_terms(*batch)
         columns = []
         for scheme in ALL_SCHEMES:
-            terms = verify_terms(scheme, *batch)
-            for term in terms:
+            deltas = [term.delta_nats for term in terms[scheme]]
+            for term, delta in zip(terms[scheme], deltas):
                 key = (scheme, term.name)
-                term_worst[key] = max(term_worst.get(key, 0.0), float(term.delta_nats.max()))
-            columns.append(np.max([term.delta_nats for term in terms], axis=0))
+                term_worst[key] = max(term_worst.get(key, 0.0), float(delta.max()))
+            columns.append(np.max(deltas, axis=0))
         table = np.stack(columns, axis=1)  # (draws, schemes): per-scheme max delta
         if args.inject_error:
             table += 1e-6  # negative control: force a visible mismatch
@@ -349,18 +380,20 @@ def cmd_verify(args) -> int:
         if table.flat[flat] > worst_delta:
             worst_delta = float(table.flat[flat])
             draw, scheme = divmod(flat, len(ALL_SCHEMES))
-            worst = (*draws[draw], ALL_SCHEMES[scheme])
+            g01, g02, g12, params, alpha, n_hat = batch
+            worst = (ALL_SCHEMES[scheme], params,
+                     *(float(values[draw]) for values in (g01, g02, g12, alpha, n_hat)))
     print(f"verified {len(ALL_SCHEMES)} schemes x {args.count} draws: "
           f"max delta = {worst_delta:.3e} nats (tolerance {VERIFY_TOL_NATS:.0e})")
     for (scheme, name), delta in term_worst.items():
         print(f"  {scheme.label:10s} {name:19s} max delta = {delta:.3e} nats")
     if worst_delta > VERIFY_TOL_NATS:
-        gains, params, split, n_hat, scheme = worst
+        scheme, params, g01, g02, g12, alpha, n_hat = worst
         print("worst case:")
         print(f"  scheme = {scheme.label}")
-        print(f"  gains  = g01={gains.g01!r} g02={gains.g02!r} g12={gains.g12!r}")
+        print(f"  gains  = g01={g01!r} g02={g02!r} g12={g12!r}")
         print(f"  params = p0={params.p0!r} p1={params.p1!r} n1={params.n1!r} n2={params.n2!r}")
-        print(f"  alpha  = {split.alpha!r}  n_hat = {n_hat.n_hat!r}")
+        print(f"  alpha  = {alpha!r}  n_hat = {n_hat!r}")
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 

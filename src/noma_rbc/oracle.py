@@ -42,9 +42,11 @@ selections.  A conditioning basis keeps each matrix's full ``vt`` with the
 rows past its numerical rank zeroed, the log-determinants sum the logs of
 the singular values each entry keeps, and the second SVD of an entry keeps
 its top rank(A) values, rank(A) being the first block's.  One draw gives
-Python floats, a stack gives arrays of N values.  ``verify_terms`` compares
-every closed-form term of a scheme with the oracle over a stack of draws
-in one pass; ``verify_scheme`` is its one-draw case.
+Python floats, a stack gives arrays of N values.  ``verify_terms`` checks
+several schemes over a stack in one pass, evaluating once each term that
+schemes share: the four schemes' 13 terms take 8 stacked oracle calls.
+``verify_scheme`` is its one-draw, one-scheme case, and
+``random_verification_draws`` draws a whole stack as one array.
 """
 
 from __future__ import annotations
@@ -272,90 +274,77 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def verify_terms(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_hat) -> tuple:
-    """Every closed-form term of ``scheme`` next to the log-det oracle's
-    value of the same mutual information, as ``TermDelta``s, for one draw
-    (scalars) or a stack of draws (equal-length 1-D arrays sharing
-    ``params``).  The min/clamp structure is excluded on purpose; each
-    mutual-information term is compared on its own.
+# Each term the oracle checks: (name, key of its closed form in
+# ``verify_terms``, oracle (left, right, given)).  Schemes that share a term
+# share its entry, which ``verify_terms`` evaluates once.
+_R1 = ("r1", "r1", ("U", "Y1", "V"))
+_FORWARD = ("r2_forward", "forward", (("V", "X1"), "Y2", ()))
+_CF_R2 = (("r2_cutset", "cutset", ("V", ("Y1HAT", "Y2"), "X1")), _FORWARD,
+          ("r2_compression_loss", "loss", ("Y1HAT", "Y1", ("V", "X1", "Y2"))))
+_SCHEME_TERMS = {
+    # conditioning on X1 removes the relay path from GBC's r2
+    Scheme.GBC: (_R1, ("r2", "direct", ("V", "Y2", "X1"))),
+    Scheme.RBC_DF: (("r1", "r1", ("U", "Y1", ("V", "X1"))), _FORWARD,
+                    ("r2_decode", "decode", ("V", "Y1", "X1"))),
+    Scheme.RBC_CF: (("r1", "r1_cf", ("U", "Y1", ())),) + _CF_R2,
+    Scheme.RBC_CF_DPC: (_R1,) + _CF_R2,
+}
+
+
+def verify_terms(g01, g02, g12, params: ChannelParams, alpha, n_hat,
+                 schemes: Sequence[Scheme] = tuple(Scheme)) -> dict:
+    """Every closed-form term of each of ``schemes`` next to the log-det
+    oracle's value of the same mutual information, as ``{scheme: (TermDelta,
+    ...)}``, for one draw (scalars) or a stack of draws (equal-length 1-D
+    arrays sharing ``params``).  The min/clamp structure is excluded on
+    purpose; each mutual-information term is compared on its own.  One
+    ``GaussianSystem`` serves every term, and a term that several schemes
+    share is evaluated once and appears in each of their tuples.
     """
     system = GaussianSystem.from_values(g01, g02, g12, params, alpha, n_hat)
-    r1 = rates.relay_rate(scheme, g01, params, alpha)
-    # (term, closed form in bits, oracle (left, right, given))
-    if scheme is Scheme.GBC:
-        specs = [
-            ("r1", r1, ("U", "Y1", "V")),
-            # conditioning removes the relay path
-            ("r2", rates._forward_bound(g02, 0.0, params, alpha, params.p1), ("V", "Y2", "X1")),
-        ]
-    elif scheme is Scheme.RBC_DF:
-        specs = [
-            ("r1", r1, ("U", "Y1", ("V", "X1"))),
-            ("r2_forward", rates._forward_bound(g02, g12, params, alpha, params.p1),
-             (("V", "X1"), "Y2")),
-            ("r2_decode", rates._decode_bound(g01, params, alpha), ("V", "Y1", "X1")),
-        ]
-    else:
-        cf = rates._CFBounds(g01, g02, g12, params, alpha, params.p1)
-        cutset, loss = cf.terms(n_hat)
-        specs = [
-            ("r1", r1, ("U", "Y1") if scheme is Scheme.RBC_CF else ("U", "Y1", "V")),
-            ("r2_cutset", cutset, ("V", ("Y1HAT", "Y2"), "X1")),
-            ("r2_forward", cf.forward, (("V", "X1"), "Y2")),
-            ("r2_compression_loss", loss, ("Y1HAT", "Y1", ("V", "X1", "Y2"))),
-        ]
-    return tuple(TermDelta(name, _unstack(np.multiply(bits, LN2)), gaussian_mi(system, *mi))
-                 for name, bits, mi in specs)
+    cutset, loss = rates._CFBounds(g01, g02, g12, params, alpha, params.p1).terms(n_hat)
+    bits = {"r1": rates.relay_rate(Scheme.GBC, g01, params, alpha),
+            "r1_cf": rates.relay_rate(Scheme.RBC_CF, g01, params, alpha),
+            "direct": rates._forward_bound(g02, 0.0, params, alpha, params.p1),
+            "forward": rates._forward_bound(g02, g12, params, alpha, params.p1),
+            "decode": rates._decode_bound(g01, params, alpha), "cutset": cutset, "loss": loss}
+    deltas = {spec: TermDelta(spec[0], _unstack(np.multiply(bits[spec[1]], LN2)),
+                              gaussian_mi(system, *spec[2]))
+              for spec in dict.fromkeys(s for scheme in schemes for s in _SCHEME_TERMS[scheme])}
+    return {scheme: tuple(deltas[s] for s in _SCHEME_TERMS[scheme]) for scheme in schemes}
 
 
-def verify_scheme(
-    gains: LinkGains,
-    params: ChannelParams,
-    split: PowerSplit,
-    n_hat: CompressionNoise,
-    scheme: Scheme,
-) -> VerifyReport:
+def verify_scheme(gains: LinkGains, params: ChannelParams, split: PowerSplit,
+                  n_hat: CompressionNoise, scheme: Scheme) -> VerifyReport:
     """Per-term |closed form - log-det oracle| for one scheme's rate
-    expressions (nats) at one draw: the one-draw case of ``verify_terms``.
+    expressions (nats) at one draw: the one-draw, one-scheme case of
+    ``verify_terms``."""
+    terms = verify_terms(gains.g01, gains.g02, gains.g12, params, split.alpha, n_hat.n_hat,
+                         (scheme,))
+    return VerifyReport(scheme=scheme, terms=terms[scheme])
+
+
+def random_verification_draws(rng: np.random.Generator, count: int) -> tuple:
+    """``count`` random model draws as the arguments of ``verify_terms``:
+    ``(g01, g02, g12, params, alpha, n_hat)``, one array entry per draw.
+
+    Power gains and n_hat are log-uniform over [1e-2, 1e2], alpha uniform
+    on [0, 1], p0 = p1 = 10 and n1 = n2 = 1; the two BS gains are swapped
+    where needed so the degraded ordering holds.  Each draw takes five
+    uniforms from ``rng`` in turn (three gains, alpha, n_hat), so a stream
+    of draws does not depend on how it is split into calls.
     """
-    return VerifyReport(scheme=scheme, terms=verify_terms(
-        scheme, gains.g01, gains.g02, gains.g12, params, split.alpha, n_hat.n_hat))
+    u = rng.random((count, 5))
+    g = 10.0 ** (-2.0 + 4.0 * u[:, :3])
+    # Python's scalar power: numpy's array power differs on some inputs
+    n_hat = np.array([10.0 ** x for x in (-2.0 + 4.0 * u[:, 4]).tolist()])
+    return (np.maximum(g[:, 0], g[:, 1]), np.minimum(g[:, 0], g[:, 1]), g[:, 2],
+            ChannelParams(p0=10.0, p1=10.0), u[:, 3], n_hat)
 
 
-def random_verification_draw(
-    rng: np.random.Generator,
-    gain_range: tuple[float, float] = (1e-2, 1e2),
-    n_hat_range: tuple[float, float] = (1e-2, 1e2),
-    p0: float = 10.0,
-    p1: float = 10.0,
-    n1: float = 1.0,
-    n2: float = 1.0,
-):
-    """Random ordered model draw for oracle-equivalence checks.
-
-    Power gains are log-uniform over ``gain_range``, alpha uniform on
-    [0, 1], n_hat log-uniform over ``n_hat_range``; the two BS gains are
-    swapped if needed so the degraded ordering holds.
-    """
-    lo, hi = math.log10(gain_range[0]), math.log10(gain_range[1])
-    g = 10.0 ** rng.uniform(lo, hi, size=3)
-    g01, g02 = (g[0], g[1]) if g[0] * n2 >= g[1] * n1 else (g[1], g[0])
-    gains = LinkGains(g01=float(g01), g02=float(g02), g12=float(g[2]))
-    params = ChannelParams(p0=p0, p1=p1, n1=n1, n2=n2)
-    split = PowerSplit(float(rng.uniform(0.0, 1.0)))
-    nlo, nhi = math.log10(n_hat_range[0]), math.log10(n_hat_range[1])
-    n_hat = CompressionNoise(float(10.0 ** rng.uniform(nlo, nhi)))
-    return gains, params, split, n_hat
-
-
-def stack_draws(draws: Sequence[tuple]) -> tuple:
-    """``random_verification_draw`` results as the arguments of
-    ``verify_terms`` after the scheme: ``(g01, g02, g12, params, alpha,
-    n_hat)``, one array entry per draw.  The draws must share their
-    ``ChannelParams``."""
-    gains, params, splits, n_hats = zip(*draws)
-    if any(p != params[0] for p in params):
-        raise ValueError("stacked draws must share one ChannelParams")
-    return (np.array([g.g01 for g in gains]), np.array([g.g02 for g in gains]),
-            np.array([g.g12 for g in gains]), params[0],
-            np.array([s.alpha for s in splits]), np.array([n.n_hat for n in n_hats]))
+def random_verification_draw(rng: np.random.Generator):
+    """One draw of ``random_verification_draws`` as typed values:
+    ``(LinkGains, ChannelParams, PowerSplit, CompressionNoise)``."""
+    g01, g02, g12, params, alpha, n_hat = random_verification_draws(rng, 1)
+    return (LinkGains(g01=float(g01[0]), g02=float(g02[0]), g12=float(g12[0])), params,
+            PowerSplit(float(alpha[0])), CompressionNoise(float(n_hat[0])))

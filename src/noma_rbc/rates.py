@@ -30,9 +30,10 @@ is needed.
 power-split arrays; it and ``relay_rate``, its r1 part, are the only code
 that dispatches on the scheme.  The typed operations (``gbc_rates`` ...
 ``optimize_n_hat``, ``sweep_region``) validate their inputs and call it;
-the scheduler calls it on whole candidate blocks.  GBC and RBC-DF
-presuppose the degraded role ordering: the typed operations reject inputs
-that violate it, while the kernel and the scalar helpers
+the scheduler calls it on whole candidate blocks, ``sweep_region`` on a
+whole alpha grid, whose arrays it checks and returns as they are.  GBC
+and RBC-DF presuppose the degraded role ordering: the typed operations
+reject inputs that violate it, while the kernel and the scalar helpers
 ``relay_rate_bits`` / ``second_rate_bits`` / ``serve_pair`` evaluate the
 formulas literally, as the scheduler's selection metrics require.
 """
@@ -279,12 +280,38 @@ def uniform_alpha_grid(n: int = DEFAULT_ALPHA_POINTS) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class RateRegionCurve:
-    """Boundary curve of one scheme: rate pairs indexed by the power split,
-    plus the compression noise actually used per point for CF schemes."""
+    """Boundary curve of one scheme as equal-length arrays over the power
+    split: the strictly increasing alphas, r1 and r2 in bits, and for CF
+    schemes the compression noise used at each point (None otherwise)."""
 
     scheme: Scheme
-    points: tuple  # ((alpha, RatePair), ...) with strictly increasing alphas
-    n_hats: Optional[tuple] = None  # per-point CompressionNoise, CF schemes only
+    alphas: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    n_hat: Optional[np.ndarray] = None
+
+
+def check_alpha_grid(alpha_grid: Sequence[float]) -> np.ndarray:
+    """The grid as a float array; it must be non-empty, within [0, 1] and
+    strictly increasing."""
+    grid = np.array(alpha_grid, dtype=float)
+    if not grid.size:
+        raise ValueError("alpha grid is empty")
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):
+        raise ValueError("alpha grid values must lie in [0, 1]")
+    if np.any(grid[1:] <= grid[:-1]):
+        raise ValueError("alpha grid must be strictly increasing")
+    return grid
+
+
+def _check_values(name: str, values: np.ndarray, positive: bool = False) -> None:
+    """The checks of ``RatePair`` (of ``CompressionNoise`` if ``positive``)
+    on a whole array, with their messages for the first failing entry."""
+    low = values <= 0.0 if positive else values < 0.0
+    for bad, word in ((~np.isfinite(values), "finite"),
+                      (low, "positive" if positive else "non-negative")):
+        if np.any(bad):
+            raise ValueError(f"{name} must be {word}, got {float(values[bad][0])!r}")
 
 
 def sweep_region(
@@ -299,14 +326,10 @@ def sweep_region(
 
     For CF schemes the compression noise is optimised per point when
     ``optimize`` is true, otherwise the supplied fixed ``n_hat`` is used.
+    Rates must come out finite and non-negative, the compression noise
+    finite and positive; a ``ValueError`` names the first that is not.
     """
-    grid = [float(x) for x in alpha_grid]
-    if not grid:
-        raise ValueError("alpha grid is empty")
-    if any(not 0.0 <= x <= 1.0 for x in grid):
-        raise ValueError("alpha grid values must lie in [0, 1]")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("alpha grid must be strictly increasing")
+    grid = check_alpha_grid(alpha_grid)
     fixed = None
     if not scheme.uses_compression:
         _require_ordered(gains, params)
@@ -315,18 +338,16 @@ def sweep_region(
             raise ValueError("fixed n_hat required when optimize=False")
         fixed = n_hat.n_hat
 
-    r1, r2, n_hats, _ = rate_kernel(
-        scheme, gains.g01, gains.g02, gains.g12, params, np.array(grid), fixed
-    )
-    points = tuple((alpha, RatePair(r1=x, r2=y))
-                   for alpha, x, y in zip(grid, r1.tolist(), r2.tolist()))
-    if not scheme.uses_compression:
-        n_hats = None
-    elif optimize:
-        n_hats = tuple(CompressionNoise(x) for x in n_hats.tolist())
-    else:
-        n_hats = (n_hat,) * len(grid)
-    return RateRegionCurve(scheme=scheme, points=points, n_hats=n_hats)
+    # overflow shows as a non-finite rate, which the checks below name
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r1, r2, n_hats, _ = rate_kernel(scheme, gains.g01, gains.g02, gains.g12, params, grid,
+                                        fixed)
+    _check_values("r1", r1)
+    _check_values("r2", r2)
+    if scheme.uses_compression:
+        n_hats = np.broadcast_to(n_hats, grid.shape)
+        _check_values("n_hat", n_hats, positive=True)
+    return RateRegionCurve(scheme, grid, r1, r2, n_hats)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,16 @@ def rng_for(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def stack_draws(draws):
+    """Typed ``(gains, params, split, n_hat)`` draws that share one
+    ``ChannelParams`` as the stacked arguments of ``verify_terms``: ``(g01,
+    g02, g12, params, alpha, n_hat)``, one array entry per draw."""
+    gains, params, splits, n_hats = zip(*draws)
+    return (np.array([g.g01 for g in gains]), np.array([g.g02 for g in gains]),
+            np.array([g.g12 for g in gains]), params[0],
+            np.array([s.alpha for s in splits]), np.array([n.n_hat for n in n_hats]))
+
+
 def random_ordered_setup(rng, p0=10.0, p1=10.0, n1=1.0, n2=1.0):
     g = 10.0 ** rng.uniform(-2.0, 2.0, size=3)
     g01, g02 = (g[0], g[1]) if g[0] * n2 >= g[1] * n1 else (g[1], g[0])

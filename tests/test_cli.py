@@ -2,9 +2,12 @@ import csv
 import time
 import json
 
+import numpy as np
 import pytest
 
 from noma_rbc import simulation
+from noma_rbc.core import ChannelParams, Scheme
+from noma_rbc.rates import rate_kernel
 from noma_rbc.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -130,6 +133,82 @@ def test_region_fixed_n_hat(tmp_path):
     assert rc == EXIT_OK
     rows = read_csv(out / "rate_region.csv")
     assert all(float(r["n_hat"]) == 1.0 for r in rows)
+
+
+@pytest.mark.parametrize("grid, mark, fixed", [
+    ("0,0.05,0.30000000000000004,0.9999,1", "0.3", None),  # marked within 1e-12
+    ("0,0.2,1", "0.2", "0.7"),
+])
+def test_region_csv_holds_the_kernel_values(tmp_path, grid, mark, fixed):
+    out = tmp_path / "out"
+    extra = ["--alpha-grid", grid, "--alpha", mark] + (["--n-hat", fixed] if fixed else [])
+    assert main(["region", "--out", str(out)] + REGION_FLAGS + extra) == EXIT_OK
+    rows = read_csv(out / "rate_region.csv")
+    alphas = [float(a) for a in grid.split(",")]
+    fixed = None if fixed is None else float(fixed)
+    assert [r["scheme"] for r in rows] == [s.label for s in Scheme for _ in alphas]
+    for scheme in Scheme:
+        got = [r for r in rows if r["scheme"] == scheme.label]
+        r1, r2, n_hat, _ = rate_kernel(scheme, 8.0, 1.0, 8.0, ChannelParams(p0=10.0, p1=10.0),
+                                       np.array(alphas), fixed)
+        assert [float(r["alpha"]) for r in got] == alphas
+        assert [float(r["r1_bits"]) for r in got] == r1.tolist()
+        assert [float(r["r2_bits"]) for r in got] == r2.tolist()
+        want = ([""] * len(alphas) if n_hat is None
+                else [repr(x) for x in np.broadcast_to(n_hat, len(alphas)).tolist()])
+        assert [r["n_hat"] for r in got] == want
+        assert [r["alpha_marked"] for r in got] == \
+            ["1" if abs(a - float(mark)) <= 1e-12 else "0" for a in alphas]
+        assert sum(r["alpha_marked"] == "1" for r in got) == 1
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--p0-db", "4000"], "p0_db"),
+    (["--p1-db", "4000"], "p1_db"),
+    (["--alpha-grid", "0,0.5,2"], "alpha_grid"),
+    (["--alpha-grid", "nan"], "alpha_grid"),
+    (["--alpha-grid", "1,nan"], "alpha_grid"),
+    (["--alpha-grid", ","], "alpha_grid"),
+    (["--alpha", "nan"], "alpha"),
+    (["--alpha", "inf"], "alpha"),
+    (["--alpha", "1.5"], "alpha"),
+    (["--alpha", "-0.1"], "alpha"),
+])
+def test_region_bad_value_exits_2_naming_the_key(tmp_path, capsys, flags, key):
+    base = {"--g01": "8", "--g02": "1", "--g12": "8", "--p0-db": "10", "--p1-db": "10"}
+    base.update(zip(flags[::2], flags[1::2]))
+    argv = ["region", "--out", str(tmp_path / "out")] + [a for kv in base.items() for a in kv]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") or err.startswith(f"error: {key}:"), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, key", [
+    ("g01: abc", "g01"), ("g12: [8]", "g12"), ("n1: {a: 1}", "n1"), ("p0_db: ten", "p0_db"),
+    ("p1_db: [10]", "p1_db"), ("alpha: [0.2]", "alpha"), ("n_hat: [1]", "n_hat"),
+    ("alpha_grid: {a: 1}", "alpha_grid"), ("schemes: 5", None),
+])
+def test_region_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, line, key):
+    values = {"g01": "8", "g02": "1", "p0_db": "10"}
+    values.update([line.split(": ", 1)])
+    cfg = tmp_path / "region.yaml"
+    cfg.write_text("".join(f"{k}: {v}\n" for k, v in values.items()), encoding="utf-8")
+    assert main(["region", "--config", str(cfg), "--out", str(tmp_path / "out")]) == \
+        EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert key is None or err.startswith(f"error: {key} ") or err.startswith(f"error: {key}:"), err
+
+
+def test_region_overflowing_rates_exit_2_naming_the_inputs(tmp_path, capsys):
+    rc = main(["region", "--out", str(tmp_path / "out"), "--g01", "1e300", "--g02", "0.5",
+               "--p0-db", "100", "--p1-db", "10", "--g12", "1"])
+    assert rc == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "r1 must be finite, got inf" in err
+    assert all(key in err for key in ("g01", "g02", "g12", "p0_db", "p1_db"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_smoke(tmp_path, capsys):

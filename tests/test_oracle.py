@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noma_rbc import cli
+from noma_rbc import cli, oracle
 from noma_rbc.core import (
     LN2,
     ChannelParams,
@@ -19,12 +20,12 @@ from noma_rbc.oracle import (
     TermDelta,
     gaussian_mi,
     random_verification_draw,
-    stack_draws,
+    random_verification_draws,
     verify_scheme,
     verify_terms,
 )
 
-from helpers import rng_for
+from helpers import rng_for, stack_draws
 
 REF_GAINS = LinkGains(8.0, 1.0, 8.0)
 REF_PARAMS = ChannelParams(p0=10.0, p1=10.0, n1=1.0, n2=1.0)
@@ -200,9 +201,9 @@ def test_zero_relay_power_stack_equals_one_draw_calls():
 
 def test_stacked_terms_equal_verify_scheme_bit_for_bit():
     draws = mixed_draws(37)
-    batch = stack_draws(draws)
+    chunk = verify_terms(*stack_draws(draws))
     for scheme in Scheme:
-        terms = verify_terms(scheme, *batch)
+        terms = chunk[scheme]
         for k, draw in enumerate(draws):
             report = verify_scheme(*draw, scheme)
             assert [t.name for t in terms] == [t.name for t in report.terms]
@@ -249,14 +250,6 @@ def test_stacked_system_validation_names_the_field(field, bad, message):
         GaussianSystem(**fields)
 
 
-def test_stack_draws_requires_shared_params():
-    rng = rng_for(41)
-    first = random_verification_draw(rng)
-    other = random_verification_draw(rng, p1=1.0)
-    with pytest.raises(ValueError, match="share one ChannelParams"):
-        stack_draws([first, other])
-
-
 def reference_verify_output(count, seed, inject_error):
     """``verify``'s report written out as a scalar loop: one draw and one
     scheme at a time, the worst case kept on a strict improvement."""
@@ -300,8 +293,9 @@ def test_cmd_verify_worst_case_is_the_first_of_equal_deltas(monkeypatch, capsys)
     # every draw and scheme gets the same delta, so the worst case must be
     # the first draw under the first scheme, in whichever chunk it falls
     monkeypatch.setattr(cli, "VERIFY_CHUNK_DRAWS", 4)
-    monkeypatch.setattr(cli, "verify_terms", lambda scheme, g01, *rest: (
-        TermDelta("r1", np.full(len(g01), 2.0), np.ones(len(g01))),))
+    monkeypatch.setattr(cli, "verify_terms", lambda g01, *rest: {
+        scheme: (TermDelta("r1", np.full(len(g01), 2.0), np.ones(len(g01))),)
+        for scheme in Scheme})
     assert cli.main(["verify", "--count", "10", "--seed", "5", "--inject-error"]) == \
         cli.EXIT_VERIFY_FAILED
     gains = random_verification_draw(rng_for(5))[0]
@@ -336,3 +330,82 @@ def test_oracle_equivalence_away_from_reference_point(p0, p1, n1, n2, g, alpha, 
     for scheme in Scheme:
         report = verify_scheme(*draw, scheme)
         assert report.max_delta_nats <= 1e-9, str(report)
+
+
+# ---------------------------------------------------------------------------
+# one draw and one oracle pass per chunk
+
+CHUNK_SIZES = (1, 7, cli.VERIFY_CHUNK_DRAWS, cli.VERIFY_CHUNK_DRAWS + 1)
+
+
+def per_draw_reference(rng, count):
+    """The draw stream as one ``rng.uniform`` call per quantity and draw
+    (three gains, alpha, n_hat; the gains through numpy's power, n_hat
+    through Python's), as five value lists, and the generator's next value
+    after each of ``CHUNK_SIZES`` draws."""
+    uniform, rows, after = rng.uniform, [], {}
+    for k in range(count + 1):
+        if k in CHUNK_SIZES:
+            after[k] = copy.deepcopy(rng).random()
+        if k == count:
+            return [list(column) for column in zip(*rows)], after
+        g = (10.0 ** uniform(-2.0, 2.0, size=3)).tolist()
+        g01, g02 = (g[0], g[1]) if g[0] >= g[1] else (g[1], g[0])
+        rows.append((g01, g02, g[2], uniform(0.0, 1.0), 10.0 ** uniform(-2.0, 2.0)))
+
+
+def test_chunk_draw_equals_one_draw_at_a_time():
+    # numpy's array power and Python's differ on some inputs, so this pins
+    # which one each quantity goes through, and that a chunk takes five
+    # uniforms per draw in draw order, for every chunk size verify uses
+    for seed in range(100):
+        ref, after = per_draw_reference(rng_for(seed), max(CHUNK_SIZES))
+        for count in CHUNK_SIZES:
+            rng = rng_for(seed)
+            g01, g02, g12, params, alpha, n_hat = random_verification_draws(rng, count)
+            assert params == ChannelParams(p0=10.0, p1=10.0, n1=1.0, n2=1.0)
+            chunk = [c.tolist() for c in (g01, g02, g12, alpha, n_hat)]
+            assert chunk == [column[:count] for column in ref], (seed, count)
+            assert rng.random() == after[count], (seed, count)
+        for count in CHUNK_SIZES[:2]:
+            rng = rng_for(seed)
+            singles = [random_verification_draw(rng) for _ in range(count)]
+            assert all(p == params for _, p, _, _ in singles)
+            values = [(g.g01, g.g02, g.g12, s.alpha, n.n_hat) for g, _, s, n in singles]
+            assert values == list(zip(*ref))[:count], (seed, count)
+            assert rng.random() == after[count], (seed, count)
+
+
+def test_verify_evaluates_each_distinct_oracle_term_once_per_chunk(monkeypatch, capsys):
+    calls = []
+
+    def counted(system, *sets):
+        calls.append((system.shape, sets))
+        return gaussian_mi(system, *sets)
+
+    monkeypatch.setattr(oracle, "gaussian_mi", counted)
+    monkeypatch.setattr(cli, "VERIFY_CHUNK_DRAWS", 4)
+    assert cli.main(["verify", "--count", "10", "--seed", "3"]) == cli.EXIT_OK
+    # 13 (scheme, term) pairs over 8 distinct triples, one stacked call each
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 13
+    assert [shape for shape, _ in calls] == [(4,)] * 8 + [(4,)] * 8 + [(2,)] * 8
+    assert len(set(sets for _, sets in calls[:8])) == 8
+    assert [sets for _, sets in calls[8:16]] == [sets for _, sets in calls[:8]]
+
+
+def test_schemes_share_their_common_terms():
+    batch = stack_draws(mixed_draws(43, 12))
+    chunk = verify_terms(*batch)
+    gbc, df, cf, dpc = (chunk[s] for s in Scheme)
+    assert gbc[0] is dpc[0]                            # r1 without interference
+    assert df[1] is cf[2] is dpc[2]                    # r2_forward
+    assert all(a is b for a, b in zip(cf[1:], dpc[1:]))  # the CF r2 terms
+    assert df[0] is not gbc[0] and cf[0] is not gbc[0]
+    # a subset of schemes gives the same terms as the whole chunk
+    for scheme in Scheme:
+        alone = verify_terms(*batch, schemes=(scheme,))
+        assert list(alone) == [scheme]
+        for mine, full in zip(alone[scheme], chunk[scheme]):
+            assert mine.name == full.name
+            assert mine.closed_form_nats.tolist() == full.closed_form_nats.tolist()
+            assert mine.oracle_nats.tolist() == full.oracle_nats.tolist()

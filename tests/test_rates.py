@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from noma_rbc.core import ChannelParams, CompressionNoise, LinkGains, PowerSplit, Scheme
@@ -10,6 +11,7 @@ from noma_rbc.rates import (
     optimize_n_hat,
     rbc_cf_dpc_rates,
     rbc_cf_rates,
+    rate_kernel,
     rbc_df_rates,
     relay_rate_bits,
     second_rate_bits,
@@ -190,13 +192,12 @@ def test_sweep_monotonicity_where_it_holds():
         gains, params, _ = random_ordered_setup(rng)
         for scheme in (Scheme.GBC, Scheme.RBC_DF):
             curve = sweep_region(scheme, gains, params, grid)
-            r1s = [p.r1 for _, p in curve.points]
-            r2s = [p.r2 for _, p in curve.points]
+            r1s, r2s = curve.r1.tolist(), curve.r2.tolist()
             assert all(b >= a - 1e-12 for a, b in zip(r1s, r1s[1:]))
             assert all(b <= a + 1e-12 for a, b in zip(r2s, r2s[1:]))
         for scheme in (Scheme.RBC_CF, Scheme.RBC_CF_DPC):
             curve = sweep_region(scheme, gains, params, grid)
-            r1s = [p.r1 for _, p in curve.points]
+            r1s = curve.r1.tolist()
             assert all(b >= a - 1e-12 for a, b in zip(r1s, r1s[1:]))
 
 
@@ -215,20 +216,20 @@ def test_cf_optimized_r2_is_not_monotone_in_alpha():
 
 def test_sweep_region_shapes_and_validation():
     curve = sweep_region(Scheme.GBC, GAINS, PARAMS, [0.0, 1.0])
-    assert curve.n_hats is None
-    assert curve.points[0][1].r1 == 0.0
-    assert curve.points[0][1].r2 == gbc_rates(GAINS, PARAMS, PowerSplit(0.0)).r2
-    assert curve.points[1][1].r2 == 0.0
-    assert curve.points[1][1].r1 == gbc_rates(GAINS, PARAMS, PowerSplit(1.0)).r1
+    assert curve.n_hat is None
+    assert curve.r1[0] == 0.0
+    assert curve.r2[0] == gbc_rates(GAINS, PARAMS, PowerSplit(0.0)).r2
+    assert curve.r2[1] == 0.0
+    assert curve.r1[1] == gbc_rates(GAINS, PARAMS, PowerSplit(1.0)).r1
 
     cf = sweep_region(Scheme.RBC_CF, GAINS, PARAMS, [0.1, 0.2], optimize=True)
-    assert cf.n_hats is not None and len(cf.n_hats) == 2
+    assert cf.n_hat is not None and len(cf.n_hat) == 2
 
     fixed = sweep_region(
         Scheme.RBC_CF, GAINS, PARAMS, [0.1, 0.2],
         optimize=False, n_hat=CompressionNoise(1.0),
     )
-    assert all(nh.n_hat == 1.0 for nh in fixed.n_hats)
+    assert all(nh == 1.0 for nh in fixed.n_hat)
 
     with pytest.raises(ValueError, match="empty"):
         sweep_region(Scheme.GBC, GAINS, PARAMS, [])
@@ -242,13 +243,37 @@ def test_sweep_region_shapes_and_validation():
         sweep_region(Scheme.RBC_CF, GAINS, PARAMS, [0.1, 0.2], optimize=False)
 
 
+def test_sweep_region_arrays_are_the_kernel_values():
+    grid = uniform_alpha_grid(41)
+    for scheme in Scheme:
+        for fixed in (None, 0.5):
+            curve = sweep_region(scheme, GAINS, PARAMS, grid, optimize=fixed is None,
+                                 n_hat=None if fixed is None else CompressionNoise(fixed))
+            r1, r2, n_hat, _ = rate_kernel(scheme, GAINS.g01, GAINS.g02, GAINS.g12, PARAMS,
+                                           np.array(grid), fixed)
+            assert curve.scheme is scheme and curve.alphas.tolist() == list(grid)
+            assert curve.r1.tolist() == r1.tolist() and curve.r2.tolist() == r2.tolist()
+            if scheme.uses_compression:
+                assert curve.n_hat.tolist() == np.broadcast_to(n_hat, len(grid)).tolist()
+            else:
+                assert curve.n_hat is None
+
+
+def test_sweep_region_names_the_first_non_finite_rate():
+    huge = LinkGains(1e300, 0.5, 1.0)
+    params = ChannelParams(p0=1e10, p1=10.0)
+    for scheme in Scheme:
+        with pytest.raises(ValueError, match=r"^r1 must be finite, got (inf|nan)$"):
+            sweep_region(scheme, huge, params, [0.0, 0.5, 1.0])
+
+
 def test_df_curve_dominates_gbc_curve_pointwise():
     grid = uniform_alpha_grid(101)
     gbc = sweep_region(Scheme.GBC, GAINS, PARAMS, grid)
     df = sweep_region(Scheme.RBC_DF, GAINS, PARAMS, grid)
-    for (_, g), (_, d) in zip(gbc.points, df.points):
-        assert d.r1 == g.r1
-        assert d.r2 >= g.r2 - 1e-12
+    for g1, g2, d1, d2 in zip(gbc.r1, gbc.r2, df.r1, df.r2):
+        assert d1 == g1
+        assert d2 >= g2 - 1e-12
 
 
 def test_reference_setting_qualitative_ordering():
