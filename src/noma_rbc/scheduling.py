@@ -1,10 +1,11 @@
 """User pairing and proportional-fair scheduling over simulation lanes.
 
-A lane is one independent scheduling problem: its own per-block BS gains,
-inter-user gain estimates, PF ledger and relay power.  ``schedule_lanes``
-schedules one interval of L lanes at once: every selection stage scores the
-candidates of all lanes as (L, K) masked arrays in one call of the rate
-kernel.  It is the only scheduler; ``schedule_interval``,
+A lane is one independent scheduling problem: its own scheme, per-block
+BS gains, inter-user gain estimates, PF ledger and relay power.
+``schedule_lanes`` schedules one interval of L lanes at once: every
+selection stage scores the candidates of all lanes as (L, K) masked
+arrays, with one rate-kernel call per contiguous segment of lanes that
+share a scheme.  It is the only scheduler; ``schedule_interval``,
 ``near_far_pair``, ``nearest_neighbor_pair``, ``nearest_remaining`` and
 ``split_groups`` are its one-lane case.
 
@@ -48,7 +49,7 @@ interact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -79,15 +80,32 @@ def _pf_argmax(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     wins ties and a NaN score never wins.  Raises when a lane has no
     candidate with a finite score, which would leave the choice to the
     order of the candidates."""
-    usable = (np.isfinite(scores) & candidates).any(axis=1)
-    if not usable.all():
-        lane = int(np.argmin(usable))
-        raise ValueError(f"no candidate has a finite PF score in lane {lane}: "
-                         f"{scores[lane][candidates[lane]]}")
-    return np.argmax(np.where(candidates & ~np.isnan(scores), scores, -np.inf), axis=1)
+    masked = np.fmax(np.where(candidates, scores, -np.inf), -np.inf)  # NaN -> -inf
+    best = np.argmax(masked, axis=1)
+    # a finite winner is a candidate with a finite score; scan only otherwise
+    if not np.isfinite(masked[np.arange(len(best)), best]).all():
+        usable = (np.isfinite(scores) & candidates).any(axis=1)
+        if not usable.all():
+            lane = int(np.argmin(usable))
+            raise ValueError(f"no candidate has a finite PF score in lane {lane}: "
+                             f"{scores[lane][candidates[lane]]}")
+    return best
 
 
-def _near_far_select(strong, weak, relay_scores, gains, avg, est_gain, scheme, params, alpha, p1):
+def _segment_rates(segments, g01, g02, g12, params: ChannelParams, alpha, p1):
+    """(r1, r2) of candidate arrays that share a leading axis cut into
+    scheme ``segments`` (scheme, start, stop): one ``rate_kernel`` call per
+    segment, written into preallocated arrays."""
+    shape = np.broadcast_shapes(g01.shape, g02.shape, g12.shape)
+    r1, r2 = np.empty(shape), np.empty(shape)
+    for scheme, a, b in segments:
+        r1[a:b], r2[a:b], _, _ = rate_kernel(scheme, g01[a:b], g02[a:b], g12[a:b], params, alpha,
+                                             p1=None if p1 is None else p1[a:b])
+    return r1, r2
+
+
+def _near_far_select(strong, weak, relay_scores, gains, avg, est_gain, rows, segments, params,
+                     alpha, p1):
     """(relay, second) per lane: the relay from ``strong`` by its PF ratio
     ``relay_scores`` = r1/avg, which needs only its own BS gain, then the
     second user from ``weak`` by the PF ratio of r2 given that relay.  r2 is
@@ -97,24 +115,28 @@ def _near_far_select(strong, weak, relay_scores, gains, avg, est_gain, scheme, p
     k1 = _pf_argmax(relay_scores, strong)
     flat = weak.ravel().nonzero()[0]  # lane by lane, ascending user order
     lane = flat // weak.shape[1]
-    rows = np.arange(len(gains))
-    _, r2, _, _ = rate_kernel(scheme, gains[rows, k1][lane], gains.ravel()[flat],
-                              est_gain[rows, k1].ravel()[flat], params, alpha,
-                              p1=None if p1 is None else p1.ravel()[lane])
+    # the scheme segments of the lanes, as positions in the candidate list
+    cuts = np.searchsorted(lane, [a for _, a, _ in segments] + [segments[-1][2]]).tolist()
+    by_candidate = [(s, a, b) for (s, _, _), a, b in zip(segments, cuts, cuts[1:])]
+    _, r2 = _segment_rates(by_candidate, gains[np.arange(len(gains)), k1][lane],
+                           gains.ravel()[flat], est_gain[rows, k1].ravel()[flat], params, alpha,
+                           None if p1 is None else p1.ravel()[lane])
     scores = np.full(weak.size, -np.inf)
     scores[flat] = r2 / avg.ravel()[flat]
     return k1, _pf_argmax(scores.reshape(weak.shape), weak)
 
 
-def near_far_ranks(scheme: Scheme, bs_gains: np.ndarray, params: ChannelParams, alpha):
-    """What near-far pairing needs of BS gains (..., K, B) before any PF
-    ledger: the (..., B, K) masks of each block's strong half, ceil(K/2)
-    users ranked by gain with ties to the lower index, and the (..., K, B)
-    r1 of every user as the relay.  The engine computes them once per
-    trial for a chunk of intervals and gathers them to the lanes."""
+def near_far_ranks(schemes: Sequence[Scheme], bs_gains: np.ndarray, params: ChannelParams,
+                   alpha):
+    """What near-far pairing needs of BS gains (T, ..., K, B) before any PF
+    ledger: the (T, ..., B, K) masks of each block's strong half, ceil(K/2)
+    users ranked by gain with ties to the lower index, and the (S * T, ...,
+    K, B) r1 of every user as the relay under each of S ``schemes``, scheme
+    by scheme.  The engine computes them once per trial for a chunk of
+    intervals and gathers them to the lanes."""
     by_block = np.moveaxis(bs_gains, -1, -2)
     return (_strong_half(by_block, np.ones(by_block.shape, dtype=bool)),
-            relay_rate(scheme, bs_gains, params, alpha))
+            np.concatenate([relay_rate(s, bs_gains, params, alpha) for s in schemes]))
 
 
 def nearest_available(avail: np.ndarray, dist_matrix: np.ndarray) -> np.ndarray:
@@ -139,24 +161,23 @@ def distance_order(dist_matrix: np.ndarray) -> np.ndarray:
 
 class _NeighborCursor:
     """Nearest available neighbour of every (lane, user) within one
-    interval, from per-lane ``distance_order`` rows (L, K, K-1) and a
-    pointer per (lane, user).  Availability only shrinks within an
-    interval, so a pointer only moves forward: ``nearest`` advances just
-    the available users whose neighbour was removed, past every
-    unavailable user.  Rows of users without an available neighbour hold
-    an arbitrary index, as in ``nearest_available``."""
+    interval, from the ``distance_order`` tables (T, K, K-1) of the lanes'
+    ``rows`` (L,) and a pointer per (lane, user).  Availability only
+    shrinks, so a pointer only moves forward: ``nearest`` advances just the
+    available users whose neighbour was removed, past every unavailable
+    user.  Rows of users without an available neighbour hold any index."""
 
-    def __init__(self, order: np.ndarray):
-        self.order = order
-        self.step = np.zeros(order.shape[:2], dtype=np.intp)
-        self.neighbors = order[:, :, 0].copy()
+    def __init__(self, order: np.ndarray, rows: np.ndarray):
+        self.order, self.rows = order, rows
+        self.step = np.zeros((len(rows), order.shape[1]), dtype=np.intp)
+        self.neighbors = order[rows, :, 0]
 
     def nearest(self, avail: np.ndarray) -> np.ndarray:
         lane, user = np.nonzero(avail & ~np.take_along_axis(avail, self.neighbors, axis=1))
         last = self.order.shape[2] - 1
         while len(lane):
             step = self.step[lane, user] + 1
-            neighbor = self.order[lane, user, step]
+            neighbor = self.order[self.rows[lane], user, step]
             self.step[lane, user] = step
             self.neighbors[lane, user] = neighbor
             stale = ~avail[lane, neighbor] & (step < last)
@@ -164,7 +185,7 @@ class _NeighborCursor:
         return self.neighbors
 
 
-def _nearest_select(avail, cursor, gains, avg, est_gain, scheme, params, alpha, p1,
+def _nearest_select(avail, cursor, gains, avg, est_gain, rows, segments, params, alpha, p1,
                     neighbor_of=None):
     """(relay, second) per lane under nearest-neighbour pairing: each
     candidate i is scored as the relay with its neighbour N(i) as the second
@@ -184,8 +205,8 @@ def _nearest_select(avail, cursor, gains, avg, est_gain, scheme, params, alpha, 
         candidates = np.where(mapped[:, None], usable, avail)
         if not mapped.all():
             neighbors = np.where(mapped[:, None], neighbors, cursor.nearest(avail))
-    r1, r2, _, _ = rate_kernel(scheme, gains, gains[lanes, neighbors],
-                               est_gain[lanes, users, neighbors], params, alpha, p1=p1)
+    est = est_gain.reshape(-1)[(rows[:, None] * users.size + users) * users.size + neighbors]
+    r1, r2 = _segment_rates(segments, gains, gains[lanes, neighbors], est, params, alpha, p1)
     k = _pf_argmax(r1 / avg + r2 / avg[lanes, neighbors], candidates)
     return k, neighbors[lanes[:, 0], k]
 
@@ -234,7 +255,7 @@ class LaneInterval:
 
 
 def schedule_lanes(
-    scheme: Scheme,
+    schemes: Sequence[Scheme],
     pairing: str,
     bs_gains: np.ndarray,
     avg_rates: np.ndarray,
@@ -242,6 +263,7 @@ def schedule_lanes(
     split: PowerSplit,
     est_gain: np.ndarray,
     pair_gains: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    trial_of: Optional[np.ndarray] = None,
     ranks: Optional[tuple] = None,
     neighbor_order: Optional[np.ndarray] = None,
     neighbor_of: Optional[np.ndarray] = None,
@@ -250,17 +272,20 @@ def schedule_lanes(
 ) -> LaneInterval:
     """Assign and serve all blocks of one scheduling interval in every lane.
 
-    ``bs_gains`` is (L, K, B) with this interval's true BS power gains,
-    ``est_gain`` the (L, K, K) inter-user power-gain estimates,
-    ``avg_rates`` the (L, K) PF ledger, finite and positive.
-    ``relay_power`` (L,) overrides ``params.p1`` per lane.
-    ``pair_gains(relays, seconds)`` returns the (L, B) true inter-user
-    gains of the selected pairs; it is called once, after all blocks are
-    assigned, and not at all under GBC.  All pairs are served in one call.
+    The S ``schemes`` cut the lanes into S equal, contiguous segments in
+    that order; each kernel stage runs once per segment.  ``bs_gains`` is
+    (L, K, B) with this interval's true BS power gains, ``est_gain`` the
+    (T, K, K) inter-user power-gain estimates of T trials, lane l using
+    table ``trial_of[l]`` (default: table l), ``avg_rates`` the (L, K) PF
+    ledger, finite and positive.  ``relay_power`` (L,) overrides
+    ``params.p1`` per lane.  ``pair_gains(relays, seconds)`` returns the
+    (L, B) true inter-user gains of the selected pairs; it is called once,
+    after all blocks are assigned, and not at all when every scheme is
+    GBC.  All pairs are served in one kernel call per scheme segment.
 
     Near-far pairing takes ``ranks``, the ``near_far_ranks`` of
-    ``bs_gains``.  Nearest pairing takes ``neighbor_order``, the (L, K,
-    K-1) ``distance_order`` of each lane's distances, and ``neighbor_of``
+    ``bs_gains``.  Nearest pairing takes ``neighbor_order``, the (T, K,
+    K-1) ``distance_order`` of each trial's distances, and ``neighbor_of``
     (L, K), the static neighbour map, None to use the nearest remaining
     neighbour per block.
     """
@@ -271,6 +296,10 @@ def schedule_lanes(
     if pairing == "nearest" and neighbor_order is None:
         raise ValueError("nearest pairing needs the distance_order of the users")
     n_lanes, n_users, n_blocks = bs_gains.shape
+    per = n_lanes // len(schemes)
+    if per * len(schemes) != n_lanes:
+        raise ValueError(f"{n_lanes} lanes do not split into {len(schemes)} scheme segments")
+    segments = [(scheme, k * per, (k + 1) * per) for k, scheme in enumerate(schemes)]
     if n_users < 2 * n_blocks:
         raise ValueError(f"{n_users} users cannot fill {n_blocks} blocks with pairs")
     avg_rates = np.asarray(avg_rates, dtype=float)
@@ -279,6 +308,7 @@ def schedule_lanes(
         raise ValueError("the PF ledger avg_rates must hold one finite, positive "
                          f"rate per user, got {avg_rates}")
     p1 = None if relay_power is None else np.asarray(relay_power, dtype=float)[:, None]
+    rows = np.arange(n_lanes) if trial_of is None else trial_of
 
     lanes = np.arange(n_lanes)
     avail = np.ones((n_lanes, n_users), dtype=bool)
@@ -289,7 +319,7 @@ def schedule_lanes(
         strong_halves, relay_r1 = ranks
         relay_scores = relay_r1 / avg_rates[:, :, None]
     else:
-        cursor = _NeighborCursor(neighbor_order)
+        cursor = _NeighborCursor(neighbor_order, rows)
     for b in range(n_blocks):
         gains = bs_gains[:, :, b]
         if pairing == "near-far":
@@ -304,10 +334,10 @@ def schedule_lanes(
                     strong = np.where(resplit[:, None], again, strong)
                     weak = np.where(resplit[:, None], avail & ~again, weak)
             k1, k2 = _near_far_select(strong, weak, relay_scores[:, :, b], gains, avg_rates,
-                                      est_gain, scheme, params, split.alpha, p1)
+                                      est_gain, rows, segments, params, split.alpha, p1)
         else:
-            k1, k2 = _nearest_select(avail, cursor, gains, avg_rates, est_gain,
-                                     scheme, params, split.alpha, p1, neighbor_of)
+            k1, k2 = _nearest_select(avail, cursor, gains, avg_rates, est_gain, rows,
+                                     segments, params, split.alpha, p1, neighbor_of)
         avail[lanes, k1] = False
         avail[lanes, k2] = False
         swap = gains[lanes, k1] * params.n2 < gains[lanes, k2] * params.n1
@@ -317,11 +347,15 @@ def schedule_lanes(
 
     lane_col, blocks = lanes[:, None], np.arange(n_blocks)
     g01, g02 = bs_gains[lane_col, relays, blocks], bs_gains[lane_col, seconds, blocks]
-    g12 = np.zeros((n_lanes, n_blocks)) if scheme is Scheme.GBC else pair_gains(relays, seconds)
-    sr = serve_pair(scheme, g01, g02, g12, params, split, p1=p1)
-    r1, r2 = sr.r1, sr.r2
-    if cross_check:
-        _cross_check_pair(scheme, g01, g02, g12, params, split, r1, r2)
+    g12 = pair_gains(relays, seconds) if any(s is not Scheme.GBC for s, _, _ in segments) \
+        else np.zeros((n_lanes, n_blocks))
+    r1, r2, clamped = np.empty(g01.shape), np.empty(g01.shape), np.empty(g01.shape, dtype=bool)
+    for scheme, a, b in segments:
+        sr = serve_pair(scheme, g01[a:b], g02[a:b], g12[a:b], params, split,
+                        p1=None if p1 is None else p1[a:b])
+        r1[a:b], r2[a:b], clamped[a:b] = sr.r1, sr.r2, sr.r2_clamped
+        if cross_check:
+            _cross_check_pair(scheme, g01[a:b], g02[a:b], g12[a:b], params, split, sr.r1, sr.r2)
     served = np.zeros((n_lanes, n_users))
     served[lane_col, relays] = r1
     served[lane_col, seconds] = r2
@@ -331,7 +365,7 @@ def schedule_lanes(
     return LaneInterval(
         relays=relays, seconds=seconds, r1=r1, r2=r2, served=served, sum_rate=sum_rate,
         role_swaps=role_swaps,
-        r2_clamps=np.broadcast_to(sr.r2_clamped, g01.shape).sum(axis=1),
+        r2_clamps=clamped.sum(axis=1),
     )
 
 
@@ -383,7 +417,7 @@ def near_far_pair(
     k1, k2 = _near_far_select(
         _lane_mask(gains.shape[1], g1_ids), _lane_mask(gains.shape[1], g2_ids),
         relay_rate(scheme, gains, params, split.alpha) / avg, gains, avg,
-        np.asarray(est_gain)[None], scheme, params, split.alpha, None,
+        np.asarray(est_gain)[None], np.arange(1), [(scheme, 0, 1)], params, split.alpha, None,
     )
     return int(k1[0]), int(k2[0])
 
@@ -421,11 +455,11 @@ def nearest_neighbor_pair(
         mapped = np.full((1, len(gains)), -1)
         for i, j in neighbor_of.items():
             mapped[0, i] = j
-    cursor = _NeighborCursor(distance_order(np.asarray(dist_matrix)[None]))
+    cursor = _NeighborCursor(distance_order(np.asarray(dist_matrix)[None]), np.arange(1))
     k1, k2 = _nearest_select(
         _lane_mask(len(gains), ids), cursor, gains[None],
         np.asarray(avg_rates, dtype=float)[None], np.asarray(est_gain)[None],
-        scheme, params, split.alpha, None, mapped,
+        np.arange(1), [(scheme, 0, 1)], params, split.alpha, None, mapped,
     )
     return int(k1[0]), int(k2[0])
 
@@ -468,7 +502,7 @@ def schedule_interval(
     bs_gains = np.asarray(bs_gains, dtype=float)[None]
     ranks = order = static = None
     if pairing == "near-far":
-        ranks = near_far_ranks(scheme, bs_gains, params, split.alpha)
+        ranks = near_far_ranks((scheme,), bs_gains, params, split.alpha)
     elif pairing == "nearest":
         order = distance_order(np.asarray(dist_matrix)[None])
         if neighbors == "static":
@@ -478,7 +512,7 @@ def schedule_interval(
         return np.array([[draw_pair_gain(i, j)
                           for i, j in zip(relays[0].tolist(), seconds[0].tolist())]])
 
-    res = schedule_lanes(scheme, pairing, bs_gains, np.asarray(avg_rates, dtype=float)[None],
+    res = schedule_lanes((scheme,), pairing, bs_gains, np.asarray(avg_rates, dtype=float)[None],
                          params, split, np.asarray(est_gain)[None], pair_gains, ranks=ranks,
                          neighbor_order=order, neighbor_of=static, cross_check=cross_check)
     return IntervalResult(

@@ -10,23 +10,24 @@ cell-edge user has unit expected gain and therefore sees exactly the
 configured edge SNR.  Inter-user links use the same model with independent
 fading, drawn per served pair per block.
 
-Lanes.  A lane is one (trial, relay-power point) of a (scheme, pairing)
-combination.  ``run_lanes`` advances all lanes of a task together, one
-interval at a time: ``schedule_lanes`` scores every lane's candidates in
-one rate-kernel call per selection stage and serves all lanes' pairs in
-one call, and the PF ledger is an (L, K) array.  Only the interval loop is
-sequential, because each PF update depends on the previous interval, and
-it does only the work that depends on the ledger.  What depends on a
-trial's draws alone is computed on the T trial rows, not the S * T lanes,
-and gathered to the lanes through ``trial_of``: the distance order of
-nearest pairing (and its static neighbour map) once per trial, and per
-chunk of ``BS_CHUNK_INTERVALS`` intervals the BS gains with near-far's
-per-block strong halves and relay rates r1.  Lanes never interact, so a
-lane's result does not depend on which other lanes share its batch.
+Lanes.  A lane is one (scheme, trial, relay-power point) of a pairing,
+scheme-major: lane (c * T + t) * S + s.  ``run_lanes`` advances all lanes
+of a task together, one interval at a time: ``schedule_lanes`` runs each
+selection stage and serving for all lanes, with one rate-kernel call per
+scheme segment, and the PF ledger is an (L, K) array.  Only the interval
+loop is sequential, because each PF update depends on the previous
+interval, and it does only the work that depends on the ledger.  What
+depends on a trial's draws alone is computed on the T trial rows, for all
+schemes at once: the inter-user gain estimates and the distance order of
+nearest pairing once per trial, which the scheduler reads through
+``trial_of``, and per chunk of ``BS_CHUNK_INTERVALS`` intervals the BS
+gains with near-far's per-block strong halves and each scheme's relay
+rates r1, gathered to the lanes.  Lanes never interact, so a lane's
+result does not depend on which other lanes share its batch.
 
 Randomness uses the counter-based Philox generator.  Each trial's seed is
 derived from (master seed, trial index) only and splits into three child
-streams, drawn in this order and shared by the trial's relay-power lanes:
+streams, drawn in this order and shared by the trial's lanes:
 
 * topology: the user positions, once per trial, hence the distance matrix
   and the inter-user gain estimates;
@@ -37,22 +38,24 @@ streams, drawn in this order and shared by the trial's relay-power lanes:
   interval's draw per trial serves every interval;
 * inter-user fading: one (B, 2) draw per interval, real and imaginary part
   block by block, the order of one scalar draw per served pair (none
-  under GBC, which has no relay link).
+  when every scheme of the task is GBC, which has no relay link).
 
 Any two runs with the same master seed therefore see identical topologies
 and fading regardless of scheme, pairing, relay power, chunking or
 parallel degree (common random numbers).
 
-Process pool.  ``run_experiment`` cuts each combination's trials into as
-few contiguous chunks as keep the workers busy; a task is one (scheme,
-pairing, trial chunk) with all relay-power points of its trials.  All
-tasks of one call share one pool of ``min(parallel, CPUs, tasks)``
-workers; with one worker they run in this process.
+Process pool.  ``run_experiment`` deals the schemes round-robin into
+``min(parallel, schemes)`` groups and cuts the trials into as few
+contiguous chunks as keep the workers busy; a task is one (pairing, scheme
+group, trial chunk) with all relay-power points of its trials.  All tasks
+of one call share one pool of ``min(parallel, CPUs, tasks)`` workers; with
+one worker they run in this process.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -276,8 +279,8 @@ def _trial_streams(trial_seed):
 
 @dataclass(frozen=True)
 class LaneResult:
-    """Per-lane outcome of ``run_lanes``; lane t * S + s is trial t at
-    relay-power point s."""
+    """Per-lane outcome of ``run_lanes``; lane (c * T + t) * S + s is
+    scheme c, trial t at relay-power point s."""
 
     mean_sum_rate: np.ndarray   # (L,) time-averaged sum rate
     role_swaps: np.ndarray      # (L,)
@@ -286,32 +289,38 @@ class LaneResult:
 
 
 def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[float],
-              keep_assignments: bool = False) -> LaneResult:
-    """Every (trial, relay-power point) lane of one (scheme, pairing)
-    combination, advanced together one interval at a time.
+              keep_assignments: bool = False,
+              schemes: Optional[Sequence[Scheme]] = None) -> LaneResult:
+    """Every (scheme, trial, relay-power point) lane of one pairing,
+    advanced together one interval at a time; ``schemes`` defaults to the
+    config's scheme.
 
     What depends on a trial's draws only is computed on trial rows and
-    shared by its S relay-power lanes: the topology, inter-user gain
-    estimates and distance order once, and the BS gains, strong halves and
-    relay rates per chunk of ``BS_CHUNK_INTERVALS`` intervals.  The
-    interval loop does the ledger-dependent work.  ``trial_seeds`` are ints
-    or numpy SeedSequences.
+    shared by all its lanes: the topology, inter-user gain estimates and
+    distance order once, and the BS gains, strong halves and relay rates
+    per chunk of ``BS_CHUNK_INTERVALS`` intervals.  The interval loop does
+    the ledger-dependent work.  ``trial_seeds`` are ints or numpy
+    SeedSequences.
     """
-    if not len(trial_seeds):
-        raise ValueError("trial_seeds must not be empty")
-    if not len(p1_sweep_db):
-        raise ValueError("p1_sweep_db must not be empty")
-    errors = [e for db in p1_sweep_db for e in replace(config, p1_over_p0_db=db).validate()]
+    schemes = (config.scheme,) if schemes is None else tuple(schemes)
+    for name, values in (("trial_seeds", trial_seeds), ("p1_sweep_db", p1_sweep_db),
+                         ("schemes", schemes)):
+        if not len(values):
+            raise ValueError(f"{name} must not be empty")
+    errors = [e for scheme in schemes for db in p1_sweep_db
+              for e in replace(config, scheme=scheme, p1_over_p0_db=db).validate()]
     if errors:
         raise ValueError("invalid config: " + "; ".join(dict.fromkeys(errors)))
     sweep = [float(db) for db in p1_sweep_db]
     n_points, n_trials = len(sweep), len(trial_seeds)
-    trial_of = np.repeat(np.arange(n_trials), n_points)
-    relay_power = np.tile([replace(config, p1_over_p0_db=db).p1 for db in sweep], n_trials)
+    row_of = np.repeat(np.arange(len(schemes) * n_trials), n_points)  # scheme-trial row c*T + t
+    trial_of = row_of % n_trials
+    relay_power = np.tile([replace(config, p1_over_p0_db=db).p1 for db in sweep],
+                          len(schemes) * n_trials)
     params = ChannelParams(p0=config.p0, p1=float(relay_power[0]),
                            n1=config.noise_power, n2=config.noise_power)
     split = PowerSplit(config.alpha)
-    has_relay_link = config.scheme is not Scheme.GBC
+    has_relay_link = any(scheme is not Scheme.GBC for scheme in schemes)
     near_far = config.pairing == "near-far"
 
     streams = [_trial_streams(s) for s in trial_seeds]
@@ -333,7 +342,7 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
         if has_relay_link:
             path.append(pair_path_gain(d, config))
             fading.append(pair_fading(rng_pair, config.intervals, config.blocks))
-    est_gain = np.stack(est_gain)[trial_of]
+    est_gain = np.stack(est_gain)
     if has_relay_link:
         path, fading = np.stack(path), np.stack(fading)
     order = neighbor_of = None
@@ -341,7 +350,6 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
         order = distance_order(np.stack(dist))
         if config.neighbors == "static":
             neighbor_of = order[trial_of, :, 0]
-        order = order[trial_of]
 
     n_lanes = len(trial_of)
     lane_trial = trial_of[:, None]
@@ -358,18 +366,18 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
         chunk = np.stack([draw_bs_gains(r, config, rng_fading, 1 if static else n)
                           for r, (_, rng_fading, _) in zip(radii, streams)])  # (T, n or 1, K, B)
         if near_far:
-            strong, r1 = near_far_ranks(config.scheme, chunk, params, config.alpha)
+            strong, r1 = near_far_ranks(schemes, chunk, params, config.alpha)
         for interval in range(first, first + n):
             i = interval - first
             if i < chunk.shape[1]:
                 gains = chunk[trial_of, i]
-                ranks = (strong[trial_of, i], r1[trial_of, i]) if near_far else None
+                ranks = (strong[trial_of, i], r1[row_of, i]) if near_far else None
 
             def pair_gains(relays, seconds):
                 return path[lane_trial, relays, seconds] * fading[trial_of, interval]
 
             res = schedule_lanes(
-                scheme=config.scheme,
+                schemes=schemes,
                 pairing=config.pairing,
                 bs_gains=gains,
                 avg_rates=avg,
@@ -377,6 +385,7 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
                 split=split,
                 est_gain=est_gain,
                 pair_gains=pair_gains,
+                trial_of=trial_of,
                 ranks=ranks,
                 neighbor_order=order,
                 neighbor_of=neighbor_of,
@@ -449,24 +458,26 @@ CSV_COLUMNS = ("scheme", "pairing", "p1_over_p0_db", "mean_sum_rate",
 
 @dataclass(frozen=True)
 class LaneTask:
-    """One unit of pool work: a (scheme, pairing) combination's trials
-    ``first`` .. ``first + len(seeds) - 1`` at every relay-power point."""
+    """One unit of pool work: trials ``first`` .. ``first + len(seeds) - 1``
+    of one pairing under ``schemes``, at every relay-power point."""
 
     config: SimConfig
+    schemes: tuple
     first: int
     seeds: tuple
     sweep: tuple
 
 
 def _run_task(task: LaneTask) -> LaneResult:
-    return run_lanes(task.config, task.seeds, task.sweep)
+    return run_lanes(task.config, task.seeds, task.sweep, schemes=task.schemes)
 
 
 def plan_tasks(config: SimConfig, p1_sweep_db: Sequence[float], schemes: Sequence[Scheme],
                pairings: Sequence[str], parallel: int) -> list[LaneTask]:
-    """The experiment's tasks, in (scheme, pairing, trial) order.  Each
-    combination's trials are cut into as few contiguous chunks as keep
-    ``parallel`` workers busy, so lanes stay batched; a chunk holds all
+    """The experiment's tasks, in (pairing, scheme group, trial) order.  The
+    schemes are dealt round-robin into ``min(parallel, len(schemes))``
+    groups, and the trials are cut into as few contiguous chunks as keep
+    ``parallel`` workers busy, so lanes stay batched; a task holds all
     relay-power points of its trials."""
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
@@ -475,13 +486,13 @@ def plan_tasks(config: SimConfig, p1_sweep_db: Sequence[float], schemes: Sequenc
         if not len(values):
             raise ValueError(f"{name} must not be empty")
     seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
-    n_combos = len(schemes) * len(pairings)
-    chunks = min(config.trials, -(-parallel // n_combos))
+    groups = [tuple(schemes[g::parallel]) for g in range(min(parallel, len(schemes)))]
+    chunks = min(config.trials, -(-parallel // (len(groups) * len(pairings))))
     bounds = [config.trials * c // chunks for c in range(chunks + 1)]
     sweep = tuple(float(db) for db in p1_sweep_db)
     return [
-        LaneTask(replace(config, scheme=scheme, pairing=pairing), a, tuple(seeds[a:b]), sweep)
-        for scheme in schemes for pairing in pairings for a, b in zip(bounds, bounds[1:])
+        LaneTask(replace(config, pairing=pairing), group, a, tuple(seeds[a:b]), sweep)
+        for pairing in pairings for group in groups for a, b in zip(bounds, bounds[1:])
     ]
 
 
@@ -505,7 +516,7 @@ def run_experiment(
     used.  Trial seeds depend on the master seed and trial index only, and
     lanes never interact, so every combination reuses the same topologies
     and fading (common random numbers) and the output is independent of
-    the parallel degree and of the chunking.
+    the parallel degree, of the chunking and of the scheme grouping.
     """
     sweep = list(p1_sweep_db) if p1_sweep_db is not None else [config.p1_over_p0_db]
     schemes = list(schemes) if schemes is not None else [config.scheme]
@@ -520,7 +531,8 @@ def run_experiment(
     def finished(results):
         for k, (task, res) in enumerate(zip(tasks, results), 1):
             if progress is not None:
-                progress(f"done {task.config.scheme.label} / {task.config.pairing}, trials "
+                progress(f"done {'+'.join(s.label for s in task.schemes)} / "
+                         f"{task.config.pairing}, trials "
                          f"{task.first}-{task.first + len(task.seeds) - 1} ({k}/{len(tasks)})")
             yield res
 
@@ -530,30 +542,33 @@ def run_experiment(
     else:
         outcomes = list(finished(map(_run_task, tasks)))
 
+    # lane (c * T + t) * S + s: scheme c, trial t at point s
+    combos = list(itertools.product(dict.fromkeys(schemes), dict.fromkeys(pairings)))
+    shape = (len(combos), len(sweep), config.trials)
+    means, swaps, clamps = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape, dtype=int)
+    for task, res in zip(tasks, outcomes):
+        at = ([combos.index((s, task.config.pairing)) for s in task.schemes], slice(None),
+              slice(task.first, task.first + len(task.seeds)))
+        for whole, part in ((means, res.mean_sum_rate), (swaps, res.role_swaps),
+                            (clamps, res.r2_clamps)):
+            whole[at] = part.reshape(len(task.schemes), len(task.seeds), -1).transpose(0, 2, 1)
     results = []
-    per_combo = len(tasks) // (len(schemes) * len(pairings))
-    for c in range(0, len(tasks), per_combo):
-        cfg = tasks[c].config
-        lanes = outcomes[c:c + per_combo]
-        # lane t * S + s: trial t at point s; one row of trials per point
-        means = np.ascontiguousarray(
-            np.concatenate([r.mean_sum_rate for r in lanes]).reshape(-1, len(sweep)).T)
-        swaps = np.concatenate([r.role_swaps for r in lanes]).reshape(-1, len(sweep)).sum(axis=0)
-        clamps = np.concatenate([r.r2_clamps for r in lanes]).reshape(-1, len(sweep)).sum(axis=0)
+    for scheme, pairing in itertools.product(schemes, pairings):
+        r = combos.index((scheme, pairing))
         for s, p1_db in enumerate(sweep):
-            m = means[s]
+            m = means[r, s]
             stderr = float(m.std(ddof=1) / math.sqrt(len(m))) if len(m) > 1 else 0.0
             results.append(SimResult(
-                scheme=cfg.scheme.label,
-                pairing=cfg.pairing,
+                scheme=scheme.label,
+                pairing=pairing,
                 p1_over_p0_db=float(p1_db),
                 mean_sum_rate=float(m.mean()),
                 stderr=stderr,
-                trials=cfg.trials,
-                intervals=cfg.intervals,
-                seed=cfg.seed,
-                role_swaps=int(swaps[s]),
-                r2_clamps=int(clamps[s]),
+                trials=config.trials,
+                intervals=config.intervals,
+                seed=config.seed,
+                role_swaps=int(swaps[r, s].sum()),
+                r2_clamps=int(clamps[r, s].sum()),
                 trial_means=tuple(m.tolist()),
             ))
     return results

@@ -7,6 +7,7 @@ from noma_rbc.core import ChannelParams, PowerSplit, Scheme
 from noma_rbc.rates import relay_rate_bits, second_rate_bits
 from noma_rbc.scheduling import (
     _NeighborCursor,
+    _pf_argmax,
     distance_order,
     near_far_pair,
     near_far_ranks,
@@ -236,14 +237,14 @@ def test_pointer_neighbours_equal_nearest_available():
         assert np.array_equal(order[:, :, 0], nearest_available(np.ones((6, 12), dtype=bool),
                                                                  dist))
         # availability shrinking within an interval, two users per block
-        cursor, avail = _NeighborCursor(order), np.ones((6, 12), dtype=bool)
+        cursor, avail = _NeighborCursor(order, np.arange(6)), np.ones((6, 12), dtype=bool)
         for _ in range(5):
             for lane in range(6):
                 avail[lane, rng.choice(np.flatnonzero(avail[lane]), 2, replace=False)] = False
             _compare_with_nearest_available(cursor, avail, dist)
         # and any random mask from a fresh cursor
-        _compare_with_nearest_available(_NeighborCursor(order), rng.uniform(size=(6, 12)) < 0.4,
-                                        dist)
+        _compare_with_nearest_available(_NeighborCursor(order, np.arange(6)),
+                                        rng.uniform(size=(6, 12)) < 0.4, dist)
 
 
 def _interval_inputs(rng, k, b):
@@ -407,6 +408,34 @@ def test_no_finite_score_is_rejected_not_mapped_to_the_last_user():
         assert near_far_pair([0, 1], [2, 3], gains, avg, est, Scheme.GBC, PARAMS, split) == (0, 3)
 
 
+def _pf_argmax_full_scan(scores, candidates):
+    """Reference: prove a finite candidate score in every lane, then take
+    the masked argmax with NaN scores excluded."""
+    usable = (np.isfinite(scores) & candidates).any(axis=1)
+    if not usable.all():
+        lane = int(np.argmin(usable))
+        raise ValueError(f"no candidate has a finite PF score in lane {lane}: "
+                         f"{scores[lane][candidates[lane]]}")
+    return np.argmax(np.where(candidates & ~np.isnan(scores), scores, -np.inf), axis=1)
+
+
+def test_pf_argmax_equals_the_full_scan():
+    # few distinct values, so that ties, NaN, +-inf and empty lanes all occur
+    rng = rng_for(89)
+    values = np.array([np.nan, -np.inf, np.inf, -1.0, 0.0, 2.0])
+    for _ in range(3000):
+        scores = rng.choice(values, size=(2, 5))
+        candidates = rng.uniform(size=(2, 5)) < 0.6
+        try:
+            expect = _pf_argmax_full_scan(scores, candidates)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _pf_argmax(scores, candidates)
+            assert str(got.value) == str(exc)
+        else:
+            assert _pf_argmax(scores, candidates).tolist() == expect.tolist()
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_schedule_interval_rejects_a_ledger_that_is_not_finite_and_positive(bad):
     rng = rng_for(73)
@@ -454,9 +483,9 @@ def test_lanes_do_not_interact(scheme, pairing, neighbors):
     static = nearest_available(np.ones((5, 8), dtype=bool), dist) \
         if neighbors == "static" else None
     lanes = np.arange(5)[:, None]
-    res = schedule_lanes(scheme, pairing, gains, avg, PARAMS, SPLIT, est,
+    res = schedule_lanes((scheme,), pairing, gains, avg, PARAMS, SPLIT, est,
                          pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
-                         ranks=near_far_ranks(scheme, gains, PARAMS, SPLIT.alpha),
+                         ranks=near_far_ranks((scheme,), gains, PARAMS, SPLIT.alpha),
                          neighbor_order=distance_order(dist),
                          neighbor_of=static, relay_power=relay_power, cross_check=True)
     for lane in range(5):
@@ -475,7 +504,7 @@ def test_a_lane_without_a_finite_score_is_named():
                                                          for _ in range(2)]))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite PF score in lane 1"):
-            schedule_lanes(Scheme.GBC, "near-far", gains, avg, PARAMS, PowerSplit(1.0), est,
+            schedule_lanes((Scheme.GBC,), "near-far", gains, avg, PARAMS, PowerSplit(1.0), est,
                            pair_gains=None,
-                           ranks=near_far_ranks(Scheme.GBC, gains, PARAMS, 1.0),
+                           ranks=near_far_ranks((Scheme.GBC,), gains, PARAMS, 1.0),
                            relay_power=np.array([1.0, np.nan]))

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 from dataclasses import replace
 
@@ -359,11 +361,71 @@ def test_parallel_degree_is_clamped(recording_pool, parallel, trials, schemes, w
 
 def test_tasks_hold_every_relay_power_of_their_trials():
     tasks = plan_tasks(replace(SMALL, trials=5), [-10.0, 0.0], list(Scheme), ALL_PAIRINGS, 16)
-    assert len(tasks) == 8 * 2
+    assert len(tasks) == 2 * 4 * 2  # pairings x scheme groups x trial chunks
     assert [(t.first, len(t.seeds)) for t in tasks[:2]] == [(0, 2), (2, 3)]
     assert all(t.sweep == (-10.0, 0.0) for t in tasks)
     with pytest.raises(ValueError, match="parallel"):
         plan_tasks(SMALL, [0.0], [Scheme.GBC], ["near-far"], 0)
+
+
+SCHEME_SUBSETS = [tuple(s for k, s in enumerate(Scheme) if mask >> k & 1) for mask in range(1, 16)]
+
+
+@pytest.mark.parametrize("pairings", [["near-far"], ["nearest"], ALL_PAIRINGS])
+def test_every_scheme_pairing_and_trial_lies_in_exactly_one_task(pairings):
+    sweep = (-10.0, 0.0, 5.0)
+    for trials, parallel, schemes in itertools.product(range(1, 6), range(1, 10),
+                                                       SCHEME_SUBSETS + [tuple(Scheme)[::-1]]):
+        cfg = replace(SMALL, trials=trials)
+        tasks = plan_tasks(cfg, sweep, schemes, pairings, parallel)
+        held = collections.Counter(
+            (scheme, task.config.pairing, task.first + t)
+            for task in tasks for scheme in task.schemes for t in range(len(task.seeds)))
+        assert held == collections.Counter(itertools.product(schemes, pairings, range(trials)))
+        for task in tasks:
+            assert task.sweep == sweep
+            assert [s.spawn_key for s in task.seeds] == \
+                [(task.first + t,) for t in range(len(task.seeds))]
+        assert len(tasks) >= min(parallel, len(schemes) * len(pairings) * trials)
+        if parallel == 1:
+            assert [(t.config.pairing, t.schemes) for t in tasks] == \
+                [(pairing, schemes) for pairing in pairings]
+
+
+def test_a_repeated_scheme_repeats_its_rows():
+    rows = run_experiment(SMALL, schemes=[Scheme.GBC, Scheme.RBC_DF, Scheme.GBC],
+                          pairings=ALL_PAIRINGS, parallel=2)
+    assert [(r.scheme, r.pairing) for r in rows[4:]] == [("gbc", "near-far"), ("gbc", "nearest")]
+    assert rows[:2] == rows[4:]
+
+
+@pytest.mark.parametrize("pairing, fading, neighbors, cross_check", [
+    ("near-far", "iid", "recompute", False),
+    ("near-far", "static", "recompute", True),
+    ("nearest", "iid", "recompute", True),
+    ("nearest", "iid", "static", False),
+    ("nearest", "static", "static", True),
+])
+@pytest.mark.parametrize("schemes", [
+    (Scheme.GBC,), (Scheme.GBC, Scheme.GBC), (Scheme.RBC_CF_DPC, Scheme.GBC, Scheme.RBC_CF),
+    tuple(Scheme),
+], ids=["gbc", "gbc-gbc", "mixed", "all"])
+def test_scheme_batched_lanes_equal_one_scheme_runs(schemes, pairing, fading, neighbors,
+                                                    cross_check):
+    # K = 10 < 4B lets near-far removals exhaust a half
+    cfg = replace(SMALL, users=10, blocks=3, intervals=12, pairing=pairing, fading=fading,
+                  neighbors=neighbors, cross_check=cross_check)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
+    sweep = [-10.0, 0.0, 5.0]
+    together = run_lanes(cfg, seeds, sweep, keep_assignments=True, schemes=schemes)
+    per_scheme = len(seeds) * len(sweep)
+    for c, scheme in enumerate(schemes):
+        alone = run_lanes(replace(cfg, scheme=scheme), seeds, sweep, keep_assignments=True)
+        lanes = slice(c * per_scheme, (c + 1) * per_scheme)
+        assert together.mean_sum_rate[lanes].tolist() == alone.mean_sum_rate.tolist()
+        assert together.role_swaps[lanes].tolist() == alone.role_swaps.tolist()
+        assert together.r2_clamps[lanes].tolist() == alone.r2_clamps.tolist()
+        assert np.array_equal(together.assignments[:, lanes], alone.assignments)
 
 
 @pytest.mark.parametrize("field, value", [
