@@ -40,20 +40,11 @@ from .rates import (
 )
 from .oracle import GaussianSystem, VerifyReport, gaussian_mi, verify_scheme
 from .discrete import BoundRates, DiscreteJoint, dmc_bound_rates, load_discrete_joint
-from .scheduling import (
-    IntervalResult,
-    near_far_pair,
-    nearest_neighbor_pair,
-    pf_update,
-    schedule_interval,
-    split_groups,
-)
+from .scheduling import pf_update
 from .simulation import (
     SimConfig,
     SimResult,
-    TrialResult,
     generate_topology,
     run_experiment,
-    run_trial,
     write_results_csv,
 )

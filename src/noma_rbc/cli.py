@@ -94,12 +94,21 @@ def _load_yaml(path: str):
     return data
 
 
+def _check_distinct(key: str, values) -> None:
+    """Raise naming ``key`` and the first value it lists more than once."""
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise ValueError(f"{key} lists {value!r} more than once")
+
+
 def _parse_schemes(text) -> list[Scheme]:
     if isinstance(text, str):
         labels = [t for t in text.split(",") if t.strip()]
     else:
         labels = list(text)
-    return [Scheme.from_label(str(t)) for t in labels]
+    schemes = [Scheme.from_label(str(t)) for t in labels]
+    _check_distinct("schemes", [s.label for s in schemes])
+    return schemes
 
 
 def _parse_alpha_grid(spec) -> np.ndarray:
@@ -275,6 +284,9 @@ def cmd_simulate(args) -> int:
             errors.append(f"missing required key {key!r}")
     if args.parallel < 1:
         errors.append(f"parallel must be >= 1, got {args.parallel}")
+    for one, many in (("scheme", "schemes"), ("pairing", "pairings")):
+        if one in file_cfg and many in file_cfg:
+            errors.append(f"config gives both {one!r} and {many!r}; give one of them")
 
     schemes = pairings = sweep = None
     base = None
@@ -291,6 +303,7 @@ def cmd_simulate(args) -> int:
                             ("p1_over_p0_db", sweep)):
             if not values:
                 raise ValueError(f"{key} must list at least one value")
+            _check_distinct(key, values)
         fields = {
             k: file_cfg[k] for k in file_cfg
             if k in _SIM_KEYS - {"scheme", "schemes", "pairing", "pairings", "p1_over_p0_db"}

@@ -33,9 +33,9 @@ that dispatches on the scheme.  The typed operations (``gbc_rates`` ...
 the scheduler calls it on whole candidate blocks, ``sweep_region`` on a
 whole alpha grid, whose arrays it checks and returns as they are.  GBC
 and RBC-DF presuppose the degraded role ordering: the typed operations
-reject inputs that violate it, while the kernel and the scalar helpers
-``relay_rate_bits`` / ``second_rate_bits`` / ``serve_pair`` evaluate the
-formulas literally, as the scheduler's selection metrics require.
+reject inputs that violate it, while the kernel and ``serve_pair``
+evaluate the formulas literally, as the scheduler's selection metrics
+require.
 """
 
 from __future__ import annotations
@@ -351,42 +351,23 @@ def sweep_region(
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers (literal formula evaluation, no ordering checks; the
-# scheduler's selection metrics are computed exactly as written)
+# served rates (literal formula evaluation, no ordering checks)
 
 @dataclass(frozen=True)
 class ServedRates:
     """Rates actually served, with the compression noise used (CF schemes)
-    and whether the r2 clamp at zero fired: floats for one pair, arrays for
-    a batch."""
+    and whether the r2 clamp at zero fired, as the kernel returns them."""
 
-    r1: float
-    r2: float
-    n_hat: Optional[float] = None
-    r2_clamped: bool = False
-
-
-def relay_rate_bits(scheme: Scheme, g01: float, params: ChannelParams, split: PowerSplit) -> float:
-    """r1 of a candidate relay user, a function of its own BS gain only."""
-    return float(relay_rate(scheme, g01, params, split.alpha))
-
-
-def second_rate_bits(
-    scheme: Scheme, g01: float, g02: float, g12: float,
-    params: ChannelParams, split: PowerSplit,
-) -> float:
-    """r2 of a candidate pair (relay gain g01, second-user gain g02, cross
-    gain g12); CF schemes evaluate at the optimal compression noise."""
-    return float(rate_kernel(scheme, g01, g02, g12, params, split.alpha)[1])
+    r1: np.ndarray
+    r2: np.ndarray
+    n_hat: Optional[np.ndarray]  # None for GBC and RBC-DF
+    r2_clamped: np.ndarray       # False for GBC and RBC-DF
 
 
 def serve_pair(scheme: Scheme, g01, g02, g12, params: ChannelParams, split: PowerSplit,
                p1=None) -> ServedRates:
-    """Rates served to an ordered pair, or to a batch of pairs given as
-    arrays (with ``p1`` overriding the relay power as in ``rate_kernel``);
+    """Rates served to a batch of ordered pairs given as broadcastable
+    arrays, with ``p1`` overriding the relay power as in ``rate_kernel``;
     CF schemes optimise the compression noise for each pair's true gains."""
     r1, r2, n_hat, clamped = rate_kernel(scheme, g01, g02, g12, params, split.alpha, p1=p1)
-    if np.ndim(r2) == 0:
-        r1, r2, clamped = float(r1), float(r2), bool(clamped)
-        n_hat = None if n_hat is None else float(n_hat)
     return ServedRates(r1=r1, r2=r2, n_hat=n_hat, r2_clamped=clamped)

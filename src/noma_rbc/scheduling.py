@@ -5,9 +5,7 @@ BS gains, inter-user gain estimates, PF ledger and relay power.
 ``schedule_lanes`` schedules one interval of L lanes at once: every
 selection stage scores the candidates of all lanes as (L, K) masked
 arrays, with one rate-kernel call per contiguous segment of lanes that
-share a scheme.  It is the only scheduler; ``schedule_interval``,
-``near_far_pair``, ``nearest_neighbor_pair``, ``nearest_remaining`` and
-``split_groups`` are its one-lane case.
+share a scheme.  It is the only scheduler.
 
 ``schedule_lanes`` does the work that depends on the PF ledger: the PF
 argmaxes, r2 given the chosen relay, serving.  What depends on the gains
@@ -100,7 +98,7 @@ def _segment_rates(segments, g01, g02, g12, params: ChannelParams, alpha, p1):
     r1, r2 = np.empty(shape), np.empty(shape)
     for scheme, a, b in segments:
         r1[a:b], r2[a:b], _, _ = rate_kernel(scheme, g01[a:b], g02[a:b], g12[a:b], params, alpha,
-                                             p1=None if p1 is None else p1[a:b])
+                                             p1=p1[a:b])
     return r1, r2
 
 
@@ -120,7 +118,7 @@ def _near_far_select(strong, weak, relay_scores, gains, avg, est_gain, rows, seg
     by_candidate = [(s, a, b) for (s, _, _), a, b in zip(segments, cuts, cuts[1:])]
     _, r2 = _segment_rates(by_candidate, gains[np.arange(len(gains)), k1][lane],
                            gains.ravel()[flat], est_gain[rows, k1].ravel()[flat], params, alpha,
-                           None if p1 is None else p1.ravel()[lane])
+                           p1.ravel()[lane])
     scores = np.full(weak.size, -np.inf)
     scores[flat] = r2 / avg.ravel()[flat]
     return k1, _pf_argmax(scores.reshape(weak.shape), weak)
@@ -137,16 +135,6 @@ def near_far_ranks(schemes: Sequence[Scheme], bs_gains: np.ndarray, params: Chan
     by_block = np.moveaxis(bs_gains, -1, -2)
     return (_strong_half(by_block, np.ones(by_block.shape, dtype=bool)),
             np.concatenate([relay_rate(s, bs_gains, params, alpha) for s in schemes]))
-
-
-def nearest_available(avail: np.ndarray, dist_matrix: np.ndarray) -> np.ndarray:
-    """(L, K) nearest available neighbour of every user of each lane,
-    Euclidean distance, ties to the lower index; ``avail`` is (L, K) and
-    ``dist_matrix`` (L, K, K).  Rows of users without an available
-    neighbour hold an arbitrary index."""
-    n_users = avail.shape[1]
-    others = avail[:, None, :] & ~np.eye(n_users, dtype=bool)
-    return np.argmin(np.where(others, dist_matrix, np.inf), axis=2)
 
 
 def distance_order(dist_matrix: np.ndarray) -> np.ndarray:
@@ -263,11 +251,11 @@ def schedule_lanes(
     split: PowerSplit,
     est_gain: np.ndarray,
     pair_gains: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    trial_of: Optional[np.ndarray] = None,
+    trial_of: np.ndarray,
+    relay_power: np.ndarray,
     ranks: Optional[tuple] = None,
     neighbor_order: Optional[np.ndarray] = None,
     neighbor_of: Optional[np.ndarray] = None,
-    relay_power: Optional[np.ndarray] = None,
     cross_check: bool = False,
 ) -> LaneInterval:
     """Assign and serve all blocks of one scheduling interval in every lane.
@@ -276,9 +264,9 @@ def schedule_lanes(
     that order; each kernel stage runs once per segment.  ``bs_gains`` is
     (L, K, B) with this interval's true BS power gains, ``est_gain`` the
     (T, K, K) inter-user power-gain estimates of T trials, lane l using
-    table ``trial_of[l]`` (default: table l), ``avg_rates`` the (L, K) PF
-    ledger, finite and positive.  ``relay_power`` (L,) overrides
-    ``params.p1`` per lane.  ``pair_gains(relays, seconds)`` returns the
+    table ``trial_of[l]``, ``avg_rates`` the (L, K) PF ledger, finite and
+    positive.  ``relay_power`` (L,) is each lane's relay power, in place
+    of ``params.p1``.  ``pair_gains(relays, seconds)`` returns the
     (L, B) true inter-user gains of the selected pairs; it is called once,
     after all blocks are assigned, and not at all when every scheme is
     GBC.  All pairs are served in one kernel call per scheme segment.
@@ -307,8 +295,7 @@ def schedule_lanes(
             np.isfinite(avg_rates).all() and avg_rates.min() > 0.0):
         raise ValueError("the PF ledger avg_rates must hold one finite, positive "
                          f"rate per user, got {avg_rates}")
-    p1 = None if relay_power is None else np.asarray(relay_power, dtype=float)[:, None]
-    rows = np.arange(n_lanes) if trial_of is None else trial_of
+    p1 = np.asarray(relay_power, dtype=float)[:, None]
 
     lanes = np.arange(n_lanes)
     avail = np.ones((n_lanes, n_users), dtype=bool)
@@ -319,7 +306,7 @@ def schedule_lanes(
         strong_halves, relay_r1 = ranks
         relay_scores = relay_r1 / avg_rates[:, :, None]
     else:
-        cursor = _NeighborCursor(neighbor_order, rows)
+        cursor = _NeighborCursor(neighbor_order, trial_of)
     for b in range(n_blocks):
         gains = bs_gains[:, :, b]
         if pairing == "near-far":
@@ -334,9 +321,9 @@ def schedule_lanes(
                     strong = np.where(resplit[:, None], again, strong)
                     weak = np.where(resplit[:, None], avail & ~again, weak)
             k1, k2 = _near_far_select(strong, weak, relay_scores[:, :, b], gains, avg_rates,
-                                      est_gain, rows, segments, params, split.alpha, p1)
+                                      est_gain, trial_of, segments, params, split.alpha, p1)
         else:
-            k1, k2 = _nearest_select(avail, cursor, gains, avg_rates, est_gain, rows,
+            k1, k2 = _nearest_select(avail, cursor, gains, avg_rates, est_gain, trial_of,
                                      segments, params, split.alpha, p1, neighbor_of)
         avail[lanes, k1] = False
         avail[lanes, k2] = False
@@ -351,8 +338,7 @@ def schedule_lanes(
         else np.zeros((n_lanes, n_blocks))
     r1, r2, clamped = np.empty(g01.shape), np.empty(g01.shape), np.empty(g01.shape, dtype=bool)
     for scheme, a, b in segments:
-        sr = serve_pair(scheme, g01[a:b], g02[a:b], g12[a:b], params, split,
-                        p1=None if p1 is None else p1[a:b])
+        sr = serve_pair(scheme, g01[a:b], g02[a:b], g12[a:b], params, split, p1=p1[a:b])
         r1[a:b], r2[a:b], clamped[a:b] = sr.r1, sr.r2, sr.r2_clamped
         if cross_check:
             _cross_check_pair(scheme, g01[a:b], g02[a:b], g12[a:b], params, split, sr.r1, sr.r2)
@@ -366,160 +352,4 @@ def schedule_lanes(
         relays=relays, seconds=seconds, r1=r1, r2=r2, served=served, sum_rate=sum_rate,
         role_swaps=role_swaps,
         r2_clamps=clamped.sum(axis=1),
-    )
-
-
-# ---------------------------------------------------------------------------
-# one-lane case
-
-def split_groups(block_gains: np.ndarray, ids=None):
-    """Strong-gain half (ceil(n/2)) and weak half of the given users.
-
-    Operates on all users by default or on the subset ``ids``.  Both halves
-    come back as ascending index arrays; gain ties break to the lower
-    index.
-    """
-    gains = np.asarray(block_gains, dtype=float)
-    avail = np.ones(len(gains), dtype=bool)
-    if ids is not None:
-        avail[:] = False
-        avail[np.asarray(ids, dtype=int)] = True
-    strong = _strong_half(gains[None], avail[None])[0]
-    return np.flatnonzero(strong), np.flatnonzero(avail & ~strong)
-
-
-def _lane_mask(n_users: int, ids) -> np.ndarray:
-    mask = np.zeros((1, n_users), dtype=bool)
-    mask[0, np.asarray(ids, dtype=int)] = True
-    return mask
-
-
-def near_far_pair(
-    g1_ids,
-    g2_ids,
-    block_gains: np.ndarray,
-    avg_rates: np.ndarray,
-    est_gain: np.ndarray,
-    scheme: Scheme,
-    params: ChannelParams,
-    split: PowerSplit,
-) -> tuple[int, int]:
-    """(relay, second) for one block under near-far pairing, the relay from
-    the candidates ``g1_ids`` and the second user from ``g2_ids``.
-
-    ``block_gains`` holds that block's true per-user BS power gains,
-    ``est_gain[i, j]`` the distance-based inter-user power-gain estimate.
-    """
-    if len(g1_ids) == 0 or len(g2_ids) == 0:
-        raise ValueError("empty candidate group")
-    gains = np.asarray(block_gains, dtype=float)[None]
-    avg = np.asarray(avg_rates, dtype=float)[None]
-    k1, k2 = _near_far_select(
-        _lane_mask(gains.shape[1], g1_ids), _lane_mask(gains.shape[1], g2_ids),
-        relay_rate(scheme, gains, params, split.alpha) / avg, gains, avg,
-        np.asarray(est_gain)[None], np.arange(1), [(scheme, 0, 1)], params, split.alpha, None,
-    )
-    return int(k1[0]), int(k2[0])
-
-
-def nearest_remaining(ids, dist_matrix: np.ndarray) -> dict[int, int]:
-    """Nearest neighbour of each listed user among the listed users,
-    Euclidean distance, ties to the lower index."""
-    ids = np.sort(np.asarray(ids, dtype=int))
-    if len(ids) < 2:
-        raise ValueError("need at least two users to form neighbours")
-    dist = np.asarray(dist_matrix)
-    nearest = nearest_available(_lane_mask(len(dist), ids), dist[None])[0]
-    return dict(zip(ids.tolist(), nearest[ids].tolist()))
-
-
-def nearest_neighbor_pair(
-    ids,
-    dist_matrix: np.ndarray,
-    block_gains: np.ndarray,
-    avg_rates: np.ndarray,
-    est_gain: np.ndarray,
-    scheme: Scheme,
-    params: ChannelParams,
-    split: PowerSplit,
-    neighbor_of: Optional[dict] = None,
-) -> tuple[int, int]:
-    """(relay, second) for one block under nearest-neighbour pairing among
-    the remaining users ``ids``; ``neighbor_of`` is the static neighbour
-    map, None to use the nearest remaining neighbours."""
-    if len(ids) < 2:
-        raise ValueError("fewer than two remaining users")
-    gains = np.asarray(block_gains, dtype=float)
-    mapped = None
-    if neighbor_of is not None:
-        mapped = np.full((1, len(gains)), -1)
-        for i, j in neighbor_of.items():
-            mapped[0, i] = j
-    cursor = _NeighborCursor(distance_order(np.asarray(dist_matrix)[None]), np.arange(1))
-    k1, k2 = _nearest_select(
-        _lane_mask(len(gains), ids), cursor, gains[None],
-        np.asarray(avg_rates, dtype=float)[None], np.asarray(est_gain)[None],
-        np.arange(1), [(scheme, 0, 1)], params, split.alpha, None, mapped,
-    )
-    return int(k1[0]), int(k2[0])
-
-
-@dataclass(frozen=True)
-class IntervalResult:
-    """Outcome of scheduling one interval."""
-
-    assignment: tuple     # ((relay, second), ...) per block, roles as served
-    block_rates: tuple    # ((r1, r2), ...) per block
-    served: np.ndarray    # (K,) per-user served rate this interval
-    sum_rate: float
-    role_swaps: int
-    r2_clamps: int
-
-
-def schedule_interval(
-    scheme: Scheme,
-    pairing: str,
-    bs_gains: np.ndarray,
-    dist_matrix: np.ndarray,
-    avg_rates: np.ndarray,
-    params: ChannelParams,
-    split: PowerSplit,
-    est_gain: np.ndarray,
-    draw_pair_gain: Callable[[int, int], float],
-    neighbors: str = "recompute",
-    cross_check: bool = False,
-) -> IntervalResult:
-    """Assign and serve all blocks of one scheduling interval: the one-lane
-    case of ``schedule_lanes``.
-
-    ``bs_gains`` is (K, B) with this interval's true BS power gains,
-    ``avg_rates`` the (K,) PF ledger, ``est_gain`` the (K, K) inter-user
-    power-gain estimates and ``draw_pair_gain(i, j)`` the true inter-user
-    gain sampler used at serve time, called once per block in block order.
-    """
-    if neighbors not in NEIGHBOR_MODES:
-        raise ValueError(f"unknown neighbour mode {neighbors!r}; expected one of {NEIGHBOR_MODES}")
-    bs_gains = np.asarray(bs_gains, dtype=float)[None]
-    ranks = order = static = None
-    if pairing == "near-far":
-        ranks = near_far_ranks((scheme,), bs_gains, params, split.alpha)
-    elif pairing == "nearest":
-        order = distance_order(np.asarray(dist_matrix)[None])
-        if neighbors == "static":
-            static = order[:, :, 0]
-
-    def pair_gains(relays, seconds):
-        return np.array([[draw_pair_gain(i, j)
-                          for i, j in zip(relays[0].tolist(), seconds[0].tolist())]])
-
-    res = schedule_lanes((scheme,), pairing, bs_gains, np.asarray(avg_rates, dtype=float)[None],
-                         params, split, np.asarray(est_gain)[None], pair_gains, ranks=ranks,
-                         neighbor_order=order, neighbor_of=static, cross_check=cross_check)
-    return IntervalResult(
-        assignment=tuple(zip(res.relays[0].tolist(), res.seconds[0].tolist())),
-        block_rates=tuple(zip(res.r1[0].tolist(), res.r2[0].tolist())),
-        served=res.served[0],
-        sum_rate=float(res.sum_rate[0]),
-        role_swaps=int(res.role_swaps[0]),
-        r2_clamps=int(res.r2_clamps[0]),
     )

@@ -408,34 +408,6 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    mean_sum_rate: float
-    role_swaps: int
-    r2_clamps: int
-    assignments: Optional[tuple] = None  # per-interval assignments when recorded
-
-
-def run_trial(config: SimConfig, trial_seed, keep_assignments: bool = False) -> TrialResult:
-    """One placement realisation at the config's relay power, the one-lane
-    case of ``run_lanes``: draw a topology, schedule ``intervals`` times
-    with fresh fading per the redraw policy, PF-update after every interval,
-    and return the time-averaged sum rate.
-
-    ``trial_seed`` is an int or a numpy SeedSequence.
-    """
-    res = run_lanes(config, [trial_seed], [config.p1_over_p0_db], keep_assignments)
-    assignments = None
-    if res.assignments is not None:
-        assignments = tuple(tuple(map(tuple, a[0].tolist())) for a in res.assignments)
-    return TrialResult(
-        mean_sum_rate=float(res.mean_sum_rate[0]),
-        role_swaps=int(res.role_swaps[0]),
-        r2_clamps=int(res.r2_clamps[0]),
-        assignments=assignments,
-    )
-
-
-@dataclass(frozen=True)
 class SimResult:
     """Aggregate of one (scheme, pairing, sweep point) combination."""
 

@@ -1,13 +1,26 @@
-"""Shared draw distributions and brute-force oracles for the test suite.
+"""Shared draw distributions, brute-force oracles and one-lane adapters
+for the test suite.
 
 Randomized checks draw power gains log-uniform over [1e-2, 1e2] with the
 two BS gains swapped into degraded order, alpha uniform on [0, 1], and keep
 p0 = p1 = 10, n1 = n2 = 1 (the reference operating point).
+
+The one-lane adapters (``relay_rate_bits`` ... ``run_trial``) call the lane
+scheduler, the lane engine and the rate kernel on a single lane and unwrap
+the result to Python scalars and tuples, so that tests can state one
+block, interval or trial at a time.
 """
+
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from noma_rbc.core import ChannelParams, LinkGains, PowerSplit
+from noma_rbc.core import ChannelParams, LinkGains, PowerSplit, Scheme
+from noma_rbc.rates import rate_kernel, relay_rate
+from noma_rbc.scheduling import (_near_far_select, _nearest_select, _NeighborCursor,
+                                 _strong_half, distance_order, near_far_ranks, schedule_lanes)
+from noma_rbc.simulation import SimConfig, run_lanes
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -85,3 +98,173 @@ def grid_optimal_cf_r2(gains, params, split, grid=N_HAT_GRID):
             f2 = f(x2)
     refined = f(0.5 * (a_ + b_))
     return max(float(vals[k]), refined)
+
+
+
+# ---------------------------------------------------------------------------
+# one-lane adapters
+
+def relay_rate_bits(scheme: Scheme, g01: float, params: ChannelParams, split: PowerSplit) -> float:
+    """r1 of a candidate relay user, a function of its own BS gain only."""
+    return float(relay_rate(scheme, g01, params, split.alpha))
+
+
+def second_rate_bits(scheme: Scheme, g01: float, g02: float, g12: float,
+                     params: ChannelParams, split: PowerSplit) -> float:
+    """r2 of a candidate pair (relay gain g01, second-user gain g02, cross
+    gain g12); CF schemes evaluate at the optimal compression noise."""
+    return float(rate_kernel(scheme, g01, g02, g12, params, split.alpha)[1])
+
+
+def split_groups(block_gains: np.ndarray, ids=None):
+    """Strong-gain half (ceil(n/2)) and weak half of the given users, all
+    users by default or the subset ``ids``, as ascending index arrays; gain
+    ties break to the lower index."""
+    gains = np.asarray(block_gains, dtype=float)
+    avail = np.ones(len(gains), dtype=bool)
+    if ids is not None:
+        avail[:] = False
+        avail[np.asarray(ids, dtype=int)] = True
+    strong = _strong_half(gains[None], avail[None])[0]
+    return np.flatnonzero(strong), np.flatnonzero(avail & ~strong)
+
+
+def nearest_available(avail: np.ndarray, dist_matrix: np.ndarray) -> np.ndarray:
+    """(L, K) nearest available neighbour of every user of each lane,
+    Euclidean distance, ties to the lower index, by a masked argmin over
+    ``dist_matrix`` (L, K, K); the reference for ``_NeighborCursor``.  Rows
+    of users without an available neighbour hold an arbitrary index."""
+    n_users = avail.shape[1]
+    others = avail[:, None, :] & ~np.eye(n_users, dtype=bool)
+    return np.argmin(np.where(others, dist_matrix, np.inf), axis=2)
+
+
+def nearest_remaining(ids, dist_matrix: np.ndarray) -> dict[int, int]:
+    """Nearest neighbour of each listed user among the listed users,
+    Euclidean distance, ties to the lower index."""
+    ids = np.sort(np.asarray(ids, dtype=int))
+    if len(ids) < 2:
+        raise ValueError("need at least two users to form neighbours")
+    dist = np.asarray(dist_matrix)
+    nearest = nearest_available(_lane_mask(len(dist), ids), dist[None])[0]
+    return dict(zip(ids.tolist(), nearest[ids].tolist()))
+
+
+def _lane_mask(n_users: int, ids) -> np.ndarray:
+    mask = np.zeros((1, n_users), dtype=bool)
+    mask[0, np.asarray(ids, dtype=int)] = True
+    return mask
+
+
+def near_far_pair(g1_ids, g2_ids, block_gains: np.ndarray, avg_rates: np.ndarray,
+                  est_gain: np.ndarray, scheme: Scheme, params: ChannelParams,
+                  split: PowerSplit) -> tuple[int, int]:
+    """(relay, second) for one block under near-far pairing, the relay from
+    the candidates ``g1_ids`` and the second user from ``g2_ids``;
+    ``est_gain[i, j]`` is the distance-based inter-user gain estimate."""
+    if len(g1_ids) == 0 or len(g2_ids) == 0:
+        raise ValueError("empty candidate group")
+    gains = np.asarray(block_gains, dtype=float)[None]
+    avg = np.asarray(avg_rates, dtype=float)[None]
+    k1, k2 = _near_far_select(
+        _lane_mask(gains.shape[1], g1_ids), _lane_mask(gains.shape[1], g2_ids),
+        relay_rate(scheme, gains, params, split.alpha) / avg, gains, avg,
+        np.asarray(est_gain)[None], np.arange(1), [(scheme, 0, 1)], params, split.alpha,
+        np.array([[params.p1]]),
+    )
+    return int(k1[0]), int(k2[0])
+
+
+def nearest_neighbor_pair(ids, dist_matrix: np.ndarray, block_gains: np.ndarray,
+                          avg_rates: np.ndarray, est_gain: np.ndarray, scheme: Scheme,
+                          params: ChannelParams, split: PowerSplit,
+                          neighbor_of: Optional[dict] = None) -> tuple[int, int]:
+    """(relay, second) for one block under nearest-neighbour pairing among
+    the remaining users ``ids``; ``neighbor_of`` is the static neighbour
+    map, None to use the nearest remaining neighbours."""
+    if len(ids) < 2:
+        raise ValueError("fewer than two remaining users")
+    gains = np.asarray(block_gains, dtype=float)
+    mapped = None
+    if neighbor_of is not None:
+        mapped = np.full((1, len(gains)), -1)
+        for i, j in neighbor_of.items():
+            mapped[0, i] = j
+    cursor = _NeighborCursor(distance_order(np.asarray(dist_matrix)[None]), np.arange(1))
+    k1, k2 = _nearest_select(
+        _lane_mask(len(gains), ids), cursor, gains[None],
+        np.asarray(avg_rates, dtype=float)[None], np.asarray(est_gain)[None],
+        np.arange(1), [(scheme, 0, 1)], params, split.alpha, np.array([[params.p1]]), mapped,
+    )
+    return int(k1[0]), int(k2[0])
+
+
+@dataclass(frozen=True)
+class IntervalResult:
+    """Outcome of scheduling one interval of one lane."""
+
+    assignment: tuple     # ((relay, second), ...) per block, roles as served
+    block_rates: tuple    # ((r1, r2), ...) per block
+    served: np.ndarray    # (K,) per-user served rate this interval
+    sum_rate: float
+    role_swaps: int
+    r2_clamps: int
+
+
+def schedule_interval(scheme: Scheme, pairing: str, bs_gains: np.ndarray,
+                      dist_matrix: np.ndarray, avg_rates: np.ndarray, params: ChannelParams,
+                      split: PowerSplit, est_gain: np.ndarray,
+                      draw_pair_gain: Callable[[int, int], float], neighbors: str = "recompute",
+                      cross_check: bool = False) -> IntervalResult:
+    """``schedule_lanes`` on one lane at ``params.p1``: ``bs_gains`` is
+    (K, B), ``avg_rates`` (K,), ``est_gain`` (K, K), and
+    ``draw_pair_gain(i, j)`` gives the true inter-user gain at serve time,
+    called once per block in block order."""
+    bs_gains = np.asarray(bs_gains, dtype=float)[None]
+    ranks = order = static = None
+    if pairing == "near-far":
+        ranks = near_far_ranks((scheme,), bs_gains, params, split.alpha)
+    elif pairing == "nearest":
+        order = distance_order(np.asarray(dist_matrix)[None])
+        if neighbors == "static":
+            static = order[:, :, 0]
+
+    def pair_gains(relays, seconds):
+        return np.array([[draw_pair_gain(i, j)
+                          for i, j in zip(relays[0].tolist(), seconds[0].tolist())]])
+
+    res = schedule_lanes((scheme,), pairing, bs_gains, np.asarray(avg_rates, dtype=float)[None],
+                         params, split, np.asarray(est_gain)[None], pair_gains,
+                         trial_of=np.arange(1), relay_power=np.array([params.p1]), ranks=ranks,
+                         neighbor_order=order, neighbor_of=static, cross_check=cross_check)
+    return IntervalResult(
+        assignment=tuple(zip(res.relays[0].tolist(), res.seconds[0].tolist())),
+        block_rates=tuple(zip(res.r1[0].tolist(), res.r2[0].tolist())),
+        served=res.served[0],
+        sum_rate=float(res.sum_rate[0]),
+        role_swaps=int(res.role_swaps[0]),
+        r2_clamps=int(res.r2_clamps[0]),
+    )
+
+
+@dataclass(frozen=True)
+class TrialResult:
+    mean_sum_rate: float
+    role_swaps: int
+    r2_clamps: int
+    assignments: Optional[tuple] = None  # per-interval assignments when recorded
+
+
+def run_trial(config: SimConfig, trial_seed, keep_assignments: bool = False) -> TrialResult:
+    """``run_lanes`` on one lane: one trial of ``config`` at its own scheme
+    and relay power; ``trial_seed`` is an int or a numpy SeedSequence."""
+    res = run_lanes(config, [trial_seed], [config.p1_over_p0_db], keep_assignments)
+    assignments = None
+    if res.assignments is not None:
+        assignments = tuple(tuple(map(tuple, a[0].tolist())) for a in res.assignments)
+    return TrialResult(
+        mean_sum_rate=float(res.mean_sum_rate[0]),
+        role_swaps=int(res.role_swaps[0]),
+        r2_clamps=int(res.r2_clamps[0]),
+        assignments=assignments,
+    )

@@ -20,11 +20,13 @@ from noma_rbc.core import (
     second_user_sir,
 )
 from noma_rbc.oracle import random_verification_draw, verify_scheme
-from noma_rbc.rates import gbc_rates, optimize_n_hat, rbc_df_rates, relay_rate_bits, second_rate_bits
-from noma_rbc.scheduling import near_far_pair, nearest_neighbor_pair, nearest_remaining, pf_update, split_groups
-from noma_rbc.simulation import SimConfig, generate_topology, mean_radius_analytic, rayleigh_power, run_experiment, run_trial
+from noma_rbc.rates import gbc_rates, optimize_n_hat, rbc_df_rates
+from noma_rbc.scheduling import pf_update
+from noma_rbc.simulation import SimConfig, generate_topology, mean_radius_analytic, rayleigh_power, run_experiment
 
-from helpers import grid_optimal_cf_r2, random_ordered_setup, rng_for
+from helpers import (grid_optimal_cf_r2, near_far_pair, nearest_neighbor_pair, nearest_remaining,
+                     random_ordered_setup, relay_rate_bits, rng_for, run_trial, second_rate_bits,
+                     split_groups)
 
 SETTING_I = LinkGains(8.0, 1.0, 8.0)
 SETTING_II = LinkGains(1.0, 1.0 / 8.0, 1.0)

@@ -173,6 +173,7 @@ def test_region_csv_holds_the_kernel_values(tmp_path, grid, mark, fixed):
     (["--alpha", "inf"], "alpha"),
     (["--alpha", "1.5"], "alpha"),
     (["--alpha", "-0.1"], "alpha"),
+    (["--scheme", "gbc,gbc"], "schemes"),
 ])
 def test_region_bad_value_exits_2_naming_the_key(tmp_path, capsys, flags, key):
     base = {"--g01": "8", "--g02": "1", "--g12": "8", "--p0-db": "10", "--p1-db": "10"}
@@ -324,6 +325,13 @@ def test_verify_bad_count_or_seed_exits_2(capsys, flags, key):
     ("users: 8.5", "users"),
     ("p1_over_p0_db: [0, .inf]", "p1_over_p0_db"),
     ("pairings: [near-far, far-near]", "pairing"),
+    # an appended list key replaces the config's own (the last YAML entry wins)
+    ("schemes: [gbc, rbc-cf, gbc]", "schemes"),
+    ("pairings: [nearest, nearest]", "pairings"),
+    ("p1_over_p0_db: [0, 0]", "p1_over_p0_db"),
+    # a singular key beside its list key
+    ("scheme: rbc-cf", "scheme"),
+    ("pairing: nearest", "pairings"),
 ])
 def test_simulate_bad_value_exits_2_naming_the_key(tmp_path, capsys, line, key):
     cfg = tmp_path / "sim.yaml"

@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noma_rbc.core import ChannelParams, PowerSplit, Scheme
-from noma_rbc.rates import N_HAT_BRACKET, rate_kernel, relay_rate_bits, second_rate_bits
-from noma_rbc.scheduling import near_far_pair, nearest_neighbor_pair, nearest_remaining
+from noma_rbc.rates import N_HAT_BRACKET, rate_kernel
+
+from helpers import (near_far_pair, nearest_neighbor_pair, nearest_remaining, relay_rate_bits,
+                     second_rate_bits)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 CF_SCHEMES = (Scheme.RBC_CF, Scheme.RBC_CF_DPC)

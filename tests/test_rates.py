@@ -13,14 +13,13 @@ from noma_rbc.rates import (
     rbc_cf_rates,
     rate_kernel,
     rbc_df_rates,
-    relay_rate_bits,
-    second_rate_bits,
     serve_pair,
     sweep_region,
     uniform_alpha_grid,
 )
 
-from helpers import cf_objective, grid_optimal_cf_r2, random_ordered_setup, rng_for
+from helpers import (cf_objective, grid_optimal_cf_r2, random_ordered_setup, relay_rate_bits,
+                     rng_for, second_rate_bits)
 
 # reference point: g01 = g12 = 8, g02 = 1, P0 = P1 = 10, N1 = N2 = 1, alpha = 0.2
 GAINS = LinkGains(8.0, 1.0, 8.0)

@@ -4,23 +4,26 @@ import numpy as np
 import pytest
 
 from noma_rbc.core import ChannelParams, PowerSplit, Scheme
-from noma_rbc.rates import relay_rate_bits, second_rate_bits
 from noma_rbc.scheduling import (
     _NeighborCursor,
     _pf_argmax,
     distance_order,
-    near_far_pair,
     near_far_ranks,
+    pf_update,
+    schedule_lanes,
+)
+
+from helpers import (
+    near_far_pair,
     nearest_available,
     nearest_neighbor_pair,
     nearest_remaining,
-    pf_update,
+    relay_rate_bits,
+    rng_for,
     schedule_interval,
-    schedule_lanes,
+    second_rate_bits,
     split_groups,
 )
-
-from helpers import rng_for
 
 PARAMS = ChannelParams(p0=10.0, p1=10.0, n1=1.0, n2=1.0)
 SPLIT = PowerSplit(0.2)
@@ -485,7 +488,7 @@ def test_lanes_do_not_interact(scheme, pairing, neighbors):
     lanes = np.arange(5)[:, None]
     res = schedule_lanes((scheme,), pairing, gains, avg, PARAMS, SPLIT, est,
                          pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
-                         ranks=near_far_ranks((scheme,), gains, PARAMS, SPLIT.alpha),
+                         trial_of=np.arange(5), ranks=near_far_ranks((scheme,), gains, PARAMS, SPLIT.alpha),
                          neighbor_order=distance_order(dist),
                          neighbor_of=static, relay_power=relay_power, cross_check=True)
     for lane in range(5):
@@ -505,6 +508,6 @@ def test_a_lane_without_a_finite_score_is_named():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite PF score in lane 1"):
             schedule_lanes((Scheme.GBC,), "near-far", gains, avg, PARAMS, PowerSplit(1.0), est,
-                           pair_gains=None,
+                           pair_gains=None, trial_of=np.arange(2),
                            ranks=near_far_ranks((Scheme.GBC,), gains, PARAMS, 1.0),
                            relay_power=np.array([1.0, np.nan]))

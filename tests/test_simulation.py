@@ -23,13 +23,11 @@ from noma_rbc.simulation import (
     rayleigh_power,
     run_experiment,
     run_lanes,
-    run_trial,
     write_results_csv,
 )
-from noma_rbc.scheduling import split_groups
 from noma_rbc.simulation import BS_CHUNK_INTERVALS
 
-from helpers import rng_for
+from helpers import rng_for, run_trial, split_groups
 
 SMALL = SimConfig(users=8, blocks=2, intervals=10, trials=2, seed=5)
 
