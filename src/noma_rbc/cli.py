@@ -7,9 +7,13 @@ Three subcommands wire configs to the library:
                 CSV plus a JSON run manifest
 * ``verify``    randomized closed-form-vs-oracle equivalence checks
 
-``region`` writes each scheme's ``sweep_region`` arrays to the CSV with
-one ``writerows``; ``verify`` draws each chunk as one array and checks all
-schemes in one ``verify_terms`` pass.  Neither builds per-point objects.
+``region`` formats each distinct column of the schemes' ``sweep_region``
+arrays once and writes the CSV as one string; ``verify`` draws each chunk
+as one array and checks all schemes in one ``verify_terms`` pass.  Neither
+builds per-point objects.  ``main`` builds the argument parser once per
+process and looks the ``cmd_*`` function up at each call, so in-process
+callers pay for the parser once.  Config files are YAML, and a key given
+twice in one mapping is a config error.
 
 Exit codes: 0 success, 2 config error, 3 verification failure.  Progress
 and status go to stderr; ``verify`` prints its report on stdout.  Every
@@ -21,7 +25,7 @@ suffix; everything is converted to linear units on entry.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import sys
 import time
@@ -80,9 +84,31 @@ def _info(msg: str) -> None:
 def _load_yaml(path: str):
     import yaml  # only configs need it; every other command skips its import
 
+    class UniqueKeyLoader(yaml.SafeLoader):
+        """The safe loader, except that a key given twice in one mapping is
+        an error naming the key and its lines, not a silent override."""
+
+        def construct_mapping(self, node, deep=False):
+            first_line = {}
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=deep)
+                line = key_node.start_mark.line + 1
+                try:
+                    seen = key in first_line
+                except TypeError:  # an unhashable key, which the base class reports
+                    continue
+                if seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None,
+                        f"key {key!r} is given twice, on lines {first_line[key]} and {line}")
+                first_line[key] = line
+            return super().construct_mapping(node, deep)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=UniqueKeyLoader)
     except OSError as exc:
         raise ValueError(f"cannot read config {path!r}: {exc}") from None
     except yaml.YAMLError as exc:
@@ -178,6 +204,36 @@ def _write_manifest(out_dir: Path, stem: str, command: str, config_snapshot: dic
 # ---------------------------------------------------------------------------
 # region
 
+def _reprs(values: np.ndarray, memo: dict) -> list[str]:
+    """``repr`` of each float of ``values``, taken from ``memo`` when an
+    array with the same bits was formatted before.  The key is the bits,
+    not the values: 0.0 == -0.0, but their reprs differ."""
+    key = values.tobytes()
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = list(map(repr, values.tolist()))
+    return text
+
+
+def _region_csv(curves, grid: np.ndarray, mark: float) -> str:
+    """The ``rate_region.csv`` text of ``curves`` over the alpha ``grid``,
+    with ``mark`` flagged: the bytes ``csv.writer`` writes for the same
+    rows.  Every field is a scheme label, the repr of a finite float,
+    empty, 0 or 1, none of which that writer quotes.  Schemes repeat whole
+    columns (alpha in all, r1 in GBC, RBC-DF and RBC-CF+DPC, r2 and n_hat
+    in the CF pair), so each distinct column is formatted once."""
+    memo: dict = {}
+    n = len(grid)
+    marked = ["1" if m else "0" for m in (np.abs(grid - mark) <= 1e-12).tolist()]
+    lines = ["scheme,alpha,r1_bits,r2_bits,n_hat,alpha_marked\r\n"]
+    for curve in curves:
+        n_hats = [""] * n if curve.n_hat is None else _reprs(curve.n_hat, memo)
+        lines += [",".join(row) + "\r\n"
+                  for row in zip([curve.scheme.label] * n, _reprs(curve.alphas, memo),
+                                 _reprs(curve.r1, memo), _reprs(curve.r2, memo), n_hats, marked)]
+    return "".join(lines)
+
+
 def cmd_region(args) -> int:
     started = time.monotonic()
     try:
@@ -243,14 +299,7 @@ def cmd_region(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "rate_region.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scheme", "alpha", "r1_bits", "r2_bits", "n_hat", "alpha_marked"])
-        for curve in curves:
-            n = len(curve.alphas)
-            n_hats = [""] * n if curve.n_hat is None else curve.n_hat.tolist()
-            marked = (np.abs(curve.alphas - mark) <= 1e-12).astype(int).tolist()
-            writer.writerows(zip([curve.scheme.label] * n, curve.alphas.tolist(),
-                                 curve.r1.tolist(), curve.r2.tolist(), n_hats, marked))
+        fh.write(_region_csv(curves, grid, mark))
     snapshot = {
         "g01": gains.g01, "g02": gains.g02, "g12": gains.g12,
         "p0": params.p0, "p1": params.p1, "n1": params.n1, "n2": params.n2,
@@ -438,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     region.add_argument("--scheme", help="comma-separated scheme list (default all)")
     region.add_argument("--n-hat", dest="n_hat", type=float,
                         help="fixed compression noise; omit to optimize per point")
-    region.set_defaults(func=cmd_region)
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo cell experiment (CSV + manifest)")
     simulate.add_argument("--config", required=True, help="YAML experiment config")
@@ -453,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--parallel", type=int, default=1,
                           help="worker processes, at least 1, clamped to the CPU and task "
                                "counts (output is identical for any degree)")
-    simulate.set_defaults(func=cmd_simulate)
 
     verify = sub.add_parser("verify", help="randomized closed-form vs oracle equivalence check")
     verify.add_argument("--count", type=int, default=DEFAULT_VERIFY_COUNT,
@@ -461,13 +508,20 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=DEFAULT_VERIFY_SEED)
     verify.add_argument("--inject-error", action="store_true",
                         help="testing aid: perturb the comparison to prove failures are caught")
-    verify.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  A parse fills a new namespace from the
+    parser's defaults, so nothing carries over from one call to the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a replaced ``cmd_*`` attribute is the one run
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

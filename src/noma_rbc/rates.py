@@ -28,7 +28,8 @@ is needed.
 
 ``rate_kernel`` evaluates one scheme over broadcastable gain and
 power-split arrays; it and ``relay_rate``, its r1 part, are the only code
-that dispatches on the scheme.  The typed operations (``gbc_rates`` ...
+that dispatches on the scheme, and ``relay_rate_formulas`` says which
+schemes share an r1.  The typed operations (``gbc_rates`` ...
 ``optimize_n_hat``, ``sweep_region``) validate their inputs and call it;
 the scheduler calls it on whole candidate blocks, ``sweep_region`` on a
 whole alpha grid, whose arrays it checks and returns as they are.  GBC
@@ -74,6 +75,16 @@ def relay_rate(scheme: Scheme, g01, params: ChannelParams, alpha):
     if scheme is Scheme.RBC_CF:
         return _log2_1p(g01 * alpha * params.p0 / (g01 * (1.0 - alpha) * params.p0 + params.n1))
     return _log2_1p(g01 * alpha * params.p0 / params.n1)
+
+
+def relay_rate_formulas(schemes: Sequence[Scheme]) -> tuple[tuple[Scheme, ...], list[int]]:
+    """The distinct r1 formulas of ``schemes``, each as the first scheme
+    that uses it, and for each scheme the position of its formula among
+    them.  GBC, RBC-DF and RBC-CF+DPC share one r1; RBC-CF has its own."""
+    keys = [scheme is Scheme.RBC_CF for scheme in schemes]
+    distinct = list(dict.fromkeys(keys))
+    return (tuple(schemes[keys.index(key)] for key in distinct),
+            [distinct.index(key) for key in keys])
 
 
 def _forward_bound(g02, g12, params: ChannelParams, alpha, p1):

@@ -131,7 +131,8 @@ def near_far_ranks(schemes: Sequence[Scheme], bs_gains: np.ndarray, params: Chan
     users ranked by gain with ties to the lower index, and the (S * T, ...,
     K, B) r1 of every user as the relay under each of S ``schemes``, scheme
     by scheme.  The engine computes them once per trial for a chunk of
-    intervals and gathers them to the lanes."""
+    intervals, passing one scheme per distinct r1 formula
+    (``rates.relay_rate_formulas``), and gathers them to the lanes."""
     by_block = np.moveaxis(bs_gains, -1, -2)
     return (_strong_half(by_block, np.ones(by_block.shape, dtype=bool)),
             np.concatenate([relay_rate(s, bs_gains, params, alpha) for s in schemes]))

@@ -65,6 +65,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import ChannelParams, PowerSplit, Scheme
+from .rates import relay_rate_formulas
 from .scheduling import (NEIGHBOR_MODES, PAIRINGS, distance_order, near_far_ranks, pf_update,
                          schedule_lanes)
 
@@ -298,7 +299,8 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
     What depends on a trial's draws only is computed on trial rows and
     shared by all its lanes: the topology, inter-user gain estimates and
     distance order once, and the BS gains, strong halves and relay rates
-    per chunk of ``BS_CHUNK_INTERVALS`` intervals.  The interval loop does
+    per chunk of ``BS_CHUNK_INTERVALS`` intervals, the relay rates once per
+    distinct r1 formula of the schemes.  The interval loop does
     the ledger-dependent work.  ``trial_seeds`` are ints or numpy
     SeedSequences.
     """
@@ -315,6 +317,9 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
     n_points, n_trials = len(sweep), len(trial_seeds)
     row_of = np.repeat(np.arange(len(schemes) * n_trials), n_points)  # scheme-trial row c*T + t
     trial_of = row_of % n_trials
+    # schemes that share an r1 formula share its rows of relay rates
+    r1_schemes, formula_of = relay_rate_formulas(schemes)
+    r1_row = np.asarray(formula_of)[row_of // n_trials] * n_trials + trial_of
     relay_power = np.tile([replace(config, p1_over_p0_db=db).p1 for db in sweep],
                           len(schemes) * n_trials)
     params = ChannelParams(p0=config.p0, p1=float(relay_power[0]),
@@ -366,12 +371,12 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
         chunk = np.stack([draw_bs_gains(r, config, rng_fading, 1 if static else n)
                           for r, (_, rng_fading, _) in zip(radii, streams)])  # (T, n or 1, K, B)
         if near_far:
-            strong, r1 = near_far_ranks(schemes, chunk, params, config.alpha)
+            strong, r1 = near_far_ranks(r1_schemes, chunk, params, config.alpha)
         for interval in range(first, first + n):
             i = interval - first
             if i < chunk.shape[1]:
                 gains = chunk[trial_of, i]
-                ranks = (strong[trial_of, i], r1[row_of, i]) if near_far else None
+                ranks = (strong[trial_of, i], r1[r1_row, i]) if near_far else None
 
             def pair_gains(relays, seconds):
                 return path[lane_trial, relays, seconds] * fading[trial_of, interval]

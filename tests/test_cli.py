@@ -1,13 +1,16 @@
+import contextlib
 import csv
+import io
 import time
 import json
 
 import numpy as np
 import pytest
 
-from noma_rbc import simulation
+from noma_rbc import cli, simulation
 from noma_rbc.core import ChannelParams, Scheme
-from noma_rbc.rates import rate_kernel
+from noma_rbc.oracle import TermDelta
+from noma_rbc.rates import RateRegionCurve, rate_kernel
 from noma_rbc.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -160,6 +163,75 @@ def test_region_csv_holds_the_kernel_values(tmp_path, grid, mark, fixed):
         assert [r["alpha_marked"] for r in got] == \
             ["1" if abs(a - float(mark)) <= 1e-12 else "0" for a in alphas]
         assert sum(r["alpha_marked"] == "1" for r in got) == 1
+
+
+def csv_writer_reference(curves, mark):
+    """``rate_region.csv`` as ``csv.writer`` writes it, one ``repr`` per float."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["scheme", "alpha", "r1_bits", "r2_bits", "n_hat", "alpha_marked"])
+    for label, alphas, r1, r2, n_hat in curves:
+        for k, alpha in enumerate(alphas):
+            writer.writerow([label, repr(alpha), repr(r1[k]), repr(r2[k]),
+                             "" if n_hat is None else repr(n_hat[k]),
+                             int(abs(alpha - mark) <= 1e-12)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("extra, schemes, alphas, fixed", [
+    ([], tuple(Scheme), np.linspace(0.0, 1.0, 201).tolist(), None),
+    (["--scheme", "rbc-cf-dpc,gbc", "--alpha-grid", "9"], (Scheme.RBC_CF_DPC, Scheme.GBC),
+     np.linspace(0.0, 1.0, 9).tolist(), None),
+    (["--n-hat", "0.7", "--alpha-grid", "17"], tuple(Scheme), np.linspace(0.0, 1.0, 17).tolist(),
+     0.7),
+    (["--alpha-grid", "1,0,0.2,0.61", "--scheme", "rbc-cf,rbc-df"],
+     (Scheme.RBC_CF, Scheme.RBC_DF), [0.0, 0.2, 0.61, 1.0], None),
+    (["--scheme", ","], (), [], None),  # no scheme: the header alone
+])
+def test_region_csv_equals_a_csv_writer_reference(tmp_path, extra, schemes, alphas, fixed):
+    out = tmp_path / "out"
+    assert main(["region", "--out", str(out)] + REGION_FLAGS + extra) == EXIT_OK
+    curves = []
+    for scheme in schemes:
+        r1, r2, n_hat, _ = rate_kernel(scheme, 8.0, 1.0, 8.0, ChannelParams(p0=10.0, p1=10.0),
+                                       np.array(alphas), fixed)
+        n_hat = None if n_hat is None else np.broadcast_to(n_hat, len(alphas)).tolist()
+        curves.append((scheme.label, alphas, r1.tolist(), r2.tolist(), n_hat))
+    assert (out / "rate_region.csv").read_bytes() == \
+        csv_writer_reference(curves, 0.2).encode("utf-8")
+
+
+def test_region_csv_formats_signed_zeros_by_their_bits():
+    # 0.0 == -0.0, so a memo keyed on values would print "0.0" for both
+    memo = {}
+    assert cli._reprs(np.array([0.0, 0.5]), memo) == ["0.0", "0.5"]
+    assert cli._reprs(np.array([-0.0, 0.5]), memo) == ["-0.0", "0.5"]
+    alphas = np.array([0.0, 0.5])
+    curves = [RateRegionCurve(Scheme.GBC, alphas, np.array([0.0, 1.0]), np.array([-0.0, 2.0])),
+              RateRegionCurve(Scheme.RBC_CF, alphas, np.array([-0.0, 1.0]),
+                              np.array([0.0, 2.0]), np.array([0.0, -0.0]))]
+    reference = csv_writer_reference(
+        [(c.scheme.label, c.alphas.tolist(), c.r1.tolist(), c.r2.tolist(),
+          None if c.n_hat is None else c.n_hat.tolist()) for c in curves], 0.5)
+    assert cli._region_csv(curves, alphas, 0.5) == reference
+    assert "gbc,0.0,0.0,-0.0,,0" in reference and "rbc-cf,0.0,-0.0,0.0,0.0,0" in reference
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", SIM_CONFIG.replace("schemes: [gbc, rbc-df]\n",
+                                    "schemes: [gbc]\nschemes: [rbc-df]\n")),
+    ("region", "g01: 8\ng02: 1\np0_db: 10\np1_db: 10\ng12: 8\np1_db: 0\n"),
+])
+def test_config_key_given_twice_exits_2_naming_the_key(tmp_path, capsys, command, text):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    key = "schemes" if command == "simulate" else "p1_db"
+    lines = [k + 1 for k, line in enumerate(text.splitlines()) if line.startswith(key + ":")]
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == \
+        EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert f"key '{key}' is given twice, on lines {lines[0]} and {lines[1]}" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags, key", [
@@ -387,3 +459,83 @@ def test_simulate_manifest_records_parallel_degree_and_counters(tmp_path, monkey
     assert list(read_csv(out / "sum_rate.csv")[0]) == [
         "scheme", "pairing", "p1_over_p0_db", "mean_sum_rate", "stderr", "trials",
         "intervals", "seed"]
+
+
+# ---------------------------------------------------------------------------
+# many calls in one process
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the process's cached parser before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def run_calls(calls, out):
+    """(exit code, stdout, output CSV bytes) of each ``main`` call, in order."""
+    results = []
+    for k, argv in enumerate(calls):
+        argv = [a.replace("OUT", str(out / f"call{k}")) for a in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        csvs = sorted((out / f"call{k}").glob("*.csv"))
+        results.append((code, stdout.getvalue(), [p.read_bytes() for p in csvs]))
+    return results
+
+
+def test_calls_in_one_process_do_not_depend_on_their_order(tmp_path, fresh_parser):
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(SIM_CONFIG, encoding="utf-8")
+    region_cfg = tmp_path / "region.yaml"
+    region_cfg.write_text("g01: 8\ng02: 1\np0_db: 10\nschemes: [gbc]\n", encoding="utf-8")
+    calls = [
+        ["region", "--out", "OUT"] + REGION_FLAGS + ["--n-hat", "0.5", "--scheme", "rbc-cf",
+                                                      "--alpha-grid", "0,0.3,1", "--alpha", "0.3"],
+        ["verify", "--count", "3", "--inject-error"],
+        ["simulate", "--config", str(cfg), "--out", "OUT", "--scheme", "gbc", "--trials", "1",
+         "--seed", "4", "--pairing", "nearest"],
+        ["region", "--out", "OUT"] + REGION_FLAGS + ["--alpha-grid", "5"],
+        ["verify", "--count", "2", "--seed", "9"],
+        ["simulate", "--config", str(cfg), "--out", "OUT"],
+        ["region", "--config", str(region_cfg), "--out", "OUT"],
+        ["verify"],
+        ["region", "--out", "OUT", "--g01", "1", "--g02", "8", "--p0-db", "10"],
+    ]
+    forward = run_calls(calls, tmp_path / "forward")
+    cli._parser.cache_clear()
+    backward = run_calls(calls[::-1], tmp_path / "backward")[::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [EXIT_OK, EXIT_VERIFY_FAILED] + [EXIT_OK] * 6 + \
+        [EXIT_CONFIG_ERROR]
+    # each defaulted flag reads its default, not the value of an earlier call
+    assert forward[7][1].startswith("verified 4 schemes x 1000 draws")
+    rows = list(csv.DictReader(io.StringIO(forward[3][2][0].decode("utf-8"))))
+    assert len(rows) == 4 * 5 and not any(r["n_hat"] == "0.5" for r in rows)
+
+
+def test_main_builds_the_parser_once(monkeypatch, fresh_parser, tmp_path):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for k in range(3):
+        assert main(["verify", "--count", "1", "--seed", str(k)]) == EXIT_OK
+        assert main(["region", "--out", str(tmp_path / str(k))] + REGION_FLAGS +
+                    ["--alpha-grid", "3"]) == EXIT_OK
+    assert len(built) == 1
+
+
+def test_replaced_cli_attributes_are_honoured_after_the_first_call(monkeypatch, capsys):
+    assert main(["verify", "--count", "1"]) == EXIT_OK
+    monkeypatch.setattr(cli, "verify_terms", lambda g01, *rest: {
+        scheme: (TermDelta("r1", np.full(len(g01), 3.0), np.ones(len(g01))),)
+        for scheme in Scheme})
+    assert main(["verify", "--count", "1"]) == EXIT_VERIFY_FAILED
+    assert "max delta = 2.000e+00 nats" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "cmd_region", lambda args: 7)
+    assert main(["region"]) == 7

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from noma_rbc.rates import (
     rbc_cf_rates,
     rate_kernel,
     rbc_df_rates,
+    relay_rate,
+    relay_rate_formulas,
     serve_pair,
     sweep_region,
     uniform_alpha_grid,
@@ -318,3 +321,23 @@ def test_objective_transcription_agrees_with_package():
         ours = rbc_cf_rates(gains, params, split, CompressionNoise(n_hat)).r2
         theirs = float(cf_objective(gains, params, split, n_hat))
         assert ours == pytest.approx(theirs, abs=1e-9)
+
+
+@pytest.mark.parametrize("schemes", [
+    tuple(Scheme), (Scheme.RBC_CF,), (Scheme.RBC_CF, Scheme.GBC, Scheme.RBC_CF_DPC),
+    (Scheme.RBC_DF, Scheme.RBC_CF_DPC), (Scheme.GBC, Scheme.GBC),
+])
+def test_relay_rate_formulas_group_the_schemes_that_share_r1(schemes):
+    # each scheme's r1 is its formula's bit for bit, and distinct formulas differ
+    g01 = 10.0 ** rng_for(3).uniform(-2.0, 2.0, size=50)
+    alpha = np.linspace(0.05, 0.95, 50)
+    firsts, formula_of = relay_rate_formulas(schemes)
+    # each formula is named by the first scheme that uses it
+    assert firsts == tuple(schemes[formula_of.index(f)] for f in range(len(firsts)))
+    for scheme, f in zip(schemes, formula_of):
+        assert np.array_equal(relay_rate(scheme, g01, PARAMS, alpha),
+                              relay_rate(firsts[f], g01, PARAMS, alpha))
+    for a, b in itertools.combinations(firsts, 2):
+        assert not np.array_equal(relay_rate(a, g01, PARAMS, alpha),
+                                  relay_rate(b, g01, PARAMS, alpha))
+    assert relay_rate_formulas(tuple(Scheme)) == ((Scheme.GBC, Scheme.RBC_CF), [0, 0, 1, 0])

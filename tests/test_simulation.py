@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noma_rbc import simulation
+from noma_rbc import scheduling, simulation
 from noma_rbc.core import ChannelParams, PowerSplit, Scheme
 from noma_rbc.rates import serve_pair
 from noma_rbc.simulation import (
@@ -424,6 +424,22 @@ def test_scheme_batched_lanes_equal_one_scheme_runs(schemes, pairing, fading, ne
         assert together.role_swaps[lanes].tolist() == alone.role_swaps.tolist()
         assert together.r2_clamps[lanes].tolist() == alone.r2_clamps.tolist()
         assert np.array_equal(together.assignments[:, lanes], alone.assignments)
+
+
+def test_near_far_relay_rates_are_evaluated_once_per_r1_formula(monkeypatch):
+    # GBC, RBC-DF and RBC-CF+DPC share one r1: two evaluations per chunk
+    calls = []
+    real = scheduling.relay_rate
+
+    def counting(scheme, *args):
+        calls.append(scheme)
+        return real(scheme, *args)
+    monkeypatch.setattr(scheduling, "relay_rate", counting)
+    monkeypatch.setattr(simulation, "BS_CHUNK_INTERVALS", 4)
+    cfg = replace(SMALL, intervals=10)
+    run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(2), [-10.0, 0.0],
+              schemes=(Scheme.RBC_CF_DPC, Scheme.RBC_CF, Scheme.GBC, Scheme.RBC_DF))
+    assert calls == [Scheme.RBC_CF_DPC, Scheme.RBC_CF] * 3
 
 
 @pytest.mark.parametrize("field, value", [
