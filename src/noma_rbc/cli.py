@@ -84,7 +84,8 @@ def _info(msg: str) -> None:
 def _load_yaml(path: str):
     import yaml  # only configs need it; every other command skips its import
 
-    class UniqueKeyLoader(yaml.SafeLoader):
+    # libyaml's parser when PyYAML was built with it, the pure-Python one otherwise
+    class UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         """The safe loader, except that a key given twice in one mapping is
         an error naming the key and its lines, not a silent override."""
 
@@ -133,6 +134,8 @@ def _parse_schemes(text) -> list[Scheme]:
     else:
         labels = list(text)
     schemes = [Scheme.from_label(str(t)) for t in labels]
+    if not schemes:
+        raise ValueError("schemes must list at least one value")
     _check_distinct("schemes", [s.label for s in schemes])
     return schemes
 
@@ -275,7 +278,8 @@ def cmd_region(args) -> int:
             p1=0.0 if p1_db is None else _db_to_linear("p1_db", p1_db),
             n1=_number("n1", n1), n2=_number("n2", n2),
         )
-        schemes = _parse_schemes(schemes_spec) if schemes_spec else list(ALL_SCHEMES)
+        schemes = (_parse_schemes(schemes_spec) if schemes_spec is not None
+                   else list(ALL_SCHEMES))
         grid = _parse_alpha_grid(grid_spec)
         mark = PowerSplit(_number("alpha", alpha_mark)).alpha
         fixed = CompressionNoise(_number("n_hat", n_hat)) if n_hat is not None else None

@@ -18,29 +18,33 @@ The CF second-user rate depends on the compression-noise variance n_hat:
 the cut-set bound decreases and the forwarding-minus-loss bound increases
 strictly in n_hat, so the max over n_hat of their min sits at their
 crossing whenever one exists.  Cleared of denominators, the crossing is a
-quadratic in n_hat, solved in closed form.  Without a positive root the
-bounds never cross: one of them is the smaller for every n_hat, so their
-min is monotone and its best value over ``N_HAT_BRACKET`` sits at an end of
-the bracket (the low end when the cut-set bound binds, the high end when
-the forwarding-minus-loss bound does).  The optimum is therefore the best
-of at most two roots or, failing those, of the two bracket ends; no search
-is needed.
+quadratic in n_hat, solved in closed form; the denominators are positive,
+so every positive root is a crossing, and as the bounds cross at most once
+the quadratic has at most one positive root.  Without one the bounds never
+cross: one of them is the smaller for every n_hat, so their min is
+monotone and its best value over ``N_HAT_BRACKET`` sits at an end of the
+bracket (the low end when the cut-set bound binds, the high end when the
+forwarding-minus-loss bound does).  The optimum is therefore the one
+crossing or, failing it, the better bracket end; no search is needed.
 
 ``rate_kernel`` evaluates one scheme over broadcastable gain and
-power-split arrays; it and ``relay_rate``, its r1 part, are the only code
-that dispatches on the scheme, and ``relay_rate_formulas`` says which
-schemes share an r1.  The typed operations (``gbc_rates`` ...
+power-split arrays.  It and its two parts, ``relay_rate`` (r1) and
+``second_rate`` (r2), are the only code that dispatches on the scheme;
+``relay_rate_formulas`` says which schemes share an r1, and
+``second_rate_segments`` merges adjacent runs of schemes that share an r2
+(RBC-CF and RBC-CF+DPC).  The typed operations (``gbc_rates`` ...
 ``optimize_n_hat``, ``sweep_region``) validate their inputs and call it;
-the scheduler calls it on whole candidate blocks, ``sweep_region`` on a
-whole alpha grid, whose arrays it checks and returns as they are.  GBC
-and RBC-DF presuppose the degraded role ordering: the typed operations
-reject inputs that violate it, while the kernel and ``serve_pair``
-evaluate the formulas literally, as the scheduler's selection metrics
-require.
+the scheduler calls its parts on whole candidate blocks, ``sweep_region``
+calls it on a whole alpha grid, whose arrays it checks and returns as they
+are.  GBC and RBC-DF presuppose the degraded role ordering: the typed
+operations reject inputs that violate it, while the kernel and
+``serve_pair`` evaluate the formulas literally, as the scheduler's
+selection metrics require.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -85,6 +89,14 @@ def relay_rate_formulas(schemes: Sequence[Scheme]) -> tuple[tuple[Scheme, ...], 
     distinct = list(dict.fromkeys(keys))
     return (tuple(schemes[keys.index(key)] for key in distinct),
             [distinct.index(key) for key in keys])
+
+
+def second_rate_segments(segments):
+    """Scheme ``segments`` (scheme, start, stop) that tile a leading axis,
+    with each run of adjacent segments that share an r2 formula merged into
+    one, named by its first scheme: RBC-CF and RBC-CF+DPC share one r2."""
+    runs = itertools.groupby(segments, key=lambda seg: seg[0].uses_compression or seg[0])
+    return [(run[0][0], run[0][1], run[-1][2]) for run in (list(r) for _, r in runs)]
 
 
 def _forward_bound(g02, g12, params: ChannelParams, alpha, p1):
@@ -156,21 +168,43 @@ class _CFBounds:
 
     def optimum(self):
         """(n_hat, clamped r2, forwarding-minus-loss argument) at the best
-        n_hat: the better positive root (the first on ties) or, with none,
-        the better end of ``N_HAT_BRACKET`` (the low end on ties)."""
+        n_hat: the bounds' one crossing, the positive root of the
+        quadratic, or, without one, the better end of ``N_HAT_BRACKET``
+        (the low end on ties).  At alpha = 1, r2 is 0 for every n_hat, and
+        n_hat = 1 is reported."""
         root0, root1 = self.crossing_roots()
         ok0 = np.isfinite(root0) & (root0 > 0.0)
-        ok1 = np.isfinite(root1) & (root1 > 0.0)
+        has = ok0 | (np.isfinite(root1) & (root1 > 0.0))
         lo, hi = N_HAT_BRACKET
-        first = np.where(ok0, root0, np.where(ok1, root1, lo))
-        other = np.where(ok0 & ok1, root1, np.where(ok0 | ok1, first, hi))
-        at_one = self.alpha == 1.0  # r2 is 0 for every n_hat; report n_hat = 1
-        if np.any(at_one):
-            first, other = np.where(at_one, 1.0, first), np.where(at_one, 1.0, other)
-        r2s, seconds = self.objective(np.stack((first, other)))
-        take = r2s[1] > r2s[0]
-        return (np.where(take, other, first), np.where(take, r2s[1], r2s[0]),
-                np.where(take, seconds[1], seconds[0]))
+        n_hat = np.where(ok0, root0, np.where(has, root1, lo))
+        if not isinstance(self.alpha, float) or self.alpha == 1.0:
+            at_one = self.alpha == 1.0
+            n_hat, has = np.where(at_one, 1.0, n_hat), has | at_one
+        r2, second = self.objective(n_hat)
+        if not has.all():
+            r2_hi, second_hi = self.objective(hi)
+            take = ~has & (r2_hi > r2)
+            n_hat, r2, second = (np.where(take, hi, n_hat), np.where(take, r2_hi, r2),
+                                 np.where(take, second_hi, second))
+        return n_hat, r2, second
+
+
+def second_rate(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_hat=None,
+                p1=None):
+    """``(r2, n_hat, clamped)`` of ``scheme``: the r2 part of
+    ``rate_kernel``, with its arguments and returns."""
+    p1 = params.p1 if p1 is None else p1
+    if scheme is Scheme.GBC:  # the forwarding bound without the relay's help
+        return _forward_bound(g02, 0.0, params, alpha, p1), None, False
+    if scheme is Scheme.RBC_DF:
+        return np.minimum(_forward_bound(g02, g12, params, alpha, p1),
+                          _decode_bound(g01, params, alpha)), None, False
+    cf = _CFBounds(g01, g02, g12, params, alpha, p1)
+    if n_hat is None:
+        n_hat, r2, second = cf.optimum()
+    else:
+        r2, second = cf.objective(n_hat)
+    return r2, n_hat, second < 0.0
 
 
 def rate_kernel(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_hat=None,
@@ -187,20 +221,8 @@ def rate_kernel(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_h
     at zero acted.  Other schemes return ``n_hat`` None and ``clamped``
     False.
     """
-    r1 = relay_rate(scheme, g01, params, alpha)
-    p1 = params.p1 if p1 is None else p1
-    if scheme is Scheme.GBC:  # the forwarding bound without the relay's help
-        return r1, _forward_bound(g02, 0.0, params, alpha, p1), None, False
-    if scheme is Scheme.RBC_DF:
-        r2 = np.minimum(_forward_bound(g02, g12, params, alpha, p1),
-                        _decode_bound(g01, params, alpha))
-        return r1, r2, None, False
-    cf = _CFBounds(g01, g02, g12, params, alpha, p1)
-    if n_hat is None:
-        n_hat, r2, second = cf.optimum()
-    else:
-        r2, second = cf.objective(n_hat)
-    return r1, r2, n_hat, second < 0.0
+    return (relay_rate(scheme, g01, params, alpha),
+            *second_rate(scheme, g01, g02, g12, params, alpha, n_hat, p1))
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +398,13 @@ class ServedRates:
 
 
 def serve_pair(scheme: Scheme, g01, g02, g12, params: ChannelParams, split: PowerSplit,
-               p1=None) -> ServedRates:
+               p1=None, r1=None) -> ServedRates:
     """Rates served to a batch of ordered pairs given as broadcastable
     arrays, with ``p1`` overriding the relay power as in ``rate_kernel``;
-    CF schemes optimise the compression noise for each pair's true gains."""
-    r1, r2, n_hat, clamped = rate_kernel(scheme, g01, g02, g12, params, split.alpha, p1=p1)
+    CF schemes optimise the compression noise for each pair's true gains.
+    ``r1``, when given, is the relay users' rate already evaluated (the
+    scheduler reads it from its per-chunk table) and is served as it is."""
+    if r1 is None:
+        r1 = relay_rate(scheme, g01, params, split.alpha)
+    r2, n_hat, clamped = second_rate(scheme, g01, g02, g12, params, split.alpha, p1=p1)
     return ServedRates(r1=r1, r2=r2, n_hat=n_hat, r2_clamped=clamped)

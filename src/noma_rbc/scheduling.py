@@ -4,18 +4,22 @@ A lane is one independent scheduling problem: its own scheme, per-block
 BS gains, inter-user gain estimates, PF ledger and relay power.
 ``schedule_lanes`` schedules one interval of L lanes at once: every
 selection stage scores the candidates of all lanes as (L, K) masked
-arrays, with one rate-kernel call per contiguous segment of lanes that
-share a scheme.  It is the only scheduler.
+arrays, with one r2 call per contiguous segment of lanes that share an
+r2 formula: RBC-CF and RBC-CF+DPC differ only in r1, so an adjacent pair of
+them shares one call (``rates.second_rate_segments``).  It is the only
+scheduler.
 
 ``schedule_lanes`` does the work that depends on the PF ledger: the PF
 argmaxes, r2 given the chosen relay, serving.  What depends on the gains
 or positions alone comes in precomputed, so that the engine can compute it
-once per trial rather than per lane and interval: ``near_far_ranks`` gives
-each block's strong half and every user's r1, ``distance_order`` each
-user's other users by distance.  Nearest pairing walks that order with a
-pointer per (lane, user) that skips the users already served this
-interval, instead of a masked (L, K, K) argmin per block.  Near-far
-pairing evaluates r2 for the weak-half candidates only.
+once per trial rather than per lane and interval: ``relay_rate_table``
+gives every user's r1, which depends on its own BS gain only and which
+both pairings score and serve from, ``near_far_ranks`` each block's
+strong half, ``distance_order`` each user's other users by distance.
+Nearest pairing walks that order with a pointer per (lane, user) that
+skips the users already served this interval, instead of a masked (L, K,
+K) argmin per block.  Near-far pairing evaluates r2 for the weak-half
+candidates only.
 
 Two pairing policies fill the per-interval resource blocks:
 
@@ -52,7 +56,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import ChannelParams, PowerSplit, Scheme
-from .rates import rate_kernel, relay_rate, serve_pair
+from .rates import relay_rate, second_rate, second_rate_segments, serve_pair
 
 PAIRINGS = ("near-far", "nearest")
 NEIGHBOR_MODES = ("recompute", "static")
@@ -90,16 +94,14 @@ def _pf_argmax(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return best
 
 
-def _segment_rates(segments, g01, g02, g12, params: ChannelParams, alpha, p1):
-    """(r1, r2) of candidate arrays that share a leading axis cut into
-    scheme ``segments`` (scheme, start, stop): one ``rate_kernel`` call per
-    segment, written into preallocated arrays."""
-    shape = np.broadcast_shapes(g01.shape, g02.shape, g12.shape)
-    r1, r2 = np.empty(shape), np.empty(shape)
+def _second_rates(segments, g01, g02, g12, params: ChannelParams, alpha, p1):
+    """r2 of candidate arrays that share a leading axis cut into scheme
+    ``segments`` (scheme, start, stop): one ``second_rate`` call per
+    segment, written into a preallocated array."""
+    r2 = np.empty(np.broadcast_shapes(g01.shape, g02.shape, g12.shape))
     for scheme, a, b in segments:
-        r1[a:b], r2[a:b], _, _ = rate_kernel(scheme, g01[a:b], g02[a:b], g12[a:b], params, alpha,
-                                             p1=p1[a:b])
-    return r1, r2
+        r2[a:b] = second_rate(scheme, g01[a:b], g02[a:b], g12[a:b], params, alpha, p1=p1[a:b])[0]
+    return r2
 
 
 def _near_far_select(strong, weak, relay_scores, gains, avg, est_gain, rows, segments, params,
@@ -108,34 +110,40 @@ def _near_far_select(strong, weak, relay_scores, gains, avg, est_gain, rows, seg
     ``relay_scores`` = r1/avg, which needs only its own BS gain, then the
     second user from ``weak`` by the PF ratio of r2 given that relay.  r2 is
     evaluated for the weak candidates only, lane by lane in ascending user
-    order; the kernel works element by element, so the scores equal those
-    of a full (L, K) evaluation."""
+    order, over the r2 ``segments`` of the lanes; the kernel works element
+    by element, so the scores equal those of a full (L, K) evaluation."""
     k1 = _pf_argmax(relay_scores, strong)
     flat = weak.ravel().nonzero()[0]  # lane by lane, ascending user order
     lane = flat // weak.shape[1]
     # the scheme segments of the lanes, as positions in the candidate list
     cuts = np.searchsorted(lane, [a for _, a, _ in segments] + [segments[-1][2]]).tolist()
     by_candidate = [(s, a, b) for (s, _, _), a, b in zip(segments, cuts, cuts[1:])]
-    _, r2 = _segment_rates(by_candidate, gains[np.arange(len(gains)), k1][lane],
-                           gains.ravel()[flat], est_gain[rows, k1].ravel()[flat], params, alpha,
-                           p1.ravel()[lane])
+    r2 = _second_rates(by_candidate, gains[np.arange(len(gains)), k1][lane],
+                       gains.ravel()[flat], est_gain[rows, k1].ravel()[flat], params, alpha,
+                       p1.ravel()[lane])
     scores = np.full(weak.size, -np.inf)
     scores[flat] = r2 / avg.ravel()[flat]
     return k1, _pf_argmax(scores.reshape(weak.shape), weak)
 
 
-def near_far_ranks(schemes: Sequence[Scheme], bs_gains: np.ndarray, params: ChannelParams,
-                   alpha):
-    """What near-far pairing needs of BS gains (T, ..., K, B) before any PF
-    ledger: the (T, ..., B, K) masks of each block's strong half, ceil(K/2)
-    users ranked by gain with ties to the lower index, and the (S * T, ...,
-    K, B) r1 of every user as the relay under each of S ``schemes``, scheme
-    by scheme.  The engine computes them once per trial for a chunk of
-    intervals, passing one scheme per distinct r1 formula
-    (``rates.relay_rate_formulas``), and gathers them to the lanes."""
+def relay_rate_table(schemes: Sequence[Scheme], bs_gains: np.ndarray, params: ChannelParams,
+                     alpha) -> np.ndarray:
+    """The (S * T, ..., K, B) r1 of every user as the relay under each of S
+    ``schemes``, scheme by scheme, for BS gains (T, ..., K, B); r1 depends
+    on the relay's own BS gain only.  The engine computes it once per trial
+    for a chunk of intervals, for one scheme per distinct r1 formula
+    (``rates.relay_rate_formulas``), and gathers it to the lanes: both
+    pairings score and serve their relays from it."""
+    return np.concatenate([relay_rate(s, bs_gains, params, alpha) for s in schemes])
+
+
+def near_far_ranks(bs_gains: np.ndarray) -> np.ndarray:
+    """The (T, ..., B, K) masks of each block's strong half under near-far
+    pairing, for BS gains (T, ..., K, B): ceil(K/2) users ranked by gain
+    with ties to the lower index.  The engine computes them once per trial
+    for a chunk of intervals."""
     by_block = np.moveaxis(bs_gains, -1, -2)
-    return (_strong_half(by_block, np.ones(by_block.shape, dtype=bool)),
-            np.concatenate([relay_rate(s, bs_gains, params, alpha) for s in schemes]))
+    return _strong_half(by_block, np.ones(by_block.shape, dtype=bool))
 
 
 def distance_order(dist_matrix: np.ndarray) -> np.ndarray:
@@ -174,15 +182,16 @@ class _NeighborCursor:
         return self.neighbors
 
 
-def _nearest_select(avail, cursor, gains, avg, est_gain, rows, segments, params, alpha, p1,
-                    neighbor_of=None):
+def _nearest_select(avail, cursor, relay_scores, gains, avg, est_gain, rows, segments, params,
+                    alpha, p1, neighbor_of=None):
     """(relay, second) per lane under nearest-neighbour pairing: each
     candidate i is scored as the relay with its neighbour N(i) as the second
-    user by r1(i)/avg(i) + r2(N(i)|i)/avg(N(i)).  N is the nearest
-    remaining neighbour from ``cursor``.  ``neighbor_of`` (L, K, -1 for
-    none) overrides it: candidates whose mapped neighbour is unavailable
-    are skipped, and a lane left without candidates uses the nearest
-    remaining neighbours for the block."""
+    user by r1(i)/avg(i) + r2(N(i)|i)/avg(N(i)), the first term being
+    ``relay_scores`` and r2 coming from one call per r2 ``segment`` of the
+    lanes.  N is the nearest remaining neighbour from ``cursor``.
+    ``neighbor_of`` (L, K, -1 for none) overrides it: candidates whose
+    mapped neighbour is unavailable are skipped, and a lane left without
+    candidates uses the nearest remaining neighbours for the block."""
     lanes, users = np.arange(len(gains))[:, None], np.arange(avail.shape[1])
     candidates = avail
     if neighbor_of is None:
@@ -195,8 +204,8 @@ def _nearest_select(avail, cursor, gains, avg, est_gain, rows, segments, params,
         if not mapped.all():
             neighbors = np.where(mapped[:, None], neighbors, cursor.nearest(avail))
     est = est_gain.reshape(-1)[(rows[:, None] * users.size + users) * users.size + neighbors]
-    r1, r2 = _segment_rates(segments, gains, gains[lanes, neighbors], est, params, alpha, p1)
-    k = _pf_argmax(r1 / avg + r2 / avg[lanes, neighbors], candidates)
+    r2 = _second_rates(segments, gains, gains[lanes, neighbors], est, params, alpha, p1)
+    k = _pf_argmax(relay_scores + r2 / avg[lanes, neighbors], candidates)
     return k, neighbors[lanes[:, 0], k]
 
 
@@ -254,7 +263,8 @@ def schedule_lanes(
     pair_gains: Callable[[np.ndarray, np.ndarray], np.ndarray],
     trial_of: np.ndarray,
     relay_power: np.ndarray,
-    ranks: Optional[tuple] = None,
+    relay_r1: np.ndarray,
+    ranks: Optional[np.ndarray] = None,
     neighbor_order: Optional[np.ndarray] = None,
     neighbor_of: Optional[np.ndarray] = None,
     cross_check: bool = False,
@@ -262,15 +272,18 @@ def schedule_lanes(
     """Assign and serve all blocks of one scheduling interval in every lane.
 
     The S ``schemes`` cut the lanes into S equal, contiguous segments in
-    that order; each kernel stage runs once per segment.  ``bs_gains`` is
-    (L, K, B) with this interval's true BS power gains, ``est_gain`` the
-    (T, K, K) inter-user power-gain estimates of T trials, lane l using
-    table ``trial_of[l]``, ``avg_rates`` the (L, K) PF ledger, finite and
-    positive.  ``relay_power`` (L,) is each lane's relay power, in place
-    of ``params.p1``.  ``pair_gains(relays, seconds)`` returns the
-    (L, B) true inter-user gains of the selected pairs; it is called once,
-    after all blocks are assigned, and not at all when every scheme is
-    GBC.  All pairs are served in one kernel call per scheme segment.
+    that order; each r2 stage runs once per run of adjacent segments that
+    share an r2 formula.  ``bs_gains`` is (L, K, B) with this interval's
+    true BS power gains, ``est_gain`` the (T, K, K) inter-user power-gain
+    estimates of T trials, lane l using table ``trial_of[l]``,
+    ``avg_rates`` the (L, K) PF ledger, finite and positive.
+    ``relay_power`` (L,) is each lane's relay power, in place of
+    ``params.p1``, and ``relay_r1`` (L, K, B) each lane's
+    ``relay_rate_table`` of ``bs_gains`` under its scheme, from which both
+    pairings score and serve the relays.  ``pair_gains(relays, seconds)``
+    returns the (L, B) true inter-user gains of the selected pairs; it is
+    called once, after all blocks are assigned, and not at all when every
+    scheme is GBC.  All pairs are served with one r2 call per r2 segment.
 
     Near-far pairing takes ``ranks``, the ``near_far_ranks`` of
     ``bs_gains``.  Nearest pairing takes ``neighbor_order``, the (T, K,
@@ -289,6 +302,7 @@ def schedule_lanes(
     if per * len(schemes) != n_lanes:
         raise ValueError(f"{n_lanes} lanes do not split into {len(schemes)} scheme segments")
     segments = [(scheme, k * per, (k + 1) * per) for k, scheme in enumerate(schemes)]
+    r2_segments = second_rate_segments(segments)
     if n_users < 2 * n_blocks:
         raise ValueError(f"{n_users} users cannot fill {n_blocks} blocks with pairs")
     avg_rates = np.asarray(avg_rates, dtype=float)
@@ -296,6 +310,9 @@ def schedule_lanes(
             np.isfinite(avg_rates).all() and avg_rates.min() > 0.0):
         raise ValueError("the PF ledger avg_rates must hold one finite, positive "
                          f"rate per user, got {avg_rates}")
+    if relay_r1.shape != bs_gains.shape:
+        raise ValueError(f"relay_r1 must have the shape {bs_gains.shape} of bs_gains, "
+                         f"got {relay_r1.shape}")
     p1 = np.asarray(relay_power, dtype=float)[:, None]
 
     lanes = np.arange(n_lanes)
@@ -303,9 +320,9 @@ def schedule_lanes(
     relays = np.empty((n_lanes, n_blocks), dtype=int)
     seconds = np.empty((n_lanes, n_blocks), dtype=int)
     role_swaps = np.zeros(n_lanes, dtype=int)
+    relay_scores = relay_r1 / avg_rates[:, :, None]
     if pairing == "near-far":
-        strong_halves, relay_r1 = ranks
-        relay_scores = relay_r1 / avg_rates[:, :, None]
+        strong_halves = ranks
     else:
         cursor = _NeighborCursor(neighbor_order, trial_of)
     for b in range(n_blocks):
@@ -322,10 +339,11 @@ def schedule_lanes(
                     strong = np.where(resplit[:, None], again, strong)
                     weak = np.where(resplit[:, None], avail & ~again, weak)
             k1, k2 = _near_far_select(strong, weak, relay_scores[:, :, b], gains, avg_rates,
-                                      est_gain, trial_of, segments, params, split.alpha, p1)
+                                      est_gain, trial_of, r2_segments, params, split.alpha, p1)
         else:
-            k1, k2 = _nearest_select(avail, cursor, gains, avg_rates, est_gain, trial_of,
-                                     segments, params, split.alpha, p1, neighbor_of)
+            k1, k2 = _nearest_select(avail, cursor, relay_scores[:, :, b], gains, avg_rates,
+                                     est_gain, trial_of, r2_segments, params, split.alpha, p1,
+                                     neighbor_of)
         avail[lanes, k1] = False
         avail[lanes, k2] = False
         swap = gains[lanes, k1] * params.n2 < gains[lanes, k2] * params.n1
@@ -337,12 +355,14 @@ def schedule_lanes(
     g01, g02 = bs_gains[lane_col, relays, blocks], bs_gains[lane_col, seconds, blocks]
     g12 = pair_gains(relays, seconds) if any(s is not Scheme.GBC for s, _, _ in segments) \
         else np.zeros((n_lanes, n_blocks))
-    r1, r2, clamped = np.empty(g01.shape), np.empty(g01.shape), np.empty(g01.shape, dtype=bool)
-    for scheme, a, b in segments:
-        sr = serve_pair(scheme, g01[a:b], g02[a:b], g12[a:b], params, split, p1=p1[a:b])
-        r1[a:b], r2[a:b], clamped[a:b] = sr.r1, sr.r2, sr.r2_clamped
-        if cross_check:
-            _cross_check_pair(scheme, g01[a:b], g02[a:b], g12[a:b], params, split, sr.r1, sr.r2)
+    r1 = relay_r1[lane_col, relays, blocks]
+    r2, clamped = np.empty(g01.shape), np.empty(g01.shape, dtype=bool)
+    for scheme, a, b in r2_segments:
+        sr = serve_pair(scheme, g01[a:b], g02[a:b], g12[a:b], params, split, p1=p1[a:b],
+                        r1=r1[a:b])
+        r2[a:b], clamped[a:b] = sr.r2, sr.r2_clamped
+    for scheme, a, b in segments if cross_check else ():
+        _cross_check_pair(scheme, g01[a:b], g02[a:b], g12[a:b], params, split, r1[a:b], r2[a:b])
     served = np.zeros((n_lanes, n_users))
     served[lane_col, relays] = r1
     served[lane_col, seconds] = r2

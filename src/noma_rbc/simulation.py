@@ -13,16 +13,18 @@ fading, drawn per served pair per block.
 Lanes.  A lane is one (scheme, trial, relay-power point) of a pairing,
 scheme-major: lane (c * T + t) * S + s.  ``run_lanes`` advances all lanes
 of a task together, one interval at a time: ``schedule_lanes`` runs each
-selection stage and serving for all lanes, with one rate-kernel call per
-scheme segment, and the PF ledger is an (L, K) array.  Only the interval
+selection stage and serving for all lanes, with one r2 call per run of
+lanes that share an r2 formula (an adjacent RBC-CF / RBC-CF+DPC pair shares
+one), and the PF ledger is an (L, K) array.  Only the interval
 loop is sequential, because each PF update depends on the previous
 interval, and it does only the work that depends on the ledger.  What
 depends on a trial's draws alone is computed on the T trial rows, for all
 schemes at once: the inter-user gain estimates and the distance order of
 nearest pairing once per trial, which the scheduler reads through
 ``trial_of``, and per chunk of ``BS_CHUNK_INTERVALS`` intervals the BS
-gains with near-far's per-block strong halves and each scheme's relay
-rates r1, gathered to the lanes.  Lanes never interact, so a lane's
+gains, the relay rates r1 of each distinct r1 formula, from which both
+pairings score and serve their relays, and near-far's per-block strong
+halves, gathered to the lanes.  Lanes never interact, so a lane's
 result does not depend on which other lanes share its batch.
 
 Randomness uses the counter-based Philox generator.  Each trial's seed is
@@ -67,7 +69,7 @@ import numpy as np
 from .core import ChannelParams, PowerSplit, Scheme
 from .rates import relay_rate_formulas
 from .scheduling import (NEIGHBOR_MODES, PAIRINGS, distance_order, near_far_ranks, pf_update,
-                         schedule_lanes)
+                         relay_rate_table, schedule_lanes)
 
 SECTOR_HALF_ANGLE = math.pi / 3.0  # 120-degree sector, centred on the x axis
 AVG_RATE_INIT = 1e-3               # PF ledger start value; washed out within tens of intervals
@@ -298,10 +300,10 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
 
     What depends on a trial's draws only is computed on trial rows and
     shared by all its lanes: the topology, inter-user gain estimates and
-    distance order once, and the BS gains, strong halves and relay rates
-    per chunk of ``BS_CHUNK_INTERVALS`` intervals, the relay rates once per
-    distinct r1 formula of the schemes.  The interval loop does
-    the ledger-dependent work.  ``trial_seeds`` are ints or numpy
+    distance order once, and the BS gains, relay rates and near-far strong
+    halves per chunk of ``BS_CHUNK_INTERVALS`` intervals, the relay rates
+    once per distinct r1 formula of the schemes, for both pairings.  The
+    interval loop does the ledger-dependent work.  ``trial_seeds`` are ints or numpy
     SeedSequences.
     """
     schemes = (config.scheme,) if schemes is None else tuple(schemes)
@@ -370,13 +372,14 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
         n = min(step, config.intervals - first)
         chunk = np.stack([draw_bs_gains(r, config, rng_fading, 1 if static else n)
                           for r, (_, rng_fading, _) in zip(radii, streams)])  # (T, n or 1, K, B)
+        r1 = relay_rate_table(r1_schemes, chunk, params, config.alpha)
         if near_far:
-            strong, r1 = near_far_ranks(r1_schemes, chunk, params, config.alpha)
+            strong = near_far_ranks(chunk)
         for interval in range(first, first + n):
             i = interval - first
             if i < chunk.shape[1]:
-                gains = chunk[trial_of, i]
-                ranks = (strong[trial_of, i], r1[r1_row, i]) if near_far else None
+                gains, relay_r1 = chunk[trial_of, i], r1[r1_row, i]
+                ranks = strong[trial_of, i] if near_far else None
 
             def pair_gains(relays, seconds):
                 return path[lane_trial, relays, seconds] * fading[trial_of, interval]
@@ -395,6 +398,7 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
                 neighbor_order=order,
                 neighbor_of=neighbor_of,
                 relay_power=relay_power,
+                relay_r1=relay_r1,
                 cross_check=config.cross_check,
             )
             total += res.sum_rate

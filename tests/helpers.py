@@ -17,9 +17,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from noma_rbc.core import ChannelParams, LinkGains, PowerSplit, Scheme
-from noma_rbc.rates import rate_kernel, relay_rate
+from noma_rbc.rates import N_HAT_BRACKET, rate_kernel, relay_rate
 from noma_rbc.scheduling import (_near_far_select, _nearest_select, _NeighborCursor,
-                                 _strong_half, distance_order, near_far_ranks, schedule_lanes)
+                                 _strong_half, distance_order, near_far_ranks, relay_rate_table,
+                                 schedule_lanes)
 from noma_rbc.simulation import SimConfig, run_lanes
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -99,6 +100,27 @@ def grid_optimal_cf_r2(gains, params, split, grid=N_HAT_GRID):
     refined = f(0.5 * (a_ + b_))
     return max(float(vals[k]), refined)
 
+
+def two_candidate_optimum(cf):
+    """(n_hat, clamped r2, forwarding-minus-loss argument) of a
+    ``rates._CFBounds`` by the rule that allowed two crossings: the better
+    of two candidates scored on one stacked objective call, namely both
+    positive roots (the first on ties), or the one positive root twice, or
+    without one both ends of ``N_HAT_BRACKET`` (the low end on ties).  The
+    reference for the one-crossing rule of ``_CFBounds.optimum``."""
+    root0, root1 = cf.crossing_roots()
+    ok0 = np.isfinite(root0) & (root0 > 0.0)
+    ok1 = np.isfinite(root1) & (root1 > 0.0)
+    lo, hi = N_HAT_BRACKET
+    first = np.where(ok0, root0, np.where(ok1, root1, lo))
+    other = np.where(ok0 & ok1, root1, np.where(ok0 | ok1, first, hi))
+    at_one = cf.alpha == 1.0  # r2 is 0 for every n_hat; report n_hat = 1
+    if np.any(at_one):
+        first, other = np.where(at_one, 1.0, first), np.where(at_one, 1.0, other)
+    r2s, seconds = cf.objective(np.stack((first, other)))
+    take = r2s[1] > r2s[0]
+    return (np.where(take, other, first), np.where(take, r2s[1], r2s[0]),
+            np.where(take, seconds[1], seconds[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +213,11 @@ def nearest_neighbor_pair(ids, dist_matrix: np.ndarray, block_gains: np.ndarray,
         for i, j in neighbor_of.items():
             mapped[0, i] = j
     cursor = _NeighborCursor(distance_order(np.asarray(dist_matrix)[None]), np.arange(1))
+    gains, avg = gains[None], np.asarray(avg_rates, dtype=float)[None]
     k1, k2 = _nearest_select(
-        _lane_mask(len(gains), ids), cursor, gains[None],
-        np.asarray(avg_rates, dtype=float)[None], np.asarray(est_gain)[None],
+        _lane_mask(gains.shape[1], ids), cursor,
+        relay_rate(scheme, gains, params, split.alpha) / avg, gains, avg,
+        np.asarray(est_gain)[None],
         np.arange(1), [(scheme, 0, 1)], params, split.alpha, np.array([[params.p1]]), mapped,
     )
     return int(k1[0]), int(k2[0])
@@ -223,7 +247,7 @@ def schedule_interval(scheme: Scheme, pairing: str, bs_gains: np.ndarray,
     bs_gains = np.asarray(bs_gains, dtype=float)[None]
     ranks = order = static = None
     if pairing == "near-far":
-        ranks = near_far_ranks((scheme,), bs_gains, params, split.alpha)
+        ranks = near_far_ranks(bs_gains)
     elif pairing == "nearest":
         order = distance_order(np.asarray(dist_matrix)[None])
         if neighbors == "static":
@@ -235,7 +259,9 @@ def schedule_interval(scheme: Scheme, pairing: str, bs_gains: np.ndarray,
 
     res = schedule_lanes((scheme,), pairing, bs_gains, np.asarray(avg_rates, dtype=float)[None],
                          params, split, np.asarray(est_gain)[None], pair_gains,
-                         trial_of=np.arange(1), relay_power=np.array([params.p1]), ranks=ranks,
+                         trial_of=np.arange(1), relay_power=np.array([params.p1]),
+                         relay_r1=relay_rate_table((scheme,), bs_gains, params, split.alpha),
+                         ranks=ranks,
                          neighbor_order=order, neighbor_of=static, cross_check=cross_check)
     return IntervalResult(
         assignment=tuple(zip(res.relays[0].tolist(), res.seconds[0].tolist())),

@@ -186,7 +186,6 @@ def csv_writer_reference(curves, mark):
      0.7),
     (["--alpha-grid", "1,0,0.2,0.61", "--scheme", "rbc-cf,rbc-df"],
      (Scheme.RBC_CF, Scheme.RBC_DF), [0.0, 0.2, 0.61, 1.0], None),
-    (["--scheme", ","], (), [], None),  # no scheme: the header alone
 ])
 def test_region_csv_equals_a_csv_writer_reference(tmp_path, extra, schemes, alphas, fixed):
     out = tmp_path / "out"
@@ -215,6 +214,55 @@ def test_region_csv_formats_signed_zeros_by_their_bits():
           None if c.n_hat is None else c.n_hat.tolist()) for c in curves], 0.5)
     assert cli._region_csv(curves, alphas, 0.5) == reference
     assert "gbc,0.0,0.0,-0.0,,0" in reference and "rbc-cf,0.0,-0.0,0.0,0.0,0" in reference
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--scheme", ","], None),
+    (["--scheme", ""], None),
+    ([], "g01: 8\ng02: 1\np0_db: 10\nschemes: []\nalpha_grid: 3\n"),
+    ([], "g01: 8\ng02: 1\np0_db: 10\nschemes: ''\nalpha_grid: 3\n"),
+], ids=["flag-comma", "flag-empty", "config-list", "config-string"])
+def test_region_empty_scheme_list_exits_2(tmp_path, capsys, flags, text):
+    # as in simulate; a config without the key still runs all four schemes
+    argv = ["region", "--out", str(tmp_path / "out")] + flags
+    if text is None:
+        argv += ["--g01", "8", "--g02", "1", "--p0-db", "10"]
+    else:
+        cfg = tmp_path / "region.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert "schemes must list at least one value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+def test_config_loader_reads_the_same_values_with_or_without_libyaml(tmp_path, monkeypatch,
+                                                                     libyaml):
+    import yaml
+
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    loaders = []
+    real_load = yaml.load
+
+    def load(stream, Loader):
+        loaders.append(Loader)
+        return real_load(stream, Loader=Loader)
+    monkeypatch.setattr(yaml, "load", load)
+    text = ("base: &b {users: 8, tau: 1e-2}\nsim:\n  <<: *b\n  schemes: [gbc, rbc-df]\n"
+            "  seed: 0x10\n  fading: ~\n  edge: .inf\n  flag: yes\n")
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    assert cli._load_yaml(str(cfg)) == yaml.load(text, Loader=yaml.SafeLoader)
+    base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert issubclass(loaders[0], base) and (libyaml or base is yaml.SafeLoader)
+    cfg.write_text("users: 8\nsim:\n  seed: 1\n  seed: 2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="key 'seed' is given twice, on lines 3 and 4"):
+        cli._load_yaml(str(cfg))
+    cfg.write_text("schemes: [gbc, rbc-df\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^cannot parse config"):
+        cli._load_yaml(str(cfg))
 
 
 @pytest.mark.parametrize("command, text", [

@@ -1,8 +1,10 @@
 """Property tests of the array rate kernel over gains 1e-6..1e8 and powers
 1e-2..1e6: the compression-noise optimum against a dense grid and against a
-scalar transcription of its closed form, and the batched candidate scoring
-against the scalar reference loops."""
+scalar transcription of its closed form, the one crossing of the CF bounds
+that the optimum assumes, and the batched candidate scoring against the
+scalar reference loops."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noma_rbc.core import ChannelParams, PowerSplit, Scheme
-from noma_rbc.rates import N_HAT_BRACKET, rate_kernel
+from noma_rbc.rates import N_HAT_BRACKET, _CFBounds, rate_kernel
 
 from helpers import (near_far_pair, nearest_neighbor_pair, nearest_remaining, relay_rate_bits,
-                     second_rate_bits)
+                     rng_for, second_rate_bits, two_candidate_optimum)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 CF_SCHEMES = (Scheme.RBC_CF, Scheme.RBC_CF_DPC)
@@ -31,6 +33,7 @@ POWER = log_uniform(1e-2, 1e6)
 # the bounds never cross and the high bracket end wins
 RELAY_GAIN = st.one_of(st.just(0.0), GAIN)
 ALPHA = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+NOISE = log_uniform(0.1, 10.0)
 
 # no positive root: the cut-set bound binds everywhere (a strong relay link
 # and a relay user with some power of its own), or the forwarding-minus-loss
@@ -108,6 +111,72 @@ def test_cf_r2_matches_the_scalar_reference(g01, g02, g12, p0, p1, alpha):
     reference, _, _ = scalar_cf_reference(g01, g02, g12, p0, p1, alpha)
     _, r2, _, _ = cf_kernel(g01, g02, g12, p0, p1, alpha)
     assert r2 == pytest.approx(reference, abs=1e-12)
+
+
+def cf_bounds(g01, g02, g12, p0, p1, n1, n2, alpha):
+    """The CF bounds at relay power ``p1``, which may be an array, as in the
+    scheduler's lanes."""
+    return _CFBounds(g01, g02, g12, ChannelParams(p0=p0, p1=1.0, n1=n1, n2=n2), alpha, p1)
+
+
+def positive_roots(cf):
+    """How many of the crossing quadratic's roots are finite and positive,
+    per entry."""
+    roots = np.stack(np.broadcast_arrays(*cf.crossing_roots()))
+    return (np.isfinite(roots) & (roots > 0.0)).sum(axis=0)
+
+
+def same_bits(ours, reference):
+    """The optimum's (n_hat, r2, argument) equal the reference's bit for
+    bit, NaNs and signed zeros included."""
+    return all(np.array_equal(np.asarray(a, dtype=float).view(np.int64),
+                              np.asarray(b, dtype=float).view(np.int64))
+               for a, b in zip(ours, reference))
+
+
+@PROPERTY
+@given(GAIN, GAIN, RELAY_GAIN, POWER, POWER, NOISE, NOISE, ALPHA, st.booleans())
+@example(1e8, 1e-6, 1e8, 1e6, 1e6, 0.1, 10.0, 0.5, True)
+@example(1e8, 1e-6, 1e8, 1e6, 1e6, 0.1, 10.0, 0.5, False)
+@example(1e-6, 1e-6, 1e8, 1e-2, 1e6, 10.0, 0.1, 0.0, True)
+@example(1e8, 1e8, 1e-6, 1e6, 1e-2, 0.1, 0.1, 1.0, False)
+@example(1e-6, 1e8, 0.0, 1e6, 1e6, 10.0, 10.0, 5e-324, True)
+@example(*LOW_END_WINS[:5], 1.0, 1.0, LOW_END_WINS[5], True)
+@example(*HIGH_END_WINS[:5], 1.0, 1.0, HIGH_END_WINS[5], True)
+def test_the_cf_bounds_cross_at_most_once(g01, g02, g12, p0, p1, n1, n2, alpha, ordered):
+    # the degraded order g01/n1 >= g02/n2, or its reverse, which nearest
+    # pairing scores
+    if ordered != (g01 * n2 >= g02 * n1):
+        g01, g02 = g02, g01
+    cf = cf_bounds(g01, g02, g12, p0, p1, n1, n2, alpha)
+    assert positive_roots(cf) <= 1
+    assert same_bits(cf.optimum(), two_candidate_optimum(cf))
+
+
+def test_the_cf_bounds_cross_at_most_once_at_the_corners_of_the_ranges():
+    # every combination of extreme gains, powers and noises, at array alphas
+    # with both ends and at scalar alphas, which take the optimum's scalar path
+    gains = np.array([1e-6, 1e-3, 1.0, 1e4, 1e8])
+    alphas = np.array([0.0, 1e-9, 0.2, 0.5, 1.0 - 1e-9, 1.0])
+    g01, g02, g12, alpha = (x.ravel() for x in np.meshgrid(gains, gains, np.append(gains, 0.0),
+                                                           alphas, indexing="ij"))
+    for p0, p1, n1, n2 in itertools.product((1e-2, 1e6), (1e-2, 1e6), (0.1, 10.0), (0.1, 10.0)):
+        for a in (alpha, 0.0, 0.5, 1.0):
+            cf = cf_bounds(g01, g02, g12, p0, p1, n1, n2, a)
+            assert positive_roots(cf).max() <= 1
+            assert same_bits(cf.optimum(), two_candidate_optimum(cf))
+
+
+def test_the_cf_bounds_cross_at_most_once_on_random_batches():
+    rng = rng_for(2024)
+    for _ in range(10):
+        p0, n1, n2 = 10.0 ** rng.uniform(-2.0, 6.0), *(10.0 ** rng.uniform(-1.0, 1.0, size=2))
+        g01, g02, g12 = 10.0 ** rng.uniform(-6.0, 8.0, size=(3, 20_000))
+        p1 = 10.0 ** rng.uniform(-2.0, 6.0, size=20_000)
+        alpha = np.concatenate([[0.0, 1.0], rng.uniform(size=19_998)])
+        cf = cf_bounds(g01, g02, g12, p0, p1, n1, n2, alpha)
+        assert positive_roots(cf).max() <= 1
+        assert same_bits(cf.optimum(), two_candidate_optimum(cf))
 
 
 @st.composite

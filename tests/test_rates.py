@@ -16,6 +16,8 @@ from noma_rbc.rates import (
     rbc_df_rates,
     relay_rate,
     relay_rate_formulas,
+    second_rate,
+    second_rate_segments,
     serve_pair,
     sweep_region,
     uniform_alpha_grid,
@@ -341,3 +343,74 @@ def test_relay_rate_formulas_group_the_schemes_that_share_r1(schemes):
         assert not np.array_equal(relay_rate(a, g01, PARAMS, alpha),
                                   relay_rate(b, g01, PARAMS, alpha))
     assert relay_rate_formulas(tuple(Scheme)) == ((Scheme.GBC, Scheme.RBC_CF), [0, 0, 1, 0])
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
+                          np.asarray(b, dtype=float).view(np.int64))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_second_rate_is_the_r2_part_of_the_kernel(scheme):
+    # unordered pairs and a per-entry relay power, as the scheduler passes them
+    rng = rng_for(17)
+    g01, g02, g12 = 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 200))
+    p1 = 10.0 ** rng.uniform(-2.0, 2.0, size=200)
+    for alpha, n_hat in ((0.2, None), (np.linspace(0.0, 1.0, 200), None), (0.7, 0.3)):
+        r1, r2, kernel_n_hat, clamped = rate_kernel(scheme, g01, g02, g12, PARAMS, alpha, n_hat,
+                                                    p1)
+        r2_only, second_n_hat, second_clamped = second_rate(scheme, g01, g02, g12, PARAMS, alpha,
+                                                            n_hat, p1)
+        assert _same_bits(r1, relay_rate(scheme, g01, PARAMS, alpha))
+        assert _same_bits(r2_only, r2)
+        assert np.array_equal(second_clamped, clamped)
+        assert (second_n_hat is None) == (kernel_n_hat is None) == (not scheme.uses_compression)
+        if scheme.uses_compression:
+            assert _same_bits(second_n_hat, kernel_n_hat)
+
+
+def test_served_r1_when_given_is_served_as_it_is():
+    rng = rng_for(19)
+    g01, g02, g12 = 10.0 ** rng.uniform(-2.0, 2.0, size=(3, 20))
+    for scheme in Scheme:
+        own = serve_pair(scheme, g01, g02, g12, PARAMS, SPLIT)
+        table = relay_rate(scheme, g01, PARAMS, SPLIT.alpha)
+        given = serve_pair(scheme, g01, g02, g12, PARAMS, SPLIT, r1=table)
+        assert given.r1 is table and _same_bits(own.r1, table)
+        assert _same_bits(given.r2, own.r2)
+        assert np.array_equal(given.r2_clamped, own.r2_clamped)
+
+
+GBC, DF, CF, DPC = Scheme.GBC, Scheme.RBC_DF, Scheme.RBC_CF, Scheme.RBC_CF_DPC
+
+
+@pytest.mark.parametrize("schemes, merged", [
+    ((GBC, DF, CF, DPC), [(GBC, 0, 2), (DF, 2, 4), (CF, 4, 8)]),
+    ((DPC, CF), [(DPC, 0, 4)]),
+    ((CF, GBC, DPC, DF), [(CF, 0, 2), (GBC, 2, 4), (DPC, 4, 6), (DF, 6, 8)]),
+    ((GBC, GBC, DF), [(GBC, 0, 4), (DF, 4, 6)]),
+    ((CF,), [(CF, 0, 2)]),
+])
+def test_second_rate_segments_merge_adjacent_runs_that_share_r2(schemes, merged):
+    segments = [(s, 2 * k, 2 * k + 2) for k, s in enumerate(schemes)]
+    assert second_rate_segments(segments) == merged
+
+
+@pytest.mark.parametrize("schemes", list(itertools.permutations(Scheme)))
+def test_second_rate_segments_merge_exactly_the_schemes_whose_r2_is_bit_identical(schemes):
+    rng = rng_for(23)
+    g01, g02, g12 = 10.0 ** rng.uniform(-2.0, 2.0, size=(3, 40))
+
+    def r2(scheme):
+        return second_rate(scheme, g01, g02, g12, PARAMS, 0.3)[0]
+
+    segments = [(s, k, k + 1) for k, s in enumerate(schemes)]
+    merged = second_rate_segments(segments)
+    # the merged segments tile the axis in order
+    assert [a for _, a, _ in merged] == [0] + [b for _, _, b in merged[:-1]]
+    assert merged[-1][2] == len(schemes)
+    for name, a, b in merged:
+        assert all(_same_bits(r2(s), r2(name)) for s, _, _ in segments[a:b])
+    for (x, _, _), (y, _, _) in zip(merged, merged[1:]):
+        assert not _same_bits(r2(x), r2(y))
+

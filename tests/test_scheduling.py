@@ -10,6 +10,7 @@ from noma_rbc.scheduling import (
     distance_order,
     near_far_ranks,
     pf_update,
+    relay_rate_table,
     schedule_lanes,
 )
 
@@ -488,7 +489,8 @@ def test_lanes_do_not_interact(scheme, pairing, neighbors):
     lanes = np.arange(5)[:, None]
     res = schedule_lanes((scheme,), pairing, gains, avg, PARAMS, SPLIT, est,
                          pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
-                         trial_of=np.arange(5), ranks=near_far_ranks((scheme,), gains, PARAMS, SPLIT.alpha),
+                         trial_of=np.arange(5), ranks=near_far_ranks(gains),
+                         relay_r1=relay_rate_table((scheme,), gains, PARAMS, SPLIT.alpha),
                          neighbor_order=distance_order(dist),
                          neighbor_of=static, relay_power=relay_power, cross_check=True)
     for lane in range(5):
@@ -509,5 +511,6 @@ def test_a_lane_without_a_finite_score_is_named():
         with pytest.raises(ValueError, match="finite PF score in lane 1"):
             schedule_lanes((Scheme.GBC,), "near-far", gains, avg, PARAMS, PowerSplit(1.0), est,
                            pair_gains=None, trial_of=np.arange(2),
-                           ranks=near_far_ranks((Scheme.GBC,), gains, PARAMS, 1.0),
+                           ranks=near_far_ranks(gains),
+                           relay_r1=relay_rate_table((Scheme.GBC,), gains, PARAMS, 1.0),
                            relay_power=np.array([1.0, np.nan]))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noma_rbc import scheduling, simulation
+from noma_rbc import rates, scheduling, simulation
 from noma_rbc.core import ChannelParams, PowerSplit, Scheme
 from noma_rbc.rates import serve_pair
 from noma_rbc.simulation import (
@@ -426,20 +426,44 @@ def test_scheme_batched_lanes_equal_one_scheme_runs(schemes, pairing, fading, ne
         assert np.array_equal(together.assignments[:, lanes], alone.assignments)
 
 
-def test_near_far_relay_rates_are_evaluated_once_per_r1_formula(monkeypatch):
-    # GBC, RBC-DF and RBC-CF+DPC share one r1: two evaluations per chunk
+@pytest.mark.parametrize("pairing", ["near-far", "nearest"])
+def test_relay_rates_are_evaluated_once_per_r1_formula(monkeypatch, pairing):
+    # GBC, RBC-DF and RBC-CF+DPC share one r1: two evaluations per chunk,
+    # and none in selection or serving, which read the per-chunk table
     calls = []
-    real = scheduling.relay_rate
-
-    def counting(scheme, *args):
-        calls.append(scheme)
-        return real(scheme, *args)
-    monkeypatch.setattr(scheduling, "relay_rate", counting)
+    for module in (scheduling, rates):
+        def counting(scheme, *args, real=module.relay_rate):
+            calls.append(scheme)
+            return real(scheme, *args)
+        monkeypatch.setattr(module, "relay_rate", counting)
     monkeypatch.setattr(simulation, "BS_CHUNK_INTERVALS", 4)
-    cfg = replace(SMALL, intervals=10)
+    cfg = replace(SMALL, intervals=10, pairing=pairing)
     run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(2), [-10.0, 0.0],
               schemes=(Scheme.RBC_CF_DPC, Scheme.RBC_CF, Scheme.GBC, Scheme.RBC_DF))
     assert calls == [Scheme.RBC_CF_DPC, Scheme.RBC_CF] * 3
+
+
+@pytest.mark.parametrize("pairing", ["near-far", "nearest"])
+@pytest.mark.parametrize("schemes, builds", [
+    (tuple(Scheme), 1),
+    ((Scheme.RBC_CF_DPC, Scheme.RBC_CF), 1),
+    ((Scheme.RBC_CF, Scheme.GBC, Scheme.RBC_CF_DPC, Scheme.RBC_DF), 2),
+    ((Scheme.GBC, Scheme.RBC_DF), 0),
+], ids=["adjacent", "adjacent-pair", "apart", "no-cf"])
+def test_the_cf_bounds_are_built_once_per_stage_for_adjacent_cf_schemes(monkeypatch, pairing,
+                                                                         schemes, builds):
+    # one selection stage per block and one serving stage per interval; RBC-CF
+    # and RBC-CF+DPC share r2, so adjacent ones share the stage's CF call
+    count = collections.Counter()
+
+    class Counting(rates._CFBounds):
+        def __init__(self, *args):
+            count["built"] += 1
+            super().__init__(*args)
+    monkeypatch.setattr(rates, "_CFBounds", Counting)
+    cfg = replace(SMALL, intervals=6, pairing=pairing)
+    run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(2), [-10.0, 0.0], schemes=schemes)
+    assert count["built"] == cfg.intervals * (cfg.blocks + 1) * builds
 
 
 @pytest.mark.parametrize("field, value", [
