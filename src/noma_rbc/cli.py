@@ -29,7 +29,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -65,12 +65,9 @@ _REGION_KEYS = {
     "alpha_grid", "alpha", "schemes", "n_hat",
 }
 _SIM_REQUIRED_KEYS = ("users", "blocks", "intervals", "trials", "seed")
-_SIM_KEYS = {
-    "users", "blocks", "edge_radius_m", "inner_radius_m", "path_loss_exp",
-    "edge_snr_db", "p1_over_p0_db", "tau", "alpha", "scheme", "schemes",
-    "pairing", "pairings", "intervals", "trials", "seed", "fading",
-    "neighbors", "noise_power", "cross_check",
-}
+# singular spellings of SimConfig's list fields, accepted by the loader only
+_SIM_ALIASES = {"scheme": "schemes", "pairing": "pairings"}
+_SIM_KEYS = {f.name for f in fields(SimConfig)} | set(_SIM_ALIASES)
 
 
 def _err(msg: str) -> None:
@@ -128,12 +125,30 @@ def _check_distinct(key: str, values) -> None:
             raise ValueError(f"{key} lists {value!r} more than once")
 
 
+def _listed(value) -> tuple:
+    """A config list as a tuple; any other value is a list of one."""
+    return tuple(value) if isinstance(value, (list, tuple)) else (value,)
+
+
+def _scheme_entries(value) -> tuple:
+    """A config or flag scheme list as a tuple: a string is split at its
+    commas, and each label that names a scheme becomes that ``Scheme``.
+    Any other entry is kept as it is, for ``SimConfig.validate`` to name."""
+    if isinstance(value, str):
+        value = [t for t in value.split(",") if t.strip()]
+
+    def entry(label):
+        try:
+            return Scheme.from_label(label)
+        except ValueError:
+            return label
+    return tuple(map(entry, _listed(value)))
+
+
 def _parse_schemes(text) -> list[Scheme]:
-    if isinstance(text, str):
-        labels = [t for t in text.split(",") if t.strip()]
-    else:
-        labels = list(text)
-    schemes = [Scheme.from_label(str(t)) for t in labels]
+    """``region``'s scheme list, in which an unknown label, an empty list or
+    a repeat raises at once."""
+    schemes = [s if isinstance(s, Scheme) else Scheme.from_label(s) for s in _scheme_entries(text)]
     if not schemes:
         raise ValueError("schemes must list at least one value")
     _check_distinct("schemes", [s.label for s in schemes])
@@ -292,8 +307,7 @@ def cmd_region(args) -> int:
              "swap the two user roles and rerun")
         return EXIT_CONFIG_ERROR
     try:
-        curves = [sweep_region(scheme, gains, params, grid, optimize=fixed is None, n_hat=fixed)
-                  for scheme in schemes]
+        curves = [sweep_region(scheme, gains, params, grid, n_hat=fixed) for scheme in schemes]
     except ValueError as exc:
         _err(f"{exc}: the rates overflow at these gains and powers "
              "(g01, g02, g12, p0_db, p1_db, n1, n2)")
@@ -331,77 +345,44 @@ def cmd_simulate(args) -> int:
     # unparsable values and constraint violations
     errors = [f"unknown config key {k!r}" for k in sorted(set(file_cfg) - _SIM_KEYS)]
     overridden = {"seed": args.seed, "intervals": args.intervals, "trials": args.trials,
-                  "alpha": args.alpha}
+                  "alpha": args.alpha, "schemes": args.scheme, "pairings": args.pairing}
     for key in _SIM_REQUIRED_KEYS:
         if file_cfg.get(key) is None and overridden.get(key) is None:
             errors.append(f"missing required key {key!r}")
     if args.parallel < 1:
         errors.append(f"parallel must be >= 1, got {args.parallel}")
-    for one, many in (("scheme", "schemes"), ("pairing", "pairings")):
+    for one, many in _SIM_ALIASES.items():
         if one in file_cfg and many in file_cfg:
             errors.append(f"config gives both {one!r} and {many!r}; give one of them")
 
-    schemes = pairings = sweep = None
-    base = None
-    try:
-        scheme_spec = (args.scheme if args.scheme is not None
-                       else file_cfg.get("schemes", file_cfg.get("scheme", "gbc")))
-        schemes = _parse_schemes(scheme_spec)
-        pairing_spec = (args.pairing if args.pairing is not None
-                        else file_cfg.get("pairings", file_cfg.get("pairing", "near-far")))
-        pairings = [pairing_spec] if isinstance(pairing_spec, str) else list(pairing_spec)
-        raw_sweep = file_cfg.get("p1_over_p0_db", 0.0)
-        sweep = raw_sweep if isinstance(raw_sweep, (list, tuple)) else [raw_sweep]
-        for key, values in (("schemes", schemes), ("pairings", pairings),
-                            ("p1_over_p0_db", sweep)):
-            if not values:
-                raise ValueError(f"{key} must list at least one value")
-            _check_distinct(key, values)
-        fields = {
-            k: file_cfg[k] for k in file_cfg
-            if k in _SIM_KEYS - {"scheme", "schemes", "pairing", "pairings", "p1_over_p0_db"}
-        }
-        base = SimConfig(**fields)
-        for key, value in overridden.items():
-            if value is not None:
-                base = replace(base, **{key: value})
-        base = replace(base, scheme=schemes[0], pairing=pairings[0], p1_over_p0_db=sweep[0])
-        # every sweep point and pairing must make a valid config; each
-        # message once
-        point_errors = list(dict.fromkeys(
-            e for db in sweep for pairing in pairings
-            for e in replace(base, p1_over_p0_db=db, pairing=pairing).validate()))
-        errors.extend(point_errors)
-        if not point_errors:
-            sweep = [float(db) for db in sweep]
-    except (TypeError, ValueError) as exc:
-        errors.append(str(exc))
+    values = {_SIM_ALIASES.get(k, k): v for k, v in file_cfg.items() if k in _SIM_KEYS}
+    values.update((k, v) for k, v in overridden.items() if v is not None)
+    for key, normalise in (("schemes", _scheme_entries), ("pairings", _listed),
+                           ("p1_over_p0_db", _listed)):
+        if key in values:
+            values[key] = normalise(values[key])
+    config = SimConfig(**values)
+    errors += config.validate()
     if errors:
         for e in errors:
             _err(e)
         return EXIT_CONFIG_ERROR
+    # the manifest records the points as the CSV writes them
+    config = replace(config, p1_over_p0_db=tuple(map(float, config.p1_over_p0_db)))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_experiment(
-        base, p1_sweep_db=sweep, schemes=schemes, pairings=pairings,
-        parallel=args.parallel, progress=_info,
-    )
+    results = run_experiment(config, args.parallel, progress=_info)
     csv_path = out_dir / "sum_rate.csv"
     write_results_csv(results, csv_path)
-    snapshot = {f: getattr(base, f) for f in base.__dataclass_fields__}
-    snapshot.update({
-        "schemes": [s.label for s in schemes],
-        "pairings": pairings,
-        "p1_over_p0_db": sweep,
-    })
-    tasks = len(plan_tasks(base, sweep, schemes, pairings, args.parallel))
+    snapshot = {f.name: getattr(config, f.name) for f in fields(config)}
+    tasks = len(plan_tasks(config, args.parallel))
     counters = [
         {"scheme": r.scheme, "pairing": r.pairing, "p1_over_p0_db": r.p1_over_p0_db,
          "role_swaps": r.role_swaps, "r2_clamps": r.r2_clamps}
         for r in results
     ]
-    _write_manifest(out_dir, "sum_rate", "simulate", snapshot, base.seed, [csv_path], started,
+    _write_manifest(out_dir, "sum_rate", "simulate", snapshot, config.seed, [csv_path], started,
                     extra={"parallel": {"requested": args.parallel,
                                         "effective": effective_parallel(args.parallel, tasks),
                                         "tasks": tasks},

@@ -352,24 +352,19 @@ def sweep_region(
     gains: LinkGains,
     params: ChannelParams,
     alpha_grid: Sequence[float],
-    optimize: bool = True,
     n_hat: Optional[CompressionNoise] = None,
 ) -> RateRegionCurve:
     """Rate pair per grid alpha, from one kernel call over the grid.
 
-    For CF schemes the compression noise is optimised per point when
-    ``optimize`` is true, otherwise the supplied fixed ``n_hat`` is used.
-    Rates must come out finite and non-negative, the compression noise
-    finite and positive; a ``ValueError`` names the first that is not.
+    For CF schemes the compression noise is the fixed ``n_hat`` when one is
+    given, and is optimised per point otherwise.  Rates must come out
+    finite and non-negative, the compression noise finite and positive; a
+    ``ValueError`` names the first that is not.
     """
     grid = check_alpha_grid(alpha_grid)
-    fixed = None
     if not scheme.uses_compression:
         _require_ordered(gains, params)
-    elif not optimize:
-        if n_hat is None:
-            raise ValueError("fixed n_hat required when optimize=False")
-        fixed = n_hat.n_hat
+    fixed = None if n_hat is None else n_hat.n_hat
 
     # overflow shows as a non-finite rate, which the checks below name
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -46,12 +46,14 @@ Any two runs with the same master seed therefore see identical topologies
 and fading regardless of scheme, pairing, relay power, chunking or
 parallel degree (common random numbers).
 
-Process pool.  ``run_experiment`` deals the schemes round-robin into
+Experiment spec.  A ``SimConfig`` holds the lists an experiment runs over,
+its schemes, pairings and relay-power points, and ``validate`` checks each
+list once.  ``plan_tasks`` deals the schemes round-robin into
 ``min(parallel, schemes)`` groups and cuts the trials into as few
-contiguous chunks as keep the workers busy; a task is one (pairing, scheme
-group, trial chunk) with all relay-power points of its trials.  All tasks
-of one call share one pool of ``min(parallel, CPUs, tasks)`` workers; with
-one worker they run in this process.
+contiguous chunks as keep the workers busy; a task is the config narrowed
+to one scheme group and one pairing, with one trial chunk at all
+relay-power points.  ``run_experiment`` runs all tasks in one pool of
+``min(parallel, CPUs, tasks)`` workers; with one worker, in this process.
 """
 
 from __future__ import annotations
@@ -75,12 +77,20 @@ SECTOR_HALF_ANGLE = math.pi / 3.0  # 120-degree sector, centred on the x axis
 AVG_RATE_INIT = 1e-3               # PF ledger start value; washed out within tens of intervals
 
 FADING_MODES = ("iid", "static")
+# Closed ranges of the float fields.  The placement squares the radii, and
+# the BS and relay powers scale with the noise power.  Measured path-loss
+# exponents lie between about 2 and 6; up to 10, every inter-user gain
+# (d / De)^-gamma stays finite down to d / De = 1e-30.
+RANGES = {"inner_radius_m": (1e-100, 1e100), "edge_radius_m": (1e-100, 1e100),
+          "path_loss_exp": (0.0, 10.0), "noise_power": (1e-100, 1e100), "alpha": (0.0, 1.0)}
+MINIMUMS = {"users": 2, "blocks": 1, "intervals": 1, "trials": 1, "seed": 0}  # the int fields
 BS_CHUNK_INTERVALS = 32            # intervals of i.i.d. BS fading drawn per trial at once
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full description of one experiment."""
+    """Full description of one experiment: the cell, the schedule and the
+    lists it runs over, every scheme under every pairing at every point."""
 
     users: int = 40
     blocks: int = 4
@@ -88,11 +98,11 @@ class SimConfig:
     inner_radius_m: float = 50.0
     path_loss_exp: float = 3.0
     edge_snr_db: float = 10.0
-    p1_over_p0_db: float = 0.0
+    p1_over_p0_db: tuple = (0.0,)  # relay-power points, dB over the BS power
     tau: float = 0.01
     alpha: float = 0.2
-    scheme: Scheme = Scheme.GBC
-    pairing: str = "near-far"
+    schemes: tuple = (Scheme.GBC,)
+    pairings: tuple = ("near-far",)
     intervals: int = 1000
     trials: int = 50
     seed: int = 0
@@ -107,19 +117,21 @@ class SimConfig:
         return self.noise_power * 10.0 ** (self.edge_snr_db / 10.0)
 
     @property
-    def p1(self) -> float:
-        return self.p0 * 10.0 ** (self.p1_over_p0_db / 10.0)
+    def relay_powers(self) -> tuple:
+        """The relay power of each point of ``p1_over_p0_db``."""
+        return tuple(self.p0 * 10.0 ** (db / 10.0) for db in self.p1_over_p0_db)
 
     def validate(self) -> list[str]:
         """All violated constraints, empty when the config is usable.  A
         field of the wrong type is reported once and skips its range
-        checks."""
-        bad = {name for name in _INT_FIELDS if not _is_int(getattr(self, name))}
+        checks; each list field is checked once, for its type, emptiness,
+        repeats and every entry."""
+        bad = {name for name in MINIMUMS if not _is_int(getattr(self, name))}
         errors = [f"{name} must be an integer, got {getattr(self, name)!r}"
-                  for name in _INT_FIELDS if name in bad]
+                  for name in MINIMUMS if name in bad]
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value)):
+            if not _is_finite(value):
                 bad.add(name)
                 errors.append(f"{name} must be a finite number, got {value!r}")
 
@@ -131,56 +143,74 @@ class SimConfig:
                 return False
             return True
 
-        check("users", lambda: self.users >= 2, f"users must be >= 2, got {self.users}")
-        check("blocks", lambda: self.blocks >= 1, f"blocks must be >= 1, got {self.blocks}")
+        def entries(name) -> tuple:
+            """The entries of list field ``name``, after recording a value
+            that is not a list, an empty list or a repeated entry."""
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                errors.append(f"{name} must be a list, got {values!r}")
+                return ()
+            repeats = [v.label if isinstance(v, Scheme) else v
+                       for k, v in enumerate(values) if v in values[:k]]
+            if not values or repeats:
+                errors.append(f"{name} lists {repeats[0]!r} more than once" if repeats
+                              else f"{name} must list at least one value")
+            return tuple(values)
+
+        for name, lo in MINIMUMS.items():
+            value = getattr(self, name)
+            check(name, lambda: value >= lo, f"{name} must be >= {lo}, got {value}")
         check("users blocks", lambda: self.users >= 2 * self.blocks,
               f"users ({self.users}) must be >= 2 * blocks ({self.blocks})")
-        check("inner_radius_m", lambda: self.inner_radius_m > 0.0,
-              f"inner_radius_m must be positive, got {self.inner_radius_m}")
+        for name, (lo, hi) in RANGES.items():
+            value = getattr(self, name)
+            if not check(name, lambda: lo <= value <= hi,
+                         f"{name} must lie in [{lo:g}, {hi:g}], got {value}"):
+                bad.add(name)
         check("edge_radius_m inner_radius_m", lambda: self.edge_radius_m > self.inner_radius_m,
               f"edge_radius_m ({self.edge_radius_m}) must exceed "
               f"inner_radius_m ({self.inner_radius_m})")
-        check("path_loss_exp", lambda: self.path_loss_exp >= 0.0,
-              f"path_loss_exp must be non-negative, got {self.path_loss_exp}")
         check("tau", lambda: 0.0 < self.tau < 1.0, f"tau must lie in (0, 1), got {self.tau}")
-        check("alpha", lambda: 0.0 <= self.alpha <= 1.0,
-              f"alpha must lie in [0, 1], got {self.alpha}")
-        check("intervals", lambda: self.intervals >= 1,
-              f"intervals must be >= 1, got {self.intervals}")
-        check("trials", lambda: self.trials >= 1, f"trials must be >= 1, got {self.trials}")
-        check("seed", lambda: self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        check("noise_power", lambda: self.noise_power > 0.0,
-              f"noise_power must be positive, got {self.noise_power}")
         if not check("edge_snr_db noise_power", lambda: _power_ok(lambda: self.p0, positive=True),
                      f"edge_snr_db ({self.edge_snr_db}) gives a BS power that is not "
                      "finite and positive"):
             bad.add("edge_snr_db")  # the relay power scales the BS power
-        check("edge_snr_db noise_power p1_over_p0_db", lambda: _power_ok(lambda: self.p1),
-              f"p1_over_p0_db ({self.p1_over_p0_db}) gives a relay power that is not finite")
-        if not isinstance(self.scheme, Scheme):
-            errors.append(f"scheme must be a Scheme, got {self.scheme!r}")
-        if self.pairing not in PAIRINGS:
-            errors.append(f"pairing must be one of {PAIRINGS}, got {self.pairing!r}")
-        if self.fading not in FADING_MODES:
-            errors.append(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
-        if self.neighbors not in NEIGHBOR_MODES:
-            errors.append(f"neighbors must be one of {NEIGHBOR_MODES}, got {self.neighbors!r}")
+        for db in entries("p1_over_p0_db"):
+            if not _is_finite(db):
+                errors.append(f"p1_over_p0_db lists {db!r}, which is not a finite number")
+                continue
+            check("edge_snr_db noise_power",
+                  lambda: _power_ok(lambda: self.p0 * 10.0 ** (db / 10.0)),
+                  f"p1_over_p0_db ({db}) gives a relay power that is not finite")
+        labels = tuple(s.label for s in Scheme)
+        errors += [f"schemes lists {s!r}, which is not one of {labels}"
+                   for s in entries("schemes") if not isinstance(s, Scheme)]
+        errors += [f"pairings lists {p!r}, which is not one of {PAIRINGS}"
+                   for p in entries("pairings") if p not in PAIRINGS]
+        for name, modes in (("fading", FADING_MODES), ("neighbors", NEIGHBOR_MODES)):
+            if getattr(self, name) not in modes:
+                errors.append(f"{name} must be one of {modes}, got {getattr(self, name)!r}")
         if not isinstance(self.cross_check, bool):
             errors.append(f"cross_check must be true or false, got {self.cross_check!r}")
         return errors
 
 
-_INT_FIELDS = ("users", "blocks", "intervals", "trials", "seed")
 _FLOAT_FIELDS = ("edge_radius_m", "inner_radius_m", "path_loss_exp", "edge_snr_db",
-                 "p1_over_p0_db", "tau", "alpha", "noise_power")
+                 "tau", "alpha", "noise_power")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    """A finite int or float, not a bool; an int too large for a float is
+    not finite."""
+    try:
+        return (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def _power_ok(power: Callable[[], float], positive: bool = False) -> bool:
@@ -189,6 +219,13 @@ def _power_ok(power: Callable[[], float], positive: bool = False) -> bool:
     except OverflowError:
         return False
     return math.isfinite(value) and (value > 0.0 or not positive)
+
+
+def _check(config: SimConfig) -> None:
+    """Raise listing every violated constraint of ``config``."""
+    errors = config.validate()
+    if errors:
+        raise ValueError("invalid config: " + "; ".join(errors))
 
 
 def generate_topology(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -291,44 +328,39 @@ class LaneResult:
     assignments: Optional[np.ndarray] = None  # (intervals, L, B, 2) when recorded
 
 
-def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[float],
-              keep_assignments: bool = False,
-              schemes: Optional[Sequence[Scheme]] = None) -> LaneResult:
-    """Every (scheme, trial, relay-power point) lane of one pairing,
-    advanced together one interval at a time; ``schemes`` defaults to the
-    config's scheme.
+def run_lanes(config: SimConfig, trial_seeds: Sequence,
+              keep_assignments: bool = False) -> LaneResult:
+    """Every (scheme, trial, relay-power point) lane of the config's one
+    pairing, advanced together one interval at a time.
 
     What depends on a trial's draws only is computed on trial rows and
     shared by all its lanes: the topology, inter-user gain estimates and
     distance order once, and the BS gains, relay rates and near-far strong
     halves per chunk of ``BS_CHUNK_INTERVALS`` intervals, the relay rates
     once per distinct r1 formula of the schemes, for both pairings.  The
-    interval loop does the ledger-dependent work.  ``trial_seeds`` are ints or numpy
-    SeedSequences.
+    interval loop does the ledger-dependent work.  ``trial_seeds`` are ints
+    or numpy SeedSequences.
     """
-    schemes = (config.scheme,) if schemes is None else tuple(schemes)
-    for name, values in (("trial_seeds", trial_seeds), ("p1_sweep_db", p1_sweep_db),
-                         ("schemes", schemes)):
-        if not len(values):
-            raise ValueError(f"{name} must not be empty")
-    errors = [e for scheme in schemes for db in p1_sweep_db
-              for e in replace(config, scheme=scheme, p1_over_p0_db=db).validate()]
-    if errors:
-        raise ValueError("invalid config: " + "; ".join(dict.fromkeys(errors)))
-    sweep = [float(db) for db in p1_sweep_db]
-    n_points, n_trials = len(sweep), len(trial_seeds)
+    if not len(trial_seeds):
+        raise ValueError("trial_seeds must not be empty")
+    _check(config)
+    if len(config.pairings) != 1:
+        raise ValueError(f"run_lanes runs one pairing, got {config.pairings!r}")
+    schemes, n_points, n_trials = config.schemes, len(config.p1_over_p0_db), len(trial_seeds)
     row_of = np.repeat(np.arange(len(schemes) * n_trials), n_points)  # scheme-trial row c*T + t
     trial_of = row_of % n_trials
     # schemes that share an r1 formula share its rows of relay rates
     r1_schemes, formula_of = relay_rate_formulas(schemes)
     r1_row = np.asarray(formula_of)[row_of // n_trials] * n_trials + trial_of
-    relay_power = np.tile([replace(config, p1_over_p0_db=db).p1 for db in sweep],
-                          len(schemes) * n_trials)
-    params = ChannelParams(p0=config.p0, p1=float(relay_power[0]),
-                           n1=config.noise_power, n2=config.noise_power)
+    # the rates depend on the powers over the noise power only, so the lanes
+    # run in units of it, the units of the CF n_hat bracket
+    unit = replace(config, noise_power=1.0)
+    relay_power = np.tile(unit.relay_powers, len(schemes) * n_trials)
+    params = ChannelParams(p0=unit.p0, p1=float(relay_power[0]), n1=1.0, n2=1.0)
     split = PowerSplit(config.alpha)
     has_relay_link = any(scheme is not Scheme.GBC for scheme in schemes)
-    near_far = config.pairing == "near-far"
+    pairing = config.pairings[0]
+    near_far = pairing == "near-far"
 
     streams = [_trial_streams(s) for s in trial_seeds]
     radii, dist, est_gain, path, fading = [], [], [], [], []
@@ -386,7 +418,7 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence, p1_sweep_db: Sequence[fl
 
             res = schedule_lanes(
                 schemes=schemes,
-                pairing=config.pairing,
+                pairing=pairing,
                 bs_gains=gains,
                 avg_rates=avg,
                 params=params,
@@ -440,39 +472,34 @@ CSV_COLUMNS = ("scheme", "pairing", "p1_over_p0_db", "mean_sum_rate",
 @dataclass(frozen=True)
 class LaneTask:
     """One unit of pool work: trials ``first`` .. ``first + len(seeds) - 1``
-    of one pairing under ``schemes``, at every relay-power point."""
+    of ``config``, which holds the task's schemes and its one pairing, at
+    every relay-power point."""
 
     config: SimConfig
-    schemes: tuple
     first: int
     seeds: tuple
-    sweep: tuple
 
 
 def _run_task(task: LaneTask) -> LaneResult:
-    return run_lanes(task.config, task.seeds, task.sweep, schemes=task.schemes)
+    return run_lanes(task.config, task.seeds)
 
 
-def plan_tasks(config: SimConfig, p1_sweep_db: Sequence[float], schemes: Sequence[Scheme],
-               pairings: Sequence[str], parallel: int) -> list[LaneTask]:
+def plan_tasks(config: SimConfig, parallel: int) -> list[LaneTask]:
     """The experiment's tasks, in (pairing, scheme group, trial) order.  The
-    schemes are dealt round-robin into ``min(parallel, len(schemes))``
+    config's schemes are dealt round-robin into ``min(parallel, schemes)``
     groups, and the trials are cut into as few contiguous chunks as keep
     ``parallel`` workers busy, so lanes stay batched; a task holds all
     relay-power points of its trials."""
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
-    for name, values in (("p1_sweep_db", p1_sweep_db), ("schemes", schemes),
-                         ("pairings", pairings)):
-        if not len(values):
-            raise ValueError(f"{name} must not be empty")
+    _check(config)
+    schemes, pairings = tuple(config.schemes), tuple(config.pairings)
     seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
-    groups = [tuple(schemes[g::parallel]) for g in range(min(parallel, len(schemes)))]
+    groups = [schemes[g::parallel] for g in range(min(parallel, len(schemes)))]
     chunks = min(config.trials, -(-parallel // (len(groups) * len(pairings))))
     bounds = [config.trials * c // chunks for c in range(chunks + 1)]
-    sweep = tuple(float(db) for db in p1_sweep_db)
     return [
-        LaneTask(replace(config, pairing=pairing), group, a, tuple(seeds[a:b]), sweep)
+        LaneTask(replace(config, schemes=group, pairings=(pairing,)), a, tuple(seeds[a:b]))
         for pairing in pairings for group in groups for a, b in zip(bounds, bounds[1:])
     ]
 
@@ -483,15 +510,10 @@ def effective_parallel(parallel: int, n_tasks: int) -> int:
     return max(1, min(parallel, os.cpu_count() or 1, n_tasks))
 
 
-def run_experiment(
-    config: SimConfig,
-    p1_sweep_db: Optional[Sequence[float]] = None,
-    schemes: Optional[Sequence[Scheme]] = None,
-    pairings: Optional[Sequence[str]] = None,
-    parallel: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
-) -> list[SimResult]:
-    """One SimResult per (scheme, pairing, sweep point), in that order.
+def run_experiment(config: SimConfig, parallel: int = 1,
+                   progress: Optional[Callable[[str], None]] = None) -> list[SimResult]:
+    """One SimResult per (scheme, pairing, relay-power point) of the
+    config, in that order.
 
     All tasks run in one process pool when more than one worker is
     used.  Trial seeds depend on the master seed and trial index only, and
@@ -499,21 +521,20 @@ def run_experiment(
     and fading (common random numbers) and the output is independent of
     the parallel degree, of the chunking and of the scheme grouping.
     """
-    sweep = list(p1_sweep_db) if p1_sweep_db is not None else [config.p1_over_p0_db]
-    schemes = list(schemes) if schemes is not None else [config.scheme]
-    pairings = list(pairings) if pairings is not None else [config.pairing]
-    tasks = plan_tasks(config, sweep, schemes, pairings, parallel)
+    tasks = plan_tasks(config, parallel)
     workers = effective_parallel(parallel, len(tasks))
+    sweep = config.p1_over_p0_db
     if progress is not None:
         progress(f"running {len(tasks)} tasks on {workers} worker(s): "
-                 f"{len(schemes)} schemes x {len(pairings)} pairings, {len(sweep)} relay powers x "
+                 f"{len(config.schemes)} schemes x {len(config.pairings)} pairings, "
+                 f"{len(sweep)} relay powers x "
                  f"{config.trials} trials x {config.intervals} intervals each")
 
     def finished(results):
         for k, (task, res) in enumerate(zip(tasks, results), 1):
             if progress is not None:
-                progress(f"done {'+'.join(s.label for s in task.schemes)} / "
-                         f"{task.config.pairing}, trials "
+                progress(f"done {'+'.join(s.label for s in task.config.schemes)} / "
+                         f"{task.config.pairings[0]}, trials "
                          f"{task.first}-{task.first + len(task.seeds) - 1} ({k}/{len(tasks)})")
             yield res
 
@@ -524,18 +545,18 @@ def run_experiment(
         outcomes = list(finished(map(_run_task, tasks)))
 
     # lane (c * T + t) * S + s: scheme c, trial t at point s
-    combos = list(itertools.product(dict.fromkeys(schemes), dict.fromkeys(pairings)))
+    combos = list(itertools.product(config.schemes, config.pairings))
     shape = (len(combos), len(sweep), config.trials)
     means, swaps, clamps = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape, dtype=int)
     for task, res in zip(tasks, outcomes):
-        at = ([combos.index((s, task.config.pairing)) for s in task.schemes], slice(None),
+        schemes = task.config.schemes
+        at = ([combos.index((s, task.config.pairings[0])) for s in schemes], slice(None),
               slice(task.first, task.first + len(task.seeds)))
         for whole, part in ((means, res.mean_sum_rate), (swaps, res.role_swaps),
                             (clamps, res.r2_clamps)):
-            whole[at] = part.reshape(len(task.schemes), len(task.seeds), -1).transpose(0, 2, 1)
+            whole[at] = part.reshape(len(schemes), len(task.seeds), -1).transpose(0, 2, 1)
     results = []
-    for scheme, pairing in itertools.product(schemes, pairings):
-        r = combos.index((scheme, pairing))
+    for r, (scheme, pairing) in enumerate(combos):
         for s, p1_db in enumerate(sweep):
             m = means[r, s]
             stderr = float(m.std(ddof=1) / math.sqrt(len(m))) if len(m) > 1 else 0.0

@@ -282,9 +282,10 @@ class TrialResult:
 
 
 def run_trial(config: SimConfig, trial_seed, keep_assignments: bool = False) -> TrialResult:
-    """``run_lanes`` on one lane: one trial of ``config`` at its own scheme
-    and relay power; ``trial_seed`` is an int or a numpy SeedSequence."""
-    res = run_lanes(config, [trial_seed], [config.p1_over_p0_db], keep_assignments)
+    """``run_lanes`` on one lane: one trial of ``config``, which holds one
+    scheme, pairing and relay power; ``trial_seed`` is an int or a numpy
+    SeedSequence."""
+    res = run_lanes(config, [trial_seed], keep_assignments)
     assignments = None
     if res.assignments is not None:
         assignments = tuple(tuple(map(tuple, a[0].tolist())) for a in res.assignments)

@@ -126,11 +126,10 @@ def test_acceptance_5_rate_region_reproduction(tmp_path):
 def test_acceptance_6_system_level_ordering():
     def body():
         base = SimConfig(users=16, blocks=2, intervals=200, trials=10,
-                         edge_snr_db=10.0, p1_over_p0_db=0.0, seed=1006,
-                         pairing="near-far")
-        results = run_experiment(
-            base, schemes=[Scheme.GBC, Scheme.RBC_DF, Scheme.RBC_CF_DPC]
-        )
+                         edge_snr_db=10.0, p1_over_p0_db=(0.0,), seed=1006,
+                         pairings=("near-far",),
+                         schemes=(Scheme.GBC, Scheme.RBC_DF, Scheme.RBC_CF_DPC))
+        results = run_experiment(base)
         mean = {r.scheme: r.mean_sum_rate for r in results}
         assert mean["rbc-cf-dpc"] >= mean["rbc-df"] >= mean["gbc"]
         df_ratio = mean["rbc-df"] / mean["gbc"]
@@ -145,9 +144,9 @@ def test_acceptance_7_scheduler_invariants():
         # no duplicate assignment across 10^4 simulated intervals
         for cfg, seed in (
             (SimConfig(users=8, blocks=2, intervals=5000, trials=1, seed=0,
-                       scheme=Scheme.GBC, pairing="near-far"), 70),
+                       schemes=(Scheme.GBC,), pairings=("near-far",)), 70),
             (SimConfig(users=8, blocks=2, intervals=5000, trials=1, seed=0,
-                       scheme=Scheme.RBC_CF, pairing="nearest"), 71),
+                       schemes=(Scheme.RBC_CF,), pairings=("nearest",)), 71),
         ):
             trial = run_trial(cfg, seed, keep_assignments=True)
             assert len(trial.assignments) == 5000

@@ -445,20 +445,22 @@ def test_verify_bad_count_or_seed_exits_2(capsys, flags, key):
     ("users: 8.5", "users"),
     ("p1_over_p0_db: [0, .inf]", "p1_over_p0_db"),
     ("pairings: [near-far, far-near]", "pairing"),
-    # an appended list key replaces the config's own (the last YAML entry wins)
     ("schemes: [gbc, rbc-cf, gbc]", "schemes"),
     ("pairings: [nearest, nearest]", "pairings"),
     ("p1_over_p0_db: [0, 0]", "p1_over_p0_db"),
+    # a value that is not a list
+    ("schemes: 5", "schemes"),
+    ("pairings: 5", "pairings"),
     # a singular key beside its list key
     ("scheme: rbc-cf", "scheme"),
     ("pairing: nearest", "pairings"),
 ])
 def test_simulate_bad_value_exits_2_naming_the_key(tmp_path, capsys, line, key):
+    # the line replaces the config's own entry for its key, if it has one
+    name = line.split(":")[0]
+    kept = [k for k in SIM_CONFIG.splitlines(keepends=True) if not k.startswith(name + ":")]
     cfg = tmp_path / "sim.yaml"
-    cfg.write_text(SIM_CONFIG.replace("seed: 11\n", "seed: 11\n" + line + "\n")
-                   .replace("p1_over_p0_db: [0]\n", "").replace("pairings: [near-far]\n", "")
-                   if key in ("p1_over_p0_db", "pairing") else SIM_CONFIG + line + "\n",
-                   encoding="utf-8")
+    cfg.write_text("".join(kept) + line + "\n", encoding="utf-8")
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
@@ -476,6 +478,56 @@ def test_simulate_empty_list_exits_2_naming_the_key(tmp_path, capsys, line):
     assert rc == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("noise, code", [
+    ("1.0e-300", EXIT_CONFIG_ERROR), ("1.0e-200", EXIT_CONFIG_ERROR),
+    ("1.0e+120", EXIT_CONFIG_ERROR), ("1.0e+300", EXIT_CONFIG_ERROR),
+    ("1.0e-100", EXIT_OK), ("1.0e+100", EXIT_OK),
+])
+def test_simulate_noise_power_beyond_the_float_range_exits_2(tmp_path, capsys, noise, code):
+    # the BS and relay powers scale with the noise power, which the range
+    # keeps well inside the float range
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(f"users: 6\nblocks: 2\nintervals: 10\ntrials: 2\nseed: 3\n"
+                   f"p1_over_p0_db: [-10, 0]\nschemes: [gbc, rbc-df, rbc-cf, rbc-cf-dpc]\n"
+                   f"pairings: [near-far, nearest]\nnoise_power: {noise}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        rows = read_csv(out / "sum_rate.csv")
+        assert len(rows) == 16
+        assert all(np.isfinite(float(r["mean_sum_rate"])) for r in rows)
+    else:
+        assert "error: noise_power must lie in" in err
+        assert not (out / "sum_rate.csv").exists()
+
+
+def test_singular_spellings_and_flags_give_the_plural_run(tmp_path):
+    plural = SIM_CONFIG.replace("schemes: [gbc, rbc-df]", "schemes: [rbc-df, rbc-cf]") \
+        .replace("pairings: [near-far]", "pairings: [nearest]") \
+        .replace("p1_over_p0_db: [0]", "p1_over_p0_db: [-5]")
+    singular = plural.replace("schemes: [rbc-df, rbc-cf]", "scheme: rbc-df,rbc-cf") \
+        .replace("pairings: [nearest]", "pairing: nearest") \
+        .replace("p1_over_p0_db: [-5]", "p1_over_p0_db: -5")
+    bare = plural.replace("schemes: [rbc-df, rbc-cf]\n", "").replace("pairings: [nearest]\n", "")
+    runs = {}
+    for name, text, flags in (("plural", plural, []), ("singular", singular, []),
+                              ("flags", bare, ["--scheme", "rbc-df,rbc-cf",
+                                               "--pairing", "nearest"])):
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)] + flags) == EXIT_OK
+        manifest = json.loads((out / "sum_rate.manifest.json").read_text())
+        runs[name] = ((out / "sum_rate.csv").read_bytes(), manifest["config"])
+    assert runs["singular"] == runs["plural"] == runs["flags"]
+    config = runs["plural"][1]
+    assert "scheme" not in config and "pairing" not in config
+    assert (config["schemes"], config["pairings"], config["p1_over_p0_db"]) == \
+        (["rbc-df", "rbc-cf"], ["nearest"], [-5.0])
 
 
 @pytest.mark.parametrize("parallel", ["0", "-3"])

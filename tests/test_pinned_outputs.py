@@ -9,6 +9,8 @@ differently in the last bit.  The values were printed with numpy 2.4 on
 an x86-64 CPU with AVX-512; with another numpy or CPU, the means must
 match to 1e-12 relative and the counters exactly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -102,8 +104,8 @@ PINNED = {
 
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_engine_reproduces_pinned_outputs(name):
-    results = run_experiment(CONFIGS[name], p1_sweep_db=[-10.0, 0.0], schemes=list(Scheme),
-                             pairings=["near-far", "nearest"])
+    results = run_experiment(replace(CONFIGS[name], p1_over_p0_db=(-10.0, 0.0),
+                                     schemes=tuple(Scheme), pairings=("near-far", "nearest")))
     got = {(r.scheme, r.pairing, r.p1_over_p0_db): (r.trial_means, r.role_swaps, r.r2_clamps)
            for r in results}
     assert got.keys() == PINNED[name].keys()

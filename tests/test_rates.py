@@ -226,13 +226,10 @@ def test_sweep_region_shapes_and_validation():
     assert curve.r2[1] == 0.0
     assert curve.r1[1] == gbc_rates(GAINS, PARAMS, PowerSplit(1.0)).r1
 
-    cf = sweep_region(Scheme.RBC_CF, GAINS, PARAMS, [0.1, 0.2], optimize=True)
+    cf = sweep_region(Scheme.RBC_CF, GAINS, PARAMS, [0.1, 0.2])
     assert cf.n_hat is not None and len(cf.n_hat) == 2
 
-    fixed = sweep_region(
-        Scheme.RBC_CF, GAINS, PARAMS, [0.1, 0.2],
-        optimize=False, n_hat=CompressionNoise(1.0),
-    )
+    fixed = sweep_region(Scheme.RBC_CF, GAINS, PARAMS, [0.1, 0.2], n_hat=CompressionNoise(1.0))
     assert all(nh == 1.0 for nh in fixed.n_hat)
 
     with pytest.raises(ValueError, match="empty"):
@@ -243,15 +240,13 @@ def test_sweep_region_shapes_and_validation():
         sweep_region(Scheme.GBC, GAINS, PARAMS, [0.5, 0.2])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         sweep_region(Scheme.GBC, GAINS, PARAMS, [0.5, 1.5])
-    with pytest.raises(ValueError, match="n_hat"):
-        sweep_region(Scheme.RBC_CF, GAINS, PARAMS, [0.1, 0.2], optimize=False)
 
 
 def test_sweep_region_arrays_are_the_kernel_values():
     grid = uniform_alpha_grid(41)
     for scheme in Scheme:
         for fixed in (None, 0.5):
-            curve = sweep_region(scheme, GAINS, PARAMS, grid, optimize=fixed is None,
+            curve = sweep_region(scheme, GAINS, PARAMS, grid,
                                  n_hat=None if fixed is None else CompressionNoise(fixed))
             r1, r2, n_hat, _ = rate_kernel(scheme, GAINS.g01, GAINS.g02, GAINS.g12, PARAMS,
                                            np.array(grid), fixed)

@@ -34,7 +34,7 @@ SMALL = SimConfig(users=8, blocks=2, intervals=10, trials=2, seed=5)
 
 def test_config_validation_collects_all_errors():
     bad = SimConfig(users=3, blocks=2, edge_radius_m=10.0, inner_radius_m=20.0,
-                    tau=1.5, alpha=2.0, intervals=0, trials=0, pairing="x",
+                    tau=1.5, alpha=2.0, intervals=0, trials=0, pairings=("x",),
                     fading="y", neighbors="z", noise_power=0.0)
     errors = "\n".join(bad.validate())
     for needle in ("users", "edge_radius_m", "tau", "alpha", "intervals",
@@ -44,12 +44,12 @@ def test_config_validation_collects_all_errors():
 
 
 def test_powers_follow_db_settings():
-    cfg = SimConfig(edge_snr_db=10.0, p1_over_p0_db=-10.0)
+    cfg = SimConfig(edge_snr_db=10.0, p1_over_p0_db=(-10.0,))
     assert cfg.p0 == pytest.approx(10.0)
-    assert cfg.p1 == pytest.approx(1.0)
-    cfg = SimConfig(edge_snr_db=0.0, p1_over_p0_db=0.0, noise_power=2.0)
+    assert cfg.relay_powers[0] == pytest.approx(1.0)
+    cfg = SimConfig(edge_snr_db=0.0, p1_over_p0_db=(0.0,), noise_power=2.0)
     assert cfg.p0 == pytest.approx(2.0)
-    assert cfg.p1 == pytest.approx(2.0)
+    assert cfg.relay_powers[0] == pytest.approx(2.0)
 
 
 def test_topology_support_and_mean_radius():
@@ -152,13 +152,14 @@ def test_chunked_bs_draws_equal_one_draw_per_interval(intervals):
     ("nearest", "static", "static"),
 ])
 def test_lane_results_do_not_depend_on_the_chunk_size(monkeypatch, pairing, fading, neighbors):
-    cfg = replace(SMALL, pairing=pairing, fading=fading, neighbors=neighbors, intervals=20)
+    cfg = replace(SMALL, pairings=(pairing,), fading=fading, neighbors=neighbors, intervals=20,
+                  p1_over_p0_db=(-10.0, 0.0))
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     for scheme in Scheme:
         runs = []
         for chunk in (1, 7, BS_CHUNK_INTERVALS):
             monkeypatch.setattr(simulation, "BS_CHUNK_INTERVALS", chunk)
-            runs.append(run_lanes(replace(cfg, scheme=scheme), seeds, [-10.0, 0.0],
+            runs.append(run_lanes(replace(cfg, schemes=(scheme,)), seeds,
                                   keep_assignments=True))
         for other in runs[1:]:
             assert other.mean_sum_rate.tolist() == runs[0].mean_sum_rate.tolist()
@@ -178,7 +179,7 @@ def test_edge_user_sees_configured_snr():
 
 def test_degenerate_trial_equals_direct_computation():
     cfg = SimConfig(users=2, blocks=1, intervals=1, trials=1, seed=42,
-                    scheme=Scheme.RBC_DF, p1_over_p0_db=0.0)
+                    schemes=(Scheme.RBC_DF,), p1_over_p0_db=(0.0,))
     result = run_trial(cfg, 42, keep_assignments=True)
 
     # replay the trial's three child streams by hand
@@ -192,7 +193,7 @@ def test_degenerate_trial_equals_direct_computation():
     d12 = float(np.hypot(*(xy[relay] - xy[second])))
     g12 = float(path_gain(d12, cfg) * rayleigh_power(
         np.random.Generator(np.random.Philox(pair_ss))))
-    params = ChannelParams(p0=cfg.p0, p1=cfg.p1, n1=1.0, n2=1.0)
+    params = ChannelParams(p0=cfg.p0, p1=cfg.relay_powers[0], n1=1.0, n2=1.0)
     expect = serve_pair(Scheme.RBC_DF, gains[relay, 0], gains[second, 0], g12,
                         params, PowerSplit(cfg.alpha))
     assert result.assignments == (((relay, second),),)
@@ -219,17 +220,17 @@ def test_trial_rejects_invalid_config():
 def test_per_pair_dominance_cross_check_mode(scheme, pairing):
     # the simulator asserts r1/r2 dominance against the GBC baseline per
     # served pair; any violation raises from inside the run
-    cfg = replace(SMALL, scheme=scheme, pairing=pairing, intervals=25, cross_check=True)
+    cfg = replace(SMALL, schemes=(scheme,), pairings=(pairing,), intervals=25, cross_check=True)
     run_trial(cfg, 3)
 
 
 def test_run_experiment_row_counts_and_gbc_sweep_invariance():
     sweep = [-10.0, 0.0]
-    results = run_experiment(
-        SMALL, p1_sweep_db=sweep,
-        schemes=[Scheme.GBC, Scheme.RBC_DF],
-        pairings=["near-far", "nearest"],
-    )
+    results = run_experiment(replace(
+        SMALL, p1_over_p0_db=tuple(sweep),
+        schemes=(Scheme.GBC, Scheme.RBC_DF),
+        pairings=("near-far", "nearest"),
+    ))
     assert len(results) == len(sweep) * 2 * 2
     gbc = [r for r in results if r.scheme == "gbc" and r.pairing == "near-far"]
     # GBC ignores the relay power entirely
@@ -249,13 +250,14 @@ def test_run_experiment_stderr_matches_trials():
     assert r.stderr == pytest.approx(means.std(ddof=1) / 2.0, rel=1e-12)
 
 
-ALL_PAIRINGS = ["near-far", "nearest"]
+ALL_PAIRINGS = ("near-far", "nearest")
+# every scheme under both pairings at two relay-power points
+FULL = replace(SMALL, p1_over_p0_db=(-10.0, 0.0), schemes=tuple(Scheme), pairings=ALL_PAIRINGS)
 
 
 def test_parallel_degree_does_not_change_results():
-    kwargs = dict(p1_sweep_db=[-10.0, 0.0], schemes=list(Scheme), pairings=ALL_PAIRINGS)
-    serial = run_experiment(SMALL, **kwargs)
-    parallel = run_experiment(SMALL, parallel=2, **kwargs)
+    serial = run_experiment(FULL)
+    parallel = run_experiment(FULL, parallel=2)
     assert len(serial) == 16
     assert [r.trial_means for r in serial] == [r.trial_means for r in parallel]
     assert serial == parallel
@@ -263,11 +265,11 @@ def test_parallel_degree_does_not_change_results():
 
 def test_relay_power_row_is_the_same_alone_or_inside_a_sweep():
     for scheme in (Scheme.RBC_DF, Scheme.RBC_CF):
-        sweep = run_experiment(SMALL, p1_sweep_db=[-10.0, -3.0, 5.0], schemes=[scheme],
-                               pairings=ALL_PAIRINGS)
+        sweep = run_experiment(replace(SMALL, p1_over_p0_db=(-10.0, -3.0, 5.0),
+                                       schemes=(scheme,), pairings=ALL_PAIRINGS))
         for pairing in ALL_PAIRINGS:
-            alone = run_experiment(SMALL, p1_sweep_db=[-3.0], schemes=[scheme],
-                                   pairings=[pairing])[0]
+            alone = run_experiment(replace(SMALL, p1_over_p0_db=(-3.0,), schemes=(scheme,),
+                                           pairings=(pairing,)))[0]
             inside = [r for r in sweep if r.pairing == pairing and r.p1_over_p0_db == -3.0]
             assert inside == [alone]
 
@@ -275,37 +277,34 @@ def test_relay_power_row_is_the_same_alone_or_inside_a_sweep():
 def test_first_trials_do_not_depend_on_the_trial_count():
     # SeedSequence.spawn children do not depend on how many are spawned,
     # and trials are lanes that never interact
-    kwargs = dict(p1_sweep_db=[-10.0, 0.0], schemes=[Scheme.RBC_CF_DPC], pairings=ALL_PAIRINGS)
-    short = run_experiment(replace(SMALL, trials=2), **kwargs)
-    longer = run_experiment(replace(SMALL, trials=3), **kwargs)
+    cfg = replace(FULL, schemes=(Scheme.RBC_CF_DPC,))
+    short = run_experiment(replace(cfg, trials=2))
+    longer = run_experiment(replace(cfg, trials=3))
     for a, b in zip(short, longer):
         assert b.trial_means[:2] == a.trial_means
 
 
 def test_lanes_match_one_lane_trials():
-    cfg = replace(SMALL, scheme=Scheme.RBC_CF, pairing="nearest", neighbors="static")
+    cfg = replace(SMALL, schemes=(Scheme.RBC_CF,), pairings=("nearest",), neighbors="static",
+                  p1_over_p0_db=(-10.0, 0.0))
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    lanes = run_lanes(cfg, seeds, [-10.0, 0.0])
+    lanes = run_lanes(cfg, seeds)
     for t, seed in enumerate(seeds):
         for s, db in enumerate([-10.0, 0.0]):
-            one = run_trial(replace(cfg, p1_over_p0_db=db), seed)
+            one = run_trial(replace(cfg, p1_over_p0_db=(db,)), seed)
             assert lanes.mean_sum_rate[2 * t + s] == one.mean_sum_rate
             assert lanes.role_swaps[2 * t + s] == one.role_swaps
 
 
-@pytest.mark.parametrize("kwargs, name", [
-    (dict(p1_sweep_db=[]), "p1_sweep_db"),
-    (dict(schemes=[]), "schemes"),
-    (dict(pairings=[]), "pairings"),
-])
-def test_run_experiment_names_an_empty_argument(kwargs, name):
-    with pytest.raises(ValueError, match=f"{name} must not be empty"):
-        run_experiment(SMALL, **kwargs)
+@pytest.mark.parametrize("name", ["p1_over_p0_db", "schemes", "pairings"])
+def test_run_experiment_rejects_an_empty_list(name):
+    with pytest.raises(ValueError, match=f"{name} must list at least one value"):
+        run_experiment(replace(SMALL, **{name: ()}))
 
 
 def test_run_lanes_names_empty_trial_seeds():
     with pytest.raises(ValueError, match="trial_seeds must not be empty"):
-        run_lanes(SMALL, [], [0.0])
+        run_lanes(SMALL, [])
 
 
 class RecordingPool:
@@ -336,11 +335,9 @@ def recording_pool(monkeypatch):
 
 
 def test_one_pool_per_experiment(recording_pool):
-    results = run_experiment(SMALL, p1_sweep_db=[-10.0, 0.0], schemes=list(Scheme),
-                             pairings=ALL_PAIRINGS, parallel=2)
+    results = run_experiment(FULL, parallel=2)
     assert recording_pool == [2]
-    assert results == run_experiment(SMALL, p1_sweep_db=[-10.0, 0.0], schemes=list(Scheme),
-                                     pairings=ALL_PAIRINGS)
+    assert results == run_experiment(FULL)
     assert recording_pool == [2]  # the serial run starts no pool
 
 
@@ -353,48 +350,52 @@ def test_one_pool_per_experiment(recording_pool):
 ])
 def test_parallel_degree_is_clamped(recording_pool, parallel, trials, schemes, workers):
     cfg = replace(SMALL, trials=trials, intervals=2)
-    run_experiment(cfg, schemes=list(Scheme)[:schemes], parallel=parallel)
+    run_experiment(replace(cfg, schemes=tuple(Scheme)[:schemes]), parallel=parallel)
     assert recording_pool == ([] if workers is None else [workers])
 
 
 def test_tasks_hold_every_relay_power_of_their_trials():
-    tasks = plan_tasks(replace(SMALL, trials=5), [-10.0, 0.0], list(Scheme), ALL_PAIRINGS, 16)
+    tasks = plan_tasks(replace(FULL, trials=5), 16)
     assert len(tasks) == 2 * 4 * 2  # pairings x scheme groups x trial chunks
     assert [(t.first, len(t.seeds)) for t in tasks[:2]] == [(0, 2), (2, 3)]
-    assert all(t.sweep == (-10.0, 0.0) for t in tasks)
+    assert all(t.config.p1_over_p0_db == (-10.0, 0.0) for t in tasks)
     with pytest.raises(ValueError, match="parallel"):
-        plan_tasks(SMALL, [0.0], [Scheme.GBC], ["near-far"], 0)
+        plan_tasks(SMALL, 0)
 
 
 SCHEME_SUBSETS = [tuple(s for k, s in enumerate(Scheme) if mask >> k & 1) for mask in range(1, 16)]
 
 
-@pytest.mark.parametrize("pairings", [["near-far"], ["nearest"], ALL_PAIRINGS])
+@pytest.mark.parametrize("pairings", [("near-far",), ("nearest",), ALL_PAIRINGS])
 def test_every_scheme_pairing_and_trial_lies_in_exactly_one_task(pairings):
     sweep = (-10.0, 0.0, 5.0)
     for trials, parallel, schemes in itertools.product(range(1, 6), range(1, 10),
                                                        SCHEME_SUBSETS + [tuple(Scheme)[::-1]]):
-        cfg = replace(SMALL, trials=trials)
-        tasks = plan_tasks(cfg, sweep, schemes, pairings, parallel)
+        cfg = replace(SMALL, trials=trials, p1_over_p0_db=sweep, schemes=schemes,
+                      pairings=pairings)
+        tasks = plan_tasks(cfg, parallel)
         held = collections.Counter(
-            (scheme, task.config.pairing, task.first + t)
-            for task in tasks for scheme in task.schemes for t in range(len(task.seeds)))
+            (scheme, task.config.pairings[0], task.first + t)
+            for task in tasks for scheme in task.config.schemes for t in range(len(task.seeds)))
         assert held == collections.Counter(itertools.product(schemes, pairings, range(trials)))
         for task in tasks:
-            assert task.sweep == sweep
+            assert task.config.p1_over_p0_db == sweep
             assert [s.spawn_key for s in task.seeds] == \
                 [(task.first + t,) for t in range(len(task.seeds))]
         assert len(tasks) >= min(parallel, len(schemes) * len(pairings) * trials)
         if parallel == 1:
-            assert [(t.config.pairing, t.schemes) for t in tasks] == \
+            assert [(t.config.pairings[0], t.config.schemes) for t in tasks] == \
                 [(pairing, schemes) for pairing in pairings]
 
 
-def test_a_repeated_scheme_repeats_its_rows():
-    rows = run_experiment(SMALL, schemes=[Scheme.GBC, Scheme.RBC_DF, Scheme.GBC],
-                          pairings=ALL_PAIRINGS, parallel=2)
-    assert [(r.scheme, r.pairing) for r in rows[4:]] == [("gbc", "near-far"), ("gbc", "nearest")]
-    assert rows[:2] == rows[4:]
+@pytest.mark.parametrize("name, values, shown", [
+    ("schemes", (Scheme.GBC, Scheme.RBC_DF, Scheme.GBC), "'gbc'"),
+    ("pairings", ("nearest", "near-far", "nearest"), "'nearest'"),
+    ("p1_over_p0_db", (0.0, -10.0, 0.0), "0.0"),
+])
+def test_a_repeated_entry_is_rejected(name, values, shown):
+    with pytest.raises(ValueError, match=f"{name} lists {shown} more than once"):
+        run_experiment(replace(FULL, **{name: values}), parallel=2)
 
 
 @pytest.mark.parametrize("pairing, fading, neighbors, cross_check", [
@@ -405,25 +406,36 @@ def test_a_repeated_scheme_repeats_its_rows():
     ("nearest", "static", "static", True),
 ])
 @pytest.mark.parametrize("schemes", [
-    (Scheme.GBC,), (Scheme.GBC, Scheme.GBC), (Scheme.RBC_CF_DPC, Scheme.GBC, Scheme.RBC_CF),
-    tuple(Scheme),
-], ids=["gbc", "gbc-gbc", "mixed", "all"])
+    (Scheme.GBC,), (Scheme.RBC_CF_DPC, Scheme.GBC, Scheme.RBC_CF), tuple(Scheme),
+], ids=["gbc", "mixed", "all"])
 def test_scheme_batched_lanes_equal_one_scheme_runs(schemes, pairing, fading, neighbors,
                                                     cross_check):
     # K = 10 < 4B lets near-far removals exhaust a half
-    cfg = replace(SMALL, users=10, blocks=3, intervals=12, pairing=pairing, fading=fading,
-                  neighbors=neighbors, cross_check=cross_check)
+    sweep = (-10.0, 0.0, 5.0)
+    cfg = replace(SMALL, users=10, blocks=3, intervals=12, pairings=(pairing,), fading=fading,
+                  neighbors=neighbors, cross_check=cross_check, p1_over_p0_db=sweep)
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    sweep = [-10.0, 0.0, 5.0]
-    together = run_lanes(cfg, seeds, sweep, keep_assignments=True, schemes=schemes)
+    together = run_lanes(replace(cfg, schemes=schemes), seeds, keep_assignments=True)
     per_scheme = len(seeds) * len(sweep)
     for c, scheme in enumerate(schemes):
-        alone = run_lanes(replace(cfg, scheme=scheme), seeds, sweep, keep_assignments=True)
+        alone = run_lanes(replace(cfg, schemes=(scheme,)), seeds, keep_assignments=True)
         lanes = slice(c * per_scheme, (c + 1) * per_scheme)
         assert together.mean_sum_rate[lanes].tolist() == alone.mean_sum_rate.tolist()
         assert together.role_swaps[lanes].tolist() == alone.role_swaps.tolist()
         assert together.r2_clamps[lanes].tolist() == alone.r2_clamps.tolist()
         assert np.array_equal(together.assignments[:, lanes], alone.assignments)
+
+
+@pytest.mark.parametrize("pairing", ["near-far", "nearest"])
+def test_lanes_reject_a_repeated_scheme(pairing):
+    cfg = replace(SMALL, pairings=(pairing,), schemes=(Scheme.GBC, Scheme.GBC))
+    with pytest.raises(ValueError, match="schemes lists 'gbc' more than once"):
+        run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(2))
+
+
+def test_lanes_run_one_pairing():
+    with pytest.raises(ValueError, match="one pairing"):
+        run_lanes(FULL, np.random.SeedSequence(FULL.seed).spawn(2))
 
 
 @pytest.mark.parametrize("pairing", ["near-far", "nearest"])
@@ -437,9 +449,9 @@ def test_relay_rates_are_evaluated_once_per_r1_formula(monkeypatch, pairing):
             return real(scheme, *args)
         monkeypatch.setattr(module, "relay_rate", counting)
     monkeypatch.setattr(simulation, "BS_CHUNK_INTERVALS", 4)
-    cfg = replace(SMALL, intervals=10, pairing=pairing)
-    run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(2), [-10.0, 0.0],
-              schemes=(Scheme.RBC_CF_DPC, Scheme.RBC_CF, Scheme.GBC, Scheme.RBC_DF))
+    cfg = replace(SMALL, intervals=10, pairings=(pairing,), p1_over_p0_db=(-10.0, 0.0),
+                  schemes=(Scheme.RBC_CF_DPC, Scheme.RBC_CF, Scheme.GBC, Scheme.RBC_DF))
+    run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(2))
     assert calls == [Scheme.RBC_CF_DPC, Scheme.RBC_CF] * 3
 
 
@@ -461,8 +473,9 @@ def test_the_cf_bounds_are_built_once_per_stage_for_adjacent_cf_schemes(monkeypa
             count["built"] += 1
             super().__init__(*args)
     monkeypatch.setattr(rates, "_CFBounds", Counting)
-    cfg = replace(SMALL, intervals=6, pairing=pairing)
-    run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(2), [-10.0, 0.0], schemes=schemes)
+    cfg = replace(SMALL, intervals=6, pairings=(pairing,), p1_over_p0_db=(-10.0, 0.0),
+                  schemes=schemes)
+    run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(2))
     assert count["built"] == cfg.intervals * (cfg.blocks + 1) * builds
 
 
@@ -473,9 +486,9 @@ def test_the_cf_bounds_are_built_once_per_stage_for_adjacent_cf_schemes(monkeypa
     ("users", 8.5),
     ("blocks", True),
     ("tau", float("inf")),
-    ("p1_over_p0_db", "x"),
+    ("p1_over_p0_db", ("x",)),
     ("edge_snr_db", 4000.0),
-    ("p1_over_p0_db", 4000.0),
+    ("p1_over_p0_db", (4000.0,)),
 ])
 def test_validation_names_mistyped_and_non_finite_fields(field, value):
     errors = replace(SMALL, **{field: value}).validate()
@@ -484,11 +497,21 @@ def test_validation_names_mistyped_and_non_finite_fields(field, value):
         run_trial(replace(SMALL, **{field: value}), 1)
 
 
+@pytest.mark.parametrize("noise", [1e-100, 1e-12, 2.0, 1e38, 1e100])
+def test_results_do_not_depend_on_the_noise_unit(noise):
+    # the powers are set over the noise power, which is only their unit;
+    # the second config is one at which a noise-dependent CF n_hat optimum
+    # fails the dominance cross-check
+    for cfg in (FULL, replace(FULL, users=2, blocks=1, alpha=0.0, edge_snr_db=0.0)):
+        cfg = replace(cfg, cross_check=True)
+        assert run_experiment(replace(cfg, noise_power=noise)) == run_experiment(cfg)
+
+
 def test_common_random_numbers_across_schemes():
     # same master seed: per-pair DF dominance makes DF trials win under the
     # identical topology / BS fading streams
-    df = run_experiment(replace(SMALL, intervals=50), schemes=[Scheme.RBC_DF])[0]
-    gbc = run_experiment(replace(SMALL, intervals=50), schemes=[Scheme.GBC])[0]
+    df = run_experiment(replace(SMALL, intervals=50, schemes=(Scheme.RBC_DF,)))[0]
+    gbc = run_experiment(replace(SMALL, intervals=50, schemes=(Scheme.GBC,)))[0]
     assert df.mean_sum_rate >= gbc.mean_sum_rate
 
 
