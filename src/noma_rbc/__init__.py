@@ -34,7 +34,6 @@ from .rates import (
     rbc_cf_dpc_rates,
     rbc_cf_rates,
     rbc_df_rates,
-    serve_pair,
     sweep_region,
     uniform_alpha_grid,
 )

@@ -59,6 +59,12 @@ class Scheme(Enum):
     def uses_compression(self) -> bool:
         return self in (Scheme.RBC_CF, Scheme.RBC_CF_DPC)
 
+    @property
+    def uses_relay(self) -> bool:
+        """True when the relay user transmits, so that r2 reads the relay
+        link g12 and the relay power p1."""
+        return self is not Scheme.GBC
+
 
 def _check_finite(name: str, value: float) -> None:
     if not math.isfinite(value):

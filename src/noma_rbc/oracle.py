@@ -166,11 +166,6 @@ class GaussianSystem:
         variances = np.stack(np.broadcast_arrays(*(getattr(self, f) for f in _VARIANCES)), axis=-1)
         return rows * np.sqrt(variances)[..., None, :]
 
-    def covariance(self, names: Sequence[str]) -> np.ndarray:
-        """Joint covariance of the named observables (order preserved)."""
-        rows = self.whitened_rows(names)
-        return rows @ rows.swapaxes(-1, -2)
-
     def whitened_rows(self, names: Sequence[str]) -> np.ndarray:
         """Each named observable as a row over the unit-variance primitives,
         so inner products of rows are covariances: shape (..., m, 6)."""

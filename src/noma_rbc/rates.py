@@ -22,24 +22,22 @@ quadratic in n_hat, solved in closed form; the denominators are positive,
 so every positive root is a crossing, and as the bounds cross at most once
 the quadratic has at most one positive root.  Without one the bounds never
 cross: one of them is the smaller for every n_hat, so their min is
-monotone and its best value over ``N_HAT_BRACKET`` sits at an end of the
-bracket (the low end when the cut-set bound binds, the high end when the
-forwarding-minus-loss bound does).  The optimum is therefore the one
+monotone and its best value over ``N_HAT_BRACKET`` (in units of n1) sits
+at an end of the bracket (the low end when the cut-set bound binds, the
+high end when the forwarding-minus-loss bound does).  The optimum is therefore the one
 crossing or, failing it, the better bracket end; no search is needed.
 
 ``rate_kernel`` evaluates one scheme over broadcastable gain and
-power-split arrays.  It and its two parts, ``relay_rate`` (r1) and
-``second_rate`` (r2), are the only code that dispatches on the scheme;
-``relay_rate_formulas`` says which schemes share an r1, and
-``second_rate_segments`` merges adjacent runs of schemes that share an r2
-(RBC-CF and RBC-CF+DPC).  The typed operations (``gbc_rates`` ...
-``optimize_n_hat``, ``sweep_region``) validate their inputs and call it;
-the scheduler calls its parts on whole candidate blocks, ``sweep_region``
-calls it on a whole alpha grid, whose arrays it checks and returns as they
-are.  GBC and RBC-DF presuppose the degraded role ordering: the typed
-operations reject inputs that violate it, while the kernel and
-``serve_pair`` evaluate the formulas literally, as the scheduler's
-selection metrics require.
+power-split arrays.  This module is the only code that knows which
+formulas a scheme uses: ``relay_rate`` (r1) and ``second_rate`` (r2)
+dispatch on it, ``relay_rate_formulas`` and ``second_rates`` share the
+formulas between schemes, and ``dominance_violation`` states what each
+scheme promises over GBC.  The typed operations (``gbc_rates`` ...
+``sweep_region``) validate their inputs and call the kernel; the scheduler
+scores and serves whole candidate blocks through ``second_rates``.  GBC
+and RBC-DF presuppose the degraded role ordering: the typed operations
+reject inputs that violate it, while the kernel and its parts evaluate the
+formulas literally, as the scheduler's selection metrics require.
 """
 
 from __future__ import annotations
@@ -61,7 +59,9 @@ from .core import (
     is_degraded_ordered,
 )
 
-# Range of the compression-noise variance when the CF bounds never cross.
+# Range of the compression-noise variance when the CF bounds never cross, in
+# units of the relay user's noise power n1: the CF bounds do not change when
+# every power, noise and n_hat is scaled together.
 N_HAT_BRACKET = (1e-6, 1e12)
 
 
@@ -89,14 +89,6 @@ def relay_rate_formulas(schemes: Sequence[Scheme]) -> tuple[tuple[Scheme, ...], 
     distinct = list(dict.fromkeys(keys))
     return (tuple(schemes[keys.index(key)] for key in distinct),
             [distinct.index(key) for key in keys])
-
-
-def second_rate_segments(segments):
-    """Scheme ``segments`` (scheme, start, stop) that tile a leading axis,
-    with each run of adjacent segments that share an r2 formula merged into
-    one, named by its first scheme: RBC-CF and RBC-CF+DPC share one r2."""
-    runs = itertools.groupby(segments, key=lambda seg: seg[0].uses_compression or seg[0])
-    return [(run[0][0], run[0][1], run[-1][2]) for run in (list(r) for _, r in runs)]
 
 
 def _forward_bound(g02, g12, params: ChannelParams, alpha, p1):
@@ -170,16 +162,16 @@ class _CFBounds:
         """(n_hat, clamped r2, forwarding-minus-loss argument) at the best
         n_hat: the bounds' one crossing, the positive root of the
         quadratic, or, without one, the better end of ``N_HAT_BRACKET``
-        (the low end on ties).  At alpha = 1, r2 is 0 for every n_hat, and
-        n_hat = 1 is reported."""
+        in units of n1 (the low end on ties).  At alpha = 1, r2 is 0 for
+        every n_hat, and n_hat = n1 is reported."""
         root0, root1 = self.crossing_roots()
         ok0 = np.isfinite(root0) & (root0 > 0.0)
         has = ok0 | (np.isfinite(root1) & (root1 > 0.0))
-        lo, hi = N_HAT_BRACKET
+        lo, hi = (end * self.n1 for end in N_HAT_BRACKET)
         n_hat = np.where(ok0, root0, np.where(has, root1, lo))
         if not isinstance(self.alpha, float) or self.alpha == 1.0:
             at_one = self.alpha == 1.0
-            n_hat, has = np.where(at_one, 1.0, n_hat), has | at_one
+            n_hat, has = np.where(at_one, self.n1, n_hat), has | at_one
         r2, second = self.objective(n_hat)
         if not has.all():
             r2_hi, second_hi = self.objective(hi)
@@ -223,6 +215,46 @@ def rate_kernel(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_h
     """
     return (relay_rate(scheme, g01, params, alpha),
             *second_rate(scheme, g01, g02, g12, params, alpha, n_hat, p1))
+
+
+def second_rates(segments, g01, g02, g12, params: ChannelParams, alpha, p1):
+    """``(r2, clamped)`` of ``second_rate`` for gain arrays and relay powers
+    ``p1`` whose leading axis is cut into scheme ``segments`` (scheme,
+    start, stop): one ``second_rate`` call per run of adjacent segments that
+    share an r2 formula (RBC-CF and RBC-CF+DPC share one), written into
+    preallocated arrays."""
+    shape = np.broadcast_shapes(g01.shape, g02.shape, g12.shape)
+    r2, clamped = np.empty(shape), np.empty(shape, dtype=bool)
+    for _, run in itertools.groupby(segments, key=lambda seg: seg[0].uses_compression or seg[0]):
+        run = list(run)
+        scheme, a, b = run[0][0], run[0][1], run[-1][2]
+        r2[a:b], _, clamped[a:b] = second_rate(scheme, g01[a:b], g02[a:b], g12[a:b], params,
+                                               alpha, p1=p1[a:b])
+    return r2, clamped
+
+
+def dominance_violation(segments, g01, g02, g12, params: ChannelParams, alpha, r1,
+                        r2) -> Optional[str]:
+    """None when every served pair ``(r1, r2)`` of arrays cut into scheme
+    ``segments`` keeps its scheme's promise over GBC on the same BS gains,
+    else a message naming the first that does not: r2 at least GBC's (less
+    1e-12 bits for RBC-DF, 1e-6 for the CF optimum), and r1 equal to GBC's
+    except under RBC-CF, whose relay user keeps the second user as noise."""
+    for scheme, a, b in segments:
+        if not scheme.uses_relay:
+            continue
+        x01, x02, x12, s1, s2 = (np.ravel(x[a:b]) for x in (g01, g02, g12, r1, r2))
+        base_r1 = relay_rate(Scheme.GBC, x01, params, alpha)
+        base_r2 = second_rate(Scheme.GBC, x01, x02, 0.0, params, alpha)[0]
+        ok = s2 >= base_r2 - (1e-6 if scheme.uses_compression else 1e-12)
+        if scheme is not Scheme.RBC_CF:
+            ok &= s1 == base_r1
+        if not ok.all():
+            k = int(np.argmin(ok))
+            return (f"per-pair dominance violated for {scheme.label}: "
+                    f"served=({s1[k]}, {s2[k]}) baseline=({base_r1[k]}, {base_r2[k]}) "
+                    f"g01={x01[k]} g02={x02[k]} g12={x12[k]} alpha={alpha}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -376,30 +408,3 @@ def sweep_region(
         n_hats = np.broadcast_to(n_hats, grid.shape)
         _check_values("n_hat", n_hats, positive=True)
     return RateRegionCurve(scheme, grid, r1, r2, n_hats)
-
-
-# ---------------------------------------------------------------------------
-# served rates (literal formula evaluation, no ordering checks)
-
-@dataclass(frozen=True)
-class ServedRates:
-    """Rates actually served, with the compression noise used (CF schemes)
-    and whether the r2 clamp at zero fired, as the kernel returns them."""
-
-    r1: np.ndarray
-    r2: np.ndarray
-    n_hat: Optional[np.ndarray]  # None for GBC and RBC-DF
-    r2_clamped: np.ndarray       # False for GBC and RBC-DF
-
-
-def serve_pair(scheme: Scheme, g01, g02, g12, params: ChannelParams, split: PowerSplit,
-               p1=None, r1=None) -> ServedRates:
-    """Rates served to a batch of ordered pairs given as broadcastable
-    arrays, with ``p1`` overriding the relay power as in ``rate_kernel``;
-    CF schemes optimise the compression noise for each pair's true gains.
-    ``r1``, when given, is the relay users' rate already evaluated (the
-    scheduler reads it from its per-chunk table) and is served as it is."""
-    if r1 is None:
-        r1 = relay_rate(scheme, g01, params, split.alpha)
-    r2, n_hat, clamped = second_rate(scheme, g01, g02, g12, params, split.alpha, p1=p1)
-    return ServedRates(r1=r1, r2=r2, n_hat=n_hat, r2_clamped=clamped)

@@ -4,16 +4,15 @@ A lane is one independent scheduling problem: its own scheme, per-block
 BS gains, inter-user gain estimates, PF ledger and relay power.
 ``schedule_lanes`` schedules one interval of L lanes at once: every
 selection stage scores the candidates of all lanes as (L, K) masked
-arrays, with one r2 call per contiguous segment of lanes that share an
-r2 formula: RBC-CF and RBC-CF+DPC differ only in r1, so an adjacent pair of
-them shares one call (``rates.second_rate_segments``).  It is the only
-scheduler.
+arrays, and every stage, serving included, evaluates r2 with one
+``rates.second_rates`` call over the lanes' scheme segments.  It is the
+only scheduler, and it names no scheme: ``rates`` holds the formulas.
 
 ``schedule_lanes`` does the work that depends on the PF ledger: the PF
 argmaxes, r2 given the chosen relay, serving.  What depends on the gains
 or positions alone comes in precomputed, so that the engine can compute it
-once per trial rather than per lane and interval: ``relay_rate_table``
-gives every user's r1, which depends on its own BS gain only and which
+once per trial rather than per lane and interval: every user's r1
+(``rates.relay_rate``), which depends on its own BS gain only and which
 both pairings score and serve from, ``near_far_ranks`` each block's
 strong half, ``distance_order`` each user's other users by distance.
 Nearest pairing walks that order with a pointer per (lane, user) that
@@ -56,7 +55,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import ChannelParams, PowerSplit, Scheme
-from .rates import relay_rate, second_rate, second_rate_segments, serve_pair
+from .rates import dominance_violation, second_rates
 
 PAIRINGS = ("near-far", "nearest")
 NEIGHBOR_MODES = ("recompute", "static")
@@ -94,47 +93,26 @@ def _pf_argmax(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return best
 
 
-def _second_rates(segments, g01, g02, g12, params: ChannelParams, alpha, p1):
-    """r2 of candidate arrays that share a leading axis cut into scheme
-    ``segments`` (scheme, start, stop): one ``second_rate`` call per
-    segment, written into a preallocated array."""
-    r2 = np.empty(np.broadcast_shapes(g01.shape, g02.shape, g12.shape))
-    for scheme, a, b in segments:
-        r2[a:b] = second_rate(scheme, g01[a:b], g02[a:b], g12[a:b], params, alpha, p1=p1[a:b])[0]
-    return r2
-
-
 def _near_far_select(strong, weak, relay_scores, gains, avg, est_gain, rows, segments, params,
                      alpha, p1):
     """(relay, second) per lane: the relay from ``strong`` by its PF ratio
     ``relay_scores`` = r1/avg, which needs only its own BS gain, then the
     second user from ``weak`` by the PF ratio of r2 given that relay.  r2 is
     evaluated for the weak candidates only, lane by lane in ascending user
-    order, over the r2 ``segments`` of the lanes; the kernel works element
-    by element, so the scores equal those of a full (L, K) evaluation."""
+    order, over the scheme ``segments`` of the lanes; the kernel works
+    element by element, so the scores equal those of a full (L, K)
+    evaluation."""
     k1 = _pf_argmax(relay_scores, strong)
     flat = weak.ravel().nonzero()[0]  # lane by lane, ascending user order
     lane = flat // weak.shape[1]
     # the scheme segments of the lanes, as positions in the candidate list
     cuts = np.searchsorted(lane, [a for _, a, _ in segments] + [segments[-1][2]]).tolist()
     by_candidate = [(s, a, b) for (s, _, _), a, b in zip(segments, cuts, cuts[1:])]
-    r2 = _second_rates(by_candidate, gains[np.arange(len(gains)), k1][lane],
-                       gains.ravel()[flat], est_gain[rows, k1].ravel()[flat], params, alpha,
-                       p1.ravel()[lane])
+    r2 = second_rates(by_candidate, gains[np.arange(len(gains)), k1][lane], gains.ravel()[flat],
+                      est_gain[rows, k1].ravel()[flat], params, alpha, p1.ravel()[lane])[0]
     scores = np.full(weak.size, -np.inf)
     scores[flat] = r2 / avg.ravel()[flat]
     return k1, _pf_argmax(scores.reshape(weak.shape), weak)
-
-
-def relay_rate_table(schemes: Sequence[Scheme], bs_gains: np.ndarray, params: ChannelParams,
-                     alpha) -> np.ndarray:
-    """The (S * T, ..., K, B) r1 of every user as the relay under each of S
-    ``schemes``, scheme by scheme, for BS gains (T, ..., K, B); r1 depends
-    on the relay's own BS gain only.  The engine computes it once per trial
-    for a chunk of intervals, for one scheme per distinct r1 formula
-    (``rates.relay_rate_formulas``), and gathers it to the lanes: both
-    pairings score and serve their relays from it."""
-    return np.concatenate([relay_rate(s, bs_gains, params, alpha) for s in schemes])
 
 
 def near_far_ranks(bs_gains: np.ndarray) -> np.ndarray:
@@ -187,8 +165,9 @@ def _nearest_select(avail, cursor, relay_scores, gains, avg, est_gain, rows, seg
     """(relay, second) per lane under nearest-neighbour pairing: each
     candidate i is scored as the relay with its neighbour N(i) as the second
     user by r1(i)/avg(i) + r2(N(i)|i)/avg(N(i)), the first term being
-    ``relay_scores`` and r2 coming from one call per r2 ``segment`` of the
-    lanes.  N is the nearest remaining neighbour from ``cursor``.
+    ``relay_scores`` and r2 coming from one ``second_rates`` call over the
+    scheme ``segments`` of the lanes.  N is the nearest remaining neighbour
+    from ``cursor``.
     ``neighbor_of`` (L, K, -1 for none) overrides it: candidates whose
     mapped neighbour is unavailable are skipped, and a lane left without
     candidates uses the nearest remaining neighbours for the block."""
@@ -204,7 +183,7 @@ def _nearest_select(avail, cursor, relay_scores, gains, avg, est_gain, rows, seg
         if not mapped.all():
             neighbors = np.where(mapped[:, None], neighbors, cursor.nearest(avail))
     est = est_gain.reshape(-1)[(rows[:, None] * users.size + users) * users.size + neighbors]
-    r2 = _second_rates(segments, gains, gains[lanes, neighbors], est, params, alpha, p1)
+    r2 = second_rates(segments, gains, gains[lanes, neighbors], est, params, alpha, p1)[0]
     k = _pf_argmax(relay_scores + r2 / avg[lanes, neighbors], candidates)
     return k, neighbors[lanes[:, 0], k]
 
@@ -217,25 +196,6 @@ def pf_update(avg_rates: np.ndarray, served_rates: np.ndarray, tau: float) -> np
     avg = np.asarray(avg_rates, dtype=float)
     served = np.asarray(served_rates, dtype=float)
     return (1.0 - tau) * avg + tau * served
-
-
-def _cross_check_pair(scheme, g01, g02, g12, params, split, r1, r2) -> None:
-    """Per-pair dominance checks of served pairs against the plain
-    superposition baseline."""
-    if scheme is Scheme.GBC:
-        return
-    g01, g02, g12, r1, r2 = (np.ravel(x) for x in (g01, g02, g12, r1, r2))
-    base = serve_pair(Scheme.GBC, g01, g02, 0.0, params, split)
-    ok = r2 >= base.r2 - (1e-12 if scheme is Scheme.RBC_DF else 1e-6)
-    if scheme is not Scheme.RBC_CF:
-        ok &= r1 == base.r1
-    if not ok.all():
-        b = int(np.argmin(ok))
-        raise RuntimeError(
-            f"per-pair dominance violated for {scheme.label}: "
-            f"served=({r1[b]}, {r2[b]}) baseline=({base.r1[b]}, {base.r2[b]}) "
-            f"g01={g01[b]} g02={g02[b]} g12={g12[b]} alpha={split.alpha}"
-        )
 
 
 @dataclass(frozen=True)
@@ -272,18 +232,19 @@ def schedule_lanes(
     """Assign and serve all blocks of one scheduling interval in every lane.
 
     The S ``schemes`` cut the lanes into S equal, contiguous segments in
-    that order; each r2 stage runs once per run of adjacent segments that
-    share an r2 formula.  ``bs_gains`` is (L, K, B) with this interval's
+    that order, over which every stage evaluates r2 with one
+    ``rates.second_rates`` call.  ``bs_gains`` is (L, K, B) with this interval's
     true BS power gains, ``est_gain`` the (T, K, K) inter-user power-gain
     estimates of T trials, lane l using table ``trial_of[l]``,
     ``avg_rates`` the (L, K) PF ledger, finite and positive.
     ``relay_power`` (L,) is each lane's relay power, in place of
     ``params.p1``, and ``relay_r1`` (L, K, B) each lane's
-    ``relay_rate_table`` of ``bs_gains`` under its scheme, from which both
+    ``rates.relay_rate`` of ``bs_gains`` under its scheme, from which both
     pairings score and serve the relays.  ``pair_gains(relays, seconds)``
     returns the (L, B) true inter-user gains of the selected pairs; it is
-    called once, after all blocks are assigned, and not at all when every
-    scheme is GBC.  All pairs are served with one r2 call per r2 segment.
+    called once, after all blocks are assigned, and not at all when no
+    scheme uses the relay.  ``cross_check`` raises on a served pair that
+    breaks ``rates.dominance_violation``.
 
     Near-far pairing takes ``ranks``, the ``near_far_ranks`` of
     ``bs_gains``.  Nearest pairing takes ``neighbor_order``, the (T, K,
@@ -302,7 +263,6 @@ def schedule_lanes(
     if per * len(schemes) != n_lanes:
         raise ValueError(f"{n_lanes} lanes do not split into {len(schemes)} scheme segments")
     segments = [(scheme, k * per, (k + 1) * per) for k, scheme in enumerate(schemes)]
-    r2_segments = second_rate_segments(segments)
     if n_users < 2 * n_blocks:
         raise ValueError(f"{n_users} users cannot fill {n_blocks} blocks with pairs")
     avg_rates = np.asarray(avg_rates, dtype=float)
@@ -339,10 +299,10 @@ def schedule_lanes(
                     strong = np.where(resplit[:, None], again, strong)
                     weak = np.where(resplit[:, None], avail & ~again, weak)
             k1, k2 = _near_far_select(strong, weak, relay_scores[:, :, b], gains, avg_rates,
-                                      est_gain, trial_of, r2_segments, params, split.alpha, p1)
+                                      est_gain, trial_of, segments, params, split.alpha, p1)
         else:
             k1, k2 = _nearest_select(avail, cursor, relay_scores[:, :, b], gains, avg_rates,
-                                     est_gain, trial_of, r2_segments, params, split.alpha, p1,
+                                     est_gain, trial_of, segments, params, split.alpha, p1,
                                      neighbor_of)
         avail[lanes, k1] = False
         avail[lanes, k2] = False
@@ -353,16 +313,14 @@ def schedule_lanes(
 
     lane_col, blocks = lanes[:, None], np.arange(n_blocks)
     g01, g02 = bs_gains[lane_col, relays, blocks], bs_gains[lane_col, seconds, blocks]
-    g12 = pair_gains(relays, seconds) if any(s is not Scheme.GBC for s, _, _ in segments) \
+    g12 = pair_gains(relays, seconds) if any(s.uses_relay for s in schemes) \
         else np.zeros((n_lanes, n_blocks))
     r1 = relay_r1[lane_col, relays, blocks]
-    r2, clamped = np.empty(g01.shape), np.empty(g01.shape, dtype=bool)
-    for scheme, a, b in r2_segments:
-        sr = serve_pair(scheme, g01[a:b], g02[a:b], g12[a:b], params, split, p1=p1[a:b],
-                        r1=r1[a:b])
-        r2[a:b], clamped[a:b] = sr.r2, sr.r2_clamped
-    for scheme, a, b in segments if cross_check else ():
-        _cross_check_pair(scheme, g01[a:b], g02[a:b], g12[a:b], params, split, r1[a:b], r2[a:b])
+    r2, clamped = second_rates(segments, g01, g02, g12, params, split.alpha, p1)
+    if cross_check:
+        violation = dominance_violation(segments, g01, g02, g12, params, split.alpha, r1, r2)
+        if violation:
+            raise RuntimeError(violation)
     served = np.zeros((n_lanes, n_users))
     served[lane_col, relays] = r1
     served[lane_col, seconds] = r2

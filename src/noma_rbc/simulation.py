@@ -13,19 +13,21 @@ fading, drawn per served pair per block.
 Lanes.  A lane is one (scheme, trial, relay-power point) of a pairing,
 scheme-major: lane (c * T + t) * S + s.  ``run_lanes`` advances all lanes
 of a task together, one interval at a time: ``schedule_lanes`` runs each
-selection stage and serving for all lanes, with one r2 call per run of
-lanes that share an r2 formula (an adjacent RBC-CF / RBC-CF+DPC pair shares
-one), and the PF ledger is an (L, K) array.  Only the interval
+selection stage and serving for all lanes, each with one
+``rates.second_rates`` call over the lanes' scheme segments, and the PF
+ledger is an (L, K) array.  Neither module names a scheme: ``rates`` and
+the ``Scheme`` properties say what differs between them.  Only the interval
 loop is sequential, because each PF update depends on the previous
 interval, and it does only the work that depends on the ledger.  What
 depends on a trial's draws alone is computed on the T trial rows, for all
 schemes at once: the inter-user gain estimates and the distance order of
 nearest pairing once per trial, which the scheduler reads through
 ``trial_of``, and per chunk of ``BS_CHUNK_INTERVALS`` intervals the BS
-gains, the relay rates r1 of each distinct r1 formula, from which both
-pairings score and serve their relays, and near-far's per-block strong
-halves, gathered to the lanes.  Lanes never interact, so a lane's
-result does not depend on which other lanes share its batch.
+gains, the relay rates r1 of each distinct r1 formula
+(``rates.relay_rate_formulas``), from which both pairings score and serve
+their relays, and near-far's per-block strong halves, gathered to the
+lanes.  Lanes never interact, so a lane's result does not depend on which
+other lanes share its batch.
 
 Randomness uses the counter-based Philox generator.  Each trial's seed is
 derived from (master seed, trial index) only and splits into three child
@@ -40,7 +42,7 @@ streams, drawn in this order and shared by the trial's lanes:
   interval's draw per trial serves every interval;
 * inter-user fading: one (B, 2) draw per interval, real and imaginary part
   block by block, the order of one scalar draw per served pair (none
-  when every scheme of the task is GBC, which has no relay link).
+  when no scheme of the task uses the relay link).
 
 Any two runs with the same master seed therefore see identical topologies
 and fading regardless of scheme, pairing, relay power, chunking or
@@ -69,9 +71,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import ChannelParams, PowerSplit, Scheme
-from .rates import relay_rate_formulas
+from .rates import relay_rate, relay_rate_formulas
 from .scheduling import (NEIGHBOR_MODES, PAIRINGS, distance_order, near_far_ranks, pf_update,
-                         relay_rate_table, schedule_lanes)
+                         schedule_lanes)
 
 SECTOR_HALF_ANGLE = math.pi / 3.0  # 120-degree sector, centred on the x axis
 AVG_RATE_INIT = 1e-3               # PF ledger start value; washed out within tens of intervals
@@ -358,7 +360,7 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence,
     relay_power = np.tile(unit.relay_powers, len(schemes) * n_trials)
     params = ChannelParams(p0=unit.p0, p1=float(relay_power[0]), n1=1.0, n2=1.0)
     split = PowerSplit(config.alpha)
-    has_relay_link = any(scheme is not Scheme.GBC for scheme in schemes)
+    has_relay_link = any(scheme.uses_relay for scheme in schemes)
     pairing = config.pairings[0]
     near_far = pairing == "near-far"
 
@@ -404,7 +406,7 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence,
         n = min(step, config.intervals - first)
         chunk = np.stack([draw_bs_gains(r, config, rng_fading, 1 if static else n)
                           for r, (_, rng_fading, _) in zip(radii, streams)])  # (T, n or 1, K, B)
-        r1 = relay_rate_table(r1_schemes, chunk, params, config.alpha)
+        r1 = np.concatenate([relay_rate(s, chunk, params, config.alpha) for s in r1_schemes])
         if near_far:
             strong = near_far_ranks(chunk)
         for interval in range(first, first + n):

@@ -19,7 +19,7 @@ import numpy as np
 from noma_rbc.core import ChannelParams, LinkGains, PowerSplit, Scheme
 from noma_rbc.rates import N_HAT_BRACKET, rate_kernel, relay_rate
 from noma_rbc.scheduling import (_near_far_select, _nearest_select, _NeighborCursor,
-                                 _strong_half, distance_order, near_far_ranks, relay_rate_table,
+                                 _strong_half, distance_order, near_far_ranks,
                                  schedule_lanes)
 from noma_rbc.simulation import SimConfig, run_lanes
 
@@ -106,17 +106,18 @@ def two_candidate_optimum(cf):
     ``rates._CFBounds`` by the rule that allowed two crossings: the better
     of two candidates scored on one stacked objective call, namely both
     positive roots (the first on ties), or the one positive root twice, or
-    without one both ends of ``N_HAT_BRACKET`` (the low end on ties).  The
-    reference for the one-crossing rule of ``_CFBounds.optimum``."""
+    without one both ends of ``N_HAT_BRACKET`` in units of n1 (the low end
+    on ties).  The reference for the one-crossing rule of
+    ``_CFBounds.optimum``."""
     root0, root1 = cf.crossing_roots()
     ok0 = np.isfinite(root0) & (root0 > 0.0)
     ok1 = np.isfinite(root1) & (root1 > 0.0)
-    lo, hi = N_HAT_BRACKET
+    lo, hi = (end * cf.n1 for end in N_HAT_BRACKET)
     first = np.where(ok0, root0, np.where(ok1, root1, lo))
     other = np.where(ok0 & ok1, root1, np.where(ok0 | ok1, first, hi))
-    at_one = cf.alpha == 1.0  # r2 is 0 for every n_hat; report n_hat = 1
+    at_one = cf.alpha == 1.0  # r2 is 0 for every n_hat; report n_hat = n1
     if np.any(at_one):
-        first, other = np.where(at_one, 1.0, first), np.where(at_one, 1.0, other)
+        first, other = np.where(at_one, cf.n1, first), np.where(at_one, cf.n1, other)
     r2s, seconds = cf.objective(np.stack((first, other)))
     take = r2s[1] > r2s[0]
     return (np.where(take, other, first), np.where(take, r2s[1], r2s[0]),
@@ -260,7 +261,7 @@ def schedule_interval(scheme: Scheme, pairing: str, bs_gains: np.ndarray,
     res = schedule_lanes((scheme,), pairing, bs_gains, np.asarray(avg_rates, dtype=float)[None],
                          params, split, np.asarray(est_gain)[None], pair_gains,
                          trial_of=np.arange(1), relay_power=np.array([params.p1]),
-                         relay_r1=relay_rate_table((scheme,), bs_gains, params, split.alpha),
+                         relay_r1=relay_rate(scheme, bs_gains, params, split.alpha),
                          ranks=ranks,
                          neighbor_order=order, neighbor_of=static, cross_check=cross_check)
     return IntervalResult(

@@ -87,6 +87,34 @@ def test_region_rerun_is_byte_identical(tmp_path):
     assert (out_a / "rate_region.csv").read_bytes() == (out_b / "rate_region.csv").read_bytes()
 
 
+# no crossing of the CF bounds at alpha = 0.625: the optimum is a bracket end
+NO_ROOT_REGION = ["--g01", "483.6281010810058", "--g02", "0.49424497906414167",
+                  "--g12", "808.1521184931604", "--alpha-grid", "0,0.2,0.625,1"]
+
+
+@pytest.mark.parametrize("scale_db", [-120, 60])
+def test_region_rows_do_not_depend_on_the_noise_unit(tmp_path, scale_db):
+    # noise powers of 10^(scale_db / 10) and powers raised by as many dB: the
+    # same rates, and the compression noise in the new unit
+    rows = {}
+    for db in (0, scale_db):
+        noise = str(10.0 ** (db / 10.0))
+        out = tmp_path / str(db)
+        assert main(["region", "--out", str(out), "--n1", noise, "--n2", noise,
+                     "--p0-db", str(10 + db), "--p1-db", str(10 + db)] + NO_ROOT_REGION) == EXIT_OK
+        rows[db] = read_csv(out / "rate_region.csv")
+    assert len(rows[0]) == len(rows[scale_db]) == 16
+    for unit, scaled in zip(rows[0], rows[scale_db]):
+        assert (unit["scheme"], unit["alpha"]) == (scaled["scheme"], scaled["alpha"])
+        for column in ("r1_bits", "r2_bits"):
+            assert float(scaled[column]) == pytest.approx(float(unit[column]), abs=1e-9)
+        if unit["n_hat"]:
+            assert float(scaled["n_hat"]) == pytest.approx(
+                float(unit["n_hat"]) * 10.0 ** (scale_db / 10.0), rel=1e-9)
+    cf = {r["alpha"]: r for r in rows[scale_db] if r["scheme"] == "rbc-cf"}
+    assert float(cf["0.625"]["r2_bits"]) == pytest.approx(10.82579900595735, abs=1e-9)
+
+
 def test_region_missing_gain_named(tmp_path, capsys):
     rc = main(["region", "--out", str(tmp_path), "--g02", "1", "--p0-db", "10"])
     assert rc == EXIT_CONFIG_ERROR

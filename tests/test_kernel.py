@@ -44,8 +44,8 @@ HIGH_END_WINS = (1.0, 0.5, 0.0, 1.0, 1.0, 0.5)
 
 def scalar_cf_reference(g01, g02, g12, p0, p1, alpha, n1=1.0, n2=1.0):
     """Written out apart from the package: the CF r2 at the best of the
-    crossing quadratic's positive roots and both bracket ends, the roots
-    and whether any of them is positive."""
+    crossing quadratic's positive roots and both bracket ends, in units of
+    n1, the roots and whether any of them is positive."""
     a, ab = alpha, 1.0 - alpha
     s1, s2 = g01 * a * p0, g02 * a * p0
     t1, t2 = g01 * ab * p0, g02 * ab * p0
@@ -74,7 +74,7 @@ def scalar_cf_reference(g01, g02, g12, p0, p1, alpha, n1=1.0, n2=1.0):
             q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
             roots = [q / qa] + ([qc / q] if q != 0.0 else [])
     roots = [r for r in roots if math.isfinite(r) and r > 0.0]
-    return max(map(objective, roots + list(N_HAT_BRACKET))), roots, objective
+    return max(map(objective, roots + [end * n1 for end in N_HAT_BRACKET])), roots, objective
 
 
 def cf_kernel(g01, g02, g12, p0, p1, alpha, n_hat=None):
@@ -177,6 +177,27 @@ def test_the_cf_bounds_cross_at_most_once_on_random_batches():
         cf = cf_bounds(g01, g02, g12, p0, p1, n1, n2, alpha)
         assert positive_roots(cf).max() <= 1
         assert same_bits(cf.optimum(), two_candidate_optimum(cf))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e6])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_the_rates_do_not_depend_on_the_noise_unit(scheme, scale):
+    # every power and noise times ``scale``: the same rates at bracket ends
+    # (no root) as at roots, and the bracket end in the new unit
+    rng = rng_for(37)
+    g01, g02, g12 = 10.0 ** rng.uniform(-4.0, 4.0, size=(3, 4000))
+    g12[:500] = 0.0  # no relay power reaches the second user: the high end wins
+    alpha = np.concatenate([[0.0, 1.0], rng.uniform(size=3998)])
+    unit = ChannelParams(p0=10.0, p1=10.0, n1=0.5, n2=2.0)
+    scaled = ChannelParams(p0=10.0 * scale, p1=10.0 * scale, n1=0.5 * scale, n2=2.0 * scale)
+    r1, r2, n_hat, _ = rate_kernel(scheme, g01, g02, g12, unit, alpha)
+    s1, s2, scaled_n_hat, _ = rate_kernel(scheme, g01, g02, g12, scaled, alpha)
+    assert np.abs(s1 - r1).max() <= 1e-9
+    assert np.abs(s2 - r2).max() <= 1e-9
+    if scheme.uses_compression:
+        no_root = positive_roots(_CFBounds(g01, g02, g12, unit, alpha, unit.p1)) == 0
+        assert 100 < no_root.sum() < no_root.size
+        assert np.allclose(scaled_n_hat[no_root], n_hat[no_root] * scale, rtol=1e-9, atol=0.0)
 
 
 @st.composite

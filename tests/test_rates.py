@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from noma_rbc import rates
 from noma_rbc.core import ChannelParams, CompressionNoise, LinkGains, PowerSplit, Scheme
 from noma_rbc.rates import (
     N_HAT_BRACKET,
     cf_clamp_active,
+    dominance_violation,
     gbc_rates,
     optimize_n_hat,
     rbc_cf_dpc_rates,
@@ -17,8 +19,7 @@ from noma_rbc.rates import (
     relay_rate,
     relay_rate_formulas,
     second_rate,
-    second_rate_segments,
-    serve_pair,
+    second_rates,
     sweep_region,
     uniform_alpha_grid,
 )
@@ -297,15 +298,12 @@ def test_scalar_helpers_match_typed_operations():
     assert second_rate_bits(Scheme.RBC_DF, g01, g02, g12, PARAMS, SPLIT) == \
         rbc_df_rates(GAINS, PARAMS, SPLIT).r2
 
-    served = serve_pair(Scheme.RBC_CF_DPC, g01, g02, g12, PARAMS, SPLIT)
-    n_hat, best = optimize_n_hat(GAINS, PARAMS, SPLIT, Scheme.RBC_CF_DPC)
-    assert served.r1 == best.r1
-    assert served.r2 == best.r2
-    assert served.n_hat == n_hat.n_hat
-    assert not served.r2_clamped
-
-    gbc_served = serve_pair(Scheme.GBC, g01, g02, 0.0, PARAMS, SPLIT)
-    assert gbc_served.n_hat is None
+    r2, clamped = second_rates([(Scheme.RBC_CF_DPC, 0, 1)], np.array([g01]), np.array([g02]),
+                               np.array([g12]), PARAMS, SPLIT.alpha, np.array([PARAMS.p1]))
+    _, best = optimize_n_hat(GAINS, PARAMS, SPLIT, Scheme.RBC_CF_DPC)
+    assert relay_rate(Scheme.RBC_CF_DPC, g01, PARAMS, SPLIT.alpha) == best.r1
+    assert r2[0] == best.r2
+    assert not clamped[0]
 
 
 def test_objective_transcription_agrees_with_package():
@@ -364,19 +362,29 @@ def test_second_rate_is_the_r2_part_of_the_kernel(scheme):
             assert _same_bits(second_n_hat, kernel_n_hat)
 
 
-def test_served_r1_when_given_is_served_as_it_is():
-    rng = rng_for(19)
-    g01, g02, g12 = 10.0 ** rng.uniform(-2.0, 2.0, size=(3, 20))
-    for scheme in Scheme:
-        own = serve_pair(scheme, g01, g02, g12, PARAMS, SPLIT)
-        table = relay_rate(scheme, g01, PARAMS, SPLIT.alpha)
-        given = serve_pair(scheme, g01, g02, g12, PARAMS, SPLIT, r1=table)
-        assert given.r1 is table and _same_bits(own.r1, table)
-        assert _same_bits(given.r2, own.r2)
-        assert np.array_equal(given.r2_clamped, own.r2_clamped)
-
-
 GBC, DF, CF, DPC = Scheme.GBC, Scheme.RBC_DF, Scheme.RBC_CF, Scheme.RBC_CF_DPC
+
+
+def spy_second_rate(monkeypatch, g01):
+    """The (scheme, start, stop) of every ``rates.second_rate`` call on a
+    slice of the leading axis of ``g01``."""
+    calls = []
+
+    def spy(scheme, x01, *args, real=rates.second_rate, **kwargs):
+        start = (x01.ctypes.data - g01.ctypes.data) // g01.strides[0]
+        calls.append((scheme, start, start + len(x01)))
+        return real(scheme, x01, *args, **kwargs)
+    monkeypatch.setattr(rates, "second_rate", spy)
+    return calls
+
+
+def segment_inputs(seed, shape):
+    """Gains and a relay power per leading entry, as the scheduler passes
+    them: unordered pairs, (n,) candidate lists or (L, B) lane blocks."""
+    rng = rng_for(seed)
+    g01, g02, g12 = 10.0 ** rng.uniform(-3.0, 3.0, size=(3, *shape))
+    p1 = 10.0 ** rng.uniform(-2.0, 2.0, size=(shape[0],) + (1,) * (len(shape) - 1))
+    return g01, g02, g12, p1
 
 
 @pytest.mark.parametrize("schemes, merged", [
@@ -386,26 +394,87 @@ GBC, DF, CF, DPC = Scheme.GBC, Scheme.RBC_DF, Scheme.RBC_CF, Scheme.RBC_CF_DPC
     ((GBC, GBC, DF), [(GBC, 0, 4), (DF, 4, 6)]),
     ((CF,), [(CF, 0, 2)]),
 ])
-def test_second_rate_segments_merge_adjacent_runs_that_share_r2(schemes, merged):
+def test_second_rate_segments_merge_adjacent_runs_that_share_r2(monkeypatch, schemes, merged):
     segments = [(s, 2 * k, 2 * k + 2) for k, s in enumerate(schemes)]
-    assert second_rate_segments(segments) == merged
+    g01, g02, g12, p1 = segment_inputs(21, (2 * len(schemes), 3))
+    calls = spy_second_rate(monkeypatch, g01)
+    second_rates(segments, g01, g02, g12, PARAMS, 0.3, p1)
+    assert calls == merged
 
 
 @pytest.mark.parametrize("schemes", list(itertools.permutations(Scheme)))
-def test_second_rate_segments_merge_exactly_the_schemes_whose_r2_is_bit_identical(schemes):
+def test_second_rate_segments_merge_exactly_the_schemes_whose_r2_is_bit_identical(monkeypatch,
+                                                                                  schemes):
     rng = rng_for(23)
     g01, g02, g12 = 10.0 ** rng.uniform(-2.0, 2.0, size=(3, 40))
 
     def r2(scheme):
         return second_rate(scheme, g01, g02, g12, PARAMS, 0.3)[0]
 
+    # one segment per scheme, each over the same 40 pairs
     segments = [(s, k, k + 1) for k, s in enumerate(schemes)]
-    merged = second_rate_segments(segments)
-    # the merged segments tile the axis in order
-    assert [a for _, a, _ in merged] == [0] + [b for _, _, b in merged[:-1]]
-    assert merged[-1][2] == len(schemes)
-    for name, a, b in merged:
+    tiled = [np.tile(g, (len(schemes), 1)) for g in (g01, g02, g12)]
+    calls = spy_second_rate(monkeypatch, tiled[0])
+    got, _ = second_rates(segments, *tiled, PARAMS, 0.3, np.full((len(schemes), 1), PARAMS.p1))
+    # the calls tile the axis in order
+    assert [a for _, a, _ in calls] == [0] + [b for _, _, b in calls[:-1]]
+    assert calls[-1][2] == len(schemes)
+    for name, a, b in calls:
         assert all(_same_bits(r2(s), r2(name)) for s, _, _ in segments[a:b])
-    for (x, _, _), (y, _, _) in zip(merged, merged[1:]):
+        assert all(_same_bits(got[k], r2(s)) for s, k, _ in segments[a:b])
+    for (x, _, _), (y, _, _) in zip(calls, calls[1:]):
         assert not _same_bits(r2(x), r2(y))
 
+
+@pytest.mark.parametrize("shape", [(13,), (13, 5)], ids=["candidates", "lanes-by-blocks"])
+@pytest.mark.parametrize("schemes, lengths, runs", [
+    ((GBC, DF, CF, DPC), (1, 5, 3, 4), 3),
+    ((CF, GBC, DPC, DF), (4, 3, 5, 1), 4),
+    ((DPC, CF), (6, 7), 1),
+    ((DF,), (13,), 1),
+], ids=["cf-adjacent", "cf-apart", "cf-pair", "one-scheme"])
+def test_second_rates_equal_per_scheme_second_rate(monkeypatch, shape, schemes, lengths, runs):
+    g01, g02, g12, p1 = segment_inputs(27, shape)
+    bounds = np.cumsum((0,) + lengths).tolist()
+    segments = list(zip(schemes, bounds, bounds[1:]))
+    calls = spy_second_rate(monkeypatch, g01)
+    r2, clamped = second_rates(segments, g01, g02, g12, PARAMS, 0.3, p1)
+    assert len(calls) == runs
+    for scheme, a, b in segments:
+        own, _, own_clamped = second_rate(scheme, g01[a:b], g02[a:b], g12[a:b], PARAMS, 0.3,
+                                          p1=p1[a:b])
+        assert _same_bits(r2[a:b], own)
+        assert np.array_equal(clamped[a:b], np.broadcast_to(own_clamped, (b - a, *shape[1:])))
+    assert r2.shape == clamped.shape == shape
+
+
+def test_dominance_violation_names_the_first_pair_that_falls_short():
+    # two lanes of three blocks per scheme, ordered pairs served at the kernel's rates
+    rng = rng_for(31)
+    g = np.sort(10.0 ** rng.uniform(-2.0, 2.0, size=(2, 8, 3)), axis=0)
+    g01, g02, g12 = g[1], g[0], 10.0 ** rng.uniform(-2.0, 2.0, size=(8, 3))
+    p1 = np.full((8, 1), PARAMS.p1)
+    segments = [(s, 2 * k, 2 * k + 2) for k, s in enumerate(Scheme)]
+    r1 = np.concatenate([relay_rate(s, g01[a:b], PARAMS, 0.2) for s, a, b in segments])
+    r2, _ = second_rates(segments, g01, g02, g12, PARAMS, 0.2, p1)
+    assert dominance_violation(segments, g01, g02, g12, PARAMS, 0.2, r1, r2) is None
+
+    base_r2 = rate_kernel(GBC, g01, g02, 0.0, PARAMS, 0.2)[1]
+    for lane, slack, scheme in ((3, 1e-11, DF), (5, 1e-5, CF), (7, 1e-5, DPC)):
+        low = r2.copy()
+        low[lane, 1] = base_r2[lane, 1] - slack
+        message = dominance_violation(segments, g01, g02, g12, PARAMS, 0.2, r1, low)
+        assert message.startswith(f"per-pair dominance violated for {scheme.label}: "
+                                  f"served=({r1[lane, 1]}, {low[lane, 1]}) ")
+        assert f"g12={g12[lane, 1]} alpha=0.2" in message
+    # the CF optimum has 1e-6 bits of slack; GBC itself is not checked
+    low = r2.copy()
+    low[4:8, 1] = base_r2[4:8, 1] - 5e-7
+    low[0:2] = 0.0
+    assert dominance_violation(segments, g01, g02, g12, PARAMS, 0.2, r1, low) is None
+    # RBC-CF serves a lower r1 than GBC; RBC-DF must serve GBC's exactly
+    changed = r1.copy()
+    changed[2, 0] = np.nextafter(r1[2, 0], np.inf)
+    assert "violated for rbc-df" in dominance_violation(segments, g01, g02, g12, PARAMS, 0.2,
+                                                         changed, r2)
+    assert np.all(r1[4:6] < rate_kernel(GBC, g01[4:6], g02[4:6], 0.0, PARAMS, 0.2)[0])

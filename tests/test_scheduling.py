@@ -3,14 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from noma_rbc import scheduling
 from noma_rbc.core import ChannelParams, PowerSplit, Scheme
+from noma_rbc.rates import relay_rate
 from noma_rbc.scheduling import (
     _NeighborCursor,
     _pf_argmax,
     distance_order,
     near_far_ranks,
     pf_update,
-    relay_rate_table,
     schedule_lanes,
 )
 
@@ -279,6 +280,21 @@ def test_schedule_interval_forced_pair():
 
 
 @pytest.mark.parametrize("pairing", ["near-far", "nearest"])
+def test_cross_check_raises_on_a_served_pair_below_gbc(monkeypatch, pairing):
+    # every r2 zeroed: RBC-DF then serves less than GBC would
+    def zeroed(*args, real=scheduling.second_rates):
+        r2, clamped = real(*args)
+        return np.zeros_like(r2), clamped
+    monkeypatch.setattr(scheduling, "second_rates", zeroed)
+    gains, dist, est, avg = _interval_inputs(rng_for(67), k=10, b=3)
+    with pytest.raises(RuntimeError, match="per-pair dominance violated for rbc-df: served="):
+        schedule_interval(scheme=Scheme.RBC_DF, pairing=pairing, bs_gains=gains,
+                          dist_matrix=dist, avg_rates=avg, params=PARAMS, split=SPLIT,
+                          est_gain=est, draw_pair_gain=no_fading_pair_gain(est),
+                          cross_check=True)
+
+
+@pytest.mark.parametrize("pairing", ["near-far", "nearest"])
 @pytest.mark.parametrize("scheme", [Scheme.GBC, Scheme.RBC_DF, Scheme.RBC_CF_DPC])
 def test_schedule_interval_invariants(pairing, scheme):
     rng = rng_for(61)
@@ -490,7 +506,7 @@ def test_lanes_do_not_interact(scheme, pairing, neighbors):
     res = schedule_lanes((scheme,), pairing, gains, avg, PARAMS, SPLIT, est,
                          pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
                          trial_of=np.arange(5), ranks=near_far_ranks(gains),
-                         relay_r1=relay_rate_table((scheme,), gains, PARAMS, SPLIT.alpha),
+                         relay_r1=relay_rate(scheme, gains, PARAMS, SPLIT.alpha),
                          neighbor_order=distance_order(dist),
                          neighbor_of=static, relay_power=relay_power, cross_check=True)
     for lane in range(5):
@@ -512,5 +528,5 @@ def test_a_lane_without_a_finite_score_is_named():
             schedule_lanes((Scheme.GBC,), "near-far", gains, avg, PARAMS, PowerSplit(1.0), est,
                            pair_gains=None, trial_of=np.arange(2),
                            ranks=near_far_ranks(gains),
-                           relay_r1=relay_rate_table((Scheme.GBC,), gains, PARAMS, 1.0),
+                           relay_r1=relay_rate(Scheme.GBC, gains, PARAMS, 1.0),
                            relay_power=np.array([1.0, np.nan]))

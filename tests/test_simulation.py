@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noma_rbc import rates, scheduling, simulation
-from noma_rbc.core import ChannelParams, PowerSplit, Scheme
-from noma_rbc.rates import serve_pair
+from noma_rbc import rates, simulation
+from noma_rbc.core import ChannelParams, Scheme
+from noma_rbc.rates import rate_kernel
 from noma_rbc.simulation import (
     SECTOR_HALF_ANGLE,
     SimConfig,
@@ -194,10 +194,10 @@ def test_degenerate_trial_equals_direct_computation():
     g12 = float(path_gain(d12, cfg) * rayleigh_power(
         np.random.Generator(np.random.Philox(pair_ss))))
     params = ChannelParams(p0=cfg.p0, p1=cfg.relay_powers[0], n1=1.0, n2=1.0)
-    expect = serve_pair(Scheme.RBC_DF, gains[relay, 0], gains[second, 0], g12,
-                        params, PowerSplit(cfg.alpha))
+    r1, r2, _, _ = rate_kernel(Scheme.RBC_DF, gains[relay, 0], gains[second, 0], g12, params,
+                               cfg.alpha)
     assert result.assignments == (((relay, second),),)
-    assert result.mean_sum_rate == pytest.approx(expect.r1 + expect.r2, rel=1e-12)
+    assert result.mean_sum_rate == pytest.approx(r1 + r2, rel=1e-12)
 
 
 def test_trial_reproducibility_and_fading_policies():
@@ -443,7 +443,7 @@ def test_relay_rates_are_evaluated_once_per_r1_formula(monkeypatch, pairing):
     # GBC, RBC-DF and RBC-CF+DPC share one r1: two evaluations per chunk,
     # and none in selection or serving, which read the per-chunk table
     calls = []
-    for module in (scheduling, rates):
+    for module in (simulation, rates):
         def counting(scheme, *args, real=module.relay_rate):
             calls.append(scheme)
             return real(scheme, *args)
