@@ -307,7 +307,8 @@ def cmd_region(args) -> int:
              "swap the two user roles and rerun")
         return EXIT_CONFIG_ERROR
     try:
-        curves = [sweep_region(scheme, gains, params, grid, n_hat=fixed) for scheme in schemes]
+        curves = [sweep_region(scheme, gains, params, grid, n_hat=fixed, checked=True)
+                  for scheme in schemes]
     except ValueError as exc:
         _err(f"{exc}: the rates overflow at these gains and powers "
              "(g01, g02, g12, p0_db, p1_db, n1, n2)")

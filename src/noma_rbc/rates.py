@@ -23,16 +23,19 @@ so every positive root is a crossing, and as the bounds cross at most once
 the quadratic has at most one positive root.  Without one the bounds never
 cross: one of them is the smaller for every n_hat, so their min is
 monotone and its best value over ``N_HAT_BRACKET`` (in units of n1) sits
-at an end of the bracket (the low end when the cut-set bound binds, the
-high end when the forwarding-minus-loss bound does).  The optimum is therefore the one
-crossing or, failing it, the better bracket end; no search is needed.
+at an end of the bracket: the low end when the cut-set bound binds, the
+high end when the forwarding-minus-loss bound does.  The optimum is
+therefore the one crossing or, failing it, the better bracket end; no
+search is needed, and the high end is evaluated only where the
+forwarding-minus-loss bound binds at the low end.
 
 ``rate_kernel`` evaluates one scheme over broadcastable gain and
 power-split arrays.  This module is the only code that knows which
 formulas a scheme uses: ``relay_rate`` (r1) and ``second_rate`` (r2)
-dispatch on it, ``relay_rate_formulas`` and ``second_rates`` share the
-formulas between schemes, and ``dominance_violation`` states what each
-scheme promises over GBC.  The typed operations (``gbc_rates`` ...
+dispatch on it, ``relay_rate_formulas`` and ``second_rate_formulas`` name
+the formulas that schemes share, ``second_rates`` evaluates a shared r2
+formula once, and ``dominance_violation`` states what each scheme
+promises over GBC.  The typed operations (``gbc_rates`` ...
 ``sweep_region``) validate their inputs and call the kernel; the scheduler
 scores and serves whole candidate blocks through ``second_rates``.  GBC
 and RBC-DF presuppose the degraded role ordering: the typed operations
@@ -81,14 +84,34 @@ def relay_rate(scheme: Scheme, g01, params: ChannelParams, alpha):
     return _log2_1p(g01 * alpha * params.p0 / params.n1)
 
 
+def _formulas(schemes: Sequence[Scheme], key) -> tuple[tuple[Scheme, ...], list[int]]:
+    """The distinct ``key`` values of ``schemes``, each as the first scheme
+    that has it, and for each scheme the position of its value among
+    them."""
+    keys = [key(scheme) for scheme in schemes]
+    distinct = list(dict.fromkeys(keys))
+    return (tuple(schemes[keys.index(k)] for k in distinct),
+            [distinct.index(k) for k in keys])
+
+
 def relay_rate_formulas(schemes: Sequence[Scheme]) -> tuple[tuple[Scheme, ...], list[int]]:
     """The distinct r1 formulas of ``schemes``, each as the first scheme
     that uses it, and for each scheme the position of its formula among
     them.  GBC, RBC-DF and RBC-CF+DPC share one r1; RBC-CF has its own."""
-    keys = [scheme is Scheme.RBC_CF for scheme in schemes]
-    distinct = list(dict.fromkeys(keys))
-    return (tuple(schemes[keys.index(key)] for key in distinct),
-            [distinct.index(key) for key in keys])
+    return _formulas(schemes, lambda scheme: scheme is Scheme.RBC_CF)
+
+
+def _r2_formula(scheme: Scheme):
+    """Equal for exactly the schemes that share an r2 formula: RBC-CF and
+    RBC-CF+DPC share one."""
+    return scheme.uses_compression or scheme
+
+
+def second_rate_formulas(schemes: Sequence[Scheme]) -> tuple[tuple[Scheme, ...], list[int]]:
+    """The distinct r2 formulas of ``schemes``, as ``relay_rate_formulas``
+    gives the r1 formulas: RBC-CF and RBC-CF+DPC share one r2, the other
+    schemes have their own."""
+    return _formulas(schemes, _r2_formula)
 
 
 def _forward_bound(g02, g12, params: ChannelParams, alpha, p1):
@@ -130,10 +153,11 @@ class _CFBounds:
         return cutset, loss
 
     def objective(self, n_hat):
-        """Clamped r2 and the forwarding-minus-loss argument."""
+        """Clamped r2, the forwarding-minus-loss argument and the cut-set
+        bound."""
         cutset, loss = self.terms(n_hat)
         second = self.forward - loss
-        return np.maximum(0.0, np.minimum(cutset, second)), second
+        return np.maximum(0.0, np.minimum(cutset, second)), second, cutset
 
     def crossing_roots(self):
         """Both real roots of the quadratic in n_hat whose positive root is
@@ -154,7 +178,9 @@ class _CFBounds:
             # roots, a zero divisor infinite ones (np.divide: the inputs may
             # be Python floats, which would raise)
             q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
-            linear = qa == 0.0
+            linear = np.equal(qa, 0.0)
+            if not linear.any():
+                return q / qa, np.where(q == 0.0, np.nan, qc / q)
             return (np.where(linear, np.divide(-qc, qb), q / qa),
                     np.where(linear | (q == 0.0), np.nan, qc / q))
 
@@ -163,7 +189,14 @@ class _CFBounds:
         n_hat: the bounds' one crossing, the positive root of the
         quadratic, or, without one, the better end of ``N_HAT_BRACKET``
         in units of n1 (the low end on ties).  At alpha = 1, r2 is 0 for
-        every n_hat, and n_hat = n1 is reported."""
+        every n_hat, and n_hat = n1 is reported.
+
+        The objective is evaluated a second time, at the high end, only
+        where there is no root and the forwarding-minus-loss bound binds at
+        the low end.  Elsewhere the low end's r2 is its clamped cut-set
+        bound, and the high end's r2 is at most its own, which is no larger:
+        the cut-set bound decreases in n_hat, in floating point too, as
+        ``np.log1p`` is monotone."""
         root0, root1 = self.crossing_roots()
         ok0 = np.isfinite(root0) & (root0 > 0.0)
         has = ok0 | (np.isfinite(root1) & (root1 > 0.0))
@@ -172,10 +205,11 @@ class _CFBounds:
         if not isinstance(self.alpha, float) or self.alpha == 1.0:
             at_one = self.alpha == 1.0
             n_hat, has = np.where(at_one, self.n1, n_hat), has | at_one
-        r2, second = self.objective(n_hat)
-        if not has.all():
-            r2_hi, second_hi = self.objective(hi)
-            take = ~has & (r2_hi > r2)
+        r2, second, cutset = self.objective(n_hat)
+        rising = ~has & (second < cutset)
+        if rising.any():
+            r2_hi, second_hi, _ = self.objective(hi)
+            take = rising & (r2_hi > r2)
             n_hat, r2, second = (np.where(take, hi, n_hat), np.where(take, r2_hi, r2),
                                  np.where(take, second_hi, second))
         return n_hat, r2, second
@@ -195,7 +229,7 @@ def second_rate(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_h
     if n_hat is None:
         n_hat, r2, second = cf.optimum()
     else:
-        r2, second = cf.objective(n_hat)
+        r2, second, _ = cf.objective(n_hat)
     return r2, n_hat, second < 0.0
 
 
@@ -225,7 +259,7 @@ def second_rates(segments, g01, g02, g12, params: ChannelParams, alpha, p1):
     preallocated arrays."""
     shape = np.broadcast_shapes(g01.shape, g02.shape, g12.shape)
     r2, clamped = np.empty(shape), np.empty(shape, dtype=bool)
-    for _, run in itertools.groupby(segments, key=lambda seg: seg[0].uses_compression or seg[0]):
+    for _, run in itertools.groupby(segments, key=lambda seg: _r2_formula(seg[0])):
         run = list(run)
         scheme, a, b = run[0][0], run[0][1], run[-1][2]
         r2[a:b], _, clamped[a:b] = second_rate(scheme, g01[a:b], g02[a:b], g12[a:b], params,
@@ -385,15 +419,19 @@ def sweep_region(
     params: ChannelParams,
     alpha_grid: Sequence[float],
     n_hat: Optional[CompressionNoise] = None,
+    *,
+    checked: bool = False,
 ) -> RateRegionCurve:
     """Rate pair per grid alpha, from one kernel call over the grid.
 
-    For CF schemes the compression noise is the fixed ``n_hat`` when one is
+    ``checked`` says that ``alpha_grid`` is an array ``check_alpha_grid``
+    returned, which is then used as it is, without a second check.  For CF
+    schemes the compression noise is the fixed ``n_hat`` when one is
     given, and is optimised per point otherwise.  Rates must come out
     finite and non-negative, the compression noise finite and positive; a
     ``ValueError`` names the first that is not.
     """
-    grid = check_alpha_grid(alpha_grid)
+    grid = alpha_grid if checked else check_alpha_grid(alpha_grid)
     if not scheme.uses_compression:
         _require_ordered(gains, params)
     fixed = None if n_hat is None else n_hat.n_hat

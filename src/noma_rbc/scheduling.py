@@ -213,7 +213,7 @@ class LaneInterval:
 
 
 def schedule_lanes(
-    schemes: Sequence[Scheme],
+    segments: Sequence[tuple[Scheme, int, int]],
     pairing: str,
     bs_gains: np.ndarray,
     avg_rates: np.ndarray,
@@ -231,12 +231,13 @@ def schedule_lanes(
 ) -> LaneInterval:
     """Assign and serve all blocks of one scheduling interval in every lane.
 
-    The S ``schemes`` cut the lanes into S equal, contiguous segments in
-    that order, over which every stage evaluates r2 with one
-    ``rates.second_rates`` call.  ``bs_gains`` is (L, K, B) with this interval's
-    true BS power gains, ``est_gain`` the (T, K, K) inter-user power-gain
-    estimates of T trials, lane l using table ``trial_of[l]``,
-    ``avg_rates`` the (L, K) PF ledger, finite and positive.
+    The scheme ``segments`` (scheme, start, stop) cut the lanes into
+    contiguous runs, of any lengths, in order from lane 0 to lane L; every
+    stage evaluates r2 over them with one ``rates.second_rates`` call.
+    ``bs_gains`` is (L, K, B) with this interval's true BS power gains,
+    ``est_gain`` the (T, K, K) inter-user power-gain estimates of T
+    trials, lane l using table ``trial_of[l]``, ``avg_rates`` the (L, K)
+    PF ledger, finite and positive.
     ``relay_power`` (L,) is each lane's relay power, in place of
     ``params.p1``, and ``relay_r1`` (L, K, B) each lane's
     ``rates.relay_rate`` of ``bs_gains`` under its scheme, from which both
@@ -259,10 +260,11 @@ def schedule_lanes(
     if pairing == "nearest" and neighbor_order is None:
         raise ValueError("nearest pairing needs the distance_order of the users")
     n_lanes, n_users, n_blocks = bs_gains.shape
-    per = n_lanes // len(schemes)
-    if per * len(schemes) != n_lanes:
-        raise ValueError(f"{n_lanes} lanes do not split into {len(schemes)} scheme segments")
-    segments = [(scheme, k * per, (k + 1) * per) for k, scheme in enumerate(schemes)]
+    bounds = [0] + [stop for _, _, stop in segments]
+    if not segments or [start for _, start, _ in segments] != bounds[:-1] \
+            or bounds[-1] != n_lanes or any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError(f"scheme segments {[(s.label, a, b) for s, a, b in segments]} do not "
+                         f"cut the {n_lanes} lanes into contiguous non-empty runs")
     if n_users < 2 * n_blocks:
         raise ValueError(f"{n_users} users cannot fill {n_blocks} blocks with pairs")
     avg_rates = np.asarray(avg_rates, dtype=float)
@@ -313,7 +315,7 @@ def schedule_lanes(
 
     lane_col, blocks = lanes[:, None], np.arange(n_blocks)
     g01, g02 = bs_gains[lane_col, relays, blocks], bs_gains[lane_col, seconds, blocks]
-    g12 = pair_gains(relays, seconds) if any(s.uses_relay for s in schemes) \
+    g12 = pair_gains(relays, seconds) if any(s.uses_relay for s, _, _ in segments) \
         else np.zeros((n_lanes, n_blocks))
     r1 = relay_r1[lane_col, relays, blocks]
     r2, clamped = second_rates(segments, g01, g02, g12, params, split.alpha, p1)

@@ -71,7 +71,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import ChannelParams, PowerSplit, Scheme
-from .rates import relay_rate, relay_rate_formulas
+from .rates import relay_rate, relay_rate_formulas, second_rate_formulas
 from .scheduling import (NEIGHBOR_MODES, PAIRINGS, distance_order, near_far_ranks, pf_update,
                          schedule_lanes)
 
@@ -292,18 +292,31 @@ def pair_fading(rng: np.random.Generator, intervals: int, blocks: int) -> np.nda
     return np.array([x ** 2 for x in f.ravel().tolist()]).reshape(intervals, blocks)
 
 
-def pair_path_gain(dist_m: np.ndarray, config: SimConfig) -> np.ndarray:
-    """(K, K) expected inter-user power gain of every pair for symmetric
-    distances, each a scalar power like the per-pair path gains it
-    replaces (numpy's array power rounds some distances differently); the
-    upper triangle is computed and mirrored, the diagonal is 1."""
-    upper = np.triu_indices(len(dist_m), 1)
-    exponent = -config.path_loss_exp
-    values = [math.pow(x, exponent) for x in (dist_m[upper] / config.edge_radius_m).tolist()]
-    table = np.ones(dist_m.shape)
-    table[upper] = values
-    table[upper[::-1]] = values
-    return table
+class PairPathGains:
+    """Expected inter-user power gains (d / De)^(-gamma) for the (T, K, K)
+    distances of T trials, looked up as ``gains(trials, i, j)`` with
+    broadcastable index arrays.  A gain is computed at its first lookup, so
+    only the pairs ever served are, each as one scalar power of its
+    distance over De, like the per-pair path gains it replaces (numpy's
+    array power rounds some distances differently).  Symmetric distances
+    give (i, j) and (j, i) the same gain.  A user's gain to itself is 1."""
+
+    def __init__(self, dist: np.ndarray, config: SimConfig):
+        self.ratio, self.exponent = dist / config.edge_radius_m, -config.path_loss_exp
+        users = np.arange(dist.shape[-1])
+        self.table = np.full(dist.shape, np.nan)  # NaN: not computed yet
+        self.table[:, users, users] = 1.0
+
+    def __call__(self, trials, firsts, seconds) -> np.ndarray:
+        n_users = self.table.shape[-1]
+        flat = np.asarray((trials * n_users + firsts) * n_users + seconds)
+        gains = np.asarray(self.table.take(flat))
+        if np.isnan(gains.sum()):
+            new = np.isnan(gains)
+            at = flat[new]
+            gains[new] = [math.pow(x, self.exponent) for x in self.ratio.take(at).tolist()]
+            self.table.put(at, gains[new])
+        return gains
 
 
 def _trial_streams(trial_seed):
@@ -317,6 +330,13 @@ def _trial_streams(trial_seed):
             np.random.SeedSequence(entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + (k,))))
         for k in range(3)
     )
+
+
+def _lane_points(config: SimConfig) -> list[int]:
+    """The relay-power points at which each scheme of ``config`` runs a lane
+    per trial: all of them, or one for a scheme that does not use the relay,
+    whose lanes are the same at every point."""
+    return [len(config.p1_over_p0_db) if s.uses_relay else 1 for s in config.schemes]
 
 
 @dataclass(frozen=True)
@@ -349,15 +369,19 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence,
     if len(config.pairings) != 1:
         raise ValueError(f"run_lanes runs one pairing, got {config.pairings!r}")
     schemes, n_points, n_trials = config.schemes, len(config.p1_over_p0_db), len(trial_seeds)
-    row_of = np.repeat(np.arange(len(schemes) * n_trials), n_points)  # scheme-trial row c*T + t
-    trial_of = row_of % n_trials
+    points = _lane_points(config)
+    starts = np.cumsum([0] + [n_trials * p for p in points]).tolist()
+    segments = list(zip(schemes, starts, starts[1:]))
+    trial_of = np.concatenate([np.repeat(np.arange(n_trials), p) for p in points])
+    result_lanes = np.concatenate([a + np.repeat(np.arange(b - a), n_points // p)
+                                   for (_, a, b), p in zip(segments, points)])
     # schemes that share an r1 formula share its rows of relay rates
     r1_schemes, formula_of = relay_rate_formulas(schemes)
-    r1_row = np.asarray(formula_of)[row_of // n_trials] * n_trials + trial_of
+    r1_row = np.repeat(formula_of, np.diff(starts)) * n_trials + trial_of
     # the rates depend on the powers over the noise power only, so the lanes
     # run in units of it, the units of the CF n_hat bracket
     unit = replace(config, noise_power=1.0)
-    relay_power = np.tile(unit.relay_powers, len(schemes) * n_trials)
+    relay_power = np.concatenate([np.tile(unit.relay_powers[:p], n_trials) for p in points])
     params = ChannelParams(p0=unit.p0, p1=float(relay_power[0]), n1=1.0, n2=1.0)
     split = PowerSplit(config.alpha)
     has_relay_link = any(scheme.uses_relay for scheme in schemes)
@@ -365,7 +389,7 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence,
     near_far = pairing == "near-far"
 
     streams = [_trial_streams(s) for s in trial_seeds]
-    radii, dist, est_gain, path, fading = [], [], [], [], []
+    radii, dist, est_gain, fading = [], [], [], []
     for rng_topo, _, rng_pair in streams:
         polar = generate_topology(config, rng_topo)
         radii.append(polar[:, 0])
@@ -381,14 +405,13 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence,
         np.fill_diagonal(est, 0.0)
         est_gain.append(est)
         if has_relay_link:
-            path.append(pair_path_gain(d, config))
             fading.append(pair_fading(rng_pair, config.intervals, config.blocks))
-    est_gain = np.stack(est_gain)
+    est_gain, dist = np.stack(est_gain), np.stack(dist)
     if has_relay_link:
-        path, fading = np.stack(path), np.stack(fading)
+        path, fading = PairPathGains(dist, config), np.stack(fading)
     order = neighbor_of = None
     if not near_far:
-        order = distance_order(np.stack(dist))
+        order = distance_order(dist)
         if config.neighbors == "static":
             neighbor_of = order[trial_of, :, 0]
 
@@ -416,10 +439,10 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence,
                 ranks = strong[trial_of, i] if near_far else None
 
             def pair_gains(relays, seconds):
-                return path[lane_trial, relays, seconds] * fading[trial_of, interval]
+                return path(lane_trial, relays, seconds) * fading[trial_of, interval]
 
             res = schedule_lanes(
-                schemes=schemes,
+                segments=segments,
                 pairing=pairing,
                 bs_gains=gains,
                 avg_rates=avg,
@@ -443,10 +466,10 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence,
             avg = pf_update(avg, res.served, config.tau)
 
     return LaneResult(
-        mean_sum_rate=total / config.intervals,
-        role_swaps=role_swaps,
-        r2_clamps=r2_clamps,
-        assignments=np.stack(assignments) if assignments is not None else None,
+        mean_sum_rate=(total / config.intervals)[result_lanes],
+        role_swaps=role_swaps[result_lanes],
+        r2_clamps=r2_clamps[result_lanes],
+        assignments=np.stack(assignments)[:, result_lanes] if assignments is not None else None,
     )
 
 
@@ -487,17 +510,35 @@ def _run_task(task: LaneTask) -> LaneResult:
 
 
 def plan_tasks(config: SimConfig, parallel: int) -> list[LaneTask]:
-    """The experiment's tasks, in (pairing, scheme group, trial) order.  The
-    config's schemes are dealt round-robin into ``min(parallel, schemes)``
-    groups, and the trials are cut into as few contiguous chunks as keep
-    ``parallel`` workers busy, so lanes stay batched; a task holds all
-    relay-power points of its trials."""
+    """The experiment's tasks, in (pairing, scheme group, trial) order.
+
+    The config's schemes go into ``min(parallel, schemes)`` groups, one
+    scheme per group when there are as many groups as schemes.  With fewer
+    groups, the schemes that share an r2 formula
+    (``rates.second_rate_formulas``) stay together, so that each stage
+    evaluates it once for them: these runs are dealt largest lane count
+    first onto the group with the fewest lanes so far, ties to the lowest
+    group, and each group lists its schemes in config order.  The trials
+    are cut into as few contiguous chunks as keep ``parallel`` workers
+    busy, so lanes stay batched; a task holds all relay-power points of its
+    trials."""
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     _check(config)
     schemes, pairings = tuple(config.schemes), tuple(config.pairings)
     seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
-    groups = [schemes[g::parallel] for g in range(min(parallel, len(schemes)))]
+    if parallel >= len(schemes):
+        groups = [(scheme,) for scheme in schemes]
+    else:
+        points, runs = _lane_points(config), {}
+        for k, formula in enumerate(second_rate_formulas(schemes)[1]):
+            runs.setdefault(formula, []).append(k)
+        load, members = [0] * parallel, [[] for _ in range(parallel)]
+        for run in sorted(runs.values(), key=lambda run: -sum(points[k] for k in run)):
+            g = load.index(min(load))
+            load[g] += sum(points[k] for k in run)
+            members[g] += run
+        groups = [tuple(schemes[k] for k in sorted(m)) for m in members]
     chunks = min(config.trials, -(-parallel // (len(groups) * len(pairings))))
     bounds = [config.trials * c // chunks for c in range(chunks + 1)]
     return [

@@ -118,10 +118,44 @@ def two_candidate_optimum(cf):
     at_one = cf.alpha == 1.0  # r2 is 0 for every n_hat; report n_hat = n1
     if np.any(at_one):
         first, other = np.where(at_one, cf.n1, first), np.where(at_one, cf.n1, other)
-    r2s, seconds = cf.objective(np.stack((first, other)))
+    r2s, seconds, _ = cf.objective(np.stack((first, other)))
     take = r2s[1] > r2s[0]
     return (np.where(take, other, first), np.where(take, r2s[1], r2s[0]),
             np.where(take, seconds[1], seconds[0]))
+
+
+def both_ends_optimum(cf):
+    """(n_hat, clamped r2, forwarding-minus-loss argument) of a
+    ``rates._CFBounds`` by the rule that scored the high end of
+    ``N_HAT_BRACKET`` wherever the crossing quadratic has no positive
+    root: the positive root (the first of two), else the better bracket
+    end in units of n1 (the low end on ties), n_hat = n1 at alpha = 1.  The
+    roots come from the quadratic's coefficients with both the linear and
+    the quadratic formula evaluated everywhere.  The reference for
+    ``_CFBounds.optimum``, which scores the high end only where the
+    forwarding-minus-loss bound binds at the low end."""
+    la1 = cf.m2 + cf.t2
+    la0 = cf.n1 * la1 + cf.t1 * cf.m2
+    rr = la1 + cf.w
+    qa = la1 * cf.dd - rr * cf.dd
+    qb = la1 * (cf.loss_off + cf.loss_num) + la0 * cf.dd - rr * (cf.n1 * cf.dd + cf.loss_off)
+    qc = la0 * (cf.loss_off + cf.loss_num) - rr * (cf.n1 * cf.n1 * cf.n2 * cf.s1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        linear = qa == 0.0
+        root0 = np.where(linear, np.divide(-qc, qb), q / qa)
+        root1 = np.where(linear | (q == 0.0), np.nan, qc / q)
+    ok0 = np.isfinite(root0) & (root0 > 0.0)
+    has = ok0 | (np.isfinite(root1) & (root1 > 0.0))
+    lo, hi = (end * cf.n1 for end in N_HAT_BRACKET)
+    n_hat = np.where(ok0, root0, np.where(has, root1, lo))
+    at_one = np.asarray(cf.alpha) == 1.0
+    n_hat, has = np.where(at_one, cf.n1, n_hat), has | at_one
+    r2, second, _ = cf.objective(n_hat)
+    r2_hi, second_hi, _ = cf.objective(hi)
+    take = ~has & (r2_hi > r2)
+    return (np.where(take, hi, n_hat), np.where(take, r2_hi, r2),
+            np.where(take, second_hi, second))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +292,8 @@ def schedule_interval(scheme: Scheme, pairing: str, bs_gains: np.ndarray,
         return np.array([[draw_pair_gain(i, j)
                           for i, j in zip(relays[0].tolist(), seconds[0].tolist())]])
 
-    res = schedule_lanes((scheme,), pairing, bs_gains, np.asarray(avg_rates, dtype=float)[None],
+    res = schedule_lanes([(scheme, 0, 1)], pairing, bs_gains,
+                         np.asarray(avg_rates, dtype=float)[None],
                          params, split, np.asarray(est_gain)[None], pair_gains,
                          trial_of=np.arange(1), relay_power=np.array([params.p1]),
                          relay_r1=relay_rate(scheme, bs_gains, params, split.alpha),

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from noma_rbc import cli, simulation
+from noma_rbc import cli, rates, simulation
 from noma_rbc.core import ChannelParams, Scheme
 from noma_rbc.oracle import TermDelta
 from noma_rbc.rates import RateRegionCurve, rate_kernel
@@ -54,6 +54,19 @@ def test_region_emits_all_schemes(tmp_path):
     manifest = json.loads((out / "rate_region.manifest.json").read_text())
     assert manifest["command"] == "region"
     assert str(out / "rate_region.csv") in manifest["outputs"]
+
+
+def test_region_checks_the_alpha_grid_once(tmp_path, monkeypatch):
+    checked = []
+
+    def counting(grid, real=rates.check_alpha_grid):
+        checked.append(len(grid))
+        return real(grid)
+    for module in (cli, rates):
+        monkeypatch.setattr(module, "check_alpha_grid", counting)
+    assert main(["region", "--out", str(tmp_path / "out")] + REGION_FLAGS
+                + ["--alpha-grid", "7"]) == EXIT_OK
+    assert checked == [7]
 
 
 def test_region_two_point_grid(tmp_path):

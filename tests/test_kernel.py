@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from noma_rbc.core import ChannelParams, PowerSplit, Scheme
 from noma_rbc.rates import N_HAT_BRACKET, _CFBounds, rate_kernel
 
-from helpers import (near_far_pair, nearest_neighbor_pair, nearest_remaining, relay_rate_bits,
-                     rng_for, second_rate_bits, two_candidate_optimum)
+from helpers import (both_ends_optimum, near_far_pair, nearest_neighbor_pair, nearest_remaining,
+                     relay_rate_bits, rng_for, second_rate_bits, two_candidate_optimum)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 CF_SCHEMES = (Scheme.RBC_CF, Scheme.RBC_CF_DPC)
@@ -177,6 +177,45 @@ def test_the_cf_bounds_cross_at_most_once_on_random_batches():
         cf = cf_bounds(g01, g02, g12, p0, p1, n1, n2, alpha)
         assert positive_roots(cf).max() <= 1
         assert same_bits(cf.optimum(), two_candidate_optimum(cf))
+
+
+# p1 = 0 makes the crossing quadratic linear
+RELAY_POWER = st.one_of(st.just(0.0), POWER)
+
+
+@PROPERTY
+@given(GAIN, GAIN, RELAY_GAIN, POWER, RELAY_POWER, ALPHA, st.booleans())
+@example(*LOW_END_WINS, True)
+@example(*HIGH_END_WINS, True)
+@example(1.0, 0.5, 1.0, 1.0, 0.0, 0.5, True)
+@example(1e8, 1e-6, 1e8, 1e6, 0.0, 0.0, False)
+@example(1e-6, 1e8, 1e-6, 1e-2, 1e6, 1.0, True)
+def test_the_optimum_equals_the_rule_that_scored_both_bracket_ends(g01, g02, g12, p0, p1, alpha,
+                                                                   ordered):
+    # the high end is scored only where the forwarding-minus-loss bound
+    # binds at the low end; elsewhere the cut-set bound, monotone in floating
+    # point as np.log1p is, keeps the high end from winning
+    if ordered != (g01 >= g02):
+        g01, g02 = g02, g01
+    # a scalar alpha, and an array one, which takes the alpha = 1 branch
+    for relay, alpha_ in ((g01, alpha), (np.array([g01, g01]), np.array([alpha, 1.0]))):
+        cf = cf_bounds(relay, g02, g12, p0, p1, 1.0, 1.0, alpha_)
+        assert same_bits(cf.optimum(), both_ends_optimum(cf))
+
+
+def test_the_optimum_equals_the_rule_that_scored_both_bracket_ends_on_random_batches():
+    rng = rng_for(2025)
+    for _ in range(10):
+        p0 = 10.0 ** rng.uniform(-2.0, 6.0)
+        g01, g02, g12 = 10.0 ** rng.uniform(-6.0, 8.0, size=(3, 20_000))
+        g12[:2000] = 0.0
+        p1 = 10.0 ** rng.uniform(-2.0, 6.0, size=20_000)
+        p1[1000:4000] = 0.0
+        alpha = np.concatenate([[0.0, 1.0], rng.uniform(size=19_998)])
+        cf = cf_bounds(g01, g02, g12, p0, p1, 1.0, 1.0, alpha)
+        no_root = positive_roots(cf) == 0
+        assert 0 < no_root.sum() < no_root.size
+        assert same_bits(cf.optimum(), both_ends_optimum(cf))
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e6])

@@ -503,7 +503,7 @@ def test_lanes_do_not_interact(scheme, pairing, neighbors):
     static = nearest_available(np.ones((5, 8), dtype=bool), dist) \
         if neighbors == "static" else None
     lanes = np.arange(5)[:, None]
-    res = schedule_lanes((scheme,), pairing, gains, avg, PARAMS, SPLIT, est,
+    res = schedule_lanes([(scheme, 0, 5)], pairing, gains, avg, PARAMS, SPLIT, est,
                          pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
                          trial_of=np.arange(5), ranks=near_far_ranks(gains),
                          relay_r1=relay_rate(scheme, gains, PARAMS, SPLIT.alpha),
@@ -525,8 +525,27 @@ def test_a_lane_without_a_finite_score_is_named():
                                                          for _ in range(2)]))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite PF score in lane 1"):
-            schedule_lanes((Scheme.GBC,), "near-far", gains, avg, PARAMS, PowerSplit(1.0), est,
+            schedule_lanes([(Scheme.GBC, 0, 2)], "near-far", gains, avg, PARAMS, PowerSplit(1.0),
+                           est,
                            pair_gains=None, trial_of=np.arange(2),
                            ranks=near_far_ranks(gains),
                            relay_r1=relay_rate(Scheme.GBC, gains, PARAMS, 1.0),
                            relay_power=np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("segments", [
+    [],
+    [(Scheme.GBC, 0, 2)],
+    [(Scheme.GBC, 0, 1), (Scheme.RBC_DF, 2, 3)],
+    [(Scheme.GBC, 0, 3), (Scheme.RBC_DF, 3, 3)],
+    [(Scheme.GBC, 1, 3)],
+])
+def test_scheme_segments_must_cut_the_lanes_into_contiguous_runs(segments):
+    rng = rng_for(89)
+    gains, dist, est, avg = (np.stack(x) for x in zip(*[_interval_inputs(rng, k=6, b=2)
+                                                         for _ in range(3)]))
+    with pytest.raises(ValueError, match="do not cut the 3 lanes"):
+        schedule_lanes(segments, "near-far", gains, avg, PARAMS, SPLIT, est, pair_gains=None,
+                       trial_of=np.arange(3), ranks=near_far_ranks(gains),
+                       relay_r1=relay_rate(Scheme.GBC, gains, PARAMS, SPLIT.alpha),
+                       relay_power=np.ones(3))

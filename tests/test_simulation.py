@@ -11,18 +11,19 @@ from noma_rbc.core import ChannelParams, Scheme
 from noma_rbc.rates import rate_kernel
 from noma_rbc.simulation import (
     SECTOR_HALF_ANGLE,
+    PairPathGains,
     SimConfig,
     draw_bs_gains,
     generate_topology,
     mean_radius_analytic,
     pair_fading,
-    pair_path_gain,
     path_gain,
     plan_tasks,
     positions_xy,
     rayleigh_power,
     run_experiment,
     run_lanes,
+    schedule_lanes,
     write_results_csv,
 )
 from noma_rbc.simulation import BS_CHUNK_INTERVALS
@@ -92,7 +93,7 @@ def test_path_gain_anchors():
 def test_pair_gain_model():
     cfg = SimConfig()
     dist = np.array([[0.0, 250.0], [250.0, 0.0]])
-    draws = pair_path_gain(dist, cfg)[0, 1] * pair_fading(rng_for(5), 25_000, 4).ravel()
+    draws = PairPathGains(dist[None], cfg)(0, 0, 1) * pair_fading(rng_for(5), 25_000, 4).ravel()
     # independent Rayleigh fading on top of the distance path gain
     assert abs(draws.mean() - 8.0) / 8.0 < 0.02
     assert np.array_equal(pair_fading(rng_for(3), 2, 4), pair_fading(rng_for(3), 2, 4))
@@ -110,14 +111,16 @@ def test_pair_gains_equal_one_scalar_draw_per_served_pair():
     cfg = replace(SimConfig(), path_loss_exp=3.7)
     dist = np.triu(rng_for(9).uniform(1.0, 900.0, size=(30, 30)), 1)
     dist += dist.T  # distances are symmetric
-    table = pair_path_gain(dist, cfg)
-    assert all(table[i, j] == path_gain(dist[i, j], cfg)
+    gains = PairPathGains(dist[None], cfg)
+    assert all(gains(0, i, j) == path_gain(dist[i, j], cfg)
                for i in range(30) for j in range(30) if i != j)
 
 
 def test_symmetric_pair_path_gain_equals_the_per_element_table():
-    # the mirrored upper triangle equals one scalar power per (i, j), as
-    # computed before, on distance matrices of drawn topologies
+    # each pair's gain is one scalar power per (i, j), as computed before,
+    # on distance matrices of drawn topologies, whichever of (i, j) and
+    # (j, i) is looked up first
+    users = np.arange(30)
     for seed, gamma in ((1, 3.0), (2, 3.7), (3, 2.0), (4, 0.0)):
         cfg = SimConfig(users=30, path_loss_exp=gamma)
         xy = positions_xy(generate_topology(cfg, rng_for(seed)))
@@ -125,7 +128,20 @@ def test_symmetric_pair_path_gain_equals_the_per_element_table():
         d_safe = dist / cfg.edge_radius_m
         np.fill_diagonal(d_safe, 1.0)
         per_element = np.array([[x ** -gamma for x in row] for row in d_safe.tolist()])
-        assert pair_path_gain(dist, cfg).tolist() == per_element.tolist()
+        lower_first = PairPathGains(np.stack((dist, dist)), cfg)
+        lower_first(1, users[:, None], users[:users.size // 2])
+        table = lower_first(np.array([[0], [1]])[:, :, None], users[:, None], users)
+        assert table.tolist() == [per_element.tolist()] * 2
+
+
+def test_pair_path_gains_are_computed_for_looked_up_pairs_only():
+    dist = np.triu(rng_for(11).uniform(1.0, 900.0, size=(2, 6, 6)), 1)
+    dist += dist.transpose(0, 2, 1)
+    gains = PairPathGains(dist, SimConfig())
+    assert np.isnan(gains.table).sum() == 2 * 6 * 5  # only the diagonal is known
+    gains(np.array([[0], [1]]), np.array([[1, 3], [2, 2]]), np.array([[4, 5], [0, 0]]))
+    known = [tuple(k) for k in np.argwhere(~np.isnan(gains.table)) if k[1] != k[2]]
+    assert known == [(0, 1, 4), (0, 3, 5), (1, 2, 0)]
 
 
 @pytest.mark.parametrize("intervals", [1, BS_CHUNK_INTERVALS - 1, BS_CHUNK_INTERVALS,
@@ -264,7 +280,8 @@ def test_parallel_degree_does_not_change_results():
 
 
 def test_relay_power_row_is_the_same_alone_or_inside_a_sweep():
-    for scheme in (Scheme.RBC_DF, Scheme.RBC_CF):
+    # GBC runs one lane per trial and repeats it over the points
+    for scheme in (Scheme.GBC, Scheme.RBC_DF, Scheme.RBC_CF):
         sweep = run_experiment(replace(SMALL, p1_over_p0_db=(-10.0, -3.0, 5.0),
                                        schemes=(scheme,), pairings=ALL_PAIRINGS))
         for pairing in ALL_PAIRINGS:
@@ -477,6 +494,96 @@ def test_the_cf_bounds_are_built_once_per_stage_for_adjacent_cf_schemes(monkeypa
                   schemes=schemes)
     run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(2))
     assert count["built"] == cfg.intervals * (cfg.blocks + 1) * builds
+
+
+@pytest.mark.parametrize("pairing", ["near-far", "nearest"])
+def test_the_cf_optimum_evaluates_its_objective_once(monkeypatch, pairing):
+    # with a root or with the cut-set bound binding at the low bracket end,
+    # the high end is not scored; these runs never need it
+    calls = collections.Counter()
+    real_optimum, real_objective = rates._CFBounds.optimum, rates._CFBounds.objective
+
+    def optimum(self):
+        calls["optimum"] += 1
+        return real_optimum(self)
+
+    def objective(self, n_hat):
+        calls["objective"] += 1
+        return real_objective(self, n_hat)
+    monkeypatch.setattr(rates._CFBounds, "optimum", optimum)
+    monkeypatch.setattr(rates._CFBounds, "objective", objective)
+    cfg = replace(SMALL, users=40, blocks=4, intervals=40, pairings=(pairing,),
+                  p1_over_p0_db=(-10.0, 0.0), schemes=(Scheme.RBC_CF, Scheme.RBC_CF_DPC))
+    run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(4))
+    assert calls["optimum"] == cfg.intervals * (cfg.blocks + 1)
+    assert calls["objective"] == calls["optimum"]
+
+
+@pytest.mark.parametrize("pairing", ["near-far", "nearest"])
+def test_a_scheme_without_the_relay_runs_one_lane_per_trial(monkeypatch, pairing):
+    segments = []
+
+    def recording(**kwargs):
+        segments.append([(s.label, a, b) for s, a, b in kwargs["segments"]])
+        return schedule_lanes(**kwargs)
+    monkeypatch.setattr(simulation, "schedule_lanes", recording)
+    sweep = (-10.0, 0.0, 5.0)
+    cfg = replace(SMALL, users=10, blocks=3, intervals=6, pairings=(pairing,),
+                  p1_over_p0_db=sweep, schemes=(Scheme.RBC_CF, Scheme.GBC, Scheme.RBC_DF))
+    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
+    lanes = run_lanes(cfg, seeds, keep_assignments=True)
+    assert segments == [[("rbc-cf", 0, 6), ("gbc", 6, 8), ("rbc-df", 8, 14)]] * cfg.intervals
+    # the result keeps one lane per (scheme, trial, point); GBC's equal a
+    # one-point run's, bit for bit, at every point
+    assert lanes.mean_sum_rate.shape == (3 * 2 * 3,)
+    gbc = slice(6, 12)
+    for s, db in enumerate(sweep):
+        alone = run_lanes(replace(cfg, schemes=(Scheme.GBC,), p1_over_p0_db=(db,)), seeds,
+                          keep_assignments=True)
+        at = slice(gbc.start + s, gbc.stop, len(sweep))
+        assert lanes.mean_sum_rate[at].tolist() == alone.mean_sum_rate.tolist()
+        assert lanes.role_swaps[at].tolist() == alone.role_swaps.tolist()
+        assert lanes.r2_clamps[at].tolist() == alone.r2_clamps.tolist()
+        assert np.array_equal(lanes.assignments[:, at], alone.assignments)
+
+
+def test_the_cf_pair_shares_a_task_while_there_are_fewer_groups_than_schemes(recording_pool,
+                                                                           monkeypatch):
+    # at --parallel 2 and 3 the CF pair forms one group, listed in config
+    # order, so one r2 call per stage serves both; at 4 every scheme is alone
+    built = collections.Counter()
+
+    class Counting(rates._CFBounds):
+        def __init__(self, *args):
+            built["cf"] += 1
+            super().__init__(*args)
+    monkeypatch.setattr(rates, "_CFBounds", Counting)
+    cfg = replace(FULL, intervals=2)
+    cf_pair = {Scheme.RBC_CF, Scheme.RBC_CF_DPC}
+    for order in itertools.permutations(Scheme):
+        ordered = replace(cfg, schemes=order)
+        for parallel in (2, 3, 4):
+            groups = [t.config.schemes for t in plan_tasks(ordered, parallel)
+                      if t.config.pairings == ("near-far",)]
+            assert collections.Counter(s for g in groups for s in g) == collections.Counter(order)
+            assert all(list(g) == [s for s in order if s in g] for g in groups)
+            assert (tuple(s for s in order if s in cf_pair) in groups) == (parallel < 4)
+        built.clear()
+        run_experiment(ordered, parallel=2)
+        assert built["cf"] == len(cfg.pairings) * cfg.intervals * (cfg.blocks + 1)
+
+
+@pytest.mark.parametrize("points, parallel, groups", [
+    # lanes per trial: gbc 1, rbc-df 2, the CF pair 4
+    ((-10.0, 0.0), 2, [("rbc-cf", "rbc-cf-dpc"), ("gbc", "rbc-df")]),
+    ((-10.0, 0.0), 3, [("rbc-cf", "rbc-cf-dpc"), ("rbc-df",), ("gbc",)]),
+    # gbc 1, rbc-df 1, the CF pair 2: equal runs keep their config order
+    ((0.0,), 2, [("rbc-cf", "rbc-cf-dpc"), ("gbc", "rbc-df")]),
+    ((0.0,), 3, [("rbc-cf", "rbc-cf-dpc"), ("gbc",), ("rbc-df",)]),
+])
+def test_runs_are_dealt_largest_first_onto_the_least_loaded_group(points, parallel, groups):
+    cfg = replace(FULL, p1_over_p0_db=points, pairings=("nearest",))
+    assert [tuple(s.label for s in t.config.schemes) for t in plan_tasks(cfg, parallel)] == groups
 
 
 @pytest.mark.parametrize("field, value", [
