@@ -28,7 +28,6 @@ from .core import (
 )
 from .rates import (
     RateRegionCurve,
-    cf_clamp_active,
     gbc_rates,
     optimize_n_hat,
     rbc_cf_dpc_rates,
@@ -37,7 +36,7 @@ from .rates import (
     sweep_region,
     uniform_alpha_grid,
 )
-from .oracle import GaussianSystem, VerifyReport, gaussian_mi, verify_scheme
+from .oracle import GaussianSystem, gaussian_mi
 from .discrete import BoundRates, DiscreteJoint, dmc_bound_rates, load_discrete_joint
 from .scheduling import pf_update
 from .simulation import (

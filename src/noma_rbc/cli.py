@@ -40,6 +40,7 @@ from .core import (ChannelParams, CompressionNoise, LinkGains, PowerSplit, Schem
                    is_degraded_ordered)
 from .oracle import random_verification_draws, verify_terms
 from .rates import check_alpha_grid, sweep_region, uniform_alpha_grid
+from .scheduling import PAIRINGS
 from .simulation import (
     SimConfig,
     effective_parallel,
@@ -116,6 +117,14 @@ def _load_yaml(path: str):
     if not isinstance(data, dict):
         raise ValueError(f"config {path!r} must be a mapping of keys to values")
     return data
+
+
+def _unknown_keys(config: dict, known) -> list[str]:
+    """An error for each key of ``config`` not in ``known``, sorted by
+    ``str`` and then ``repr``, so that keys of mixed types, such as the
+    ints and nulls YAML reads, sort too."""
+    unknown = sorted(set(config) - known, key=lambda k: (str(k), repr(k)))
+    return [f"unknown config key {k!r}" for k in unknown]
 
 
 def _check_distinct(key: str, values) -> None:
@@ -260,7 +269,7 @@ def cmd_region(args) -> int:
         _err(str(exc))
         return EXIT_CONFIG_ERROR
 
-    errors = [f"unknown config key {k!r}" for k in sorted(set(file_cfg) - _REGION_KEYS)]
+    errors = _unknown_keys(file_cfg, _REGION_KEYS)
 
     def pick(key, flag_value, default=None):
         return flag_value if flag_value is not None else file_cfg.get(key, default)
@@ -344,7 +353,7 @@ def cmd_simulate(args) -> int:
 
     # enumerate every config failure at once: unknown keys, missing keys,
     # unparsable values and constraint violations
-    errors = [f"unknown config key {k!r}" for k in sorted(set(file_cfg) - _SIM_KEYS)]
+    errors = _unknown_keys(file_cfg, _SIM_KEYS)
     overridden = {"seed": args.seed, "intervals": args.intervals, "trials": args.trials,
                   "alpha": args.alpha, "schemes": args.scheme, "pairings": args.pairing}
     for key in _SIM_REQUIRED_KEYS:
@@ -479,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", default="out", help="output directory (default: out)")
     simulate.add_argument("--seed", type=int, help="override the config seed")
     simulate.add_argument("--scheme", help="comma-separated scheme list override")
-    simulate.add_argument("--pairing", choices=["near-far", "nearest"],
+    simulate.add_argument("--pairing", choices=PAIRINGS,
                           help="pairing method override")
     simulate.add_argument("--alpha", type=float, help="power-split override")
     simulate.add_argument("--intervals", type=int, help="scheduling intervals override")

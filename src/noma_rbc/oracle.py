@@ -43,10 +43,13 @@ rows past its numerical rank zeroed, the log-determinants sum the logs of
 the singular values each entry keeps, and the second SVD of an entry keeps
 its top rank(A) values, rank(A) being the first block's.  One draw gives
 Python floats, a stack gives arrays of N values.  ``verify_terms`` checks
-several schemes over a stack in one pass, evaluating once each term that
-schemes share: the four schemes' 13 terms take 8 stacked oracle calls.
-``verify_scheme`` is its one-draw, one-scheme case, and
-``random_verification_draws`` draws a whole stack as one array.
+several schemes over one draw or a stack in one pass, evaluating once each
+term that schemes share: the four schemes' 13 terms take 8 stacked oracle
+calls.  It is the oracle's only verification entry, and it takes each
+closed form from ``rates``, r1 under the formula that
+``rates.relay_rate_formulas`` assigns the scheme, so the oracle checks the
+grouping the engine serves with.  ``random_verification_draws`` draws a
+whole stack as one array.
 """
 
 from __future__ import annotations
@@ -58,16 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    LN2,
-    ChannelParams,
-    CompressionNoise,
-    LinkGains,
-    PowerSplit,
-    Scheme,
-    VarSpec,
-    as_names,
-)
+from .core import LN2, ChannelParams, Scheme, VarSpec, as_names
 from . import rates
 
 RANK_TOL = 1e-12
@@ -107,16 +101,6 @@ class GaussianSystem:
     g01: float
     g02: float
     g12: float
-
-    @classmethod
-    def from_model(
-        cls,
-        gains: LinkGains,
-        params: ChannelParams,
-        split: PowerSplit,
-        n_hat: CompressionNoise,
-    ) -> "GaussianSystem":
-        return cls.from_values(gains.g01, gains.g02, gains.g12, params, split.alpha, n_hat.n_hat)
 
     @classmethod
     def from_values(cls, g01, g02, g12, params: ChannelParams, alpha, n_hat) -> "GaussianSystem":
@@ -250,28 +234,11 @@ class TermDelta:
         return abs(self.closed_form_nats - self.oracle_nats)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    scheme: Scheme
-    terms: tuple
-
-    @property
-    def max_delta_nats(self) -> float:
-        return max(t.delta_nats for t in self.terms)
-
-    def __str__(self) -> str:
-        lines = [f"{self.scheme.label}: max |closed - oracle| = {self.max_delta_nats:.3e} nats"]
-        for t in self.terms:
-            lines.append(
-                f"  {t.name:24s} closed={t.closed_form_nats: .12e}"
-                f" oracle={t.oracle_nats: .12e} delta={t.delta_nats:.3e}"
-            )
-        return "\n".join(lines)
-
-
 # Each term the oracle checks: (name, key of its closed form in
-# ``verify_terms``, oracle (left, right, given)).  Schemes that share a term
-# share its entry, which ``verify_terms`` evaluates once.
+# ``verify_terms``, oracle (left, right, given)).  The key "r1" stands for
+# the r1 formula that ``rates.relay_rate_formulas`` assigns the scheme.
+# Schemes that share a term share its entry, which ``verify_terms``
+# evaluates once.
 _R1 = ("r1", "r1", ("U", "Y1", "V"))
 _FORWARD = ("r2_forward", "forward", (("V", "X1"), "Y2", ()))
 _CF_R2 = (("r2_cutset", "cutset", ("V", ("Y1HAT", "Y2"), "X1")), _FORWARD,
@@ -281,7 +248,8 @@ _SCHEME_TERMS = {
     Scheme.GBC: (_R1, ("r2", "direct", ("V", "Y2", "X1"))),
     Scheme.RBC_DF: (("r1", "r1", ("U", "Y1", ("V", "X1"))), _FORWARD,
                     ("r2_decode", "decode", ("V", "Y1", "X1"))),
-    Scheme.RBC_CF: (("r1", "r1_cf", ("U", "Y1", ())),) + _CF_R2,
+    # the relay user keeps the second user's component as noise
+    Scheme.RBC_CF: (("r1", "r1", ("U", "Y1", ())),) + _CF_R2,
     Scheme.RBC_CF_DPC: (_R1,) + _CF_R2,
 }
 
@@ -290,33 +258,28 @@ def verify_terms(g01, g02, g12, params: ChannelParams, alpha, n_hat,
                  schemes: Sequence[Scheme] = tuple(Scheme)) -> dict:
     """Every closed-form term of each of ``schemes`` next to the log-det
     oracle's value of the same mutual information, as ``{scheme: (TermDelta,
-    ...)}``, for one draw (scalars) or a stack of draws (equal-length 1-D
-    arrays sharing ``params``).  The min/clamp structure is excluded on
-    purpose; each mutual-information term is compared on its own.  One
-    ``GaussianSystem`` serves every term, and a term that several schemes
-    share is evaluated once and appears in each of their tuples.
+    ...)}``, for one draw (scalars, giving Python floats) or a stack of
+    draws (equal-length 1-D arrays sharing ``params``, giving arrays).  The
+    min/clamp structure is excluded on purpose; each mutual-information
+    term is compared on its own.  One ``GaussianSystem`` serves every term,
+    a term that several schemes share is evaluated once and appears in each
+    of their tuples, and each distinct r1 formula is evaluated once.
     """
     system = GaussianSystem.from_values(g01, g02, g12, params, alpha, n_hat)
     cutset, loss = rates._CFBounds(g01, g02, g12, params, alpha, params.p1).terms(n_hat)
-    bits = {"r1": rates.relay_rate(Scheme.GBC, g01, params, alpha),
-            "r1_cf": rates.relay_rate(Scheme.RBC_CF, g01, params, alpha),
-            "direct": rates._forward_bound(g02, 0.0, params, alpha, params.p1),
-            "forward": rates._forward_bound(g02, g12, params, alpha, params.p1),
-            "decode": rates._decode_bound(g01, params, alpha), "cutset": cutset, "loss": loss}
+    r1_schemes, formula_of = rates.relay_rate_formulas(schemes)
+    bits = {("r1", k): rates.relay_rate(scheme, g01, params, alpha)
+            for k, scheme in enumerate(r1_schemes)}
+    bits.update(direct=rates._forward_bound(g02, 0.0, params, alpha, params.p1),
+                forward=rates._forward_bound(g02, g12, params, alpha, params.p1),
+                decode=rates._decode_bound(g01, params, alpha), cutset=cutset, loss=loss)
+    specs = {scheme: tuple((name, ("r1", k) if key == "r1" else key, sets)
+                           for name, key, sets in _SCHEME_TERMS[scheme])
+             for scheme, k in zip(schemes, formula_of)}
     deltas = {spec: TermDelta(spec[0], _unstack(np.multiply(bits[spec[1]], LN2)),
                               gaussian_mi(system, *spec[2]))
-              for spec in dict.fromkeys(s for scheme in schemes for s in _SCHEME_TERMS[scheme])}
-    return {scheme: tuple(deltas[s] for s in _SCHEME_TERMS[scheme]) for scheme in schemes}
-
-
-def verify_scheme(gains: LinkGains, params: ChannelParams, split: PowerSplit,
-                  n_hat: CompressionNoise, scheme: Scheme) -> VerifyReport:
-    """Per-term |closed form - log-det oracle| for one scheme's rate
-    expressions (nats) at one draw: the one-draw, one-scheme case of
-    ``verify_terms``."""
-    terms = verify_terms(gains.g01, gains.g02, gains.g12, params, split.alpha, n_hat.n_hat,
-                         (scheme,))
-    return VerifyReport(scheme=scheme, terms=terms[scheme])
+              for spec in dict.fromkeys(s for terms in specs.values() for s in terms)}
+    return {scheme: tuple(deltas[s] for s in terms) for scheme, terms in specs.items()}
 
 
 def random_verification_draws(rng: np.random.Generator, count: int) -> tuple:
@@ -336,10 +299,3 @@ def random_verification_draws(rng: np.random.Generator, count: int) -> tuple:
     return (np.maximum(g[:, 0], g[:, 1]), np.minimum(g[:, 0], g[:, 1]), g[:, 2],
             ChannelParams(p0=10.0, p1=10.0), u[:, 3], n_hat)
 
-
-def random_verification_draw(rng: np.random.Generator):
-    """One draw of ``random_verification_draws`` as typed values:
-    ``(LinkGains, ChannelParams, PowerSplit, CompressionNoise)``."""
-    g01, g02, g12, params, alpha, n_hat = random_verification_draws(rng, 1)
-    return (LinkGains(g01=float(g01[0]), g02=float(g02[0]), g12=float(g12[0])), params,
-            PowerSplit(float(alpha[0])), CompressionNoise(float(n_hat[0])))

@@ -338,16 +338,6 @@ def rbc_cf_dpc_rates(
     return _typed(Scheme.RBC_CF_DPC, gains, params, split, n_hat.n_hat)[0]
 
 
-def cf_clamp_active(
-    gains: LinkGains, params: ChannelParams, split: PowerSplit, n_hat: CompressionNoise
-) -> bool:
-    """True when the CF forwarding-minus-loss argument is negative, i.e. the
-    r2 clamp at zero is what the rate functions returned."""
-    return bool(rate_kernel(
-        Scheme.RBC_CF, gains.g01, gains.g02, gains.g12, params, split.alpha, n_hat.n_hat
-    )[3])
-
-
 def optimize_n_hat(
     gains: LinkGains,
     params: ChannelParams,

@@ -79,12 +79,11 @@ SECTOR_HALF_ANGLE = math.pi / 3.0  # 120-degree sector, centred on the x axis
 AVG_RATE_INIT = 1e-3               # PF ledger start value; washed out within tens of intervals
 
 FADING_MODES = ("iid", "static")
-# Closed ranges of the float fields.  The placement squares the radii, and
-# the BS and relay powers scale with the noise power.  Measured path-loss
-# exponents lie between about 2 and 6; up to 10, every inter-user gain
-# (d / De)^-gamma stays finite down to d / De = 1e-30.
+# Closed ranges of the float fields.  The placement squares the radii.
+# Measured path-loss exponents lie between about 2 and 6; up to 10, every
+# inter-user gain (d / De)^-gamma stays finite down to d / De = 1e-30.
 RANGES = {"inner_radius_m": (1e-100, 1e100), "edge_radius_m": (1e-100, 1e100),
-          "path_loss_exp": (0.0, 10.0), "noise_power": (1e-100, 1e100), "alpha": (0.0, 1.0)}
+          "path_loss_exp": (0.0, 10.0), "alpha": (0.0, 1.0)}
 MINIMUMS = {"users": 2, "blocks": 1, "intervals": 1, "trials": 1, "seed": 0}  # the int fields
 BS_CHUNK_INTERVALS = 32            # intervals of i.i.d. BS fading drawn per trial at once
 
@@ -110,13 +109,13 @@ class SimConfig:
     seed: int = 0
     fading: str = "iid"            # redraw per interval, or once per trial ("static")
     neighbors: str = "recompute"   # nearest-pairing neighbour policy
-    noise_power: float = 1.0
     cross_check: bool = False      # assert per-pair dominance while serving
 
     @property
     def p0(self) -> float:
-        """BS power giving the configured expected SNR at the cell edge."""
-        return self.noise_power * 10.0 ** (self.edge_snr_db / 10.0)
+        """BS power, in units of the noise power, giving the configured
+        expected SNR at the cell edge."""
+        return 10.0 ** (self.edge_snr_db / 10.0)
 
     @property
     def relay_powers(self) -> tuple:
@@ -173,7 +172,7 @@ class SimConfig:
               f"edge_radius_m ({self.edge_radius_m}) must exceed "
               f"inner_radius_m ({self.inner_radius_m})")
         check("tau", lambda: 0.0 < self.tau < 1.0, f"tau must lie in (0, 1), got {self.tau}")
-        if not check("edge_snr_db noise_power", lambda: _power_ok(lambda: self.p0, positive=True),
+        if not check("edge_snr_db", lambda: _power_ok(lambda: self.p0, positive=True),
                      f"edge_snr_db ({self.edge_snr_db}) gives a BS power that is not "
                      "finite and positive"):
             bad.add("edge_snr_db")  # the relay power scales the BS power
@@ -181,8 +180,7 @@ class SimConfig:
             if not _is_finite(db):
                 errors.append(f"p1_over_p0_db lists {db!r}, which is not a finite number")
                 continue
-            check("edge_snr_db noise_power",
-                  lambda: _power_ok(lambda: self.p0 * 10.0 ** (db / 10.0)),
+            check("edge_snr_db", lambda: _power_ok(lambda: self.p0 * 10.0 ** (db / 10.0)),
                   f"p1_over_p0_db ({db}) gives a relay power that is not finite")
         labels = tuple(s.label for s in Scheme)
         errors += [f"schemes lists {s!r}, which is not one of {labels}"
@@ -198,7 +196,7 @@ class SimConfig:
 
 
 _FLOAT_FIELDS = ("edge_radius_m", "inner_radius_m", "path_loss_exp", "edge_snr_db",
-                 "tau", "alpha", "noise_power")
+                 "tau", "alpha")
 
 
 def _is_int(value) -> bool:
@@ -378,11 +376,9 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence,
     # schemes that share an r1 formula share its rows of relay rates
     r1_schemes, formula_of = relay_rate_formulas(schemes)
     r1_row = np.repeat(formula_of, np.diff(starts)) * n_trials + trial_of
-    # the rates depend on the powers over the noise power only, so the lanes
-    # run in units of it, the units of the CF n_hat bracket
-    unit = replace(config, noise_power=1.0)
-    relay_power = np.concatenate([np.tile(unit.relay_powers[:p], n_trials) for p in points])
-    params = ChannelParams(p0=unit.p0, p1=float(relay_power[0]), n1=1.0, n2=1.0)
+    # powers are in units of the noise power, the units of the CF n_hat bracket
+    relay_power = np.concatenate([np.tile(config.relay_powers[:p], n_trials) for p in points])
+    params = ChannelParams(p0=config.p0, p1=float(relay_power[0]), n1=1.0, n2=1.0)
     split = PowerSplit(config.alpha)
     has_relay_link = any(scheme.uses_relay for scheme in schemes)
     pairing = config.pairings[0]

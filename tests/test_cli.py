@@ -521,31 +521,6 @@ def test_simulate_empty_list_exits_2_naming_the_key(tmp_path, capsys, line):
     assert key in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("noise, code", [
-    ("1.0e-300", EXIT_CONFIG_ERROR), ("1.0e-200", EXIT_CONFIG_ERROR),
-    ("1.0e+120", EXIT_CONFIG_ERROR), ("1.0e+300", EXIT_CONFIG_ERROR),
-    ("1.0e-100", EXIT_OK), ("1.0e+100", EXIT_OK),
-])
-def test_simulate_noise_power_beyond_the_float_range_exits_2(tmp_path, capsys, noise, code):
-    # the BS and relay powers scale with the noise power, which the range
-    # keeps well inside the float range
-    cfg = tmp_path / "sim.yaml"
-    cfg.write_text(f"users: 6\nblocks: 2\nintervals: 10\ntrials: 2\nseed: 3\n"
-                   f"p1_over_p0_db: [-10, 0]\nschemes: [gbc, rbc-df, rbc-cf, rbc-cf-dpc]\n"
-                   f"pairings: [near-far, nearest]\nnoise_power: {noise}\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if code == EXIT_OK:
-        rows = read_csv(out / "sum_rate.csv")
-        assert len(rows) == 16
-        assert all(np.isfinite(float(r["mean_sum_rate"])) for r in rows)
-    else:
-        assert "error: noise_power must lie in" in err
-        assert not (out / "sum_rate.csv").exists()
-
-
 def test_singular_spellings_and_flags_give_the_plural_run(tmp_path):
     plural = SIM_CONFIG.replace("schemes: [gbc, rbc-df]", "schemes: [rbc-df, rbc-cf]") \
         .replace("pairings: [near-far]", "pairings: [nearest]") \
@@ -569,6 +544,27 @@ def test_singular_spellings_and_flags_give_the_plural_run(tmp_path):
     assert "scheme" not in config and "pairing" not in config
     assert (config["schemes"], config["pairings"], config["p1_over_p0_db"]) == \
         (["rbc-df", "rbc-cf"], ["nearest"], [-5.0])
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", SIM_CONFIG), ("region", "g01: 8\ng02: 1\np0_db: 10\n")])
+@pytest.mark.parametrize("keys, named", [
+    ("1: 2\nfoo: 3\n", ["1", "'foo'"]),
+    ("bar: 2\nnull: 1\n", ["None", "'bar'"]),
+    ("1: 2\n'1': 3\n", ["'1'", "1"]),
+    ("2.5: 1\nnoise_power: 2\n", ["2.5", "'noise_power'"]),
+])
+def test_unknown_keys_of_mixed_types_exit_2_naming_each(tmp_path, capsys, command, config, keys,
+                                                        named):
+    # sorted by str, then repr; noise_power is not a config key
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config + keys, encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == \
+        EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "unknown" in line] == \
+        [f"error: unknown config key {key}" for key in named]
 
 
 @pytest.mark.parametrize("parallel", ["0", "-3"])

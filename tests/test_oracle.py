@@ -6,45 +6,46 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noma_rbc import cli, oracle
-from noma_rbc.core import (
-    LN2,
-    ChannelParams,
-    CompressionNoise,
-    LinkGains,
-    PowerSplit,
-    Scheme,
-)
+from noma_rbc import cli, oracle, rates
+from noma_rbc.core import LN2, ChannelParams, CompressionNoise, LinkGains, PowerSplit, Scheme
 from noma_rbc.oracle import (
     GaussianSystem,
     TermDelta,
     gaussian_mi,
-    random_verification_draw,
     random_verification_draws,
-    verify_scheme,
     verify_terms,
 )
 
 from helpers import rng_for, stack_draws
 
-REF_GAINS = LinkGains(8.0, 1.0, 8.0)
 REF_PARAMS = ChannelParams(p0=10.0, p1=10.0, n1=1.0, n2=1.0)
-REF_SPLIT = PowerSplit(0.2)
-REF_NHAT = CompressionNoise(1.0)
+# the reference draw as the arguments of verify_terms: (g01, g02, g12,
+# params, alpha, n_hat)
+REF = (8.0, 1.0, 8.0, REF_PARAMS, 0.2, 1.0)
 
 
-def ref_system(**overrides):
-    gains = overrides.pop("gains", REF_GAINS)
-    params = overrides.pop("params", REF_PARAMS)
-    split = overrides.pop("split", REF_SPLIT)
-    n_hat = overrides.pop("n_hat", REF_NHAT)
-    assert not overrides
-    return GaussianSystem.from_model(gains, params, split, n_hat)
+def ref_system():
+    return GaussianSystem.from_values(*REF)
 
 
-def random_system(rng):
-    gains, params, split, n_hat = random_verification_draw(rng)
-    return GaussianSystem.from_model(gains, params, split, n_hat)
+def random_systems(rng, count):
+    """A stack of ``count`` random draws."""
+    return GaussianSystem.from_values(*random_verification_draws(rng, count))
+
+
+def draw_at(batch, k):
+    """Draw ``k`` of a stacked ``verify_terms`` argument tuple, as scalars."""
+    return tuple(x if isinstance(x, ChannelParams) else float(x[k]) for x in batch)
+
+
+def max_delta(terms) -> float:
+    """The largest |closed form - oracle| of ``terms`` over every draw."""
+    return max(float(np.max(t.delta_nats)) for t in terms)
+
+
+def describe(terms) -> str:
+    return "; ".join(f"{t.name}: closed={t.closed_form_nats!r} oracle={t.oracle_nats!r}"
+                     for t in terms)
 
 
 def test_known_scalar_values():
@@ -61,73 +62,63 @@ def test_symmetry():
     rng = rng_for(13)
     pairs = [("U", "Y1"), ("V", "Y2"), ("Y1", "Y2"), ("Y1HAT", "Y1"),
              (("V", "X1"), "Y2"), ("U", ("Y1", "Y2"))]
-    for _ in range(200):
-        sys_ = random_system(rng)
-        for left, right in pairs:
-            a = gaussian_mi(sys_, left, right)
-            b = gaussian_mi(sys_, right, left)
-            assert abs(a - b) <= 1e-12
+    sys_ = random_systems(rng, 200)
+    for left, right in pairs:
+        a = gaussian_mi(sys_, left, right)
+        b = gaussian_mi(sys_, right, left)
+        assert np.all(np.abs(a - b) <= 1e-12)
 
 
 def test_chain_rule():
     rng = rng_for(17)
-    for _ in range(300):
-        sys_ = random_system(rng)
-        joint = gaussian_mi(sys_, "V", ("Y1HAT", "Y2"), "X1")
-        split_sum = (gaussian_mi(sys_, "V", "Y1HAT", "X1")
-                     + gaussian_mi(sys_, "V", "Y2", ("Y1HAT", "X1")))
-        assert abs(joint - split_sum) <= 1e-9
+    sys_ = random_systems(rng, 300)
+    joint = gaussian_mi(sys_, "V", ("Y1HAT", "Y2"), "X1")
+    split_sum = (gaussian_mi(sys_, "V", "Y1HAT", "X1")
+                 + gaussian_mi(sys_, "V", "Y2", ("Y1HAT", "X1")))
+    assert np.all(np.abs(joint - split_sum) <= 1e-9)
 
 
 def test_non_negativity():
     rng = rng_for(19)
     sets = [("U", "Y1", ()), ("V", "Y2", ("X1",)), ("Y1HAT", "Y1", ("V", "X1", "Y2")),
             (("V", "X1"), "Y2", ()), ("V", ("Y1HAT", "Y2"), ("X1",))]
-    for _ in range(300):
-        sys_ = random_system(rng)
-        for left, right, given in sets:
-            assert gaussian_mi(sys_, left, right, given) >= -1e-12
+    sys_ = random_systems(rng, 300)
+    for left, right, given in sets:
+        assert np.all(gaussian_mi(sys_, left, right, given) >= -1e-12)
 
 
 def test_verify_reference_setting():
-    for scheme in Scheme:
-        report = verify_scheme(REF_GAINS, REF_PARAMS, REF_SPLIT, REF_NHAT, scheme)
-        assert report.max_delta_nats <= 1e-9, str(report)
+    for scheme, terms in verify_terms(*REF).items():
+        assert max_delta(terms) <= 1e-9, (scheme, describe(terms))
 
 
 def test_verify_alpha_zero_is_clean():
-    for scheme in Scheme:
-        report = verify_scheme(REF_GAINS, REF_PARAMS, PowerSplit(0.0), REF_NHAT, scheme)
-        assert report.max_delta_nats <= 1e-12, str(report)
+    at_zero = REF[:4] + (0.0,) + REF[5:]
+    for scheme, terms in verify_terms(*at_zero).items():
+        assert max_delta(terms) <= 1e-12, (scheme, describe(terms))
 
 
 def test_verify_randomized():
-    rng = rng_for(23)
-    worst = 0.0
-    for _ in range(250):
-        gains, params, split, n_hat = random_verification_draw(rng)
-        for scheme in Scheme:
-            worst = max(worst, verify_scheme(gains, params, split, n_hat, scheme).max_delta_nats)
-    assert worst <= 1e-9
+    chunk = verify_terms(*random_verification_draws(rng_for(23), 250))
+    assert max(map(max_delta, chunk.values())) <= 1e-9
 
 
 def test_verify_term_names_cover_rate_expressions():
-    report = verify_scheme(REF_GAINS, REF_PARAMS, REF_SPLIT, REF_NHAT, Scheme.RBC_CF)
-    names = {t.name for t in report.terms}
+    chunk = verify_terms(*REF)
+    names = {t.name for t in chunk[Scheme.RBC_CF]}
     assert names == {"r1", "r2_cutset", "r2_forward", "r2_compression_loss"}
-    df = verify_scheme(REF_GAINS, REF_PARAMS, REF_SPLIT, REF_NHAT, Scheme.RBC_DF)
-    assert {t.name for t in df.terms} == {"r1", "r2_forward", "r2_decode"}
+    df = chunk[Scheme.RBC_DF]
+    assert {t.name for t in df} == {"r1", "r2_forward", "r2_decode"}
     # closed forms are converted to nats with the single package constant
     r1_bits = math.log2(17.0)
-    assert df.terms[0].closed_form_nats == pytest.approx(r1_bits * LN2, abs=1e-12)
+    assert df[0].closed_form_nats == pytest.approx(r1_bits * LN2, abs=1e-12)
 
 
 def test_degenerate_variances_reduce_cleanly():
     # zero relay power and full split: several primitives drop to rank zero
-    gains = LinkGains(4.0, 0.5, 0.0)
     params = ChannelParams(p0=5.0, p1=0.0, n1=1.0, n2=2.0)
     for alpha in (0.0, 1.0):
-        sys_ = GaussianSystem.from_model(gains, params, PowerSplit(alpha), CompressionNoise(0.5))
+        sys_ = GaussianSystem.from_values(4.0, 0.5, 0.0, params, alpha, 0.5)
         assert gaussian_mi(sys_, "X1", "Y2") == 0.0
         value = gaussian_mi(sys_, ("U", "V"), ("Y1", "Y2"))
         assert math.isfinite(value) and value >= 0.0
@@ -145,13 +136,6 @@ def test_system_validation():
                        var_z2=1.0, var_zh=1.0, g01=1.0, g02=1.0, g12=1.0)
 
 
-def test_report_string_mentions_every_term():
-    report = verify_scheme(REF_GAINS, REF_PARAMS, REF_SPLIT, REF_NHAT, Scheme.RBC_CF_DPC)
-    text = str(report)
-    for term in report.terms:
-        assert term.name in text
-
-
 # ---------------------------------------------------------------------------
 # stacked evaluation
 
@@ -161,62 +145,58 @@ MI_SPECS = [("U", "Y1", ()), ("U", "Y1", "V"), ("V", "Y2", "X1"), (("V", "X1"), 
 
 
 def mixed_draws(seed, count=60):
-    """Random draws with degenerate ones mixed in: alpha 0, alpha 1 and no
-    relay link."""
-    rng = rng_for(seed)
-    draws = []
-    for k in range(count):
-        gains, params, split, n_hat = random_verification_draw(rng)
-        if k % 4 == 1:
-            split = PowerSplit(0.0)
-        elif k % 4 == 2:
-            split = PowerSplit(1.0)
-        elif k % 4 == 3:
-            gains = LinkGains(gains.g01, gains.g02, 0.0)
-        draws.append((gains, params, split, n_hat))
-    return draws
+    """Random typed ``(gains, params, split, n_hat)`` draws with degenerate
+    ones mixed in: alpha 0, alpha 1 and no relay link."""
+    g01, g02, g12, params, alpha, n_hat = random_verification_draws(rng_for(seed), count)
+    alpha[1::4], alpha[2::4], g12[3::4] = 0.0, 1.0, 0.0
+    return [(LinkGains(*gains), params, PowerSplit(a), CompressionNoise(n))
+            for *gains, a, n in zip(*(x.tolist() for x in (g01, g02, g12, alpha, n_hat)))]
 
 
 def test_stacked_mi_equals_one_draw_calls_bit_for_bit():
-    draws = mixed_draws(29)
-    stacked = GaussianSystem.from_values(*stack_draws(draws))
-    assert stacked.shape == (len(draws),)
+    batch = stack_draws(mixed_draws(29))
+    count = len(batch[0])
+    stacked = GaussianSystem.from_values(*batch)
+    assert stacked.shape == (count,)
     for left, right, cond in MI_SPECS:
         values = gaussian_mi(stacked, left, right, cond)
-        assert isinstance(values, np.ndarray) and values.shape == (len(draws),)
-        singles = [gaussian_mi(GaussianSystem.from_model(*d), left, right, cond) for d in draws]
+        assert isinstance(values, np.ndarray) and values.shape == (count,)
+        singles = [gaussian_mi(GaussianSystem.from_values(*draw_at(batch, k)), left, right, cond)
+                   for k in range(count)]
         assert all(isinstance(x, float) for x in singles)
         assert values.tolist() == singles, (left, right, cond)
 
 
 def test_zero_relay_power_stack_equals_one_draw_calls():
     # p1 = 0 is shared by the whole stack, so it gets a stack of its own
-    params = ChannelParams(p0=10.0, p1=0.0, n1=1.0, n2=1.0)
-    draws = [(g, params, s, n) for g, _, s, n in mixed_draws(31, 24)]
-    stacked = GaussianSystem.from_values(*stack_draws(draws))
+    g01, g02, g12, _, alpha, n_hat = stack_draws(mixed_draws(31, 24))
+    batch = (g01, g02, g12, ChannelParams(p0=10.0, p1=0.0, n1=1.0, n2=1.0), alpha, n_hat)
+    stacked = GaussianSystem.from_values(*batch)
     for left, right, cond in MI_SPECS:
-        singles = [gaussian_mi(GaussianSystem.from_model(*d), left, right, cond) for d in draws]
+        singles = [gaussian_mi(GaussianSystem.from_values(*draw_at(batch, k)), left, right, cond)
+                   for k in range(len(g01))]
         assert gaussian_mi(stacked, left, right, cond).tolist() == singles
 
 
-def test_stacked_terms_equal_verify_scheme_bit_for_bit():
-    draws = mixed_draws(37)
-    chunk = verify_terms(*stack_draws(draws))
-    for scheme in Scheme:
-        terms = chunk[scheme]
-        for k, draw in enumerate(draws):
-            report = verify_scheme(*draw, scheme)
-            assert [t.name for t in terms] == [t.name for t in report.terms]
-            for stacked, single in zip(terms, report.terms):
+def test_stacked_terms_equal_one_draw_terms_bit_for_bit():
+    batch = stack_draws(mixed_draws(37))
+    chunk = verify_terms(*batch)
+    for k in range(len(batch[0])):
+        for scheme, singles in verify_terms(*draw_at(batch, k)).items():
+            terms = chunk[scheme]
+            assert [t.name for t in terms] == [t.name for t in singles]
+            for stacked, single in zip(terms, singles):
                 assert stacked.closed_form_nats[k] == single.closed_form_nats
                 assert stacked.oracle_nats[k] == single.oracle_nats
                 assert stacked.delta_nats[k] == single.delta_nats
 
 
 def test_one_draw_gives_python_floats():
-    report = verify_scheme(REF_GAINS, REF_PARAMS, REF_SPLIT, REF_NHAT, Scheme.RBC_CF)
-    for term in report.terms:
-        assert type(term.closed_form_nats) is float and type(term.oracle_nats) is float
+    for scheme, terms in verify_terms(*REF).items():
+        for term in terms:
+            assert type(term.closed_form_nats) is float, (scheme, term.name)
+            assert type(term.oracle_nats) is float, (scheme, term.name)
+            assert type(term.delta_nats) is float, (scheme, term.name)
     assert type(gaussian_mi(ref_system(), "U", "Y1")) is float
     assert type(gaussian_mi(ref_system(), (), "Y1")) is float
 
@@ -256,13 +236,13 @@ def reference_verify_output(count, seed, inject_error):
     rng = rng_for(seed)
     worst_delta, worst, term_worst = 0.0, None, {}
     for _ in range(count):
-        draw = random_verification_draw(rng)
+        draw = draw_at(random_verification_draws(rng, 1), 0)
         for scheme in Scheme:
-            report = verify_scheme(*draw, scheme)
-            for term in report.terms:
+            terms = verify_terms(*draw, schemes=(scheme,))[scheme]
+            for term in terms:
                 key = (scheme.label, term.name)
                 term_worst[key] = max(term_worst.get(key, 0.0), term.delta_nats)
-            delta = report.max_delta_nats + (1e-6 if inject_error else 0.0)
+            delta = max_delta(terms) + (1e-6 if inject_error else 0.0)
             if delta > worst_delta:
                 worst_delta, worst = delta, (*draw, scheme)
     lines = [f"verified 4 schemes x {count} draws: max delta = {worst_delta:.3e} nats "
@@ -270,11 +250,11 @@ def reference_verify_output(count, seed, inject_error):
     lines += [f"  {label:10s} {name:19s} max delta = {delta:.3e} nats"
               for (label, name), delta in term_worst.items()]
     if worst_delta > 1e-9:
-        gains, params, split, n_hat, scheme = worst
+        g01, g02, g12, params, alpha, n_hat, scheme = worst
         lines += ["worst case:", f"  scheme = {scheme.label}",
-                  f"  gains  = g01={gains.g01!r} g02={gains.g02!r} g12={gains.g12!r}",
+                  f"  gains  = g01={g01!r} g02={g02!r} g12={g12!r}",
                   f"  params = p0={params.p0!r} p1={params.p1!r} n1={params.n1!r} n2={params.n2!r}",
-                  f"  alpha  = {split.alpha!r}  n_hat = {n_hat.n_hat!r}"]
+                  f"  alpha  = {alpha!r}  n_hat = {n_hat!r}"]
     return "\n".join(lines) + "\n"
 
 
@@ -298,10 +278,10 @@ def test_cmd_verify_worst_case_is_the_first_of_equal_deltas(monkeypatch, capsys)
         for scheme in Scheme})
     assert cli.main(["verify", "--count", "10", "--seed", "5", "--inject-error"]) == \
         cli.EXIT_VERIFY_FAILED
-    gains = random_verification_draw(rng_for(5))[0]
+    g01 = draw_at(random_verification_draws(rng_for(5), 1), 0)[0]
     out = capsys.readouterr().out
     assert "max delta = 1.000e+00 nats" in out.splitlines()[0]
-    assert "  scheme = gbc\n" in out and f"g01={gains.g01!r} " in out
+    assert "  scheme = gbc\n" in out and f"g01={g01!r} " in out
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +303,11 @@ GAIN = log_uniform(1e-2, 1e2)
 @example(p0=1e6, p1=1e6, n1=0.1, n2=10.0, g=(1e2, 1e-2, 1e2), alpha=0.5, n_hat=1e-2)
 @example(p0=1e-2, p1=1e6, n1=10.0, n2=0.1, g=(1e-2, 1e-2, 1e2), alpha=1.0, n_hat=1e2)
 def test_oracle_equivalence_away_from_reference_point(p0, p1, n1, n2, g, alpha, n_hat):
-    # the BS gains in degraded order, as random_verification_draw orders them
+    # the BS gains in degraded order, as random_verification_draws orders them
     g01, g02 = (g[0], g[1]) if g[0] * n2 >= g[1] * n1 else (g[1], g[0])
-    draw = (LinkGains(g01, g02, g[2]), ChannelParams(p0=p0, p1=p1, n1=n1, n2=n2),
-            PowerSplit(alpha), CompressionNoise(n_hat))
-    for scheme in Scheme:
-        report = verify_scheme(*draw, scheme)
-        assert report.max_delta_nats <= 1e-9, str(report)
+    params = ChannelParams(p0=p0, p1=p1, n1=n1, n2=n2)
+    for scheme, terms in verify_terms(g01, g02, g[2], params, alpha, n_hat).items():
+        assert max_delta(terms) <= 1e-9, (scheme, describe(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +347,9 @@ def test_chunk_draw_equals_one_draw_at_a_time():
             assert rng.random() == after[count], (seed, count)
         for count in CHUNK_SIZES[:2]:
             rng = rng_for(seed)
-            singles = [random_verification_draw(rng) for _ in range(count)]
-            assert all(p == params for _, p, _, _ in singles)
-            values = [(g.g01, g.g02, g.g12, s.alpha, n.n_hat) for g, _, s, n in singles]
+            singles = [draw_at(random_verification_draws(rng, 1), 0) for _ in range(count)]
+            assert all(p == params for _, _, _, p, _, _ in singles)
+            values = [(g01, g02, g12, a, n) for g01, g02, g12, _, a, n in singles]
             assert values == list(zip(*ref))[:count], (seed, count)
             assert rng.random() == after[count], (seed, count)
 
@@ -391,6 +369,20 @@ def test_verify_evaluates_each_distinct_oracle_term_once_per_chunk(monkeypatch, 
     assert [shape for shape, _ in calls] == [(4,)] * 8 + [(4,)] * 8 + [(2,)] * 8
     assert len(set(sets for _, sets in calls[:8])) == 8
     assert [sets for _, sets in calls[8:16]] == [sets for _, sets in calls[:8]]
+
+
+def test_verify_fails_when_rates_put_a_scheme_under_another_r1_formula(monkeypatch, capsys):
+    # RBC-CF+DPC's r1 in RBC-CF's formula group: the closed form keeps the
+    # second user's component as noise, which the oracle's relay user
+    # under DPC does not see
+    monkeypatch.setattr(rates, "relay_rate_formulas",
+                        lambda schemes: rates._formulas(schemes, lambda s: s.uses_compression))
+    assert cli.main(["verify", "--count", "20"]) == cli.EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert "  scheme = rbc-cf-dpc\n" in out
+    worst = {line.split()[0]: float(line.split()[-2]) for line in out.splitlines()[1:14]
+             if line.split()[1] == "r1"}
+    assert worst["rbc-cf-dpc"] > 1e-3 and max(worst.values()) == worst["rbc-cf-dpc"]
 
 
 def test_schemes_share_their_common_terms():

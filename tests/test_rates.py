@@ -8,7 +8,6 @@ from noma_rbc import rates
 from noma_rbc.core import ChannelParams, CompressionNoise, LinkGains, PowerSplit, Scheme
 from noma_rbc.rates import (
     N_HAT_BRACKET,
-    cf_clamp_active,
     dominance_violation,
     gbc_rates,
     optimize_n_hat,
@@ -174,9 +173,9 @@ def test_clamp_never_fires_at_or_above_optimum():
             continue
         n_hat, _ = optimize_n_hat(gains, params, split)
         for factor in (1.0, 2.0, 10.0):
-            assert not cf_clamp_active(
-                gains, params, split, CompressionNoise(n_hat.n_hat * factor)
-            )
+            *_, clamped = rate_kernel(Scheme.RBC_CF, gains.g01, gains.g02, gains.g12, params,
+                                      split.alpha, n_hat.n_hat * factor)
+            assert not clamped
 
 
 def test_clamp_fires_for_tiny_compression_noise():
@@ -184,10 +183,10 @@ def test_clamp_fires_for_tiny_compression_noise():
     # without bound as n_hat -> 0 and overwhelms the forwarding bound
     params = ChannelParams(p0=10.0, p1=0.0, n1=1.0, n2=1.0)
     split = PowerSplit(0.0)
-    n_hat = CompressionNoise(1e-9)
-    assert cf_clamp_active(GAINS, params, split, n_hat)
-    assert rbc_cf_rates(GAINS, params, split, n_hat).r2 == 0.0
-    assert not cf_clamp_active(GAINS, params, split, CompressionNoise(1e3))
+    *_, clamped = rate_kernel(Scheme.RBC_CF, GAINS.g01, GAINS.g02, GAINS.g12, params,
+                              split.alpha, np.array([1e-9, 1e3]))
+    assert clamped.tolist() == [True, False]
+    assert rbc_cf_rates(GAINS, params, split, CompressionNoise(1e-9)).r2 == 0.0
 
 
 def test_sweep_monotonicity_where_it_holds():

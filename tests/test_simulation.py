@@ -36,10 +36,10 @@ SMALL = SimConfig(users=8, blocks=2, intervals=10, trials=2, seed=5)
 def test_config_validation_collects_all_errors():
     bad = SimConfig(users=3, blocks=2, edge_radius_m=10.0, inner_radius_m=20.0,
                     tau=1.5, alpha=2.0, intervals=0, trials=0, pairings=("x",),
-                    fading="y", neighbors="z", noise_power=0.0)
+                    fading="y", neighbors="z")
     errors = "\n".join(bad.validate())
     for needle in ("users", "edge_radius_m", "tau", "alpha", "intervals",
-                   "trials", "pairing", "fading", "neighbors", "noise_power"):
+                   "trials", "pairing", "fading", "neighbors"):
         assert needle in errors
     assert SMALL.validate() == []
 
@@ -48,9 +48,9 @@ def test_powers_follow_db_settings():
     cfg = SimConfig(edge_snr_db=10.0, p1_over_p0_db=(-10.0,))
     assert cfg.p0 == pytest.approx(10.0)
     assert cfg.relay_powers[0] == pytest.approx(1.0)
-    cfg = SimConfig(edge_snr_db=0.0, p1_over_p0_db=(0.0,), noise_power=2.0)
-    assert cfg.p0 == pytest.approx(2.0)
-    assert cfg.relay_powers[0] == pytest.approx(2.0)
+    cfg = SimConfig(edge_snr_db=0.0, p1_over_p0_db=(0.0, 10.0))
+    assert cfg.p0 == 1.0
+    assert cfg.relay_powers == (1.0, 10.0)
 
 
 def test_topology_support_and_mean_radius():
@@ -189,7 +189,7 @@ def test_edge_user_sees_configured_snr():
     rng = rng_for(31)
     radii = np.array([500.0, 500.0])
     gains = np.concatenate([draw_bs_gains(radii, cfg, rng).ravel() for _ in range(200_000)])
-    snr = gains.mean() * cfg.p0 / cfg.noise_power
+    snr = gains.mean() * cfg.p0
     assert abs(snr - 10.0) / 10.0 < 0.01
 
 
@@ -602,16 +602,6 @@ def test_validation_names_mistyped_and_non_finite_fields(field, value):
     assert len(errors) == 1 and errors[0].startswith(field)
     with pytest.raises(ValueError, match=field):
         run_trial(replace(SMALL, **{field: value}), 1)
-
-
-@pytest.mark.parametrize("noise", [1e-100, 1e-12, 2.0, 1e38, 1e100])
-def test_results_do_not_depend_on_the_noise_unit(noise):
-    # the powers are set over the noise power, which is only their unit;
-    # the second config is one at which a noise-dependent CF n_hat optimum
-    # fails the dominance cross-check
-    for cfg in (FULL, replace(FULL, users=2, blocks=1, alpha=0.0, edge_snr_db=0.0)):
-        cfg = replace(cfg, cross_check=True)
-        assert run_experiment(replace(cfg, noise_power=noise)) == run_experiment(cfg)
 
 
 def test_common_random_numbers_across_schemes():
