@@ -567,6 +567,33 @@ def test_unknown_keys_of_mixed_types_exit_2_naming_each(tmp_path, capsys, comman
         [f"error: unknown config key {key}" for key in named]
 
 
+@pytest.mark.parametrize("noise", ["1.0", "1.0e-300"])
+def test_simulate_config_naming_noise_power_exits_2(tmp_path, capsys, noise):
+    # the run is in units of the noise power, so the key is unknown whether
+    # or not its value lies in the float range
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(SIM_CONFIG + f"noise_power: {noise}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: unknown config key 'noise_power'" in err.splitlines()
+    assert not (out / "sum_rate.csv").exists()
+
+
+def test_simulate_pairing_flag_takes_the_scheduler_pairings(capsys):
+    from noma_rbc.scheduling import PAIRINGS
+    for pairing in PAIRINGS:
+        args = cli.build_parser().parse_args(["simulate", "--config", "c.yaml",
+                                              "--pairing", pairing])
+        assert args.pairing == pairing
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", "c.yaml", "--pairing", "far-near"])
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "invalid choice: 'far-near'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("parallel", ["0", "-3"])
 def test_simulate_parallel_below_one_exits_2(tmp_path, capsys, parallel):
     cfg = tmp_path / "sim.yaml"
