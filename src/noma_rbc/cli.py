@@ -200,16 +200,9 @@ def _db_to_linear(key: str, value) -> float:
     return linear
 
 
-def _jsonable(value):
-    if isinstance(value, Scheme):
-        return value.label
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _json_default(value):
+    """``json.dumps`` hook: a scheme as its label, a numpy scalar as its value."""
+    return value.label if isinstance(value, Scheme) else value.item()
 
 
 def _write_manifest(out_dir: Path, stem: str, command: str, config_snapshot: dict,
@@ -218,13 +211,14 @@ def _write_manifest(out_dir: Path, stem: str, command: str, config_snapshot: dic
     manifest = {
         "artifact_version": __version__,
         "command": command,
-        "config": _jsonable(config_snapshot),
+        "config": config_snapshot,
         "seed": seed,
         "outputs": [str(o) for o in outputs],
         "duration_s": round(time.monotonic() - started, 3),
-        **_jsonable(extra or {}),
+        **(extra or {}),
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n",
+                    encoding="utf-8")
     return path
 
 

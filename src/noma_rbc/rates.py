@@ -32,10 +32,10 @@ forwarding-minus-loss bound binds at the low end.
 ``rate_kernel`` evaluates one scheme over broadcastable gain and
 power-split arrays.  This module is the only code that knows which
 formulas a scheme uses: ``relay_rate`` (r1) and ``second_rate`` (r2)
-dispatch on it, ``relay_rate_formulas`` and ``second_rate_formulas`` name
-the formulas that schemes share, ``second_rates`` evaluates a shared r2
-formula once, and ``dominance_violation`` states what each scheme
-promises over GBC.  The typed operations (``gbc_rates`` ...
+dispatch on it, ``relay_rate_formulas`` and ``second_rate_runs`` group the
+schemes that share an r1 or r2 formula, ``second_rates`` evaluates a
+shared r2 formula once, and ``dominance_violation`` states what each
+scheme promises over GBC.  The typed operations (``gbc_rates`` ...
 ``sweep_region``) validate their inputs and call the kernel; the scheduler
 scores and serves whole candidate blocks through ``second_rates``.  GBC
 and RBC-DF presuppose the degraded role ordering: the typed operations
@@ -107,11 +107,11 @@ def _r2_formula(scheme: Scheme):
     return scheme.uses_compression or scheme
 
 
-def second_rate_formulas(schemes: Sequence[Scheme]) -> tuple[tuple[Scheme, ...], list[int]]:
-    """The distinct r2 formulas of ``schemes``, as ``relay_rate_formulas``
-    gives the r1 formulas: RBC-CF and RBC-CF+DPC share one r2, the other
-    schemes have their own."""
-    return _formulas(schemes, _r2_formula)
+def second_rate_runs(schemes: Sequence[Scheme]) -> list[tuple[Scheme, ...]]:
+    """``schemes`` grouped by r2 formula in order of first use, RBC-CF with RBC-CF+DPC:
+    listed next to each other, a run's schemes share each ``second_rates`` call."""
+    keys = [_r2_formula(scheme) for scheme in schemes]
+    return [tuple(s for s, k in zip(schemes, keys) if k == key) for key in dict.fromkeys(keys)]
 
 
 def _forward_bound(g02, g12, params: ChannelParams, alpha, p1):
@@ -147,9 +147,10 @@ class _CFBounds:
         self.forward = _log2_1p((self.t2 + self.w) / self.m2)
 
     def terms(self, n_hat):
-        """(cut-set bound, compression loss) in bits."""
+        """(cut-set bound, compression loss) in bits; 0 loss where ``n_hat * dd`` overflows."""
         cutset = _log2_1p(self.t1 / (self.n1 + n_hat) + self.t2_m2)
-        loss = _log2_1p(self.loss_num / (n_hat * self.dd + self.loss_off))
+        with np.errstate(over="ignore"):
+            loss = _log2_1p(self.loss_num / (n_hat * self.dd + self.loss_off))
         return cutset, loss
 
     def objective(self, n_hat):
@@ -166,18 +167,30 @@ class _CFBounds:
         # linear-domain crossing: (1 + t1/(n1+x) + t2/m2) * (1 + n1^2*m2/(x*dd + n1*n2*s1))
         #                          = 1 + (t2+w)/m2, cleared of denominators;
         # both sides are products of polynomials linear in x
-        la1 = m2 + t2
-        la0 = n1 * la1 + t1 * m2
-        lb0 = self.loss_off + self.loss_num
-        rr = la1 + self.w
-        qa = la1 * dd - rr * dd
-        qb = la1 * lb0 + la0 * dd - rr * (n1 * dd + self.loss_off)
-        qc = la0 * lb0 - rr * (n1 * n1 * n2 * s1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            la1 = m2 + t2
+            la0 = n1 * la1 + t1 * m2
+            lb0 = self.loss_off + self.loss_num
+            rr = la1 + self.w
+            qa = la1 * dd - rr * dd
+            qb = la1 * lb0 + la0 * dd - rr * (n1 * dd + self.loss_off)
+            qc = la0 * lb0 - rr * (n1 * n1 * n2 * s1)
+            disc = qb * qb - 4.0 * qa * qc
+            lost = ~np.isfinite(disc)
+            if lost.any():
+                # a product of powers overflowed: there, divide the quadratic by rr * dd
+                # and by its largest coefficient, which keeps it and its discriminant finite
+                a, c = la1 / rr, lb0 / dd
+                b, d = n1 * a + t1 * (m2 / rr), self.loss_off / dd
+                scaled = np.array(np.broadcast_arrays(-self.w / rr, a * c + b - n1 - d,
+                                                      b * c - n1 * d))
+                scaled /= np.abs(scaled).max(axis=0)
+                qa, qb, qc = (np.where(lost, x, y) for x, y in zip(scaled, (qa, qb, qc)))
+                disc = qb * qb - 4.0 * qa * qc
             # numerically stable form; a negative discriminant gives NaN
             # roots, a zero divisor infinite ones (np.divide: the inputs may
             # be Python floats, which would raise)
-            q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+            q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
             linear = np.equal(qa, 0.0)
             if not linear.any():
                 return q / qa, np.where(q == 0.0, np.nan, qc / q)

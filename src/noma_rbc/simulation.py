@@ -50,10 +50,10 @@ parallel degree (common random numbers).
 
 Experiment spec.  A ``SimConfig`` holds the lists an experiment runs over,
 its schemes, pairings and relay-power points, and ``validate`` checks each
-list once.  ``plan_tasks`` deals the schemes round-robin into
-``min(parallel, schemes)`` groups and cuts the trials into as few
-contiguous chunks as keep the workers busy; a task is the config narrowed
-to one scheme group and one pairing, with one trial chunk at all
+list once.  ``plan_tasks`` puts the schemes into ``min(parallel,
+schemes)`` groups of whole r2-formula runs and cuts the trials into as
+few contiguous chunks as keep the workers busy; a task is the config
+narrowed to one scheme group and one pairing, with one trial chunk at all
 relay-power points.  ``run_experiment`` runs all tasks in one pool of
 ``min(parallel, CPUs, tasks)`` workers; with one worker, in this process.
 """
@@ -71,7 +71,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import ChannelParams, PowerSplit, Scheme
-from .rates import relay_rate, relay_rate_formulas, second_rate_formulas
+from .rates import relay_rate, relay_rate_formulas, second_rate_runs
 from .scheduling import (NEIGHBOR_MODES, PAIRINGS, distance_order, near_far_ranks, pf_update,
                          schedule_lanes)
 
@@ -509,15 +509,14 @@ def plan_tasks(config: SimConfig, parallel: int) -> list[LaneTask]:
     """The experiment's tasks, in (pairing, scheme group, trial) order.
 
     The config's schemes go into ``min(parallel, schemes)`` groups, one
-    scheme per group when there are as many groups as schemes.  With fewer
-    groups, the schemes that share an r2 formula
-    (``rates.second_rate_formulas``) stay together, so that each stage
-    evaluates it once for them: these runs are dealt largest lane count
-    first onto the group with the fewest lanes so far, ties to the lowest
-    group, and each group lists its schemes in config order.  The trials
-    are cut into as few contiguous chunks as keep ``parallel`` workers
-    busy, so lanes stay batched; a task holds all relay-power points of its
-    trials."""
+    scheme per group when there are as many groups as schemes.  With fewer,
+    the ``parallel - 1`` r2-formula runs (``rates.second_rate_runs``) with
+    the most lanes, ties in config order, each form a group and the rest
+    the last, and a group lists its schemes run by run, so that each stage
+    evaluates a shared r2 formula once whatever the config's order.  The
+    trials are cut into as few contiguous chunks as keep ``parallel``
+    workers busy, so lanes stay batched; a task holds all relay-power
+    points of its trials."""
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     _check(config)
@@ -526,15 +525,11 @@ def plan_tasks(config: SimConfig, parallel: int) -> list[LaneTask]:
     if parallel >= len(schemes):
         groups = [(scheme,) for scheme in schemes]
     else:
-        points, runs = _lane_points(config), {}
-        for k, formula in enumerate(second_rate_formulas(schemes)[1]):
-            runs.setdefault(formula, []).append(k)
-        load, members = [0] * parallel, [[] for _ in range(parallel)]
-        for run in sorted(runs.values(), key=lambda run: -sum(points[k] for k in run)):
-            g = load.index(min(load))
-            load[g] += sum(points[k] for k in run)
-            members[g] += run
-        groups = [tuple(schemes[k] for k in sorted(m)) for m in members]
+        # with at most three runs (GBC, RBC-DF, the CF pair) this is the least
+        # largest group, the optimum that a largest-first greedy deal reaches
+        points = dict(zip(schemes, _lane_points(config)))
+        runs = sorted(second_rate_runs(schemes), key=lambda run: -sum(map(points.get, run)))
+        groups = runs[:parallel - 1] + [sum(runs[parallel - 1:], ())]
     chunks = min(config.trials, -(-parallel // (len(groups) * len(pairings))))
     bounds = [config.trials * c // chunks for c in range(chunks + 1)]
     return [

@@ -100,6 +100,18 @@ def test_region_rerun_is_byte_identical(tmp_path):
     assert (out_a / "rate_region.csv").read_bytes() == (out_b / "rate_region.csv").read_bytes()
 
 
+def test_manifest_writes_schemes_as_labels_and_numpy_scalars_as_numbers(tmp_path):
+    snapshot = {"schemes": (Scheme.GBC, Scheme.RBC_CF), "users": np.int64(12),
+                "alpha": np.float64(0.1), "points": [np.float32(0.5), (1, np.int32(3))]}
+    path = cli._write_manifest(tmp_path, "m", "simulate", snapshot, np.int64(7), [], 0.0,
+                               {"counters": [{"scheme": Scheme.RBC_DF, "role_swaps": np.int64(2)}]})
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    assert manifest["config"] == {"schemes": ["gbc", "rbc-cf"], "users": 12, "alpha": 0.1,
+                                  "points": [0.5, [1, 3]]}
+    assert manifest["seed"] == 7
+    assert manifest["counters"] == [{"scheme": "rbc-df", "role_swaps": 2}]
+
+
 # no crossing of the CF bounds at alpha = 0.625: the optimum is a bracket end
 NO_ROOT_REGION = ["--g01", "483.6281010810058", "--g02", "0.49424497906414167",
                   "--g12", "808.1521184931604", "--alpha-grid", "0,0.2,0.625,1"]

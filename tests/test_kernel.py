@@ -2,7 +2,8 @@
 1e-2..1e6: the compression-noise optimum against a dense grid and against a
 scalar transcription of its closed form, the one crossing of the CF bounds
 that the optimum assumes, and the batched candidate scoring against the
-scalar reference loops."""
+scalar reference loops.  The optimum is also held to a dense grid at
+powers up to 1e300, whose products overflow."""
 
 import itertools
 import math
@@ -101,6 +102,29 @@ def test_cf_r2_is_not_below_a_dense_n_hat_grid(g01, g02, g12, p0, p1, alpha):
     _, r2, _, _ = cf_kernel(g01, g02, g12, p0, p1, alpha)
     _, on_grid, _, _ = cf_kernel(g01, g02, g12, p0, p1, alpha, DENSE_N_HAT)
     assert r2 >= on_grid.max() - 1e-9
+
+
+def test_cf_r2_is_not_below_a_dense_n_hat_grid_at_powers_whose_products_overflow():
+    # the crossing quadratic's coefficients are products of up to four
+    # powers, so they or its discriminant overflow at large powers; with the
+    # relay power far above the BS power, that lost the crossing and up to
+    # 15 bits of r2
+    rng = rng_for(2026)
+    grid = np.logspace(math.log10(N_HAT_BRACKET[0]), math.log10(N_HAT_BRACKET[1]), 200_000)
+    for _ in range(1000):
+        p0, p1 = 10.0 ** rng.uniform(60.0, 300.0, size=2)
+        g01, g02, g12 = 10.0 ** rng.uniform(-3.0, 3.0, size=3)
+        alpha = rng.uniform()
+        _, r2, _, _ = cf_kernel(g01, g02, g12, p0, p1, alpha)
+        _, on_grid, _, _ = cf_kernel(g01, g02, g12, p0, p1, alpha, grid)
+        assert r2 >= on_grid.max() - 1e-9, (g01, g02, g12, p0, p1, alpha)
+    # a batch whose products overflow in some entries only gives each
+    # entry's own r2, bit for bit (at p0 = 1e30, 124 of these 200 overflow)
+    g01, g02, g12 = 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 200))
+    p1, alpha = 10.0 ** rng.uniform(0.0, 300.0, size=200), rng.uniform(size=200)
+    batch = rate_kernel(Scheme.RBC_CF, g01, g02, g12, ChannelParams(p0=1e30), alpha, p1=p1)[1]
+    assert batch.tolist() == [cf_kernel(*args, 1e30, *rest)[1]
+                              for *args, rest in zip(g01, g02, g12, zip(p1, alpha))]
 
 
 @PROPERTY

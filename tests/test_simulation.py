@@ -401,8 +401,8 @@ def test_every_scheme_pairing_and_trial_lies_in_exactly_one_task(pairings):
                 [(task.first + t,) for t in range(len(task.seeds))]
         assert len(tasks) >= min(parallel, len(schemes) * len(pairings) * trials)
         if parallel == 1:
-            assert [(t.config.pairings[0], t.config.schemes) for t in tasks] == \
-                [(pairing, schemes) for pairing in pairings]
+            assert [(t.config.pairings[0], set(t.config.schemes)) for t in tasks] == \
+                [(pairing, set(schemes)) for pairing in pairings]
 
 
 @pytest.mark.parametrize("name, values, shown", [
@@ -547,10 +547,50 @@ def test_a_scheme_without_the_relay_runs_one_lane_per_trial(monkeypatch, pairing
         assert np.array_equal(lanes.assignments[:, at], alone.assignments)
 
 
-def test_the_cf_pair_shares_a_task_while_there_are_fewer_groups_than_schemes(recording_pool,
-                                                                           monkeypatch):
-    # at --parallel 2 and 3 the CF pair forms one group, listed in config
-    # order, so one r2 call per stage serves both; at 4 every scheme is alone
+ORDERED_SUBSETS = [order for n in range(1, 5) for order in itertools.permutations(Scheme, n)]
+
+
+def lane_count(schemes, points):
+    """Lanes per trial of ``schemes``: one per relay-power point, one for
+    GBC, which does not use the relay."""
+    return sum(len(points) if s.uses_relay else 1 for s in schemes)
+
+
+def scheme_groups(config, parallel):
+    """The scheme group of each task of the first pairing's first trials."""
+    return [t.config.schemes for t in plan_tasks(config, parallel)
+            if t.first == 0 and t.config.pairings == config.pairings[:1]]
+
+
+@pytest.mark.parametrize("points", [(0.0,), (-10.0, 0.0), (-10.0, 0.0, 5.0)])
+def test_fewer_groups_than_schemes_hold_whole_r2_runs_with_the_least_largest_group(points):
+    cf_pair = {Scheme.RBC_CF, Scheme.RBC_CF_DPC}
+    for schemes, parallel in itertools.product(ORDERED_SUBSETS, range(1, 6)):
+        cfg = replace(SMALL, p1_over_p0_db=points, schemes=schemes)
+        groups = scheme_groups(cfg, parallel)
+        assert collections.Counter(s for g in groups for s in g) == collections.Counter(schemes)
+        for g in groups:  # the CF pair is adjacent wherever a task holds both
+            at = [k for k, s in enumerate(g) if s in cf_pair]
+            assert not at or at[-1] - at[0] == len(at) - 1
+        if parallel >= len(schemes):
+            assert groups == [(s,) for s in schemes]
+            continue
+        runs = rates.second_rate_runs(schemes)
+        assert len(groups) == parallel
+        assert all(any(set(run) <= set(g) for g in groups) for run in runs)
+        # the least largest group over every assignment of whole runs to groups
+        best = min(max(lane_count([s for run, home in zip(runs, homes) if home == g for s in run],
+                                  points) for g in range(parallel))
+                   for homes in itertools.product(range(parallel), repeat=len(runs)))
+        assert max(lane_count(g, points) for g in groups) == best
+
+
+@pytest.mark.parametrize("parallel", [1, 2, 3])
+def test_the_cf_pair_shares_each_stage_call_in_every_scheme_order(recording_pool, monkeypatch,
+                                                                 parallel):
+    # RBC-CF and RBC-CF+DPC share r2, so one CF call per stage (one per
+    # block and one serving stage per interval) serves both, whatever
+    # their config order, while there are fewer groups than schemes
     built = collections.Counter()
 
     class Counting(rates._CFBounds):
@@ -559,31 +599,10 @@ def test_the_cf_pair_shares_a_task_while_there_are_fewer_groups_than_schemes(rec
             super().__init__(*args)
     monkeypatch.setattr(rates, "_CFBounds", Counting)
     cfg = replace(FULL, intervals=2)
-    cf_pair = {Scheme.RBC_CF, Scheme.RBC_CF_DPC}
     for order in itertools.permutations(Scheme):
-        ordered = replace(cfg, schemes=order)
-        for parallel in (2, 3, 4):
-            groups = [t.config.schemes for t in plan_tasks(ordered, parallel)
-                      if t.config.pairings == ("near-far",)]
-            assert collections.Counter(s for g in groups for s in g) == collections.Counter(order)
-            assert all(list(g) == [s for s in order if s in g] for g in groups)
-            assert (tuple(s for s in order if s in cf_pair) in groups) == (parallel < 4)
         built.clear()
-        run_experiment(ordered, parallel=2)
+        run_experiment(replace(cfg, schemes=order), parallel=parallel)
         assert built["cf"] == len(cfg.pairings) * cfg.intervals * (cfg.blocks + 1)
-
-
-@pytest.mark.parametrize("points, parallel, groups", [
-    # lanes per trial: gbc 1, rbc-df 2, the CF pair 4
-    ((-10.0, 0.0), 2, [("rbc-cf", "rbc-cf-dpc"), ("gbc", "rbc-df")]),
-    ((-10.0, 0.0), 3, [("rbc-cf", "rbc-cf-dpc"), ("rbc-df",), ("gbc",)]),
-    # gbc 1, rbc-df 1, the CF pair 2: equal runs keep their config order
-    ((0.0,), 2, [("rbc-cf", "rbc-cf-dpc"), ("gbc", "rbc-df")]),
-    ((0.0,), 3, [("rbc-cf", "rbc-cf-dpc"), ("gbc",), ("rbc-df",)]),
-])
-def test_runs_are_dealt_largest_first_onto_the_least_loaded_group(points, parallel, groups):
-    cfg = replace(FULL, p1_over_p0_db=points, pairings=("nearest",))
-    assert [tuple(s.label for s in t.config.schemes) for t in plan_tasks(cfg, parallel)] == groups
 
 
 @pytest.mark.parametrize("field, value", [
