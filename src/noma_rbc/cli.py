@@ -25,6 +25,7 @@ suffix; everything is converted to linear units on entry.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -171,7 +172,7 @@ def _parse_alpha_grid(spec) -> np.ndarray:
         if spec is None:
             grid = uniform_alpha_grid()
         elif isinstance(spec, (list, tuple)):
-            grid = [float(x) for x in spec]
+            grid = [_number("each value", x) for x in spec]
         elif "," in str(spec):
             grid = [float(t) for t in str(spec).split(",") if t.strip()]
         else:
@@ -182,11 +183,11 @@ def _parse_alpha_grid(spec) -> np.ndarray:
 
 
 def _number(key: str, value) -> float:
-    """``value`` as a float; the error names ``key``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
+    """``value`` as a float, which a bool is not; the error names ``key``."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError):
+            return float(value)
+    raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 def _db_to_linear(key: str, value) -> float:

@@ -1,10 +1,11 @@
-"""Domain types and validity checks for the two-user downlink model.
+"""Domain types, validity checks and the role ordering of the two-user downlink.
 
 One base station serves two users per resource block.  The relay user
 (index 1) has the stronger link and may also retransmit; the second user
-(index 2) is the weaker one.  Only squared channel magnitudes enter any
-rate expression, so gains are carried as non-negative power gains and
-complex fading phases exist only inside the fading generator.
+(index 2) is the weaker one, as ``is_degraded_ordered`` checks (the
+power-domain NOMA condition follows from it).  Only squared channel
+magnitudes enter any rate expression, so gains are non-negative power
+gains and complex fading phases exist only inside the fading generator.
 
 All user-facing rates are bits per channel use (base-2 logs).  ``LN2`` is
 the single conversion constant between bits and the nats used by the
@@ -159,18 +160,6 @@ def is_degraded_ordered(gains: LinkGains, params: ChannelParams) -> bool:
     """True when g01/n1 >= g02/n2, the role ordering every rate formula
     assumes (relay user = noise-normalised strong user)."""
     return gains.g01 * params.n2 >= gains.g02 * params.n1
-
-
-def noma_condition_holds(gains: LinkGains, params: ChannelParams, split: PowerSplit) -> bool:
-    """Power-domain multiplexing condition: the relay user can decode the
-    second user's message at least as reliably as the second user itself.
-
-    Holds automatically whenever ``is_degraded_ordered`` does.
-    """
-    a, ab = split.alpha, split.alpha_bar
-    lhs = gains.g01 * ab * params.p0 / (gains.g01 * a * params.p0 + params.n1)
-    rhs = gains.g02 * ab * params.p0 / (gains.g02 * a * params.p0 + params.n2)
-    return lhs >= rhs
 
 
 def received_snr_relay(gains: LinkGains, params: ChannelParams, split: PowerSplit) -> float:

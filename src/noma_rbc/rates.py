@@ -30,17 +30,18 @@ search is needed, and the high end is evaluated only where the
 forwarding-minus-loss bound binds at the low end.
 
 ``rate_kernel`` evaluates one scheme over broadcastable gain and
-power-split arrays.  This module is the only code that knows which
-formulas a scheme uses: ``relay_rate`` (r1) and ``second_rate`` (r2)
-dispatch on it, ``relay_rate_formulas`` and ``second_rate_runs`` group the
-schemes that share an r1 or r2 formula, ``second_rates`` evaluates a
-shared r2 formula once, and ``dominance_violation`` states what each
-scheme promises over GBC.  The typed operations (``gbc_rates`` ...
-``sweep_region``) validate their inputs and call the kernel; the scheduler
-scores and serves whole candidate blocks through ``second_rates``.  GBC
-and RBC-DF presuppose the degraded role ordering: the typed operations
-reject inputs that violate it, while the kernel and its parts evaluate the
-formulas literally, as the scheduler's selection metrics require.
+power-split arrays, or over one pair of scalars.  This module is the only
+code that knows which formulas a scheme uses: ``relay_rate`` (r1) and
+``second_rate`` (r2) dispatch on it, ``relay_rate_formulas`` and
+``second_rate_runs`` group the schemes that share an r1 or r2 formula,
+``second_rates`` evaluates a shared r2 formula once for the scheduler's
+candidate blocks, and ``dominance_violation`` states what each scheme
+promises over GBC.  ``sweep_region``, the one validated entry, checks its
+inputs and outputs around one kernel call over an alpha grid;
+``rbc_cf_rates`` is a typed scalar kernel call.  GBC and RBC-DF presuppose
+the degraded role ordering: ``sweep_region`` rejects inputs that violate
+it, while the kernel and its parts evaluate the formulas literally, as the
+scheduler's selection metrics require.
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ def dominance_violation(segments, g01, g02, g12, params: ChannelParams, alpha, r
 
 
 # ---------------------------------------------------------------------------
-# typed scheme operations
+# typed entries
 
 def _require_ordered(gains: LinkGains, params: ChannelParams) -> None:
     if not is_degraded_ordered(gains, params):
@@ -315,57 +316,14 @@ def _require_ordered(gains: LinkGains, params: ChannelParams) -> None:
         )
 
 
-def _typed(scheme, gains: LinkGains, params, split: PowerSplit, n_hat=None):
-    r1, r2, n_hat, _ = rate_kernel(
-        scheme, gains.g01, gains.g02, gains.g12, params, split.alpha, n_hat
-    )
-    return RatePair(r1=float(r1), r2=float(r2)), n_hat
-
-
-def gbc_rates(gains: LinkGains, params: ChannelParams, split: PowerSplit) -> RatePair:
-    """Capacity-region corner point of the plain superposition/SIC scheme."""
-    _require_ordered(gains, params)
-    return _typed(Scheme.GBC, gains, params, split)[0]
-
-
-def rbc_df_rates(gains: LinkGains, params: ChannelParams, split: PowerSplit) -> RatePair:
-    """Rates when the relay user decodes and forwards the second user's
-    message."""
-    _require_ordered(gains, params)
-    return _typed(Scheme.RBC_DF, gains, params, split)[0]
-
-
 def rbc_cf_rates(
     gains: LinkGains, params: ChannelParams, split: PowerSplit, n_hat: CompressionNoise
 ) -> RatePair:
-    """Rates when the relay user compresses and forwards its observation;
-    the relay user cannot cancel the second user's component."""
-    return _typed(Scheme.RBC_CF, gains, params, split, n_hat.n_hat)[0]
-
-
-def rbc_cf_dpc_rates(
-    gains: LinkGains, params: ChannelParams, split: PowerSplit, n_hat: CompressionNoise
-) -> RatePair:
-    """Compress-and-forward with transmitter-side pre-cancellation: r1 is
-    restored to the interference-free value, r2 is unchanged."""
-    return _typed(Scheme.RBC_CF_DPC, gains, params, split, n_hat.n_hat)[0]
-
-
-def optimize_n_hat(
-    gains: LinkGains,
-    params: ChannelParams,
-    split: PowerSplit,
-    scheme: Scheme = Scheme.RBC_CF_DPC,
-) -> tuple[CompressionNoise, RatePair]:
-    """Compression-noise variance maximising r2, and the resulting pair.
-
-    ``scheme`` picks which r1 accompanies the optimised r2 (RBC_CF or
-    RBC_CF_DPC; their r2 is identical).
-    """
-    if not scheme.uses_compression:
-        raise ValueError(f"scheme {scheme.label} has no compression noise to optimize")
-    pair, n_hat = _typed(scheme, gains, params, split)
-    return CompressionNoise(float(n_hat)), pair
+    """Rates when the relay user compresses and forwards its observation at
+    compression noise ``n_hat``; it cannot cancel the second user's component."""
+    r1, r2, _, _ = rate_kernel(Scheme.RBC_CF, gains.g01, gains.g02, gains.g12, params,
+                               split.alpha, n_hat.n_hat)
+    return RatePair(r1=float(r1), r2=float(r2))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from noma_rbc.core import (
     second_user_sir,
 )
 from noma_rbc.oracle import random_verification_draws, verify_terms
-from noma_rbc.rates import gbc_rates, optimize_n_hat, rbc_df_rates
+from noma_rbc.rates import rate_kernel
 from noma_rbc.scheduling import pf_update
 from noma_rbc.simulation import SimConfig, generate_topology, mean_radius_analytic, rayleigh_power, run_experiment
 
@@ -69,14 +69,14 @@ def test_acceptance_3_subsumption_suite():
     def body():
         rng = rng_for(1003)
         for _ in range(10_000):
-            gains, params, split = random_ordered_setup(rng)
-            gbc = gbc_rates(gains, params, split)
-            df = rbc_df_rates(gains, params, split)
-            assert df.r1 == gbc.r1
-            assert df.r2 >= gbc.r2 - 1e-12
-            _, dpc = optimize_n_hat(gains, params, split, Scheme.RBC_CF_DPC)
-            assert dpc.r1 == gbc.r1
-            assert dpc.r2 >= gbc.r2 - 1e-6
+            g, params, split = random_ordered_setup(rng)
+            gbc, df, dpc = (rate_kernel(scheme, g.g01, g.g02, g.g12, params, split.alpha)
+                            for scheme in (Scheme.GBC, Scheme.RBC_DF, Scheme.RBC_CF_DPC))
+            assert df[0] == gbc[0]
+            assert df[1] >= gbc[1] - 1e-12
+            # n_hat None: the optimal compression noise
+            assert dpc[0] == gbc[0]
+            assert dpc[1] >= gbc[1] - 1e-6
     _verdict("3 subsumption-suite", body)
 
 
@@ -85,10 +85,11 @@ def test_acceptance_4_n_hat_optimizer_vs_brute_force():
         rng = rng_for(1004)
         worst = 0.0
         for _ in range(1000):
-            gains, params, split = random_ordered_setup(rng)
-            _, pair = optimize_n_hat(gains, params, split)
-            oracle = grid_optimal_cf_r2(gains, params, split)
-            worst = max(worst, abs(pair.r2 - oracle))
+            g, params, split = random_ordered_setup(rng)
+            _, r2, _, _ = rate_kernel(Scheme.RBC_CF_DPC, g.g01, g.g02, g.g12, params,
+                                      split.alpha)
+            oracle = grid_optimal_cf_r2(g, params, split)
+            worst = max(worst, abs(float(r2) - oracle))
         assert worst <= 1e-6, f"worst optimizer-vs-grid gap {worst:.3e} bits"
     _verdict("4 n-hat-optimizer", body)
 

@@ -358,21 +358,47 @@ def test_region_bad_value_exits_2_naming_the_key(tmp_path, capsys, flags, key):
     assert not (tmp_path / "out").exists()
 
 
+def _region_config(tmp_path, line):
+    values = {"g01": "8", "g02": "1", "p0_db": "10"}
+    values.update([line.split(": ", 1)])
+    cfg = tmp_path / "region.yaml"
+    cfg.write_text("".join(f"{k}: {v}\n" for k, v in values.items()), encoding="utf-8")
+    return ["region", "--config", str(cfg), "--out", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize("line, key", [
     ("g01: abc", "g01"), ("g12: [8]", "g12"), ("n1: {a: 1}", "n1"), ("p0_db: ten", "p0_db"),
     ("p1_db: [10]", "p1_db"), ("alpha: [0.2]", "alpha"), ("n_hat: [1]", "n_hat"),
     ("alpha_grid: {a: 1}", "alpha_grid"), ("schemes: 5", None),
 ])
 def test_region_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, line, key):
-    values = {"g01": "8", "g02": "1", "p0_db": "10"}
-    values.update([line.split(": ", 1)])
-    cfg = tmp_path / "region.yaml"
-    cfg.write_text("".join(f"{k}: {v}\n" for k, v in values.items()), encoding="utf-8")
-    assert main(["region", "--config", str(cfg), "--out", str(tmp_path / "out")]) == \
-        EXIT_CONFIG_ERROR
+    assert main(_region_config(tmp_path, line)) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert key is None or err.startswith(f"error: {key} ") or err.startswith(f"error: {key}:"), err
+
+
+@pytest.mark.parametrize("line, key, value", [
+    ("g01: true", "g01", True), ("g02: false", "g02", False), ("g12: yes", "g12", True),
+    ("n1: true", "n1", True), ("n2: on", "n2", True), ("p0_db: true", "p0_db", True),
+    ("p1_db: false", "p1_db", False), ("alpha: true", "alpha", True),
+    ("n_hat: yes", "n_hat", True), ("alpha_grid: [0, true, 0.5]", "alpha_grid", True),
+])
+def test_region_config_boolean_is_not_a_number(tmp_path, capsys, line, key, value):
+    # YAML reads true/yes/on and false as booleans, which float() takes as 1 and 0:
+    # p1_db: false would give a 0 dB relay, not none
+    assert main(_region_config(tmp_path, line)) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") or err.startswith(f"error: {key}:"), err
+    assert f"must be a number, got {value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["g12: 1e-3", "n_hat: 1e-3", "alpha_grid: [0, 1e-3, 1]"])
+def test_region_config_numeric_strings_are_numbers(tmp_path, line):
+    # PyYAML reads 1e-3 (no dot in the mantissa) as a string
+    assert main(_region_config(tmp_path, line)) == EXIT_OK
+    assert (tmp_path / "out" / "rate_region.csv").exists()
 
 
 def test_region_overflowing_rates_exit_2_naming_the_inputs(tmp_path, capsys):

@@ -11,13 +11,12 @@ from noma_rbc.core import (
     RatePair,
     Scheme,
     is_degraded_ordered,
-    noma_condition_holds,
     received_snr_relay,
     received_snr_second,
     second_user_sir,
 )
 
-from helpers import random_ordered_setup, rng_for
+from helpers import rng_for
 
 
 def test_degraded_ordering_examples():
@@ -31,24 +30,6 @@ def test_degraded_ordering_uses_noise_ratio():
     gains = LinkGains(2.0, 3.0)
     assert is_degraded_ordered(gains, ChannelParams(p0=1.0, n1=1.0, n2=2.0))
     assert not is_degraded_ordered(gains, ChannelParams(p0=1.0, n1=2.0, n2=1.0))
-
-
-def test_noma_condition_examples():
-    params = ChannelParams(p0=10.0, n1=1.0, n2=1.0)
-    split = PowerSplit(0.2)
-    # 80/17 >= 8/3 on the ordered side
-    assert noma_condition_holds(LinkGains(8.0, 1.0), params, split)
-    assert not noma_condition_holds(LinkGains(1.0, 8.0), params, split)
-    # both sides vanish when all power goes to the relay user
-    assert noma_condition_holds(LinkGains(1.0, 8.0), params, PowerSplit(1.0))
-
-
-def test_ordered_implies_noma_condition():
-    rng = rng_for(101)
-    for _ in range(10_000):
-        gains, params, split = random_ordered_setup(rng)
-        assert is_degraded_ordered(gains, params)
-        assert noma_condition_holds(gains, params, split)
 
 
 def test_power_split_is_exact_partition():

@@ -9,12 +9,8 @@ from noma_rbc.core import ChannelParams, CompressionNoise, LinkGains, PowerSplit
 from noma_rbc.rates import (
     N_HAT_BRACKET,
     dominance_violation,
-    gbc_rates,
-    optimize_n_hat,
-    rbc_cf_dpc_rates,
-    rbc_cf_rates,
     rate_kernel,
-    rbc_df_rates,
+    rbc_cf_rates,
     relay_rate,
     relay_rate_formulas,
     second_rate,
@@ -31,138 +27,147 @@ GAINS = LinkGains(8.0, 1.0, 8.0)
 PARAMS = ChannelParams(p0=10.0, p1=10.0, n1=1.0, n2=1.0)
 SPLIT = PowerSplit(0.2)
 TOL = 1e-12
+GBC, DF, CF, DPC = Scheme.GBC, Scheme.RBC_DF, Scheme.RBC_CF, Scheme.RBC_CF_DPC
+# the reference gains as rate_kernel arguments
+G = (GAINS.g01, GAINS.g02, GAINS.g12)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
+                          np.asarray(b, dtype=float).view(np.int64))
 
 
 def test_gbc_reference_values():
-    pair = gbc_rates(GAINS, PARAMS, SPLIT)
-    assert pair.r1 == pytest.approx(math.log2(17.0), abs=TOL)
-    assert pair.r2 == pytest.approx(math.log2(11.0 / 3.0), abs=TOL)
+    r1, r2, n_hat, clamped = rate_kernel(GBC, *G, PARAMS, SPLIT.alpha)
+    assert r1 == pytest.approx(math.log2(17.0), abs=TOL)
+    assert r2 == pytest.approx(math.log2(11.0 / 3.0), abs=TOL)
+    assert n_hat is None and clamped is False
 
 
 def test_gbc_degenerate_alphas_exact():
-    assert gbc_rates(GAINS, PARAMS, PowerSplit(1.0)).r2 == 0.0
-    assert gbc_rates(GAINS, PARAMS, PowerSplit(0.0)).r1 == 0.0
+    assert rate_kernel(GBC, *G, PARAMS, 1.0)[1] == 0.0
+    assert rate_kernel(GBC, *G, PARAMS, 0.0)[0] == 0.0
 
 
 def test_df_reference_values():
-    pair = rbc_df_rates(GAINS, PARAMS, SPLIT)
-    assert pair.r1 == pytest.approx(math.log2(17.0), abs=TOL)
+    r1, r2, _, _ = rate_kernel(DF, *G, PARAMS, SPLIT.alpha)
+    assert r1 == pytest.approx(math.log2(17.0), abs=TOL)
     # min(log2(91/3), log2(81/17)) with the relay decoding bound binding
-    assert pair.r2 == pytest.approx(math.log2(81.0 / 17.0), abs=TOL)
+    assert r2 == pytest.approx(math.log2(81.0 / 17.0), abs=TOL)
     assert math.log2(81.0 / 17.0) < math.log2(91.0 / 3.0)
 
 
 def test_df_without_relay_power_equals_gbc():
     params = ChannelParams(p0=10.0, p1=0.0, n1=1.0, n2=1.0)
     for alpha in uniform_alpha_grid(41):
-        split = PowerSplit(alpha)
-        assert rbc_df_rates(GAINS, params, split) == gbc_rates(GAINS, params, split)
+        assert rate_kernel(DF, *G, params, alpha)[:2] == rate_kernel(GBC, *G, params, alpha)[:2]
 
 
 def test_df_alpha_one_r2_zero():
-    assert rbc_df_rates(GAINS, PARAMS, PowerSplit(1.0)).r2 == 0.0
+    assert rate_kernel(DF, *G, PARAMS, 1.0)[1] == 0.0
 
 
 def test_cf_reference_values():
-    pair = rbc_cf_rates(GAINS, PARAMS, SPLIT, CompressionNoise(1.0))
-    assert pair.r1 == pytest.approx(math.log2(81.0 / 65.0), abs=TOL)
+    r1, r2, n_hat, clamped = rate_kernel(CF, *G, PARAMS, SPLIT.alpha, 1.0)
+    assert r1 == pytest.approx(math.log2(81.0 / 65.0), abs=TOL)
     # min(log2(214/6), log2(91/3) - log2(38/35)); the second argument binds
-    assert pair.r2 == pytest.approx(math.log2(3185.0 / 114.0), abs=TOL)
+    assert r2 == pytest.approx(math.log2(3185.0 / 114.0), abs=TOL)
     assert math.log2(3185.0 / 114.0) < math.log2(214.0 / 6.0)
+    assert n_hat == 1.0 and not clamped
 
 
 def test_cf_alpha_zero_r1_zero():
-    assert rbc_cf_rates(GAINS, PARAMS, PowerSplit(0.0), CompressionNoise(1.0)).r1 == 0.0
+    assert rate_kernel(CF, *G, PARAMS, 0.0, 1.0)[0] == 0.0
 
 
 def test_cf_large_n_hat_recovers_gbc_r2():
-    pair = rbc_cf_rates(GAINS, PARAMS, SPLIT, CompressionNoise(1e12))
-    assert abs(pair.r2 - gbc_rates(GAINS, PARAMS, SPLIT).r2) <= 1e-6
+    r2 = rate_kernel(CF, *G, PARAMS, SPLIT.alpha, 1e12)[1]
+    assert abs(r2 - rate_kernel(GBC, *G, PARAMS, SPLIT.alpha)[1]) <= 1e-6
 
 
 def test_cf_dpc_reference_values():
-    n_hat = CompressionNoise(1.0)
-    pair = rbc_cf_dpc_rates(GAINS, PARAMS, SPLIT, n_hat)
-    assert pair.r1 == pytest.approx(math.log2(17.0), abs=TOL)
-    assert pair.r2 == rbc_cf_rates(GAINS, PARAMS, SPLIT, n_hat).r2
-    assert pair.r1 == gbc_rates(GAINS, PARAMS, SPLIT).r1
+    r1, r2, _, _ = rate_kernel(DPC, *G, PARAMS, SPLIT.alpha, 1.0)
+    assert r1 == pytest.approx(math.log2(17.0), abs=TOL)
+    assert r2 == rate_kernel(CF, *G, PARAMS, SPLIT.alpha, 1.0)[1]
+    assert r1 == rate_kernel(GBC, *G, PARAMS, SPLIT.alpha)[0]
 
 
-def test_ordering_rejected_for_sic_schemes():
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_sweep_region_rejects_swapped_gains_for_sic_schemes(scheme):
     swapped = LinkGains(1.0, 8.0, 8.0)
-    with pytest.raises(ValueError, match="swap"):
-        gbc_rates(swapped, PARAMS, SPLIT)
-    with pytest.raises(ValueError, match="swap"):
-        rbc_df_rates(swapped, PARAMS, SPLIT)
-    # the CF formulas do not presuppose the ordering
-    rbc_cf_rates(swapped, PARAMS, SPLIT, CompressionNoise(1.0))
-    rbc_cf_dpc_rates(swapped, PARAMS, SPLIT, CompressionNoise(1.0))
+    if scheme.uses_compression:
+        # the CF formulas do not presuppose the ordering
+        curve = sweep_region(scheme, swapped, PARAMS, [0.0, 0.2, 1.0],
+                             n_hat=CompressionNoise(1.0))
+        assert curve.r2[1] == rate_kernel(scheme, 1.0, 8.0, 8.0, PARAMS, 0.2, 1.0)[1]
+    else:
+        with pytest.raises(ValueError, match="swap"):
+            sweep_region(scheme, swapped, PARAMS, [0.0, 0.2, 1.0])
 
 
 def test_subsumption_and_penalty_properties():
     rng = rng_for(21)
     for _ in range(2000):
         gains, params, split = random_ordered_setup(rng)
-        gbc = gbc_rates(gains, params, split)
-        df = rbc_df_rates(gains, params, split)
-        assert df.r1 == gbc.r1
-        assert df.r2 >= gbc.r2 - 1e-12
-        n_hat = CompressionNoise(float(10.0 ** rng.uniform(-2, 2)))
-        cf = rbc_cf_rates(gains, params, split, n_hat)
-        dpc = rbc_cf_dpc_rates(gains, params, split, n_hat)
+        g, alpha = (gains.g01, gains.g02, gains.g12), split.alpha
+        gbc_r1, gbc_r2, _, _ = rate_kernel(GBC, *g, params, alpha)
+        df_r1, df_r2, _, _ = rate_kernel(DF, *g, params, alpha)
+        assert df_r1 == gbc_r1
+        assert df_r2 >= gbc_r2 - 1e-12
+        n_hat = float(10.0 ** rng.uniform(-2, 2))
+        cf_r1, cf_r2, _, _ = rate_kernel(CF, *g, params, alpha, n_hat)
+        dpc_r1, dpc_r2, _, _ = rate_kernel(DPC, *g, params, alpha, n_hat)
         # transmitter pre-cancellation can only help r1 and leaves r2 alone
-        assert dpc.r1 >= cf.r1
-        assert dpc.r2 == cf.r2
+        assert dpc_r1 >= cf_r1
+        assert dpc_r2 == cf_r2
         if gains.g01 * split.alpha_bar * params.p0 == 0.0:
-            assert dpc.r1 == cf.r1
+            assert dpc_r1 == cf_r1
         elif gains.g01 * split.alpha * params.p0 > 0.0:
-            assert dpc.r1 > cf.r1
+            assert dpc_r1 > cf_r1
         # without SIC at the relay user, its rate can never beat the GBC one
-        assert cf.r1 <= gbc.r1 + 1e-12
+        assert cf_r1 <= gbc_r1 + 1e-12
 
 
 def test_optimizer_dominates_fixed_point_and_gbc():
-    n_hat, pair = optimize_n_hat(GAINS, PARAMS, SPLIT)
-    assert pair.r2 >= rbc_cf_rates(GAINS, PARAMS, SPLIT, CompressionNoise(1.0)).r2
-    assert pair.r2 >= gbc_rates(GAINS, PARAMS, SPLIT).r2 - 1e-6
-    assert n_hat.n_hat > 0.0
+    # n_hat None: the kernel takes the optimal compression noise
+    _, r2, n_hat, _ = rate_kernel(DPC, *G, PARAMS, SPLIT.alpha)
+    assert r2 >= rate_kernel(CF, *G, PARAMS, SPLIT.alpha, 1.0)[1]
+    assert r2 >= rate_kernel(GBC, *G, PARAMS, SPLIT.alpha)[1] - 1e-6
+    assert n_hat > 0.0
 
 
 def test_optimizer_scheme_selection():
-    n_hat_cf, cf = optimize_n_hat(GAINS, PARAMS, SPLIT, Scheme.RBC_CF)
-    n_hat_dpc, dpc = optimize_n_hat(GAINS, PARAMS, SPLIT, Scheme.RBC_CF_DPC)
+    cf_r1, cf_r2, n_hat_cf, _ = rate_kernel(CF, *G, PARAMS, SPLIT.alpha)
+    dpc_r1, dpc_r2, n_hat_dpc, _ = rate_kernel(DPC, *G, PARAMS, SPLIT.alpha)
     assert n_hat_cf == n_hat_dpc
-    assert cf.r2 == dpc.r2
-    assert cf.r1 == rbc_cf_rates(GAINS, PARAMS, SPLIT, n_hat_cf).r1
-    assert dpc.r1 == gbc_rates(GAINS, PARAMS, SPLIT).r1
-    with pytest.raises(ValueError, match="compression"):
-        optimize_n_hat(GAINS, PARAMS, SPLIT, Scheme.GBC)
+    assert cf_r2 == dpc_r2
+    assert cf_r1 == rate_kernel(CF, *G, PARAMS, SPLIT.alpha, float(n_hat_cf))[0]
+    assert dpc_r1 == rate_kernel(GBC, *G, PARAMS, SPLIT.alpha)[0]
 
 
 def test_optimizer_alpha_one_returns_zero_rate():
-    _, pair = optimize_n_hat(GAINS, PARAMS, PowerSplit(1.0))
-    assert pair.r2 == 0.0
+    assert rate_kernel(DPC, *G, PARAMS, 1.0)[1] == 0.0
 
 
 def test_optimizer_matches_grid_oracle():
     rng = rng_for(33)
     for _ in range(60):
         gains, params, split = random_ordered_setup(rng)
-        _, pair = optimize_n_hat(gains, params, split)
+        r2 = rate_kernel(DPC, gains.g01, gains.g02, gains.g12, params, split.alpha)[1]
         oracle = grid_optimal_cf_r2(gains, params, split)
-        assert abs(pair.r2 - oracle) <= 1e-6
+        assert abs(r2 - oracle) <= 1e-6
 
 
 def test_optimizer_handles_zero_relay_power():
     # no positive quadratic root exists: the forwarding-minus-loss bound
     # binds for every n_hat and rises in it, so the high bracket end wins
     params = ChannelParams(p0=10.0, p1=0.0, n1=1.0, n2=1.0)
-    n_hat, pair = optimize_n_hat(GAINS, params, SPLIT)
-    gbc_r2 = gbc_rates(GAINS, params, SPLIT).r2
-    assert pair.r2 <= gbc_r2 + 1e-12
-    assert pair.r2 >= gbc_r2 - 1e-6
-    assert abs(pair.r2 - grid_optimal_cf_r2(GAINS, params, SPLIT)) <= 1e-6
-    assert n_hat.n_hat == N_HAT_BRACKET[1]
+    _, r2, n_hat, _ = rate_kernel(DPC, *G, params, SPLIT.alpha)
+    gbc_r2 = rate_kernel(GBC, *G, params, SPLIT.alpha)[1]
+    assert r2 <= gbc_r2 + 1e-12
+    assert r2 >= gbc_r2 - 1e-6
+    assert abs(r2 - grid_optimal_cf_r2(GAINS, params, SPLIT)) <= 1e-6
+    assert n_hat == N_HAT_BRACKET[1]
 
 
 def test_clamp_never_fires_at_or_above_optimum():
@@ -171,10 +176,10 @@ def test_clamp_never_fires_at_or_above_optimum():
         gains, params, split = random_ordered_setup(rng)
         if split.alpha == 1.0:
             continue
-        n_hat, _ = optimize_n_hat(gains, params, split)
+        g = (gains.g01, gains.g02, gains.g12)
+        n_hat = rate_kernel(CF, *g, params, split.alpha)[2]
         for factor in (1.0, 2.0, 10.0):
-            *_, clamped = rate_kernel(Scheme.RBC_CF, gains.g01, gains.g02, gains.g12, params,
-                                      split.alpha, n_hat.n_hat * factor)
+            *_, clamped = rate_kernel(CF, *g, params, split.alpha, n_hat * factor)
             assert not clamped
 
 
@@ -222,9 +227,9 @@ def test_sweep_region_shapes_and_validation():
     curve = sweep_region(Scheme.GBC, GAINS, PARAMS, [0.0, 1.0])
     assert curve.n_hat is None
     assert curve.r1[0] == 0.0
-    assert curve.r2[0] == gbc_rates(GAINS, PARAMS, PowerSplit(0.0)).r2
+    assert curve.r2[0] == rate_kernel(GBC, *G, PARAMS, 0.0)[1]
     assert curve.r2[1] == 0.0
-    assert curve.r1[1] == gbc_rates(GAINS, PARAMS, PowerSplit(1.0)).r1
+    assert curve.r1[1] == rate_kernel(GBC, *G, PARAMS, 1.0)[0]
 
     cf = sweep_region(Scheme.RBC_CF, GAINS, PARAMS, [0.1, 0.2])
     assert cf.n_hat is not None and len(cf.n_hat) == 2
@@ -277,32 +282,40 @@ def test_df_curve_dominates_gbc_curve_pointwise():
 
 def test_reference_setting_qualitative_ordering():
     # at alpha = 0.2: r2 ordering CF > DF > GBC, r1 ordering CF < DF = GBC = DPC
-    gbc = gbc_rates(GAINS, PARAMS, SPLIT)
-    df = rbc_df_rates(GAINS, PARAMS, SPLIT)
-    _, cf = optimize_n_hat(GAINS, PARAMS, SPLIT, Scheme.RBC_CF)
-    _, dpc = optimize_n_hat(GAINS, PARAMS, SPLIT, Scheme.RBC_CF_DPC)
-    assert cf.r2 > df.r2 > gbc.r2
-    assert cf.r1 < df.r1
-    assert dpc.r1 == df.r1 == gbc.r1
-    assert dpc.r2 == cf.r2
+    gbc, df, cf, dpc = (rate_kernel(s, *G, PARAMS, SPLIT.alpha) for s in (GBC, DF, CF, DPC))
+    assert cf[1] > df[1] > gbc[1]
+    assert cf[0] < df[0]
+    assert dpc[0] == df[0] == gbc[0]
+    assert dpc[1] == cf[1]
 
 
-def test_scalar_helpers_match_typed_operations():
-    g01, g02, g12 = GAINS.g01, GAINS.g02, GAINS.g12
-    assert relay_rate_bits(Scheme.GBC, g01, PARAMS, SPLIT) == gbc_rates(GAINS, PARAMS, SPLIT).r1
-    assert relay_rate_bits(Scheme.RBC_CF, g01, PARAMS, SPLIT) == \
-        rbc_cf_rates(GAINS, PARAMS, SPLIT, CompressionNoise(1.0)).r1
-    assert second_rate_bits(Scheme.GBC, g01, g02, g12, PARAMS, SPLIT) == \
-        gbc_rates(GAINS, PARAMS, SPLIT).r2
-    assert second_rate_bits(Scheme.RBC_DF, g01, g02, g12, PARAMS, SPLIT) == \
-        rbc_df_rates(GAINS, PARAMS, SPLIT).r2
+def test_scalar_helpers_match_the_kernel():
+    g01, g02, g12 = G
+    assert relay_rate_bits(GBC, g01, PARAMS, SPLIT) == rate_kernel(GBC, *G, PARAMS, 0.2)[0]
+    assert relay_rate_bits(CF, g01, PARAMS, SPLIT) == rate_kernel(CF, *G, PARAMS, 0.2, 1.0)[0]
+    assert second_rate_bits(GBC, *G, PARAMS, SPLIT) == rate_kernel(GBC, *G, PARAMS, 0.2)[1]
+    assert second_rate_bits(DF, *G, PARAMS, SPLIT) == rate_kernel(DF, *G, PARAMS, 0.2)[1]
 
-    r2, clamped = second_rates([(Scheme.RBC_CF_DPC, 0, 1)], np.array([g01]), np.array([g02]),
+    r2, clamped = second_rates([(DPC, 0, 1)], np.array([g01]), np.array([g02]),
                                np.array([g12]), PARAMS, SPLIT.alpha, np.array([PARAMS.p1]))
-    _, best = optimize_n_hat(GAINS, PARAMS, SPLIT, Scheme.RBC_CF_DPC)
-    assert relay_rate(Scheme.RBC_CF_DPC, g01, PARAMS, SPLIT.alpha) == best.r1
-    assert r2[0] == best.r2
+    best_r1, best_r2, _, _ = rate_kernel(DPC, *G, PARAMS, SPLIT.alpha)
+    assert relay_rate(DPC, g01, PARAMS, SPLIT.alpha) == best_r1
+    assert r2[0] == best_r2
     assert not clamped[0]
+
+
+def test_rbc_cf_rates_is_the_scalar_kernel_call_bit_for_bit():
+    # the typed entry point the benchmark checks use: same bits as rate_kernel,
+    # in either role order, as the CF formulas do not presuppose one
+    rng = rng_for(47)
+    for _ in range(500):
+        gains, params, split = random_ordered_setup(rng)
+        n_hat = float(10.0 ** rng.uniform(-6, 12))
+        for g in ((gains.g01, gains.g02, gains.g12), (gains.g02, gains.g01, gains.g12)):
+            pair = rbc_cf_rates(LinkGains(*g), params, split, CompressionNoise(n_hat))
+            r1, r2, _, _ = rate_kernel(CF, *g, params, split.alpha, n_hat)
+            assert type(pair.r1) is float and type(pair.r2) is float
+            assert _same_bits([pair.r1, pair.r2], [r1, r2])
 
 
 def test_objective_transcription_agrees_with_package():
@@ -337,11 +350,6 @@ def test_relay_rate_formulas_group_the_schemes_that_share_r1(schemes):
     assert relay_rate_formulas(tuple(Scheme)) == ((Scheme.GBC, Scheme.RBC_CF), [0, 0, 1, 0])
 
 
-def _same_bits(a, b):
-    return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
-                          np.asarray(b, dtype=float).view(np.int64))
-
-
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_second_rate_is_the_r2_part_of_the_kernel(scheme):
     # unordered pairs and a per-entry relay power, as the scheduler passes them
@@ -359,9 +367,6 @@ def test_second_rate_is_the_r2_part_of_the_kernel(scheme):
         assert (second_n_hat is None) == (kernel_n_hat is None) == (not scheme.uses_compression)
         if scheme.uses_compression:
             assert _same_bits(second_n_hat, kernel_n_hat)
-
-
-GBC, DF, CF, DPC = Scheme.GBC, Scheme.RBC_DF, Scheme.RBC_CF, Scheme.RBC_CF_DPC
 
 
 def spy_second_rate(monkeypatch, g01):
