@@ -382,15 +382,15 @@ def cmd_simulate(args) -> int:
     write_results_csv(results, csv_path)
     snapshot = {f.name: getattr(config, f.name) for f in fields(config)}
     tasks = len(plan_tasks(config, args.parallel))
+    effective = effective_parallel(args.parallel, tasks)
     counters = [
         {"scheme": r.scheme, "pairing": r.pairing, "p1_over_p0_db": r.p1_over_p0_db,
          "role_swaps": r.role_swaps, "r2_clamps": r.r2_clamps}
         for r in results
     ]
     _write_manifest(out_dir, "sum_rate", "simulate", snapshot, config.seed, [csv_path], started,
-                    extra={"parallel": {"requested": args.parallel,
-                                        "effective": effective_parallel(args.parallel, tasks),
-                                        "tasks": tasks},
+                    extra={"parallel": {"requested": args.parallel, "effective": effective,
+                                        "pool_workers": effective - 1, "tasks": tasks},
                            "counters": counters})
     _info(f"wrote {csv_path}")
     return EXIT_OK
@@ -489,8 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--intervals", type=int, help="scheduling intervals override")
     simulate.add_argument("--trials", type=int, help="trial count override")
     simulate.add_argument("--parallel", type=int, default=1,
-                          help="worker processes, at least 1, clamped to the CPU and task "
-                               "counts (output is identical for any degree)")
+                          help="computing processes, at least 1, clamped to the usable CPUs "
+                               "and the task count: this process and a pool of the others, "
+                               "each claiming the next task in plan order (output is "
+                               "identical for any degree)")
 
     verify = sub.add_parser("verify", help="randomized closed-form vs oracle equivalence check")
     verify.add_argument("--count", type=int, default=DEFAULT_VERIFY_COUNT,

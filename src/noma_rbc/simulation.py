@@ -54,8 +54,10 @@ list once.  ``plan_tasks`` puts the schemes into ``min(parallel,
 schemes)`` groups of whole r2-formula runs and cuts the trials into as
 few contiguous chunks as keep the workers busy; a task is the config
 narrowed to one scheme group and one pairing, with one trial chunk at all
-relay-power points.  ``run_experiment`` runs all tasks in one pool of
-``min(parallel, CPUs, tasks)`` workers; with one worker, in this process.
+relay-power points.  ``run_experiment`` runs the tasks on
+``min(parallel, usable CPUs, tasks)`` workers, the calling process among
+them: with more than one, it forks a pool of the others, and every worker
+claims the next unclaimed task in plan order from one shared counter.
 """
 
 from __future__ import annotations
@@ -63,7 +65,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -505,6 +509,42 @@ def _run_task(task: LaneTask) -> LaneResult:
     return run_lanes(task.config, task.seeds)
 
 
+def _claim_tasks(tasks: Sequence[LaneTask], claims, start: float, done: Callable) -> None:
+    """Runs the next unclaimed task of ``tasks``, its index claimed from
+    the shared counter ``claims``, until none is left, and calls
+    ``done(index, seconds since start, result)`` after each.  On any
+    exception, ``done``'s included, it sets the counter past the end, so
+    that no process claims another task, and re-raises."""
+    try:
+        while True:
+            with claims.get_lock():
+                k = claims.value
+                claims.value = k + 1
+            if k >= len(tasks):
+                return
+            result = _run_task(tasks[k])
+            done(k, time.monotonic() - start, result)
+    except BaseException:
+        claims.value = len(tasks)  # the setter takes the counter's lock
+        raise
+
+
+_pool_claims = None  # the claim counter of a pool worker, set by ``_join_pool``
+
+
+def _join_pool(claims) -> None:
+    global _pool_claims
+    _pool_claims = claims
+
+
+def _pool_share(tasks: Sequence[LaneTask], start: float) -> list:
+    """A pool worker's share of ``tasks``: (index, seconds since start,
+    result) of every task it claimed."""
+    ran = []
+    _claim_tasks(tasks, _pool_claims, start, lambda *task_run: ran.append(task_run))
+    return ran
+
+
 def plan_tasks(config: SimConfig, parallel: int) -> list[LaneTask]:
     """The experiment's tasks, in (pairing, scheme group, trial) order.
 
@@ -539,9 +579,12 @@ def plan_tasks(config: SimConfig, parallel: int) -> list[LaneTask]:
 
 
 def effective_parallel(parallel: int, n_tasks: int) -> int:
-    """Worker processes actually used: the requested degree clamped to the
-    CPU count and the task count."""
-    return max(1, min(parallel, os.cpu_count() or 1, n_tasks))
+    """Computing processes actually used, the calling process among them:
+    the requested degree clamped to the usable CPUs (the affinity set
+    where the platform has one, else the CPU count) and the task count."""
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    return max(1, min(parallel, usable, n_tasks))
 
 
 def run_experiment(config: SimConfig, parallel: int = 1,
@@ -549,12 +592,17 @@ def run_experiment(config: SimConfig, parallel: int = 1,
     """One SimResult per (scheme, pairing, relay-power point) of the
     config, in that order.
 
-    All tasks run in one process pool when more than one worker is
-    used.  Trial seeds depend on the master seed and trial index only, and
+    The tasks run on ``effective_parallel`` workers: this process and, with
+    more than one, one pool of the others.  Every worker claims the next
+    unclaimed task in plan order, so this process starts on the first at
+    once, and an exception in any worker stops all claims and is raised
+    here.  Trial seeds depend on the master seed and trial index only, and
     lanes never interact, so every combination reuses the same topologies
     and fading (common random numbers) and the output is independent of
-    the parallel degree, of the chunking and of the scheme grouping.
+    the parallel degree, of the chunking, of the scheme grouping and of
+    which worker ran which task.
     """
+    start = time.monotonic()
     tasks = plan_tasks(config, parallel)
     workers = effective_parallel(parallel, len(tasks))
     sweep = config.p1_over_p0_db
@@ -563,20 +611,31 @@ def run_experiment(config: SimConfig, parallel: int = 1,
                  f"{len(config.schemes)} schemes x {len(config.pairings)} pairings, "
                  f"{len(sweep)} relay powers x "
                  f"{config.trials} trials x {config.intervals} intervals each")
+    outcomes = [None] * len(tasks)
 
-    def finished(results):
-        for k, (task, res) in enumerate(zip(tasks, results), 1):
-            if progress is not None:
-                progress(f"done {'+'.join(s.label for s in task.config.schemes)} / "
-                         f"{task.config.pairings[0]}, trials "
-                         f"{task.first}-{task.first + len(task.seeds) - 1} ({k}/{len(tasks)})")
-            yield res
+    def finished(k, seconds, res, where="this process"):
+        outcomes[k] = res
+        if progress is not None:
+            task = tasks[k]
+            progress(f"done {'+'.join(s.label for s in task.config.schemes)} / "
+                     f"{task.config.pairings[0]}, trials "
+                     f"{task.first}-{task.first + len(task.seeds) - 1} "
+                     f"({k + 1}/{len(tasks)}) in {where} at {seconds:.2f} s")
 
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(finished(pool.map(_run_task, tasks)))
+        context = multiprocessing.get_context()
+        claims = context.Value("i", 0)
+        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=context,
+                                 initializer=_join_pool, initargs=(claims,)) as pool:
+            shares = [pool.submit(_pool_share, tasks, start) for _ in range(workers - 1)]
+            _claim_tasks(tasks, claims, start, finished)
+            for share in shares:
+                for task_run in share.result():
+                    finished(*task_run, where="a pool worker")
     else:
-        outcomes = list(finished(map(_run_task, tasks)))
+        for k, task in enumerate(tasks):
+            res = _run_task(task)
+            finished(k, time.monotonic() - start, res)
 
     # lane (c * T + t) * S + s: scheme c, trial t at point s
     combos = list(itertools.product(config.schemes, config.pairings))

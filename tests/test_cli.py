@@ -3,6 +3,7 @@ import csv
 import io
 import time
 import json
+import re
 
 import numpy as np
 import pytest
@@ -460,6 +461,22 @@ def test_simulate_same_seed_identical_csv(tmp_path):
     assert (out_a / "sum_rate.csv").read_bytes() == (out_b / "sum_rate.csv").read_bytes()
 
 
+def test_simulate_progress_says_which_process_ran_each_task(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(SIM_CONFIG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--parallel", "2"]) == EXIT_OK
+    manifest = json.loads((out / "sum_rate.manifest.json").read_text())
+    assert manifest["parallel"] == {"requested": 2, "effective": 2, "pool_workers": 1,
+                                    "tasks": 2}
+    done = [line for line in capsys.readouterr().err.splitlines() if line.startswith("done ")]
+    assert len(done) == 2
+    assert all(re.search(r"\(\d/2\) in (this process|a pool worker) at \d+\.\d\d s$", line)
+               for line in done)
+    assert any(" in this process at " in line for line in done)
+
+
 def test_simulate_flag_overrides(tmp_path):
     cfg = tmp_path / "sim.yaml"
     cfg.write_text(SIM_CONFIG, encoding="utf-8")
@@ -643,15 +660,16 @@ def test_simulate_parallel_below_one_exits_2(tmp_path, capsys, parallel):
 
 
 def test_simulate_manifest_records_parallel_degree_and_counters(tmp_path, monkeypatch):
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     cfg = tmp_path / "sim.yaml"
     cfg.write_text(SIM_CONFIG.replace("pairings: [near-far]", "pairings: [nearest]"),
                    encoding="utf-8")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--parallel", "8"]) == EXIT_OK
     manifest = json.loads((out / "sum_rate.manifest.json").read_text())
-    # two schemes x two one-trial chunks; one CPU leaves one worker
-    assert manifest["parallel"] == {"requested": 8, "effective": 1, "tasks": 4}
+    # two schemes x two one-trial chunks; one usable CPU leaves this process alone
+    assert manifest["parallel"] == {"requested": 8, "effective": 1, "pool_workers": 0,
+                                    "tasks": 4}
     counters = manifest["counters"]
     assert [(c["scheme"], c["pairing"], c["p1_over_p0_db"]) for c in counters] == \
         [("gbc", "nearest", 0.0), ("rbc-df", "nearest", 0.0)]

@@ -1,6 +1,10 @@
 import collections
 import itertools
 import math
+import multiprocessing
+import os
+import time
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +18,7 @@ from noma_rbc.simulation import (
     PairPathGains,
     SimConfig,
     draw_bs_gains,
+    effective_parallel,
     generate_topology,
     mean_radius_analytic,
     pair_fading,
@@ -325,13 +330,14 @@ def test_run_lanes_names_empty_trial_seeds():
 
 
 class RecordingPool:
-    """Stands in for the process pool: records each pool's ``max_workers``
-    and runs the tasks in this process."""
+    """Stands in for the process pool: records each pool's ``max_workers``,
+    runs its initializer here and runs each submitted call here at once."""
 
     created: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
         RecordingPool.created.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -339,27 +345,39 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def allow_cpus(monkeypatch, n):
+    """Makes the process's affinity set hold ``n`` CPUs, on any platform."""
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
     RecordingPool.created = []
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 6)
+    monkeypatch.setattr(simulation, "_pool_claims", None)  # the initializer sets it here
+    allow_cpus(monkeypatch, 6)
     return RecordingPool.created
 
 
 def test_one_pool_per_experiment(recording_pool):
     results = run_experiment(FULL, parallel=2)
-    assert recording_pool == [2]
+    assert recording_pool == [1]  # this process is the other worker
     assert results == run_experiment(FULL)
-    assert recording_pool == [2]  # the serial run starts no pool
+    assert recording_pool == [1]  # the serial run starts no pool
 
 
 @pytest.mark.parametrize("parallel, trials, schemes, workers", [
-    (64, 2, 4, 6),   # clamped to the CPU count
+    (64, 2, 4, 6),   # clamped to the usable CPUs
     (64, 2, 1, 2),   # clamped to the task count: one task per trial
     (5, 10, 4, 5),   # 2 chunks x 4 schemes = 8 tasks
     (3, 1, 2, 2),    # one trial: one task per scheme
@@ -368,7 +386,92 @@ def test_one_pool_per_experiment(recording_pool):
 def test_parallel_degree_is_clamped(recording_pool, parallel, trials, schemes, workers):
     cfg = replace(SMALL, trials=trials, intervals=2)
     run_experiment(replace(cfg, schemes=tuple(Scheme)[:schemes]), parallel=parallel)
-    assert recording_pool == ([] if workers is None else [workers])
+    # this process is one of the workers, the pool forks the others
+    assert recording_pool == ([] if workers is None else [workers - 1])
+
+
+def test_usable_cpus_are_the_affinity_set_where_the_platform_has_one(monkeypatch):
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 6)
+    allow_cpus(monkeypatch, 1)  # as under ``taskset -c 0``
+    assert effective_parallel(4, 8) == 1
+    monkeypatch.delattr(simulation.os, "sched_getaffinity", raising=False)
+    assert effective_parallel(4, 8) == 4
+
+
+def task_log(path):
+    """(task index in ``plan_tasks`` order, pid) per line of ``path``."""
+    return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+
+def logging_run_lanes(monkeypatch, path, config, parallel, before=None):
+    """Replaces ``run_lanes`` with one that appends the index of its task
+    and the pid that runs it to ``path``, then calls ``before(pid)`` and
+    runs the task.  Forked pool workers inherit the replacement."""
+    index = {(t.config.schemes, t.config.pairings, t.first): k
+             for k, t in enumerate(plan_tasks(config, parallel))}
+    original = simulation.run_lanes
+
+    def run_lanes(task_config, seeds):
+        key = (task_config.schemes, task_config.pairings, seeds[0].spawn_key[0])
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write(f"{index[key]} {os.getpid()}\n")
+        if before is not None:
+            before(os.getpid())
+        return original(task_config, seeds)
+    monkeypatch.setattr(simulation, "run_lanes", run_lanes)
+
+
+forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                            reason="pool workers see the replaced run_lanes only when forked")
+
+
+@forked
+@pytest.mark.parametrize("parallel", [2, 4])  # 4: more processes than a small host has CPUs
+def test_this_process_and_the_pool_run_every_task_once(tmp_path, monkeypatch, parallel):
+    serial = run_experiment(FULL)
+    allow_cpus(monkeypatch, parallel)
+    log = tmp_path / "tasks.log"
+    logging_run_lanes(monkeypatch, log, FULL, parallel)
+    assert run_experiment(FULL, parallel=parallel) == serial
+    ran = task_log(log)
+    # a lost claim would run a task twice or never
+    assert sorted(k for k, _ in ran) == list(range(len(plan_tasks(FULL, parallel))))
+    assert os.getpid() in {pid for _, pid in ran}
+    assert len({pid for _, pid in ran}) <= parallel
+    assert multiprocessing.active_children() == []
+
+
+def wait_for(condition, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+@forked
+@pytest.mark.parametrize("failing", ["a pool worker", "this process"])
+def test_a_failing_task_stops_every_process_claiming(tmp_path, monkeypatch, failing):
+    # Each process starts one task.  The failing one raises once the other
+    # has started; the other finishes its task well after the failure, then
+    # must find no task left to claim, although two of the four are.
+    allow_cpus(monkeypatch, 2)
+    log, failed = tmp_path / "tasks.log", tmp_path / "failed"
+    parent = os.getpid()
+
+    def before(pid):
+        if (pid == parent) == (failing == "this process"):
+            wait_for(lambda: len({p for _, p in task_log(log)}) == 2)
+            failed.touch()
+            raise RuntimeError(f"task failed in {failing}")
+        wait_for(failed.exists)
+        time.sleep(0.2)
+    logging_run_lanes(monkeypatch, log, FULL, 2, before)
+    assert len(plan_tasks(FULL, 2)) == 4
+    with pytest.raises(RuntimeError, match=f"task failed in {failing}"):
+        run_experiment(FULL, parallel=2)
+    ran = task_log(log)
+    assert len(ran) == 2 and len({pid for _, pid in ran}) == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_tasks_hold_every_relay_power_of_their_trials():
