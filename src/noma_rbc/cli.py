@@ -42,13 +42,7 @@ from .core import (ChannelParams, CompressionNoise, LinkGains, PowerSplit, Schem
 from .oracle import random_verification_draws, verify_terms
 from .rates import check_alpha_grid, sweep_region, uniform_alpha_grid
 from .scheduling import PAIRINGS
-from .simulation import (
-    SimConfig,
-    effective_parallel,
-    plan_tasks,
-    run_experiment,
-    write_results_csv,
-)
+from .simulation import SimConfig, run_experiment, write_results_csv
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -70,6 +64,7 @@ _SIM_REQUIRED_KEYS = ("users", "blocks", "intervals", "trials", "seed")
 # singular spellings of SimConfig's list fields, accepted by the loader only
 _SIM_ALIASES = {"scheme": "schemes", "pairing": "pairings"}
 _SIM_KEYS = {f.name for f in fields(SimConfig)} | set(_SIM_ALIASES)
+_SIM_FLOAT_KEYS = tuple(f.name for f in fields(SimConfig) if f.type == "float")
 
 
 def _err(msg: str) -> None:
@@ -188,6 +183,15 @@ def _number(key: str, value) -> float:
         with contextlib.suppress(TypeError, ValueError):
             return float(value)
     raise ValueError(f"{key} must be a number, got {value!r}")
+
+
+def _numeric(value):
+    """A string that spells a number (PyYAML reads ``1e-2`` as one) as that
+    float; any other value as it is, for ``SimConfig.validate`` to name."""
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return float(value)
+    return value
 
 
 def _db_to_linear(key: str, value) -> float:
@@ -363,7 +367,8 @@ def cmd_simulate(args) -> int:
     values = {_SIM_ALIASES.get(k, k): v for k, v in file_cfg.items() if k in _SIM_KEYS}
     values.update((k, v) for k, v in overridden.items() if v is not None)
     for key, normalise in (("schemes", _scheme_entries), ("pairings", _listed),
-                           ("p1_over_p0_db", _listed)):
+                           ("p1_over_p0_db", lambda v: tuple(map(_numeric, _listed(v)))),
+                           *((key, _numeric) for key in _SIM_FLOAT_KEYS)):
         if key in values:
             values[key] = normalise(values[key])
     config = SimConfig(**values)
@@ -377,20 +382,18 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_experiment(config, args.parallel, progress=_info)
+    results, tasks, workers = run_experiment(config, args.parallel, progress=_info)
     csv_path = out_dir / "sum_rate.csv"
     write_results_csv(results, csv_path)
     snapshot = {f.name: getattr(config, f.name) for f in fields(config)}
-    tasks = len(plan_tasks(config, args.parallel))
-    effective = effective_parallel(args.parallel, tasks)
     counters = [
         {"scheme": r.scheme, "pairing": r.pairing, "p1_over_p0_db": r.p1_over_p0_db,
          "role_swaps": r.role_swaps, "r2_clamps": r.r2_clamps}
         for r in results
     ]
     _write_manifest(out_dir, "sum_rate", "simulate", snapshot, config.seed, [csv_path], started,
-                    extra={"parallel": {"requested": args.parallel, "effective": effective,
-                                        "pool_workers": effective - 1, "tasks": tasks},
+                    extra={"parallel": {"requested": args.parallel, "effective": workers,
+                                        "pool_workers": workers - 1, "tasks": tasks},
                            "counters": counters})
     _info(f"wrote {csv_path}")
     return EXIT_OK

@@ -56,8 +56,8 @@ few contiguous chunks as keep the workers busy; a task is the config
 narrowed to one scheme group and one pairing, with one trial chunk at all
 relay-power points.  ``run_experiment`` runs the tasks on
 ``min(parallel, usable CPUs, tasks)`` workers, the calling process among
-them: with more than one, it forks a pool of the others, and every worker
-claims the next unclaimed task in plan order from one shared counter.
+them: with more than one, it forks a pool of the others.  Every worker
+runs ``_claim_tasks``, claiming tasks in plan order from one counter.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -505,44 +507,46 @@ class LaneTask:
     seeds: tuple
 
 
-def _run_task(task: LaneTask) -> LaneResult:
-    return run_lanes(task.config, task.seeds)
-
-
-def _claim_tasks(tasks: Sequence[LaneTask], claims, start: float, done: Callable) -> None:
+def _claim_tasks(tasks: Sequence[LaneTask], claims, start: float,
+                 progress: Optional[Callable[[str], None]], where: str) -> list:
     """Runs the next unclaimed task of ``tasks``, its index claimed from
-    the shared counter ``claims``, until none is left, and calls
-    ``done(index, seconds since start, result)`` after each.  On any
-    exception, ``done``'s included, it sets the counter past the end, so
-    that no process claims another task, and re-raises."""
+    the counter ``claims``, until none is left, and says through
+    ``progress`` that ``where`` ran each as soon as it ends.  Returns
+    (index, result) of every task it ran.  On any exception it sets the
+    counter past the end, so that no process claims another task, and
+    re-raises."""
+    ran = []
     try:
         while True:
             with claims.get_lock():
                 k = claims.value
                 claims.value = k + 1
             if k >= len(tasks):
-                return
-            result = _run_task(tasks[k])
-            done(k, time.monotonic() - start, result)
+                return ran
+            task = tasks[k]
+            ran.append((k, run_lanes(task.config, task.seeds)))
+            if progress is not None:
+                progress(f"done {'+'.join(s.label for s in task.config.schemes)} / "
+                         f"{task.config.pairings[0]}, trials "
+                         f"{task.first}-{task.first + len(task.seeds) - 1} "
+                         f"({k + 1}/{len(tasks)}) in {where} at "
+                         f"{time.monotonic() - start:.2f} s")
     except BaseException:
-        claims.value = len(tasks)  # the setter takes the counter's lock
+        claims.value = len(tasks)  # a shared counter's setter takes its lock
         raise
 
 
-_pool_claims = None  # the claim counter of a pool worker, set by ``_join_pool``
+_pool_claims = _pool_progress = None  # a pool worker's, set by ``_join_pool``
 
 
-def _join_pool(claims) -> None:
-    global _pool_claims
-    _pool_claims = claims
+def _join_pool(claims, progress) -> None:
+    global _pool_claims, _pool_progress
+    _pool_claims, _pool_progress = claims, progress
 
 
 def _pool_share(tasks: Sequence[LaneTask], start: float) -> list:
-    """A pool worker's share of ``tasks``: (index, seconds since start,
-    result) of every task it claimed."""
-    ran = []
-    _claim_tasks(tasks, _pool_claims, start, lambda *task_run: ran.append(task_run))
-    return ran
+    """A pool worker's share of ``tasks``, as ``_claim_tasks`` returns it."""
+    return _claim_tasks(tasks, _pool_claims, start, _pool_progress, "a pool worker")
 
 
 def plan_tasks(config: SimConfig, parallel: int) -> list[LaneTask]:
@@ -588,19 +592,23 @@ def effective_parallel(parallel: int, n_tasks: int) -> int:
 
 
 def run_experiment(config: SimConfig, parallel: int = 1,
-                   progress: Optional[Callable[[str], None]] = None) -> list[SimResult]:
+                   progress: Optional[Callable[[str], None]] = None
+                   ) -> tuple[list[SimResult], int, int]:
     """One SimResult per (scheme, pairing, relay-power point) of the
-    config, in that order.
+    config, in that order, then the counts of tasks and workers the run used.
 
     The tasks run on ``effective_parallel`` workers: this process and, with
-    more than one, one pool of the others.  Every worker claims the next
-    unclaimed task in plan order, so this process starts on the first at
-    once, and an exception in any worker stops all claims and is raised
-    here.  Trial seeds depend on the master seed and trial index only, and
-    lanes never interact, so every combination reuses the same topologies
-    and fading (common random numbers) and the output is independent of
-    the parallel degree, of the chunking, of the scheme grouping and of
-    which worker ran which task.
+    more than one, a pool of the others, which the pool's initializer hands
+    the claim counter and ``progress`` (which must pickle unless forked).
+    Each worker runs ``_claim_tasks``, so this process starts on the first
+    task at once, each task is reported by the process that ran it when it
+    ends, and an exception in any worker stops all claims and is raised
+    here.  A lone worker's counter is a plain one, not shared memory.  Trial
+    seeds depend on the master seed and trial index only, and lanes never
+    interact, so every combination reuses the same topologies and fading
+    (common random numbers) and the output is independent of the parallel
+    degree, of the chunking, of the scheme grouping and of which worker ran
+    which task.
     """
     start = time.monotonic()
     tasks = plan_tasks(config, parallel)
@@ -611,37 +619,24 @@ def run_experiment(config: SimConfig, parallel: int = 1,
                  f"{len(config.schemes)} schemes x {len(config.pairings)} pairings, "
                  f"{len(sweep)} relay powers x "
                  f"{config.trials} trials x {config.intervals} intervals each")
-    outcomes = [None] * len(tasks)
-
-    def finished(k, seconds, res, where="this process"):
-        outcomes[k] = res
-        if progress is not None:
-            task = tasks[k]
-            progress(f"done {'+'.join(s.label for s in task.config.schemes)} / "
-                     f"{task.config.pairings[0]}, trials "
-                     f"{task.first}-{task.first + len(task.seeds) - 1} "
-                     f"({k + 1}/{len(tasks)}) in {where} at {seconds:.2f} s")
-
     if workers > 1:
         context = multiprocessing.get_context()
         claims = context.Value("i", 0)
-        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=context,
-                                 initializer=_join_pool, initargs=(claims,)) as pool:
-            shares = [pool.submit(_pool_share, tasks, start) for _ in range(workers - 1)]
-            _claim_tasks(tasks, claims, start, finished)
-            for share in shares:
-                for task_run in share.result():
-                    finished(*task_run, where="a pool worker")
+        pool = ProcessPoolExecutor(max_workers=workers - 1, mp_context=context,
+                                   initializer=_join_pool, initargs=(claims, progress))
     else:
-        for k, task in enumerate(tasks):
-            res = _run_task(task)
-            finished(k, time.monotonic() - start, res)
+        claims, pool = SimpleNamespace(value=0, get_lock=nullcontext), nullcontext()
+    with pool:
+        shares = [pool.submit(_pool_share, tasks, start) for _ in range(workers - 1)]
+        ran = _claim_tasks(tasks, claims, start, progress, "this process")
+        for share in shares:
+            ran += share.result()
 
     # lane (c * T + t) * S + s: scheme c, trial t at point s
     combos = list(itertools.product(config.schemes, config.pairings))
     shape = (len(combos), len(sweep), config.trials)
     means, swaps, clamps = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape, dtype=int)
-    for task, res in zip(tasks, outcomes):
+    for task, (_, res) in zip(tasks, sorted(ran, key=lambda run: run[0])):
         schemes = task.config.schemes
         at = ([combos.index((s, task.config.pairings[0])) for s in schemes], slice(None),
               slice(task.first, task.first + len(task.seeds)))
@@ -666,7 +661,7 @@ def run_experiment(config: SimConfig, parallel: int = 1,
                 r2_clamps=int(clamps[r, s].sum()),
                 trial_means=tuple(m.tolist()),
             ))
-    return results
+    return results, len(tasks), workers
 
 
 def write_results_csv(results: Sequence[SimResult], path) -> None:

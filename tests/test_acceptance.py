@@ -127,7 +127,7 @@ def test_acceptance_6_system_level_ordering():
                          edge_snr_db=10.0, p1_over_p0_db=(0.0,), seed=1006,
                          pairings=("near-far",),
                          schemes=(Scheme.GBC, Scheme.RBC_DF, Scheme.RBC_CF_DPC))
-        results = run_experiment(base)
+        results = run_experiment(base)[0]
         mean = {r.scheme: r.mean_sum_rate for r in results}
         assert mean["rbc-cf-dpc"] >= mean["rbc-df"] >= mean["gbc"]
         df_ratio = mean["rbc-df"] / mean["gbc"]

@@ -461,7 +461,8 @@ def test_simulate_same_seed_identical_csv(tmp_path):
     assert (out_a / "sum_rate.csv").read_bytes() == (out_b / "sum_rate.csv").read_bytes()
 
 
-def test_simulate_progress_says_which_process_ran_each_task(tmp_path, monkeypatch, capsys):
+def test_simulate_progress_says_which_process_ran_each_task(tmp_path, monkeypatch, capfd):
+    # capfd: a forked pool worker writes its own lines to the inherited fd 2
     monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = tmp_path / "sim.yaml"
     cfg.write_text(SIM_CONFIG, encoding="utf-8")
@@ -470,11 +471,45 @@ def test_simulate_progress_says_which_process_ran_each_task(tmp_path, monkeypatc
     manifest = json.loads((out / "sum_rate.manifest.json").read_text())
     assert manifest["parallel"] == {"requested": 2, "effective": 2, "pool_workers": 1,
                                     "tasks": 2}
-    done = [line for line in capsys.readouterr().err.splitlines() if line.startswith("done ")]
+    done = [line for line in capfd.readouterr().err.splitlines() if line.startswith("done ")]
     assert len(done) == 2
     assert all(re.search(r"\(\d/2\) in (this process|a pool worker) at \d+\.\d\d s$", line)
                for line in done)
     assert any(" in this process at " in line for line in done)
+
+
+def test_simulate_manifest_reports_the_degree_the_run_used(tmp_path, monkeypatch, capfd):
+    # the affinity set shrinks to one CPU once the run has taken its degree
+    calls = []
+
+    def affinity(pid):
+        calls.append(pid)
+        return {0, 1} if len(calls) == 1 else {0}
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", affinity, raising=False)
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(SIM_CONFIG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--parallel", "2"]) == EXIT_OK
+    done = [line for line in capfd.readouterr().err.splitlines() if line.startswith("done ")]
+    manifest = json.loads((out / "sum_rate.manifest.json").read_text())
+    assert manifest["parallel"] == {"requested": 2, "effective": 2, "pool_workers": 1,
+                                    "tasks": len(done)}
+
+
+def test_simulate_reads_yaml_exponents_as_numbers(tmp_path):
+    # PyYAML reads an exponent without a dot in the mantissa as a string
+    runs = []
+    for tau, radius, db in (("0.01", "500.0", "-10.0"), ("1e-2", "5e2", "-1e1")):
+        cfg = tmp_path / f"sim-{tau}.yaml"
+        cfg.write_text(SIM_CONFIG.replace("p1_over_p0_db: [0]", f"p1_over_p0_db: [{db}]")
+                       + f"tau: {tau}\nedge_radius_m: {radius}\n", encoding="utf-8")
+        out = tmp_path / f"out-{tau}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "sum_rate.manifest.json").read_text())
+        runs.append(((out / "sum_rate.csv").read_bytes(), manifest["config"]))
+    assert runs[0] == runs[1]
+    assert (runs[1][1]["tau"], runs[1][1]["edge_radius_m"], runs[1][1]["p1_over_p0_db"]) == \
+        (0.01, 500.0, [-10.0])
 
 
 def test_simulate_flag_overrides(tmp_path):
@@ -536,6 +571,11 @@ def test_verify_bad_count_or_seed_exits_2(capsys, flags, key):
 
 @pytest.mark.parametrize("line, key", [
     ("path_loss_exp: .nan", "path_loss_exp"),
+    # a string that spells a number is read as one, a boolean is not
+    ("tau: 1e400", "tau"),
+    ("tau: true", "tau"),
+    ("edge_radius_m: 5e2m", "edge_radius_m"),
+    ("p1_over_p0_db: [-1e400]", "p1_over_p0_db"),
     ("edge_snr_db: .nan", "edge_snr_db"),
     ("seed: -1", "seed"),
     ("users: 8.5", "users"),

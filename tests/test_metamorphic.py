@@ -45,7 +45,7 @@ def configs(draw):
 def rows(config, results=None):
     """The results of ``config``, run serially unless given, keyed by
     (scheme, pairing, relay power)."""
-    results = run_experiment(config) if results is None else results
+    results = run_experiment(config)[0] if results is None else results
     return {(r.scheme, r.pairing, r.p1_over_p0_db): r for r in results}
 
 
@@ -63,9 +63,9 @@ def test_results_are_the_same_however_the_experiment_is_cut(config, permutation)
     with pytest.MonkeyPatch.context() as mp:
         # plan for up to five workers, then run every task here in turn
         mp.setattr(simulation, "effective_parallel", lambda parallel, n_tasks: 1)
-        serial = run_experiment(config)
+        serial = run_experiment(config)[0]
         for parallel in range(2, 6):
-            assert run_experiment(config, parallel) == serial, parallel
+            assert run_experiment(config, parallel)[0] == serial, parallel
     whole = rows(config, serial)
     schemes = config.schemes
     shuffled = tuple(schemes[k] for k in permutation if k < len(schemes))
@@ -80,5 +80,5 @@ def test_results_are_the_same_however_the_experiment_is_cut(config, permutation)
         alone = rows(replace(config, p1_over_p0_db=(db,)))
         assert alone == subset(whole, p1_over_p0_db=db), db
     # the first T trials of a longer run are a T-trial run's
-    longer = run_experiment(replace(config, trials=config.trials + 1))
+    longer = run_experiment(replace(config, trials=config.trials + 1))[0]
     assert [r.trial_means[:-1] for r in longer] == [r.trial_means for r in serial]

@@ -105,7 +105,7 @@ PINNED = {
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_engine_reproduces_pinned_outputs(name):
     results = run_experiment(replace(CONFIGS[name], p1_over_p0_db=(-10.0, 0.0),
-                                     schemes=tuple(Scheme), pairings=("near-far", "nearest")))
+                                     schemes=tuple(Scheme), pairings=("near-far", "nearest")))[0]
     got = {(r.scheme, r.pairing, r.p1_over_p0_db): (r.trial_means, r.role_swaps, r.r2_clamps)
            for r in results}
     assert got.keys() == PINNED[name].keys()

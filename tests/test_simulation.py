@@ -3,6 +3,8 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
+import sys
 import time
 from concurrent.futures import Future
 from dataclasses import replace
@@ -251,7 +253,7 @@ def test_run_experiment_row_counts_and_gbc_sweep_invariance():
         SMALL, p1_over_p0_db=tuple(sweep),
         schemes=(Scheme.GBC, Scheme.RBC_DF),
         pairings=("near-far", "nearest"),
-    ))
+    ))[0]
     assert len(results) == len(sweep) * 2 * 2
     gbc = [r for r in results if r.scheme == "gbc" and r.pairing == "near-far"]
     # GBC ignores the relay power entirely
@@ -264,7 +266,7 @@ def test_run_experiment_row_counts_and_gbc_sweep_invariance():
 
 
 def test_run_experiment_stderr_matches_trials():
-    results = run_experiment(replace(SMALL, trials=4))
+    results = run_experiment(replace(SMALL, trials=4))[0]
     r = results[0]
     means = np.array(r.trial_means)
     assert r.mean_sum_rate == pytest.approx(means.mean(), rel=1e-12)
@@ -277,8 +279,8 @@ FULL = replace(SMALL, p1_over_p0_db=(-10.0, 0.0), schemes=tuple(Scheme), pairing
 
 
 def test_parallel_degree_does_not_change_results():
-    serial = run_experiment(FULL)
-    parallel = run_experiment(FULL, parallel=2)
+    serial = run_experiment(FULL)[0]
+    parallel = run_experiment(FULL, parallel=2)[0]
     assert len(serial) == 16
     assert [r.trial_means for r in serial] == [r.trial_means for r in parallel]
     assert serial == parallel
@@ -288,10 +290,10 @@ def test_relay_power_row_is_the_same_alone_or_inside_a_sweep():
     # GBC runs one lane per trial and repeats it over the points
     for scheme in (Scheme.GBC, Scheme.RBC_DF, Scheme.RBC_CF):
         sweep = run_experiment(replace(SMALL, p1_over_p0_db=(-10.0, -3.0, 5.0),
-                                       schemes=(scheme,), pairings=ALL_PAIRINGS))
+                                       schemes=(scheme,), pairings=ALL_PAIRINGS))[0]
         for pairing in ALL_PAIRINGS:
             alone = run_experiment(replace(SMALL, p1_over_p0_db=(-3.0,), schemes=(scheme,),
-                                           pairings=(pairing,)))[0]
+                                           pairings=(pairing,)))[0][0]
             inside = [r for r in sweep if r.pairing == pairing and r.p1_over_p0_db == -3.0]
             assert inside == [alone]
 
@@ -300,8 +302,8 @@ def test_first_trials_do_not_depend_on_the_trial_count():
     # SeedSequence.spawn children do not depend on how many are spawned,
     # and trials are lanes that never interact
     cfg = replace(FULL, schemes=(Scheme.RBC_CF_DPC,))
-    short = run_experiment(replace(cfg, trials=2))
-    longer = run_experiment(replace(cfg, trials=3))
+    short = run_experiment(replace(cfg, trials=2))[0]
+    longer = run_experiment(replace(cfg, trials=3))[0]
     for a, b in zip(short, longer):
         assert b.trial_means[:2] == a.trial_means
 
@@ -364,15 +366,17 @@ def allow_cpus(monkeypatch, n):
 def recording_pool(monkeypatch):
     RecordingPool.created = []
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(simulation, "_pool_claims", None)  # the initializer sets it here
+    # the initializer sets them here
+    monkeypatch.setattr(simulation, "_pool_claims", None)
+    monkeypatch.setattr(simulation, "_pool_progress", None)
     allow_cpus(monkeypatch, 6)
     return RecordingPool.created
 
 
 def test_one_pool_per_experiment(recording_pool):
-    results = run_experiment(FULL, parallel=2)
+    results = run_experiment(FULL, parallel=2)[0]
     assert recording_pool == [1]  # this process is the other worker
-    assert results == run_experiment(FULL)
+    assert results == run_experiment(FULL)[0]
     assert recording_pool == [1]  # the serial run starts no pool
 
 
@@ -385,9 +389,10 @@ def test_one_pool_per_experiment(recording_pool):
 ])
 def test_parallel_degree_is_clamped(recording_pool, parallel, trials, schemes, workers):
     cfg = replace(SMALL, trials=trials, intervals=2)
-    run_experiment(replace(cfg, schemes=tuple(Scheme)[:schemes]), parallel=parallel)
+    _, _, used = run_experiment(replace(cfg, schemes=tuple(Scheme)[:schemes]), parallel=parallel)
     # this process is one of the workers, the pool forks the others
     assert recording_pool == ([] if workers is None else [workers - 1])
+    assert used == (workers or 1)
 
 
 def test_usable_cpus_are_the_affinity_set_where_the_platform_has_one(monkeypatch):
@@ -428,11 +433,11 @@ forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 @forked
 @pytest.mark.parametrize("parallel", [2, 4])  # 4: more processes than a small host has CPUs
 def test_this_process_and_the_pool_run_every_task_once(tmp_path, monkeypatch, parallel):
-    serial = run_experiment(FULL)
+    serial = run_experiment(FULL)[0]
     allow_cpus(monkeypatch, parallel)
     log = tmp_path / "tasks.log"
     logging_run_lanes(monkeypatch, log, FULL, parallel)
-    assert run_experiment(FULL, parallel=parallel) == serial
+    assert run_experiment(FULL, parallel=parallel)[0] == serial
     ran = task_log(log)
     # a lost claim would run a task twice or never
     assert sorted(k for k, _ in ran) == list(range(len(plan_tasks(FULL, parallel))))
@@ -472,6 +477,28 @@ def test_a_failing_task_stops_every_process_claiming(tmp_path, monkeypatch, fail
     ran = task_log(log)
     assert len(ran) == 2 and len({pid for _, pid in ran}) == 2
     assert multiprocessing.active_children() == []
+
+
+@forked
+def test_each_process_reports_a_task_when_it_ends(tmp_path, monkeypatch, capfd):
+    # this process's first task ends only after the pool worker has ended
+    # one and claimed the next, so the worker's line must come first on fd 2
+    allow_cpus(monkeypatch, 2)
+    log = tmp_path / "tasks.log"
+    parent = os.getpid()
+
+    def before(pid):
+        if pid == parent:
+            wait_for(lambda: sum(p != parent for _, p in task_log(log)) >= 2)
+    logging_run_lanes(monkeypatch, log, FULL, 2, before)
+    _, tasks, workers = run_experiment(FULL, parallel=2,
+                                       progress=lambda msg: print(msg, file=sys.stderr))
+    assert (tasks, workers) == (4, 2)
+    done = [line for line in capfd.readouterr().err.splitlines() if line.startswith("done ")]
+    assert len(done) == tasks
+    assert sorted(re.search(r"\((\d)/4\)", line).group(1) for line in done) == list("1234")
+    assert " in a pool worker at " in done[0]
+    assert any(" in this process at " in line for line in done)
 
 
 def test_tasks_hold_every_relay_power_of_their_trials():
@@ -729,13 +756,13 @@ def test_validation_names_mistyped_and_non_finite_fields(field, value):
 def test_common_random_numbers_across_schemes():
     # same master seed: per-pair DF dominance makes DF trials win under the
     # identical topology / BS fading streams
-    df = run_experiment(replace(SMALL, intervals=50, schemes=(Scheme.RBC_DF,)))[0]
-    gbc = run_experiment(replace(SMALL, intervals=50, schemes=(Scheme.GBC,)))[0]
+    df = run_experiment(replace(SMALL, intervals=50, schemes=(Scheme.RBC_DF,)))[0][0]
+    gbc = run_experiment(replace(SMALL, intervals=50, schemes=(Scheme.GBC,)))[0][0]
     assert df.mean_sum_rate >= gbc.mean_sum_rate
 
 
 def test_results_csv_layout(tmp_path):
-    results = run_experiment(SMALL)
+    results = run_experiment(SMALL)[0]
     path = tmp_path / "rows.csv"
     write_results_csv(results, path)
     lines = path.read_text(encoding="utf-8").strip().splitlines()
