@@ -171,10 +171,17 @@ def _parse_alpha_grid(spec) -> np.ndarray:
         elif "," in str(spec):
             grid = [float(t) for t in str(spec).split(",") if t.strip()]
         else:
-            grid = uniform_alpha_grid(int(str(spec).strip()))
+            try:
+                count = int(str(spec).strip())
+            except ValueError:
+                raise ValueError("expected a point count or a list of alphas, "
+                                 f"got {spec!r}") from None
+            grid = uniform_alpha_grid(count)
         return check_alpha_grid(sorted(set(grid)))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"alpha_grid: {exc}") from None
+    except MemoryError as exc:
+        raise ValueError(f"alpha_grid: too many points for memory: {exc}") from None
 
 
 def _number(key: str, value) -> float:
@@ -382,7 +389,12 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results, tasks, workers = run_experiment(config, args.parallel, progress=_info)
+    try:
+        results, tasks, workers = run_experiment(config, args.parallel, progress=_info)
+    except MemoryError as exc:
+        _err(f"the run does not fit in memory at these sizes (users, blocks, intervals, "
+             f"trials): {exc}")
+        return EXIT_CONFIG_ERROR
     csv_path = out_dir / "sum_rate.csv"
     write_results_csv(results, csv_path)
     snapshot = {f.name: getattr(config, f.name) for f in fields(config)}

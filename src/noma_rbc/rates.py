@@ -27,7 +27,10 @@ at an end of the bracket: the low end when the cut-set bound binds, the
 high end when the forwarding-minus-loss bound does.  The optimum is
 therefore the one crossing or, failing it, the better bracket end; no
 search is needed, and the high end is evaluated only where the
-forwarding-minus-loss bound binds at the low end.
+forwarding-minus-loss bound binds at the low end.  The optimum runs
+under one ``np.errstate`` and updates its single-use temporaries in place,
+with the operands in the same order, so every bit is that of the plain
+expressions.
 
 ``rate_kernel`` evaluates one scheme over broadcastable gain and
 power-split arrays, or over one pair of scalars.  This module is the only
@@ -35,7 +38,8 @@ code that knows which formulas a scheme uses: ``relay_rate`` (r1) and
 ``second_rate`` (r2) dispatch on it, ``relay_rate_formulas`` and
 ``second_rate_runs`` group the schemes that share an r1 or r2 formula,
 ``second_rates`` evaluates a shared r2 formula once for the scheduler's
-candidate blocks, and ``dominance_violation`` states what each scheme
+candidate blocks, returning the kernel's arrays as they are when the
+blocks form one run, and ``dominance_violation`` states what each scheme
 promises over GBC.  ``sweep_region``, the one validated entry, checks its
 inputs and outputs around one kernel call over an alpha grid;
 ``rbc_cf_rates`` is a typed scalar kernel call.  GBC and RBC-DF presuppose
@@ -70,7 +74,9 @@ N_HAT_BRACKET = (1e-6, 1e12)
 
 
 def _log2_1p(x):
-    return np.log1p(x) / LN2
+    bits = np.log1p(x)
+    bits /= LN2
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -130,73 +136,107 @@ def _decode_bound(g01, params: ChannelParams, alpha):
 class _CFBounds:
     """The two arguments of the CF second-user min for broadcastable pair
     arrays, as functions of the compression noise n_hat, and the n_hat that
-    maximises their min."""
+    maximises their min.
+
+    ``crossing_roots``, ``terms`` and ``objective`` each enter their own
+    ``np.errstate``; ``optimum`` enters one around the unguarded
+    ``_crossing_roots`` and ``_objective``.  A temporary that feeds only
+    the next operation, as its left operand, is updated in place
+    (``x = a * b; x *= c`` for ``a * b * c``), which keeps every bit and
+    never writes into an input."""
 
     def __init__(self, g01, g02, g12, params: ChannelParams, alpha, p1):
         p0, n1, n2 = params.p0, params.n1, params.n2
         ab = 1.0 - alpha
-        s2 = g02 * alpha * p0
-        self.s1 = g01 * alpha * p0     # relay user's component at the relay user
-        self.t1 = g01 * ab * p0        # second user's component at the relay user
-        self.t2 = g02 * ab * p0        # second user's component at the second user
-        self.m2 = s2 + n2
-        self.dd = n1 * n2 + n2 * self.s1 + n1 * s2
+        s2 = g02 * alpha
+        s2 *= p0
+        s1 = g01 * alpha
+        s1 *= p0                     # relay user's component at the relay user
+        t1 = g01 * ab
+        t1 *= p0                     # second user's component at the relay user
+        t2 = g02 * ab
+        t2 *= p0                     # second user's component at the second user
+        self.dd = n1 * n2 + n2 * s1 + n1 * s2
+        m2 = s2                      # dd was s2's last use
+        m2 += n2
+        self.s1, self.t1, self.t2, self.m2 = s1, t1, t2, m2
         self.n1, self.n2, self.w, self.alpha = n1, n2, g12 * p1, alpha
-        self.t2_m2 = self.t2 / self.m2
-        self.loss_num = n1 * n1 * self.m2
-        self.loss_off = n1 * n2 * self.s1
-        self.forward = _log2_1p((self.t2 + self.w) / self.m2)
+        self.t2_m2 = t2 / m2
+        self.loss_num = n1 * n1 * m2
+        self.loss_off = n1 * n2 * s1
+        forward = t2 + self.w
+        forward /= m2
+        self.forward = _log2_1p(forward)
+
+    def _terms(self, n_hat):
+        cutset = _log2_1p(self.t1 / (self.n1 + n_hat) + self.t2_m2)
+        den = n_hat * self.dd
+        den += self.loss_off
+        return cutset, _log2_1p(self.loss_num / den)
 
     def terms(self, n_hat):
         """(cut-set bound, compression loss) in bits; 0 loss where ``n_hat * dd`` overflows."""
-        cutset = _log2_1p(self.t1 / (self.n1 + n_hat) + self.t2_m2)
         with np.errstate(over="ignore"):
-            loss = _log2_1p(self.loss_num / (n_hat * self.dd + self.loss_off))
-        return cutset, loss
+            return self._terms(n_hat)
+
+    def _objective(self, n_hat):
+        cutset, loss = self._terms(n_hat)
+        second = self.forward - loss
+        return np.maximum(0.0, np.minimum(cutset, second)), second, cutset
 
     def objective(self, n_hat):
         """Clamped r2, the forwarding-minus-loss argument and the cut-set
         bound."""
-        cutset, loss = self.terms(n_hat)
-        second = self.forward - loss
-        return np.maximum(0.0, np.minimum(cutset, second)), second, cutset
+        with np.errstate(over="ignore"):
+            return self._objective(n_hat)
+
+    def _crossing_roots(self):
+        s1, t1, t2, m2, dd, n1, n2 = self.s1, self.t1, self.t2, self.m2, self.dd, self.n1, self.n2
+        loss_off, loss_num, w = self.loss_off, self.loss_num, self.w
+        # linear-domain crossing: (1 + t1/(n1+x) + t2/m2) * (1 + n1^2*m2/(x*dd + n1*n2*s1))
+        #                          = 1 + (t2+w)/m2, cleared of denominators;
+        # both sides are products of polynomials linear in x
+        la1 = m2 + t2
+        la0 = n1 * la1 + t1 * m2
+        lb0 = loss_off + loss_num
+        rr = la1 + w
+        qa = la1 * dd - rr * dd
+        qb = la1 * lb0
+        qb += la0 * dd
+        off = n1 * dd
+        off += loss_off
+        qb = qb - rr * off
+        qc = la0 * lb0 - rr * (n1 * n1 * n2 * s1)
+        disc = qb * qb
+        four_ac = 4.0 * qa
+        four_ac *= qc
+        disc -= four_ac
+        finite = np.isfinite(disc)
+        if not finite.all():
+            # a product of powers overflowed: there, divide the quadratic by rr * dd
+            # and by its largest coefficient, which keeps it and its discriminant finite
+            lost = ~finite
+            a, c = la1 / rr, lb0 / dd
+            b, d = n1 * a + t1 * (m2 / rr), loss_off / dd
+            scaled = np.array(np.broadcast_arrays(-w / rr, a * c + b - n1 - d, b * c - n1 * d))
+            scaled /= np.abs(scaled).max(axis=0)
+            qa, qb, qc = (np.where(lost, x, y) for x, y in zip(scaled, (qa, qb, qc)))
+            disc = qb * qb - 4.0 * qa * qc
+        # numerically stable form; a negative discriminant gives NaN
+        # roots, a zero divisor infinite ones (np.divide: the inputs may
+        # be Python floats, which would raise)
+        q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
+        linear = np.equal(qa, 0.0)
+        if not linear.any():
+            return q / qa, np.where(q == 0.0, np.nan, qc / q)
+        return (np.where(linear, np.divide(-qc, qb), q / qa),
+                np.where(linear | (q == 0.0), np.nan, qc / q))
 
     def crossing_roots(self):
         """Both real roots of the quadratic in n_hat whose positive root is
         where the two bounds cross; NaN marks a missing root."""
-        s1, t1, t2, m2, dd, n1, n2 = self.s1, self.t1, self.t2, self.m2, self.dd, self.n1, self.n2
-        # linear-domain crossing: (1 + t1/(n1+x) + t2/m2) * (1 + n1^2*m2/(x*dd + n1*n2*s1))
-        #                          = 1 + (t2+w)/m2, cleared of denominators;
-        # both sides are products of polynomials linear in x
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            la1 = m2 + t2
-            la0 = n1 * la1 + t1 * m2
-            lb0 = self.loss_off + self.loss_num
-            rr = la1 + self.w
-            qa = la1 * dd - rr * dd
-            qb = la1 * lb0 + la0 * dd - rr * (n1 * dd + self.loss_off)
-            qc = la0 * lb0 - rr * (n1 * n1 * n2 * s1)
-            disc = qb * qb - 4.0 * qa * qc
-            lost = ~np.isfinite(disc)
-            if lost.any():
-                # a product of powers overflowed: there, divide the quadratic by rr * dd
-                # and by its largest coefficient, which keeps it and its discriminant finite
-                a, c = la1 / rr, lb0 / dd
-                b, d = n1 * a + t1 * (m2 / rr), self.loss_off / dd
-                scaled = np.array(np.broadcast_arrays(-self.w / rr, a * c + b - n1 - d,
-                                                      b * c - n1 * d))
-                scaled /= np.abs(scaled).max(axis=0)
-                qa, qb, qc = (np.where(lost, x, y) for x, y in zip(scaled, (qa, qb, qc)))
-                disc = qb * qb - 4.0 * qa * qc
-            # numerically stable form; a negative discriminant gives NaN
-            # roots, a zero divisor infinite ones (np.divide: the inputs may
-            # be Python floats, which would raise)
-            q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
-            linear = np.equal(qa, 0.0)
-            if not linear.any():
-                return q / qa, np.where(q == 0.0, np.nan, qc / q)
-            return (np.where(linear, np.divide(-qc, qb), q / qa),
-                    np.where(linear | (q == 0.0), np.nan, qc / q))
+            return self._crossing_roots()
 
     def optimum(self):
         """(n_hat, clamped r2, forwarding-minus-loss argument) at the best
@@ -211,21 +251,27 @@ class _CFBounds:
         bound, and the high end's r2 is at most its own, which is no larger:
         the cut-set bound decreases in n_hat, in floating point too, as
         ``np.log1p`` is monotone."""
-        root0, root1 = self.crossing_roots()
-        ok0 = np.isfinite(root0) & (root0 > 0.0)
-        has = ok0 | (np.isfinite(root1) & (root1 > 0.0))
-        lo, hi = (end * self.n1 for end in N_HAT_BRACKET)
-        n_hat = np.where(ok0, root0, np.where(has, root1, lo))
-        if not isinstance(self.alpha, float) or self.alpha == 1.0:
-            at_one = self.alpha == 1.0
-            n_hat, has = np.where(at_one, self.n1, n_hat), has | at_one
-        r2, second, cutset = self.objective(n_hat)
-        rising = ~has & (second < cutset)
-        if rising.any():
-            r2_hi, second_hi, _ = self.objective(hi)
-            take = rising & (r2_hi > r2)
-            n_hat, r2, second = (np.where(take, hi, n_hat), np.where(take, r2_hi, r2),
-                                 np.where(take, second_hi, second))
+        n1, alpha = self.n1, self.alpha
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            root0, root1 = self._crossing_roots()
+            ok0 = np.isfinite(root0)
+            ok0 &= root0 > 0.0
+            has = np.isfinite(root1)
+            has &= root1 > 0.0
+            has = ok0 | has
+            lo, hi = N_HAT_BRACKET[0] * n1, N_HAT_BRACKET[1] * n1
+            n_hat = np.where(ok0, root0, np.where(has, root1, lo))
+            if not isinstance(alpha, float) or alpha == 1.0:
+                at_one = alpha == 1.0
+                n_hat, has = np.where(at_one, n1, n_hat), has | at_one
+            r2, second, cutset = self._objective(n_hat)
+            rising = ~has
+            rising &= second < cutset
+            if rising.any():
+                r2_hi, second_hi, _ = self._objective(hi)
+                take = rising & (r2_hi > r2)
+                n_hat, r2, second = (np.where(take, hi, n_hat), np.where(take, r2_hi, r2),
+                                     np.where(take, second_hi, second))
         return n_hat, r2, second
 
 
@@ -267,10 +313,15 @@ def rate_kernel(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_h
 
 def second_rates(segments, g01, g02, g12, params: ChannelParams, alpha, p1):
     """``(r2, clamped)`` of ``second_rate`` for gain arrays and relay powers
-    ``p1`` whose leading axis is cut into scheme ``segments`` (scheme,
+    ``p1`` whose leading axis is tiled by scheme ``segments`` (scheme,
     start, stop): one ``second_rate`` call per run of adjacent segments that
-    share an r2 formula (RBC-CF and RBC-CF+DPC share one), written into
-    preallocated arrays."""
+    share an r2 formula (RBC-CF and RBC-CF+DPC share one).  One run is
+    returned as that call made it, ``clamped`` as a bool array of r2's
+    shape; several are written into preallocated arrays."""
+    if len({_r2_formula(scheme) for scheme, _, _ in segments}) == 1:
+        scheme = segments[0][0]
+        r2, _, clamped = second_rate(scheme, g01, g02, g12, params, alpha, p1=p1)
+        return r2, clamped if scheme.uses_compression else np.zeros(r2.shape, dtype=bool)
     shape = np.broadcast_shapes(g01.shape, g02.shape, g12.shape)
     r2, clamped = np.empty(shape), np.empty(shape, dtype=bool)
     for _, run in itertools.groupby(segments, key=lambda seg: _r2_formula(seg[0])):

@@ -348,6 +348,8 @@ def test_config_key_given_twice_exits_2_naming_the_key(tmp_path, capsys, command
     (["--alpha", "1.5"], "alpha"),
     (["--alpha", "-0.1"], "alpha"),
     (["--scheme", "gbc,gbc"], "schemes"),
+    # numpy refuses a grid this large at once
+    (["--alpha-grid", "1000000000000000"], "alpha_grid"),
 ])
 def test_region_bad_value_exits_2_naming_the_key(tmp_path, capsys, flags, key):
     base = {"--g01": "8", "--g02": "1", "--g12": "8", "--p0-db": "10", "--p1-db": "10"}
@@ -392,6 +394,19 @@ def test_region_config_boolean_is_not_a_number(tmp_path, capsys, line, key, valu
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} ") or err.startswith(f"error: {key}:"), err
     assert f"must be a number, got {value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, text", [
+    ("alpha_grid: 201.0", "expected a point count or a list of alphas, got 201.0"),
+    ("alpha_grid: 1000000000000000", "too many points for memory"),
+])
+def test_region_config_alpha_grid_that_is_no_count_or_too_large_exits_2(tmp_path, capsys, line,
+                                                                        text):
+    assert main(_region_config(tmp_path, line)) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha_grid: ") and text in err, err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -601,6 +616,22 @@ def test_simulate_bad_value_exits_2_naming_the_key(tmp_path, capsys, line, key):
     assert rc == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "sum_rate.csv").exists()
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_simulate_run_too_large_for_memory_exits_2_naming_the_size_keys(tmp_path, capsys,
+                                                                        parallel):
+    # numpy refuses the topology draw of this many users at once, in the
+    # calling process and in a pool worker alike
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(SIM_CONFIG.replace("users: 8", "users: 10000000000000"), encoding="utf-8")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+               "--parallel", str(parallel)])
+    assert rc == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "does not fit in memory" in err and "Traceback" not in err
+    assert all(key in err for key in ("users", "blocks", "intervals", "trials"))
     assert not (tmp_path / "out" / "sum_rate.csv").exists()
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from noma_rbc import rates
+from noma_rbc import oracle, rates
 from noma_rbc.core import ChannelParams, CompressionNoise, LinkGains, PowerSplit, Scheme
 from noma_rbc.rates import (
     N_HAT_BRACKET,
@@ -430,26 +431,129 @@ def test_second_rate_segments_merge_exactly_the_schemes_whose_r2_is_bit_identica
         assert not _same_bits(r2(x), r2(y))
 
 
-@pytest.mark.parametrize("shape", [(13,), (13, 5)], ids=["candidates", "lanes-by-blocks"])
+@pytest.mark.parametrize("shape", [(13,), (13, 5), (13, 40)],
+                         ids=["candidates", "lanes-by-blocks", "lanes-by-users"])
 @pytest.mark.parametrize("schemes, lengths, runs", [
     ((GBC, DF, CF, DPC), (1, 5, 3, 4), 3),
     ((CF, GBC, DPC, DF), (4, 3, 5, 1), 4),
     ((DPC, CF), (6, 7), 1),
     ((DF,), (13,), 1),
-], ids=["cf-adjacent", "cf-apart", "cf-pair", "one-scheme"])
+    ((GBC,), (13,), 1),
+], ids=["cf-adjacent", "cf-apart", "cf-pair", "one-scheme", "gbc-only"])
 def test_second_rates_equal_per_scheme_second_rate(monkeypatch, shape, schemes, lengths, runs):
+    # the leading axis is cut by lane (or candidate), with one relay power per lane
     g01, g02, g12, p1 = segment_inputs(27, shape)
     bounds = np.cumsum((0,) + lengths).tolist()
     segments = list(zip(schemes, bounds, bounds[1:]))
     calls = spy_second_rate(monkeypatch, g01)
     r2, clamped = second_rates(segments, g01, g02, g12, PARAMS, 0.3, p1)
     assert len(calls) == runs
+    if runs == 1:  # the one call covers the whole axis
+        assert calls == [(schemes[0], 0, len(g01))]
     for scheme, a, b in segments:
         own, _, own_clamped = second_rate(scheme, g01[a:b], g02[a:b], g12[a:b], PARAMS, 0.3,
                                           p1=p1[a:b])
         assert _same_bits(r2[a:b], own)
         assert np.array_equal(clamped[a:b], np.broadcast_to(own_clamped, (b - a, *shape[1:])))
+    assert isinstance(clamped, np.ndarray) and clamped.dtype == bool
     assert r2.shape == clamped.shape == shape
+
+
+# shapes of the gains, p1, alpha and a fixed n_hat: one pair of 0-d arrays,
+# candidate pairs, lanes by blocks with one relay power per lane, and an alpha
+# grid over one pair
+INPUT_SHAPES = {
+    "scalars": ((), (), (), ()),
+    "pairs": ((7,), (7,), (), (7,)),
+    "lanes": ((4, 5), (4, 1), (), (4, 5)),
+    "alpha-grid": ((), (), (9,), (9,)),
+}
+
+
+def rate_inputs(case, writable):
+    """(g01, g02, g12, p1, alpha, n_hat) of one ``INPUT_SHAPES`` case, the
+    same values on every call, as fresh arrays flagged ``writable`` or not;
+    g01 >= g02, and the alpha grid runs from 0 to 1."""
+    gains_shape, p1_shape, alpha_shape, n_hat_shape = INPUT_SHAPES[case]
+    rng = rng_for(41)
+    g = np.sort(10.0 ** rng.uniform(-2.0, 2.0, size=(3, *gains_shape)), axis=0)
+    p1 = 10.0 ** rng.uniform(-1.0, 1.0, size=p1_shape)
+    alpha = np.linspace(0.0, 1.0, *alpha_shape) if alpha_shape else np.array(0.3)
+    n_hat = 10.0 ** rng.uniform(-1.0, 1.0, size=n_hat_shape)
+    inputs = [np.array(x) for x in (g[2], g[0], g[1], p1, alpha, n_hat)]
+    for x in inputs:
+        x.setflags(write=writable)
+    return inputs
+
+
+def _leaves(value):
+    """The arrays, scalars and None of a nested result, in order."""
+    if dataclasses.is_dataclass(value):
+        return _leaves([getattr(value, f.name) for f in dataclasses.fields(value)])
+    if isinstance(value, dict):
+        return _leaves(list(value.items()))
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def _entry_calls(case):
+    """(name, call) of each rate entry that takes the inputs of ``case``."""
+    params = PARAMS
+    calls = []
+    for scheme in Scheme:
+        for fixed in (False, True):
+            def kernel(g01, g02, g12, p1, alpha, n_hat, scheme=scheme, fixed=fixed):
+                return rate_kernel(scheme, g01, g02, g12, params, alpha,
+                                   n_hat if fixed else None, p1)
+
+            def second(g01, g02, g12, p1, alpha, n_hat, scheme=scheme, fixed=fixed):
+                return second_rate(scheme, g01, g02, g12, params, alpha,
+                                   n_hat if fixed else None, p1)
+            calls += [(f"rate_kernel-{scheme.label}-{fixed}", kernel),
+                      (f"second_rate-{scheme.label}-{fixed}", second)]
+    if case in ("pairs", "lanes"):
+        n = INPUT_SHAPES[case][0][0]
+        for segments in ([(CF, 0, 2), (DPC, 2, n)], [(GBC, 0, n)],
+                         [(GBC, 0, 1), (DF, 1, 2), (CF, 2, 3), (DPC, 3, n)]):
+            def stage(g01, g02, g12, p1, alpha, n_hat, segments=segments):
+                return second_rates(segments, g01, g02, g12, params, alpha, p1)
+            calls.append((f"second_rates-{len(segments)}", stage))
+    if case in ("scalars", "pairs", "alpha-grid"):  # one draw or a 1-D stack of draws
+        def terms(g01, g02, g12, p1, alpha, n_hat):
+            return oracle.verify_terms(g01, g02, g12, params, alpha, n_hat)
+        calls.append(("verify_terms", terms))
+    if case == "alpha-grid":
+        for scheme in Scheme:
+            for fixed in (False, True):
+                def sweep(g01, g02, g12, p1, alpha, n_hat, scheme=scheme, fixed=fixed):
+                    gains = LinkGains(float(g01), float(g02), float(g12))
+                    at = ChannelParams(p0=params.p0, p1=float(p1))
+                    noise = CompressionNoise(float(n_hat[0])) if fixed else None
+                    return sweep_region(scheme, gains, at, alpha, noise, checked=True)
+                calls.append((f"sweep_region-{scheme.label}-{fixed}", sweep))
+    return calls
+
+
+@pytest.mark.parametrize("case", list(INPUT_SHAPES))
+def test_no_rate_entry_writes_into_its_inputs(case):
+    # each entry gives the same bits on read-only inputs as on writable
+    # ones, and leaves the writable ones as they were
+    for name, call in _entry_calls(case):
+        writable = rate_inputs(case, True)
+        mine = call(*writable)
+        for x, y in zip(writable, rate_inputs(case, True)):
+            assert _same_bits(x, y), name
+        theirs = _leaves(call(*rate_inputs(case, False)))
+        mine = _leaves(mine)
+        assert len(mine) == len(theirs), name
+        for a, b in zip(mine, theirs):
+            if isinstance(a, (str, Scheme)) or a is None:
+                assert a == b, name
+            else:
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
 
 
 def test_dominance_violation_names_the_first_pair_that_falls_short():

@@ -629,9 +629,10 @@ def test_the_cf_bounds_are_built_once_per_stage_for_adjacent_cf_schemes(monkeypa
 @pytest.mark.parametrize("pairing", ["near-far", "nearest"])
 def test_the_cf_optimum_evaluates_its_objective_once(monkeypatch, pairing):
     # with a root or with the cut-set bound binding at the low bracket end,
-    # the high end is not scored; these runs never need it
+    # the high end is not scored; these runs never need it.  The optimum
+    # runs under its own guard and evaluates the unguarded ``_objective``
     calls = collections.Counter()
-    real_optimum, real_objective = rates._CFBounds.optimum, rates._CFBounds.objective
+    real_optimum, real_objective = rates._CFBounds.optimum, rates._CFBounds._objective
 
     def optimum(self):
         calls["optimum"] += 1
@@ -641,7 +642,7 @@ def test_the_cf_optimum_evaluates_its_objective_once(monkeypatch, pairing):
         calls["objective"] += 1
         return real_objective(self, n_hat)
     monkeypatch.setattr(rates._CFBounds, "optimum", optimum)
-    monkeypatch.setattr(rates._CFBounds, "objective", objective)
+    monkeypatch.setattr(rates._CFBounds, "_objective", objective)
     cfg = replace(SMALL, users=40, blocks=4, intervals=40, pairings=(pairing,),
                   p1_over_p0_db=(-10.0, 0.0), schemes=(Scheme.RBC_CF, Scheme.RBC_CF_DPC))
     run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(4))
