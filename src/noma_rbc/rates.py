@@ -141,9 +141,10 @@ class _CFBounds:
     ``crossing_roots``, ``terms`` and ``objective`` each enter their own
     ``np.errstate``; ``optimum`` enters one around the unguarded
     ``_crossing_roots`` and ``_objective``.  A temporary that feeds only
-    the next operation, as its left operand, is updated in place
-    (``x = a * b; x *= c`` for ``a * b * c``), which keeps every bit and
-    never writes into an input."""
+    the next operation, as its left operand, is updated in place where it
+    already has the result's shape (``x = a * b; x *= c`` for
+    ``a * b * c``), which keeps every bit and never writes into an
+    input."""
 
     def __init__(self, g01, g02, g12, params: ChannelParams, alpha, p1):
         p0, n1, n2 = params.p0, params.n1, params.n2
