@@ -42,29 +42,23 @@ class Scheme(Enum):
     RBC_CF = "rbc-cf"
     RBC_CF_DPC = "rbc-cf-dpc"
 
-    @classmethod
-    def from_label(cls, label: str) -> "Scheme":
-        try:
-            return cls(str(label).strip().lower())
-        except ValueError:
-            valid = ", ".join(s.value for s in cls)
-            raise ValueError(
-                f"unknown scheme {label!r} (expected one of: {valid})"
-            ) from None
-
     @property
     def label(self) -> str:
         return self.value
 
     @property
     def uses_compression(self) -> bool:
-        return self in (Scheme.RBC_CF, Scheme.RBC_CF_DPC)
+        return self in _COMPRESSING
 
     @property
     def uses_relay(self) -> bool:
         """True when the relay user transmits, so that r2 reads the relay
         link g12 and the relay power p1."""
         return self is not Scheme.GBC
+
+
+# built once: ``uses_compression`` runs per r2 segment of every stage
+_COMPRESSING = (Scheme.RBC_CF, Scheme.RBC_CF_DPC)
 
 
 def _check_finite(name: str, value: float) -> None:

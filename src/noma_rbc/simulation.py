@@ -48,13 +48,13 @@ Any two runs with the same master seed therefore see identical topologies
 and fading regardless of scheme, pairing, relay power, chunking or
 parallel degree (common random numbers).
 
-Experiment spec.  A ``SimConfig`` holds the lists an experiment runs over,
-its schemes, pairings and relay-power points, and ``validate`` checks each
-list once.  ``plan_tasks`` puts the schemes into ``min(parallel,
-schemes)`` groups of whole r2-formula runs and cuts the trials into as
-few contiguous chunks as keep the workers busy; a task is the config
-narrowed to one scheme group and one pairing, with one trial chunk at all
-relay-power points.  ``run_experiment`` runs the tasks on
+Experiment spec.  A ``SimConfig`` (``config``, beside the table of config
+keys that checks it) holds the lists an experiment runs over, its schemes,
+pairings and relay-power points.  ``plan_tasks`` puts the schemes into
+``min(parallel, schemes)`` groups of whole r2-formula runs and cuts the
+trials into as few contiguous chunks as keep the workers busy; a task is
+the config narrowed to one scheme group and one pairing, with one trial
+chunk at all relay-power points.  ``run_experiment`` runs the tasks on
 ``min(parallel, usable CPUs, tasks)`` workers, the calling process among
 them: with more than one, it forks a pool of the others.  Every worker
 runs ``_claim_tasks``, claiming tasks in plan order from one counter.
@@ -76,155 +76,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ChannelParams, PowerSplit, Scheme
+from .config import FADING_MODES, SimConfig  # noqa: F401 (FADING_MODES is re-exported)
+from .core import ChannelParams, PowerSplit
 from .rates import relay_rate, relay_rate_formulas, second_rate_runs
-from .scheduling import (NEIGHBOR_MODES, PAIRINGS, distance_order, near_far_ranks, pf_update,
-                         schedule_lanes)
+from .scheduling import distance_order, near_far_ranks, pf_update, schedule_lanes
 
 SECTOR_HALF_ANGLE = math.pi / 3.0  # 120-degree sector, centred on the x axis
 AVG_RATE_INIT = 1e-3               # PF ledger start value; washed out within tens of intervals
-
-FADING_MODES = ("iid", "static")
-# Closed ranges of the float fields.  The placement squares the radii.
-# Measured path-loss exponents lie between about 2 and 6; up to 10, every
-# inter-user gain (d / De)^-gamma stays finite down to d / De = 1e-30.
-RANGES = {"inner_radius_m": (1e-100, 1e100), "edge_radius_m": (1e-100, 1e100),
-          "path_loss_exp": (0.0, 10.0), "alpha": (0.0, 1.0)}
-MINIMUMS = {"users": 2, "blocks": 1, "intervals": 1, "trials": 1, "seed": 0}  # the int fields
 BS_CHUNK_INTERVALS = 32            # intervals of i.i.d. BS fading drawn per trial at once
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Full description of one experiment: the cell, the schedule and the
-    lists it runs over, every scheme under every pairing at every point."""
-
-    users: int = 40
-    blocks: int = 4
-    edge_radius_m: float = 500.0
-    inner_radius_m: float = 50.0
-    path_loss_exp: float = 3.0
-    edge_snr_db: float = 10.0
-    p1_over_p0_db: tuple = (0.0,)  # relay-power points, dB over the BS power
-    tau: float = 0.01
-    alpha: float = 0.2
-    schemes: tuple = (Scheme.GBC,)
-    pairings: tuple = ("near-far",)
-    intervals: int = 1000
-    trials: int = 50
-    seed: int = 0
-    fading: str = "iid"            # redraw per interval, or once per trial ("static")
-    neighbors: str = "recompute"   # nearest-pairing neighbour policy
-    cross_check: bool = False      # assert per-pair dominance while serving
-
-    @property
-    def p0(self) -> float:
-        """BS power, in units of the noise power, giving the configured
-        expected SNR at the cell edge."""
-        return 10.0 ** (self.edge_snr_db / 10.0)
-
-    @property
-    def relay_powers(self) -> tuple:
-        """The relay power of each point of ``p1_over_p0_db``."""
-        return tuple(self.p0 * 10.0 ** (db / 10.0) for db in self.p1_over_p0_db)
-
-    def validate(self) -> list[str]:
-        """All violated constraints, empty when the config is usable.  A
-        field of the wrong type is reported once and skips its range
-        checks; each list field is checked once, for its type, emptiness,
-        repeats and every entry."""
-        bad = {name for name in MINIMUMS if not _is_int(getattr(self, name))}
-        errors = [f"{name} must be an integer, got {getattr(self, name)!r}"
-                  for name in MINIMUMS if name in bad]
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not _is_finite(value):
-                bad.add(name)
-                errors.append(f"{name} must be a finite number, got {value!r}")
-
-        def check(names, ok, message) -> bool:
-            """Record ``message`` unless one of ``names`` is mistyped or
-            ``ok()`` holds; False when it was recorded."""
-            if bad.isdisjoint(names.split()) and not ok():
-                errors.append(message)
-                return False
-            return True
-
-        def entries(name) -> tuple:
-            """The entries of list field ``name``, after recording a value
-            that is not a list, an empty list or a repeated entry."""
-            values = getattr(self, name)
-            if not isinstance(values, (list, tuple)):
-                errors.append(f"{name} must be a list, got {values!r}")
-                return ()
-            repeats = [v.label if isinstance(v, Scheme) else v
-                       for k, v in enumerate(values) if v in values[:k]]
-            if not values or repeats:
-                errors.append(f"{name} lists {repeats[0]!r} more than once" if repeats
-                              else f"{name} must list at least one value")
-            return tuple(values)
-
-        for name, lo in MINIMUMS.items():
-            value = getattr(self, name)
-            check(name, lambda: value >= lo, f"{name} must be >= {lo}, got {value}")
-        check("users blocks", lambda: self.users >= 2 * self.blocks,
-              f"users ({self.users}) must be >= 2 * blocks ({self.blocks})")
-        for name, (lo, hi) in RANGES.items():
-            value = getattr(self, name)
-            if not check(name, lambda: lo <= value <= hi,
-                         f"{name} must lie in [{lo:g}, {hi:g}], got {value}"):
-                bad.add(name)
-        check("edge_radius_m inner_radius_m", lambda: self.edge_radius_m > self.inner_radius_m,
-              f"edge_radius_m ({self.edge_radius_m}) must exceed "
-              f"inner_radius_m ({self.inner_radius_m})")
-        check("tau", lambda: 0.0 < self.tau < 1.0, f"tau must lie in (0, 1), got {self.tau}")
-        if not check("edge_snr_db", lambda: _power_ok(lambda: self.p0, positive=True),
-                     f"edge_snr_db ({self.edge_snr_db}) gives a BS power that is not "
-                     "finite and positive"):
-            bad.add("edge_snr_db")  # the relay power scales the BS power
-        for db in entries("p1_over_p0_db"):
-            if not _is_finite(db):
-                errors.append(f"p1_over_p0_db lists {db!r}, which is not a finite number")
-                continue
-            check("edge_snr_db", lambda: _power_ok(lambda: self.p0 * 10.0 ** (db / 10.0)),
-                  f"p1_over_p0_db ({db}) gives a relay power that is not finite")
-        labels = tuple(s.label for s in Scheme)
-        errors += [f"schemes lists {s!r}, which is not one of {labels}"
-                   for s in entries("schemes") if not isinstance(s, Scheme)]
-        errors += [f"pairings lists {p!r}, which is not one of {PAIRINGS}"
-                   for p in entries("pairings") if p not in PAIRINGS]
-        for name, modes in (("fading", FADING_MODES), ("neighbors", NEIGHBOR_MODES)):
-            if getattr(self, name) not in modes:
-                errors.append(f"{name} must be one of {modes}, got {getattr(self, name)!r}")
-        if not isinstance(self.cross_check, bool):
-            errors.append(f"cross_check must be true or false, got {self.cross_check!r}")
-        return errors
-
-
-_FLOAT_FIELDS = ("edge_radius_m", "inner_radius_m", "path_loss_exp", "edge_snr_db",
-                 "tau", "alpha")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A finite int or float, not a bool; an int too large for a float is
-    not finite."""
-    try:
-        return (isinstance(value, (int, float, np.integer, np.floating))
-                and not isinstance(value, bool) and math.isfinite(value))
-    except OverflowError:
-        return False
-
-
-def _power_ok(power: Callable[[], float], positive: bool = False) -> bool:
-    try:
-        value = power()
-    except OverflowError:
-        return False
-    return math.isfinite(value) and (value > 0.0 or not positive)
 
 
 def _check(config: SimConfig) -> None:

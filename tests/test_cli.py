@@ -4,11 +4,12 @@ import io
 import time
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noma_rbc import cli, rates, simulation
+from noma_rbc import cli, config, rates, simulation
 from noma_rbc.core import ChannelParams, Scheme
 from noma_rbc.oracle import TermDelta
 from noma_rbc.rates import RateRegionCurve, rate_kernel
@@ -63,7 +64,7 @@ def test_region_checks_the_alpha_grid_once(tmp_path, monkeypatch):
     def counting(grid, real=rates.check_alpha_grid):
         checked.append(len(grid))
         return real(grid)
-    for module in (cli, rates):
+    for module in (config, rates):
         monkeypatch.setattr(module, "check_alpha_grid", counting)
     assert main(["region", "--out", str(tmp_path / "out")] + REGION_FLAGS
                 + ["--alpha-grid", "7"]) == EXIT_OK
@@ -308,15 +309,15 @@ def test_config_loader_reads_the_same_values_with_or_without_libyaml(tmp_path, m
             "  seed: 0x10\n  fading: ~\n  edge: .inf\n  flag: yes\n")
     cfg = tmp_path / "config.yaml"
     cfg.write_text(text, encoding="utf-8")
-    assert cli._load_yaml(str(cfg)) == yaml.load(text, Loader=yaml.SafeLoader)
+    assert config.load(str(cfg)) == yaml.load(text, Loader=yaml.SafeLoader)
     base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     assert issubclass(loaders[0], base) and (libyaml or base is yaml.SafeLoader)
     cfg.write_text("users: 8\nsim:\n  seed: 1\n  seed: 2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="key 'seed' is given twice, on lines 3 and 4"):
-        cli._load_yaml(str(cfg))
+        config.load(str(cfg))
     cfg.write_text("schemes: [gbc, rbc-df\n", encoding="utf-8")
     with pytest.raises(ValueError, match="^cannot parse config"):
-        cli._load_yaml(str(cfg))
+        config.load(str(cfg))
 
 
 @pytest.mark.parametrize("command, text", [
@@ -348,6 +349,9 @@ def test_config_key_given_twice_exits_2_naming_the_key(tmp_path, capsys, command
     (["--alpha", "1.5"], "alpha"),
     (["--alpha", "-0.1"], "alpha"),
     (["--scheme", "gbc,gbc"], "schemes"),
+    (["--scheme", "x"], "schemes"),
+    # a linear power that underflows to 0
+    (["--p0-db", "-4000"], "p0_db"),
     # numpy refuses a grid this large at once
     (["--alpha-grid", "1000000000000000"], "alpha_grid"),
 ])
@@ -372,7 +376,8 @@ def _region_config(tmp_path, line):
 @pytest.mark.parametrize("line, key", [
     ("g01: abc", "g01"), ("g12: [8]", "g12"), ("n1: {a: 1}", "n1"), ("p0_db: ten", "p0_db"),
     ("p1_db: [10]", "p1_db"), ("alpha: [0.2]", "alpha"), ("n_hat: [1]", "n_hat"),
-    ("alpha_grid: {a: 1}", "alpha_grid"), ("schemes: 5", None),
+    ("alpha_grid: {a: 1}", "alpha_grid"), ("schemes: 5", "schemes"),
+    ("schemes: [gbc, null]", "schemes"),
 ])
 def test_region_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, line, key):
     assert main(_region_config(tmp_path, line)) == EXIT_CONFIG_ERROR
@@ -415,6 +420,46 @@ def test_region_config_numeric_strings_are_numbers(tmp_path, line):
     # PyYAML reads 1e-3 (no dot in the mantissa) as a string
     assert main(_region_config(tmp_path, line)) == EXIT_OK
     assert (tmp_path / "out" / "rate_region.csv").exists()
+
+
+def test_region_reports_every_bad_key_at_once(tmp_path, capsys):
+    cfg = tmp_path / "region.yaml"
+    cfg.write_text("g01: -1\ng02: 1\np0_db: 10\nn1: 0\nalpha: 3\nbogus: 1\n", encoding="utf-8")
+    assert main(["region", "--config", str(cfg), "--out", str(tmp_path / "out")]) == \
+        EXIT_CONFIG_ERROR
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 4 and all(line.startswith("error: ") for line in errors), errors
+    for key in ("unknown config key 'bogus'", "g01 ", "n1 ", "alpha "):
+        assert sum(line.startswith("error: " + key) for line in errors) == 1, errors
+    assert not (tmp_path / "out").exists()
+
+
+def test_region_config_reads_the_singular_scheme_spelling(tmp_path, capsys):
+    singular = _region_config(tmp_path, "scheme: rbc-df,gbc")
+    assert main(singular) == EXIT_OK
+    rows = read_csv(tmp_path / "out" / "rate_region.csv")
+    assert [r["scheme"] for r in rows[::201]] == ["rbc-df", "gbc"]
+    both = tmp_path / "both.yaml"
+    both.write_text("g01: 8\ng02: 1\np0_db: 10\nscheme: gbc\nschemes: [gbc]\n", encoding="utf-8")
+    assert main(["region", "--config", str(both), "--out", str(tmp_path / "both")]) == \
+        EXIT_CONFIG_ERROR
+    assert "config gives both 'scheme' and 'schemes'" in capsys.readouterr().err
+    assert not (tmp_path / "both").exists()
+
+
+def test_readme_key_table_lists_the_config_table():
+    # README's key table: key, command, kind, range, unit, aliases, default or required
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | command | kind |", 1)[1].split("\n\n", 1)[0]
+    documented = set()
+    for line in table.splitlines()[2:]:
+        key, commands, kind, _, unit, aliases, default = \
+            [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        for command in commands.split(", "):
+            documented.add((key, command, kind, unit, aliases, default == "required"))
+    assert documented == {
+        (row.name, command, row.kind, row.unit, ", ".join(row.aliases), row.required)
+        for command, rows in config.TABLE.items() for row in rows.values()}
 
 
 def test_region_overflowing_rates_exit_2_naming_the_inputs(tmp_path, capsys):
@@ -632,7 +677,7 @@ def test_simulate_run_too_large_for_memory_exits_2_naming_the_size_keys(tmp_path
     err = capsys.readouterr().err
     assert "does not fit in memory" in err and "Traceback" not in err
     assert all(key in err for key in ("users", "blocks", "intervals", "trials"))
-    assert not (tmp_path / "out" / "sum_rate.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line", ["schemes: [gbc, rbc-df]", "pairings: [near-far]",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from noma_rbc.config import TABLE, check_value, coerce
 from noma_rbc.core import (
     ChannelParams,
     CompressionNoise,
@@ -72,10 +73,11 @@ def test_invalid_values_rejected(bad):
 
 
 def test_scheme_labels_round_trip():
+    schemes = TABLE["simulate"]["schemes"]
     for scheme in Scheme:
-        assert Scheme.from_label(scheme.label) is scheme
-    assert Scheme.from_label(" GBC ") is Scheme.GBC
-    with pytest.raises(ValueError, match="unknown scheme"):
-        Scheme.from_label("amplify")
+        assert coerce(schemes, scheme.label) == (scheme,)
+    assert coerce(schemes, " GBC ,rbc-cf") == (Scheme.GBC, Scheme.RBC_CF)
+    with pytest.raises(ValueError, match="schemes lists 'amplify', which is not one of"):
+        check_value(schemes, coerce(schemes, "amplify"))
     assert Scheme.RBC_CF.uses_compression
     assert not Scheme.RBC_DF.uses_compression

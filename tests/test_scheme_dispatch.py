@@ -1,7 +1,7 @@
-"""The scheduler, the engine and the command line name no scheme: which
-formulas a scheme uses is the business of ``rates`` and of the ``Scheme``
-properties.  The one member they may name is ``SimConfig``'s default
-``schemes`` value."""
+"""The scheduler, the engine, the command line and the config table name
+no scheme: which formulas a scheme uses is the business of ``rates`` and
+of the ``Scheme`` properties.  The one member they may name is
+``SimConfig``'s default ``schemes`` value."""
 
 import ast
 from pathlib import Path
@@ -36,7 +36,7 @@ def scheme_members(source: str) -> list[str]:
             and node not in allowed]
 
 
-@pytest.mark.parametrize("module", ["scheduling.py", "simulation.py", "cli.py"])
+@pytest.mark.parametrize("module", ["scheduling.py", "simulation.py", "cli.py", "config.py"])
 def test_the_scheduler_and_the_engine_name_no_scheme(module):
     assert scheme_members((PACKAGE / module).read_text(encoding="utf-8")) == []
 
