@@ -173,8 +173,7 @@ def cmd_simulate(args) -> int:
     # enumerate every config failure at once: unknown keys, missing keys,
     # unparsable values and constraint violations
     values, errors = config.read("simulate", args.config, args)
-    if args.parallel < 1:
-        errors.append(f"parallel must be >= 1, got {args.parallel}")
+    errors += config.check(config.OPTIONS, {"parallel": args.parallel})[1]
     sim = SimConfig(**values)
     errors += sim.validate()
     if errors:
@@ -209,11 +208,7 @@ def cmd_simulate(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
-    errors = []
-    if args.count < 1:
-        errors.append(f"count must be >= 1, got {args.count}")
-    if args.seed < 0:
-        errors.append(f"seed must be >= 0, got {args.seed}")
+    _, errors = config.check(config.OPTIONS, {"count": args.count, "seed": args.seed})
     if errors:
         return _fail(*errors)
 

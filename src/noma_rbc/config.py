@@ -4,6 +4,8 @@ Each row of ``KEYS`` (README's key table) gives a key's kind, range, unit,
 aliases, default or that it is required, and the help of its flag.  Both
 commands ``read`` their values and ``check`` them through the rows, and so
 does ``SimConfig.validate``, which then checks the rules between two keys.
+The rows of no command, ``OPTIONS``, check the options that no config file
+holds: ``verify``'s ``--count`` and ``--seed``, ``simulate``'s ``--parallel``.
 """
 
 from __future__ import annotations
@@ -193,9 +195,10 @@ def _alpha_grid(key: Key, spec):
 
 @dataclass(frozen=True)
 class Key:
-    """One config key of one or both commands; with ``default`` None, one
-    that is not ``required`` may be left out.  A key with ``help`` has a
-    flag that overrides the file value, named after ``dest``."""
+    """One config key of one or both commands, or an option of none; with
+    ``default`` None, one that is not ``required`` may be left out.  A key
+    with ``help`` has a flag that overrides the file value, named after
+    ``dest``."""
 
     name: str
     kind: str  # count, float, dB power, float/scheme/choice list, choice, bool or alpha grid
@@ -278,9 +281,13 @@ KEYS = (
     _field("fading", "choice", choices=FADING_MODES),
     _field("neighbors", "choice", choices=NEIGHBOR_MODES),
     _field("cross_check", "bool"),
+    Key("count", "count", (), lo=1),
+    Key("seed", "count", (), lo=0),
+    Key("parallel", "count", (), lo=1),
 )
 TABLE = {command: {row.name: row for row in KEYS if command in row.commands}
          for command in BOTH}
+OPTIONS = {row.name: row for row in KEYS if not row.commands}
 
 
 def load(path: str) -> dict:

@@ -50,7 +50,6 @@ scheduler's selection metrics require.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -319,15 +318,17 @@ def second_rates(segments, g01, g02, g12, params: ChannelParams, alpha, p1):
     share an r2 formula (RBC-CF and RBC-CF+DPC share one).  One run is
     returned as that call made it, ``clamped`` as a bool array of r2's
     shape; several are written into preallocated arrays."""
-    if len({_r2_formula(scheme) for scheme, _, _ in segments}) == 1:
+    # a run starts at each segment whose r2 formula differs from the one before
+    firsts = [segments[0]] + [seg for before, seg in zip(segments, segments[1:])
+                              if _r2_formula(seg[0]) != _r2_formula(before[0])]
+    if len(firsts) == 1:
         scheme = segments[0][0]
         r2, _, clamped = second_rate(scheme, g01, g02, g12, params, alpha, p1=p1)
         return r2, clamped if scheme.uses_compression else np.zeros(r2.shape, dtype=bool)
-    shape = np.broadcast_shapes(g01.shape, g02.shape, g12.shape)
+    shape = np.broadcast(g01, g02, g12).shape
     r2, clamped = np.empty(shape), np.empty(shape, dtype=bool)
-    for _, run in itertools.groupby(segments, key=lambda seg: _r2_formula(seg[0])):
-        run = list(run)
-        scheme, a, b = run[0][0], run[0][1], run[-1][2]
+    ends = [start for _, start, _ in firsts[1:]] + [segments[-1][2]]
+    for (scheme, a, _), b in zip(firsts, ends):
         r2[a:b], _, clamped[a:b] = second_rate(scheme, g01[a:b], g02[a:b], g12[a:b], params,
                                                alpha, p1=p1[a:b])
     return r2, clamped

@@ -17,8 +17,8 @@ both pairings score and serve from, ``near_far_ranks`` each block's
 strong half, ``distance_order`` each user's other users by distance.
 Nearest pairing walks that order with a pointer per (lane, user) that
 skips the users already served this interval, instead of a masked (L, K,
-K) argmin per block.  Near-far pairing evaluates r2 for the weak-half
-candidates only.
+K) argmin per block; the pointers and the flat index bases of its reads
+are built once per interval.  Near-far scores only the weak half's r2.
 
 Two pairing policies fill the per-interval resource blocks:
 
@@ -35,10 +35,10 @@ Two pairing policies fill the per-interval resource blocks:
 Selection metrics use true BS-link gains but only a distance-based
 estimate of the inter-user gain (the scheduler knows positions, not the
 inter-user fading).  Served rates are then computed with true gains on all
-links, the inter-user fading being drawn per served pair.  If a selected
+links, the inter-user fading being drawn per served pair.  Roles are
+decided after the block loop, for all blocks at once: where a selected
 pair violates the degraded role ordering on its true BS gains (possible
-under nearest pairing), roles are swapped before serving and the event is
-counted.
+under nearest pairing), they are swapped before serving and counted.
 
 Blocks are processed in order with cumulative removals, so no user is
 scheduled twice within one interval.  Every tie-break picks the lowest
@@ -76,15 +76,17 @@ def _strong_half(gains: np.ndarray, avail: np.ndarray) -> np.ndarray:
     return strong
 
 
-def _pf_argmax(scores: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+def _pf_argmax(scores: np.ndarray, candidates: np.ndarray, lane_base: np.ndarray) -> np.ndarray:
     """Per lane, the candidate with the largest PF score; the lowest index
     wins ties and a NaN score never wins.  Raises when a lane has no
     candidate with a finite score, which would leave the choice to the
-    order of the candidates."""
-    masked = np.fmax(np.where(candidates, scores, -np.inf), -np.inf)  # NaN -> -inf
-    best = np.argmax(masked, axis=1)
+    order of the candidates.  ``lane_base`` (L,) is each lane's flat
+    offset, lane·K, into the (L, K) scores."""
+    masked = np.where(candidates, scores, -np.inf)
+    np.fmax(masked, -np.inf, out=masked)  # NaN -> -inf
+    best = masked.argmax(axis=1)
     # a finite winner is a candidate with a finite score; scan only otherwise
-    if not np.isfinite(masked[np.arange(len(best)), best]).all():
+    if not np.isfinite(masked.take(lane_base + best)).all():
         usable = (np.isfinite(scores) & candidates).any(axis=1)
         if not usable.all():
             lane = int(np.argmin(usable))
@@ -102,7 +104,8 @@ def _near_far_select(strong, weak, relay_scores, gains, avg, est_gain, rows, seg
     order, over the scheme ``segments`` of the lanes; the kernel works
     element by element, so the scores equal those of a full (L, K)
     evaluation."""
-    k1 = _pf_argmax(relay_scores, strong)
+    lane_base = np.arange(0, weak.size, weak.shape[1])
+    k1 = _pf_argmax(relay_scores, strong, lane_base)
     flat = weak.ravel().nonzero()[0]  # lane by lane, ascending user order
     lane = flat // weak.shape[1]
     # the scheme segments of the lanes, as positions in the candidate list
@@ -112,7 +115,7 @@ def _near_far_select(strong, weak, relay_scores, gains, avg, est_gain, rows, seg
                       est_gain[rows, k1].ravel()[flat], params, alpha, p1.ravel()[lane])[0]
     scores = np.full(weak.size, -np.inf)
     scores[flat] = r2 / avg.ravel()[flat]
-    return k1, _pf_argmax(scores.reshape(weak.shape), weak)
+    return k1, _pf_argmax(scores.reshape(weak.shape), weak, lane_base)
 
 
 def near_far_ranks(bs_gains: np.ndarray) -> np.ndarray:
@@ -140,52 +143,65 @@ class _NeighborCursor:
     ``rows`` (L,) and a pointer per (lane, user).  Availability only
     shrinks, so a pointer only moves forward: ``nearest`` advances just the
     available users whose neighbour was removed, past every unavailable
-    user.  Rows of users without an available neighbour hold any index."""
+    user.  Rows of users without an available neighbour hold any index.
+    Built once per interval, it holds the flat bases that nearest pairing
+    reads through in every block: ``lane_base`` (L, 1), lane·K into (L, K)
+    arrays, and ``gain_base`` (L, K), (row·K + user)·K into the (T, K, K)
+    gain estimates.  A pointer is a flat position in ``order``."""
 
     def __init__(self, order: np.ndarray, rows: np.ndarray):
-        self.order, self.rows = order, rows
-        self.step = np.zeros((len(rows), order.shape[1]), dtype=np.intp)
-        self.neighbors = order[rows, :, 0]
+        n_users = order.shape[1]
+        self.order = order
+        self.lane_base = np.arange(0, len(rows) * n_users, n_users)[:, None]
+        row_users = rows[:, None] * n_users + np.arange(n_users)
+        self.gain_base = row_users * n_users
+        self.at = row_users * (n_users - 1)
+        self.neighbors = self.order.take(self.at)
 
     def nearest(self, avail: np.ndarray) -> np.ndarray:
-        lane, user = np.nonzero(avail & ~np.take_along_axis(avail, self.neighbors, axis=1))
-        last = self.order.shape[2] - 1
-        while len(lane):
-            step = self.step[lane, user] + 1
-            neighbor = self.order[self.rows[lane], user, step]
-            self.step[lane, user] = step
-            self.neighbors[lane, user] = neighbor
-            stale = ~avail[lane, neighbor] & (step < last)
-            lane, user = lane[stale], user[stale]
+        stale = np.flatnonzero(avail & ~avail.take(self.lane_base + self.neighbors))
+        lane_base = stale - stale % avail.shape[1]
+        columns = self.order.shape[2]
+        while len(stale):
+            at = self.at.take(stale) + 1
+            neighbor = self.order.take(at)
+            self.at.put(stale, at)
+            self.neighbors.put(stale, neighbor)
+            again = ~avail.take(lane_base + neighbor) & (at % columns < columns - 1)
+            stale, lane_base = stale[again], lane_base[again]
         return self.neighbors
 
 
-def _nearest_select(avail, cursor, relay_scores, gains, avg, est_gain, rows, segments, params,
-                    alpha, p1, neighbor_of=None):
+def _nearest_select(avail, cursor, relay_scores, gains, avg, est_gain, segments, params, alpha,
+                    p1, neighbor_of=None):
     """(relay, second) per lane under nearest-neighbour pairing: each
     candidate i is scored as the relay with its neighbour N(i) as the second
     user by r1(i)/avg(i) + r2(N(i)|i)/avg(N(i)), the first term being
     ``relay_scores`` and r2 coming from one ``second_rates`` call over the
     scheme ``segments`` of the lanes.  N is the nearest remaining neighbour
-    from ``cursor``.
+    from ``cursor``, whose flat bases index the neighbours' gains, ledger
+    entries and gain estimates; lane l reads the estimates of the table
+    the cursor holds for it.
     ``neighbor_of`` (L, K, -1 for none) overrides it: candidates whose
     mapped neighbour is unavailable are skipped, and a lane left without
     candidates uses the nearest remaining neighbours for the block."""
-    lanes, users = np.arange(len(gains))[:, None], np.arange(avail.shape[1])
     candidates = avail
     if neighbor_of is None:
         neighbors = cursor.nearest(avail)
     else:
         neighbors = np.maximum(neighbor_of, 0)
-        usable = avail & (neighbor_of >= 0) & (neighbors != users) & avail[lanes, neighbors]
+        usable = avail & (neighbor_of >= 0) & (neighbors != np.arange(avail.shape[1])) \
+            & avail.take(cursor.lane_base + neighbors)
         mapped = usable.any(axis=1)
         candidates = np.where(mapped[:, None], usable, avail)
         if not mapped.all():
             neighbors = np.where(mapped[:, None], neighbors, cursor.nearest(avail))
-    est = est_gain.reshape(-1)[(rows[:, None] * users.size + users) * users.size + neighbors]
-    r2 = second_rates(segments, gains, gains[lanes, neighbors], est, params, alpha, p1)[0]
-    k = _pf_argmax(relay_scores + r2 / avg[lanes, neighbors], candidates)
-    return k, neighbors[lanes[:, 0], k]
+    at = cursor.lane_base + neighbors
+    est = est_gain.take(cursor.gain_base + neighbors)
+    r2 = second_rates(segments, gains, np.take(gains, at), est, params, alpha, p1)[0]
+    lane_base = cursor.lane_base[:, 0]
+    k = _pf_argmax(relay_scores + r2 / avg.take(at), candidates, lane_base)
+    return k, neighbors.take(lane_base + k)
 
 
 def pf_update(avg_rates: np.ndarray, served_rates: np.ndarray, tau: float) -> np.ndarray:
@@ -241,17 +257,19 @@ def schedule_lanes(
     ``relay_power`` (L,) is each lane's relay power, in place of
     ``params.p1``, and ``relay_r1`` (L, K, B) each lane's
     ``rates.relay_rate`` of ``bs_gains`` under its scheme, from which both
-    pairings score and serve the relays.  ``pair_gains(relays, seconds)``
-    returns the (L, B) true inter-user gains of the selected pairs; it is
-    called once, after all blocks are assigned, and not at all when no
-    scheme uses the relay.  ``cross_check`` raises on a served pair that
-    breaks ``rates.dominance_violation``.
+    pairings score and serve the relays.  The block loop records each
+    block's selected (relay, second), and the roles are decided after it
+    over (L, B) at once.  ``pair_gains(relays, seconds)`` then returns the
+    (L, B) true inter-user gains of the served pairs, in one call and none
+    when no scheme uses the relay.  ``cross_check`` raises on a served pair
+    that breaks ``rates.dominance_violation``.
 
     Near-far pairing takes ``ranks``, the ``near_far_ranks`` of
     ``bs_gains``.  Nearest pairing takes ``neighbor_order``, the (T, K,
     K-1) ``distance_order`` of each trial's distances, and ``neighbor_of``
     (L, K), the static neighbour map, None to use the nearest remaining
-    neighbour per block.
+    neighbour per block; its ``_NeighborCursor`` and the flat index bases
+    of the interval's stages are built once per call.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}; expected one of {PAIRINGS}")
@@ -277,20 +295,16 @@ def schedule_lanes(
                          f"got {relay_r1.shape}")
     p1 = np.asarray(relay_power, dtype=float)[:, None]
 
-    lanes = np.arange(n_lanes)
+    lane_base = np.arange(0, n_lanes * n_users, n_users)  # lane·K, into (L, K) arrays
     avail = np.ones((n_lanes, n_users), dtype=bool)
-    relays = np.empty((n_lanes, n_blocks), dtype=int)
-    seconds = np.empty((n_lanes, n_blocks), dtype=int)
-    role_swaps = np.zeros(n_lanes, dtype=int)
+    picked = np.empty((2, n_lanes, n_blocks), dtype=int)  # the selected (relay, second)
     relay_scores = relay_r1 / avg_rates[:, :, None]
-    if pairing == "near-far":
-        strong_halves = ranks
-    else:
+    if pairing == "nearest":
         cursor = _NeighborCursor(neighbor_order, trial_of)
     for b in range(n_blocks):
         gains = bs_gains[:, :, b]
         if pairing == "near-far":
-            strong, weak = strong_halves[:, b] & avail, ~strong_halves[:, b] & avail
+            strong, weak = ranks[:, b] & avail, ~ranks[:, b] & avail
             # 2b removals can exhaust a half only once it has at most 2b
             # users (small K relative to B); such a lane re-splits the
             # remaining users for this block
@@ -304,33 +318,33 @@ def schedule_lanes(
                                       est_gain, trial_of, segments, params, split.alpha, p1)
         else:
             k1, k2 = _nearest_select(avail, cursor, relay_scores[:, :, b], gains, avg_rates,
-                                     est_gain, trial_of, segments, params, split.alpha, p1,
-                                     neighbor_of)
-        avail[lanes, k1] = False
-        avail[lanes, k2] = False
-        swap = gains[lanes, k1] * params.n2 < gains[lanes, k2] * params.n1
-        relays[:, b] = np.where(swap, k2, k1)
-        seconds[:, b] = np.where(swap, k1, k2)
-        role_swaps += swap
+                                     est_gain, segments, params, split.alpha, p1, neighbor_of)
+        avail.put(lane_base + k1, False)
+        avail.put(lane_base + k2, False)
+        picked[0, :, b], picked[1, :, b] = k1, k2
 
-    lane_col, blocks = lanes[:, None], np.arange(n_blocks)
-    g01, g02 = bs_gains[lane_col, relays, blocks], bs_gains[lane_col, seconds, blocks]
+    # roles, for all blocks at once: a selected relay that is the weaker
+    # user on its true BS gains serves as the second user
+    at = (lane_base[:, None] + picked) * n_blocks + np.arange(n_blocks)  # into (L, K, B)
+    gains = bs_gains.take(at)
+    swap = gains[0] * params.n2 < gains[1] * params.n1
+    relays, seconds = np.where(swap, picked[::-1], picked)
+    g01, g02 = np.where(swap, gains[::-1], gains)
     g12 = pair_gains(relays, seconds) if any(s.uses_relay for s, _, _ in segments) \
         else np.zeros((n_lanes, n_blocks))
-    r1 = relay_r1[lane_col, relays, blocks]
+    r1 = relay_r1.take(np.where(swap, at[1], at[0]))
     r2, clamped = second_rates(segments, g01, g02, g12, params, split.alpha, p1)
     if cross_check:
         violation = dominance_violation(segments, g01, g02, g12, params, split.alpha, r1, r2)
         if violation:
             raise RuntimeError(violation)
     served = np.zeros((n_lanes, n_users))
-    served[lane_col, relays] = r1
-    served[lane_col, seconds] = r2
+    served.put(lane_base[:, None] + relays, r1)
+    served.put(lane_base[:, None] + seconds, r2)
     sum_rate = r1[:, 0] + r2[:, 0]
     for b in range(1, n_blocks):  # block order, as a running float sum
         sum_rate = sum_rate + (r1[:, b] + r2[:, b])
     return LaneInterval(
         relays=relays, seconds=seconds, r1=r1, r2=r2, served=served, sum_rate=sum_rate,
-        role_swaps=role_swaps,
-        r2_clamps=clamped.sum(axis=1),
+        role_swaps=swap.sum(axis=1), r2_clamps=clamped.sum(axis=1),
     )

@@ -473,6 +473,8 @@ def run_experiment(config: SimConfig, parallel: int = 1,
     tasks = plan_tasks(config, parallel)
     workers = effective_parallel(parallel, len(tasks))
     sweep = config.p1_over_p0_db
+    # a task's radii: numpy refuses a run too large for memory before it is announced
+    np.empty((len(tasks[0].seeds), config.users))
     if progress is not None:
         progress(f"running {len(tasks)} tasks on {workers} worker(s): "
                  f"{len(config.schemes)} schemes x {len(config.pairings)} pairings, "

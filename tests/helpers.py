@@ -252,8 +252,8 @@ def nearest_neighbor_pair(ids, dist_matrix: np.ndarray, block_gains: np.ndarray,
     k1, k2 = _nearest_select(
         _lane_mask(gains.shape[1], ids), cursor,
         relay_rate(scheme, gains, params, split.alpha) / avg, gains, avg,
-        np.asarray(est_gain)[None],
-        np.arange(1), [(scheme, 0, 1)], params, split.alpha, np.array([[params.p1]]), mapped,
+        np.asarray(est_gain)[None], [(scheme, 0, 1)], params, split.alpha,
+        np.array([[params.p1]]), mapped,
     )
     return int(k1[0]), int(k2[0])
 

@@ -667,8 +667,8 @@ def test_simulate_bad_value_exits_2_naming_the_key(tmp_path, capsys, line, key):
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_simulate_run_too_large_for_memory_exits_2_naming_the_size_keys(tmp_path, capsys,
                                                                         parallel):
-    # numpy refuses the topology draw of this many users at once, in the
-    # calling process and in a pool worker alike
+    # numpy refuses the users' radii of this many users before any task
+    # starts or any progress line is written, at any --parallel
     cfg = tmp_path / "sim.yaml"
     cfg.write_text(SIM_CONFIG.replace("users: 8", "users: 10000000000000"), encoding="utf-8")
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -677,6 +677,7 @@ def test_simulate_run_too_large_for_memory_exits_2_naming_the_size_keys(tmp_path
     err = capsys.readouterr().err
     assert "does not fit in memory" in err and "Traceback" not in err
     assert all(key in err for key in ("users", "blocks", "intervals", "trials"))
+    assert "running" not in err  # no progress line announces a run that cannot start
     assert not (tmp_path / "out").exists()
 
 

@@ -1,8 +1,11 @@
 """Pinned outputs of the engine: ``trial_means``, role swaps and r2 clamps
-for two small configs over all four schemes, both pairings and two relay
-powers, printed with ``repr`` by the engine that ran one trial and one
-relay power at a time (scalar pair draws, one scheduler call per
-interval).  The lane-batched engine must reproduce them bit for bit.
+for three configs over all four schemes, both pairings and two relay
+powers, printed with ``repr``.  The two 8-user configs were printed by the
+engine that ran one trial and one relay power at a time (scalar pair
+draws, one scheduler call per interval), and the lane-batched engine must
+reproduce them bit for bit.  The 40-user config, whose nearest-neighbour
+pointers walk far down each user's distance order, was printed by the
+lane-batched engine before its block stages moved to flat indices.
 
 numpy evaluates ``log1p`` with CPU-specific vector code, which may round
 differently in the last bit.  The values were printed with numpy 2.4 on
@@ -27,6 +30,7 @@ CONFIGS = {
     "iid": SimConfig(users=8, blocks=3, intervals=12, trials=2, seed=5),
     "static": SimConfig(users=8, blocks=2, intervals=12, trials=2, seed=6,
                         fading="static", neighbors="static"),
+    "large": SimConfig(users=40, blocks=4, intervals=20, trials=2, seed=9),
 }
 
 # (scheme, pairing, p1_over_p0_db): (trial_means, role_swaps, r2_clamps)
@@ -98,6 +102,40 @@ PINNED = {
             ((18.82960216042316, 18.520143078947402), 16, 0),
         ('rbc-cf-dpc', 'nearest', 0.0):
             ((21.364059851177945, 23.244275189600604), 9, 0),
+    },
+    "large": {
+        ('gbc', 'near-far', -10.0):
+            ((29.75949456242921, 27.96113197746407), 0, 0),
+        ('gbc', 'near-far', 0.0):
+            ((29.75949456242921, 27.96113197746407), 0, 0),
+        ('gbc', 'nearest', -10.0):
+            ((27.0231206830669, 26.00664343749376), 17, 0),
+        ('gbc', 'nearest', 0.0):
+            ((27.0231206830669, 26.00664343749376), 17, 0),
+        ('rbc-df', 'near-far', -10.0):
+            ((31.308032443194254, 29.543111596633942), 0, 0),
+        ('rbc-df', 'near-far', 0.0):
+            ((31.126311580838614, 29.786947435353873), 0, 0),
+        ('rbc-df', 'nearest', -10.0):
+            ((27.814996832522905, 26.78212228767061), 10, 0),
+        ('rbc-df', 'nearest', 0.0):
+            ((27.814996832522905, 26.78212228767061), 10, 0),
+        ('rbc-cf', 'near-far', -10.0):
+            ((15.637151278015457, 16.801024526610597), 0, 0),
+        ('rbc-cf', 'near-far', 0.0):
+            ((21.80059294674186, 22.62975997851242), 0, 0),
+        ('rbc-cf', 'nearest', -10.0):
+            ((22.94616902568001, 22.964985608906698), 18, 0),
+        ('rbc-cf', 'nearest', 0.0):
+            ((25.570455616811156, 25.633141076239063), 15, 0),
+        ('rbc-cf-dpc', 'near-far', -10.0):
+            ((40.38795669713457, 37.663854843144804), 0, 0),
+        ('rbc-cf-dpc', 'near-far', 0.0):
+            ((46.096871768813756, 44.780631768060466), 0, 0),
+        ('rbc-cf-dpc', 'nearest', -10.0):
+            ((41.18502765933979, 39.90142462162676), 9, 0),
+        ('rbc-cf-dpc', 'nearest', 0.0):
+            ((43.92989294612743, 43.10077095061957), 12, 0),
     },
 }
 

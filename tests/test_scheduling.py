@@ -5,7 +5,7 @@ import pytest
 
 from noma_rbc import scheduling
 from noma_rbc.core import ChannelParams, PowerSplit, Scheme
-from noma_rbc.rates import relay_rate
+from noma_rbc.rates import relay_rate, second_rates
 from noma_rbc.scheduling import (
     _NeighborCursor,
     _pf_argmax,
@@ -366,6 +366,59 @@ def test_schedule_interval_counts_role_swaps():
     assert res.assignment == ((1, 0),)  # roles swapped so the ordering holds
 
 
+@pytest.mark.parametrize("pairing", ["near-far", "nearest"])
+def test_served_roles_keep_the_degraded_order_and_count_the_swaps(monkeypatch, pairing):
+    # 40 lanes of 12 users over 5 blocks, ten lanes per scheme, with ledgers
+    # spread over four decades.  The PF argmax of each stage names the
+    # selected relay (near-far: the first of a block's two stages).  Only
+    # nearest pairing can select the weaker user: a near-far relay comes
+    # from the strong half of the available users
+    rng = rng_for(97)
+    n_lanes, n_users, n_blocks = 40, 12, 5
+    gains, dist, est, avg = (np.stack(x) for x in zip(*[
+        _interval_inputs(rng, k=n_users, b=n_blocks) for _ in range(n_lanes)]))
+    avg = avg * 10.0 ** rng.uniform(-3.0, 1.0, size=avg.shape)
+    segments = [(scheme, 10 * k, 10 * k + 10) for k, scheme in enumerate(Scheme)]
+    relay_r1 = np.concatenate([relay_rate(s, gains[a:b], PARAMS, SPLIT.alpha)
+                               for s, a, b in segments])
+    relay_power = 10.0 ** rng.uniform(-1.0, 2.0, size=n_lanes)
+    lanes = np.arange(n_lanes)[:, None]
+    picks = []
+
+    def recording(*args, real=scheduling._pf_argmax):
+        picks.append(real(*args))
+        return picks[-1]
+    monkeypatch.setattr(scheduling, "_pf_argmax", recording)
+    res = schedule_lanes(segments, pairing, gains, avg, PARAMS, SPLIT, est,
+                         pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
+                         trial_of=np.arange(n_lanes), relay_power=relay_power,
+                         relay_r1=relay_r1, ranks=near_far_ranks(gains),
+                         neighbor_order=distance_order(dist))
+    selected = np.stack(picks[::2] if pairing == "near-far" else picks, axis=1)
+    assert selected.shape == (n_lanes, n_blocks)
+    blocks = np.arange(n_blocks)
+    g01, g02 = gains[lanes, res.relays, blocks], gains[lanes, res.seconds, blocks]
+    # every served pair keeps the degraded ordering g01/n1 >= g02/n2
+    assert (g01 * PARAMS.n2 >= g02 * PARAMS.n1).all()
+    # a block is swapped exactly when its selected relay was the weaker user
+    swapped = res.seconds == selected
+    assert (swapped | (res.relays == selected)).all()
+    other = np.where(swapped, res.relays, res.seconds)
+    weaker = gains[lanes, selected, blocks] * PARAMS.n2 < gains[lanes, other, blocks] * PARAMS.n1
+    assert np.array_equal(swapped, weaker)
+    assert weaker.any() == (pairing == "nearest") and not weaker.all()
+    assert res.role_swaps.tolist() == weaker.sum(axis=1).tolist()
+    # the served rates sit at the users in their served roles
+    assert np.array_equal(res.r1, relay_r1[lanes, res.relays, blocks])
+    expect = np.zeros((n_lanes, n_users))
+    expect[lanes, res.relays] = res.r1
+    expect[lanes, res.seconds] = res.r2
+    assert np.array_equal(res.served, expect)
+    r2, _ = second_rates(segments, g01, g02, est[lanes, res.relays, res.seconds], PARAMS,
+                         SPLIT.alpha, relay_power[:, None])
+    assert np.array_equal(res.r2, r2)
+
+
 def test_schedule_interval_near_far_exhausted_half_resplits():
     # K=8, B=3 can exhaust one per-block half; engineered gains force it
     gains = np.zeros((8, 3))
@@ -450,10 +503,10 @@ def test_pf_argmax_equals_the_full_scan():
             expect = _pf_argmax_full_scan(scores, candidates)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                _pf_argmax(scores, candidates)
+                _pf_argmax(scores, candidates, np.array([0, 5]))
             assert str(got.value) == str(exc)
         else:
-            assert _pf_argmax(scores, candidates).tolist() == expect.tolist()
+            assert _pf_argmax(scores, candidates, np.array([0, 5])).tolist() == expect.tolist()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
