@@ -21,9 +21,6 @@ from .core import (
     RatePair,
     Scheme,
     is_degraded_ordered,
-    received_snr_relay,
-    received_snr_second,
-    second_user_sir,
 )
 from .rates import (
     RateRegionCurve,

@@ -155,20 +155,3 @@ def is_degraded_ordered(gains: LinkGains, params: ChannelParams) -> bool:
     assumes (relay user = noise-normalised strong user)."""
     return gains.g01 * params.n2 >= gains.g02 * params.n1
 
-
-def received_snr_relay(gains: LinkGains, params: ChannelParams, split: PowerSplit) -> float:
-    """SNR of the relay user's own signal component after cancelling the
-    second user's component."""
-    return gains.g01 * split.alpha * params.p0 / params.n1
-
-
-def received_snr_second(gains: LinkGains, params: ChannelParams, split: PowerSplit) -> float:
-    """SNR of the second user's own signal component, interference excluded."""
-    return gains.g02 * split.alpha_bar * params.p0 / params.n2
-
-
-def second_user_sir(split: PowerSplit) -> float:
-    """Signal-to-interference power ratio seen by the second user."""
-    if split.alpha == 0.0:
-        return math.inf
-    return split.alpha_bar / split.alpha

@@ -29,9 +29,10 @@ their relays, and near-far's per-block strong halves, gathered to the
 lanes.  Lanes never interact, so a lane's result does not depend on which
 other lanes share its batch.
 
-Randomness uses the counter-based Philox generator.  Each trial's seed is
-derived from (master seed, trial index) only and splits into three child
-streams, drawn in this order and shared by the trial's lanes:
+Randomness uses the counter-based Philox generator.  Trial t's three
+streams are the children (t, k), k = 0, 1, 2, of the master seed, so they
+depend on (master seed, trial index) only; they are drawn in this order
+and shared by the trial's lanes:
 
 * topology: the user positions, once per trial, hence the distance matrix
   and the inter-user gain estimates;
@@ -53,8 +54,8 @@ keys that checks it) holds the lists an experiment runs over, its schemes,
 pairings and relay-power points.  ``plan_tasks`` puts the schemes into
 ``min(parallel, schemes)`` groups of whole r2-formula runs and cuts the
 trials into as few contiguous chunks as keep the workers busy; a task is
-the config narrowed to one scheme group and one pairing, with one trial
-chunk at all relay-power points.  ``run_experiment`` runs the tasks on
+the config narrowed to one scheme group and one pairing, with a range of
+trial indices at all relay-power points.  ``run_experiment`` runs the tasks on
 ``min(parallel, usable CPUs, tasks)`` workers, the calling process among
 them: with more than one, it forks a pool of the others.  Every worker
 runs ``_claim_tasks``, claiming tasks in plan order from one counter.
@@ -182,17 +183,11 @@ class PairPathGains:
         return gains
 
 
-def _trial_streams(trial_seed):
-    """Topology, BS-fading and inter-user-fading generators of one trial:
-    a stateless equivalent of ``spawn(3)``, which would advance the
-    parent's child counter and break seed reuse across combinations."""
-    ss = trial_seed if isinstance(trial_seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(trial_seed)
-    return tuple(
-        np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + (k,))))
-        for k in range(3)
-    )
+def _trial_streams(seed: int, trial: int):
+    """Topology, BS-fading and inter-user-fading generators of trial
+    ``trial``: the children (trial, k), k = 0, 1, 2, of master seed ``seed``."""
+    return tuple(np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(trial, k)))) for k in range(3))
 
 
 def _lane_points(config: SimConfig) -> list[int]:
@@ -213,7 +208,7 @@ class LaneResult:
     assignments: Optional[np.ndarray] = None  # (intervals, L, B, 2) when recorded
 
 
-def run_lanes(config: SimConfig, trial_seeds: Sequence,
+def run_lanes(config: SimConfig, trials: range,
               keep_assignments: bool = False) -> LaneResult:
     """Every (scheme, trial, relay-power point) lane of the config's one
     pairing, advanced together one interval at a time.
@@ -223,15 +218,15 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence,
     distance order once, and the BS gains, relay rates and near-far strong
     halves per chunk of ``BS_CHUNK_INTERVALS`` intervals, the relay rates
     once per distinct r1 formula of the schemes, for both pairings.  The
-    interval loop does the ledger-dependent work.  ``trial_seeds`` are ints
-    or numpy SeedSequences.
+    interval loop does the ledger-dependent work.  ``trials`` are trial
+    indices; trial t draws from the children (t, k) of ``config.seed``.
     """
-    if not len(trial_seeds):
-        raise ValueError("trial_seeds must not be empty")
+    if not len(trials):
+        raise ValueError("trials must not be empty")
     _check(config)
     if len(config.pairings) != 1:
         raise ValueError(f"run_lanes runs one pairing, got {config.pairings!r}")
-    schemes, n_points, n_trials = config.schemes, len(config.p1_over_p0_db), len(trial_seeds)
+    schemes, n_points, n_trials = config.schemes, len(config.p1_over_p0_db), len(trials)
     points = _lane_points(config)
     starts = np.cumsum([0] + [n_trials * p for p in points]).tolist()
     segments = list(zip(schemes, starts, starts[1:]))
@@ -249,7 +244,7 @@ def run_lanes(config: SimConfig, trial_seeds: Sequence,
     pairing = config.pairings[0]
     near_far = pairing == "near-far"
 
-    streams = [_trial_streams(s) for s in trial_seeds]
+    streams = [_trial_streams(config.seed, t) for t in trials]
     radii, dist, est_gain, fading = [], [], [], []
     for rng_topo, _, rng_pair in streams:
         polar = generate_topology(config, rng_topo)
@@ -357,13 +352,12 @@ CSV_COLUMNS = ("scheme", "pairing", "p1_over_p0_db", "mean_sum_rate",
 
 @dataclass(frozen=True)
 class LaneTask:
-    """One unit of pool work: trials ``first`` .. ``first + len(seeds) - 1``
-    of ``config``, which holds the task's schemes and its one pairing, at
-    every relay-power point."""
+    """One unit of pool work: the trials of range ``trials`` of ``config``,
+    which holds the task's schemes and its one pairing, at every
+    relay-power point."""
 
     config: SimConfig
-    first: int
-    seeds: tuple
+    trials: range
 
 
 def _claim_tasks(tasks: Sequence[LaneTask], claims, start: float,
@@ -383,11 +377,11 @@ def _claim_tasks(tasks: Sequence[LaneTask], claims, start: float,
             if k >= len(tasks):
                 return ran
             task = tasks[k]
-            ran.append((k, run_lanes(task.config, task.seeds)))
+            ran.append((k, run_lanes(task.config, task.trials)))
             if progress is not None:
                 progress(f"done {'+'.join(s.label for s in task.config.schemes)} / "
                          f"{task.config.pairings[0]}, trials "
-                         f"{task.first}-{task.first + len(task.seeds) - 1} "
+                         f"{task.trials[0]}-{task.trials[-1]} "
                          f"({k + 1}/{len(tasks)}) in {where} at "
                          f"{time.monotonic() - start:.2f} s")
     except BaseException:
@@ -424,7 +418,6 @@ def plan_tasks(config: SimConfig, parallel: int) -> list[LaneTask]:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     _check(config)
     schemes, pairings = tuple(config.schemes), tuple(config.pairings)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
     if parallel >= len(schemes):
         groups = [(scheme,) for scheme in schemes]
     else:
@@ -436,7 +429,7 @@ def plan_tasks(config: SimConfig, parallel: int) -> list[LaneTask]:
     chunks = min(config.trials, -(-parallel // (len(groups) * len(pairings))))
     bounds = [config.trials * c // chunks for c in range(chunks + 1)]
     return [
-        LaneTask(replace(config, schemes=group, pairings=(pairing,)), a, tuple(seeds[a:b]))
+        LaneTask(replace(config, schemes=group, pairings=(pairing,)), range(a, b))
         for pairing in pairings for group in groups for a, b in zip(bounds, bounds[1:])
     ]
 
@@ -462,19 +455,29 @@ def run_experiment(config: SimConfig, parallel: int = 1,
     Each worker runs ``_claim_tasks``, so this process starts on the first
     task at once, each task is reported by the process that ran it when it
     ends, and an exception in any worker stops all claims and is raised
-    here.  A lone worker's counter is a plain one, not shared memory.  Trial
-    seeds depend on the master seed and trial index only, and lanes never
-    interact, so every combination reuses the same topologies and fading
-    (common random numbers) and the output is independent of the parallel
-    degree, of the chunking, of the scheme grouping and of which worker ran
-    which task.
+    here.  A lone worker's counter is a plain one, not shared memory.  A
+    trial's streams depend on the master seed and trial index only, and
+    lanes never interact, so every combination reuses the same topologies
+    and fading (common random numbers) and the output is independent of the
+    parallel degree, of the chunking, of the scheme grouping and of which
+    worker ran which task.
     """
     start = time.monotonic()
     tasks = plan_tasks(config, parallel)
     workers = effective_parallel(parallel, len(tasks))
     sweep = config.p1_over_p0_db
-    # a task's radii: numpy refuses a run too large for memory before it is announced
-    np.empty((len(tasks[0].seeds), config.users))
+    # numpy refuses a run too large for memory, or past its index range (a
+    # ValueError), before it is announced: the results, a task's radii and
+    # its inter-user fading
+    combos = list(itertools.product(config.schemes, config.pairings))
+    shape, task_trials = (len(combos), len(sweep), config.trials), len(tasks[0].trials)
+    try:
+        means, swaps, clamps = (np.empty(shape, dtype) for dtype in (float, int, int))
+        np.empty((task_trials, config.users))
+        if any(scheme.uses_relay for scheme in config.schemes):
+            np.empty((task_trials, config.intervals, config.blocks))
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from None
     if progress is not None:
         progress(f"running {len(tasks)} tasks on {workers} worker(s): "
                  f"{len(config.schemes)} schemes x {len(config.pairings)} pairings, "
@@ -494,16 +497,13 @@ def run_experiment(config: SimConfig, parallel: int = 1,
             ran += share.result()
 
     # lane (c * T + t) * S + s: scheme c, trial t at point s
-    combos = list(itertools.product(config.schemes, config.pairings))
-    shape = (len(combos), len(sweep), config.trials)
-    means, swaps, clamps = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape, dtype=int)
     for task, (_, res) in zip(tasks, sorted(ran, key=lambda run: run[0])):
-        schemes = task.config.schemes
+        schemes, trials = task.config.schemes, task.trials
         at = ([combos.index((s, task.config.pairings[0])) for s in schemes], slice(None),
-              slice(task.first, task.first + len(task.seeds)))
+              slice(trials.start, trials.stop))
         for whole, part in ((means, res.mean_sum_rate), (swaps, res.role_swaps),
                             (clamps, res.r2_clamps)):
-            whole[at] = part.reshape(len(schemes), len(task.seeds), -1).transpose(0, 2, 1)
+            whole[at] = part.reshape(len(schemes), len(trials), -1).transpose(0, 2, 1)
     results = []
     for r, (scheme, pairing) in enumerate(combos):
         for s, p1_db in enumerate(sweep):

@@ -317,11 +317,10 @@ class TrialResult:
     assignments: Optional[tuple] = None  # per-interval assignments when recorded
 
 
-def run_trial(config: SimConfig, trial_seed, keep_assignments: bool = False) -> TrialResult:
-    """``run_lanes`` on one lane: one trial of ``config``, which holds one
-    scheme, pairing and relay power; ``trial_seed`` is an int or a numpy
-    SeedSequence."""
-    res = run_lanes(config, [trial_seed], keep_assignments)
+def run_trial(config: SimConfig, trial: int, keep_assignments: bool = False) -> TrialResult:
+    """``run_lanes`` on one lane: trial ``trial`` of ``config``, which holds
+    one scheme, pairing and relay power."""
+    res = run_lanes(config, range(trial, trial + 1), keep_assignments)
     assignments = None
     if res.assignments is not None:
         assignments = tuple(tuple(map(tuple, a[0].tolist())) for a in res.assignments)

@@ -4,6 +4,7 @@ import io
 import time
 import json
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -664,15 +665,46 @@ def test_simulate_bad_value_exits_2_naming_the_key(tmp_path, capsys, line, key):
     assert not (tmp_path / "out" / "sum_rate.csv").exists()
 
 
+@contextlib.contextmanager
+def alarm_after(seconds):
+    """Raises in this thread once ``seconds`` have passed, where the
+    platform has SIGALRM, so that a call that would hang fails instead."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("lines", [
+    "users: 10000000000000",
+    # planning holds a trial range per task, nothing per trial
+    "trials: 1000000000000",
+    # sizes past numpy's index range, at the radii and the inter-user fading
+    "users: 10000000000000000000",
+    "intervals: 10000000000000000000\nschemes: [rbc-df]",
+], ids=["users-1e13", "trials-1e12", "users-1e19", "intervals-1e19"])
 def test_simulate_run_too_large_for_memory_exits_2_naming_the_size_keys(tmp_path, capsys,
-                                                                        parallel):
-    # numpy refuses the users' radii of this many users before any task
-    # starts or any progress line is written, at any --parallel
+                                                                        parallel, lines):
+    # numpy refuses the result arrays, a task's radii or its inter-user
+    # fading before any task starts or any progress line is written, at
+    # any --parallel, and at once
+    keys = [line.split(":")[0] for line in lines.splitlines()]
+    kept = [k for k in SIM_CONFIG.splitlines(keepends=True) if k.split(":")[0] not in keys]
     cfg = tmp_path / "sim.yaml"
-    cfg.write_text(SIM_CONFIG.replace("users: 8", "users: 10000000000000"), encoding="utf-8")
-    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
-               "--parallel", str(parallel)])
+    cfg.write_text("".join(kept) + lines + "\n", encoding="utf-8")
+    with alarm_after(5):
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   "--parallel", str(parallel)])
     assert rc == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert "does not fit in memory" in err and "Traceback" not in err

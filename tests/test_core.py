@@ -12,9 +12,6 @@ from noma_rbc.core import (
     RatePair,
     Scheme,
     is_degraded_ordered,
-    received_snr_relay,
-    received_snr_second,
-    second_user_sir,
 )
 
 from helpers import rng_for
@@ -38,16 +35,6 @@ def test_power_split_is_exact_partition():
     for alpha in np.concatenate([[0.0, 1.0, 0.5, 0.2], rng.uniform(size=1000)]):
         split = PowerSplit(float(alpha))
         assert split.alpha + split.alpha_bar == 1.0
-
-
-def test_received_snr_anchors():
-    gains = LinkGains(8.0, 1.0, 8.0)
-    params = ChannelParams(p0=10.0, p1=10.0, n1=1.0, n2=1.0)
-    split = PowerSplit(0.2)
-    assert received_snr_relay(gains, params, split) == 16.0
-    assert received_snr_second(gains, params, split) == 8.0
-    assert second_user_sir(split) == 4.0
-    assert second_user_sir(PowerSplit(0.0)) == math.inf
 
 
 @pytest.mark.parametrize("bad", [

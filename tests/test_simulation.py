@@ -177,12 +177,11 @@ def test_chunked_bs_draws_equal_one_draw_per_interval(intervals):
 def test_lane_results_do_not_depend_on_the_chunk_size(monkeypatch, pairing, fading, neighbors):
     cfg = replace(SMALL, pairings=(pairing,), fading=fading, neighbors=neighbors, intervals=20,
                   p1_over_p0_db=(-10.0, 0.0))
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     for scheme in Scheme:
         runs = []
         for chunk in (1, 7, BS_CHUNK_INTERVALS):
             monkeypatch.setattr(simulation, "BS_CHUNK_INTERVALS", chunk)
-            runs.append(run_lanes(replace(cfg, schemes=(scheme,)), seeds,
+            runs.append(run_lanes(replace(cfg, schemes=(scheme,)), range(2),
                                   keep_assignments=True))
         for other in runs[1:]:
             assert other.mean_sum_rate.tolist() == runs[0].mean_sum_rate.tolist()
@@ -203,10 +202,10 @@ def test_edge_user_sees_configured_snr():
 def test_degenerate_trial_equals_direct_computation():
     cfg = SimConfig(users=2, blocks=1, intervals=1, trials=1, seed=42,
                     schemes=(Scheme.RBC_DF,), p1_over_p0_db=(0.0,))
-    result = run_trial(cfg, 42, keep_assignments=True)
+    result = run_trial(cfg, 0, keep_assignments=True)
 
     # replay the trial's three child streams by hand
-    ss = np.random.SeedSequence(42)
+    ss = np.random.SeedSequence(42, spawn_key=(0,))
     topo_ss, fading_ss, pair_ss = ss.spawn(3)
     polar = generate_topology(cfg, np.random.Generator(np.random.Philox(topo_ss)))
     gains = draw_bs_gains(polar[:, 0], cfg, np.random.Generator(np.random.Philox(fading_ss)))[0]
@@ -221,6 +220,21 @@ def test_degenerate_trial_equals_direct_computation():
                                cfg.alpha)
     assert result.assignments == (((relay, second),),)
     assert result.mean_sum_rate == pytest.approx(r1 + r2, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, trials, trial", [
+    (0, 1, 0), (5, 2, 1), (11, 3, 0), (42, 50, 49), (2 ** 63 + 7, 1000, 517),
+])
+def test_trial_streams_are_the_children_of_the_spawned_trial_seed(seed, trials, trial):
+    # trial t draws what child k of SeedSequence(seed).spawn(T)[t] draws,
+    # whatever T > t: the derivation the pinned outputs were made with
+    spawned = np.random.SeedSequence(seed).spawn(trials)[trial].spawn(3)
+    streams = simulation._trial_streams(seed, trial)
+    assert len(streams) == 3
+    for rng, child in zip(streams, spawned):
+        expected = np.random.Generator(np.random.Philox(child))
+        assert rng.random(8).tolist() == expected.random(8).tolist()
+        assert rng.standard_normal(8).tolist() == expected.standard_normal(8).tolist()
 
 
 def test_trial_reproducibility_and_fading_policies():
@@ -299,8 +313,8 @@ def test_relay_power_row_is_the_same_alone_or_inside_a_sweep():
 
 
 def test_first_trials_do_not_depend_on_the_trial_count():
-    # SeedSequence.spawn children do not depend on how many are spawned,
-    # and trials are lanes that never interact
+    # a trial's streams depend on the master seed and its index only, and
+    # trials are lanes that never interact
     cfg = replace(FULL, schemes=(Scheme.RBC_CF_DPC,))
     short = run_experiment(replace(cfg, trials=2))[0]
     longer = run_experiment(replace(cfg, trials=3))[0]
@@ -311,11 +325,10 @@ def test_first_trials_do_not_depend_on_the_trial_count():
 def test_lanes_match_one_lane_trials():
     cfg = replace(SMALL, schemes=(Scheme.RBC_CF,), pairings=("nearest",), neighbors="static",
                   p1_over_p0_db=(-10.0, 0.0))
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    lanes = run_lanes(cfg, seeds)
-    for t, seed in enumerate(seeds):
+    lanes = run_lanes(cfg, range(2))
+    for t in range(2):
         for s, db in enumerate([-10.0, 0.0]):
-            one = run_trial(replace(cfg, p1_over_p0_db=(db,)), seed)
+            one = run_trial(replace(cfg, p1_over_p0_db=(db,)), t)
             assert lanes.mean_sum_rate[2 * t + s] == one.mean_sum_rate
             assert lanes.role_swaps[2 * t + s] == one.role_swaps
 
@@ -326,9 +339,9 @@ def test_run_experiment_rejects_an_empty_list(name):
         run_experiment(replace(SMALL, **{name: ()}))
 
 
-def test_run_lanes_names_empty_trial_seeds():
-    with pytest.raises(ValueError, match="trial_seeds must not be empty"):
-        run_lanes(SMALL, [])
+def test_run_lanes_names_an_empty_trial_range():
+    with pytest.raises(ValueError, match="trials must not be empty"):
+        run_lanes(SMALL, range(0))
 
 
 class RecordingPool:
@@ -412,17 +425,17 @@ def logging_run_lanes(monkeypatch, path, config, parallel, before=None):
     """Replaces ``run_lanes`` with one that appends the index of its task
     and the pid that runs it to ``path``, then calls ``before(pid)`` and
     runs the task.  Forked pool workers inherit the replacement."""
-    index = {(t.config.schemes, t.config.pairings, t.first): k
+    index = {(t.config.schemes, t.config.pairings, t.trials): k
              for k, t in enumerate(plan_tasks(config, parallel))}
     original = simulation.run_lanes
 
-    def run_lanes(task_config, seeds):
-        key = (task_config.schemes, task_config.pairings, seeds[0].spawn_key[0])
+    def run_lanes(task_config, trials):
+        key = (task_config.schemes, task_config.pairings, trials)
         with open(path, "a", encoding="ascii") as fh:
             fh.write(f"{index[key]} {os.getpid()}\n")
         if before is not None:
             before(os.getpid())
-        return original(task_config, seeds)
+        return original(task_config, trials)
     monkeypatch.setattr(simulation, "run_lanes", run_lanes)
 
 
@@ -504,7 +517,7 @@ def test_each_process_reports_a_task_when_it_ends(tmp_path, monkeypatch, capfd):
 def test_tasks_hold_every_relay_power_of_their_trials():
     tasks = plan_tasks(replace(FULL, trials=5), 16)
     assert len(tasks) == 2 * 4 * 2  # pairings x scheme groups x trial chunks
-    assert [(t.first, len(t.seeds)) for t in tasks[:2]] == [(0, 2), (2, 3)]
+    assert [t.trials for t in tasks[:2]] == [range(0, 2), range(2, 5)]
     assert all(t.config.p1_over_p0_db == (-10.0, 0.0) for t in tasks)
     with pytest.raises(ValueError, match="parallel"):
         plan_tasks(SMALL, 0)
@@ -522,13 +535,17 @@ def test_every_scheme_pairing_and_trial_lies_in_exactly_one_task(pairings):
                       pairings=pairings)
         tasks = plan_tasks(cfg, parallel)
         held = collections.Counter(
-            (scheme, task.config.pairings[0], task.first + t)
-            for task in tasks for scheme in task.config.schemes for t in range(len(task.seeds)))
+            (scheme, task.config.pairings[0], t)
+            for task in tasks for scheme in task.config.schemes for t in task.trials)
         assert held == collections.Counter(itertools.product(schemes, pairings, range(trials)))
         for task in tasks:
             assert task.config.p1_over_p0_db == sweep
-            assert [s.spawn_key for s in task.seeds] == \
-                [(task.first + t,) for t in range(len(task.seeds))]
+        # per (scheme, pairing), the tasks' ranges tile range(trials) in plan order
+        for scheme, pairing in itertools.product(schemes, pairings):
+            ranges = [task.trials for task in tasks
+                      if scheme in task.config.schemes and task.config.pairings == (pairing,)]
+            assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
+            assert ranges[-1].stop == trials and all(r.step == 1 and r for r in ranges)
         assert len(tasks) >= min(parallel, len(schemes) * len(pairings) * trials)
         if parallel == 1:
             assert [(t.config.pairings[0], set(t.config.schemes)) for t in tasks] == \
@@ -561,11 +578,11 @@ def test_scheme_batched_lanes_equal_one_scheme_runs(schemes, pairing, fading, ne
     sweep = (-10.0, 0.0, 5.0)
     cfg = replace(SMALL, users=10, blocks=3, intervals=12, pairings=(pairing,), fading=fading,
                   neighbors=neighbors, cross_check=cross_check, p1_over_p0_db=sweep)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    together = run_lanes(replace(cfg, schemes=schemes), seeds, keep_assignments=True)
-    per_scheme = len(seeds) * len(sweep)
+    trials = range(2)
+    together = run_lanes(replace(cfg, schemes=schemes), trials, keep_assignments=True)
+    per_scheme = len(trials) * len(sweep)
     for c, scheme in enumerate(schemes):
-        alone = run_lanes(replace(cfg, schemes=(scheme,)), seeds, keep_assignments=True)
+        alone = run_lanes(replace(cfg, schemes=(scheme,)), trials, keep_assignments=True)
         lanes = slice(c * per_scheme, (c + 1) * per_scheme)
         assert together.mean_sum_rate[lanes].tolist() == alone.mean_sum_rate.tolist()
         assert together.role_swaps[lanes].tolist() == alone.role_swaps.tolist()
@@ -577,12 +594,12 @@ def test_scheme_batched_lanes_equal_one_scheme_runs(schemes, pairing, fading, ne
 def test_lanes_reject_a_repeated_scheme(pairing):
     cfg = replace(SMALL, pairings=(pairing,), schemes=(Scheme.GBC, Scheme.GBC))
     with pytest.raises(ValueError, match="schemes lists 'gbc' more than once"):
-        run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(2))
+        run_lanes(cfg, range(2))
 
 
 def test_lanes_run_one_pairing():
     with pytest.raises(ValueError, match="one pairing"):
-        run_lanes(FULL, np.random.SeedSequence(FULL.seed).spawn(2))
+        run_lanes(FULL, range(2))
 
 
 @pytest.mark.parametrize("pairing", ["near-far", "nearest"])
@@ -598,7 +615,7 @@ def test_relay_rates_are_evaluated_once_per_r1_formula(monkeypatch, pairing):
     monkeypatch.setattr(simulation, "BS_CHUNK_INTERVALS", 4)
     cfg = replace(SMALL, intervals=10, pairings=(pairing,), p1_over_p0_db=(-10.0, 0.0),
                   schemes=(Scheme.RBC_CF_DPC, Scheme.RBC_CF, Scheme.GBC, Scheme.RBC_DF))
-    run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(2))
+    run_lanes(cfg, range(2))
     assert calls == [Scheme.RBC_CF_DPC, Scheme.RBC_CF] * 3
 
 
@@ -622,7 +639,7 @@ def test_the_cf_bounds_are_built_once_per_stage_for_adjacent_cf_schemes(monkeypa
     monkeypatch.setattr(rates, "_CFBounds", Counting)
     cfg = replace(SMALL, intervals=6, pairings=(pairing,), p1_over_p0_db=(-10.0, 0.0),
                   schemes=schemes)
-    run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(2))
+    run_lanes(cfg, range(2))
     assert count["built"] == cfg.intervals * (cfg.blocks + 1) * builds
 
 
@@ -645,7 +662,7 @@ def test_the_cf_optimum_evaluates_its_objective_once(monkeypatch, pairing):
     monkeypatch.setattr(rates._CFBounds, "_objective", objective)
     cfg = replace(SMALL, users=40, blocks=4, intervals=40, pairings=(pairing,),
                   p1_over_p0_db=(-10.0, 0.0), schemes=(Scheme.RBC_CF, Scheme.RBC_CF_DPC))
-    run_lanes(cfg, np.random.SeedSequence(cfg.seed).spawn(4))
+    run_lanes(cfg, range(4))
     assert calls["optimum"] == cfg.intervals * (cfg.blocks + 1)
     assert calls["objective"] == calls["optimum"]
 
@@ -661,15 +678,14 @@ def test_a_scheme_without_the_relay_runs_one_lane_per_trial(monkeypatch, pairing
     sweep = (-10.0, 0.0, 5.0)
     cfg = replace(SMALL, users=10, blocks=3, intervals=6, pairings=(pairing,),
                   p1_over_p0_db=sweep, schemes=(Scheme.RBC_CF, Scheme.GBC, Scheme.RBC_DF))
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    lanes = run_lanes(cfg, seeds, keep_assignments=True)
+    lanes = run_lanes(cfg, range(2), keep_assignments=True)
     assert segments == [[("rbc-cf", 0, 6), ("gbc", 6, 8), ("rbc-df", 8, 14)]] * cfg.intervals
     # the result keeps one lane per (scheme, trial, point); GBC's equal a
     # one-point run's, bit for bit, at every point
     assert lanes.mean_sum_rate.shape == (3 * 2 * 3,)
     gbc = slice(6, 12)
     for s, db in enumerate(sweep):
-        alone = run_lanes(replace(cfg, schemes=(Scheme.GBC,), p1_over_p0_db=(db,)), seeds,
+        alone = run_lanes(replace(cfg, schemes=(Scheme.GBC,), p1_over_p0_db=(db,)), range(2),
                           keep_assignments=True)
         at = slice(gbc.start + s, gbc.stop, len(sweep))
         assert lanes.mean_sum_rate[at].tolist() == alone.mean_sum_rate.tolist()
@@ -690,7 +706,7 @@ def lane_count(schemes, points):
 def scheme_groups(config, parallel):
     """The scheme group of each task of the first pairing's first trials."""
     return [t.config.schemes for t in plan_tasks(config, parallel)
-            if t.first == 0 and t.config.pairings == config.pairings[:1]]
+            if t.trials.start == 0 and t.config.pairings == config.pairings[:1]]
 
 
 @pytest.mark.parametrize("points", [(0.0,), (-10.0, 0.0), (-10.0, 0.0, 5.0)])
