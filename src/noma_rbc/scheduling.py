@@ -3,8 +3,9 @@
 A lane is one independent scheduling problem: its own scheme, per-block
 BS gains, inter-user gain estimates, PF ledger and relay power.
 ``schedule_lanes`` schedules one interval of L lanes at once: every
-selection stage scores the candidates of all lanes as (L, K) masked
-arrays, and every stage, serving included, evaluates r2 with one
+selection stage scores the candidates of all lanes as masked arrays, (L,
+K) under nearest pairing and (L, K//2) under near-far, and every stage,
+serving included, evaluates r2 with one
 ``rates.second_rates`` call over the lanes' scheme segments.  It is the
 only scheduler, and it names no scheme: ``rates`` holds the formulas.
 
@@ -13,12 +14,15 @@ argmaxes, r2 given the chosen relay, serving.  What depends on the gains
 or positions alone comes in precomputed, so that the engine can compute it
 once per trial rather than per lane and interval: every user's r1
 (``rates.relay_rate``), which depends on its own BS gain only and which
-both pairings score and serve from, ``near_far_ranks`` each block's
-strong half, ``distance_order`` each user's other users by distance.
-Nearest pairing walks that order with a pointer per (lane, user) that
-skips the users already served this interval, instead of a masked (L, K,
-K) argmin per block; the pointers and the flat index bases of its reads
-are built once per interval.  Near-far scores only the weak half's r2.
+both pairings score and serve from, ``near_far_tables`` each block's
+weak and strong half as user tables, ``distance_order`` each user's other
+users by distance.  Nearest pairing walks that order with a pointer per
+(lane, user) that skips the users already served this interval, instead
+of a masked (L, K, K) argmin per block; the pointers and the flat index
+bases of its reads are built once per interval.  Near-far gathers what it
+reads through the tables once per interval, for all blocks, and scores r2
+over the weak half only: the users already served in it are scored and
+masked, so that every block makes the same calls.
 
 Two pairing policies fill the per-interval resource blocks:
 
@@ -64,67 +68,114 @@ NEIGHBOR_MODES = ("recompute", "static")
 # ---------------------------------------------------------------------------
 # lane stages: every array leads with the lane axis L
 
-def _strong_half(gains: np.ndarray, avail: np.ndarray) -> np.ndarray:
-    """Mask of the strong half, ceil(n/2) users, of the n available users
-    along the last axis, ranked by gain with ties to the lower index."""
-    order = np.argsort(-gains, axis=-1, kind="stable")
-    ranked = np.take_along_axis(avail, order, axis=-1)
-    position = np.cumsum(ranked, axis=-1)
-    strong = np.empty_like(ranked)
-    np.put_along_axis(strong, order, ranked & (position <= (position[..., -1:] + 1) // 2),
-                      axis=-1)
-    return strong
+def _half_tables(ranked: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """Near-far user tables along the last axis, from the n candidates
+    ``ranked`` (..., n) by gain, strongest first, and 2b other users
+    ``pad`` (..., 2b): the weak half, floor(n/2) users, then b of ``pad``,
+    then the strong half, ceil(n/2) users, then the other b.  Each half
+    lists its candidates in ascending user index."""
+    strong, b = (ranked.shape[-1] + 1) // 2, pad.shape[-1] // 2
+    return np.concatenate((np.sort(ranked[..., strong:]), pad[..., :b],
+                           np.sort(ranked[..., :strong]), pad[..., b:]), axis=-1)
 
 
 def _pf_argmax(scores: np.ndarray, candidates: np.ndarray, lane_base: np.ndarray) -> np.ndarray:
-    """Per lane, the candidate with the largest PF score; the lowest index
-    wins ties and a NaN score never wins.  Raises when a lane has no
-    candidate with a finite score, which would leave the choice to the
-    order of the candidates.  ``lane_base`` (L,) is each lane's flat
-    offset, lane·K, into the (L, K) scores."""
+    """Per lane, the flat position lane·K + k of the candidate k with the
+    largest PF score in the (L, K) ``scores``; ``lane_base`` (L,) is each
+    lane's lane·K.  The lowest index wins ties and a NaN score never wins.
+    Raises when a lane has no candidate with a finite score, which would
+    leave the choice to the order of the candidates."""
     masked = np.where(candidates, scores, -np.inf)
-    np.fmax(masked, -np.inf, out=masked)  # NaN -> -inf
-    best = masked.argmax(axis=1)
-    # a finite winner is a candidate with a finite score; scan only otherwise
-    if not np.isfinite(masked.take(lane_base + best)).all():
+    at = lane_base + masked.argmax(axis=1)
+    # argmax picks a lane's first NaN, so finite winners are candidates with
+    # finite scores and no NaN; scan only otherwise
+    if not np.isfinite(masked.take(at)).all():
         usable = (np.isfinite(scores) & candidates).any(axis=1)
         if not usable.all():
             lane = int(np.argmin(usable))
             raise ValueError(f"no candidate has a finite PF score in lane {lane}: "
                              f"{scores[lane][candidates[lane]]}")
-    return best
+        np.fmax(masked, -np.inf, out=masked)  # NaN -> -inf
+        at = lane_base + masked.argmax(axis=1)
+    return at
 
 
-def _near_far_select(strong, weak, relay_scores, gains, avg, est_gain, rows, segments, params,
-                     alpha, p1):
-    """(relay, second) per lane: the relay from ``strong`` by its PF ratio
-    ``relay_scores`` = r1/avg, which needs only its own BS gain, then the
-    second user from ``weak`` by the PF ratio of r2 given that relay.  r2 is
-    evaluated for the weak candidates only, lane by lane in ascending user
-    order, over the scheme ``segments`` of the lanes; the kernel works
-    element by element, so the scores equal those of a full (L, K)
-    evaluation."""
-    lane_base = np.arange(0, weak.size, weak.shape[1])
-    k1 = _pf_argmax(relay_scores, strong, lane_base)
-    flat = weak.ravel().nonzero()[0]  # lane by lane, ascending user order
-    lane = flat // weak.shape[1]
-    # the scheme segments of the lanes, as positions in the candidate list
-    cuts = np.searchsorted(lane, [a for _, a, _ in segments] + [segments[-1][2]]).tolist()
-    by_candidate = [(s, a, b) for (s, _, _), a, b in zip(segments, cuts, cuts[1:])]
-    r2 = second_rates(by_candidate, gains[np.arange(len(gains)), k1][lane], gains.ravel()[flat],
-                      est_gain[rows, k1].ravel()[flat], params, alpha, p1.ravel()[lane])[0]
-    scores = np.full(weak.size, -np.inf)
-    scores[flat] = r2 / avg.ravel()[flat]
-    return k1, _pf_argmax(scores.reshape(weak.shape), weak, lane_base)
+class _HalfTables:
+    """Near-far selection through one interval's per-block user tables
+    ``halves`` (B, L, K), rows of ``near_far_tables``: the weak half, W =
+    K//2 users, then the strong half.  What the stages read through them is
+    gathered once, for all blocks: both halves' flat positions lane·K +
+    user into (L, K) arrays, the strong users' PF ratios r1/avg from
+    ``relay_r1`` (L, K, B) and the ledger ``avg`` (L, K), and the weak
+    users' BS gains and ledger entries."""
+
+    def __init__(self, halves, trial_of, relay_r1, bs_gains, avg):
+        n_blocks, n_lanes, n_users = halves.shape
+        self.width, strong = n_users // 2, n_users - n_users // 2
+        self.relay_r1, self.bs_gains, self.avg = relay_r1, bs_gains, avg
+        lanes = np.arange(n_lanes)
+        # a weak user's estimate from relay k sits at (row·K + k)·K + user,
+        # which is weak_at + relay_at·K + est_base
+        self.est_base = (trial_of - lanes) * n_users * n_users - lanes * n_users
+        self.weak_base = np.arange(0, n_lanes * self.width, self.width)
+        self.strong_base = np.arange(0, n_lanes * strong, strong)
+        self.reads = self._read(halves, lanes[:, None], np.arange(n_blocks)[:, None, None])
+
+    def _read(self, rows, lanes, block):
+        """The reads through table ``rows`` (..., L', K) of lanes ``lanes``
+        (L', 1) in blocks ``block``."""
+        n_users, n_blocks = self.bs_gains.shape[1:]
+        weak_at = lanes * n_users + rows[..., :self.width]
+        strong_at = lanes * n_users + rows[..., self.width:]
+        strong_kb, weak_kb = strong_at * n_blocks, weak_at * n_blocks
+        strong_kb += block
+        weak_kb += block
+        return [weak_at, strong_at, self.relay_r1.take(strong_kb) / self.avg.take(strong_at),
+                self.bs_gains.take(weak_kb), self.avg.take(weak_at)]
+
+    def select(self, block, avail, est_gain, segments, params, alpha, p1):
+        """Flat positions lane·K + user of (relay, second) per lane in
+        ``block``: the relay from the strong half by its PF ratio r1/avg,
+        which needs only its own BS gain, then the second user from the
+        weak half by the PF ratio of r2 given that relay, from one
+        ``second_rates`` call over the scheme ``segments`` of the lanes.
+        Users that ``avail`` (L, K) excludes are scored and never win; each
+        half lists its candidates in ascending user index, so the lowest
+        index wins ties."""
+        weak_at, strong_at, scores, weak_gains, weak_avg = (read[block] for read in self.reads)
+        n_lanes, n_users = avail.shape
+        # 2b removals can exhaust a half only once it has at most 2b users
+        # (small K relative to B); such a lane re-splits the K - 2b remaining
+        # users for this block, padding each half with b removed users
+        if self.width <= 2 * block:
+            lanes = np.flatnonzero(~(avail.take(weak_at).any(axis=1)
+                                     & avail.take(strong_at).any(axis=1)))
+            if len(lanes):
+                order = np.argsort(-self.bs_gains[lanes, :, block], axis=1, kind="stable")
+                kept = np.take_along_axis(avail[lanes], order, axis=1)
+                rows = _half_tables(order[kept].reshape(len(lanes), -1),
+                                    order[~kept].reshape(len(lanes), 2 * block))
+                for read, row in zip(self.reads, self._read(rows, lanes[:, None], block)):
+                    read[block, lanes] = row
+        relay = strong_at.take(_pf_argmax(scores, avail.take(strong_at), self.strong_base))
+        # the relay's gain as a full (L, W) array: the kernel takes longer
+        # over a broadcast column
+        g01 = np.repeat(self.bs_gains.take(relay * self.bs_gains.shape[2] + block), self.width)
+        est = est_gain.take(weak_at + (relay * n_users + self.est_base)[:, None])
+        r2 = second_rates(segments, g01.reshape(n_lanes, self.width), weak_gains, est, params,
+                          alpha, p1)[0]
+        return relay, weak_at.take(_pf_argmax(r2 / weak_avg, avail.take(weak_at),
+                                              self.weak_base))
 
 
-def near_far_ranks(bs_gains: np.ndarray) -> np.ndarray:
-    """The (T, ..., B, K) masks of each block's strong half under near-far
-    pairing, for BS gains (T, ..., K, B): ceil(K/2) users ranked by gain
-    with ties to the lower index.  The engine computes them once per trial
-    for a chunk of intervals."""
-    by_block = np.moveaxis(bs_gains, -1, -2)
-    return _strong_half(by_block, np.ones(by_block.shape, dtype=bool))
+def near_far_tables(gains: np.ndarray) -> np.ndarray:
+    """Near-far user tables for BS gains (..., K) of one block, users on the
+    last axis: the weak half, K//2 users, then the strong half, ceil(K/2)
+    users, ranked by gain with ties to the lower index, each half in
+    ascending user index.  The engine builds them once per trial for a
+    chunk of intervals."""
+    order = np.argsort(-gains, axis=-1, kind="stable")
+    return _half_tables(order, order[..., :0])
 
 
 def distance_order(dist_matrix: np.ndarray) -> np.ndarray:
@@ -174,7 +225,8 @@ class _NeighborCursor:
 
 def _nearest_select(avail, cursor, relay_scores, gains, avg, est_gain, segments, params, alpha,
                     p1, neighbor_of=None):
-    """(relay, second) per lane under nearest-neighbour pairing: each
+    """Flat positions lane·K + user of (relay, second) per lane under
+    nearest-neighbour pairing: each
     candidate i is scored as the relay with its neighbour N(i) as the second
     user by r1(i)/avg(i) + r2(N(i)|i)/avg(N(i)), the first term being
     ``relay_scores`` and r2 coming from one ``second_rates`` call over the
@@ -200,8 +252,8 @@ def _nearest_select(avail, cursor, relay_scores, gains, avg, est_gain, segments,
     est = est_gain.take(cursor.gain_base + neighbors)
     r2 = second_rates(segments, gains, np.take(gains, at), est, params, alpha, p1)[0]
     lane_base = cursor.lane_base[:, 0]
-    k = _pf_argmax(relay_scores + r2 / avg.take(at), candidates, lane_base)
-    return k, neighbors.take(lane_base + k)
+    relay = _pf_argmax(relay_scores + r2 / avg.take(at), candidates, lane_base)
+    return relay, lane_base + neighbors.take(relay)
 
 
 def pf_update(avg_rates: np.ndarray, served_rates: np.ndarray, tau: float) -> np.ndarray:
@@ -240,7 +292,7 @@ def schedule_lanes(
     trial_of: np.ndarray,
     relay_power: np.ndarray,
     relay_r1: np.ndarray,
-    ranks: Optional[np.ndarray] = None,
+    halves: Optional[np.ndarray] = None,
     neighbor_order: Optional[np.ndarray] = None,
     neighbor_of: Optional[np.ndarray] = None,
     cross_check: bool = False,
@@ -264,17 +316,21 @@ def schedule_lanes(
     when no scheme uses the relay.  ``cross_check`` raises on a served pair
     that breaks ``rates.dominance_violation``.
 
-    Near-far pairing takes ``ranks``, the ``near_far_ranks`` of
-    ``bs_gains``.  Nearest pairing takes ``neighbor_order``, the (T, K,
-    K-1) ``distance_order`` of each trial's distances, and ``neighbor_of``
-    (L, K), the static neighbour map, None to use the nearest remaining
-    neighbour per block; its ``_NeighborCursor`` and the flat index bases
-    of the interval's stages are built once per call.
+    Near-far pairing takes ``halves`` (B, L, K), the ``near_far_tables``
+    of each lane's BS gains block by block.  What its stages read through
+    them is gathered once per call, for all blocks, by ``_HalfTables``; a
+    lane whose half of a block has run out of available users re-splits
+    the rest, rewriting its rows of that block's reads.  Nearest pairing
+    takes ``neighbor_order``, the (T, K, K-1) ``distance_order`` of each
+    trial's distances, and ``neighbor_of`` (L, K), the static neighbour
+    map, None to use the nearest remaining neighbour per block; its
+    ``_NeighborCursor`` and the flat index bases of the interval's stages
+    are built once per call.
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}; expected one of {PAIRINGS}")
-    if pairing == "near-far" and ranks is None:
-        raise ValueError("near-far pairing needs the near_far_ranks of the BS gains")
+    if pairing == "near-far" and halves is None:
+        raise ValueError("near-far pairing needs the near_far_tables of the BS gains")
     if pairing == "nearest" and neighbor_order is None:
         raise ValueError("nearest pairing needs the distance_order of the users")
     n_lanes, n_users, n_blocks = bs_gains.shape
@@ -297,38 +353,30 @@ def schedule_lanes(
 
     lane_base = np.arange(0, n_lanes * n_users, n_users)  # lane·K, into (L, K) arrays
     avail = np.ones((n_lanes, n_users), dtype=bool)
-    picked = np.empty((2, n_lanes, n_blocks), dtype=int)  # the selected (relay, second)
-    relay_scores = relay_r1 / avg_rates[:, :, None]
+    picked = np.empty((2, n_lanes, n_blocks), dtype=int)  # flat (relay, second) as selected
     if pairing == "nearest":
         cursor = _NeighborCursor(neighbor_order, trial_of)
+        relay_scores = relay_r1 / avg_rates[:, :, None]
+    else:
+        tables = _HalfTables(halves, trial_of, relay_r1, bs_gains, avg_rates)
     for b in range(n_blocks):
-        gains = bs_gains[:, :, b]
         if pairing == "near-far":
-            strong, weak = ranks[:, b] & avail, ~ranks[:, b] & avail
-            # 2b removals can exhaust a half only once it has at most 2b
-            # users (small K relative to B); such a lane re-splits the
-            # remaining users for this block
-            if n_users // 2 <= 2 * b:
-                resplit = ~(strong.any(axis=1) & weak.any(axis=1))
-                if resplit.any():
-                    again = _strong_half(gains, avail)
-                    strong = np.where(resplit[:, None], again, strong)
-                    weak = np.where(resplit[:, None], avail & ~again, weak)
-            k1, k2 = _near_far_select(strong, weak, relay_scores[:, :, b], gains, avg_rates,
-                                      est_gain, trial_of, segments, params, split.alpha, p1)
+            relay, second = tables.select(b, avail, est_gain, segments, params, split.alpha, p1)
         else:
-            k1, k2 = _nearest_select(avail, cursor, relay_scores[:, :, b], gains, avg_rates,
-                                     est_gain, segments, params, split.alpha, p1, neighbor_of)
-        avail.put(lane_base + k1, False)
-        avail.put(lane_base + k2, False)
-        picked[0, :, b], picked[1, :, b] = k1, k2
+            relay, second = _nearest_select(avail, cursor, relay_scores[:, :, b],
+                                            bs_gains[:, :, b], avg_rates, est_gain, segments,
+                                            params, split.alpha, p1, neighbor_of)
+        avail.put(relay, False)
+        avail.put(second, False)
+        picked[0, :, b], picked[1, :, b] = relay, second
 
     # roles, for all blocks at once: a selected relay that is the weaker
     # user on its true BS gains serves as the second user
-    at = (lane_base[:, None] + picked) * n_blocks + np.arange(n_blocks)  # into (L, K, B)
+    at = picked * n_blocks + np.arange(n_blocks)  # into (L, K, B)
     gains = bs_gains.take(at)
     swap = gains[0] * params.n2 < gains[1] * params.n1
-    relays, seconds = np.where(swap, picked[::-1], picked)
+    picked = np.where(swap, picked[::-1], picked)
+    relays, seconds = picked - lane_base[:, None]
     g01, g02 = np.where(swap, gains[::-1], gains)
     g12 = pair_gains(relays, seconds) if any(s.uses_relay for s, _, _ in segments) \
         else np.zeros((n_lanes, n_blocks))
@@ -339,11 +387,12 @@ def schedule_lanes(
         if violation:
             raise RuntimeError(violation)
     served = np.zeros((n_lanes, n_users))
-    served.put(lane_base[:, None] + relays, r1)
-    served.put(lane_base[:, None] + seconds, r2)
-    sum_rate = r1[:, 0] + r2[:, 0]
+    served.put(picked[0], r1)
+    served.put(picked[1], r2)
+    rates = r1 + r2
+    sum_rate = rates[:, 0]
     for b in range(1, n_blocks):  # block order, as a running float sum
-        sum_rate = sum_rate + (r1[:, b] + r2[:, b])
+        sum_rate = sum_rate + rates[:, b]
     return LaneInterval(
         relays=relays, seconds=seconds, r1=r1, r2=r2, served=served, sum_rate=sum_rate,
         role_swaps=swap.sum(axis=1), r2_clamps=clamped.sum(axis=1),

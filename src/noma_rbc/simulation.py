@@ -25,9 +25,9 @@ nearest pairing once per trial, which the scheduler reads through
 ``trial_of``, and per chunk of ``BS_CHUNK_INTERVALS`` intervals the BS
 gains, the relay rates r1 of each distinct r1 formula
 (``rates.relay_rate_formulas``), from which both pairings score and serve
-their relays, and near-far's per-block strong halves, gathered to the
-lanes.  Lanes never interact, so a lane's result does not depend on which
-other lanes share its batch.
+their relays, and near-far's per-block user tables of the weak and the
+strong half, gathered to the lanes.  Lanes never interact, so a lane's
+result does not depend on which other lanes share its batch.
 
 Randomness uses the counter-based Philox generator.  Trial t's three
 streams are the children (t, k), k = 0, 1, 2, of the master seed, so they
@@ -80,10 +80,11 @@ import numpy as np
 from .config import FADING_MODES, SimConfig  # noqa: F401 (FADING_MODES is re-exported)
 from .core import ChannelParams, PowerSplit
 from .rates import relay_rate, relay_rate_formulas, second_rate_runs
-from .scheduling import distance_order, near_far_ranks, pf_update, schedule_lanes
+from .scheduling import distance_order, near_far_tables, pf_update, schedule_lanes
 
 SECTOR_HALF_ANGLE = math.pi / 3.0  # 120-degree sector, centred on the x axis
 AVG_RATE_INIT = 1e-3               # PF ledger start value; washed out within tens of intervals
+AVG_RATE_FLOOR = 1e-300            # PF ledger floor: r/avg stays finite for any float rate
 BS_CHUNK_INTERVALS = 32            # intervals of i.i.d. BS fading drawn per trial at once
 
 
@@ -215,8 +216,8 @@ def run_lanes(config: SimConfig, trials: range,
 
     What depends on a trial's draws only is computed on trial rows and
     shared by all its lanes: the topology, inter-user gain estimates and
-    distance order once, and the BS gains, relay rates and near-far strong
-    halves per chunk of ``BS_CHUNK_INTERVALS`` intervals, the relay rates
+    distance order once, and the BS gains, relay rates and near-far user
+    tables per chunk of ``BS_CHUNK_INTERVALS`` intervals, the relay rates
     once per distinct r1 formula of the schemes, for both pairings.  The
     interval loop does the ledger-dependent work.  ``trials`` are trial
     indices; trial t draws from the children (t, k) of ``config.seed``.
@@ -286,13 +287,13 @@ def run_lanes(config: SimConfig, trials: range,
         chunk = np.stack([draw_bs_gains(r, config, rng_fading, 1 if static else n)
                           for r, (_, rng_fading, _) in zip(radii, streams)])  # (T, n or 1, K, B)
         r1 = np.concatenate([relay_rate(s, chunk, params, config.alpha) for s in r1_schemes])
-        if near_far:
-            strong = near_far_ranks(chunk)
+        if near_far:  # (n or 1, B, T, K)
+            tables = near_far_tables(chunk.transpose(1, 3, 0, 2))
         for interval in range(first, first + n):
             i = interval - first
             if i < chunk.shape[1]:
                 gains, relay_r1 = chunk[trial_of, i], r1[r1_row, i]
-                ranks = strong[trial_of, i] if near_far else None
+                halves = tables[i][:, trial_of] if near_far else None
 
             def pair_gains(relays, seconds):
                 return path(lane_trial, relays, seconds) * fading[trial_of, interval]
@@ -307,7 +308,7 @@ def run_lanes(config: SimConfig, trials: range,
                 est_gain=est_gain,
                 pair_gains=pair_gains,
                 trial_of=trial_of,
-                ranks=ranks,
+                halves=halves,
                 neighbor_order=order,
                 neighbor_of=neighbor_of,
                 relay_power=relay_power,
@@ -319,7 +320,9 @@ def run_lanes(config: SimConfig, trials: range,
             r2_clamps += res.r2_clamps
             if assignments is not None:
                 assignments.append(np.stack((res.relays, res.seconds), axis=-1))
-            avg = pf_update(avg, res.served, config.tau)
+            # a user served only as a relay of r1 = 0 (alpha = 0) decays
+            # towards 0, where r/avg would overflow; the floor stops it
+            avg = np.maximum(pf_update(avg, res.served, config.tau), AVG_RATE_FLOOR)
 
     return LaneResult(
         mean_sum_rate=(total / config.intervals)[result_lanes],

@@ -18,9 +18,8 @@ import numpy as np
 
 from noma_rbc.core import ChannelParams, LinkGains, PowerSplit, Scheme
 from noma_rbc.rates import N_HAT_BRACKET, rate_kernel, relay_rate
-from noma_rbc.scheduling import (_near_far_select, _nearest_select, _NeighborCursor,
-                                 _strong_half, distance_order, near_far_ranks,
-                                 schedule_lanes)
+from noma_rbc.scheduling import (_HalfTables, _nearest_select, _NeighborCursor, distance_order,
+                                 near_far_tables, schedule_lanes)
 from noma_rbc.simulation import SimConfig, run_lanes
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -178,12 +177,11 @@ def split_groups(block_gains: np.ndarray, ids=None):
     users by default or the subset ``ids``, as ascending index arrays; gain
     ties break to the lower index."""
     gains = np.asarray(block_gains, dtype=float)
-    avail = np.ones(len(gains), dtype=bool)
+    order = np.argsort(-gains, kind="stable")
     if ids is not None:
-        avail[:] = False
-        avail[np.asarray(ids, dtype=int)] = True
-    strong = _strong_half(gains[None], avail[None])[0]
-    return np.flatnonzero(strong), np.flatnonzero(avail & ~strong)
+        order = order[np.isin(order, ids)]
+    n_strong = (len(order) + 1) // 2
+    return np.sort(order[:n_strong]), np.sort(order[n_strong:])
 
 
 def nearest_available(avail: np.ndarray, dist_matrix: np.ndarray) -> np.ndarray:
@@ -221,14 +219,22 @@ def near_far_pair(g1_ids, g2_ids, block_gains: np.ndarray, avg_rates: np.ndarray
     ``est_gain[i, j]`` is the distance-based inter-user gain estimate."""
     if len(g1_ids) == 0 or len(g2_ids) == 0:
         raise ValueError("empty candidate group")
-    gains = np.asarray(block_gains, dtype=float)[None]
+    gains = np.asarray(block_gains, dtype=float)[None, :, None]
     avg = np.asarray(avg_rates, dtype=float)[None]
-    k1, k2 = _near_far_select(
-        _lane_mask(gains.shape[1], g1_ids), _lane_mask(gains.shape[1], g2_ids),
-        relay_rate(scheme, gains, params, split.alpha) / avg, gains, avg,
-        np.asarray(est_gain)[None], np.arange(1), [(scheme, 0, 1)], params, split.alpha,
-        np.array([[params.p1]]),
-    )
+    n_users = gains.shape[1]
+    # one near-far table row: each group in ascending order, padded to its
+    # half's width with users of neither group, which are unavailable
+    strong, weak = np.sort(g1_ids), np.sort(g2_ids)
+    others = np.setdiff1d(np.arange(n_users), np.concatenate((strong, weak)))
+    pad = n_users // 2 - len(weak)
+    if pad < 0 or len(others) < pad:
+        raise ValueError("a candidate group does not fit its half of the users")
+    row = np.concatenate((weak, others[:pad], strong, others[pad:]))
+    tables = _HalfTables(row[None, None], np.arange(1),
+                         relay_rate(scheme, gains, params, split.alpha), gains, avg)
+    k1, k2 = tables.select(0, _lane_mask(n_users, np.concatenate((strong, weak))),
+                           np.asarray(est_gain)[None], [(scheme, 0, 1)], params, split.alpha,
+                           np.array([[params.p1]]))
     return int(k1[0]), int(k2[0])
 
 
@@ -280,9 +286,9 @@ def schedule_interval(scheme: Scheme, pairing: str, bs_gains: np.ndarray,
     ``draw_pair_gain(i, j)`` gives the true inter-user gain at serve time,
     called once per block in block order."""
     bs_gains = np.asarray(bs_gains, dtype=float)[None]
-    ranks = order = static = None
+    halves = order = static = None
     if pairing == "near-far":
-        ranks = near_far_ranks(bs_gains)
+        halves = near_far_tables(np.moveaxis(bs_gains, -1, 0))
     elif pairing == "nearest":
         order = distance_order(np.asarray(dist_matrix)[None])
         if neighbors == "static":
@@ -297,7 +303,7 @@ def schedule_interval(scheme: Scheme, pairing: str, bs_gains: np.ndarray,
                          params, split, np.asarray(est_gain)[None], pair_gains,
                          trial_of=np.arange(1), relay_power=np.array([params.p1]),
                          relay_r1=relay_rate(scheme, bs_gains, params, split.alpha),
-                         ranks=ranks,
+                         halves=halves,
                          neighbor_order=order, neighbor_of=static, cross_check=cross_check)
     return IntervalResult(
         assignment=tuple(zip(res.relays[0].tolist(), res.seconds[0].tolist())),

@@ -5,6 +5,7 @@ import time
 import json
 import re
 import signal
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,23 @@ def test_simulate_same_seed_identical_csv(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out_b),
                  "--parallel", "2"]) == EXIT_OK
     assert (out_a / "sum_rate.csv").read_bytes() == (out_b / "sum_rate.csv").read_bytes()
+
+
+def test_simulate_keeps_the_ledger_of_a_relay_only_user_finite(tmp_path):
+    # at alpha = 0 every relay gets r1 = 0, so a user served only as a relay
+    # decays in the PF ledger, to 0.0 within about 320 intervals at tau 0.9
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text("users: 8\nblocks: 3\nschemes: [gbc]\npairings: [nearest]\n"
+                   "p1_over_p0_db: [0]\ntrials: 2\nintervals: 400\nseed: 1\n"
+                   "alpha: 0.0\ntau: 0.9\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_OK
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    rows = read_csv(tmp_path / "out" / "sum_rate.csv")
+    assert len(rows) == 1
+    assert np.isfinite([float(rows[0][k]) for k in ("mean_sum_rate", "stderr")]).all()
 
 
 def test_simulate_progress_says_which_process_ran_each_task(tmp_path, monkeypatch, capfd):

@@ -10,7 +10,7 @@ from noma_rbc.scheduling import (
     _NeighborCursor,
     _pf_argmax,
     distance_order,
-    near_far_ranks,
+    near_far_tables,
     pf_update,
     schedule_lanes,
 )
@@ -369,8 +369,8 @@ def test_schedule_interval_counts_role_swaps():
 @pytest.mark.parametrize("pairing", ["near-far", "nearest"])
 def test_served_roles_keep_the_degraded_order_and_count_the_swaps(monkeypatch, pairing):
     # 40 lanes of 12 users over 5 blocks, ten lanes per scheme, with ledgers
-    # spread over four decades.  The PF argmax of each stage names the
-    # selected relay (near-far: the first of a block's two stages).  Only
+    # spread over four decades.  The selection of each block names the
+    # selected relay, as the first of its flat (relay, second).  Only
     # nearest pairing can select the weaker user: a near-far relay comes
     # from the strong half of the available users
     rng = rng_for(97)
@@ -385,16 +385,20 @@ def test_served_roles_keep_the_degraded_order_and_count_the_swaps(monkeypatch, p
     lanes = np.arange(n_lanes)[:, None]
     picks = []
 
-    def recording(*args, real=scheduling._pf_argmax):
+    def recording(*args, real=scheduling._HalfTables.select if pairing == "near-far"
+                  else scheduling._nearest_select):
         picks.append(real(*args))
         return picks[-1]
-    monkeypatch.setattr(scheduling, "_pf_argmax", recording)
+    if pairing == "near-far":
+        monkeypatch.setattr(scheduling._HalfTables, "select", recording)
+    else:
+        monkeypatch.setattr(scheduling, "_nearest_select", recording)
     res = schedule_lanes(segments, pairing, gains, avg, PARAMS, SPLIT, est,
                          pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
                          trial_of=np.arange(n_lanes), relay_power=relay_power,
-                         relay_r1=relay_r1, ranks=near_far_ranks(gains),
+                         relay_r1=relay_r1, halves=near_far_tables(np.moveaxis(gains, -1, 0)),
                          neighbor_order=distance_order(dist))
-    selected = np.stack(picks[::2] if pairing == "near-far" else picks, axis=1)
+    selected = np.stack([relay for relay, _ in picks], axis=1) - lanes * n_users
     assert selected.shape == (n_lanes, n_blocks)
     blocks = np.arange(n_blocks)
     g01, g02 = gains[lanes, res.relays, blocks], gains[lanes, res.seconds, blocks]
@@ -506,7 +510,8 @@ def test_pf_argmax_equals_the_full_scan():
                 _pf_argmax(scores, candidates, np.array([0, 5]))
             assert str(got.value) == str(exc)
         else:
-            assert _pf_argmax(scores, candidates, np.array([0, 5])).tolist() == expect.tolist()
+            at = _pf_argmax(scores, candidates, np.array([0, 5]))
+            assert (at - [0, 5]).tolist() == expect.tolist()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
@@ -541,6 +546,85 @@ def test_static_neighbours_fall_back_to_the_nearest_remaining():
     assert res.assignment == ((0, 1), (2, 3))
 
 
+def _near_far_reference(segments, gains, avg, est, trial_of, relay_power):
+    """(L, B, 2) served (relay, second) of every lane and block under
+    near-far pairing, and the count of re-splits, by the rules of the
+    scheduling module's docstring in plain Python, lane by lane and block
+    by block.  Each block splits all K users by that block's BS gains
+    into a strong half of ceil(K/2) users and a weak half, ranked by gain
+    with ties to the lower index; a lane whose strong or weak half has no
+    available user left splits its available users the same way.  The
+    relay is the available strong user with the largest r1/avg, the
+    second user the available weak user with the largest r2/avg given
+    that relay, ties to the lower index; the pair serves in degraded role
+    order."""
+    n_lanes, n_users, n_blocks = gains.shape
+    served = np.empty((n_lanes, n_blocks, 2), dtype=int)
+    resplits = 0
+    for scheme, start, stop in segments:
+        for lane in range(start, stop):
+            params = replace(PARAMS, p1=float(relay_power[lane]))
+            taken = set()
+            for b in range(n_blocks):
+                g, pf = gains[lane, :, b].tolist(), avg[lane].tolist()
+
+                def split(users):
+                    ranked = sorted(users, key=lambda u: -g[u])  # a stable sort
+                    cut = (len(ranked) + 1) // 2
+                    return sorted(ranked[:cut]), sorted(ranked[cut:])
+
+                def best(users, score):
+                    pick = users[0]
+                    for u in users[1:]:
+                        if score(u) > score(pick):
+                            pick = u
+                    return pick
+
+                strong, weak = ([u for u in half if u not in taken]
+                                for half in split(range(n_users)))
+                if not strong or not weak:
+                    resplits += 1
+                    strong, weak = split([u for u in range(n_users) if u not in taken])
+                relay = best(strong, lambda u: relay_rate_bits(scheme, g[u], params, SPLIT) / pf[u])
+                second = best(weak, lambda u: second_rate_bits(
+                    scheme, g[relay], g[u], est[trial_of[lane], relay, u], params, SPLIT) / pf[u])
+                taken |= {relay, second}
+                if g[relay] * params.n2 < g[second] * params.n1:
+                    relay, second = second, relay
+                served[lane, b] = relay, second
+    return served, resplits
+
+
+def test_near_far_lanes_equal_the_plain_reference_with_ties_and_resplits():
+    # few distinct gains, ledger entries and estimates, so that BS gains and
+    # PF scores tie; K from 2B to 3B + 1 lets removals exhaust a half
+    rng = rng_for(131)
+    resplits = 0
+    for _ in range(100):
+        n_blocks = int(rng.integers(1, 5))
+        n_users = int(rng.integers(2 * n_blocks, 3 * n_blocks + 2))
+        n_lanes, n_trials = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        cuts = np.flatnonzero(rng.uniform(size=n_lanes - 1) < 0.5) + 1
+        bounds = [0, *cuts.tolist(), n_lanes]
+        segments = [(Scheme(rng.choice(list(Scheme))), a, b) for a, b in zip(bounds, bounds[1:])]
+        gains = rng.choice([0.3, 1.0, 3.0], size=(n_lanes, n_users, n_blocks))
+        avg = rng.choice([0.5, 1.0], size=(n_lanes, n_users))
+        est = rng.choice([0.1, 1.0, 10.0], size=(n_trials, n_users, n_users))
+        est = np.triu(est, 1) + np.triu(est, 1).transpose(0, 2, 1)
+        trial_of = rng.integers(0, n_trials, size=n_lanes)
+        relay_power = rng.choice([1.0, 10.0], size=n_lanes)
+        relay_r1 = np.concatenate([relay_rate(s, gains[a:b], PARAMS, SPLIT.alpha)
+                                   for s, a, b in segments])
+        res = schedule_lanes(segments, "near-far", gains, avg, PARAMS, SPLIT, est,
+                             pair_gains=lambda relays, seconds: np.ones(relays.shape),
+                             trial_of=trial_of, relay_power=relay_power, relay_r1=relay_r1,
+                             halves=near_far_tables(np.moveaxis(gains, -1, 0)))
+        expect, count = _near_far_reference(segments, gains, avg, est, trial_of, relay_power)
+        assert np.array_equal(np.stack((res.relays, res.seconds), axis=-1), expect)
+        resplits += count
+    assert resplits >= 10
+
+
 @pytest.mark.parametrize("pairing, neighbors", [
     ("near-far", "recompute"), ("nearest", "recompute"), ("nearest", "static"),
 ])
@@ -558,7 +642,8 @@ def test_lanes_do_not_interact(scheme, pairing, neighbors):
     lanes = np.arange(5)[:, None]
     res = schedule_lanes([(scheme, 0, 5)], pairing, gains, avg, PARAMS, SPLIT, est,
                          pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
-                         trial_of=np.arange(5), ranks=near_far_ranks(gains),
+                         trial_of=np.arange(5),
+                         halves=near_far_tables(np.moveaxis(gains, -1, 0)),
                          relay_r1=relay_rate(scheme, gains, PARAMS, SPLIT.alpha),
                          neighbor_order=distance_order(dist),
                          neighbor_of=static, relay_power=relay_power, cross_check=True)
@@ -581,7 +666,7 @@ def test_a_lane_without_a_finite_score_is_named():
             schedule_lanes([(Scheme.GBC, 0, 2)], "near-far", gains, avg, PARAMS, PowerSplit(1.0),
                            est,
                            pair_gains=None, trial_of=np.arange(2),
-                           ranks=near_far_ranks(gains),
+                           halves=near_far_tables(np.moveaxis(gains, -1, 0)),
                            relay_r1=relay_rate(Scheme.GBC, gains, PARAMS, 1.0),
                            relay_power=np.array([1.0, np.nan]))
 
@@ -599,6 +684,7 @@ def test_scheme_segments_must_cut_the_lanes_into_contiguous_runs(segments):
                                                          for _ in range(3)]))
     with pytest.raises(ValueError, match="do not cut the 3 lanes"):
         schedule_lanes(segments, "near-far", gains, avg, PARAMS, SPLIT, est, pair_gains=None,
-                       trial_of=np.arange(3), ranks=near_far_ranks(gains),
+                       trial_of=np.arange(3),
+                       halves=near_far_tables(np.moveaxis(gains, -1, 0)),
                        relay_r1=relay_rate(Scheme.GBC, gains, PARAMS, SPLIT.alpha),
                        relay_power=np.ones(3))
