@@ -19,8 +19,9 @@ import numpy as np
 
 from .core import Scheme
 from .rates import DEFAULT_ALPHA_POINTS, check_alpha_grid, uniform_alpha_grid
-from .scheduling import NEIGHBOR_MODES, PAIRINGS
 
+PAIRINGS = ("near-far", "nearest")
+NEIGHBOR_MODES = ("recompute", "static")
 FADING_MODES = ("iid", "static")
 SCHEME_LABELS = {scheme.label: scheme for scheme in Scheme}
 

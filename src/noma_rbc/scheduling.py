@@ -2,27 +2,25 @@
 
 A lane is one independent scheduling problem: its own scheme, per-block
 BS gains, inter-user gain estimates, PF ledger and relay power.
-``schedule_lanes`` schedules one interval of L lanes at once: every
-selection stage scores the candidates of all lanes as masked arrays, (L,
-K) under nearest pairing and (L, K//2) under near-far, and every stage,
-serving included, evaluates r2 with one
-``rates.second_rates`` call over the lanes' scheme segments.  It is the
-only scheduler, and it names no scheme: ``rates`` holds the formulas.
+``schedule_lanes``, the only scheduler, schedules one interval of L lanes
+at once and does the work that depends on the PF ledger: the PF argmaxes,
+r2 given the chosen relay, serving.  It names no scheme, as ``rates``
+holds the formulas, and no pairing, as the engine hands it the interval's
+stages: a ``NearFarStages`` or a ``NearestStages``, whose ``select`` scores
+the candidates of all lanes as masked (L, K//2) or (L, K) arrays.  Every
+stage, serving included, evaluates r2 with one ``rates.second_rates`` call
+over the lanes' scheme segments.
 
-``schedule_lanes`` does the work that depends on the PF ledger: the PF
-argmaxes, r2 given the chosen relay, serving.  What depends on the gains
-or positions alone comes in precomputed, so that the engine can compute it
-once per trial rather than per lane and interval: every user's r1
-(``rates.relay_rate``), which depends on its own BS gain only and which
-both pairings score and serve from, ``near_far_tables`` each block's
-weak and strong half as user tables, ``distance_order`` each user's other
-users by distance.  Nearest pairing walks that order with a pointer per
-(lane, user) that skips the users already served this interval, instead
-of a masked (L, K, K) argmin per block; the pointers and the flat index
-bases of its reads are built once per interval.  Near-far gathers what it
-reads through the tables once per interval, for all blocks, and scores r2
-over the weak half only: the users already served in it are scored and
-masked, so that every block makes the same calls.
+What depends on the gains or positions alone comes in precomputed, once
+per trial rather than per lane and interval: every user's r1
+(``rates.relay_rate``), which depends on its own BS gain only and from
+which both pairings score and serve, ``near_far_tables`` each block's weak
+and strong half as user tables, ``distance_order`` each user's other users
+by distance.  Near-far gathers what it reads through the tables once per
+interval, for all blocks, and scores r2 over the weak half, the users
+already served in it scored and masked.  Nearest pairing walks the
+distance order with a pointer per (lane, user) that skips the users
+already served this interval.
 
 Two pairing policies fill the per-interval resource blocks:
 
@@ -54,15 +52,12 @@ interact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import ChannelParams, PowerSplit, Scheme
 from .rates import dominance_violation, second_rates
-
-PAIRINGS = ("near-far", "nearest")
-NEIGHBOR_MODES = ("recompute", "static")
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +95,15 @@ def _pf_argmax(scores: np.ndarray, candidates: np.ndarray, lane_base: np.ndarray
     return at
 
 
-class _HalfTables:
-    """Near-far selection through one interval's per-block user tables
+class NearFarStages:
+    """Near-far selection of one interval through its per-block user tables
     ``halves`` (B, L, K), rows of ``near_far_tables``: the weak half, W =
-    K//2 users, then the strong half.  What the stages read through them is
+    K//2 users, then the strong half.  Lane l reads the gain estimates of
+    trial ``trial_of[l]``.  What the stages read through the tables is
     gathered once, for all blocks: both halves' flat positions lane·K +
     user into (L, K) arrays, the strong users' PF ratios r1/avg from
     ``relay_r1`` (L, K, B) and the ledger ``avg`` (L, K), and the weak
-    users' BS gains and ledger entries."""
+    users' BS gains ``bs_gains`` (L, K, B) and ledger entries."""
 
     def __init__(self, halves, trial_of, relay_r1, bs_gains, avg):
         n_blocks, n_lanes, n_users = halves.shape
@@ -223,37 +219,43 @@ class _NeighborCursor:
         return self.neighbors
 
 
-def _nearest_select(avail, cursor, relay_scores, gains, avg, est_gain, segments, params, alpha,
-                    p1, neighbor_of=None):
-    """Flat positions lane·K + user of (relay, second) per lane under
-    nearest-neighbour pairing: each
-    candidate i is scored as the relay with its neighbour N(i) as the second
-    user by r1(i)/avg(i) + r2(N(i)|i)/avg(N(i)), the first term being
-    ``relay_scores`` and r2 coming from one ``second_rates`` call over the
-    scheme ``segments`` of the lanes.  N is the nearest remaining neighbour
-    from ``cursor``, whose flat bases index the neighbours' gains, ledger
-    entries and gain estimates; lane l reads the estimates of the table
-    the cursor holds for it.
-    ``neighbor_of`` (L, K, -1 for none) overrides it: candidates whose
-    mapped neighbour is unavailable are skipped, and a lane left without
-    candidates uses the nearest remaining neighbours for the block."""
-    candidates = avail
-    if neighbor_of is None:
-        neighbors = cursor.nearest(avail)
-    else:
-        neighbors = np.maximum(neighbor_of, 0)
-        usable = avail & (neighbor_of >= 0) & (neighbors != np.arange(avail.shape[1])) \
-            & avail.take(cursor.lane_base + neighbors)
-        mapped = usable.any(axis=1)
-        candidates = np.where(mapped[:, None], usable, avail)
-        if not mapped.all():
-            neighbors = np.where(mapped[:, None], neighbors, cursor.nearest(avail))
-    at = cursor.lane_base + neighbors
-    est = est_gain.take(cursor.gain_base + neighbors)
-    r2 = second_rates(segments, gains, np.take(gains, at), est, params, alpha, p1)[0]
-    lane_base = cursor.lane_base[:, 0]
-    relay = _pf_argmax(relay_scores + r2 / avg.take(at), candidates, lane_base)
-    return relay, lane_base + neighbors.take(relay)
+class NearestStages:
+    """Nearest-neighbour selection of one interval: each candidate i is
+    scored as the relay with its neighbour N(i) as the second user by
+    r1(i)/avg(i) + r2(N(i)|i)/avg(N(i)), from ``relay_r1`` and the BS gains
+    ``bs_gains`` (L, K, B) and the ledger ``avg`` (L, K).  N is the nearest
+    remaining neighbour from a ``_NeighborCursor`` over the tables ``order``
+    of ``distance_order``, lane l walking table ``trial_of[l]``, whose flat
+    bases index the neighbours' reads.  A static map ``neighbor_of`` (L, K)
+    overrides N: candidates whose mapped neighbour is unavailable are
+    skipped, and a lane left without candidates uses the nearest remaining
+    neighbours for the block."""
+
+    def __init__(self, order, trial_of, relay_r1, bs_gains, avg, neighbor_of=None):
+        self.cursor = _NeighborCursor(order, trial_of)
+        self.relay_scores = relay_r1 / avg[:, :, None]
+        self.bs_gains, self.avg, self.neighbor_of = bs_gains, avg, neighbor_of
+
+    def select(self, block, avail, est_gain, segments, params, alpha, p1):
+        """Flat positions lane·K + user of (relay, second) per lane in
+        ``block``, among the users that ``avail`` (L, K) holds."""
+        cursor, neighbors, candidates = self.cursor, self.neighbor_of, avail
+        if neighbors is None:
+            neighbors = cursor.nearest(avail)
+        else:
+            usable = avail & avail.take(cursor.lane_base + neighbors)
+            mapped = usable.any(axis=1)
+            candidates = np.where(mapped[:, None], usable, avail)
+            if not mapped.all():
+                neighbors = np.where(mapped[:, None], neighbors, cursor.nearest(avail))
+        gains = self.bs_gains[:, :, block]
+        at = cursor.lane_base + neighbors
+        est = est_gain.take(cursor.gain_base + neighbors)
+        r2 = second_rates(segments, gains, np.take(gains, at), est, params, alpha, p1)[0]
+        lane_base = cursor.lane_base[:, 0]
+        relay = _pf_argmax(self.relay_scores[:, :, block] + r2 / self.avg.take(at), candidates,
+                           lane_base)
+        return relay, lane_base + neighbors.take(relay)
 
 
 def pf_update(avg_rates: np.ndarray, served_rates: np.ndarray, tau: float) -> np.ndarray:
@@ -282,19 +284,15 @@ class LaneInterval:
 
 def schedule_lanes(
     segments: Sequence[tuple[Scheme, int, int]],
-    pairing: str,
+    stages: Callable[[np.ndarray, np.ndarray, np.ndarray], NearFarStages | NearestStages],
     bs_gains: np.ndarray,
     avg_rates: np.ndarray,
     params: ChannelParams,
     split: PowerSplit,
     est_gain: np.ndarray,
     pair_gains: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    trial_of: np.ndarray,
     relay_power: np.ndarray,
     relay_r1: np.ndarray,
-    halves: Optional[np.ndarray] = None,
-    neighbor_order: Optional[np.ndarray] = None,
-    neighbor_of: Optional[np.ndarray] = None,
     cross_check: bool = False,
 ) -> LaneInterval:
     """Assign and serve all blocks of one scheduling interval in every lane.
@@ -304,35 +302,22 @@ def schedule_lanes(
     stage evaluates r2 over them with one ``rates.second_rates`` call.
     ``bs_gains`` is (L, K, B) with this interval's true BS power gains,
     ``est_gain`` the (T, K, K) inter-user power-gain estimates of T
-    trials, lane l using table ``trial_of[l]``, ``avg_rates`` the (L, K)
-    PF ledger, finite and positive.
+    trials, ``avg_rates`` the (L, K) PF ledger, finite and positive.
     ``relay_power`` (L,) is each lane's relay power, in place of
     ``params.p1``, and ``relay_r1`` (L, K, B) each lane's
     ``rates.relay_rate`` of ``bs_gains`` under its scheme, from which both
-    pairings score and serve the relays.  The block loop records each
-    block's selected (relay, second), and the roles are decided after it
-    over (L, B) at once.  ``pair_gains(relays, seconds)`` then returns the
-    (L, B) true inter-user gains of the served pairs, in one call and none
-    when no scheme uses the relay.  ``cross_check`` raises on a served pair
-    that breaks ``rates.dominance_violation``.
+    pairings score and serve the relays.
 
-    Near-far pairing takes ``halves`` (B, L, K), the ``near_far_tables``
-    of each lane's BS gains block by block.  What its stages read through
-    them is gathered once per call, for all blocks, by ``_HalfTables``; a
-    lane whose half of a block has run out of available users re-splits
-    the rest, rewriting its rows of that block's reads.  Nearest pairing
-    takes ``neighbor_order``, the (T, K, K-1) ``distance_order`` of each
-    trial's distances, and ``neighbor_of`` (L, K), the static neighbour
-    map, None to use the nearest remaining neighbour per block; its
-    ``_NeighborCursor`` and the flat index bases of the interval's stages
-    are built once per call.
+    ``stages(relay_r1, bs_gains, avg_rates)``, called once the inputs are
+    checked, returns the interval's ``NearFarStages`` or ``NearestStages``,
+    the pairing's tables and each lane's table of ``est_gain`` bound.  The
+    block loop records each block's (relay, second) from its ``select``,
+    and the roles are decided after it over (L, B) at once.
+    ``pair_gains(relays, seconds)`` then returns the (L, B) true inter-user
+    gains of the served pairs, in one call and none when no scheme uses the
+    relay.  ``cross_check`` raises on a served pair that breaks
+    ``rates.dominance_violation``.
     """
-    if pairing not in PAIRINGS:
-        raise ValueError(f"unknown pairing {pairing!r}; expected one of {PAIRINGS}")
-    if pairing == "near-far" and halves is None:
-        raise ValueError("near-far pairing needs the near_far_tables of the BS gains")
-    if pairing == "nearest" and neighbor_order is None:
-        raise ValueError("nearest pairing needs the distance_order of the users")
     n_lanes, n_users, n_blocks = bs_gains.shape
     bounds = [0] + [stop for _, _, stop in segments]
     if not segments or [start for _, start, _ in segments] != bounds[:-1] \
@@ -351,24 +336,12 @@ def schedule_lanes(
                          f"got {relay_r1.shape}")
     p1 = np.asarray(relay_power, dtype=float)[:, None]
 
-    lane_base = np.arange(0, n_lanes * n_users, n_users)  # lane·K, into (L, K) arrays
     avail = np.ones((n_lanes, n_users), dtype=bool)
     picked = np.empty((2, n_lanes, n_blocks), dtype=int)  # flat (relay, second) as selected
-    if pairing == "nearest":
-        cursor = _NeighborCursor(neighbor_order, trial_of)
-        relay_scores = relay_r1 / avg_rates[:, :, None]
-    else:
-        tables = _HalfTables(halves, trial_of, relay_r1, bs_gains, avg_rates)
+    select = stages(relay_r1, bs_gains, avg_rates).select
     for b in range(n_blocks):
-        if pairing == "near-far":
-            relay, second = tables.select(b, avail, est_gain, segments, params, split.alpha, p1)
-        else:
-            relay, second = _nearest_select(avail, cursor, relay_scores[:, :, b],
-                                            bs_gains[:, :, b], avg_rates, est_gain, segments,
-                                            params, split.alpha, p1, neighbor_of)
-        avail.put(relay, False)
-        avail.put(second, False)
-        picked[0, :, b], picked[1, :, b] = relay, second
+        picked[:, :, b] = select(b, avail, est_gain, segments, params, split.alpha, p1)
+        avail.put(picked[:, :, b], False)
 
     # roles, for all blocks at once: a selected relay that is the weaker
     # user on its true BS gains serves as the second user
@@ -376,7 +349,7 @@ def schedule_lanes(
     gains = bs_gains.take(at)
     swap = gains[0] * params.n2 < gains[1] * params.n1
     picked = np.where(swap, picked[::-1], picked)
-    relays, seconds = picked - lane_base[:, None]
+    relays, seconds = picked % n_users
     g01, g02 = np.where(swap, gains[::-1], gains)
     g12 = pair_gains(relays, seconds) if any(s.uses_relay for s, _, _ in segments) \
         else np.zeros((n_lanes, n_blocks))

@@ -16,14 +16,16 @@ of a task together, one interval at a time: ``schedule_lanes`` runs each
 selection stage and serving for all lanes, each with one
 ``rates.second_rates`` call over the lanes' scheme segments, and the PF
 ledger is an (L, K) array.  Neither module names a scheme: ``rates`` and
-the ``Scheme`` properties say what differs between them.  Only the interval
-loop is sequential, because each PF update depends on the previous
-interval, and it does only the work that depends on the ledger.  What
-depends on a trial's draws alone is computed on the T trial rows, for all
-schemes at once: the inter-user gain estimates and the distance order of
-nearest pairing once per trial, which the scheduler reads through
-``trial_of``, and per chunk of ``BS_CHUNK_INTERVALS`` intervals the BS
-gains, the relay rates r1 of each distinct r1 formula
+the ``Scheme`` properties say what differs between them.  Only the engine
+reads the pairing, to bind the stages that ``schedule_lanes`` selects
+through: ``NearestStages`` once per task, ``NearFarStages`` per BS draw.
+Only the interval loop is sequential, because each PF update depends on
+the previous interval, and it does only the work that depends on the
+ledger.  What depends on a trial's draws alone is computed on the T trial
+rows, for all schemes at once: the inter-user gain estimates and the
+distance order of nearest pairing once per trial, which the stages read
+through ``trial_of``, and per chunk of ``BS_CHUNK_INTERVALS`` intervals
+the BS gains, the relay rates r1 of each distinct r1 formula
 (``rates.relay_rate_formulas``), from which both pairings score and serve
 their relays, and near-far's per-block user tables of the weak and the
 strong half, gathered to the lanes.  Lanes never interact, so a lane's
@@ -51,13 +53,14 @@ parallel degree (common random numbers).
 
 Experiment spec.  A ``SimConfig`` (``config``, beside the table of config
 keys that checks it) holds the lists an experiment runs over, its schemes,
-pairings and relay-power points.  ``plan_tasks`` puts the schemes into
-``min(parallel, schemes)`` groups of whole r2-formula runs and cuts the
-trials into as few contiguous chunks as keep the workers busy; a task is
-the config narrowed to one scheme group and one pairing, with a range of
-trial indices at all relay-power points.  ``run_experiment`` runs the tasks on
-``min(parallel, usable CPUs, tasks)`` workers, the calling process among
-them: with more than one, it forks a pool of the others.  Every worker
+pairings and relay-power points.  ``run_experiment`` clamps ``parallel``
+to the usable CPUs and plans for that degree: ``plan_tasks`` puts the
+schemes into ``min(degree, schemes)`` groups of whole r2-formula runs and
+cuts the trials into as few contiguous chunks as keep the workers busy; a
+task is the config narrowed to one scheme group and one pairing, with a
+range of trial indices at all relay-power points.  The tasks run on
+``min(degree, tasks)`` workers, the calling process among them: with more
+than one, it forks a pool of the others.  Every worker
 runs ``_claim_tasks``, claiming tasks in plan order from one counter.
 """
 
@@ -72,15 +75,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import FADING_MODES, SimConfig  # noqa: F401 (FADING_MODES is re-exported)
+from .config import SimConfig
 from .core import ChannelParams, PowerSplit
 from .rates import relay_rate, relay_rate_formulas, second_rate_runs
-from .scheduling import distance_order, near_far_tables, pf_update, schedule_lanes
+from .scheduling import (NearestStages, NearFarStages, distance_order, near_far_tables,
+                         pf_update, schedule_lanes)
 
 SECTOR_HALF_ANGLE = math.pi / 3.0  # 120-degree sector, centred on the x axis
 AVG_RATE_INIT = 1e-3               # PF ledger start value; washed out within tens of intervals
@@ -242,8 +247,7 @@ def run_lanes(config: SimConfig, trials: range,
     params = ChannelParams(p0=config.p0, p1=float(relay_power[0]), n1=1.0, n2=1.0)
     split = PowerSplit(config.alpha)
     has_relay_link = any(scheme.uses_relay for scheme in schemes)
-    pairing = config.pairings[0]
-    near_far = pairing == "near-far"
+    near_far = config.pairings[0] == "near-far"
 
     streams = [_trial_streams(config.seed, t) for t in trials]
     radii, dist, est_gain, fading = [], [], [], []
@@ -266,11 +270,10 @@ def run_lanes(config: SimConfig, trials: range,
     est_gain, dist = np.stack(est_gain), np.stack(dist)
     if has_relay_link:
         path, fading = PairPathGains(dist, config), np.stack(fading)
-    order = neighbor_of = None
-    if not near_far:
+    if not near_far:  # nearest pairing's stages, bound once for the task
         order = distance_order(dist)
-        if config.neighbors == "static":
-            neighbor_of = order[trial_of, :, 0]
+        neighbor_of = order[trial_of, :, 0] if config.neighbors == "static" else None
+        stages = partial(NearestStages, order, trial_of, neighbor_of=neighbor_of)
 
     n_lanes = len(trial_of)
     lane_trial = trial_of[:, None]
@@ -293,24 +296,21 @@ def run_lanes(config: SimConfig, trials: range,
             i = interval - first
             if i < chunk.shape[1]:
                 gains, relay_r1 = chunk[trial_of, i], r1[r1_row, i]
-                halves = tables[i][:, trial_of] if near_far else None
+                if near_far:
+                    stages = partial(NearFarStages, tables[i][:, trial_of], trial_of)
 
             def pair_gains(relays, seconds):
                 return path(lane_trial, relays, seconds) * fading[trial_of, interval]
 
             res = schedule_lanes(
                 segments=segments,
-                pairing=pairing,
+                stages=stages,
                 bs_gains=gains,
                 avg_rates=avg,
                 params=params,
                 split=split,
                 est_gain=est_gain,
                 pair_gains=pair_gains,
-                trial_of=trial_of,
-                halves=halves,
-                neighbor_order=order,
-                neighbor_of=neighbor_of,
                 relay_power=relay_power,
                 relay_r1=relay_r1,
                 cross_check=config.cross_check,
@@ -437,13 +437,16 @@ def plan_tasks(config: SimConfig, parallel: int) -> list[LaneTask]:
     ]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the affinity set where the
+    platform has one, else the CPU count."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def effective_parallel(parallel: int, n_tasks: int) -> int:
-    """Computing processes actually used, the calling process among them:
-    the requested degree clamped to the usable CPUs (the affinity set
-    where the platform has one, else the CPU count) and the task count."""
-    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-    return max(1, min(parallel, usable, n_tasks))
+    """Workers, this process among them, for ``n_tasks`` tasks planned for ``parallel``."""
+    return min(parallel, n_tasks)
 
 
 def run_experiment(config: SimConfig, parallel: int = 1,
@@ -452,9 +455,11 @@ def run_experiment(config: SimConfig, parallel: int = 1,
     """One SimResult per (scheme, pairing, relay-power point) of the
     config, in that order, then the counts of tasks and workers the run used.
 
-    The tasks run on ``effective_parallel`` workers: this process and, with
-    more than one, a pool of the others, which the pool's initializer hands
-    the claim counter and ``progress`` (which must pickle unless forked).
+    The requested degree is clamped to the ``usable_cpus``, and the tasks
+    are planned for that degree and run on ``effective_parallel`` workers:
+    this process and, with more than one, a pool of the others, which the
+    pool's initializer hands the claim counter and ``progress`` (which must
+    pickle unless forked).
     Each worker runs ``_claim_tasks``, so this process starts on the first
     task at once, each task is reported by the process that ran it when it
     ends, and an exception in any worker stops all claims and is raised
@@ -466,8 +471,9 @@ def run_experiment(config: SimConfig, parallel: int = 1,
     worker ran which task.
     """
     start = time.monotonic()
-    tasks = plan_tasks(config, parallel)
-    workers = effective_parallel(parallel, len(tasks))
+    degree = min(parallel, usable_cpus())
+    tasks = plan_tasks(config, degree)
+    workers = effective_parallel(degree, len(tasks))
     sweep = config.p1_over_p0_db
     # numpy refuses a run too large for memory, or past its index range (a
     # ValueError), before it is announced: the results, a task's radii and

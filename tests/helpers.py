@@ -12,14 +12,15 @@ block, interval or trial at a time.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from noma_rbc.core import ChannelParams, LinkGains, PowerSplit, Scheme
 from noma_rbc.rates import N_HAT_BRACKET, rate_kernel, relay_rate
-from noma_rbc.scheduling import (_HalfTables, _nearest_select, _NeighborCursor, distance_order,
-                                 near_far_tables, schedule_lanes)
+from noma_rbc.scheduling import (NearestStages, NearFarStages, distance_order, near_far_tables,
+                                 schedule_lanes)
 from noma_rbc.simulation import SimConfig, run_lanes
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -230,8 +231,8 @@ def near_far_pair(g1_ids, g2_ids, block_gains: np.ndarray, avg_rates: np.ndarray
     if pad < 0 or len(others) < pad:
         raise ValueError("a candidate group does not fit its half of the users")
     row = np.concatenate((weak, others[:pad], strong, others[pad:]))
-    tables = _HalfTables(row[None, None], np.arange(1),
-                         relay_rate(scheme, gains, params, split.alpha), gains, avg)
+    tables = NearFarStages(row[None, None], np.arange(1),
+                           relay_rate(scheme, gains, params, split.alpha), gains, avg)
     k1, k2 = tables.select(0, _lane_mask(n_users, np.concatenate((strong, weak))),
                            np.asarray(est_gain)[None], [(scheme, 0, 1)], params, split.alpha,
                            np.array([[params.p1]]))
@@ -244,23 +245,18 @@ def nearest_neighbor_pair(ids, dist_matrix: np.ndarray, block_gains: np.ndarray,
                           neighbor_of: Optional[dict] = None) -> tuple[int, int]:
     """(relay, second) for one block under nearest-neighbour pairing among
     the remaining users ``ids``; ``neighbor_of`` is the static neighbour
-    map, None to use the nearest remaining neighbours."""
+    map of every user, None to use the nearest remaining neighbours."""
     if len(ids) < 2:
         raise ValueError("fewer than two remaining users")
     gains = np.asarray(block_gains, dtype=float)
     mapped = None
     if neighbor_of is not None:
-        mapped = np.full((1, len(gains)), -1)
-        for i, j in neighbor_of.items():
-            mapped[0, i] = j
-    cursor = _NeighborCursor(distance_order(np.asarray(dist_matrix)[None]), np.arange(1))
-    gains, avg = gains[None], np.asarray(avg_rates, dtype=float)[None]
-    k1, k2 = _nearest_select(
-        _lane_mask(gains.shape[1], ids), cursor,
-        relay_rate(scheme, gains, params, split.alpha) / avg, gains, avg,
-        np.asarray(est_gain)[None], [(scheme, 0, 1)], params, split.alpha,
-        np.array([[params.p1]]), mapped,
-    )
+        mapped = np.array([[neighbor_of[i] for i in range(len(gains))]])
+    gains, avg = gains[None, :, None], np.asarray(avg_rates, dtype=float)[None]
+    stages = NearestStages(distance_order(np.asarray(dist_matrix)[None]), np.arange(1),
+                           relay_rate(scheme, gains, params, split.alpha), gains, avg, mapped)
+    k1, k2 = stages.select(0, _lane_mask(gains.shape[1], ids), np.asarray(est_gain)[None],
+                           [(scheme, 0, 1)], params, split.alpha, np.array([[params.p1]]))
     return int(k1[0]), int(k2[0])
 
 
@@ -286,25 +282,24 @@ def schedule_interval(scheme: Scheme, pairing: str, bs_gains: np.ndarray,
     ``draw_pair_gain(i, j)`` gives the true inter-user gain at serve time,
     called once per block in block order."""
     bs_gains = np.asarray(bs_gains, dtype=float)[None]
-    halves = order = static = None
+    lanes = np.arange(1)
     if pairing == "near-far":
-        halves = near_far_tables(np.moveaxis(bs_gains, -1, 0))
-    elif pairing == "nearest":
+        stages = partial(NearFarStages, near_far_tables(np.moveaxis(bs_gains, -1, 0)), lanes)
+    else:
         order = distance_order(np.asarray(dist_matrix)[None])
-        if neighbors == "static":
-            static = order[:, :, 0]
+        stages = partial(NearestStages, order, lanes,
+                         neighbor_of=order[:, :, 0] if neighbors == "static" else None)
 
     def pair_gains(relays, seconds):
         return np.array([[draw_pair_gain(i, j)
                           for i, j in zip(relays[0].tolist(), seconds[0].tolist())]])
 
-    res = schedule_lanes([(scheme, 0, 1)], pairing, bs_gains,
+    res = schedule_lanes([(scheme, 0, 1)], stages, bs_gains,
                          np.asarray(avg_rates, dtype=float)[None],
                          params, split, np.asarray(est_gain)[None], pair_gains,
-                         trial_of=np.arange(1), relay_power=np.array([params.p1]),
+                         relay_power=np.array([params.p1]),
                          relay_r1=relay_rate(scheme, bs_gains, params, split.alpha),
-                         halves=halves,
-                         neighbor_order=order, neighbor_of=static, cross_check=cross_check)
+                         cross_check=cross_check)
     return IntervalResult(
         assignment=tuple(zip(res.relays[0].tolist(), res.seconds[0].tolist())),
         block_rates=tuple(zip(res.r1[0].tolist(), res.r2[0].tolist())),

@@ -804,7 +804,7 @@ def test_simulate_config_naming_noise_power_exits_2(tmp_path, capsys, noise):
 
 
 def test_simulate_pairing_flag_takes_the_scheduler_pairings(capsys):
-    from noma_rbc.scheduling import PAIRINGS
+    from noma_rbc.config import PAIRINGS
     for pairing in PAIRINGS:
         args = cli.build_parser().parse_args(["simulate", "--config", "c.yaml",
                                               "--pairing", pairing])
@@ -834,9 +834,9 @@ def test_simulate_manifest_records_parallel_degree_and_counters(tmp_path, monkey
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--parallel", "8"]) == EXIT_OK
     manifest = json.loads((out / "sum_rate.manifest.json").read_text())
-    # two schemes x two one-trial chunks; one usable CPU leaves this process alone
+    # one usable CPU: the run plans for, and runs, this process alone
     assert manifest["parallel"] == {"requested": 8, "effective": 1, "pool_workers": 0,
-                                    "tasks": 4}
+                                    "tasks": 1}
     counters = manifest["counters"]
     assert [(c["scheme"], c["pairing"], c["p1_over_p0_db"]) for c in counters] == \
         [("gbc", "nearest", 0.0), ("rbc-df", "nearest", 0.0)]

@@ -29,9 +29,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from noma_rbc import cli
-from noma_rbc.config import FADING_MODES, TABLE
+from noma_rbc.config import FADING_MODES, NEIGHBOR_MODES, PAIRINGS, TABLE
 from noma_rbc.core import Scheme
-from noma_rbc.scheduling import NEIGHBOR_MODES, PAIRINGS
 
 LABELS = [s.label for s in Scheme]
 

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from noma_rbc import simulation
 from noma_rbc.core import Scheme
-from noma_rbc.scheduling import NEIGHBOR_MODES, PAIRINGS
-from noma_rbc.simulation import FADING_MODES, SimConfig, run_experiment
+from noma_rbc.config import FADING_MODES, NEIGHBOR_MODES, PAIRINGS
+from noma_rbc.simulation import SimConfig, run_experiment
 
 
 @st.composite
@@ -62,6 +62,7 @@ def subset(results, **keep):
 def test_results_are_the_same_however_the_experiment_is_cut(config, permutation):
     with pytest.MonkeyPatch.context() as mp:
         # plan for up to five workers, then run every task here in turn
+        mp.setattr(simulation, "usable_cpus", lambda: 5)
         mp.setattr(simulation, "effective_parallel", lambda parallel, n_tasks: 1)
         serial = run_experiment(config)[0]
         for parallel in range(2, 6):

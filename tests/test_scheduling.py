@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from noma_rbc import scheduling
 from noma_rbc.core import ChannelParams, PowerSplit, Scheme
 from noma_rbc.rates import relay_rate, second_rates
 from noma_rbc.scheduling import (
+    NearestStages,
+    NearFarStages,
     _NeighborCursor,
     _pf_argmax,
     distance_order,
@@ -33,6 +36,20 @@ SPLIT = PowerSplit(0.2)
 
 def no_fading_pair_gain(est_gain):
     return lambda i, j: float(est_gain[i, j])
+
+
+def near_far_stages(gains, trial_of=None):
+    """Near-far stages of the lanes' BS gains (L, K, B), lane l reading
+    the estimates of trial ``trial_of[l]``, by default its own lane's."""
+    trial_of = np.arange(len(gains)) if trial_of is None else trial_of
+    return partial(NearFarStages, near_far_tables(np.moveaxis(gains, -1, 0)), trial_of)
+
+
+def nearest_stages(dist, neighbor_of=None):
+    """Nearest-pairing stages of the lanes' distances (L, K, K), one trial
+    per lane."""
+    return partial(NearestStages, distance_order(dist), np.arange(len(dist)),
+                   neighbor_of=neighbor_of)
 
 
 def test_split_groups_examples():
@@ -385,19 +402,15 @@ def test_served_roles_keep_the_degraded_order_and_count_the_swaps(monkeypatch, p
     lanes = np.arange(n_lanes)[:, None]
     picks = []
 
-    def recording(*args, real=scheduling._HalfTables.select if pairing == "near-far"
-                  else scheduling._nearest_select):
+    stages = near_far_stages(gains) if pairing == "near-far" else nearest_stages(dist)
+
+    def recording(*args, real=stages.func.select):
         picks.append(real(*args))
         return picks[-1]
-    if pairing == "near-far":
-        monkeypatch.setattr(scheduling._HalfTables, "select", recording)
-    else:
-        monkeypatch.setattr(scheduling, "_nearest_select", recording)
-    res = schedule_lanes(segments, pairing, gains, avg, PARAMS, SPLIT, est,
+    monkeypatch.setattr(stages.func, "select", recording)
+    res = schedule_lanes(segments, stages, gains, avg, PARAMS, SPLIT, est,
                          pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
-                         trial_of=np.arange(n_lanes), relay_power=relay_power,
-                         relay_r1=relay_r1, halves=near_far_tables(np.moveaxis(gains, -1, 0)),
-                         neighbor_order=distance_order(dist))
+                         relay_power=relay_power, relay_r1=relay_r1)
     selected = np.stack([relay for relay, _ in picks], axis=1) - lanes * n_users
     assert selected.shape == (n_lanes, n_blocks)
     blocks = np.arange(n_blocks)
@@ -459,13 +472,6 @@ def test_schedule_interval_rejects_bad_inputs():
             scheme=Scheme.GBC, pairing="near-far", bs_gains=gains, dist_matrix=dist,
             avg_rates=np.ones(3), params=PARAMS, split=SPLIT, est_gain=est,
             draw_pair_gain=no_fading_pair_gain(est),
-        )
-    with pytest.raises(ValueError, match="unknown pairing"):
-        schedule_interval(
-            scheme=Scheme.GBC, pairing="far-near", bs_gains=np.ones((4, 1)),
-            dist_matrix=np.zeros((4, 4)), avg_rates=np.ones(4), params=PARAMS,
-            split=SPLIT, est_gain=np.ones((4, 4)),
-            draw_pair_gain=no_fading_pair_gain(np.ones((4, 4))),
         )
 
 
@@ -615,10 +621,10 @@ def test_near_far_lanes_equal_the_plain_reference_with_ties_and_resplits():
         relay_power = rng.choice([1.0, 10.0], size=n_lanes)
         relay_r1 = np.concatenate([relay_rate(s, gains[a:b], PARAMS, SPLIT.alpha)
                                    for s, a, b in segments])
-        res = schedule_lanes(segments, "near-far", gains, avg, PARAMS, SPLIT, est,
+        res = schedule_lanes(segments, near_far_stages(gains, trial_of), gains, avg, PARAMS,
+                             SPLIT, est,
                              pair_gains=lambda relays, seconds: np.ones(relays.shape),
-                             trial_of=trial_of, relay_power=relay_power, relay_r1=relay_r1,
-                             halves=near_far_tables(np.moveaxis(gains, -1, 0)))
+                             relay_power=relay_power, relay_r1=relay_r1)
         expect, count = _near_far_reference(segments, gains, avg, est, trial_of, relay_power)
         assert np.array_equal(np.stack((res.relays, res.seconds), axis=-1), expect)
         resplits += count
@@ -640,13 +646,11 @@ def test_lanes_do_not_interact(scheme, pairing, neighbors):
     static = nearest_available(np.ones((5, 8), dtype=bool), dist) \
         if neighbors == "static" else None
     lanes = np.arange(5)[:, None]
-    res = schedule_lanes([(scheme, 0, 5)], pairing, gains, avg, PARAMS, SPLIT, est,
+    stages = near_far_stages(gains) if pairing == "near-far" else nearest_stages(dist, static)
+    res = schedule_lanes([(scheme, 0, 5)], stages, gains, avg, PARAMS, SPLIT, est,
                          pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
-                         trial_of=np.arange(5),
-                         halves=near_far_tables(np.moveaxis(gains, -1, 0)),
                          relay_r1=relay_rate(scheme, gains, PARAMS, SPLIT.alpha),
-                         neighbor_order=distance_order(dist),
-                         neighbor_of=static, relay_power=relay_power, cross_check=True)
+                         relay_power=relay_power, cross_check=True)
     for lane in range(5):
         one = schedule_interval(scheme, pairing, gains[lane], dist[lane], avg[lane],
                                 replace(PARAMS, p1=float(relay_power[lane])), SPLIT, est[lane],
@@ -663,10 +667,8 @@ def test_a_lane_without_a_finite_score_is_named():
                                                          for _ in range(2)]))
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite PF score in lane 1"):
-            schedule_lanes([(Scheme.GBC, 0, 2)], "near-far", gains, avg, PARAMS, PowerSplit(1.0),
-                           est,
-                           pair_gains=None, trial_of=np.arange(2),
-                           halves=near_far_tables(np.moveaxis(gains, -1, 0)),
+            schedule_lanes([(Scheme.GBC, 0, 2)], near_far_stages(gains), gains, avg, PARAMS,
+                           PowerSplit(1.0), est, pair_gains=None,
                            relay_r1=relay_rate(Scheme.GBC, gains, PARAMS, 1.0),
                            relay_power=np.array([1.0, np.nan]))
 
@@ -683,8 +685,7 @@ def test_scheme_segments_must_cut_the_lanes_into_contiguous_runs(segments):
     gains, dist, est, avg = (np.stack(x) for x in zip(*[_interval_inputs(rng, k=6, b=2)
                                                          for _ in range(3)]))
     with pytest.raises(ValueError, match="do not cut the 3 lanes"):
-        schedule_lanes(segments, "near-far", gains, avg, PARAMS, SPLIT, est, pair_gains=None,
-                       trial_of=np.arange(3),
-                       halves=near_far_tables(np.moveaxis(gains, -1, 0)),
+        schedule_lanes(segments, near_far_stages(gains), gains, avg, PARAMS, SPLIT, est,
+                       pair_gains=None,
                        relay_r1=relay_rate(Scheme.GBC, gains, PARAMS, SPLIT.alpha),
                        relay_power=np.ones(3))

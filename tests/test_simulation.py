@@ -20,7 +20,6 @@ from noma_rbc.simulation import (
     PairPathGains,
     SimConfig,
     draw_bs_gains,
-    effective_parallel,
     generate_topology,
     mean_radius_analytic,
     pair_fading,
@@ -31,6 +30,7 @@ from noma_rbc.simulation import (
     run_experiment,
     run_lanes,
     schedule_lanes,
+    usable_cpus,
     write_results_csv,
 )
 from noma_rbc.simulation import BS_CHUNK_INTERVALS
@@ -411,9 +411,17 @@ def test_parallel_degree_is_clamped(recording_pool, parallel, trials, schemes, w
 def test_usable_cpus_are_the_affinity_set_where_the_platform_has_one(monkeypatch):
     monkeypatch.setattr(simulation.os, "cpu_count", lambda: 6)
     allow_cpus(monkeypatch, 1)  # as under ``taskset -c 0``
-    assert effective_parallel(4, 8) == 1
+    assert usable_cpus() == 1
     monkeypatch.delattr(simulation.os, "sched_getaffinity", raising=False)
-    assert effective_parallel(4, 8) == 4
+    assert usable_cpus() == 6
+
+
+def test_the_run_plans_for_the_degree_that_runs(recording_pool, monkeypatch):
+    # two usable CPUs: --parallel 16 plans the tasks of --parallel 2, not
+    # 16 tasks for two workers
+    allow_cpus(monkeypatch, 2)
+    assert run_experiment(FULL, parallel=16) == run_experiment(FULL, parallel=2)
+    assert recording_pool == [1, 1]
 
 
 def task_log(path):
