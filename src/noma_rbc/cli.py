@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__, config
 from .config import SimConfig
-from .core import ChannelParams, CompressionNoise, LinkGains, Scheme, is_degraded_ordered
+from .core import ChannelParams, Scheme, is_degraded_ordered
 from .oracle import random_verification_draws, verify_terms
 from .rates import sweep_region
 from .simulation import run_experiment, write_results_csv
@@ -129,21 +129,20 @@ def cmd_region(args) -> int:
     checked, bad = config.check(config.TABLE["region"], values)
     if errors or bad:
         return _fail(*errors, *bad)
-    gains = LinkGains(g01=checked["g01"], g02=checked["g02"], g12=checked["g12"])
+    g01, g02, g12 = checked["g01"], checked["g02"], checked["g12"]
     params = ChannelParams(
         p0=config.linear(checked["p0_db"]),
         p1=0.0 if checked["p1_db"] is None else config.linear(checked["p1_db"]),
         n1=checked["n1"], n2=checked["n2"],
     )
     schemes, grid, mark = checked["schemes"], checked["alpha_grid"], checked["alpha"]
-    fixed = None if checked["n_hat"] is None else CompressionNoise(checked["n_hat"])
+    n_hat = checked["n_hat"]
 
-    if not is_degraded_ordered(gains, params):
+    if not is_degraded_ordered(g01, g02, params):
         return _fail("gains violate the degraded ordering (g01/n1 >= g02/n2); "
                      "swap the two user roles and rerun")
     try:
-        curves = [sweep_region(scheme, gains, params, grid, n_hat=fixed, checked=True)
-                  for scheme in schemes]
+        curves = sweep_region(schemes, g01, g02, g12, params, grid, n_hat)
     except ValueError as exc:
         return _fail(f"{exc}: the rates overflow at these gains and powers "
                      "(g01, g02, g12, p0_db, p1_db, n1, n2)")
@@ -152,13 +151,13 @@ def cmd_region(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "rate_region.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_region_csv(curves, grid, mark))
+        fh.write(_region_csv(curves, curves[0].alphas, mark))
     snapshot = {
-        "g01": gains.g01, "g02": gains.g02, "g12": gains.g12,
+        "g01": g01, "g02": g02, "g12": g12,
         "p0": params.p0, "p1": params.p1, "n1": params.n1, "n2": params.n2,
         "alpha_grid_points": len(grid), "alpha_mark": mark,
         "schemes": [s.label for s in schemes],
-        "n_hat": fixed.n_hat if fixed is not None else "optimized",
+        "n_hat": "optimized" if n_hat is None else n_hat,
     }
     _write_manifest(out_dir, "rate_region", "region", snapshot, None, [csv_path], started)
     _info(f"wrote {csv_path}")

@@ -176,15 +176,17 @@ def _list(key: Key, values) -> tuple:
 
 
 def _alpha_grid(key: Key, spec):
-    """Sorted distinct alphas in [0, 1], from a point count of a uniform
-    grid or from a list."""
+    """Sorted distinct alphas in [0, 1] as a tuple: the uniform grid of a
+    point count, which is built so and needs no check, or a checked list."""
     try:
-        if not (_is_int(spec) or isinstance(spec, tuple)):
+        if _is_int(spec):
+            return uniform_alpha_grid(spec)
+        if not isinstance(spec, tuple):
             raise ValueError(f"expected a point count or a list of alphas, got {spec!r}")
-        for value in spec if isinstance(spec, tuple) else ():
+        for value in spec:
             if not _is_number(value):
                 raise ValueError(f"each value must be a number, got {value!r}")
-        return check_alpha_grid(sorted(set(uniform_alpha_grid(spec) if _is_int(spec) else spec)))
+        return tuple(check_alpha_grid(sorted(set(spec))).tolist())
     except ValueError as exc:
         raise ValueError(f"{key.name}: {exc}") from None
     except (MemoryError, OverflowError) as exc:

@@ -12,6 +12,10 @@ the single conversion constant between bits and the nats used by the
 mutual-information oracle.
 
 Everything here is an immutable value; every operation is a pure function.
+``ChannelParams`` carries the powers into every rate formula, and the rest
+travels as plain floats and arrays, which ``config`` checks.  ``LinkGains``,
+``PowerSplit``, ``CompressionNoise`` and ``RatePair`` are the benchmark's
+API only: outside this module, only ``rates.rbc_cf_rates`` uses them.
 """
 
 from __future__ import annotations
@@ -150,8 +154,8 @@ class RatePair:
                 raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
-def is_degraded_ordered(gains: LinkGains, params: ChannelParams) -> bool:
+def is_degraded_ordered(g01: float, g02: float, params: ChannelParams) -> bool:
     """True when g01/n1 >= g02/n2, the role ordering every rate formula
     assumes (relay user = noise-normalised strong user)."""
-    return gains.g01 * params.n2 >= gains.g02 * params.n1
+    return g01 * params.n2 >= g02 * params.n1
 

@@ -40,12 +40,14 @@ code that knows which formulas a scheme uses: ``relay_rate`` (r1) and
 ``second_rates`` evaluates a shared r2 formula once for the scheduler's
 candidate blocks, returning the kernel's arrays as they are when the
 blocks form one run, and ``dominance_violation`` states what each scheme
-promises over GBC.  ``sweep_region``, the one validated entry, checks its
-inputs and outputs around one kernel call over an alpha grid;
-``rbc_cf_rates`` is a typed scalar kernel call.  GBC and RBC-DF presuppose
-the degraded role ordering: ``sweep_region`` rejects inputs that violate
-it, while the kernel and its parts evaluate the formulas literally, as the
-scheduler's selection metrics require.
+promises over GBC.  ``sweep_region``, the one validated entry, checks an
+alpha grid once and the outputs of one kernel call over it per scheme.
+GBC and RBC-DF presuppose the degraded role ordering: ``sweep_region``
+rejects inputs that violate it, while the kernel and its parts evaluate
+the formulas literally, as the scheduler's selection metrics require.
+Every entry takes gains, the power split and the compression noise as
+plain floats or arrays; ``rbc_cf_rates``, a scalar kernel call on the
+``core`` value classes, is the benchmark's API only.
 """
 
 from __future__ import annotations
@@ -55,16 +57,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    LN2,
-    ChannelParams,
-    CompressionNoise,
-    LinkGains,
-    PowerSplit,
-    RatePair,
-    Scheme,
-    is_degraded_ordered,
-)
+from . import core  # its value classes, for rbc_cf_rates alone
+from .core import LN2, ChannelParams, Scheme, is_degraded_ordered
 
 # Range of the compression-noise variance when the CF bounds never cross, in
 # units of the relay user's noise power n1: the CF bounds do not change when
@@ -359,24 +353,17 @@ def dominance_violation(segments, g01, g02, g12, params: ChannelParams, alpha, r
 
 
 # ---------------------------------------------------------------------------
-# typed entries
-
-def _require_ordered(gains: LinkGains, params: ChannelParams) -> None:
-    if not is_degraded_ordered(gains, params):
-        raise ValueError(
-            "gains violate the degraded ordering (g01/n1 >= g02/n2); "
-            "swap user roles before computing rates"
-        )
-
+# the benchmark's typed entry
 
 def rbc_cf_rates(
-    gains: LinkGains, params: ChannelParams, split: PowerSplit, n_hat: CompressionNoise
-) -> RatePair:
+    gains: core.LinkGains, params: ChannelParams, split: core.PowerSplit,
+    n_hat: core.CompressionNoise
+) -> core.RatePair:
     """Rates when the relay user compresses and forwards its observation at
     compression noise ``n_hat``; it cannot cancel the second user's component."""
     r1, r2, _, _ = rate_kernel(Scheme.RBC_CF, gains.g01, gains.g02, gains.g12, params,
                                split.alpha, n_hat.n_hat)
-    return RatePair(r1=float(r1), r2=float(r2))
+    return core.RatePair(r1=float(r1), r2=float(r2))
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +405,8 @@ def check_alpha_grid(alpha_grid: Sequence[float]) -> np.ndarray:
 
 
 def _check_values(name: str, values: np.ndarray, positive: bool = False) -> None:
-    """The checks of ``RatePair`` (of ``CompressionNoise`` if ``positive``)
-    on a whole array, with their messages for the first failing entry."""
+    """``values`` must be finite and non-negative (positive if
+    ``positive``); the message names the first failing entry."""
     low = values <= 0.0 if positive else values < 0.0
     for bad, word in ((~np.isfinite(values), "finite"),
                       (low, "positive" if positive else "non-negative")):
@@ -427,36 +414,31 @@ def _check_values(name: str, values: np.ndarray, positive: bool = False) -> None
             raise ValueError(f"{name} must be {word}, got {float(values[bad][0])!r}")
 
 
-def sweep_region(
-    scheme: Scheme,
-    gains: LinkGains,
-    params: ChannelParams,
-    alpha_grid: Sequence[float],
-    n_hat: Optional[CompressionNoise] = None,
-    *,
-    checked: bool = False,
-) -> RateRegionCurve:
-    """Rate pair per grid alpha, from one kernel call over the grid.
+def sweep_region(schemes: Sequence[Scheme], g01: float, g02: float, g12: float,
+                 params: ChannelParams, alpha_grid: Sequence[float],
+                 n_hat: Optional[float] = None) -> list[RateRegionCurve]:
+    """One curve per scheme of ``schemes``: the rate pair per grid alpha,
+    each curve from one kernel call over the grid, checked once per call.
 
-    ``checked`` says that ``alpha_grid`` is an array ``check_alpha_grid``
-    returned, which is then used as it is, without a second check.  For CF
-    schemes the compression noise is the fixed ``n_hat`` when one is
-    given, and is optimised per point otherwise.  Rates must come out
-    finite and non-negative, the compression noise finite and positive; a
-    ``ValueError`` names the first that is not.
+    For CF schemes the compression noise is the fixed ``n_hat`` when one
+    is given, and is optimised per point otherwise.  Gains that violate
+    the degraded ordering are rejected when a scheme presupposes it.
+    Rates must come out finite and non-negative, the compression noise
+    finite and positive; a ``ValueError`` names the first that is not.
     """
-    grid = alpha_grid if checked else check_alpha_grid(alpha_grid)
-    if not scheme.uses_compression:
-        _require_ordered(gains, params)
-    fixed = None if n_hat is None else n_hat.n_hat
-
-    # overflow shows as a non-finite rate, which the checks below name
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r1, r2, n_hats, _ = rate_kernel(scheme, gains.g01, gains.g02, gains.g12, params, grid,
-                                        fixed)
-    _check_values("r1", r1)
-    _check_values("r2", r2)
-    if scheme.uses_compression:
-        n_hats = np.broadcast_to(n_hats, grid.shape)
-        _check_values("n_hat", n_hats, positive=True)
-    return RateRegionCurve(scheme, grid, r1, r2, n_hats)
+    grid = check_alpha_grid(alpha_grid)
+    if not (all(s.uses_compression for s in schemes) or is_degraded_ordered(g01, g02, params)):
+        raise ValueError("gains violate the degraded ordering (g01/n1 >= g02/n2); "
+                         "swap user roles before computing rates")
+    curves = []
+    for scheme in schemes:
+        # overflow shows as a non-finite rate, which the checks below name
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r1, r2, n_hats, _ = rate_kernel(scheme, g01, g02, g12, params, grid, n_hat)
+        _check_values("r1", r1)
+        _check_values("r2", r2)
+        if scheme.uses_compression:
+            n_hats = np.broadcast_to(n_hats, grid.shape)
+            _check_values("n_hat", n_hats, positive=True)
+        curves.append(RateRegionCurve(scheme, grid, r1, r2, n_hats))
+    return curves

@@ -47,6 +47,10 @@ scheduled twice within one interval.  Every tie-break picks the lowest
 user index, a NaN score never wins and a lane without a finite score is an
 error; identical inputs give identical assignments, and lanes never
 interact.
+
+Gains and the power split ``alpha`` come in as plain arrays and floats,
+which ``config`` has checked; ``core``'s ``LinkGains``, ``PowerSplit`` and
+``CompressionNoise`` are the benchmark's API only.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ChannelParams, PowerSplit, Scheme
+from .core import ChannelParams, Scheme
 from .rates import dominance_violation, second_rates
 
 
@@ -288,7 +292,7 @@ def schedule_lanes(
     bs_gains: np.ndarray,
     avg_rates: np.ndarray,
     params: ChannelParams,
-    split: PowerSplit,
+    alpha: float,
     est_gain: np.ndarray,
     pair_gains: Callable[[np.ndarray, np.ndarray], np.ndarray],
     relay_power: np.ndarray,
@@ -305,8 +309,8 @@ def schedule_lanes(
     trials, ``avg_rates`` the (L, K) PF ledger, finite and positive.
     ``relay_power`` (L,) is each lane's relay power, in place of
     ``params.p1``, and ``relay_r1`` (L, K, B) each lane's
-    ``rates.relay_rate`` of ``bs_gains`` under its scheme, from which both
-    pairings score and serve the relays.
+    ``rates.relay_rate`` of ``bs_gains`` under its scheme at the power
+    split ``alpha``, from which both pairings score and serve the relays.
 
     ``stages(relay_r1, bs_gains, avg_rates)``, called once the inputs are
     checked, returns the interval's ``NearFarStages`` or ``NearestStages``,
@@ -340,7 +344,7 @@ def schedule_lanes(
     picked = np.empty((2, n_lanes, n_blocks), dtype=int)  # flat (relay, second) as selected
     select = stages(relay_r1, bs_gains, avg_rates).select
     for b in range(n_blocks):
-        picked[:, :, b] = select(b, avail, est_gain, segments, params, split.alpha, p1)
+        picked[:, :, b] = select(b, avail, est_gain, segments, params, alpha, p1)
         avail.put(picked[:, :, b], False)
 
     # roles, for all blocks at once: a selected relay that is the weaker
@@ -354,9 +358,9 @@ def schedule_lanes(
     g12 = pair_gains(relays, seconds) if any(s.uses_relay for s, _, _ in segments) \
         else np.zeros((n_lanes, n_blocks))
     r1 = relay_r1.take(np.where(swap, at[1], at[0]))
-    r2, clamped = second_rates(segments, g01, g02, g12, params, split.alpha, p1)
+    r2, clamped = second_rates(segments, g01, g02, g12, params, alpha, p1)
     if cross_check:
-        violation = dominance_violation(segments, g01, g02, g12, params, split.alpha, r1, r2)
+        violation = dominance_violation(segments, g01, g02, g12, params, alpha, r1, r2)
         if violation:
             raise RuntimeError(violation)
     served = np.zeros((n_lanes, n_users))

@@ -82,7 +82,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import SimConfig
-from .core import ChannelParams, PowerSplit
+from .core import ChannelParams
 from .rates import relay_rate, relay_rate_formulas, second_rate_runs
 from .scheduling import (NearestStages, NearFarStages, distance_order, near_far_tables,
                          pf_update, schedule_lanes)
@@ -245,7 +245,6 @@ def run_lanes(config: SimConfig, trials: range,
     # powers are in units of the noise power, the units of the CF n_hat bracket
     relay_power = np.concatenate([np.tile(config.relay_powers[:p], n_trials) for p in points])
     params = ChannelParams(p0=config.p0, p1=float(relay_power[0]), n1=1.0, n2=1.0)
-    split = PowerSplit(config.alpha)
     has_relay_link = any(scheme.uses_relay for scheme in schemes)
     near_far = config.pairings[0] == "near-far"
 
@@ -308,7 +307,7 @@ def run_lanes(config: SimConfig, trials: range,
                 bs_gains=gains,
                 avg_rates=avg,
                 params=params,
-                split=split,
+                alpha=config.alpha,
                 est_gain=est_gain,
                 pair_gains=pair_gains,
                 relay_power=relay_power,

@@ -296,7 +296,7 @@ def schedule_interval(scheme: Scheme, pairing: str, bs_gains: np.ndarray,
 
     res = schedule_lanes([(scheme, 0, 1)], stages, bs_gains,
                          np.asarray(avg_rates, dtype=float)[None],
-                         params, split, np.asarray(est_gain)[None], pair_gains,
+                         params, split.alpha, np.asarray(est_gain)[None], pair_gains,
                          relay_power=np.array([params.p1]),
                          relay_r1=relay_rate(scheme, bs_gains, params, split.alpha),
                          cross_check=cross_check)

@@ -19,15 +19,14 @@ from helpers import rng_for
 
 def test_degraded_ordering_examples():
     params = ChannelParams(p0=10.0, n1=1.0, n2=1.0)
-    assert is_degraded_ordered(LinkGains(8.0, 1.0), params)
-    assert is_degraded_ordered(LinkGains(1.0, 1.0), params)  # equality counts
-    assert not is_degraded_ordered(LinkGains(1.0, 8.0), params)
+    assert is_degraded_ordered(8.0, 1.0, params)
+    assert is_degraded_ordered(1.0, 1.0, params)  # equality counts
+    assert not is_degraded_ordered(1.0, 8.0, params)
 
 
 def test_degraded_ordering_uses_noise_ratio():
-    gains = LinkGains(2.0, 3.0)
-    assert is_degraded_ordered(gains, ChannelParams(p0=1.0, n1=1.0, n2=2.0))
-    assert not is_degraded_ordered(gains, ChannelParams(p0=1.0, n1=2.0, n2=1.0))
+    assert is_degraded_ordered(2.0, 3.0, ChannelParams(p0=1.0, n1=1.0, n2=2.0))
+    assert not is_degraded_ordered(2.0, 3.0, ChannelParams(p0=1.0, n1=2.0, n2=1.0))
 
 
 def test_power_split_is_exact_partition():

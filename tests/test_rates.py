@@ -95,15 +95,14 @@ def test_cf_dpc_reference_values():
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_sweep_region_rejects_swapped_gains_for_sic_schemes(scheme):
-    swapped = LinkGains(1.0, 8.0, 8.0)
+    swapped = (1.0, 8.0, 8.0)
     if scheme.uses_compression:
         # the CF formulas do not presuppose the ordering
-        curve = sweep_region(scheme, swapped, PARAMS, [0.0, 0.2, 1.0],
-                             n_hat=CompressionNoise(1.0))
+        (curve,) = sweep_region([scheme], *swapped, PARAMS, [0.0, 0.2, 1.0], n_hat=1.0)
         assert curve.r2[1] == rate_kernel(scheme, 1.0, 8.0, 8.0, PARAMS, 0.2, 1.0)[1]
     else:
         with pytest.raises(ValueError, match="swap"):
-            sweep_region(scheme, swapped, PARAMS, [0.0, 0.2, 1.0])
+            sweep_region([scheme], *swapped, PARAMS, [0.0, 0.2, 1.0])
 
 
 def test_subsumption_and_penalty_properties():
@@ -200,13 +199,14 @@ def test_sweep_monotonicity_where_it_holds():
     grid = uniform_alpha_grid(41)
     for _ in range(50):
         gains, params, _ = random_ordered_setup(rng)
+        g = (gains.g01, gains.g02, gains.g12)
         for scheme in (Scheme.GBC, Scheme.RBC_DF):
-            curve = sweep_region(scheme, gains, params, grid)
+            (curve,) = sweep_region([scheme], *g, params, grid)
             r1s, r2s = curve.r1.tolist(), curve.r2.tolist()
             assert all(b >= a - 1e-12 for a, b in zip(r1s, r1s[1:]))
             assert all(b <= a + 1e-12 for a, b in zip(r2s, r2s[1:]))
         for scheme in (Scheme.RBC_CF, Scheme.RBC_CF_DPC):
-            curve = sweep_region(scheme, gains, params, grid)
+            (curve,) = sweep_region([scheme], *g, params, grid)
             r1s = curve.r1.tolist()
             assert all(b >= a - 1e-12 for a, b in zip(r1s, r1s[1:]))
 
@@ -225,35 +225,34 @@ def test_cf_optimized_r2_is_not_monotone_in_alpha():
 
 
 def test_sweep_region_shapes_and_validation():
-    curve = sweep_region(Scheme.GBC, GAINS, PARAMS, [0.0, 1.0])
+    (curve,) = sweep_region([Scheme.GBC], *G, PARAMS, [0.0, 1.0])
     assert curve.n_hat is None
     assert curve.r1[0] == 0.0
     assert curve.r2[0] == rate_kernel(GBC, *G, PARAMS, 0.0)[1]
     assert curve.r2[1] == 0.0
     assert curve.r1[1] == rate_kernel(GBC, *G, PARAMS, 1.0)[0]
 
-    cf = sweep_region(Scheme.RBC_CF, GAINS, PARAMS, [0.1, 0.2])
+    (cf,) = sweep_region([Scheme.RBC_CF], *G, PARAMS, [0.1, 0.2])
     assert cf.n_hat is not None and len(cf.n_hat) == 2
 
-    fixed = sweep_region(Scheme.RBC_CF, GAINS, PARAMS, [0.1, 0.2], n_hat=CompressionNoise(1.0))
+    (fixed,) = sweep_region([Scheme.RBC_CF], *G, PARAMS, [0.1, 0.2], n_hat=1.0)
     assert all(nh == 1.0 for nh in fixed.n_hat)
 
     with pytest.raises(ValueError, match="empty"):
-        sweep_region(Scheme.GBC, GAINS, PARAMS, [])
+        sweep_region([Scheme.GBC], *G, PARAMS, [])
     with pytest.raises(ValueError, match="increasing"):
-        sweep_region(Scheme.GBC, GAINS, PARAMS, [0.5, 0.5])
+        sweep_region([Scheme.GBC], *G, PARAMS, [0.5, 0.5])
     with pytest.raises(ValueError, match="increasing"):
-        sweep_region(Scheme.GBC, GAINS, PARAMS, [0.5, 0.2])
+        sweep_region([Scheme.GBC], *G, PARAMS, [0.5, 0.2])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        sweep_region(Scheme.GBC, GAINS, PARAMS, [0.5, 1.5])
+        sweep_region([Scheme.GBC], *G, PARAMS, [0.5, 1.5])
 
 
 def test_sweep_region_arrays_are_the_kernel_values():
     grid = uniform_alpha_grid(41)
     for scheme in Scheme:
         for fixed in (None, 0.5):
-            curve = sweep_region(scheme, GAINS, PARAMS, grid,
-                                 n_hat=None if fixed is None else CompressionNoise(fixed))
+            (curve,) = sweep_region([scheme], *G, PARAMS, grid, n_hat=fixed)
             r1, r2, n_hat, _ = rate_kernel(scheme, GAINS.g01, GAINS.g02, GAINS.g12, PARAMS,
                                            np.array(grid), fixed)
             assert curve.scheme is scheme and curve.alphas.tolist() == list(grid)
@@ -265,20 +264,61 @@ def test_sweep_region_arrays_are_the_kernel_values():
 
 
 def test_sweep_region_names_the_first_non_finite_rate():
-    huge = LinkGains(1e300, 0.5, 1.0)
+    huge = (1e300, 0.5, 1.0)
     params = ChannelParams(p0=1e10, p1=10.0)
     for scheme in Scheme:
         with pytest.raises(ValueError, match=r"^r1 must be finite, got (inf|nan)$"):
-            sweep_region(scheme, huge, params, [0.0, 0.5, 1.0])
+            sweep_region([scheme], *huge, params, [0.0, 0.5, 1.0])
 
 
 def test_df_curve_dominates_gbc_curve_pointwise():
     grid = uniform_alpha_grid(101)
-    gbc = sweep_region(Scheme.GBC, GAINS, PARAMS, grid)
-    df = sweep_region(Scheme.RBC_DF, GAINS, PARAMS, grid)
+    (gbc,) = sweep_region([Scheme.GBC], *G, PARAMS, grid)
+    (df,) = sweep_region([Scheme.RBC_DF], *G, PARAMS, grid)
     for g1, g2, d1, d2 in zip(gbc.r1, gbc.r2, df.r1, df.r2):
         assert d1 == g1
         assert d2 >= g2 - 1e-12
+
+
+def test_sweep_region_curves_are_the_one_scheme_curves_and_the_kernel_bit_for_bit():
+    rng = rng_for(53)
+    grid = uniform_alpha_grid(21)
+    setups = [(G, PARAMS)] + [((g.g01, g.g02, g.g12), params)
+                              for g, params, _ in (random_ordered_setup(rng) for _ in range(20))]
+    for g, params in setups:
+        schemes = [Scheme(label) for label in rng.permutation([s.value for s in Scheme])]
+        for fixed in (None, 0.5):
+            curves = sweep_region(schemes, *g, params, grid, n_hat=fixed)
+            assert [curve.scheme for curve in curves] == schemes
+            for curve in curves:
+                (one,) = sweep_region([curve.scheme], *g, params, grid, n_hat=fixed)
+                r1, r2, n_hat, _ = rate_kernel(curve.scheme, *g, params, np.array(grid), fixed)
+                for ours, theirs in ((one.alphas, grid), (one.r1, r1), (one.r2, r2)):
+                    assert _same_bits(ours, theirs)
+                if curve.scheme.uses_compression:
+                    assert _same_bits(one.n_hat, np.broadcast_to(n_hat, len(grid)))
+                else:
+                    assert one.n_hat is None and curve.n_hat is None
+                for field in ("alphas", "r1", "r2", "n_hat"):
+                    ours, theirs = getattr(curve, field), getattr(one, field)
+                    assert ours is theirs is None or _same_bits(ours, theirs), field
+
+
+def test_sweep_region_takes_swapped_gains_for_a_cf_only_list():
+    swapped = (1.0, 8.0, 8.0)
+    curves = sweep_region([DPC, CF], *swapped, PARAMS, [0.0, 0.2, 1.0])
+    for curve in curves:
+        assert _same_bits(curve.r2, rate_kernel(curve.scheme, *swapped, PARAMS,
+                                                np.array([0.0, 0.2, 1.0]))[1])
+
+
+@pytest.mark.parametrize("schemes", [[CF, GBC], [DF, DPC], list(Scheme)])
+def test_sweep_region_rejects_swapped_gains_when_a_scheme_presupposes_the_order(schemes):
+    message = ("gains violate the degraded ordering (g01/n1 >= g02/n2); "
+               "swap user roles before computing rates")
+    with pytest.raises(ValueError) as raised:
+        sweep_region(schemes, 1.0, 8.0, 8.0, PARAMS, [0.0, 0.2, 1.0])
+    assert str(raised.value) == message
 
 
 def test_reference_setting_qualitative_ordering():
@@ -527,10 +567,10 @@ def _entry_calls(case):
         for scheme in Scheme:
             for fixed in (False, True):
                 def sweep(g01, g02, g12, p1, alpha, n_hat, scheme=scheme, fixed=fixed):
-                    gains = LinkGains(float(g01), float(g02), float(g12))
                     at = ChannelParams(p0=params.p0, p1=float(p1))
-                    noise = CompressionNoise(float(n_hat[0])) if fixed else None
-                    return sweep_region(scheme, gains, at, alpha, noise, checked=True)
+                    noise = float(n_hat[0]) if fixed else None
+                    return sweep_region([scheme], float(g01), float(g02), float(g12), at, alpha,
+                                        noise)
                 calls.append((f"sweep_region-{scheme.label}-{fixed}", sweep))
     return calls
 

@@ -408,7 +408,7 @@ def test_served_roles_keep_the_degraded_order_and_count_the_swaps(monkeypatch, p
         picks.append(real(*args))
         return picks[-1]
     monkeypatch.setattr(stages.func, "select", recording)
-    res = schedule_lanes(segments, stages, gains, avg, PARAMS, SPLIT, est,
+    res = schedule_lanes(segments, stages, gains, avg, PARAMS, SPLIT.alpha, est,
                          pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
                          relay_power=relay_power, relay_r1=relay_r1)
     selected = np.stack([relay for relay, _ in picks], axis=1) - lanes * n_users
@@ -622,7 +622,7 @@ def test_near_far_lanes_equal_the_plain_reference_with_ties_and_resplits():
         relay_r1 = np.concatenate([relay_rate(s, gains[a:b], PARAMS, SPLIT.alpha)
                                    for s, a, b in segments])
         res = schedule_lanes(segments, near_far_stages(gains, trial_of), gains, avg, PARAMS,
-                             SPLIT, est,
+                             SPLIT.alpha, est,
                              pair_gains=lambda relays, seconds: np.ones(relays.shape),
                              relay_power=relay_power, relay_r1=relay_r1)
         expect, count = _near_far_reference(segments, gains, avg, est, trial_of, relay_power)
@@ -647,7 +647,7 @@ def test_lanes_do_not_interact(scheme, pairing, neighbors):
         if neighbors == "static" else None
     lanes = np.arange(5)[:, None]
     stages = near_far_stages(gains) if pairing == "near-far" else nearest_stages(dist, static)
-    res = schedule_lanes([(scheme, 0, 5)], stages, gains, avg, PARAMS, SPLIT, est,
+    res = schedule_lanes([(scheme, 0, 5)], stages, gains, avg, PARAMS, SPLIT.alpha, est,
                          pair_gains=lambda relays, seconds: est[lanes, relays, seconds],
                          relay_r1=relay_rate(scheme, gains, PARAMS, SPLIT.alpha),
                          relay_power=relay_power, cross_check=True)
@@ -668,7 +668,7 @@ def test_a_lane_without_a_finite_score_is_named():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite PF score in lane 1"):
             schedule_lanes([(Scheme.GBC, 0, 2)], near_far_stages(gains), gains, avg, PARAMS,
-                           PowerSplit(1.0), est, pair_gains=None,
+                           1.0, est, pair_gains=None,
                            relay_r1=relay_rate(Scheme.GBC, gains, PARAMS, 1.0),
                            relay_power=np.array([1.0, np.nan]))
 
@@ -685,7 +685,7 @@ def test_scheme_segments_must_cut_the_lanes_into_contiguous_runs(segments):
     gains, dist, est, avg = (np.stack(x) for x in zip(*[_interval_inputs(rng, k=6, b=2)
                                                          for _ in range(3)]))
     with pytest.raises(ValueError, match="do not cut the 3 lanes"):
-        schedule_lanes(segments, near_far_stages(gains), gains, avg, PARAMS, SPLIT, est,
+        schedule_lanes(segments, near_far_stages(gains), gains, avg, PARAMS, SPLIT.alpha, est,
                        pair_gains=None,
                        relay_r1=relay_rate(Scheme.GBC, gains, PARAMS, SPLIT.alpha),
                        relay_power=np.ones(3))
