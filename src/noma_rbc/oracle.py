@@ -45,11 +45,12 @@ its top rank(A) values, rank(A) being the first block's.  One draw gives
 Python floats, a stack gives arrays of N values.  ``verify_terms`` checks
 several schemes over one draw or a stack in one pass, evaluating once each
 term that schemes share: the four schemes' 13 terms take 8 stacked oracle
-calls.  It is the oracle's only verification entry, and it takes each
-closed form from ``rates``, r1 under the formula that
-``rates.relay_rate_formulas`` assigns the scheme, so the oracle checks the
-grouping the engine serves with.  ``random_verification_draws`` draws a
-whole stack as one array.
+calls and 26 stacked SVDs, as a system factors each (left, given) pair
+once and three of the 8 terms condition V on X1.  It is the oracle's only
+verification entry, and it takes each closed form from ``rates``, r1 under
+the formula that ``rates.relay_rate_formulas`` assigns the scheme, so the
+oracle checks the grouping the engine serves with.
+``random_verification_draws`` draws a whole stack as one array.
 """
 
 from __future__ import annotations
@@ -141,6 +142,12 @@ class GaussianSystem:
         return np.broadcast_shapes(*(np.shape(getattr(self, f)) for f in self.__dataclass_fields__))
 
     @cached_property
+    def _factors(self) -> dict:
+        """The left-set factorizations ``gaussian_mi`` made on this system,
+        by ``(left, given)``; they live and die with the system."""
+        return {}
+
+    @cached_property
     def _rows(self) -> np.ndarray:
         """Every observable of ``_OBSERVABLES`` as whitened rows, (..., 6, 6)."""
         rows = np.zeros(self.shape + (len(_OBSERVABLES), len(_VARIANCES)))
@@ -192,21 +199,29 @@ def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: Va
     set that are deterministic given the conditioning contribute zero; the
     rank decisions use the RANK_TOL pivot tolerance on covariance
     eigenvalues.
+
+    The factorization of h(left|given), the conditioning basis, the SVD
+    of the left set's residual and its kept directions, is made once per
+    ``system`` and ``(left, given)`` and kept on the system: terms that
+    share the pair, such as the three on V given X1 that ``verify_terms``
+    checks, factor it once.
     """
     left, right, given = as_names(left), as_names(right), as_names(given)
     if not left or not right:
         return _unstack(np.zeros(system.shape))
-    rows_l = system.whitened_rows(left)
-    rows_g = system.whitened_rows(given)
-    rows_rg = np.concatenate([system.whitened_rows(right), rows_g], axis=-2)
-
-    res_g = _residual_rows(rows_l, _orthonormal_basis(rows_g)) if given else rows_l
-    u, s, _ = np.linalg.svd(res_g, full_matrices=False)
+    factors = system._factors.get((left, given))
+    if factors is None:
+        rows_l, rows_g = system.whitened_rows(left), system.whitened_rows(given)
+        res_g = _residual_rows(rows_l, _orthonormal_basis(rows_g)) if given else rows_l
+        u, s, _ = np.linalg.svd(res_g, full_matrices=False)
+        # eigenvalue tolerance on s^2; nothing is kept where the left set is
+        # deterministic given the conditioning
+        keep = s > s[..., :1] * math.sqrt(RANK_TOL)
+        factors = system._factors[left, given] = (rows_l, rows_g, s, keep,
+                                                  u * keep[..., None, :])
+    rows_l, rows_g, s, keep, w = factors
     smax = s[..., :1]
-    # eigenvalue tolerance on s^2; nothing is kept where the left set is
-    # deterministic given the conditioning
-    keep = s > smax * math.sqrt(RANK_TOL)
-    w = u * keep[..., None, :]
+    rows_rg = np.concatenate([system.whitened_rows(right), rows_g], axis=-2)
     res_rg = _residual_rows(rows_l, _orthonormal_basis(rows_rg))
     s_ab = np.linalg.svd(w.swapaxes(-1, -2) @ res_rg, compute_uv=False)
     keep_ab = np.arange(s_ab.shape[-1]) < np.sum(keep, axis=-1, keepdims=True)

@@ -41,7 +41,9 @@ code that knows which formulas a scheme uses: ``relay_rate`` (r1) and
 candidate blocks, returning the kernel's arrays as they are when the
 blocks form one run, and ``dominance_violation`` states what each scheme
 promises over GBC.  ``sweep_region``, the one validated entry, checks an
-alpha grid once and the outputs of one kernel call over it per scheme.
+alpha grid once, evaluates each distinct r1 formula and each r2 run over
+it once, so RBC-CF and RBC-CF+DPC share one compression-noise optimum and
+GBC, RBC-DF and RBC-CF+DPC one r1, and checks each distinct output once.
 GBC and RBC-DF presuppose the degraded role ordering: ``sweep_region``
 rejects inputs that violate it, while the kernel and its parts evaluate
 the formulas literally, as the scheduler's selection metrics require.
@@ -418,7 +420,12 @@ def sweep_region(schemes: Sequence[Scheme], g01: float, g02: float, g12: float,
                  params: ChannelParams, alpha_grid: Sequence[float],
                  n_hat: Optional[float] = None) -> list[RateRegionCurve]:
     """One curve per scheme of ``schemes``: the rate pair per grid alpha,
-    each curve from one kernel call over the grid, checked once per call.
+    the kernel's values bit for bit.  Each distinct r1 formula
+    (``relay_rate_formulas``) and each r2 run (``second_rate_runs``) is
+    evaluated once over the grid, so the CF pair shares one
+    compression-noise optimum, or one objective at a fixed ``n_hat``.  Each distinct
+    output array is checked once, in scheme order, and a curve that
+    shares an array with an earlier one holds a copy of it.
 
     For CF schemes the compression noise is the fixed ``n_hat`` when one
     is given, and is optimised per point otherwise.  Gains that violate
@@ -430,15 +437,30 @@ def sweep_region(schemes: Sequence[Scheme], g01: float, g02: float, g12: float,
     if not (all(s.uses_compression for s in schemes) or is_degraded_ordered(g01, g02, params)):
         raise ValueError("gains violate the degraded ordering (g01/n1 >= g02/n2); "
                          "swap user roles before computing rates")
+    r1_schemes, r1_of = relay_rate_formulas(schemes)
+    r2_of = {}
+    # overflow shows as a non-finite rate, which the checks below name
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r1s = [relay_rate(scheme, g01, params, grid) for scheme in r1_schemes]
+        for run in second_rate_runs(schemes):
+            r2, n_hats, _ = second_rate(run[0], g01, g02, g12, params, grid, n_hat)
+            if run[0].uses_compression:
+                n_hats = np.broadcast_to(n_hats, grid.shape)
+            r2_of.update(dict.fromkeys(run, (r2, n_hats)))
+    checked = set()
+
+    def owned(name, values, positive=False):
+        """``values``, checked at its first use and copied at each later one."""
+        if id(values) in checked:
+            return values.copy()
+        _check_values(name, values, positive)
+        checked.add(id(values))
+        return values
+
     curves = []
-    for scheme in schemes:
-        # overflow shows as a non-finite rate, which the checks below name
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r1, r2, n_hats, _ = rate_kernel(scheme, g01, g02, g12, params, grid, n_hat)
-        _check_values("r1", r1)
-        _check_values("r2", r2)
-        if scheme.uses_compression:
-            n_hats = np.broadcast_to(n_hats, grid.shape)
-            _check_values("n_hat", n_hats, positive=True)
-        curves.append(RateRegionCurve(scheme, grid, r1, r2, n_hats))
+    for scheme, k in zip(schemes, r1_of):
+        r2, n_hats = r2_of[scheme]
+        curves.append(RateRegionCurve(scheme, grid, owned("r1", r1s[k]), owned("r2", r2),
+                                      n_hats if n_hats is None
+                                      else owned("n_hat", n_hats, positive=True)))
     return curves

@@ -401,3 +401,33 @@ def test_schemes_share_their_common_terms():
             assert mine.name == full.name
             assert mine.closed_form_nats.tolist() == full.closed_form_nats.tolist()
             assert mine.oracle_nats.tolist() == full.oracle_nats.tolist()
+
+
+def test_a_verify_chunk_factors_each_left_and_given_pair_once(monkeypatch):
+    # 8 distinct terms: 6 conditioned ones of 4 SVDs and 2 unconditioned
+    # ones of 3, less 2 for each of the two terms on V given X1 that reuse
+    # the first one's factorization
+    calls = []
+
+    def counted(a, *args, real=np.linalg.svd, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for batch in (stack_draws(mixed_draws(47, 12)), REF):
+        calls.clear()
+        verify_terms(*batch)
+        assert len(calls) == 26
+        assert len({shape[:-2] for shape in calls}) == 1
+
+
+def test_verify_terms_oracle_values_are_gaussian_mi_on_a_fresh_system_bit_for_bit():
+    batch = stack_draws(mixed_draws(53, 16))
+    for draw in (batch, draw_at(batch, 1), draw_at(batch, 2), draw_at(batch, 3), REF):
+        chunk = verify_terms(*draw)
+        for scheme, terms in chunk.items():
+            for term, (name, _, sets) in zip(terms, oracle._SCHEME_TERMS[scheme]):
+                fresh = gaussian_mi(GaussianSystem.from_values(*draw), *sets)
+                assert term.name == name
+                assert np.array_equal(np.asarray(term.oracle_nats).view(np.int64),
+                                      np.asarray(fresh).view(np.int64)), (scheme, name)

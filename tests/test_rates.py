@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -319,6 +320,91 @@ def test_sweep_region_rejects_swapped_gains_when_a_scheme_presupposes_the_order(
     with pytest.raises(ValueError) as raised:
         sweep_region(schemes, 1.0, 8.0, 8.0, PARAMS, [0.0, 0.2, 1.0])
     assert str(raised.value) == message
+
+
+def spy_schemes(monkeypatch, name):
+    """The scheme of every call to the rates function ``name``."""
+    calls = []
+
+    def spy(scheme, *args, real=getattr(rates, name), **kwargs):
+        calls.append(scheme)
+        return real(scheme, *args, **kwargs)
+    monkeypatch.setattr(rates, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("fixed", [None, 0.7])
+def test_a_sweep_evaluates_each_r1_formula_and_each_r2_run_once(monkeypatch, fixed):
+    # GBC, RBC-DF and RBC-CF+DPC share an r1, the CF pair an r2
+    r1_calls, r2_calls = (spy_schemes(monkeypatch, name) for name in ("relay_rate",
+                                                                      "second_rate"))
+    for order in itertools.permutations(Scheme):
+        r1_calls.clear()
+        r2_calls.clear()
+        curves = sweep_region(order, *G, PARAMS, uniform_alpha_grid(), n_hat=fixed)
+        assert [curve.scheme for curve in curves] == list(order)
+        assert len(r1_calls) == 2 and len(r2_calls) == 3, order
+
+
+@pytest.mark.parametrize("fixed", [None, 0.7])
+def test_writing_into_one_curve_changes_no_other(fixed):
+    grid = uniform_alpha_grid(11)
+    fields = ("r1", "r2", "n_hat")
+    for order in itertools.permutations(Scheme):
+        for k, field in itertools.product(range(len(order)), fields):
+            curves = sweep_region(order, *G, PARAMS, grid, n_hat=fixed)
+            values = getattr(curves[k], field)
+            if values is None:
+                continue
+            before = [[np.copy(getattr(c, f)) for f in fields] for c in curves]
+            with contextlib.suppress(ValueError):  # a read-only array
+                values[...] = -1.0
+            for j, curve in enumerate(curves):
+                for f, old in zip(fields, before[j]):
+                    if (j, f) != (k, field):
+                        now = getattr(curve, f)
+                        assert now is None or _same_bits(now, old), (order, k, field, j, f)
+
+
+def _first_one_scheme_failure(schemes, *args):
+    """The message of the first of ``schemes`` whose one-scheme sweep fails."""
+    for scheme in schemes:
+        try:
+            sweep_region([scheme], *args)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("poison", [False, True])
+def test_a_sweep_names_the_failure_the_one_scheme_sweeps_name_first(monkeypatch, poison):
+    # overflow: r1 is inf under SIC and nan under RBC-CF.  Poisoned: RBC-CF's
+    # r1 holds an inf, RBC-DF's r2 a NaN and the CF n_hat a zero, so the
+    # message depends on which scheme of the order is checked first
+    args = (*G, PARAMS, [0.0, 0.5, 1.0]) if poison else \
+        (1e300, 0.5, 1.0, ChannelParams(p0=1e10, p1=10.0), [0.0, 0.5, 1.0])
+    if poison:
+        def poisoned_r1(scheme, *rest, real=rates.relay_rate, **kwargs):
+            r1 = real(scheme, *rest, **kwargs)
+            return np.where([True, False, False], np.inf, r1) if scheme is CF else r1
+
+        def poisoned_r2(scheme, *rest, real=rates.second_rate, **kwargs):
+            r2, n_hat, clamped = real(scheme, *rest, **kwargs)
+            if scheme is DF:
+                r2 = np.where([False, True, False], np.nan, r2)
+            if scheme.uses_compression:
+                n_hat = np.where([False, False, True], 0.0, n_hat)
+            return r2, n_hat, clamped
+        monkeypatch.setattr(rates, "relay_rate", poisoned_r1)
+        monkeypatch.setattr(rates, "second_rate", poisoned_r2)
+    messages = set()
+    for order in itertools.permutations(Scheme):
+        expect = _first_one_scheme_failure(order, *args)
+        with pytest.raises(ValueError) as raised:
+            sweep_region(order, *args)
+        assert str(raised.value) == expect, order
+        messages.add(expect)
+    assert len(messages) == (3 if poison else 2)
 
 
 def test_reference_setting_qualitative_ordering():

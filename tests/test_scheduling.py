@@ -631,6 +631,105 @@ def test_near_far_lanes_equal_the_plain_reference_with_ties_and_resplits():
     assert resplits >= 10
 
 
+def _nearest_reference(segments, gains, avg, est, dist, trial_of, relay_power, static):
+    """(L, B, 2) served (relay, second) of every lane and block under
+    nearest pairing, and the counts of stale neighbours, static fallbacks
+    and role swaps, by the rules of the scheduling module's docstring in
+    plain Python, lane by lane and block by block.  N(i) is user i's
+    nearest available user by distance in the lane's trial, ties to the
+    lower index; a stale neighbour is an available user whose nearest user
+    overall is taken.  With ``static``, N(i) is i's nearest user overall,
+    and only users whose N(i) is available are candidates; a block
+    without such a user falls back to every available user and the
+    nearest available N.  Each candidate i scores r1(i)/avg(i) +
+    r2(N(i)|i)/avg(N(i)) on the estimated inter-user gain; the best
+    becomes the relay, ties to the lower index, N of it the second user,
+    and the pair serves in degraded role order."""
+    n_lanes, n_users, n_blocks = gains.shape
+    served = np.empty((n_lanes, n_blocks, 2), dtype=int)
+    stale = fallbacks = swaps = 0
+    for scheme, start, stop in segments:
+        for lane in range(start, stop):
+            params = replace(PARAMS, p1=float(relay_power[lane]))
+            d, e = dist[trial_of[lane]].tolist(), est[trial_of[lane]].tolist()
+            pf = avg[lane].tolist()
+
+            def nearest(i, users):
+                return min((u for u in users if u != i), key=lambda u: (d[i][u], u))
+
+            overall = [nearest(i, range(n_users)) for i in range(n_users)]
+            taken = set()
+            for b in range(n_blocks):
+                g = gains[lane, :, b].tolist()
+                available = [u for u in range(n_users) if u not in taken]
+                stale += sum(overall[i] in taken for i in available)
+                candidates = [i for i in available if overall[i] not in taken] \
+                    if static else []
+                if candidates:
+                    neighbor = overall
+                else:
+                    fallbacks += static
+                    candidates = available
+                    neighbor = {i: nearest(i, available) for i in available}
+
+                def score(i):
+                    j = neighbor[i]
+                    return (relay_rate_bits(scheme, g[i], params, SPLIT) / pf[i]
+                            + second_rate_bits(scheme, g[i], g[j], e[i][j], params, SPLIT) / pf[j])
+
+                relay = candidates[0]
+                for i in candidates[1:]:
+                    if score(i) > score(relay):
+                        relay = i
+                second = neighbor[relay]
+                taken |= {relay, second}
+                if g[relay] * params.n2 < g[second] * params.n1:
+                    relay, second = second, relay
+                    swaps += 1
+                served[lane, b] = relay, second
+    return served, (stale, fallbacks, swaps)
+
+
+def test_nearest_lanes_equal_the_plain_reference_with_ties_and_fallbacks():
+    # positions on a coarse integer grid with users copied onto others, and
+    # few distinct gains, ledger entries and estimates, so that distances,
+    # BS gains and PF scores tie; half the configs use the static map
+    rng = rng_for(137)
+    counts = np.zeros(3, dtype=int)
+    for _ in range(100):
+        n_blocks = int(rng.integers(1, 5))
+        n_users = int(rng.integers(2 * n_blocks, 3 * n_blocks + 2))
+        n_lanes, n_trials = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        cuts = np.flatnonzero(rng.uniform(size=n_lanes - 1) < 0.5) + 1
+        bounds = [0, *cuts.tolist(), n_lanes]
+        segments = [(Scheme(rng.choice(list(Scheme))), a, b) for a, b in zip(bounds, bounds[1:])]
+        gains = rng.choice([0.3, 1.0, 3.0], size=(n_lanes, n_users, n_blocks))
+        avg = rng.choice([0.5, 1.0], size=(n_lanes, n_users))
+        xy = rng.integers(0, 3, size=(n_trials, n_users, 2)).astype(float)
+        xy[:, -1] = xy[:, 0]
+        dist = np.sqrt(((xy[:, :, None] - xy[:, None, :]) ** 2).sum(-1))
+        est = rng.choice([0.1, 1.0, 10.0], size=(n_trials, n_users, n_users))
+        est = np.triu(est, 1) + np.triu(est, 1).transpose(0, 2, 1)
+        trial_of = rng.integers(0, n_trials, size=n_lanes)
+        relay_power = rng.choice([1.0, 10.0], size=n_lanes)
+        static = bool(rng.integers(0, 2))
+        order = distance_order(dist)
+        relay_r1 = np.concatenate([relay_rate(s, gains[a:b], PARAMS, SPLIT.alpha)
+                                   for s, a, b in segments])
+        stages = partial(NearestStages, order, trial_of,
+                         neighbor_of=order[trial_of, :, 0] if static else None)
+        res = schedule_lanes(segments, stages, gains, avg, PARAMS, SPLIT.alpha, est,
+                             pair_gains=lambda relays, seconds: np.ones(relays.shape),
+                             relay_power=relay_power, relay_r1=relay_r1)
+        expect, count = _nearest_reference(segments, gains, avg, est, dist, trial_of,
+                                           relay_power, static)
+        assert np.array_equal(np.stack((res.relays, res.seconds), axis=-1), expect)
+        assert res.role_swaps.sum() == count[2]
+        counts += count
+    stale, fallbacks, swaps = counts
+    assert stale >= 500 and fallbacks >= 15 and swaps >= 50, counts
+
+
 @pytest.mark.parametrize("pairing, neighbors", [
     ("near-far", "recompute"), ("nearest", "recompute"), ("nearest", "static"),
 ])
