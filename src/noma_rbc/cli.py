@@ -181,7 +181,7 @@ def cmd_simulate(args) -> int:
     sim = replace(sim, p1_over_p0_db=tuple(map(float, sim.p1_over_p0_db)))
 
     try:
-        results, tasks, workers = run_experiment(sim, args.parallel, progress=_info)
+        results, tasks, workers = run_experiment(sim, args.parallel)
     except MemoryError as exc:
         return _fail(f"the run does not fit in memory at these sizes (users, blocks, "
                      f"intervals, trials): {exc}")

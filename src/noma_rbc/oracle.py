@@ -42,7 +42,7 @@ selections.  A conditioning basis keeps each matrix's full ``vt`` with the
 rows past its numerical rank zeroed, the log-determinants sum the logs of
 the singular values each entry keeps, and the second SVD of an entry keeps
 its top rank(A) values, rank(A) being the first block's.  One draw gives
-Python floats, a stack gives arrays of N values.  ``verify_terms`` checks
+numpy scalars, a stack gives arrays of N values.  ``verify_terms`` checks
 several schemes over one draw or a stack in one pass, evaluating once each
 term that schemes share: the four schemes' 13 terms take 8 stacked oracle
 calls and 26 stacked SVDs, as a system factors each (left, given) pair
@@ -81,11 +81,6 @@ _OBSERVABLES = {
     "Y2": {0: "g02", 1: "g02", 2: "g12", 4: 1.0},
 }
 _ROW_INDEX = {name: i for i, name in enumerate(_OBSERVABLES)}
-
-
-def _unstack(value):
-    """A Python float for one draw, the array itself for a stack."""
-    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -187,8 +182,8 @@ def _sum_log(s: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: VarSpec = ()):
-    """I(left; right | given) in nats: a float for one draw, an array for
-    a stack.
+    """I(left; right | given) in nats: a numpy scalar for one draw, an
+    array for a stack.
 
     Variable sets are names among U, V, X1, Y1, Y1HAT, Y2 (a bare string is
     a singleton set).  The value is h(left|given) - h(left|right, given),
@@ -208,7 +203,7 @@ def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: Va
     """
     left, right, given = as_names(left), as_names(right), as_names(given)
     if not left or not right:
-        return _unstack(np.zeros(system.shape))
+        return np.zeros(system.shape)[()]  # a numpy scalar for one draw
     factors = system._factors.get((left, given))
     if factors is None:
         rows_l, rows_g = system.whitened_rows(left), system.whitened_rows(given)
@@ -229,7 +224,7 @@ def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: Va
     if np.any(diverged):
         at = f" at draw {int(np.argmax(diverged))}" if diverged.ndim else ""
         raise ValueError(f"right set determines left set{at}; mutual information diverges")
-    return _unstack(_sum_log(s, keep) - _sum_log(s_ab, keep_ab))
+    return _sum_log(s, keep) - _sum_log(s_ab, keep_ab)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +233,7 @@ def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: Va
 @dataclass(frozen=True)
 class TermDelta:
     """One rate-expression term, closed form and oracle, both in nats:
-    floats for one draw, arrays for a stack."""
+    numpy scalars for one draw, arrays for a stack."""
 
     name: str
     closed_form_nats: float
@@ -273,7 +268,7 @@ def verify_terms(g01, g02, g12, params: ChannelParams, alpha, n_hat,
                  schemes: Sequence[Scheme] = tuple(Scheme)) -> dict:
     """Every closed-form term of each of ``schemes`` next to the log-det
     oracle's value of the same mutual information, as ``{scheme: (TermDelta,
-    ...)}``, for one draw (scalars, giving Python floats) or a stack of
+    ...)}``, for one draw (scalars, giving numpy scalars) or a stack of
     draws (equal-length 1-D arrays sharing ``params``, giving arrays).  The
     min/clamp structure is excluded on purpose; each mutual-information
     term is compared on its own.  One ``GaussianSystem`` serves every term,
@@ -291,7 +286,7 @@ def verify_terms(g01, g02, g12, params: ChannelParams, alpha, n_hat,
     specs = {scheme: tuple((name, ("r1", k) if key == "r1" else key, sets)
                            for name, key, sets in _SCHEME_TERMS[scheme])
              for scheme, k in zip(schemes, formula_of)}
-    deltas = {spec: TermDelta(spec[0], _unstack(np.multiply(bits[spec[1]], LN2)),
+    deltas = {spec: TermDelta(spec[0], np.multiply(bits[spec[1]], LN2),
                               gaussian_mi(system, *spec[2]))
               for spec in dict.fromkeys(s for terms in specs.values() for s in terms)}
     return {scheme: tuple(deltas[s] for s in terms) for scheme, terms in specs.items()}

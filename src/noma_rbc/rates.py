@@ -133,13 +133,14 @@ class _CFBounds:
     arrays, as functions of the compression noise n_hat, and the n_hat that
     maximises their min.
 
-    ``crossing_roots``, ``terms`` and ``objective`` each enter their own
-    ``np.errstate``; ``optimum`` enters one around the unguarded
-    ``_crossing_roots`` and ``_objective``.  A temporary that feeds only
-    the next operation, as its left operand, is updated in place where it
-    already has the result's shape (``x = a * b; x *= c`` for
-    ``a * b * c``), which keeps every bit and never writes into an
-    input."""
+    ``terms`` and ``objective``, which the oracle and ``second_rate`` call
+    at a given n_hat, each enter their own ``np.errstate``; ``optimum``
+    enters one around the unguarded ``_crossing_roots``, both real roots of
+    the crossing quadratic (NaN marks a missing one), and ``_objective``.
+    A temporary that feeds only the next operation, as its left operand, is
+    updated in place where it already has the result's shape (``x = a * b;
+    x *= c`` for ``a * b * c``), which keeps every bit and never writes
+    into an input."""
 
     def __init__(self, g01, g02, g12, params: ChannelParams, alpha, p1):
         p0, n1, n2 = params.p0, params.n1, params.n2
@@ -227,12 +228,6 @@ class _CFBounds:
             return q / qa, np.where(q == 0.0, np.nan, qc / q)
         return (np.where(linear, np.divide(-qc, qb), q / qa),
                 np.where(linear | (q == 0.0), np.nan, qc / q))
-
-    def crossing_roots(self):
-        """Both real roots of the quadratic in n_hat whose positive root is
-        where the two bounds cross; NaN marks a missing root."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return self._crossing_roots()
 
     def optimum(self):
         """(n_hat, clamped r2, forwarding-minus-loss argument) at the best
@@ -425,7 +420,8 @@ def sweep_region(schemes: Sequence[Scheme], g01: float, g02: float, g12: float,
     evaluated once over the grid, so the CF pair shares one
     compression-noise optimum, or one objective at a fixed ``n_hat``.  Each distinct
     output array is checked once, in scheme order, and a curve that
-    shares an array with an earlier one holds a copy of it.
+    shares an array with an earlier one holds a copy of it, the alpha grid
+    included.
 
     For CF schemes the compression noise is the fixed ``n_hat`` when one
     is given, and is optimised per point otherwise.  Gains that violate
@@ -460,7 +456,8 @@ def sweep_region(schemes: Sequence[Scheme], g01: float, g02: float, g12: float,
     curves = []
     for scheme, k in zip(schemes, r1_of):
         r2, n_hats = r2_of[scheme]
-        curves.append(RateRegionCurve(scheme, grid, owned("r1", r1s[k]), owned("r2", r2),
+        alphas = grid.copy() if curves else grid
+        curves.append(RateRegionCurve(scheme, alphas, owned("r1", r1s[k]), owned("r2", r2),
                                       n_hats if n_hats is None
                                       else owned("n_hat", n_hats, positive=True)))
     return curves

@@ -62,6 +62,8 @@ range of trial indices at all relay-power points.  The tasks run on
 ``min(degree, tasks)`` workers, the calling process among them: with more
 than one, it forks a pool of the others.  Every worker
 runs ``_claim_tasks``, claiming tasks in plan order from one counter.
+``run_experiment`` announces the run on stderr, and each worker writes a
+line there as each of its tasks ends.
 """
 
 from __future__ import annotations
@@ -71,13 +73,14 @@ import itertools
 import math
 import multiprocessing
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -211,11 +214,9 @@ class LaneResult:
     mean_sum_rate: np.ndarray   # (L,) time-averaged sum rate
     role_swaps: np.ndarray      # (L,)
     r2_clamps: np.ndarray       # (L,)
-    assignments: Optional[np.ndarray] = None  # (intervals, L, B, 2) when recorded
 
 
-def run_lanes(config: SimConfig, trials: range,
-              keep_assignments: bool = False) -> LaneResult:
+def run_lanes(config: SimConfig, trials: range) -> LaneResult:
     """Every (scheme, trial, relay-power point) lane of the config's one
     pairing, advanced together one interval at a time.
 
@@ -280,7 +281,6 @@ def run_lanes(config: SimConfig, trials: range,
     total = np.zeros(n_lanes)
     role_swaps = np.zeros(n_lanes, dtype=int)
     r2_clamps = np.zeros(n_lanes, dtype=int)
-    assignments = [] if keep_assignments else None
     # static fading: one chunk of all intervals, drawn once for all of them
     static = config.fading == "static"
     step = config.intervals if static else BS_CHUNK_INTERVALS
@@ -317,8 +317,6 @@ def run_lanes(config: SimConfig, trials: range,
             total += res.sum_rate
             role_swaps += res.role_swaps
             r2_clamps += res.r2_clamps
-            if assignments is not None:
-                assignments.append(np.stack((res.relays, res.seconds), axis=-1))
             # a user served only as a relay of r1 = 0 (alpha = 0) decays
             # towards 0, where r/avg would overflow; the floor stops it
             avg = np.maximum(pf_update(avg, res.served, config.tau), AVG_RATE_FLOOR)
@@ -327,7 +325,6 @@ def run_lanes(config: SimConfig, trials: range,
         mean_sum_rate=(total / config.intervals)[result_lanes],
         role_swaps=role_swaps[result_lanes],
         r2_clamps=r2_clamps[result_lanes],
-        assignments=np.stack(assignments)[:, result_lanes] if assignments is not None else None,
     )
 
 
@@ -362,14 +359,12 @@ class LaneTask:
     trials: range
 
 
-def _claim_tasks(tasks: Sequence[LaneTask], claims, start: float,
-                 progress: Optional[Callable[[str], None]], where: str) -> list:
+def _claim_tasks(tasks: Sequence[LaneTask], claims, start: float, where: str) -> list:
     """Runs the next unclaimed task of ``tasks``, its index claimed from
-    the counter ``claims``, until none is left, and says through
-    ``progress`` that ``where`` ran each as soon as it ends.  Returns
-    (index, result) of every task it ran.  On any exception it sets the
-    counter past the end, so that no process claims another task, and
-    re-raises."""
+    the counter ``claims``, until none is left, and says on stderr that
+    ``where`` ran each as soon as it ends.  Returns (index, result) of
+    every task it ran.  On any exception it sets the counter past the end,
+    so that no process claims another task, and re-raises."""
     ran = []
     try:
         while True:
@@ -380,28 +375,28 @@ def _claim_tasks(tasks: Sequence[LaneTask], claims, start: float,
                 return ran
             task = tasks[k]
             ran.append((k, run_lanes(task.config, task.trials)))
-            if progress is not None:
-                progress(f"done {'+'.join(s.label for s in task.config.schemes)} / "
-                         f"{task.config.pairings[0]}, trials "
-                         f"{task.trials[0]}-{task.trials[-1]} "
-                         f"({k + 1}/{len(tasks)}) in {where} at "
-                         f"{time.monotonic() - start:.2f} s")
+            # one write per line: the processes share stderr, and print's
+            # separate newline write lets another process's line in between
+            sys.stderr.write(f"done {'+'.join(s.label for s in task.config.schemes)} / "
+                             f"{task.config.pairings[0]}, trials "
+                             f"{task.trials[0]}-{task.trials[-1]} ({k + 1}/{len(tasks)}) "
+                             f"in {where} at {time.monotonic() - start:.2f} s\n")
     except BaseException:
         claims.value = len(tasks)  # a shared counter's setter takes its lock
         raise
 
 
-_pool_claims = _pool_progress = None  # a pool worker's, set by ``_join_pool``
+_pool_claims = None  # a pool worker's, set by ``_join_pool``
 
 
-def _join_pool(claims, progress) -> None:
-    global _pool_claims, _pool_progress
-    _pool_claims, _pool_progress = claims, progress
+def _join_pool(claims) -> None:
+    global _pool_claims
+    _pool_claims = claims
 
 
 def _pool_share(tasks: Sequence[LaneTask], start: float) -> list:
     """A pool worker's share of ``tasks``, as ``_claim_tasks`` returns it."""
-    return _claim_tasks(tasks, _pool_claims, start, _pool_progress, "a pool worker")
+    return _claim_tasks(tasks, _pool_claims, start, "a pool worker")
 
 
 def plan_tasks(config: SimConfig, parallel: int) -> list[LaneTask]:
@@ -448,26 +443,24 @@ def effective_parallel(parallel: int, n_tasks: int) -> int:
     return min(parallel, n_tasks)
 
 
-def run_experiment(config: SimConfig, parallel: int = 1,
-                   progress: Optional[Callable[[str], None]] = None
-                   ) -> tuple[list[SimResult], int, int]:
+def run_experiment(config: SimConfig, parallel: int = 1) -> tuple[list[SimResult], int, int]:
     """One SimResult per (scheme, pairing, relay-power point) of the
     config, in that order, then the counts of tasks and workers the run used.
 
     The requested degree is clamped to the ``usable_cpus``, and the tasks
     are planned for that degree and run on ``effective_parallel`` workers:
     this process and, with more than one, a pool of the others, which the
-    pool's initializer hands the claim counter and ``progress`` (which must
-    pickle unless forked).
-    Each worker runs ``_claim_tasks``, so this process starts on the first
-    task at once, each task is reported by the process that ran it when it
-    ends, and an exception in any worker stops all claims and is raised
-    here.  A lone worker's counter is a plain one, not shared memory.  A
-    trial's streams depend on the master seed and trial index only, and
-    lanes never interact, so every combination reuses the same topologies
-    and fading (common random numbers) and the output is independent of the
-    parallel degree, of the chunking, of the scheme grouping and of which
-    worker ran which task.
+    pool's initializer hands the claim counter.  The run is announced on
+    ``sys.stderr``, looked up at each line, so a caller that redirects it
+    captures the lines.  Each worker runs ``_claim_tasks``, so this process
+    starts on the first task at once, each task is reported by the process
+    that ran it when it ends, and an exception in any worker stops all
+    claims and is raised here.  A lone worker's counter is a plain one,
+    not shared memory.  A trial's streams depend on the master seed and
+    trial index only, and lanes never interact, so every combination
+    reuses the same topologies and fading (common random numbers) and the
+    output is independent of the parallel degree, of the chunking, of the
+    scheme grouping and of which worker ran which task.
     """
     start = time.monotonic()
     degree = min(parallel, usable_cpus())
@@ -486,21 +479,20 @@ def run_experiment(config: SimConfig, parallel: int = 1,
             np.empty((task_trials, config.intervals, config.blocks))
     except ValueError as exc:
         raise MemoryError(str(exc)) from None
-    if progress is not None:
-        progress(f"running {len(tasks)} tasks on {workers} worker(s): "
-                 f"{len(config.schemes)} schemes x {len(config.pairings)} pairings, "
-                 f"{len(sweep)} relay powers x "
-                 f"{config.trials} trials x {config.intervals} intervals each")
+    print(f"running {len(tasks)} tasks on {workers} worker(s): "
+          f"{len(config.schemes)} schemes x {len(config.pairings)} pairings, "
+          f"{len(sweep)} relay powers x {config.trials} trials x {config.intervals} "
+          f"intervals each", file=sys.stderr)
     if workers > 1:
         context = multiprocessing.get_context()
         claims = context.Value("i", 0)
         pool = ProcessPoolExecutor(max_workers=workers - 1, mp_context=context,
-                                   initializer=_join_pool, initargs=(claims, progress))
+                                   initializer=_join_pool, initargs=(claims,))
     else:
         claims, pool = SimpleNamespace(value=0, get_lock=nullcontext), nullcontext()
     with pool:
         shares = [pool.submit(_pool_share, tasks, start) for _ in range(workers - 1)]
-        ran = _claim_tasks(tasks, claims, start, progress, "this process")
+        ran = _claim_tasks(tasks, claims, start, "this process")
         for share in shares:
             ran += share.result()
 

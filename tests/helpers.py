@@ -1,22 +1,27 @@
-"""Shared draw distributions, brute-force oracles and one-lane adapters
-for the test suite.
+"""Shared draw distributions, brute-force oracles, plain scheduling
+references and one-lane adapters for the test suite.
 
 Randomized checks draw power gains log-uniform over [1e-2, 1e2] with the
 two BS gains swapped into degraded order, alpha uniform on [0, 1], and keep
 p0 = p1 = 10, n1 = n2 = 1 (the reference operating point).
 
-The one-lane adapters (``relay_rate_bits`` ... ``run_trial``) call the lane
-scheduler, the lane engine and the rate kernel on a single lane and unwrap
-the result to Python scalars and tuples, so that tests can state one
-block, interval or trial at a time.
+The plain references (``near_far_reference``, ``nearest_reference``)
+restate the scheduling module's pairing rules lane by lane and block by
+block in Python loops.  ``run_lanes_recorded`` runs the lane engine and
+records the pair that every lane served in every block, by a spy on the
+engine's ``schedule_lanes``.  The one-lane adapters (``relay_rate_bits``
+... ``run_trial``) call the lane scheduler, the lane engine and the rate
+kernel on a single lane and unwrap the result to Python scalars and
+tuples, so that tests can state one block, interval or trial at a time.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
+from noma_rbc import simulation
 from noma_rbc.core import ChannelParams, LinkGains, PowerSplit, Scheme
 from noma_rbc.rates import N_HAT_BRACKET, rate_kernel, relay_rate
 from noma_rbc.scheduling import (NearestStages, NearFarStages, distance_order, near_far_tables,
@@ -26,6 +31,17 @@ from noma_rbc.simulation import SimConfig, run_lanes
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 N_HAT_GRID = np.logspace(-6.0, 12.0, 10_000)
+
+# numpy evaluates ``log1p`` and the complex absolute value with CPU-specific
+# vector code, which may round differently in the last bit: engine outputs
+# are compared bit for bit only with numpy 2.4 on an x86-64 CPU with
+# AVX-512, where the pinned outputs were printed, and to 1e-12 relative
+# elsewhere (the pinned-output rule).
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    __cpu_features__ = {}
+BIT_EXACT = np.__version__.startswith("2.4.") and __cpu_features__.get("AVX512_SKX", False)
 
 
 def rng_for(seed):
@@ -109,7 +125,8 @@ def two_candidate_optimum(cf):
     without one both ends of ``N_HAT_BRACKET`` in units of n1 (the low end
     on ties).  The reference for the one-crossing rule of
     ``_CFBounds.optimum``."""
-    root0, root1 = cf.crossing_roots()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        root0, root1 = cf._crossing_roots()
     ok0 = np.isfinite(root0) & (root0 > 0.0)
     ok1 = np.isfinite(root1) & (root1 > 0.0)
     lo, hi = (end * cf.n1 for end in N_HAT_BRACKET)
@@ -260,6 +277,160 @@ def nearest_neighbor_pair(ids, dist_matrix: np.ndarray, block_gains: np.ndarray,
     return int(k1[0]), int(k2[0])
 
 
+def near_far_reference(segments, gains, avg, est, trial_of, relay_power, params, split):
+    """(L, B, 2) served (relay, second) of every lane and block under
+    near-far pairing, and the counts of re-splits and role swaps, by the
+    rules of the scheduling module's docstring in plain Python, lane by
+    lane and block by block.  Each block splits all K users by that
+    block's BS gains into a strong half of ceil(K/2) users and a weak half,
+    ranked by gain with ties to the lower index; a lane whose strong or
+    weak half has no available user left splits its available users the
+    same way.  The relay is the available strong user with the largest
+    r1/avg, the second user the available weak user with the largest
+    r2/avg given that relay, ties to the lower index; the pair serves in
+    degraded role order.  Lane l's relay power is ``relay_power[l]``, in
+    place of ``params.p1``."""
+    n_lanes, n_users, n_blocks = gains.shape
+    served = np.empty((n_lanes, n_blocks, 2), dtype=int)
+    resplits = swaps = 0
+    for scheme, start, stop in segments:
+        for lane in range(start, stop):
+            lane_params = replace(params, p1=float(relay_power[lane]))
+            taken = set()
+            for b in range(n_blocks):
+                g, pf = gains[lane, :, b].tolist(), avg[lane].tolist()
+
+                def halves(users):
+                    ranked = sorted(users, key=lambda u: -g[u])  # a stable sort
+                    cut = (len(ranked) + 1) // 2
+                    return sorted(ranked[:cut]), sorted(ranked[cut:])
+
+                def best(users, score):
+                    pick = users[0]
+                    for u in users[1:]:
+                        if score(u) > score(pick):
+                            pick = u
+                    return pick
+
+                strong, weak = ([u for u in half if u not in taken]
+                                for half in halves(range(n_users)))
+                if not strong or not weak:
+                    resplits += 1
+                    strong, weak = halves([u for u in range(n_users) if u not in taken])
+                relay = best(strong, lambda u: relay_rate_bits(scheme, g[u], lane_params,
+                                                               split) / pf[u])
+                second = best(weak, lambda u: second_rate_bits(
+                    scheme, g[relay], g[u], est[trial_of[lane], relay, u], lane_params,
+                    split) / pf[u])
+                taken |= {relay, second}
+                if g[relay] * params.n2 < g[second] * params.n1:
+                    relay, second = second, relay
+                    swaps += 1
+                served[lane, b] = relay, second
+    return served, (resplits, swaps)
+
+
+def nearest_reference(segments, gains, avg, est, dist, trial_of, relay_power, params, split,
+                      static):
+    """(L, B, 2) served (relay, second) of every lane and block under
+    nearest pairing, and the counts of stale neighbours, static fallbacks
+    and role swaps, by the rules of the scheduling module's docstring in
+    plain Python, lane by lane and block by block.  N(i) is user i's
+    nearest available user by distance in the lane's trial, ties to the
+    lower index; a stale neighbour is an available user whose nearest user
+    overall is taken.  With ``static``, N(i) is i's nearest user overall,
+    and only users whose N(i) is available are candidates; a block
+    without such a user falls back to every available user and the
+    nearest available N.  Each candidate i scores r1(i)/avg(i) +
+    r2(N(i)|i)/avg(N(i)) on the estimated inter-user gain; the best
+    becomes the relay, ties to the lower index, N of it the second user,
+    and the pair serves in degraded role order.  Lane l's relay power is
+    ``relay_power[l]``, in place of ``params.p1``."""
+    n_lanes, n_users, n_blocks = gains.shape
+    served = np.empty((n_lanes, n_blocks, 2), dtype=int)
+    stale = fallbacks = swaps = 0
+    for scheme, start, stop in segments:
+        for lane in range(start, stop):
+            lane_params = replace(params, p1=float(relay_power[lane]))
+            d, e = dist[trial_of[lane]].tolist(), est[trial_of[lane]].tolist()
+            pf = avg[lane].tolist()
+
+            def nearest(i, users):
+                return min((u for u in users if u != i), key=lambda u: (d[i][u], u))
+
+            overall = [nearest(i, range(n_users)) for i in range(n_users)]
+            taken = set()
+            for b in range(n_blocks):
+                g = gains[lane, :, b].tolist()
+                available = [u for u in range(n_users) if u not in taken]
+                stale += sum(overall[i] in taken for i in available)
+                candidates = [i for i in available if overall[i] not in taken] \
+                    if static else []
+                if candidates:
+                    neighbor = overall
+                else:
+                    fallbacks += static
+                    candidates = available
+                    neighbor = {i: nearest(i, available) for i in available}
+
+                def score(i):
+                    j = neighbor[i]
+                    return (relay_rate_bits(scheme, g[i], lane_params, split) / pf[i]
+                            + second_rate_bits(scheme, g[i], g[j], e[i][j], lane_params,
+                                               split) / pf[j])
+
+                relay = candidates[0]
+                for i in candidates[1:]:
+                    if score(i) > score(relay):
+                        relay = i
+                second = neighbor[relay]
+                taken |= {relay, second}
+                if g[relay] * params.n2 < g[second] * params.n1:
+                    relay, second = second, relay
+                    swaps += 1
+                served[lane, b] = relay, second
+    return served, (stale, fallbacks, swaps)
+
+
+@dataclass(frozen=True)
+class RecordedLanes:
+    """``run_lanes``'s per-lane result with the pairs each lane served."""
+
+    mean_sum_rate: np.ndarray
+    role_swaps: np.ndarray
+    r2_clamps: np.ndarray
+    assignments: np.ndarray  # (intervals, L, B, 2) served (relay, second)
+
+
+def run_lanes_recorded(config: SimConfig, trials: range) -> RecordedLanes:
+    """``run_lanes(config, trials)`` and the (relay, second) that every
+    result lane served in every block, recorded by a spy on
+    ``simulation.schedule_lanes``.  A scheme that does not use the relay
+    schedules one lane per trial, which stands for every relay-power point
+    of the result; the others one lane per trial and point."""
+    recorded = []
+    schedule = simulation.schedule_lanes
+
+    def spy(*args, **kwargs):
+        res = schedule(*args, **kwargs)
+        recorded.append(np.stack((res.relays, res.seconds), axis=-1))
+        return res
+    simulation.schedule_lanes = spy
+    try:
+        res = run_lanes(config, trials)
+    finally:
+        simulation.schedule_lanes = schedule
+    # result lane (c * T + t) * S + s is scheduled lane start_c + t * points + s % points
+    n_points, lanes, start = len(config.p1_over_p0_db), [], 0
+    at = np.arange(len(trials) * n_points)
+    for scheme in config.schemes:
+        points = n_points if scheme.uses_relay else 1
+        lanes.append(start + at // n_points * points + at % points)
+        start += len(trials) * points
+    return RecordedLanes(res.mean_sum_rate, res.role_swaps, res.r2_clamps,
+                         np.stack(recorded)[:, np.concatenate(lanes)])
+
+
 @dataclass(frozen=True)
 class IntervalResult:
     """Outcome of scheduling one interval of one lane."""
@@ -320,11 +491,14 @@ class TrialResult:
 
 def run_trial(config: SimConfig, trial: int, keep_assignments: bool = False) -> TrialResult:
     """``run_lanes`` on one lane: trial ``trial`` of ``config``, which holds
-    one scheme, pairing and relay power."""
-    res = run_lanes(config, range(trial, trial + 1), keep_assignments)
-    assignments = None
-    if res.assignments is not None:
+    one scheme, pairing and relay power; ``keep_assignments`` records the
+    served pairs through ``run_lanes_recorded``."""
+    trials = range(trial, trial + 1)
+    if keep_assignments:
+        res = run_lanes_recorded(config, trials)
         assignments = tuple(tuple(map(tuple, a[0].tolist())) for a in res.assignments)
+    else:
+        res, assignments = run_lanes(config, trials), None
     return TrialResult(
         mean_sum_rate=float(res.mean_sum_rate[0]),
         role_swaps=int(res.role_swaps[0]),

@@ -494,6 +494,27 @@ def test_simulate_smoke(tmp_path, capsys):
     assert manifest["artifact_version"]
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "cannot read config"),
+    ("directory", "cannot read config"),
+    ("list", "must be a mapping of keys to values"),
+    ("scalar", "must be a mapping of keys to values"),
+])
+def test_simulate_config_that_loads_no_mapping_exits_2_naming_the_file(tmp_path, capsys, kind,
+                                                                       message):
+    cfg = tmp_path / "sim.yaml"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind != "missing":
+        cfg.write_text({"list": "- users: 8\n- blocks: 2\n", "scalar": "8\n"}[kind],
+                       encoding="utf-8")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert f"config {str(cfg)!r}" in err and message in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_missing_required_key_named(tmp_path, capsys):
     cfg = tmp_path / "sim.yaml"
     cfg.write_text(SIM_CONFIG.replace("seed: 11\n", ""), encoding="utf-8")

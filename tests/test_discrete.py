@@ -182,6 +182,10 @@ def test_load_discrete_joint_lexicographic_order(tmp_path):
     ("var X 2\nprobs\n0.5\n", "expected 2 probabilities"),
     ("var X 2\nprobs\n0.5\n0.25\n0.25\n", "expected 2 probabilities"),
     ("var X two\nprobs\n0.5\n0.5\n", "not an integer"),
+    ("var X\nprobs\n1.0\n", ":1: expected 'var NAME SIZE'"),
+    ("var X 2 3\nprobs\n0.5\n0.5\n", ":1: expected 'var NAME SIZE'"),
+    ("var X 2\nvar Y 0\nprobs\n", ":2: alphabet size must be >= 1"),
+    ("var X -1\nprobs\n", ":1: alphabet size must be >= 1"),
     ("vars X 2\nprobs\n0.5\n0.5\n", "unknown directive"),
     ("var X 2\n0.5\n0.5\n", "unknown directive"),
     ("probs\n1.0\n", "'probs' before any 'var'"),

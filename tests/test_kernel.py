@@ -146,7 +146,8 @@ def cf_bounds(g01, g02, g12, p0, p1, n1, n2, alpha):
 def positive_roots(cf):
     """How many of the crossing quadratic's roots are finite and positive,
     per entry."""
-    roots = np.stack(np.broadcast_arrays(*cf.crossing_roots()))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        roots = np.stack(np.broadcast_arrays(*cf._crossing_roots()))
     return (np.isfinite(roots) & (roots > 0.0)).sum(axis=0)
 
 

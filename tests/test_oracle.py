@@ -191,14 +191,13 @@ def test_stacked_terms_equal_one_draw_terms_bit_for_bit():
                 assert stacked.delta_nats[k] == single.delta_nats
 
 
-def test_one_draw_gives_python_floats():
+def test_one_draw_gives_numpy_scalars():
     for scheme, terms in verify_terms(*REF).items():
         for term in terms:
-            assert type(term.closed_form_nats) is float, (scheme, term.name)
-            assert type(term.oracle_nats) is float, (scheme, term.name)
-            assert type(term.delta_nats) is float, (scheme, term.name)
-    assert type(gaussian_mi(ref_system(), "U", "Y1")) is float
-    assert type(gaussian_mi(ref_system(), (), "Y1")) is float
+            for value in (term.closed_form_nats, term.oracle_nats, term.delta_nats):
+                assert type(value) is np.float64, (scheme, term.name)
+    assert type(gaussian_mi(ref_system(), "U", "Y1")) is np.float64
+    assert type(gaussian_mi(ref_system(), (), "Y1")) is np.float64
 
 
 def test_divergence_names_the_first_offending_draw():

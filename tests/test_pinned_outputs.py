@@ -14,17 +14,12 @@ match to 1e-12 relative and the counters exactly."""
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from noma_rbc.core import Scheme
 from noma_rbc.simulation import SimConfig, run_experiment
 
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # numpy 1.x
-    __cpu_features__ = {}
-BIT_EXACT = np.__version__.startswith("2.4.") and __cpu_features__.get("AVX512_SKX", False)
+from helpers import BIT_EXACT
 
 CONFIGS = {
     "iid": SimConfig(users=8, blocks=3, intervals=12, trials=2, seed=5),

@@ -366,6 +366,14 @@ def test_writing_into_one_curve_changes_no_other(fixed):
                         assert now is None or _same_bits(now, old), (order, k, field, j, f)
 
 
+def test_writing_into_one_curves_alphas_changes_no_other():
+    grid = uniform_alpha_grid(11)
+    for k in range(len(Scheme)):
+        curves = sweep_region(tuple(Scheme), *G, PARAMS, grid)
+        curves[k].alphas[1] = 9.0
+        assert [c.alphas.tolist() for j, c in enumerate(curves) if j != k] == [list(grid)] * 3
+
+
 def _first_one_scheme_failure(schemes, *args):
     """The message of the first of ``schemes`` whose one-scheme sweep fails."""
     for scheme in schemes:

@@ -20,8 +20,10 @@ from noma_rbc.scheduling import (
 
 from helpers import (
     near_far_pair,
+    near_far_reference,
     nearest_available,
     nearest_neighbor_pair,
+    nearest_reference,
     nearest_remaining,
     relay_rate_bits,
     rng_for,
@@ -552,55 +554,6 @@ def test_static_neighbours_fall_back_to_the_nearest_remaining():
     assert res.assignment == ((0, 1), (2, 3))
 
 
-def _near_far_reference(segments, gains, avg, est, trial_of, relay_power):
-    """(L, B, 2) served (relay, second) of every lane and block under
-    near-far pairing, and the count of re-splits, by the rules of the
-    scheduling module's docstring in plain Python, lane by lane and block
-    by block.  Each block splits all K users by that block's BS gains
-    into a strong half of ceil(K/2) users and a weak half, ranked by gain
-    with ties to the lower index; a lane whose strong or weak half has no
-    available user left splits its available users the same way.  The
-    relay is the available strong user with the largest r1/avg, the
-    second user the available weak user with the largest r2/avg given
-    that relay, ties to the lower index; the pair serves in degraded role
-    order."""
-    n_lanes, n_users, n_blocks = gains.shape
-    served = np.empty((n_lanes, n_blocks, 2), dtype=int)
-    resplits = 0
-    for scheme, start, stop in segments:
-        for lane in range(start, stop):
-            params = replace(PARAMS, p1=float(relay_power[lane]))
-            taken = set()
-            for b in range(n_blocks):
-                g, pf = gains[lane, :, b].tolist(), avg[lane].tolist()
-
-                def split(users):
-                    ranked = sorted(users, key=lambda u: -g[u])  # a stable sort
-                    cut = (len(ranked) + 1) // 2
-                    return sorted(ranked[:cut]), sorted(ranked[cut:])
-
-                def best(users, score):
-                    pick = users[0]
-                    for u in users[1:]:
-                        if score(u) > score(pick):
-                            pick = u
-                    return pick
-
-                strong, weak = ([u for u in half if u not in taken]
-                                for half in split(range(n_users)))
-                if not strong or not weak:
-                    resplits += 1
-                    strong, weak = split([u for u in range(n_users) if u not in taken])
-                relay = best(strong, lambda u: relay_rate_bits(scheme, g[u], params, SPLIT) / pf[u])
-                second = best(weak, lambda u: second_rate_bits(
-                    scheme, g[relay], g[u], est[trial_of[lane], relay, u], params, SPLIT) / pf[u])
-                taken |= {relay, second}
-                if g[relay] * params.n2 < g[second] * params.n1:
-                    relay, second = second, relay
-                served[lane, b] = relay, second
-    return served, resplits
-
-
 def test_near_far_lanes_equal_the_plain_reference_with_ties_and_resplits():
     # few distinct gains, ledger entries and estimates, so that BS gains and
     # PF scores tie; K from 2B to 3B + 1 lets removals exhaust a half
@@ -625,69 +578,12 @@ def test_near_far_lanes_equal_the_plain_reference_with_ties_and_resplits():
                              SPLIT.alpha, est,
                              pair_gains=lambda relays, seconds: np.ones(relays.shape),
                              relay_power=relay_power, relay_r1=relay_r1)
-        expect, count = _near_far_reference(segments, gains, avg, est, trial_of, relay_power)
+        expect, count = near_far_reference(segments, gains, avg, est, trial_of, relay_power,
+                                           PARAMS, SPLIT)
         assert np.array_equal(np.stack((res.relays, res.seconds), axis=-1), expect)
-        resplits += count
+        assert res.role_swaps.sum() == count[1]
+        resplits += count[0]
     assert resplits >= 10
-
-
-def _nearest_reference(segments, gains, avg, est, dist, trial_of, relay_power, static):
-    """(L, B, 2) served (relay, second) of every lane and block under
-    nearest pairing, and the counts of stale neighbours, static fallbacks
-    and role swaps, by the rules of the scheduling module's docstring in
-    plain Python, lane by lane and block by block.  N(i) is user i's
-    nearest available user by distance in the lane's trial, ties to the
-    lower index; a stale neighbour is an available user whose nearest user
-    overall is taken.  With ``static``, N(i) is i's nearest user overall,
-    and only users whose N(i) is available are candidates; a block
-    without such a user falls back to every available user and the
-    nearest available N.  Each candidate i scores r1(i)/avg(i) +
-    r2(N(i)|i)/avg(N(i)) on the estimated inter-user gain; the best
-    becomes the relay, ties to the lower index, N of it the second user,
-    and the pair serves in degraded role order."""
-    n_lanes, n_users, n_blocks = gains.shape
-    served = np.empty((n_lanes, n_blocks, 2), dtype=int)
-    stale = fallbacks = swaps = 0
-    for scheme, start, stop in segments:
-        for lane in range(start, stop):
-            params = replace(PARAMS, p1=float(relay_power[lane]))
-            d, e = dist[trial_of[lane]].tolist(), est[trial_of[lane]].tolist()
-            pf = avg[lane].tolist()
-
-            def nearest(i, users):
-                return min((u for u in users if u != i), key=lambda u: (d[i][u], u))
-
-            overall = [nearest(i, range(n_users)) for i in range(n_users)]
-            taken = set()
-            for b in range(n_blocks):
-                g = gains[lane, :, b].tolist()
-                available = [u for u in range(n_users) if u not in taken]
-                stale += sum(overall[i] in taken for i in available)
-                candidates = [i for i in available if overall[i] not in taken] \
-                    if static else []
-                if candidates:
-                    neighbor = overall
-                else:
-                    fallbacks += static
-                    candidates = available
-                    neighbor = {i: nearest(i, available) for i in available}
-
-                def score(i):
-                    j = neighbor[i]
-                    return (relay_rate_bits(scheme, g[i], params, SPLIT) / pf[i]
-                            + second_rate_bits(scheme, g[i], g[j], e[i][j], params, SPLIT) / pf[j])
-
-                relay = candidates[0]
-                for i in candidates[1:]:
-                    if score(i) > score(relay):
-                        relay = i
-                second = neighbor[relay]
-                taken |= {relay, second}
-                if g[relay] * params.n2 < g[second] * params.n1:
-                    relay, second = second, relay
-                    swaps += 1
-                served[lane, b] = relay, second
-    return served, (stale, fallbacks, swaps)
 
 
 def test_nearest_lanes_equal_the_plain_reference_with_ties_and_fallbacks():
@@ -721,8 +617,8 @@ def test_nearest_lanes_equal_the_plain_reference_with_ties_and_fallbacks():
         res = schedule_lanes(segments, stages, gains, avg, PARAMS, SPLIT.alpha, est,
                              pair_gains=lambda relays, seconds: np.ones(relays.shape),
                              relay_power=relay_power, relay_r1=relay_r1)
-        expect, count = _nearest_reference(segments, gains, avg, est, dist, trial_of,
-                                           relay_power, static)
+        expect, count = nearest_reference(segments, gains, avg, est, dist, trial_of,
+                                          relay_power, PARAMS, SPLIT, static)
         assert np.array_equal(np.stack((res.relays, res.seconds), axis=-1), expect)
         assert res.role_swaps.sum() == count[2]
         counts += count
@@ -770,6 +666,18 @@ def test_a_lane_without_a_finite_score_is_named():
                            1.0, est, pair_gains=None,
                            relay_r1=relay_rate(Scheme.GBC, gains, PARAMS, 1.0),
                            relay_power=np.array([1.0, np.nan]))
+
+
+def test_relay_rates_must_have_the_shape_of_the_bs_gains():
+    rng = rng_for(97)
+    gains, dist, est, avg = (np.stack(x) for x in zip(*[_interval_inputs(rng, k=6, b=2)
+                                                         for _ in range(2)]))
+    with pytest.raises(ValueError, match=r"relay_r1 must have the shape \(2, 6, 2\) of "
+                                         r"bs_gains, got \(2, 6\)"):
+        schedule_lanes([(Scheme.GBC, 0, 2)], near_far_stages(gains), gains, avg, PARAMS,
+                       SPLIT.alpha, est, pair_gains=None,
+                       relay_r1=relay_rate(Scheme.GBC, gains[:, :, 0], PARAMS, SPLIT.alpha),
+                       relay_power=np.ones(2))
 
 
 @pytest.mark.parametrize("segments", [

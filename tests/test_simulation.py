@@ -8,14 +8,17 @@ import sys
 import time
 from concurrent.futures import Future
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from noma_rbc import rates, simulation
-from noma_rbc.core import ChannelParams, Scheme
+from noma_rbc.core import ChannelParams, PowerSplit, Scheme
 from noma_rbc.rates import rate_kernel
 from noma_rbc.simulation import (
+    AVG_RATE_FLOOR,
+    AVG_RATE_INIT,
     SECTOR_HALF_ANGLE,
     PairPathGains,
     SimConfig,
@@ -35,7 +38,8 @@ from noma_rbc.simulation import (
 )
 from noma_rbc.simulation import BS_CHUNK_INTERVALS
 
-from helpers import rng_for, run_trial, split_groups
+from helpers import (BIT_EXACT, near_far_reference, nearest_reference, rng_for, run_lanes_recorded,
+                     run_trial, split_groups)
 
 SMALL = SimConfig(users=8, blocks=2, intervals=10, trials=2, seed=5)
 
@@ -181,8 +185,7 @@ def test_lane_results_do_not_depend_on_the_chunk_size(monkeypatch, pairing, fadi
         runs = []
         for chunk in (1, 7, BS_CHUNK_INTERVALS):
             monkeypatch.setattr(simulation, "BS_CHUNK_INTERVALS", chunk)
-            runs.append(run_lanes(replace(cfg, schemes=(scheme,)), range(2),
-                                  keep_assignments=True))
+            runs.append(run_lanes_recorded(replace(cfg, schemes=(scheme,)), range(2)))
         for other in runs[1:]:
             assert other.mean_sum_rate.tolist() == runs[0].mean_sum_rate.tolist()
             assert np.array_equal(other.role_swaps, runs[0].role_swaps)
@@ -220,6 +223,119 @@ def test_degenerate_trial_equals_direct_computation():
                                cfg.alpha)
     assert result.assignments == (((relay, second),),)
     assert result.mean_sum_rate == pytest.approx(r1 + r2, rel=1e-12)
+
+
+def _trial_reference(config, t):
+    """Trial ``t`` of ``config``'s one pairing by the rules of the
+    simulation module's docstring in plain Python, one lane and one BS draw
+    at a time: per (scheme, relay-power point), in that order, the mean sum
+    rate, the role swaps, the r2 clamps and the (intervals, B, 2) served
+    (relay, second).
+
+    The trial draws from the children (t, k), k = 0, 1, 2, of the master
+    seed: the user positions, uniform by area over the 120-degree annular
+    sector, radii then angles, and from them the distances and the gain
+    estimates (d / De)^(-gamma); per interval the (K, B) real, then
+    imaginary, parts of the BS fading, which scale the users' path gains
+    (one draw for every interval under static fading); per interval, when
+    a scheme uses the relay, the (B, 2) inter-user fading, real then
+    imaginary part block by block.  Each interval pairs the users through
+    the pairing's plain reference, serves each pair on its true gains, the
+    inter-user gain being the pair's path gain times its block's fading,
+    sums r1 + r2 in block order and updates the PF ledger by (1 - tau) avg
+    + tau served, floored at ``AVG_RATE_FLOOR``."""
+    n_users, n_blocks = config.users, config.blocks
+    rng_topo, rng_fading, rng_pair = (
+        np.random.Generator(np.random.Philox(child))
+        for child in np.random.SeedSequence(config.seed, spawn_key=(t,)).spawn(3))
+    r0, edge, gamma = config.inner_radius_m, config.edge_radius_m, config.path_loss_exp
+    radius = np.sqrt(r0 * r0 + rng_topo.uniform(size=n_users) * (edge * edge - r0 * r0))
+    angle = rng_topo.uniform(-math.pi / 3.0, math.pi / 3.0, size=n_users)
+    x, y = (radius * np.cos(angle)).tolist(), (radius * np.sin(angle)).tolist()
+    dist = np.array([[math.sqrt((x[i] - x[j]) * (x[i] - x[j]) + (y[i] - y[j]) * (y[i] - y[j]))
+                      for j in range(n_users)] for i in range(n_users)])
+    self_pair = np.eye(n_users, dtype=bool)
+    est = np.where(self_pair, 0.0, (np.where(self_pair, 1.0, dist) / edge) ** -gamma)
+    path = (radius / edge) ** -gamma
+    uses_relay = any(scheme.uses_relay for scheme in config.schemes)
+    bs, pair = [], []
+    for interval in range(config.intervals):
+        if config.fading == "iid" or interval == 0:
+            re = rng_fading.standard_normal((n_users, n_blocks))
+            im = rng_fading.standard_normal((n_users, n_blocks))
+            gains = np.abs((re + 1j * im) / np.sqrt(2.0)) ** 2 * path[:, None]
+        bs.append(gains)
+        if uses_relay:
+            f = np.abs((rng_pair.standard_normal((n_blocks, 2)) / np.sqrt(2.0)).view(complex))
+            pair.append([float(v) ** 2 for v in f[:, 0]])
+
+    lanes, split = [], PowerSplit(config.alpha)
+    for scheme, p1 in itertools.product(config.schemes, config.relay_powers):
+        params = ChannelParams(p0=config.p0, p1=p1, n1=1.0, n2=1.0)
+        avg = [AVG_RATE_INIT] * n_users
+        total, swaps, clamps, pairs = 0.0, 0, 0, []
+        for interval, gains in enumerate(bs):
+            lane = ([(scheme, 0, 1)], gains[None], np.array([avg]), est[None])
+            if config.pairings[0] == "near-far":
+                served, counts = near_far_reference(*lane, [0], [p1], params, split)
+            else:
+                served, counts = nearest_reference(*lane, dist[None], [0], [p1], params, split,
+                                                   config.neighbors == "static")
+            swaps += counts[-1]
+            pairs.append(served[0])
+            rate, sum_rate = [0.0] * n_users, 0.0
+            for b, (relay, second) in enumerate(served[0].tolist()):
+                g12 = math.pow(dist[relay, second] / edge, -gamma) * pair[interval][b] \
+                    if uses_relay else 0.0
+                r1, r2, _, clamped = rate_kernel(scheme, gains[relay, b], gains[second, b], g12,
+                                                 params, config.alpha)
+                rate[relay], rate[second] = float(r1), float(r2)
+                sum_rate += rate[relay] + rate[second]
+                clamps += bool(clamped)
+            total += sum_rate
+            avg = [max((1.0 - config.tau) * a + config.tau * r, AVG_RATE_FLOOR)
+                   for a, r in zip(avg, rate)]
+        lanes.append((total / config.intervals, swaps, clamps, np.stack(pairs)))
+    return lanes
+
+
+def test_lanes_equal_the_plain_trial_reference(monkeypatch):
+    # small configs over both pairings, both fading and neighbour modes and
+    # alpha 0, 0.2 and 1, K from 2B; half draw the BS fading in chunks of 3
+    # intervals, so that chunks end inside a run
+    modes = [("near-far", "iid", "recompute"), ("near-far", "static", "recompute"),
+             ("nearest", "iid", "recompute"), ("nearest", "static", "recompute"),
+             ("nearest", "iid", "static"), ("nearest", "static", "static")]
+    rng = rng_for(139)
+    swaps = clamps = 0
+    for k in range(30):
+        pairing, fading, neighbors = modes[k % len(modes)]
+        blocks = int(rng.integers(1, 4))
+        order = rng.permutation(len(Scheme))[:int(rng.integers(1, len(Scheme) + 1))]
+        cfg = SimConfig(users=int(rng.integers(2 * blocks, 2 * blocks + 4)), blocks=blocks,
+                        intervals=int(rng.integers(4, 9)), trials=3,
+                        seed=int(rng.integers(2 ** 32)), alpha=(0.0, 0.2, 1.0)[k // 6 % 3],
+                        tau=float(rng.choice([0.01, 0.5])), fading=fading, neighbors=neighbors,
+                        schemes=tuple(list(Scheme)[i] for i in order), pairings=(pairing,),
+                        p1_over_p0_db=tuple(rng.choice([-10.0, 0.0, 10.0],
+                                                       size=int(rng.integers(1, 3)),
+                                                       replace=False).tolist()),
+                        cross_check=bool(k % 2))
+        monkeypatch.setattr(simulation, "BS_CHUNK_INTERVALS", (3, BS_CHUNK_INTERVALS)[k // 2 % 2])
+        first = int(rng.integers(0, 2))
+        trials = range(first, first + int(rng.integers(1, 3)))
+        got = run_lanes_recorded(cfg, trials)
+        n_points = len(cfg.p1_over_p0_db)
+        for position, t in enumerate(trials):
+            for c_s, (mean, n_swaps, n_clamps, pairs) in enumerate(_trial_reference(cfg, t)):
+                c, s = divmod(c_s, n_points)
+                lane = (c * len(trials) + position) * n_points + s
+                assert np.array_equal(got.assignments[:, lane], pairs), (k, t, c, s)
+                assert got.mean_sum_rate[lane] == \
+                    (mean if BIT_EXACT else pytest.approx(mean, rel=1e-12)), (k, t, c, s)
+                assert (got.role_swaps[lane], got.r2_clamps[lane]) == (n_swaps, n_clamps)
+                swaps, clamps = swaps + n_swaps, clamps + n_clamps
+    assert swaps >= 200 and clamps >= 5, (swaps, clamps)  # these configs hold 532 and 12
 
 
 @pytest.mark.parametrize("seed, trials, trial", [
@@ -379,9 +495,8 @@ def allow_cpus(monkeypatch, n):
 def recording_pool(monkeypatch):
     RecordingPool.created = []
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
-    # the initializer sets them here
+    # the initializer sets it here
     monkeypatch.setattr(simulation, "_pool_claims", None)
-    monkeypatch.setattr(simulation, "_pool_progress", None)
     allow_cpus(monkeypatch, 6)
     return RecordingPool.created
 
@@ -512,14 +627,23 @@ def test_each_process_reports_a_task_when_it_ends(tmp_path, monkeypatch, capfd):
         if pid == parent:
             wait_for(lambda: sum(p != parent for _, p in task_log(log)) >= 2)
     logging_run_lanes(monkeypatch, log, FULL, 2, before)
-    _, tasks, workers = run_experiment(FULL, parallel=2,
-                                       progress=lambda msg: print(msg, file=sys.stderr))
+    _, tasks, workers = run_experiment(FULL, parallel=2)
     assert (tasks, workers) == (4, 2)
     done = [line for line in capfd.readouterr().err.splitlines() if line.startswith("done ")]
     assert len(done) == tasks
     assert sorted(re.search(r"\((\d)/4\)", line).group(1) for line in done) == list("1234")
     assert " in a pool worker at " in done[0]
     assert any(" in this process at " in line for line in done)
+
+
+def test_each_done_line_is_one_write(monkeypatch):
+    # the processes share stderr, so a line written in two calls can take
+    # another process's line in between
+    writes = []
+    monkeypatch.setattr(sys, "stderr", SimpleNamespace(write=writes.append))
+    tasks = run_experiment(FULL)[1]
+    done = [w for w in writes if w.startswith("done ")]
+    assert len(done) == tasks and all(w.endswith(" s\n") and w.count("\n") == 1 for w in done)
 
 
 def test_tasks_hold_every_relay_power_of_their_trials():
@@ -587,10 +711,10 @@ def test_scheme_batched_lanes_equal_one_scheme_runs(schemes, pairing, fading, ne
     cfg = replace(SMALL, users=10, blocks=3, intervals=12, pairings=(pairing,), fading=fading,
                   neighbors=neighbors, cross_check=cross_check, p1_over_p0_db=sweep)
     trials = range(2)
-    together = run_lanes(replace(cfg, schemes=schemes), trials, keep_assignments=True)
+    together = run_lanes_recorded(replace(cfg, schemes=schemes), trials)
     per_scheme = len(trials) * len(sweep)
     for c, scheme in enumerate(schemes):
-        alone = run_lanes(replace(cfg, schemes=(scheme,)), trials, keep_assignments=True)
+        alone = run_lanes_recorded(replace(cfg, schemes=(scheme,)), trials)
         lanes = slice(c * per_scheme, (c + 1) * per_scheme)
         assert together.mean_sum_rate[lanes].tolist() == alone.mean_sum_rate.tolist()
         assert together.role_swaps[lanes].tolist() == alone.role_swaps.tolist()
@@ -686,15 +810,15 @@ def test_a_scheme_without_the_relay_runs_one_lane_per_trial(monkeypatch, pairing
     sweep = (-10.0, 0.0, 5.0)
     cfg = replace(SMALL, users=10, blocks=3, intervals=6, pairings=(pairing,),
                   p1_over_p0_db=sweep, schemes=(Scheme.RBC_CF, Scheme.GBC, Scheme.RBC_DF))
-    lanes = run_lanes(cfg, range(2), keep_assignments=True)
+    lanes = run_lanes_recorded(cfg, range(2))
     assert segments == [[("rbc-cf", 0, 6), ("gbc", 6, 8), ("rbc-df", 8, 14)]] * cfg.intervals
     # the result keeps one lane per (scheme, trial, point); GBC's equal a
     # one-point run's, bit for bit, at every point
     assert lanes.mean_sum_rate.shape == (3 * 2 * 3,)
     gbc = slice(6, 12)
     for s, db in enumerate(sweep):
-        alone = run_lanes(replace(cfg, schemes=(Scheme.GBC,), p1_over_p0_db=(db,)), range(2),
-                          keep_assignments=True)
+        alone = run_lanes_recorded(replace(cfg, schemes=(Scheme.GBC,), p1_over_p0_db=(db,)),
+                                   range(2))
         at = slice(gbc.start + s, gbc.stop, len(sweep))
         assert lanes.mean_sum_rate[at].tolist() == alone.mean_sum_rate.tolist()
         assert lanes.role_swaps[at].tolist() == alone.role_swaps.tolist()
