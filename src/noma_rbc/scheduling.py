@@ -60,7 +60,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ChannelParams, Scheme
+from .core import ChannelParams, Scheme, is_degraded_ordered
 from .rates import dominance_violation, second_rates
 
 
@@ -316,7 +316,7 @@ def schedule_lanes(
     checked, returns the interval's ``NearFarStages`` or ``NearestStages``,
     the pairing's tables and each lane's table of ``est_gain`` bound.  The
     block loop records each block's (relay, second) from its ``select``,
-    and the roles are decided after it over (L, B) at once.
+    and the roles after it over (L, B) by ``core.is_degraded_ordered``.
     ``pair_gains(relays, seconds)`` then returns the (L, B) true inter-user
     gains of the served pairs, in one call and none when no scheme uses the
     relay.  ``cross_check`` raises on a served pair that breaks
@@ -347,11 +347,11 @@ def schedule_lanes(
         picked[:, :, b] = select(b, avail, est_gain, segments, params, alpha, p1)
         avail.put(picked[:, :, b], False)
 
-    # roles, for all blocks at once: a selected relay that is the weaker
-    # user on its true BS gains serves as the second user
+    # roles, for all blocks at once: a selected pair out of the degraded
+    # order on its true BS gains serves with the roles swapped
     at = picked * n_blocks + np.arange(n_blocks)  # into (L, K, B)
     gains = bs_gains.take(at)
-    swap = gains[0] * params.n2 < gains[1] * params.n1
+    swap = ~is_degraded_ordered(gains[0], gains[1], params)
     picked = np.where(swap, picked[::-1], picked)
     relays, seconds = picked % n_users
     g01, g02 = np.where(swap, gains[::-1], gains)

@@ -114,9 +114,9 @@ def generate_topology(config: SimConfig, rng: np.random.Generator) -> np.ndarray
 
 
 def positions_xy(polar: np.ndarray) -> np.ndarray:
-    """Cartesian (x, y) for (radius, angle) rows, BS at the origin."""
-    return np.column_stack([polar[:, 0] * np.cos(polar[:, 1]),
-                            polar[:, 0] * np.sin(polar[:, 1])])
+    """Cartesian (x, y) for (..., 2) (radius, angle) rows, BS at the origin."""
+    return np.stack([polar[..., 0] * np.cos(polar[..., 1]),
+                     polar[..., 0] * np.sin(polar[..., 1])], axis=-1)
 
 
 def mean_radius_analytic(config: SimConfig) -> float:
@@ -220,13 +220,13 @@ def run_lanes(config: SimConfig, trials: range) -> LaneResult:
     """Every (scheme, trial, relay-power point) lane of the config's one
     pairing, advanced together one interval at a time.
 
-    What depends on a trial's draws only is computed on trial rows and
-    shared by all its lanes: the topology, inter-user gain estimates and
-    distance order once, and the BS gains, relay rates and near-far user
-    tables per chunk of ``BS_CHUNK_INTERVALS`` intervals, the relay rates
-    once per distinct r1 formula of the schemes, for both pairings.  The
-    interval loop does the ledger-dependent work.  ``trials`` are trial
-    indices; trial t draws from the children (t, k) of ``config.seed``.
+    What depends on a trial's draws only is computed on (T, ...) stacks of
+    trial rows, shared by all its lanes: once the topologies, (T, K, K)
+    distances, gain estimates and distance order, and the pair fading if a
+    scheme uses the relay; per chunk of ``BS_CHUNK_INTERVALS`` intervals the
+    BS gains, near-far user tables and relay rates, once per distinct r1
+    formula.  The interval loop does the ledger-dependent work.  ``trials``
+    are trial indices; trial t draws from the children (t, k) of ``config.seed``.
     """
     if not len(trials):
         raise ValueError("trials must not be empty")
@@ -245,31 +245,23 @@ def run_lanes(config: SimConfig, trials: range) -> LaneResult:
     r1_row = np.repeat(formula_of, np.diff(starts)) * n_trials + trial_of
     # powers are in units of the noise power, the units of the CF n_hat bracket
     relay_power = np.concatenate([np.tile(config.relay_powers[:p], n_trials) for p in points])
-    params = ChannelParams(p0=config.p0, p1=float(relay_power[0]), n1=1.0, n2=1.0)
+    params = ChannelParams(p0=config.p0)
     has_relay_link = any(scheme.uses_relay for scheme in schemes)
     near_far = config.pairings[0] == "near-far"
 
     streams = [_trial_streams(config.seed, t) for t in trials]
-    radii, dist, est_gain, fading = [], [], [], []
-    for rng_topo, _, rng_pair in streams:
-        polar = generate_topology(config, rng_topo)
-        radii.append(polar[:, 0])
-        xy = positions_xy(polar)
-        diff = xy[:, None, :] - xy[None, :, :]
-        d = np.sqrt((diff ** 2).sum(axis=2))
-        dist.append(d)
-        # inter-user gain estimate C0 * d^(-gamma) with C0 = De^gamma, so the
-        # estimate equals the expected power gain of the fading model
-        d_safe = d.copy()
-        np.fill_diagonal(d_safe, 1.0)
-        est = path_gain(d_safe, config)
-        np.fill_diagonal(est, 0.0)
-        est_gain.append(est)
-        if has_relay_link:
-            fading.append(pair_fading(rng_pair, config.intervals, config.blocks))
-    est_gain, dist = np.stack(est_gain), np.stack(dist)
+    polar = np.stack([generate_topology(config, rng_topo) for rng_topo, _, _ in streams])
+    radii = polar[..., 0]
+    dist = np.stack([np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
+                     for xy in positions_xy(polar)])  # (T, K, K)
+    # inter-user gain estimate C0 * d^(-gamma) with C0 = De^gamma, the expected
+    # power gain of the fading model; a user's own, of d = 0 read as 1, is 0
+    eye = np.eye(config.users, dtype=bool)
+    est_gain = np.where(eye, 0.0, path_gain(dist + eye, config))
     if has_relay_link:
-        path, fading = PairPathGains(dist, config), np.stack(fading)
+        path = PairPathGains(dist, config)
+        fading = np.stack([pair_fading(rng_pair, config.intervals, config.blocks)
+                           for _, _, rng_pair in streams])
     if not near_far:  # nearest pairing's stages, bound once for the task
         order = distance_order(dist)
         neighbor_of = order[trial_of, :, 0] if config.neighbors == "static" else None
@@ -468,13 +460,14 @@ def run_experiment(config: SimConfig, parallel: int = 1) -> tuple[list[SimResult
     workers = effective_parallel(degree, len(tasks))
     sweep = config.p1_over_p0_db
     # numpy refuses a run too large for memory, or past its index range (a
-    # ValueError), before it is announced: the results, a task's radii and
-    # its inter-user fading
+    # ValueError), before it is announced: the results, and the (T, K, K)
+    # distances and inter-user fading of the task with the most trials
     combos = list(itertools.product(config.schemes, config.pairings))
-    shape, task_trials = (len(combos), len(sweep), config.trials), len(tasks[0].trials)
+    shape = (len(combos), len(sweep), config.trials)
+    task_trials = max(len(task.trials) for task in tasks)
     try:
         means, swaps, clamps = (np.empty(shape, dtype) for dtype in (float, int, int))
-        np.empty((task_trials, config.users))
+        np.empty((task_trials, config.users, config.users))
         if any(scheme.uses_relay for scheme in config.schemes):
             np.empty((task_trials, config.intervals, config.blocks))
     except ValueError as exc:
@@ -497,9 +490,9 @@ def run_experiment(config: SimConfig, parallel: int = 1) -> tuple[list[SimResult
             ran += share.result()
 
     # lane (c * T + t) * S + s: scheme c, trial t at point s
-    for task, (_, res) in zip(tasks, sorted(ran, key=lambda run: run[0])):
-        schemes, trials = task.config.schemes, task.trials
-        at = ([combos.index((s, task.config.pairings[0])) for s in schemes], slice(None),
+    for k, res in ran:
+        schemes, trials = tasks[k].config.schemes, tasks[k].trials
+        at = ([combos.index((s, tasks[k].config.pairings[0])) for s in schemes], slice(None),
               slice(trials.start, trials.stop))
         for whole, part in ((means, res.mean_sum_rate), (swaps, res.role_swaps),
                             (clamps, res.r2_clamps)):
@@ -531,7 +524,4 @@ def write_results_csv(results: Sequence[SimResult], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in results:
-            writer.writerow([
-                r.scheme, r.pairing, r.p1_over_p0_db, r.mean_sum_rate,
-                r.stderr, r.trials, r.intervals, r.seed,
-            ])
+            writer.writerow([getattr(r, column) for column in CSV_COLUMNS])

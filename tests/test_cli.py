@@ -726,15 +726,17 @@ def alarm_after(seconds):
 @pytest.mark.parametrize("parallel", [1, 2])
 @pytest.mark.parametrize("lines", [
     "users: 10000000000000",
+    # a task's (T, K, K) distances, 400 TB, though its (T, K) radii fit
+    "users: 5000000",
     # planning holds a trial range per task, nothing per trial
     "trials: 1000000000000",
-    # sizes past numpy's index range, at the radii and the inter-user fading
+    # sizes past numpy's index range, at the distances and the inter-user fading
     "users: 10000000000000000000",
     "intervals: 10000000000000000000\nschemes: [rbc-df]",
-], ids=["users-1e13", "trials-1e12", "users-1e19", "intervals-1e19"])
+], ids=["users-1e13", "users-5e6", "trials-1e12", "users-1e19", "intervals-1e19"])
 def test_simulate_run_too_large_for_memory_exits_2_naming_the_size_keys(tmp_path, capsys,
                                                                         parallel, lines):
-    # numpy refuses the result arrays, a task's radii or its inter-user
+    # numpy refuses the result arrays, a task's distances or its inter-user
     # fading before any task starts or any progress line is written, at
     # any --parallel, and at once
     keys = [line.split(":")[0] for line in lines.splitlines()]
@@ -808,6 +810,33 @@ def test_unknown_keys_of_mixed_types_exit_2_naming_each(tmp_path, capsys, comman
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "unknown" in line] == \
         [f"error: unknown config key {key}" for key in named]
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("simulate", ["users", "blocks", "intervals", "trials", "seed"]),
+    ("region", ["g01", "g02", "p0_db"]),
+])
+def test_empty_config_exits_2_naming_each_missing_key(tmp_path, capsys, command, missing):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("", encoding="utf-8")
+    assert config.load(str(cfg)) == {}
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == \
+        EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.splitlines() == \
+        [f"error: missing required key '{key}'" for key in missing]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "region"])
+def test_unhashable_config_key_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("[1, 2]: 3\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == \
+        EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse config '{cfg}'") and "found unhashable key" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("noise", ["1.0", "1.0e-300"])

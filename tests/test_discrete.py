@@ -40,6 +40,18 @@ def test_entropy_and_conditionals():
     assert joint.conditional_entropy("X", "X") == pytest.approx(0.0, abs=1e-12)
 
 
+def test_conditional_entropy_given_nothing_is_the_entropy():
+    joint = bsc_joint(0.1)
+    assert joint.conditional_entropy(("X", "Y")) == joint.entropy(("X", "Y"))
+    assert joint.conditional_entropy("Y") == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mutual_information_with_an_empty_set_is_zero():
+    joint = bsc_joint(0.1)
+    assert joint.mutual_information((), "Y") == 0.0
+    assert joint.mutual_information("X", (), given="Y") == 0.0
+
+
 def test_marginal_axis_order():
     rng = rng_for(3)
     pmf = rng.dirichlet(np.ones(24)).reshape(2, 3, 4)

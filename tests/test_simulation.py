@@ -539,6 +539,25 @@ def test_the_run_plans_for_the_degree_that_runs(recording_pool, monkeypatch):
     assert recording_pool == [1, 1]
 
 
+def test_the_size_check_probes_the_task_with_the_most_trials(recording_pool, monkeypatch):
+    # three trials at degree 2 plan trials 0 and 1-2, so the (T, K, K)
+    # distances to probe are two trials', not the first task's one
+    allow_cpus(monkeypatch, 2)
+    cfg = replace(SMALL, trials=3, schemes=(Scheme.GBC,))
+    assert [task.trials for task in plan_tasks(cfg, 2)] == [range(0, 1), range(1, 3)]
+    empty = np.empty
+
+    def one_trial_of_distances(shape, dtype=float, **kwargs):
+        # as a host whose memory holds one trial's (K, K) distances, no more
+        if math.prod(shape) * np.dtype(dtype).itemsize > cfg.users ** 2 * 8:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, dtype, **kwargs)
+    monkeypatch.setattr(np, "empty", one_trial_of_distances)
+    with pytest.raises(MemoryError, match=re.escape("(2, 8, 8)")):
+        run_experiment(cfg, parallel=2)
+    assert recording_pool == []  # refused before any worker starts
+
+
 def task_log(path):
     """(task index in ``plan_tasks`` order, pid) per line of ``path``."""
     return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
