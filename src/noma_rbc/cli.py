@@ -17,7 +17,9 @@ twice in one mapping is a config error.  ``region`` and ``simulate`` read
 and check their keys, and build their flags, through the one key table of
 ``config``.
 
-Exit codes: 0 success, 2 config error, 3 verification failure.  Progress
+Exit codes: 0 success, 2 config error, 3 verification failure, 141 stdout
+closed by its reader (a pipe such as ``| head -1``), which ends the
+command without a traceback.  Progress
 and status go to stderr; ``verify`` prints its report on stdout.  Every
 output file lands inside the declared output directory and is paired with
 the manifest that produced it.  dB-valued inputs carry an explicit ``_db``
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -47,6 +50,8 @@ from .simulation import run_experiment, write_results_csv
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_VERIFY_FAILED = 3
+# 128 + SIGPIPE: what a shell reports for a command that a closed pipe ends
+EXIT_BROKEN_PIPE = 141
 
 VERIFY_TOL_NATS = 1e-9
 DEFAULT_VERIFY_COUNT = 1000
@@ -298,8 +303,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    # looked up per call, so a replaced ``cmd_*`` attribute is the one run
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        # looked up per call, so a replaced ``cmd_*`` attribute is the one run
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a reader that closed the pipe is seen here, not at exit
+    except BrokenPipeError:
+        # as the signal module's notes on SIGPIPE advise: what is still
+        # buffered, and the flush at exit, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -46,7 +46,15 @@ numpy scalars, a stack gives arrays of N values.  ``verify_terms`` checks
 several schemes over one draw or a stack in one pass, evaluating once each
 term that schemes share: the four schemes' 13 terms take 8 stacked oracle
 calls and 26 stacked SVDs, as a system factors each (left, given) pair
-once and three of the 8 terms condition V on X1.  It is the oracle's only
+once and three of the 8 terms condition V on X1.  22 of the 26 factor one
+or two rows in closed form, the other 4 (three or four rows) go through
+LAPACK.  The closed forms first scale each matrix by its largest entry, so
+no square overflows or underflows.  A row's singular value is its norm.
+Two rows are turned by the one Jacobi rotation that makes them orthogonal,
+its angle taken from their Gram entries (Hestenes 1958), and the singular
+values are the turned rows' norms, never square roots of Gram eigenvalues:
+the smaller keeps an error of a few ulps of the larger, as LAPACK's does,
+so no factorization squares a condition number.  It is the oracle's only
 verification entry, and it takes each closed form from ``rates``, r1 under
 the formula that ``rates.relay_rate_formulas`` assigns the scheme, so the
 oracle checks the grouping the engine serves with.
@@ -66,6 +74,10 @@ from .core import LN2, ChannelParams, Scheme, VarSpec, as_names
 from . import rates
 
 RANK_TOL = 1e-12
+# the smallest normal float, a floor under the closed forms' divisors: they
+# are 0 only for a zero matrix, a zero row, or orthogonal rows of equal
+# norm, which any rotation leaves orthogonal
+_TINY = np.finfo(float).tiny
 
 # Variance fields in the order of the primitives U, V, X1, Z1, Z2, ZH.
 _VARIANCES = ("var_u", "var_v", "var_x1", "var_z1", "var_z2", "var_zh")
@@ -163,10 +175,44 @@ class GaussianSystem:
         return np.take(self._rows, np.array([_ROW_INDEX[n] for n in names], dtype=np.intp), axis=-2)
 
 
+def _svd(rows: np.ndarray, compute_uv: bool = True):
+    """What ``np.linalg.svd(rows, full_matrices=False, compute_uv=...)``
+    returns for a stack of (m, n) matrices, m <= n: singular values in
+    descending order, and ``u`` and ``vt`` equal to LAPACK's up to sign.
+    One- and two-row stacks take the closed forms of the module notes,
+    larger ones LAPACK."""
+    m = rows.shape[-2]
+    if m > 2:
+        return np.linalg.svd(rows, full_matrices=False, compute_uv=compute_uv)
+    scale = np.maximum(np.max(np.abs(rows), axis=(-2, -1), keepdims=True), _TINY)
+    a = rows / scale
+    if m == 2:
+        # tan(theta) of the smaller rotation with tan(2 theta) = 2r / (p - q)
+        pq = np.einsum("...in,...in->...i", a, a)
+        d = pq[..., 0] - pq[..., 1]
+        r2 = 2.0 * np.einsum("...n,...n->...", a[..., 0, :], a[..., 1, :])
+        t = r2 / np.copysign(np.abs(d) + np.sqrt(d * d + r2 * r2) + _TINY, d)
+        cos = 1.0 / np.sqrt(1.0 + t * t)
+        sin = t * cos
+        rot = np.stack([cos, sin, -sin, cos], axis=-1).reshape(a.shape[:-2] + (2, 2))
+        a = rot @ a
+    norms = np.sqrt(np.einsum("...in,...in->...i", a, a))
+    if m == 2:  # descending: the larger turned row first
+        flip = norms[..., 1:] > norms[..., :1]
+        norms = np.where(flip, norms[..., ::-1], norms)
+        if compute_uv:
+            a, rot = (np.where(flip[..., None], x[..., ::-1, :], x) for x in (a, rot))
+    s = norms * scale[..., 0]
+    if not compute_uv:
+        return s
+    u = rot.swapaxes(-1, -2) if m == 2 else np.ones(a.shape[:-1] + (1,))
+    return u, s, a / np.maximum(norms, _TINY)[..., None]
+
+
 def _orthonormal_basis(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis of each matrix's row space as the rows of its
     ``vt``, rank-revealed at RANK_TOL: rows past the rank are zeroed."""
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    _, s, vt = _svd(rows)
     return vt * (s > s[..., :1] * RANK_TOL)[..., None]
 
 
@@ -208,7 +254,7 @@ def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: Va
     if factors is None:
         rows_l, rows_g = system.whitened_rows(left), system.whitened_rows(given)
         res_g = _residual_rows(rows_l, _orthonormal_basis(rows_g)) if given else rows_l
-        u, s, _ = np.linalg.svd(res_g, full_matrices=False)
+        u, s, _ = _svd(res_g)
         # eigenvalue tolerance on s^2; nothing is kept where the left set is
         # deterministic given the conditioning
         keep = s > s[..., :1] * math.sqrt(RANK_TOL)
@@ -218,7 +264,7 @@ def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: Va
     smax = s[..., :1]
     rows_rg = np.concatenate([system.whitened_rows(right), rows_g], axis=-2)
     res_rg = _residual_rows(rows_l, _orthonormal_basis(rows_rg))
-    s_ab = np.linalg.svd(w.swapaxes(-1, -2) @ res_rg, compute_uv=False)
+    s_ab = _svd(w.swapaxes(-1, -2) @ res_rg, compute_uv=False)
     keep_ab = np.arange(s_ab.shape[-1]) < np.sum(keep, axis=-1, keepdims=True)
     diverged = np.any(keep_ab & (s_ab <= smax * RANK_TOL), axis=-1)
     if np.any(diverged):

@@ -461,15 +461,17 @@ def run_experiment(config: SimConfig, parallel: int = 1) -> tuple[list[SimResult
     sweep = config.p1_over_p0_db
     # numpy refuses a run too large for memory, or past its index range (a
     # ValueError), before it is announced: the results, and the (T, K, K)
-    # distances and inter-user fading of the task with the most trials
+    # distances and inter-user fading of the task with the most trials.
+    # Without the relay no fading is drawn, and an empty array of the same
+    # shape checks the index range alone.
     combos = list(itertools.product(config.schemes, config.pairings))
     shape = (len(combos), len(sweep), config.trials)
     task_trials = max(len(task.trials) for task in tasks)
+    fading = (task_trials, config.intervals, config.blocks)
     try:
         means, swaps, clamps = (np.empty(shape, dtype) for dtype in (float, int, int))
         np.empty((task_trials, config.users, config.users))
-        if any(scheme.uses_relay for scheme in config.schemes):
-            np.empty((task_trials, config.intervals, config.blocks))
+        np.empty(fading if any(scheme.uses_relay for scheme in config.schemes) else (0,) + fading)
     except ValueError as exc:
         raise MemoryError(str(exc)) from None
     print(f"running {len(tasks)} tasks on {workers} worker(s): "

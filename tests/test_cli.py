@@ -3,8 +3,11 @@ import csv
 import io
 import time
 import json
+import os
 import re
 import signal
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from noma_rbc.core import ChannelParams, Scheme
 from noma_rbc.oracle import TermDelta
 from noma_rbc.rates import RateRegionCurve, rate_kernel
 from noma_rbc.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
@@ -669,6 +673,31 @@ def test_verify_bad_count_or_seed_exits_2(capsys, flags, key):
     assert captured.out == ""
 
 
+# a command run once the test has read one line and closed the pipe, as in
+# ``noma-rbc verify | head -1`` when head exits before verify has printed
+CLOSED_PIPE_CHILD = """\
+import select, sys
+from noma_rbc.cli import main
+print("ready", flush=True)
+poll = select.poll()
+poll.register(sys.stdout, select.POLLERR)
+poll.poll(60_000)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_closed_stdout_ends_a_command_without_a_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen([sys.executable, "-c", CLOSED_PIPE_CHILD, "verify", "--count", "20"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline() == b"ready\n"
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert b"Traceback" not in err, err.decode()
+    assert child.returncode == EXIT_BROKEN_PIPE
+
+
 @pytest.mark.parametrize("line, key", [
     ("path_loss_exp: .nan", "path_loss_exp"),
     # a string that spells a number is read as one, a boolean is not
@@ -733,7 +762,10 @@ def alarm_after(seconds):
     # sizes past numpy's index range, at the distances and the inter-user fading
     "users: 10000000000000000000",
     "intervals: 10000000000000000000\nschemes: [rbc-df]",
-], ids=["users-1e13", "users-5e6", "trials-1e12", "users-1e19", "intervals-1e19"])
+    # GBC alone draws no inter-user fading, and is refused all the same
+    "intervals: 10000000000000000000\nschemes: [gbc]",
+], ids=["users-1e13", "users-5e6", "trials-1e12", "users-1e19", "intervals-1e19",
+        "intervals-1e19-gbc"])
 def test_simulate_run_too_large_for_memory_exits_2_naming_the_size_keys(tmp_path, capsys,
                                                                         parallel, lines):
     # numpy refuses the result arrays, a task's distances or its inter-user

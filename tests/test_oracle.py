@@ -405,19 +405,26 @@ def test_schemes_share_their_common_terms():
 def test_a_verify_chunk_factors_each_left_and_given_pair_once(monkeypatch):
     # 8 distinct terms: 6 conditioned ones of 4 SVDs and 2 unconditioned
     # ones of 3, less 2 for each of the two terms on V given X1 that reuse
-    # the first one's factorization
-    calls = []
+    # the first one's factorization.  Of the 26, the 4 of three or four
+    # rows go to LAPACK and the 22 of one or two rows are closed forms.
+    calls, lapack = [], []
 
-    def counted(a, *args, real=np.linalg.svd, **kwargs):
-        calls.append(np.shape(a))
-        return real(a, *args, **kwargs)
+    def counted(log, real):
+        def call(a, *args, **kwargs):
+            log.append(np.shape(a))
+            return real(a, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(oracle, "_svd", counted(calls, oracle._svd))
+    monkeypatch.setattr(np.linalg, "svd", counted(lapack, np.linalg.svd))
     for batch in (stack_draws(mixed_draws(47, 12)), REF):
         calls.clear()
+        lapack.clear()
         verify_terms(*batch)
         assert len(calls) == 26
         assert len({shape[:-2] for shape in calls}) == 1
+        assert sorted(shape[-2] for shape in lapack) == [3, 3, 3, 4]
+        assert sorted(shape[-2] for shape in calls if shape[-2] > 2) == [3, 3, 3, 4]
 
 
 def test_verify_terms_oracle_values_are_gaussian_mi_on_a_fresh_system_bit_for_bit():
