@@ -228,15 +228,18 @@ def cmd_verify(args) -> int:
             deltas = [term.delta_nats for term in terms[scheme]]
             for term, delta in zip(terms[scheme], deltas):
                 key = (scheme, term.name)
-                term_worst[key] = max(term_worst.get(key, 0.0), float(delta.max()))
+                # np.maximum, unlike max(), keeps a NaN
+                term_worst[key] = np.maximum(term_worst.get(key, 0.0), delta.max())
             columns.append(np.max(deltas, axis=0))
         table = np.stack(columns, axis=1)  # (draws, schemes): per-scheme max delta
         if args.inject_error:
             table += 1e-6  # negative control: force a visible mismatch
-        # the first strict maximum in draw-major, scheme-minor order
+        # the first strict maximum in draw-major, scheme-minor order; a NaN,
+        # argmax's first pick, is worse than any number
         flat = int(np.argmax(table))
-        if table.flat[flat] > worst_delta:
-            worst_delta = float(table.flat[flat])
+        top = float(table.flat[flat])
+        if top > worst_delta or (np.isnan(top) and not np.isnan(worst_delta)):
+            worst_delta = top
             draw, scheme = divmod(flat, len(ALL_SCHEMES))
             g01, g02, g12, params, alpha, n_hat = batch
             worst = (ALL_SCHEMES[scheme], params,
@@ -245,7 +248,7 @@ def cmd_verify(args) -> int:
           f"max delta = {worst_delta:.3e} nats (tolerance {VERIFY_TOL_NATS:.0e})")
     for (scheme, name), delta in term_worst.items():
         print(f"  {scheme.label:10s} {name:19s} max delta = {delta:.3e} nats")
-    if worst_delta > VERIFY_TOL_NATS:
+    if not worst_delta <= VERIFY_TOL_NATS:  # a NaN fails too
         scheme, params, g01, g02, g12, alpha, n_hat = worst
         print("worst case:")
         print(f"  scheme = {scheme.label}")

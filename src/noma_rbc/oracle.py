@@ -36,29 +36,37 @@ stay deterministic under further conditioning and contribute zero.
 
 A system is one draw (every field a scalar) or a stack of N draws (fields
 are equal-length 1-D arrays, scalars shared by all draws).  Both take the
-same path: rows are ``(..., m, 6)`` stacks, every SVD and projection is a
-stacked numpy call, and rank decisions are masks rather than column
-selections.  A conditioning basis keeps each matrix's full ``vt`` with the
-rows past its numerical rank zeroed, the log-determinants sum the logs of
-the singular values each entry keeps, and the second SVD of an entry keeps
-its top rank(A) values, rank(A) being the first block's.  One draw gives
-numpy scalars, a stack gives arrays of N values.  ``verify_terms`` checks
-several schemes over one draw or a stack in one pass, evaluating once each
-term that schemes share: the four schemes' 13 terms take 8 stacked oracle
-calls and 26 stacked SVDs, as a system factors each (left, given) pair
-once and three of the 8 terms condition V on X1.  22 of the 26 factor one
-or two rows in closed form, the other 4 (three or four rows) go through
-LAPACK.  The closed forms first scale each matrix by its largest entry, so
-no square overflows or underflows.  A row's singular value is its norm.
-Two rows are turned by the one Jacobi rotation that makes them orthogonal,
-its angle taken from their Gram entries (Hestenes 1958), and the singular
-values are the turned rows' norms, never square roots of Gram eigenvalues:
-the smaller keeps an error of a few ulps of the larger, as LAPACK's does,
-so no factorization squares a condition number.  It is the oracle's only
-verification entry, and it takes each closed form from ``rates``, r1 under
-the formula that ``rates.relay_rate_formulas`` assigns the scheme, so the
-oracle checks the grouping the engine serves with.
+same path: rows are ``(..., m, 6)`` stacks, every factorization and
+projection is a stacked numpy call, and rank decisions are masks rather
+than column selections.  A conditioning basis has its matrix's shape, a
+row zeroed where it adds no direction to the rows before it, the
+log-determinants sum the logs of the singular values each entry keeps, and
+the second SVD of an entry keeps its top rank(A) values, rank(A) being the
+first block's.  One draw gives numpy scalars, a stack gives arrays of N
+values.  ``verify_terms`` checks several schemes over one draw or a stack
+in one pass, evaluating once each term that schemes share: the four
+schemes' 13 terms take 8 stacked oracle calls, 12 conditioning bases and
+14 stacked SVDs, as a system factors each (left, given) pair once and
+three of the 8 terms condition V on X1.  No step calls LAPACK.  It is the
+oracle's only verification entry, and it takes each closed form from
+``rates``, r1 under the formula that ``rates.relay_rate_formulas`` assigns
+the scheme, so the oracle checks the grouping the engine serves with.
 ``random_verification_draws`` draws a whole stack as one array.
+
+A basis needs the row space and its rank, never singular values.  It is
+classical Gram-Schmidt on the matrix scaled by its largest entry, each row
+orthogonalized twice against the kept rows before it, which leaves the
+kept rows orthonormal to a few ulps ("twice is enough": Parlett 1980,
+after Kahan; Giraud, Langou & Rozloznik 2005), and a row is kept where its
+residual norm exceeds RANK_TOL times that largest entry.  The SVDs, of
+the left sets and of their projections, factor one or two rows, as no
+left set has more, in closed form.  They first scale each matrix by its
+largest entry, so no square overflows or underflows.  A row's singular
+value is its norm.  Two rows are turned by the one Jacobi rotation that
+makes them orthogonal, its angle taken from their Gram entries (Hestenes
+1958), and the singular values are the turned rows' norms, never square
+roots of Gram eigenvalues: the smaller keeps an error of a few ulps of the
+larger, as LAPACK's does, so no factorization squares a condition number.
 """
 
 from __future__ import annotations
@@ -75,8 +83,8 @@ from . import rates
 
 RANK_TOL = 1e-12
 # the smallest normal float, a floor under the closed forms' divisors: they
-# are 0 only for a zero matrix, a zero row, or orthogonal rows of equal
-# norm, which any rotation leaves orthogonal
+# are 0 only for a zero matrix, a zero row or residual, or orthogonal rows
+# of equal norm, which any rotation leaves orthogonal
 _TINY = np.finfo(float).tiny
 
 # Variance fields in the order of the primitives U, V, X1, Z1, Z2, ZH.
@@ -177,13 +185,10 @@ class GaussianSystem:
 
 def _svd(rows: np.ndarray, compute_uv: bool = True):
     """What ``np.linalg.svd(rows, full_matrices=False, compute_uv=...)``
-    returns for a stack of (m, n) matrices, m <= n: singular values in
-    descending order, and ``u`` and ``vt`` equal to LAPACK's up to sign.
-    One- and two-row stacks take the closed forms of the module notes,
-    larger ones LAPACK."""
+    returns for a stack of (m, n) matrices of one or two rows, m <= n:
+    singular values in descending order, and ``u`` and ``vt`` equal to
+    LAPACK's up to sign, by the closed forms of the module notes."""
     m = rows.shape[-2]
-    if m > 2:
-        return np.linalg.svd(rows, full_matrices=False, compute_uv=compute_uv)
     scale = np.maximum(np.max(np.abs(rows), axis=(-2, -1), keepdims=True), _TINY)
     a = rows / scale
     if m == 2:
@@ -210,10 +215,20 @@ def _svd(rows: np.ndarray, compute_uv: bool = True):
 
 
 def _orthonormal_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of each matrix's row space as the rows of its
-    ``vt``, rank-revealed at RANK_TOL: rows past the rank are zeroed."""
-    _, s, vt = _svd(rows)
-    return vt * (s > s[..., :1] * RANK_TOL)[..., None]
+    """Orthonormal basis of each matrix's row space, rank-revealed at
+    RANK_TOL, as a stack of the same shape: the Gram-Schmidt rows of the
+    matrix scaled by its largest entry, each orthogonalized twice against
+    the rows before it, and zeroed where its residual norm is at most
+    RANK_TOL (that entry, 1, as the reference)."""
+    scale = np.maximum(np.max(np.abs(rows), axis=(-2, -1), keepdims=True), _TINY)
+    basis = rows / scale
+    for i in range(basis.shape[-2]):
+        v, kept = basis[..., i:i + 1, :], basis[..., :i, :]
+        for _ in range(2 if i else 0):  # twice is enough
+            v = v - (v @ kept.swapaxes(-1, -2)) @ kept
+        norm = np.sqrt(np.einsum("...in,...in->...i", v, v))[..., None]
+        basis[..., i:i + 1, :] = v * ((norm > RANK_TOL) / np.maximum(norm, _TINY))
+    return basis
 
 
 def _residual_rows(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 
 from noma_rbc import cli, config, rates, simulation
 from noma_rbc.core import ChannelParams, Scheme
-from noma_rbc.oracle import TermDelta
+from noma_rbc.oracle import TermDelta, random_verification_draws
 from noma_rbc.rates import RateRegionCurve, rate_kernel
 from noma_rbc.cli import (
     EXIT_BROKEN_PIPE,
@@ -659,6 +659,35 @@ def test_verify_reports_every_term(capsys):
         ["rbc-cf-dpc", "r1"], ["rbc-cf-dpc", "r2_cutset"], ["rbc-cf-dpc", "r2_forward"],
         ["rbc-cf-dpc", "r2_compression_loss"]]
     assert all(line.endswith(" nats") and "max delta = " in line for line in lines[1:])
+
+
+@pytest.mark.parametrize("inject", [[], ["--inject-error"]])
+def test_verify_fails_on_a_nan_delta_and_names_its_draw(monkeypatch, capsys, inject):
+    real = cli.verify_terms
+
+    def with_nan(*batch):
+        terms = real(*batch)
+        r1, forward, decode = terms[Scheme.RBC_DF]
+        oracle_nats = np.array(forward.oracle_nats)
+        oracle_nats[3] = np.nan
+        terms[Scheme.RBC_DF] = (r1, TermDelta(forward.name, forward.closed_form_nats,
+                                              oracle_nats), decode)
+        return terms
+
+    monkeypatch.setattr(cli, "verify_terms", with_nan)
+    assert main(["verify", "--count", "10"] + inject) == EXIT_VERIFY_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "verified 4 schemes x 10 draws: max delta = nan nats (tolerance 1e-09)"
+    assert lines[4] == "  rbc-df     r2_forward          max delta = nan nats"
+    # every other term line is finite, in the format of a passing run
+    assert all(re.fullmatch(r"  \S+ +\S+ +max delta = \d\.\d{3}e-\d\d nats", line)
+               for k, line in enumerate(lines[1:14], 1) if k != 4), lines
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cli.DEFAULT_VERIFY_SEED)))
+    g01, g02, g12, _, alpha, n_hat = (float(v[3]) if np.ndim(v) else v
+                                      for v in random_verification_draws(rng, 10))
+    assert lines[14:17] == ["worst case:", "  scheme = rbc-df",
+                            f"  gains  = g01={g01!r} g02={g02!r} g12={g12!r}"]
+    assert lines[18] == f"  alpha  = {alpha!r}  n_hat = {n_hat!r}"
 
 
 @pytest.mark.parametrize("flags, key", [

@@ -403,11 +403,12 @@ def test_schemes_share_their_common_terms():
 
 
 def test_a_verify_chunk_factors_each_left_and_given_pair_once(monkeypatch):
-    # 8 distinct terms: 6 conditioned ones of 4 SVDs and 2 unconditioned
-    # ones of 3, less 2 for each of the two terms on V given X1 that reuse
-    # the first one's factorization.  Of the 26, the 4 of three or four
-    # rows go to LAPACK and the 22 of one or two rows are closed forms.
-    calls, lapack = [], []
+    # 8 distinct terms, 6 distinct (left, given) pairs: each pair's left set
+    # is factored once, with its conditioning basis when it has one (4 of
+    # the 6), and each term adds the basis of its right and given sets and
+    # one SVD of the projection.  So 6 + 8 = 14 SVDs, all of one or two
+    # rows in closed form, and 4 + 8 = 12 bases; none goes to LAPACK.
+    calls, bases, lapack = [], [], []
 
     def counted(log, real):
         def call(a, *args, **kwargs):
@@ -416,15 +417,16 @@ def test_a_verify_chunk_factors_each_left_and_given_pair_once(monkeypatch):
         return call
 
     monkeypatch.setattr(oracle, "_svd", counted(calls, oracle._svd))
+    monkeypatch.setattr(oracle, "_orthonormal_basis", counted(bases, oracle._orthonormal_basis))
     monkeypatch.setattr(np.linalg, "svd", counted(lapack, np.linalg.svd))
     for batch in (stack_draws(mixed_draws(47, 12)), REF):
-        calls.clear()
-        lapack.clear()
+        for log in (calls, bases, lapack):
+            log.clear()
         verify_terms(*batch)
-        assert len(calls) == 26
-        assert len({shape[:-2] for shape in calls}) == 1
-        assert sorted(shape[-2] for shape in lapack) == [3, 3, 3, 4]
-        assert sorted(shape[-2] for shape in calls if shape[-2] > 2) == [3, 3, 3, 4]
+        assert len(calls) == 14 and len(bases) == 12 and lapack == []
+        assert len({shape[:-2] for shape in calls + bases}) == 1
+        assert sorted(shape[-2] for shape in calls) == [1] * 12 + [2] * 2
+        assert sorted(shape[-2] for shape in bases) == [1] * 4 + [2] * 4 + [3] * 3 + [4]
 
 
 def test_verify_terms_oracle_values_are_gaussian_mi_on_a_fresh_system_bit_for_bit():

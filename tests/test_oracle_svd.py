@@ -1,7 +1,12 @@
 """The oracle's closed-form factorization of one- and two-row stacks
-(``oracle._svd``) against ``np.linalg.svd``: singular values, the rebuilt
-rows, the kept directions, and the rank decisions of every draw that
-``verify --count 5000 --seed 3`` checks."""
+(``oracle._svd``) and its Gram-Schmidt conditioning bases
+(``oracle._orthonormal_basis``) against ``np.linalg.svd``: singular
+values, the rebuilt rows, the kept directions, the row-space projectors,
+and the rank decisions of every draw that ``verify --count 5000 --seed 3``
+checks."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +21,10 @@ SCALES = [1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200]
 
 def structured_rows(rng, count, m):
     """``count`` (m, 6) matrices of standard normal entries, with every
-    structure that reaches a special case of the closed forms mixed in:
-    zero rows, a zero matrix, exactly parallel rows, orthogonal rows and
-    orthogonal rows of equal norm, where the rotation angle is undefined."""
+    structure that reaches a special case of the closed forms or of
+    Gram-Schmidt mixed in: zero rows, a zero matrix, exactly parallel rows,
+    rows dependent on two before them, orthogonal rows and orthogonal rows
+    of equal norm, where the rotation angle is undefined."""
     rows = rng.standard_normal((count, m, 6))
     rows[1::8] = 0.0
     if m == 1:
@@ -32,15 +38,29 @@ def structured_rows(rng, count, m):
     rows[6::8, 1] = 0.0
     rows[6::8, 1, 0], rows[6::8, 1, 1] = -x[6::8, 1], x[6::8, 0]
     rows[7::8, 1] = 2.0 * x[7::8]           # parallel, the second row larger
+    if m == 2:
+        return rows
+    # three or four rows: the last row a combination of the first and the
+    # one before it, zero, or parallel to the first; each row on columns of
+    # its own; equal-norm orthogonal rows on disjoint column pairs
+    rows[2::8, -1] = x[2::8] - 3.0 * rows[2::8, -2]
+    rows[3::8, -1] = 0.0
+    rows[4::8, -1] = x[4::8] - rows[4::8, -2]
+    rows[5::8] = np.where(np.arange(6) % m == np.arange(m)[:, None], rows[5::8], 0.0)
+    rows[6::8, 2:] = 0.0
+    rows[6::8, 2, 2], rows[6::8, 2, 3] = x[6::8, 0], x[6::8, 1]
+    if m == 4:
+        rows[6::8, 3, 4], rows[6::8, 3, 5] = -x[6::8, 1], x[6::8, 0]
+    rows[7::8, -1] = 4.0 * x[7::8]
     return rows
 
 
-def cases():
-    for m in (1, 2):
+def cases(ms=(1, 2)):
+    for m in ms:
         for count in (1, 7, 4097):
             yield m, count
-    yield 1, None
-    yield 2, None
+    for m in ms:
+        yield m, None
 
 
 @pytest.mark.parametrize("scale", SCALES)
@@ -80,10 +100,45 @@ def test_rows_past_the_largest_entry_squared_still_factor():
     assert oracle._svd(a[:1], compute_uv=False).tolist() == [1e200]
 
 
-def kept_counts(monkeypatch, svd):
+def lapack_basis(rows):
+    """The row-space basis of LAPACK's SVD: the rows of ``vt`` past the
+    rank at RANK_TOL zeroed."""
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    return vt * (s > s[..., :1] * RANK_TOL)[..., None]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("m, count", list(cases((1, 2, 3, 4))))
+def test_gram_schmidt_bases_span_lapacks_row_spaces(m, count, scale):
+    rows = structured_rows(rng_for(m * 20_000 + (count or 0)), count or 8, m) * scale
+    eps = np.finfo(float).eps
+    stacks = [rows] if count else list(rows)
+    for a in stacks:
+        basis, ref = oracle._orthonormal_basis(a), lapack_basis(a)
+        assert basis.shape == a.shape
+        # kept rows are orthonormal, and LAPACK keeps as many
+        kept = np.any(basis != 0.0, axis=-1)
+        assert np.array_equal(np.sum(kept, axis=-1), np.sum(np.any(ref != 0.0, axis=-1), axis=-1))
+        gram = basis @ basis.swapaxes(-1, -2)
+        eye = kept[..., :, None] & kept[..., None, :] & np.eye(m, dtype=bool)
+        assert np.all(np.abs(gram - eye) <= 8.0 * eps), np.max(np.abs(gram - eye)) / eps
+        # the same projector: both are backward stable, so the row spaces
+        # differ by about eps times the kept rows' condition number.  The
+        # bound is LAPACK's: on the rank-2 stacks of four rows its projector
+        # is up to 27 eps from that of the two independent rows alone, and
+        # the basis's within 4 eps
+        s = np.linalg.svd(a, compute_uv=False)
+        low = np.min(np.where(s > s[..., :1] * RANK_TOL, s, np.inf), axis=-1)
+        cond = np.where(np.isfinite(low), s[..., 0] / low, 1.0)
+        proj = basis.swapaxes(-1, -2) @ basis - ref.swapaxes(-1, -2) @ ref
+        err = np.max(np.abs(proj), axis=(-2, -1)) / (eps * cond)
+        assert np.all(err <= 32.0), np.max(err)
+
+
+def kept_counts(monkeypatch, svd, basis):
     """Per draw of ``verify --count 5000 --seed 3``, the rank of every
     conditioning basis and every left set's kept count, with ``svd`` as the
-    oracle's factorization."""
+    oracle's factorization and ``basis`` as its conditioning basis."""
     counts = []
 
     def spy(real, record):
@@ -93,6 +148,7 @@ def kept_counts(monkeypatch, svd):
         return call
 
     monkeypatch.setattr(oracle, "_svd", svd)
+    monkeypatch.setattr(oracle, "_orthonormal_basis", basis)
     monkeypatch.setattr(oracle, "_residual_rows", spy(
         oracle._residual_rows, lambda rows, basis: np.sum(np.any(basis != 0.0, axis=-1), axis=-1)))
     monkeypatch.setattr(oracle, "_sum_log", spy(
@@ -109,8 +165,28 @@ def lapack_svd(rows, compute_uv=True):
 def test_rank_decisions_equal_lapack_on_every_verify_draw(monkeypatch):
     # the draws of ``verify --count 5000 --seed 3``: one stream of draws,
     # whatever the chunking
-    closed = kept_counts(monkeypatch, oracle._svd)
-    reference = kept_counts(monkeypatch, lapack_svd)
-    assert len(closed) == len(reference) > 0
+    closed = kept_counts(monkeypatch, oracle._svd, oracle._orthonormal_basis)
+    reference = kept_counts(monkeypatch, lapack_svd, lapack_basis)
+    # 12 bases and 2 x 8 kept counts
+    assert len(closed) == len(reference) == 12 + 16
     for ours, theirs in zip(closed, reference):
         assert ours.shape == (5000,) and np.array_equal(ours, theirs)
+
+
+def test_the_oracle_names_no_linalg():
+    # no LAPACK call: every factorization is a closed form or Gram-Schmidt
+    def names(node):
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        if isinstance(node, ast.alias):
+            return [node.name, node.asname or ""]
+        if isinstance(node, ast.ImportFrom):
+            return [node.module or ""]
+        return []
+
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    named = [(getattr(node, "lineno", None), name) for node in ast.walk(tree)
+             for name in names(node) if "linalg" in name]
+    assert named == []
