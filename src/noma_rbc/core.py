@@ -31,6 +31,17 @@ LN2 = math.log(2.0)
 # or a sequence of names.
 VarSpec = Union[str, Sequence[str]]
 
+# The RBC-CF information terms as (left, right, given) triples, read by the
+# Gaussian oracle and the discrete evaluator alike:
+#   r1 <= I(U; Y1),
+#   r2 <= min(I(V; Y1HAT, Y2 | X1), I(V, X1; Y2) - I(Y1HAT; Y1 | V, X1, Y2)).
+CF_TERMS = {
+    "r1": ("U", "Y1", ()),
+    "cutset": ("V", ("Y1HAT", "Y2"), "X1"),
+    "forward": (("V", "X1"), "Y2", ()),
+    "loss": ("Y1HAT", "Y1", ("V", "X1", "Y2")),
+}
+
 
 def as_names(spec: VarSpec) -> tuple[str, ...]:
     if isinstance(spec, str):

@@ -13,7 +13,7 @@ Three bound families are evaluated, each over its own variable roles:
   decode-forward    over (U, X1, X0, Y1, Y2):
                       r1 <= I(X0; Y1 | U, X1)
                       r2 <= min( I(U; Y1 | X1), I(U, X1; Y2) )
-  compress-forward  over (U, V, X1, Y1, Y1HAT, Y2):
+  compress-forward  over (U, V, X1, Y1, Y1HAT, Y2), from ``core.CF_TERMS``:
                       r1 <= I(U; Y1)
                       r2 <= min( I(V; Y1HAT, Y2 | X1),
                                  I(V, X1; Y2) - I(Y1HAT; Y1 | V, X1, Y2) )
@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import VarSpec, as_names
+from .core import CF_TERMS, VarSpec, as_names
 
 MAX_CELLS = 10_000_000
 NORMALISATION_TOL = 1e-12
@@ -163,13 +163,11 @@ def dmc_bound_rates(joint: DiscreteJoint, family: str) -> BoundRates:
             r1_bound=mi("X0", "Y1", ("U", "X1")),
             r2_bound=min(mi("U", "Y1", "X1"), mi(("U", "X1"), "Y2")),
         )
+    cf = {key: mi(*sets) for key, sets in CF_TERMS.items()}
     return BoundRates(
         family=family,
-        r1_bound=mi("U", "Y1"),
-        r2_bound=min(
-            mi("V", ("Y1HAT", "Y2"), "X1"),
-            mi(("V", "X1"), "Y2") - mi("Y1HAT", "Y1", ("V", "X1", "Y2")),
-        ),
+        r1_bound=cf["r1"],
+        r2_bound=min(cf["cutset"], cf["forward"] - cf["loss"]),
         compression_rate=mi("Y1HAT", "Y1", "X1"),
     )
 

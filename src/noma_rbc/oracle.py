@@ -27,46 +27,45 @@ factor cancels in I(A;B|C) = h(A|C) - h(A|B,C), leaving a difference of
 log-determinants of conditional covariances (nats, no 1/2 factor).  Each
 conditional covariance block is a Schur complement, evaluated in factored
 form: variables are rows over unit-variance primitives, conditioning is an
-orthogonal projection of those rows, and the log-determinant comes from
-the residuals' singular values.  Rank decisions use a pivot tolerance of
-1e-12 on covariance eigenvalues, so zero-variance components (alpha of 0
-or 1, p1 of 0) reduce cleanly instead of producing singular solves:
-directions of the left set that are deterministic given the conditioning
-stay deterministic under further conditioning and contribute zero.
+orthogonal projection of those rows, and the log-determinant of a block is
+twice the sum of the logs of its rows' Gram-Schmidt residual norms (the QR
+route: the product of those norms is the square root of the Gram
+determinant).  Rank decisions use a pivot tolerance of 1e-12 on
+covariance eigenvalues, so zero-variance components (alpha of 0 or 1, p1
+of 0) reduce cleanly instead of producing singular solves: a left row
+whose residual norm given the conditioning is at most sqrt(1e-12) times
+the largest is deterministic given it, stays so under further
+conditioning and contributes zero.
 
 A system is one draw (every field a scalar) or a stack of N draws (fields
 are equal-length 1-D arrays, scalars shared by all draws).  Both take the
 same path: rows are ``(..., m, 6)`` stacks, every factorization and
 projection is a stacked numpy call, and rank decisions are masks rather
-than column selections.  A conditioning basis has its matrix's shape, a
-row zeroed where it adds no direction to the rows before it, the
-log-determinants sum the logs of the singular values each entry keeps, and
-the second SVD of an entry keeps its top rank(A) values, rank(A) being the
-first block's.  One draw gives numpy scalars, a stack gives arrays of N
-values.  ``verify_terms`` checks several schemes over one draw or a stack
-in one pass, evaluating once each term that schemes share: the four
-schemes' 13 terms take 8 stacked oracle calls, 12 conditioning bases and
-14 stacked SVDs, as a system factors each (left, given) pair once and
+than column selections.  One draw gives numpy scalars, a stack gives
+arrays of N values.  ``verify_terms`` checks several schemes over one draw
+or a stack in one pass, evaluating once each term that schemes share: the
+four schemes' 13 terms take 8 stacked oracle calls and 26 stacked
+Gram-Schmidt calls, as a system factors each (left, given) pair once and
 three of the 8 terms condition V on X1.  No step calls LAPACK.  It is the
 oracle's only verification entry, and it takes each closed form from
 ``rates``, r1 under the formula that ``rates.relay_rate_formulas`` assigns
 the scheme, so the oracle checks the grouping the engine serves with.
 ``random_verification_draws`` draws a whole stack as one array.
 
-A basis needs the row space and its rank, never singular values.  It is
-classical Gram-Schmidt on the matrix scaled by its largest entry, each row
-orthogonalized twice against the kept rows before it, which leaves the
-kept rows orthonormal to a few ulps ("twice is enough": Parlett 1980,
-after Kahan; Giraud, Langou & Rozloznik 2005), and a row is kept where its
-residual norm exceeds RANK_TOL times that largest entry.  The SVDs, of
-the left sets and of their projections, factor one or two rows, as no
-left set has more, in closed form.  They first scale each matrix by its
-largest entry, so no square overflows or underflows.  A row's singular
-value is its norm.  Two rows are turned by the one Jacobi rotation that
-makes them orthogonal, its angle taken from their Gram entries (Hestenes
-1958), and the singular values are the turned rows' norms, never square
-roots of Gram eigenvalues: the smaller keeps an error of a few ulps of the
-larger, as LAPACK's does, so no factorization squares a condition number.
+The one factorization is classical Gram-Schmidt on the matrix scaled by
+its largest entry, each row orthogonalized twice against the kept rows
+before it, which leaves the kept rows orthonormal to a few ulps ("twice is
+enough": Parlett 1980, after Kahan; Giraud, Langou & Rozloznik 2005).  A
+row joins the basis where its residual norm exceeds RANK_TOL times that
+largest entry, and each residual norm is reported in the units of the
+input, its error a few ulps of the largest, as LAPACK's singular values
+have.  It serves three roles: the basis of a conditioning set, the norms
+of the left set's residual given ``given``, and the norms of the kept left
+rows' residual given the right and given sets.  Each residual set is
+factored with its own scale: scaled jointly with the conditioning rows,
+a left row of tiny variance would fall under the rank tolerance that the
+larger rows set and be dropped.  No factorization squares a condition
+number.
 """
 
 from __future__ import annotations
@@ -78,13 +77,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LN2, ChannelParams, Scheme, VarSpec, as_names
+from .core import CF_TERMS, LN2, ChannelParams, Scheme, VarSpec, as_names
 from . import rates
 
 RANK_TOL = 1e-12
-# the smallest normal float, a floor under the closed forms' divisors: they
-# are 0 only for a zero matrix, a zero row or residual, or orthogonal rows
-# of equal norm, which any rotation leaves orthogonal
+# the smallest normal float, a floor under Gram-Schmidt's divisors: they are
+# 0 only for a zero matrix or a zero residual, whose basis row is zeroed
 _TINY = np.finfo(float).tiny
 
 # Variance fields in the order of the primitives U, V, X1, Z1, Z2, ZH.
@@ -183,52 +181,24 @@ class GaussianSystem:
         return np.take(self._rows, np.array([_ROW_INDEX[n] for n in names], dtype=np.intp), axis=-2)
 
 
-def _svd(rows: np.ndarray, compute_uv: bool = True):
-    """What ``np.linalg.svd(rows, full_matrices=False, compute_uv=...)``
-    returns for a stack of (m, n) matrices of one or two rows, m <= n:
-    singular values in descending order, and ``u`` and ``vt`` equal to
-    LAPACK's up to sign, by the closed forms of the module notes."""
-    m = rows.shape[-2]
-    scale = np.maximum(np.max(np.abs(rows), axis=(-2, -1), keepdims=True), _TINY)
-    a = rows / scale
-    if m == 2:
-        # tan(theta) of the smaller rotation with tan(2 theta) = 2r / (p - q)
-        pq = np.einsum("...in,...in->...i", a, a)
-        d = pq[..., 0] - pq[..., 1]
-        r2 = 2.0 * np.einsum("...n,...n->...", a[..., 0, :], a[..., 1, :])
-        t = r2 / np.copysign(np.abs(d) + np.sqrt(d * d + r2 * r2) + _TINY, d)
-        cos = 1.0 / np.sqrt(1.0 + t * t)
-        sin = t * cos
-        rot = np.stack([cos, sin, -sin, cos], axis=-1).reshape(a.shape[:-2] + (2, 2))
-        a = rot @ a
-    norms = np.sqrt(np.einsum("...in,...in->...i", a, a))
-    if m == 2:  # descending: the larger turned row first
-        flip = norms[..., 1:] > norms[..., :1]
-        norms = np.where(flip, norms[..., ::-1], norms)
-        if compute_uv:
-            a, rot = (np.where(flip[..., None], x[..., ::-1, :], x) for x in (a, rot))
-    s = norms * scale[..., 0]
-    if not compute_uv:
-        return s
-    u = rot.swapaxes(-1, -2) if m == 2 else np.ones(a.shape[:-1] + (1,))
-    return u, s, a / np.maximum(norms, _TINY)[..., None]
-
-
-def _orthonormal_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of each matrix's row space, rank-revealed at
-    RANK_TOL, as a stack of the same shape: the Gram-Schmidt rows of the
+def _orthonormal_basis(rows: np.ndarray) -> tuple:
+    """Gram-Schmidt of each matrix's rows, rank-revealed at RANK_TOL, as
+    ``(basis, norms)``.  ``basis`` has the stack's shape: the rows of the
     matrix scaled by its largest entry, each orthogonalized twice against
-    the rows before it, and zeroed where its residual norm is at most
-    RANK_TOL (that entry, 1, as the reference)."""
+    the rows before it, normalized, and zeroed where its residual norm is
+    at most RANK_TOL (that entry, 1, as the reference).  ``norms`` holds
+    each row's residual norm in the units of ``rows``, shape (..., m)."""
     scale = np.maximum(np.max(np.abs(rows), axis=(-2, -1), keepdims=True), _TINY)
     basis = rows / scale
+    norms = np.empty(rows.shape[:-1])
     for i in range(basis.shape[-2]):
         v, kept = basis[..., i:i + 1, :], basis[..., :i, :]
         for _ in range(2 if i else 0):  # twice is enough
             v = v - (v @ kept.swapaxes(-1, -2)) @ kept
         norm = np.sqrt(np.einsum("...in,...in->...i", v, v))[..., None]
         basis[..., i:i + 1, :] = v * ((norm > RANK_TOL) / np.maximum(norm, _TINY))
-    return basis
+        norms[..., i] = norm[..., 0, 0]
+    return basis, norms * scale[..., 0]
 
 
 def _residual_rows(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -237,27 +207,19 @@ def _residual_rows(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return rows - (rows @ basis.swapaxes(-1, -2)) @ basis
 
 
-def _sum_log(s: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """2 * sum of ln(s) over the kept singular values: a log-determinant."""
-    return 2.0 * np.sum(np.log(np.where(keep, s, 1.0)), axis=-1)
-
-
 def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: VarSpec = ()):
     """I(left; right | given) in nats: a numpy scalar for one draw, an
     array for a stack.
 
     Variable sets are names among U, V, X1, Y1, Y1HAT, Y2 (a bare string is
     a singleton set).  The value is h(left|given) - h(left|right, given),
-    a difference of log-determinants of the induced conditional covariance
-    blocks; each block is evaluated in factored form (orthogonal residuals
-    of whitened-primitive rows, then singular values) so the conditioning
-    never squares the problem's condition number.  Directions of the left
-    set that are deterministic given the conditioning contribute zero; the
-    rank decisions use the RANK_TOL pivot tolerance on covariance
-    eigenvalues.
+    each term the log-determinant of a conditional covariance block, from
+    the Gram-Schmidt residual norms of the left set's whitened rows: a row
+    whose norm given ``given`` is at most sqrt(RANK_TOL) times the largest
+    is deterministic given the conditioning and contributes zero.
 
-    The factorization of h(left|given), the conditioning basis, the SVD
-    of the left set's residual and its kept directions, is made once per
+    The factorization of h(left|given), the conditioning basis and the left
+    set's residual norms with the rows they keep, is made once per
     ``system`` and ``(left, given)`` and kept on the system: terms that
     share the pair, such as the three on V given X1 that ``verify_terms``
     checks, factor it once.
@@ -268,24 +230,22 @@ def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: Va
     factors = system._factors.get((left, given))
     if factors is None:
         rows_l, rows_g = system.whitened_rows(left), system.whitened_rows(given)
-        res_g = _residual_rows(rows_l, _orthonormal_basis(rows_g)) if given else rows_l
-        u, s, _ = _svd(res_g)
-        # eigenvalue tolerance on s^2; nothing is kept where the left set is
-        # deterministic given the conditioning
-        keep = s > s[..., :1] * math.sqrt(RANK_TOL)
-        factors = system._factors[left, given] = (rows_l, rows_g, s, keep,
-                                                  u * keep[..., None, :])
-    rows_l, rows_g, s, keep, w = factors
-    smax = s[..., :1]
-    rows_rg = np.concatenate([system.whitened_rows(right), rows_g], axis=-2)
-    res_rg = _residual_rows(rows_l, _orthonormal_basis(rows_rg))
-    s_ab = _svd(w.swapaxes(-1, -2) @ res_rg, compute_uv=False)
-    keep_ab = np.arange(s_ab.shape[-1]) < np.sum(keep, axis=-1, keepdims=True)
-    diverged = np.any(keep_ab & (s_ab <= smax * RANK_TOL), axis=-1)
+        res_g = _residual_rows(rows_l, _orthonormal_basis(rows_g)[0]) if given else rows_l
+        norms = _orthonormal_basis(res_g)[1]
+        top = np.max(norms, axis=-1, keepdims=True)
+        factors = system._factors[left, given] = (rows_l, norms, top,
+                                                  norms > top * math.sqrt(RANK_TOL))
+    rows_l, norms, top, keep = factors
+    res_rg = _residual_rows(rows_l, _orthonormal_basis(system.whitened_rows(right + given))[0])
+    norms_rg = _orthonormal_basis(res_rg * keep[..., None])[1]
+    diverged = np.any(keep & (norms_rg <= top * RANK_TOL), axis=-1)
     if np.any(diverged):
         at = f" at draw {int(np.argmax(diverged))}" if diverged.ndim else ""
         raise ValueError(f"right set determines left set{at}; mutual information diverges")
-    return _sum_log(s, keep) - _sum_log(s_ab, keep_ab)
+    # one log of each ratio: a small information is not the difference of
+    # two large logs
+    return 2.0 * np.sum(np.log(np.divide(norms, norms_rg, out=np.ones_like(norms), where=keep)),
+                        axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +271,16 @@ class TermDelta:
 # Schemes that share a term share its entry, which ``verify_terms``
 # evaluates once.
 _R1 = ("r1", "r1", ("U", "Y1", "V"))
-_FORWARD = ("r2_forward", "forward", (("V", "X1"), "Y2", ()))
-_CF_R2 = (("r2_cutset", "cutset", ("V", ("Y1HAT", "Y2"), "X1")), _FORWARD,
-          ("r2_compression_loss", "loss", ("Y1HAT", "Y1", ("V", "X1", "Y2"))))
+_FORWARD = ("r2_forward", "forward", CF_TERMS["forward"])
+_CF_R2 = (("r2_cutset", "cutset", CF_TERMS["cutset"]), _FORWARD,
+          ("r2_compression_loss", "loss", CF_TERMS["loss"]))
 _SCHEME_TERMS = {
     # conditioning on X1 removes the relay path from GBC's r2
     Scheme.GBC: (_R1, ("r2", "direct", ("V", "Y2", "X1"))),
     Scheme.RBC_DF: (("r1", "r1", ("U", "Y1", ("V", "X1"))), _FORWARD,
                     ("r2_decode", "decode", ("V", "Y1", "X1"))),
     # the relay user keeps the second user's component as noise
-    Scheme.RBC_CF: (("r1", "r1", ("U", "Y1", ())),) + _CF_R2,
+    Scheme.RBC_CF: (("r1", "r1", CF_TERMS["r1"]),) + _CF_R2,
     Scheme.RBC_CF_DPC: (_R1,) + _CF_R2,
 }
 

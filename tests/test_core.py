@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from noma_rbc import oracle
 from noma_rbc.config import TABLE, check_value, coerce
 from noma_rbc.core import (
+    CF_TERMS,
     ChannelParams,
     CompressionNoise,
     LinkGains,
@@ -13,6 +15,7 @@ from noma_rbc.core import (
     Scheme,
     is_degraded_ordered,
 )
+from noma_rbc.discrete import DiscreteJoint, dmc_bound_rates
 
 from helpers import rng_for
 
@@ -67,3 +70,19 @@ def test_scheme_labels_round_trip():
         check_value(schemes, coerce(schemes, "amplify"))
     assert Scheme.RBC_CF.uses_compression
     assert not Scheme.RBC_DF.uses_compression
+
+
+def test_both_evaluators_read_the_cf_terms_from_one_table():
+    # the oracle checks the table's triples under RBC-CF
+    assert [sets for _, _, sets in oracle._SCHEME_TERMS[Scheme.RBC_CF]] == \
+        [CF_TERMS[key] for key in ("r1", "cutset", "forward", "loss")]
+    # and the discrete compress-forward bounds are the table's terms, on
+    # joints with no structure to hide a wrong set
+    names = ("U", "V", "X1", "Y1", "Y1HAT", "Y2")
+    for seed in range(20):
+        pmf = rng_for(seed).random((2, 3, 2, 2, 3, 2))
+        joint = DiscreteJoint(names=names, pmf=pmf / pmf.sum())
+        mi = {key: joint.mutual_information(*sets) for key, sets in CF_TERMS.items()}
+        bounds = dmc_bound_rates(joint, "compress-forward")
+        assert bounds.r1_bound == mi["r1"]
+        assert bounds.r2_bound == min(mi["cutset"], mi["forward"] - mi["loss"])

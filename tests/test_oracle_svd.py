@@ -1,11 +1,11 @@
-"""The oracle's closed-form factorization of one- and two-row stacks
-(``oracle._svd``) and its Gram-Schmidt conditioning bases
-(``oracle._orthonormal_basis``) against ``np.linalg.svd``: singular
-values, the rebuilt rows, the kept directions, the row-space projectors,
-and the rank decisions of every draw that ``verify --count 5000 --seed 3``
-checks."""
+"""The oracle's one factorization, the Gram-Schmidt of
+``oracle._orthonormal_basis``, against ``np.linalg.svd``: the
+log-determinants from its residual norms, the kept rows, the row-space
+projectors, and the rank decisions of every draw that
+``verify --count 5000 --seed 3`` checks."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,9 @@ SCALES = [1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200]
 
 def structured_rows(rng, count, m):
     """``count`` (m, 6) matrices of standard normal entries, with every
-    structure that reaches a special case of the closed forms or of
-    Gram-Schmidt mixed in: zero rows, a zero matrix, exactly parallel rows,
-    rows dependent on two before them, orthogonal rows and orthogonal rows
-    of equal norm, where the rotation angle is undefined."""
+    structure that reaches a special case of Gram-Schmidt mixed in: zero
+    rows, a zero matrix, exactly parallel rows, rows dependent on two before
+    them, orthogonal rows and orthogonal rows of equal norm."""
     rows = rng.standard_normal((count, m, 6))
     rows[1::8] = 0.0
     if m == 1:
@@ -64,40 +63,34 @@ def cases(ms=(1, 2)):
 
 
 @pytest.mark.parametrize("scale", SCALES)
-@pytest.mark.parametrize("m, count", list(cases()))
-def test_closed_forms_equal_lapack_to_a_few_ulps_of_the_largest_value(m, count, scale):
+@pytest.mark.parametrize("m, count", list(cases((1, 2, 3, 4))))
+def test_residual_norms_give_lapacks_log_determinants(m, count, scale):
     rows = structured_rows(rng_for(m * 10_000 + (count or 0)), count or 8, m) * scale
     # one unstacked draw for each structure
     stacks = [rows] if count else list(rows)
     for a in stacks:
-        u, s, vt = oracle._svd(a)
-        ref = np.linalg.svd(a, compute_uv=False)
-        assert s.shape == ref.shape and u.shape == a.shape[:-1] + (m,) and vt.shape == a.shape
-        assert np.array_equal(oracle._svd(a, compute_uv=False), s)
-        assert np.all(s[..., :-1] >= s[..., 1:])
-        ulp = np.spacing(ref[..., :1])
-        assert np.all(np.abs(s - ref) <= 8.0 * ulp), np.max(np.abs(s - ref) / ulp)
-        # u @ diag(s) @ vt rebuilds the rows
-        rebuilt = u @ (s[..., :, None] * vt)
-        assert np.all(np.abs(rebuilt - a) <= 16.0 * ulp[..., None]), \
-            np.max(np.abs(rebuilt - a) / ulp[..., None])
-        # the rows kept at RANK_TOL are orthonormal, and LAPACK keeps as many
-        kept = s > s[..., :1] * RANK_TOL
-        assert np.array_equal(kept, ref > ref[..., :1] * RANK_TOL)
-        basis = vt * kept[..., None]
-        gram = basis @ basis.swapaxes(-1, -2)
-        eye = kept[..., :, None] & kept[..., None, :] & np.eye(m, dtype=bool)
-        assert np.all(np.abs(gram - eye) <= 8.0 * np.finfo(float).eps)
+        basis, norms = oracle._orthonormal_basis(a)
+        assert norms.shape == a.shape[:-1] and np.all(norms >= 0.0)
+        # the log-determinant of the kept rows' Gram matrix: LAPACK's
+        # singular values of the matrix with the other rows zeroed, each
+        # value's error a few ulps of the largest
+        kept = np.any(basis != 0.0, axis=-1)
+        ref = np.linalg.svd(np.where(kept[..., None], a, 0.0), compute_uv=False)
+        top = np.arange(m) < np.sum(kept, axis=-1, keepdims=True)
+        ours = 2.0 * np.sum(np.log(np.where(kept, norms, 1.0)), axis=-1)
+        theirs = 2.0 * np.sum(np.log(np.where(top, ref, 1.0)), axis=-1)
+        ulps = np.sum(np.where(top, np.spacing(ref[..., :1]) / np.where(top, ref, 1.0), 0.0), axis=-1)
+        err = np.abs(ours - theirs) / np.maximum(2.0 * ulps, np.spacing(np.abs(theirs)))
+        assert np.all(err <= 8.0), np.max(err)
 
 
 def test_rows_past_the_largest_entry_squared_still_factor():
     # entries from 1e-200 to 1e200 in one matrix: the small ones vanish
-    # against the largest, which alone sets the singular values
+    # against the largest, which alone sets the residual norms
     a = np.array([[1e200, 0.0, 1e-200, 0.0, 0.0, 0.0],
                   [1e-200, 1e180, 0.0, 0.0, 0.0, 1e-200]])
-    s = oracle._svd(a, compute_uv=False)
-    assert s.tolist() == [1e200, 1e180]
-    assert oracle._svd(a[:1], compute_uv=False).tolist() == [1e200]
+    assert oracle._orthonormal_basis(a)[1].tolist() == [1e200, 1e180]
+    assert oracle._orthonormal_basis(a[:1])[1].tolist() == [1e200]
 
 
 def lapack_basis(rows):
@@ -114,7 +107,7 @@ def test_gram_schmidt_bases_span_lapacks_row_spaces(m, count, scale):
     eps = np.finfo(float).eps
     stacks = [rows] if count else list(rows)
     for a in stacks:
-        basis, ref = oracle._orthonormal_basis(a), lapack_basis(a)
+        basis, ref = oracle._orthonormal_basis(a)[0], lapack_basis(a)
         assert basis.shape == a.shape
         # kept rows are orthonormal, and LAPACK keeps as many
         kept = np.any(basis != 0.0, axis=-1)
@@ -135,46 +128,51 @@ def test_gram_schmidt_bases_span_lapacks_row_spaces(m, count, scale):
         assert np.all(err <= 32.0), np.max(err)
 
 
-def kept_counts(monkeypatch, svd, basis):
-    """Per draw of ``verify --count 5000 --seed 3``, the rank of every
-    conditioning basis and every left set's kept count, with ``svd`` as the
-    oracle's factorization and ``basis`` as its conditioning basis."""
-    counts = []
-
-    def spy(real, record):
-        def call(*args):
-            counts.append(record(*args))
-            return real(*args)
-        return call
-
-    monkeypatch.setattr(oracle, "_svd", svd)
-    monkeypatch.setattr(oracle, "_orthonormal_basis", basis)
-    monkeypatch.setattr(oracle, "_residual_rows", spy(
-        oracle._residual_rows, lambda rows, basis: np.sum(np.any(basis != 0.0, axis=-1), axis=-1)))
-    monkeypatch.setattr(oracle, "_sum_log", spy(
-        oracle._sum_log, lambda s, keep: np.sum(keep, axis=-1)))
-    verify_terms(*random_verification_draws(rng_for(3), 5000))
-    monkeypatch.undo()
-    return counts
-
-
-def lapack_svd(rows, compute_uv=True):
-    return np.linalg.svd(rows, full_matrices=False, compute_uv=compute_uv)
+def lapack_rank(rows, tol):
+    """LAPACK's count of singular values above ``tol`` times the largest."""
+    s = np.linalg.svd(rows, compute_uv=False)
+    return np.sum(s > s[..., :1] * tol, axis=-1)
 
 
 def test_rank_decisions_equal_lapack_on_every_verify_draw(monkeypatch):
     # the draws of ``verify --count 5000 --seed 3``: one stream of draws,
-    # whatever the chunking
-    closed = kept_counts(monkeypatch, oracle._svd, oracle._orthonormal_basis)
-    reference = kept_counts(monkeypatch, lapack_svd, lapack_basis)
-    # 12 bases and 2 x 8 kept counts
-    assert len(closed) == len(reference) == 12 + 16
-    for ours, theirs in zip(closed, reference):
+    # whatever the chunking.  Each Gram-Schmidt call keeps as many basis
+    # rows as LAPACK keeps singular values of its input at RANK_TOL, and
+    # each left set keeps as many rows given its conditioning as LAPACK
+    # keeps singular values at sqrt(RANK_TOL) of its residual on LAPACK's
+    # basis of the conditioning set
+    ranks, systems = [], []
+    real_basis, real_mi = oracle._orthonormal_basis, oracle.gaussian_mi
+
+    def basis(rows):
+        out = real_basis(rows)
+        ranks.append((np.sum(np.any(out[0] != 0.0, axis=-1), axis=-1), lapack_rank(rows, RANK_TOL)))
+        return out
+
+    def gaussian_mi(system, *sets):
+        systems.append(system)
+        return real_mi(system, *sets)
+
+    monkeypatch.setattr(oracle, "_orthonormal_basis", basis)
+    monkeypatch.setattr(oracle, "gaussian_mi", gaussian_mi)
+    verify_terms(*random_verification_draws(rng_for(3), 5000))
+    # 4 + 6 + 8 + 8 Gram-Schmidt calls: see test_oracle.py
+    assert len(ranks) == 26
+    for ours, theirs in ranks:
         assert ours.shape == (5000,) and np.array_equal(ours, theirs)
+    assert len(systems) == 8 and len(set(map(id, systems))) == 1
+    factors = systems[0]._factors
+    assert len(factors) == 6
+    for (_, given), (rows_l, _, _, keep) in factors.items():
+        res = rows_l
+        if given:
+            ref = lapack_basis(systems[0].whitened_rows(given))
+            res = rows_l - (rows_l @ ref.swapaxes(-1, -2)) @ ref
+        assert np.array_equal(np.sum(keep, axis=-1), lapack_rank(res, math.sqrt(RANK_TOL)))
 
 
 def test_the_oracle_names_no_linalg():
-    # no LAPACK call: every factorization is a closed form or Gram-Schmidt
+    # no LAPACK call: the one factorization is Gram-Schmidt
     def names(node):
         if isinstance(node, ast.Name):
             return [node.id]
