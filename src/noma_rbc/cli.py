@@ -8,7 +8,8 @@ Three subcommands wire configs to the library:
 * ``verify``    randomized closed-form-vs-oracle equivalence checks
 
 ``region`` formats each distinct column of the schemes' ``sweep_region``
-arrays once and writes the CSV as one string; ``verify`` draws each chunk
+arrays once, the alpha grid's once per process while the grid stays the
+same, and writes the CSV as one string; ``verify`` draws each chunk
 as one array and checks all schemes in one ``verify_terms`` pass.  Neither
 builds per-point objects.  ``main`` builds the argument parser once per
 process and looks the ``cmd_*`` function up at each call, so in-process
@@ -21,8 +22,9 @@ Exit codes: 0 success, 2 config error, 3 verification failure, 141 stdout
 closed by its reader (a pipe such as ``| head -1``), which ends the
 command without a traceback.  Progress
 and status go to stderr; ``verify`` prints its report on stdout.  Every
-output file lands inside the declared output directory and is paired with
-the manifest that produced it.  dB-valued inputs carry an explicit ``_db``
+output file lands inside the declared output directory, replaces any file
+at its path (``core.open_replaced``) and is paired with the manifest that
+produced it.  dB-valued inputs carry an explicit ``_db``
 suffix; everything is converted to linear units on entry.
 """
 
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import __version__, config
 from .config import SimConfig
-from .core import ChannelParams, Scheme, is_degraded_ordered
+from .core import ChannelParams, Scheme, is_degraded_ordered, open_replaced
 from .oracle import random_verification_draws, verify_terms
 from .rates import sweep_region
 from .simulation import run_experiment, write_results_csv
@@ -90,8 +92,8 @@ def _write_manifest(out_dir: Path, stem: str, command: str, config_snapshot: dic
         "duration_s": round(time.monotonic() - started, 3),
         **(extra or {}),
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n",
-                    encoding="utf-8")
+    with open_replaced(path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n")
     return path
 
 
@@ -109,23 +111,36 @@ def _reprs(values: np.ndarray, memo: dict) -> list[str]:
     return text
 
 
+# The last alpha grid's bits and reprs.  Every curve of a ``region`` call
+# has the grid as a column, and in-process callers rerun one grid, so it is
+# formatted once per process while it stays the same; one entry, so the
+# memory held does not grow with the calls.
+_grid_reprs: tuple = (b"", [])
+
+
 def _region_csv(curves, grid: np.ndarray, mark: float) -> str:
     """The ``rate_region.csv`` text of ``curves`` over the alpha ``grid``,
     with ``mark`` flagged: the bytes ``csv.writer`` writes for the same
     rows.  Every field is a scheme label, the repr of a finite float,
     empty, 0 or 1, none of which that writer quotes.  Schemes repeat whole
     columns (alpha in all, r1 in GBC, RBC-DF and RBC-CF+DPC, r2 and n_hat
-    in the CF pair), so each distinct column is formatted once."""
-    memo: dict = {}
+    in the CF pair), so each distinct column is formatted once, and the
+    grid's reprs come from ``_grid_reprs`` when the last call had it too."""
+    global _grid_reprs
+    key = grid.tobytes()
+    if _grid_reprs[0] != key:
+        _grid_reprs = (key, list(map(repr, grid.tolist())))
+    memo = {key: _grid_reprs[1]}
     n = len(grid)
     marked = ["1" if m else "0" for m in (np.abs(grid - mark) <= 1e-12).tolist()]
-    lines = ["scheme,alpha,r1_bits,r2_bits,n_hat,alpha_marked\r\n"]
+    lines = ["scheme,alpha,r1_bits,r2_bits,n_hat,alpha_marked"]
     for curve in curves:
         n_hats = [""] * n if curve.n_hat is None else _reprs(curve.n_hat, memo)
-        lines += [",".join(row) + "\r\n"
-                  for row in zip([curve.scheme.label] * n, _reprs(curve.alphas, memo),
-                                 _reprs(curve.r1, memo), _reprs(curve.r2, memo), n_hats, marked)]
-    return "".join(lines)
+        lines.append("\r\n".join(map(",".join, zip(
+            [curve.scheme.label] * n, _reprs(curve.alphas, memo), _reprs(curve.r1, memo),
+            _reprs(curve.r2, memo), n_hats, marked))))
+    lines.append("")
+    return "\r\n".join(lines)
 
 
 def cmd_region(args) -> int:
@@ -155,7 +170,7 @@ def cmd_region(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "rate_region.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with open_replaced(csv_path) as fh:
         fh.write(_region_csv(curves, curves[0].alphas, mark))
     snapshot = {
         "g01": g01, "g02": g02, "g12": g12,

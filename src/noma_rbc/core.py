@@ -16,11 +16,14 @@ Everything here is an immutable value; every operation is a pure function.
 travels as plain floats and arrays, which ``config`` checks.  ``LinkGains``,
 ``PowerSplit``, ``CompressionNoise`` and ``RatePair`` are the benchmark's
 API only: outside this module, only ``rates.rbc_cf_rates`` uses them.
+``open_replaced``, the one way the commands open an output file, is the
+only function here with an effect.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
@@ -170,3 +173,14 @@ def is_degraded_ordered(g01: float, g02: float, params: ChannelParams) -> bool:
     assumes (relay user = noise-normalised strong user)."""
     return g01 * params.n2 >= g02 * params.n1
 
+
+def open_replaced(path):
+    """``path`` opened for writing text as a new file: a file already there
+    is unlinked, not truncated, so a hard link to it keeps its bytes.
+    Truncating a file written moments before can wait on its writeback;
+    unlinking it and creating a new one does not."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", newline="", encoding="utf-8")

@@ -34,8 +34,10 @@ determinant).  Rank decisions use a pivot tolerance of 1e-12 on
 covariance eigenvalues, so zero-variance components (alpha of 0 or 1, p1
 of 0) reduce cleanly instead of producing singular solves: a left row
 whose residual norm given the conditioning is at most sqrt(1e-12) times
-the largest is deterministic given it, stays so under further
-conditioning and contributes zero.
+its own norm is deterministic given it, stays so under further
+conditioning and contributes zero.  Each row is measured against its own
+norm, not the largest left row's: a row of tiny variance beside a large
+one, such as V beside X1, still carries information.
 
 A system is one draw (every field a scalar) or a stack of N draws (fields
 are equal-length 1-D arrays, scalars shared by all draws).  Both take the
@@ -215,8 +217,10 @@ def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: Va
     a singleton set).  The value is h(left|given) - h(left|right, given),
     each term the log-determinant of a conditional covariance block, from
     the Gram-Schmidt residual norms of the left set's whitened rows: a row
-    whose norm given ``given`` is at most sqrt(RANK_TOL) times the largest
-    is deterministic given the conditioning and contributes zero.
+    whose norm given ``given`` is at most sqrt(RANK_TOL) times its own
+    norm is deterministic given the conditioning and contributes zero, and
+    a kept row whose norm given ``right`` and ``given`` is at most
+    RANK_TOL times its own norm makes the information diverge.
 
     The factorization of h(left|given), the conditioning basis and the left
     set's residual norms with the rows they keep, is made once per
@@ -232,13 +236,13 @@ def gaussian_mi(system: GaussianSystem, left: VarSpec, right: VarSpec, given: Va
         rows_l, rows_g = system.whitened_rows(left), system.whitened_rows(given)
         res_g = _residual_rows(rows_l, _orthonormal_basis(rows_g)[0]) if given else rows_l
         norms = _orthonormal_basis(res_g)[1]
-        top = np.max(norms, axis=-1, keepdims=True)
-        factors = system._factors[left, given] = (rows_l, norms, top,
-                                                  norms > top * math.sqrt(RANK_TOL))
-    rows_l, norms, top, keep = factors
+        own = np.sqrt(np.einsum("...in,...in->...i", rows_l, rows_l))
+        factors = system._factors[left, given] = (rows_l, norms, own,
+                                                  norms > own * math.sqrt(RANK_TOL))
+    rows_l, norms, own, keep = factors
     res_rg = _residual_rows(rows_l, _orthonormal_basis(system.whitened_rows(right + given))[0])
     norms_rg = _orthonormal_basis(res_rg * keep[..., None])[1]
-    diverged = np.any(keep & (norms_rg <= top * RANK_TOL), axis=-1)
+    diverged = np.any(keep & (norms_rg <= own * RANK_TOL), axis=-1)
     if np.any(diverged):
         at = f" at draw {int(np.argmax(diverged))}" if diverged.ndim else ""
         raise ValueError(f"right set determines left set{at}; mutual information diverges")

@@ -85,7 +85,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import SimConfig
-from .core import ChannelParams
+from .core import ChannelParams, open_replaced
 from .rates import relay_rate, relay_rate_formulas, second_rate_runs
 from .scheduling import (NearestStages, NearFarStages, distance_order, near_far_tables,
                          pf_update, schedule_lanes)
@@ -522,7 +522,7 @@ def run_experiment(config: SimConfig, parallel: int = 1) -> tuple[list[SimResult
 
 def write_results_csv(results: Sequence[SimResult], path) -> None:
     """Results CSV: one row per combination, header row always present."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_replaced(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in results:

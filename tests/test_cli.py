@@ -251,14 +251,67 @@ def csv_writer_reference(curves, mark):
 def test_region_csv_equals_a_csv_writer_reference(tmp_path, extra, schemes, alphas, fixed):
     out = tmp_path / "out"
     assert main(["region", "--out", str(out)] + REGION_FLAGS + extra) == EXIT_OK
+    assert (out / "rate_region.csv").read_bytes() == region_reference(schemes, alphas, fixed)
+
+
+def region_reference(schemes, alphas, fixed=None):
+    """The ``rate_region.csv`` bytes of a ``REGION_FLAGS`` run over ``alphas``,
+    from ``rate_kernel`` and ``csv_writer_reference``."""
     curves = []
     for scheme in schemes:
         r1, r2, n_hat, _ = rate_kernel(scheme, 8.0, 1.0, 8.0, ChannelParams(p0=10.0, p1=10.0),
                                        np.array(alphas), fixed)
         n_hat = None if n_hat is None else np.broadcast_to(n_hat, len(alphas)).tolist()
         curves.append((scheme.label, alphas, r1.tolist(), r2.tolist(), n_hat))
-    assert (out / "rate_region.csv").read_bytes() == \
-        csv_writer_reference(curves, 0.2).encode("utf-8")
+    return csv_writer_reference(curves, 0.2).encode("utf-8")
+
+
+def test_region_keeps_one_alpha_grid_per_process(tmp_path):
+    # "-0" first: a cache keyed on values would print the next grid's 0.0 as -0.0
+    for grid, alphas in [("-0,0.5,1", [-0.0, 0.5, 1.0]), ("0,0.5,1", [0.0, 0.5, 1.0]),
+                         ("201", np.linspace(0.0, 1.0, 201).tolist())]:
+        out = tmp_path / "out"
+        # with "=", argparse does not read "-0,..." as a flag
+        assert main(["region", "--out", str(out), f"--alpha-grid={grid}"] + REGION_FLAGS) == EXIT_OK
+        assert (out / "rate_region.csv").read_bytes() == region_reference(tuple(Scheme), alphas)
+    for points in range(2, 52):
+        assert main(["region", "--out", str(out), "--alpha-grid", str(points)] +
+                    REGION_FLAGS) == EXIT_OK
+    key, reprs = cli._grid_reprs
+    assert key == np.linspace(0.0, 1.0, 51).tobytes()
+    assert reprs == [row["alpha"] for row in read_csv(out / "rate_region.csv")][:51]
+
+
+def test_a_rerun_replaces_its_outputs(tmp_path):
+    # a rerun into the same --out writes new files: a hard link made between
+    # the runs keeps the first run's bytes, and no other file is left
+    out, links = tmp_path / "out", tmp_path / "links"
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(SIM_CONFIG, encoding="utf-8")
+    runs = (["region", "--out", str(out)] + REGION_FLAGS,
+            ["simulate", "--config", str(cfg), "--out", str(out)])
+    names = ["rate_region.csv", "rate_region.manifest.json", "sum_rate.csv",
+             "sum_rate.manifest.json"]
+    for argv in runs:
+        assert main(argv) == EXIT_OK
+    first = {name: (out / name).read_bytes() for name in names}
+    links.mkdir()
+    for name in names:
+        os.link(out / name, links / name)
+    for argv in runs:
+        assert main(argv) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        # the CSVs' bytes are the same on a rerun, so the files are told apart
+        assert not (links / name).samefile(out / name), name
+        assert (links / name).read_bytes() == first[name], name
+        again = (out / name).read_bytes()
+        if name.endswith(".csv"):
+            assert again == first[name], name
+        else:
+            old, new = json.loads(first[name]), json.loads(again)
+            del old["duration_s"], new["duration_s"]
+            assert old == new, name
 
 
 def test_region_csv_formats_signed_zeros_by_their_bits():

@@ -301,6 +301,8 @@ GAIN = log_uniform(1e-6, 1e8)
        n_hat_over_n1=log_uniform(1e-2, 1e2))
 @example(p0=1e6, p1=1e6, n1=0.1, n2=10.0, g=(1e2, 1e-2, 1e2), alpha=0.5, n_hat_over_n1=0.1)
 @example(p0=1e-2, p1=1e6, n1=10.0, n2=0.1, g=(1e-2, 1e-2, 1e2), alpha=1.0, n_hat_over_n1=10.0)
+# var_v = 1e-7 beside var_x1 = 1e6: V stays in the left set (V, X1) of r2_forward
+@example(p0=1e-2, p1=1e6, n1=1.0, n2=1.0, g=(1e8, 1e8, 1e-6), alpha=1 - 1e-5, n_hat_over_n1=1.0)
 def test_oracle_equivalence_away_from_reference_point(p0, p1, n1, n2, g, alpha, n_hat_over_n1):
     # the BS gains in degraded order, as random_verification_draws orders them
     g01, g02 = (g[0], g[1]) if g[0] * n2 >= g[1] * n1 else (g[1], g[0])
