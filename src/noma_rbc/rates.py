@@ -17,19 +17,25 @@ power p1; noise powers n1, n2.
 The CF second-user rate depends on the compression-noise variance n_hat:
 the cut-set bound decreases and the forwarding-minus-loss bound increases
 strictly in n_hat, so the max over n_hat of their min sits at their
-crossing whenever one exists.  Cleared of denominators, the crossing is a
-quadratic in n_hat, solved in closed form; the denominators are positive,
-so every positive root is a crossing, and as the bounds cross at most once
-the quadratic has at most one positive root.  Without one the bounds never
-cross: one of them is the smaller for every n_hat, so their min is
-monotone and its best value over ``N_HAT_BRACKET`` (in units of n1) sits
-at an end of the bracket: the low end when the cut-set bound binds, the
-high end when the forwarding-minus-loss bound does.  The optimum is
-therefore the one crossing or, failing it, the better bracket end; no
-search is needed, and the high end is evaluated only where the
-forwarding-minus-loss bound binds at the low end.  The optimum runs
-under one ``np.errstate`` and updates its single-use temporaries in place,
-with the operands in the same order, so every bit is that of the plain
+crossing whenever one exists.  Write s1 = g01*a*p0 and t1 = g01*ab*p0 for
+the two components at the relay user, t2 = g02*ab*p0, m2 = g02*a*p0 + n2,
+w = g12*p1 and dd = n1*m2 + n2*s1.  Inside its logarithm the cut-set bound
+is (c*(n_hat + n1) + t1) / (n_hat + n1), with c = 1 + t2/m2.  The
+compression loss is 1 + n1^2*m2 / (n_hat*dd + n1*n2*s1) = (n_hat + n1) /
+(n_hat + e), with e = n1*n2*s1/dd, so the forwarding-minus-loss bound is
+F*(n_hat + e) / (n_hat + n1), with F = 1 + (t2 + w)/m2.  Over the same
+denominator, the bounds are equal where c*(n_hat + n1) + t1 = F*(n_hat +
+e), a linear equation whose one root, as F - c = w/m2, is (n1*c + t1 -
+e*F) / (w/m2): the crossing, when that is finite and positive.  Without
+one the bounds never cross: one of them is the smaller for every n_hat,
+so their min is monotone and its best value over ``N_HAT_BRACKET`` (in
+units of n1) sits at an end of the bracket: the low end when the cut-set
+bound binds, the high end when the forwarding-minus-loss bound does.  The
+optimum is therefore the crossing or, failing it, the better bracket end;
+no search is needed, and the high end is evaluated only where the
+forwarding-minus-loss bound binds at the low end.  The optimum runs under
+one ``np.errstate`` and updates its single-use temporaries in place, with
+the operands in the same order, so every bit is that of the plain
 expressions.
 
 ``rate_kernel`` evaluates one scheme over broadcastable gain and
@@ -135,8 +141,9 @@ class _CFBounds:
 
     ``terms`` and ``objective``, which the oracle and ``second_rate`` call
     at a given n_hat, each enter their own ``np.errstate``; ``optimum``
-    enters one around the unguarded ``_crossing_roots``, both real roots of
-    the crossing quadratic (NaN marks a missing one), and ``_objective``.
+    enters one around the unguarded ``_crossing``, the root of the linear
+    crossing equation (not finite, or not positive, where the bounds never
+    cross), and ``_objective``.
     A temporary that feeds only the next operation, as its left operand, is
     updated in place where it already has the result's shape (``x = a * b;
     x *= c`` for ``a * b * c``), which keeps every bit and never writes
@@ -156,14 +163,13 @@ class _CFBounds:
         self.dd = n1 * n2 + n2 * s1 + n1 * s2
         m2 = s2                      # dd was s2's last use
         m2 += n2
-        self.s1, self.t1, self.t2, self.m2 = s1, t1, t2, m2
-        self.n1, self.n2, self.w, self.alpha = n1, n2, g12 * p1, alpha
+        self.t1, self.m2, self.n1, self.w, self.alpha = t1, m2, n1, g12 * p1, alpha
         self.t2_m2 = t2 / m2
         self.loss_num = n1 * n1 * m2
         self.loss_off = n1 * n2 * s1
         forward = t2 + self.w
         forward /= m2
-        self.forward = _log2_1p(forward)
+        self.forward_ratio, self.forward = forward, _log2_1p(forward)
 
     def _terms(self, n_hat):
         cutset = _log2_1p(self.t1 / (self.n1 + n_hat) + self.t2_m2)
@@ -187,54 +193,20 @@ class _CFBounds:
         with np.errstate(over="ignore"):
             return self._objective(n_hat)
 
-    def _crossing_roots(self):
-        s1, t1, t2, m2, dd, n1, n2 = self.s1, self.t1, self.t2, self.m2, self.dd, self.n1, self.n2
-        loss_off, loss_num, w = self.loss_off, self.loss_num, self.w
-        # linear-domain crossing: (1 + t1/(n1+x) + t2/m2) * (1 + n1^2*m2/(x*dd + n1*n2*s1))
-        #                          = 1 + (t2+w)/m2, cleared of denominators;
-        # both sides are products of polynomials linear in x
-        la1 = m2 + t2
-        la0 = n1 * la1 + t1 * m2
-        lb0 = loss_off + loss_num
-        rr = la1 + w
-        qa = la1 * dd - rr * dd
-        qb = la1 * lb0
-        qb += la0 * dd
-        off = n1 * dd
-        off += loss_off
-        qb = qb - rr * off
-        qc = la0 * lb0 - rr * (n1 * n1 * n2 * s1)
-        disc = qb * qb
-        four_ac = 4.0 * qa
-        four_ac *= qc
-        disc -= four_ac
-        finite = np.isfinite(disc)
-        if not finite.all():
-            # a product of powers overflowed: there, divide the quadratic by rr * dd
-            # and by its largest coefficient, which keeps it and its discriminant finite
-            lost = ~finite
-            a, c = la1 / rr, lb0 / dd
-            b, d = n1 * a + t1 * (m2 / rr), loss_off / dd
-            scaled = np.array(np.broadcast_arrays(-w / rr, a * c + b - n1 - d, b * c - n1 * d))
-            scaled /= np.abs(scaled).max(axis=0)
-            qa, qb, qc = (np.where(lost, x, y) for x, y in zip(scaled, (qa, qb, qc)))
-            disc = qb * qb - 4.0 * qa * qc
-        # numerically stable form; a negative discriminant gives NaN
-        # roots, a zero divisor infinite ones (np.divide: the inputs may
-        # be Python floats, which would raise)
-        q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
-        linear = np.equal(qa, 0.0)
-        if not linear.any():
-            return q / qa, np.where(q == 0.0, np.nan, qc / q)
-        return (np.where(linear, np.divide(-qc, qb), q / qa),
-                np.where(linear | (q == 0.0), np.nan, qc / q))
+    def _crossing(self):
+        # (c*(x + n1) + t1) / (x + e) = F, with F - c = w/m2 (np.divide: the
+        # inputs may be Python floats, and w may be 0)
+        e = self.loss_off / self.dd
+        num = self.n1 * (1.0 + self.t2_m2) + self.t1 - e * (1.0 + self.forward_ratio)
+        return np.divide(num, self.w / self.m2)
 
     def optimum(self):
         """(n_hat, clamped r2, forwarding-minus-loss argument) at the best
-        n_hat: the bounds' one crossing, the positive root of the
-        quadratic, or, without one, the better end of ``N_HAT_BRACKET``
-        in units of n1 (the low end on ties).  At alpha = 1, r2 is 0 for
-        every n_hat, and n_hat = n1 is reported.
+        n_hat: the bounds' crossing, the root of the linear crossing
+        equation where it is finite and positive, or, without one, the
+        better end of ``N_HAT_BRACKET`` in units of n1 (the low end on
+        ties).  At alpha = 1, r2 is 0 for every n_hat, and n_hat = n1 is
+        reported.
 
         The objective is evaluated a second time, at the high end, only
         where there is no root and the forwarding-minus-loss bound binds at
@@ -244,14 +216,11 @@ class _CFBounds:
         ``np.log1p`` is monotone."""
         n1, alpha = self.n1, self.alpha
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            root0, root1 = self._crossing_roots()
-            ok0 = np.isfinite(root0)
-            ok0 &= root0 > 0.0
-            has = np.isfinite(root1)
-            has &= root1 > 0.0
-            has = ok0 | has
+            root = self._crossing()
+            has = np.isfinite(root)
+            has &= root > 0.0
             lo, hi = N_HAT_BRACKET[0] * n1, N_HAT_BRACKET[1] * n1
-            n_hat = np.where(ok0, root0, np.where(has, root1, lo))
+            n_hat = np.where(has, root, lo)
             if not isinstance(alpha, float) or alpha == 1.0:
                 at_one = alpha == 1.0
                 n_hat, has = np.where(at_one, n1, n_hat), has | at_one

@@ -1,5 +1,6 @@
-"""Shared draw distributions, brute-force oracles, plain scheduling
-references and one-lane adapters for the test suite.
+"""Shared draw distributions, brute-force oracles, a 50-digit reference
+for the CF optimum, plain scheduling references and one-lane adapters for
+the test suite.
 
 Randomized checks draw power gains log-uniform over [1e-2, 1e2] with the
 two BS gains swapped into degraded order, alpha uniform on [0, 1], and keep
@@ -19,6 +20,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
+import mpmath
 import numpy as np
 
 from noma_rbc import simulation
@@ -117,55 +119,29 @@ def grid_optimal_cf_r2(gains, params, split, grid=N_HAT_GRID):
     return max(float(vals[k]), refined)
 
 
-def two_candidate_optimum(cf):
-    """(n_hat, clamped r2, forwarding-minus-loss argument) of a
-    ``rates._CFBounds`` by the rule that allowed two crossings: the better
-    of two candidates scored on one stacked objective call, namely both
-    positive roots (the first on ties), or the one positive root twice, or
-    without one both ends of ``N_HAT_BRACKET`` in units of n1 (the low end
-    on ties).  The reference for the one-crossing rule of
-    ``_CFBounds.optimum``."""
+def linear_root(cf):
+    """The crossing of a ``rates._CFBounds``'s two bounds, written out apart
+    from the kernel: the root of (c*(x + n1) + t1) / (x + e) = F, with
+    c = 1 + t2/m2, F = 1 + (t2 + w)/m2 and e = n1*n2*s1/dd, that is
+    (n1*c + t1 - e*F) / (w/m2).  Not finite, or not positive, where the
+    bounds never cross."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        root0, root1 = cf._crossing_roots()
-    ok0 = np.isfinite(root0) & (root0 > 0.0)
-    ok1 = np.isfinite(root1) & (root1 > 0.0)
-    lo, hi = (end * cf.n1 for end in N_HAT_BRACKET)
-    first = np.where(ok0, root0, np.where(ok1, root1, lo))
-    other = np.where(ok0 & ok1, root1, np.where(ok0 | ok1, first, hi))
-    at_one = cf.alpha == 1.0  # r2 is 0 for every n_hat; report n_hat = n1
-    if np.any(at_one):
-        first, other = np.where(at_one, cf.n1, first), np.where(at_one, cf.n1, other)
-    r2s, seconds, _ = cf.objective(np.stack((first, other)))
-    take = r2s[1] > r2s[0]
-    return (np.where(take, other, first), np.where(take, r2s[1], r2s[0]),
-            np.where(take, seconds[1], seconds[0]))
+        return np.divide(cf.n1 * (1.0 + cf.t2_m2) + cf.t1
+                         - cf.loss_off / cf.dd * (1.0 + cf.forward_ratio), cf.w / cf.m2)
 
 
 def both_ends_optimum(cf):
     """(n_hat, clamped r2, forwarding-minus-loss argument) of a
     ``rates._CFBounds`` by the rule that scored the high end of
-    ``N_HAT_BRACKET`` wherever the crossing quadratic has no positive
-    root: the positive root (the first of two), else the better bracket
-    end in units of n1 (the low end on ties), n_hat = n1 at alpha = 1.  The
-    roots come from the quadratic's coefficients with both the linear and
-    the quadratic formula evaluated everywhere.  The reference for
-    ``_CFBounds.optimum``, which scores the high end only where the
+    ``N_HAT_BRACKET`` wherever the bounds do not cross: ``linear_root``
+    where it is finite and positive, else the better bracket end in units
+    of n1 (the low end on ties), n_hat = n1 at alpha = 1.  The reference
+    for ``_CFBounds.optimum``, which scores the high end only where the
     forwarding-minus-loss bound binds at the low end."""
-    la1 = cf.m2 + cf.t2
-    la0 = cf.n1 * la1 + cf.t1 * cf.m2
-    rr = la1 + cf.w
-    qa = la1 * cf.dd - rr * cf.dd
-    qb = la1 * (cf.loss_off + cf.loss_num) + la0 * cf.dd - rr * (cf.n1 * cf.dd + cf.loss_off)
-    qc = la0 * (cf.loss_off + cf.loss_num) - rr * (cf.n1 * cf.n1 * cf.n2 * cf.s1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
-        linear = qa == 0.0
-        root0 = np.where(linear, np.divide(-qc, qb), q / qa)
-        root1 = np.where(linear | (q == 0.0), np.nan, qc / q)
-    ok0 = np.isfinite(root0) & (root0 > 0.0)
-    has = ok0 | (np.isfinite(root1) & (root1 > 0.0))
+    root = linear_root(cf)
+    has = np.isfinite(root) & (root > 0.0)
     lo, hi = (end * cf.n1 for end in N_HAT_BRACKET)
-    n_hat = np.where(ok0, root0, np.where(has, root1, lo))
+    n_hat = np.where(has, root, lo)
     at_one = np.asarray(cf.alpha) == 1.0
     n_hat, has = np.where(at_one, cf.n1, n_hat), has | at_one
     r2, second, _ = cf.objective(n_hat)
@@ -173,6 +149,46 @@ def both_ends_optimum(cf):
     take = ~has & (r2_hi > r2)
     return (np.where(take, hi, n_hat), np.where(take, r2_hi, r2),
             np.where(take, second_hi, second))
+
+
+def exact_cf_optimum(g01, g02, g12, p0, p1, alpha, n1=1.0, n2=1.0):
+    """The CF optimum at 50 significant digits, the float inputs taken as
+    exact: ``(crossing, r2, spread)``.  ``crossing`` is the n_hat > 0 where
+    the cut-set and forwarding-minus-loss bounds cross, None where they do
+    not (or alpha = 1, where r2 is 0 for every n_hat); ``r2`` the clamped
+    rate in bits at the crossing, or at the better end of ``N_HAT_BRACKET``
+    in units of n1 without one.  The crossing is (n1*c + t1 - e*F) / (w/m2)
+    (see ``linear_root``), checked here to make the bounds equal to 40
+    digits; ``spread`` is e*F / (w/m2), the part of n1*c + t1 that e*F
+    cancels, over the divisor: a float root is off by a few ulp of it where
+    the crossing is much smaller."""
+    with mpmath.workdps(50):
+        g01, g02, g12, p0, p1, alpha, n1, n2 = (mpmath.mpf(float(v)) for v in
+                                                (g01, g02, g12, p0, p1, alpha, n1, n2))
+        ab = 1 - alpha
+        s1, s2, t1, t2 = g01 * alpha * p0, g02 * alpha * p0, g01 * ab * p0, g02 * ab * p0
+        m2, w = s2 + n2, g12 * p1
+        dd = n1 * n2 + n2 * s1 + n1 * s2
+
+        def bounds(x):
+            cutset = mpmath.log(1 + t1 / (n1 + x) + t2 / m2, 2)
+            loss = mpmath.log(1 + n1 * n1 * m2 / (x * dd + n1 * n2 * s1), 2)
+            return cutset, mpmath.log(1 + (t2 + w) / m2, 2) - loss
+
+        def r2(x):
+            return float(max(mpmath.mpf(0), min(bounds(x))))
+
+        if alpha == 1:
+            return None, 0.0, 0.0
+        spread = 0.0
+        if w > 0:
+            c, f, e = 1 + t2 / m2, 1 + (t2 + w) / m2, n1 * n2 * s1 / dd
+            x, spread = (n1 * c + t1 - e * f) / (w / m2), float(e * f / (w / m2))
+            if x > 0:
+                cutset, second = bounds(x)
+                assert abs(cutset - second) <= mpmath.mpf(10) ** -40 * (1 + abs(cutset))
+                return float(x), r2(x), spread
+        return None, max(r2(end * n1) for end in N_HAT_BRACKET), spread
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Property tests of the array rate kernel over gains 1e-6..1e8 and powers
-1e-2..1e6: the compression-noise optimum against a dense grid and against a
-scalar transcription of its closed form, the one crossing of the CF bounds
-that the optimum assumes, and the batched candidate scoring against the
-scalar reference loops.  The optimum is also held to a dense grid at
-powers up to 1e300, whose products overflow."""
+1e-2..1e6: the compression-noise optimum against a dense grid, against a
+scalar transcription of its closed form and against a 50-digit reference,
+the one crossing of the CF bounds that the optimum assumes, and the
+batched candidate scoring against the scalar reference loops.  The
+optimum is also held to a dense grid at powers up to 1e300, whose
+products overflow."""
 
 import itertools
 import math
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 from noma_rbc.core import ChannelParams, PowerSplit, Scheme
 from noma_rbc.rates import N_HAT_BRACKET, _CFBounds, rate_kernel
 
-from helpers import (both_ends_optimum, near_far_pair, nearest_neighbor_pair, nearest_remaining,
-                     relay_rate_bits, rng_for, second_rate_bits, two_candidate_optimum)
+from helpers import (both_ends_optimum, exact_cf_optimum, linear_root, near_far_pair,
+                     nearest_neighbor_pair, nearest_remaining, relay_rate_bits, rng_for,
+                     second_rate_bits)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 CF_SCHEMES = (Scheme.RBC_CF, Scheme.RBC_CF_DPC)
@@ -105,10 +107,12 @@ def test_cf_r2_is_not_below_a_dense_n_hat_grid(g01, g02, g12, p0, p1, alpha):
 
 
 def test_cf_r2_is_not_below_a_dense_n_hat_grid_at_powers_whose_products_overflow():
-    # the crossing quadratic's coefficients are products of up to four
-    # powers, so they or its discriminant overflow at large powers; with the
-    # relay power far above the BS power, that lost the crossing and up to
-    # 15 bits of r2
+    # cleared of denominators, the crossing was a quadratic whose
+    # coefficients are products of up to four powers, so they or its
+    # discriminant overflowed at large powers; with the relay power far
+    # above the BS power, that lost the crossing and up to 15 bits of r2.
+    # The linear root's terms are powers and ratios of powers, which stay
+    # finite here
     rng = rng_for(2026)
     grid = np.logspace(math.log10(N_HAT_BRACKET[0]), math.log10(N_HAT_BRACKET[1]), 200_000)
     for _ in range(1000):
@@ -143,12 +147,39 @@ def cf_bounds(g01, g02, g12, p0, p1, n1, n2, alpha):
     return _CFBounds(g01, g02, g12, ChannelParams(p0=p0, p1=1.0, n1=n1, n2=n2), alpha, p1)
 
 
-def positive_roots(cf):
-    """How many of the crossing quadratic's roots are finite and positive,
-    per entry."""
+def crosses_once(cf, g01, g02, g12, p0, p1, n1, n2, alpha):
+    """Whether the crossing of the CF bounds cleared of denominators, the
+    quadratic (la1*x + la0)*(dd*x + lb0) - rr*(x + n1)*(dd*x + n1*n2*s1)
+    written out from the inputs, vanishes at -n1 and, where it is finite,
+    at the kernel's root of ``cf``, per entry: to 1e-12 of the sum of its
+    terms' magnitudes, which bounds its rounding.  A quadratic has two
+    roots, so these are all of them, and the bounds cross at most once."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        roots = np.stack(np.broadcast_arrays(*cf._crossing_roots()))
-    return (np.isfinite(roots) & (roots > 0.0)).sum(axis=0)
+        root = cf._crossing()
+    a, ab = alpha, 1.0 - alpha
+    s1, s2 = g01 * a * p0, g02 * a * p0
+    t1, t2 = g01 * ab * p0, g02 * ab * p0
+    m2, w = s2 + n2, g12 * p1
+    dd = n1 * n2 + n2 * s1 + n1 * s2
+    la1, off = m2 + t2, n1 * n2 * s1
+    la0, lb0, rr = n1 * la1 + t1 * m2, off + n1 * n1 * m2, la1 + w
+
+    def vanishes(x):
+        left = (la1 * x + la0) * (dd * x + lb0)
+        right = rr * (x + n1) * (dd * x + off)
+        x = np.abs(x)
+        scale = (la1 * x + la0) * (dd * x + lb0) + rr * (x + n1) * (dd * x + off)
+        return np.abs(left - right) <= 1e-12 * scale
+
+    finite = np.isfinite(root)
+    return vanishes(-n1) & (~finite | vanishes(np.where(finite, root, 0.0)))
+
+
+def no_crossing(cf):
+    """Where the bounds of ``cf`` do not cross: ``linear_root`` is not
+    finite or not positive."""
+    root = linear_root(cf)
+    return ~(np.isfinite(root) & (root > 0.0))
 
 
 def same_bits(ours, reference):
@@ -174,8 +205,8 @@ def test_the_cf_bounds_cross_at_most_once(g01, g02, g12, p0, p1, n1, n2, alpha, 
     if ordered != (g01 * n2 >= g02 * n1):
         g01, g02 = g02, g01
     cf = cf_bounds(g01, g02, g12, p0, p1, n1, n2, alpha)
-    assert positive_roots(cf) <= 1
-    assert same_bits(cf.optimum(), two_candidate_optimum(cf))
+    assert crosses_once(cf, g01, g02, g12, p0, p1, n1, n2, alpha)
+    assert same_bits(cf.optimum(), both_ends_optimum(cf))
 
 
 def test_the_cf_bounds_cross_at_most_once_at_the_corners_of_the_ranges():
@@ -188,8 +219,8 @@ def test_the_cf_bounds_cross_at_most_once_at_the_corners_of_the_ranges():
     for p0, p1, n1, n2 in itertools.product((1e-2, 1e6), (1e-2, 1e6), (0.1, 10.0), (0.1, 10.0)):
         for a in (alpha, 0.0, 0.5, 1.0):
             cf = cf_bounds(g01, g02, g12, p0, p1, n1, n2, a)
-            assert positive_roots(cf).max() <= 1
-            assert same_bits(cf.optimum(), two_candidate_optimum(cf))
+            assert crosses_once(cf, g01, g02, g12, p0, p1, n1, n2, a).all()
+            assert same_bits(cf.optimum(), both_ends_optimum(cf))
 
 
 def test_the_cf_bounds_cross_at_most_once_on_random_batches():
@@ -200,11 +231,52 @@ def test_the_cf_bounds_cross_at_most_once_on_random_batches():
         p1 = 10.0 ** rng.uniform(-2.0, 6.0, size=20_000)
         alpha = np.concatenate([[0.0, 1.0], rng.uniform(size=19_998)])
         cf = cf_bounds(g01, g02, g12, p0, p1, n1, n2, alpha)
-        assert positive_roots(cf).max() <= 1
-        assert same_bits(cf.optimum(), two_candidate_optimum(cf))
+        assert crosses_once(cf, g01, g02, g12, p0, p1, n1, n2, alpha).all()
+        assert same_bits(cf.optimum(), both_ends_optimum(cf))
 
 
-# p1 = 0 makes the crossing quadratic linear
+def assert_near_the_exact_optimum(n_hat, r2, g01, g02, g12, p0, p1, n1, n2, alpha):
+    """n_hat within 1e-12 relative of the exact crossing, where one exists,
+    and r2 at most 1e-13 bits below the exact optimum.  Where the crossing
+    is far below the terms that cancel in its numerator, rounding those
+    terms moves it by a few ulp of their size over the divisor,
+    ``spread``, so n_hat may also be off by 1e-14 of that."""
+    crossing, exact_r2, spread = exact_cf_optimum(g01, g02, g12, p0, p1, alpha, n1, n2)
+    if crossing is not None:
+        assert abs(n_hat - crossing) <= 1e-12 * crossing + 1e-14 * spread, crossing
+    assert r2 >= exact_r2 - 1e-13, exact_r2
+
+
+@PROPERTY
+@given(GAIN, GAIN, RELAY_GAIN, POWER, POWER, NOISE, NOISE, ALPHA, st.booleans())
+@example(*LOW_END_WINS[:5], 1.0, 1.0, LOW_END_WINS[5], True)
+@example(*HIGH_END_WINS[:5], 1.0, 1.0, HIGH_END_WINS[5], True)
+@example(1e8, 1e-6, 1e8, 1e6, 1e6, 0.1, 10.0, 0.5, True)
+@example(1e-6, 1e8, 0.0, 1e6, 1e6, 10.0, 10.0, 5e-324, True)
+def test_the_cf_optimum_is_within_rounding_of_a_50_digit_reference(g01, g02, g12, p0, p1, n1,
+                                                                    n2, alpha, ordered):
+    if ordered != (g01 * n2 >= g02 * n1):
+        g01, g02 = g02, g01
+    n_hat, r2, _ = cf_bounds(g01, g02, g12, p0, p1, n1, n2, alpha).optimum()
+    assert_near_the_exact_optimum(n_hat, r2, g01, g02, g12, p0, p1, n1, n2, alpha)
+
+
+def test_the_cf_optimum_is_within_rounding_of_a_50_digit_reference_on_random_batches():
+    # each batch in both role orders: the degraded order and its reverse
+    rng = rng_for(2027)
+    for _ in range(8):
+        p0, n1, n2 = 10.0 ** rng.uniform(-2.0, 6.0), *(10.0 ** rng.uniform(-1.0, 1.0, size=2))
+        g01, g02, g12 = 10.0 ** rng.uniform(-6.0, 8.0, size=(3, 250))
+        p1 = 10.0 ** rng.uniform(-2.0, 6.0, size=250)
+        alpha = rng.uniform(size=250)
+        for relay, second in ((g01, g02), (g02, g01)):
+            n_hats, r2s, _ = cf_bounds(relay, second, g12, p0, p1, n1, n2, alpha).optimum()
+            for k in range(250):
+                assert_near_the_exact_optimum(n_hats[k], r2s[k], relay[k], second[k], g12[k],
+                                              p0, p1[k], n1, n2, alpha[k])
+
+
+# p1 = 0 makes the crossing equation's divisor w/m2 zero: the bounds never cross
 RELAY_POWER = st.one_of(st.just(0.0), POWER)
 
 
@@ -238,7 +310,7 @@ def test_the_optimum_equals_the_rule_that_scored_both_bracket_ends_on_random_bat
         p1[1000:4000] = 0.0
         alpha = np.concatenate([[0.0, 1.0], rng.uniform(size=19_998)])
         cf = cf_bounds(g01, g02, g12, p0, p1, 1.0, 1.0, alpha)
-        no_root = positive_roots(cf) == 0
+        no_root = no_crossing(cf)
         assert 0 < no_root.sum() < no_root.size
         assert same_bits(cf.optimum(), both_ends_optimum(cf))
 
@@ -259,7 +331,7 @@ def test_the_rates_do_not_depend_on_the_noise_unit(scheme, scale):
     assert np.abs(s1 - r1).max() <= 1e-9
     assert np.abs(s2 - r2).max() <= 1e-9
     if scheme.uses_compression:
-        no_root = positive_roots(_CFBounds(g01, g02, g12, unit, alpha, unit.p1)) == 0
+        no_root = no_crossing(_CFBounds(g01, g02, g12, unit, alpha, unit.p1))
         assert 100 < no_root.sum() < no_root.size
         assert np.allclose(scaled_n_hat[no_root], n_hat[no_root] * scale, rtol=1e-9, atol=0.0)
 
