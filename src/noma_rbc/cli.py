@@ -18,19 +18,20 @@ twice in one mapping is a config error.  ``region`` and ``simulate`` read
 and check their keys, and build their flags, through the one key table of
 ``config``.
 
-Exit codes: 0 success, 2 config error, 3 verification failure, 141 stdout
-closed by its reader (a pipe such as ``| head -1``), which ends the
-command without a traceback.  Progress
-and status go to stderr; ``verify`` prints its report on stdout.  Every
-output file lands inside the declared output directory, replaces any file
-at its path (``core.open_replaced``) and is paired with the manifest that
-produced it.  dB-valued inputs carry an explicit ``_db``
-suffix; everything is converted to linear units on entry.
+Exit codes: 0 success, 2 config error (an ``--out`` that cannot take the
+outputs among them), 3 verification failure, 141 stdout closed by its
+reader (a pipe such as ``| head -1``), which ends the command without a
+traceback.  Progress and status go to stderr; ``verify`` prints its
+report on stdout.  Every output file lands inside the declared output
+directory, replaces any file at its path (``core.open_replaced``) and is
+paired with the manifest that produced it.  dB-valued inputs carry an
+explicit ``_db`` suffix; everything is converted to linear units on entry.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -69,6 +70,14 @@ def _fail(*errors: str) -> int:
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
     return EXIT_CONFIG_ERROR
+
+
+def _out_errors(out: str) -> list[str]:
+    """The config error of an ``--out`` that exists and is not a
+    directory, found before any work is done."""
+    if os.path.exists(out) and not os.path.isdir(out):
+        return [f"--out {out}: {os.strerror(errno.ENOTDIR)}"]
+    return []
 
 
 def _info(msg: str) -> None:
@@ -147,8 +156,9 @@ def cmd_region(args) -> int:
     started = time.monotonic()
     values, errors = config.read("region", args.config, args)
     checked, bad = config.check(config.TABLE["region"], values)
-    if errors or bad:
-        return _fail(*errors, *bad)
+    errors += bad + _out_errors(args.out)
+    if errors:
+        return _fail(*errors)
     g01, g02, g12 = checked["g01"], checked["g02"], checked["g12"]
     params = ChannelParams(
         p0=config.linear(checked["p0_db"]),
@@ -168,10 +178,7 @@ def cmd_region(args) -> int:
                      "(g01, g02, g12, p0_db, p1_db, n1, n2)")
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "rate_region.csv"
-    with open_replaced(csv_path) as fh:
-        fh.write(_region_csv(curves, curves[0].alphas, mark))
     snapshot = {
         "g01": g01, "g02": g02, "g12": g12,
         "p0": params.p0, "p1": params.p1, "n1": params.n1, "n2": params.n2,
@@ -179,7 +186,13 @@ def cmd_region(args) -> int:
         "schemes": [s.label for s in schemes],
         "n_hat": "optimized" if n_hat is None else n_hat,
     }
-    _write_manifest(out_dir, "rate_region", "region", snapshot, None, [csv_path], started)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open_replaced(csv_path) as fh:
+            fh.write(_region_csv(curves, curves[0].alphas, mark))
+        _write_manifest(out_dir, "rate_region", "region", snapshot, None, [csv_path], started)
+    except OSError as exc:
+        return _fail(f"--out {args.out}: {exc}")
     _info(f"wrote {csv_path}")
     return EXIT_OK
 
@@ -194,7 +207,7 @@ def cmd_simulate(args) -> int:
     values, errors = config.read("simulate", args.config, args)
     errors += config.check(config.OPTIONS, {"parallel": args.parallel})[1]
     sim = SimConfig(**values)
-    errors += sim.validate()
+    errors += sim.validate() + _out_errors(args.out)
     if errors:
         return _fail(*errors)
     # the manifest records the points as the CSV writes them
@@ -206,19 +219,23 @@ def cmd_simulate(args) -> int:
         return _fail(f"the run does not fit in memory at these sizes (users, blocks, "
                      f"intervals, trials): {exc}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sum_rate.csv"
-    write_results_csv(results, csv_path)
     snapshot = {name: getattr(sim, name) for name in config.TABLE["simulate"]}
     counters = [
         {"scheme": r.scheme, "pairing": r.pairing, "p1_over_p0_db": r.p1_over_p0_db,
          "role_swaps": r.role_swaps, "r2_clamps": r.r2_clamps}
         for r in results
     ]
-    _write_manifest(out_dir, "sum_rate", "simulate", snapshot, sim.seed, [csv_path], started,
-                    extra={"parallel": {"requested": args.parallel, "effective": workers,
-                                        "pool_workers": workers - 1, "tasks": tasks},
-                           "counters": counters})
+    extra = {"parallel": {"requested": args.parallel, "effective": workers,
+                          "pool_workers": workers - 1, "tasks": tasks},
+             "counters": counters}
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_results_csv(results, csv_path)
+        _write_manifest(out_dir, "sum_rate", "simulate", snapshot, sim.seed, [csv_path], started,
+                        extra=extra)
+    except OSError as exc:
+        return _fail(f"--out {args.out}: {exc}")
     _info(f"wrote {csv_path}")
     return EXIT_OK
 

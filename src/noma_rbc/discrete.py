@@ -54,7 +54,7 @@ def _dedupe(names: Sequence[str]) -> tuple[str, ...]:
 class DiscreteJoint:
     """Joint pmf over named finite alphabets.
 
-    ``pmf`` has one axis per name, in declared order; entries are
+    ``pmf`` has one axis per name, in declared order; entries are finite,
     non-negative and sum to 1 within NORMALISATION_TOL.
     """
 
@@ -75,8 +75,8 @@ class DiscreteJoint:
             raise ValueError(
                 f"product alphabet size {pmf.size} exceeds the {MAX_CELLS} limit"
             )
-        if np.any(pmf < 0.0):
-            raise ValueError("pmf entries must be non-negative")
+        if not (np.isfinite(pmf) & (pmf >= 0.0)).all():
+            raise ValueError("pmf entries must be finite and non-negative")
         total = float(pmf.sum())
         if abs(total - 1.0) > NORMALISATION_TOL:
             raise ValueError(f"pmf sums to {total!r}, expected 1 within {NORMALISATION_TOL}")
@@ -223,6 +223,8 @@ def load_discrete_joint(path) -> DiscreteJoint:
                     values.append(float(line))
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad probability {line!r}") from None
+                if not math.isfinite(values[-1]):
+                    raise ValueError(f"{path}:{lineno}: probability {line!r} is not finite")
     if not in_probs:
         raise ValueError(f"{path}: missing 'probs' line")
     expected = math.prod(sizes)

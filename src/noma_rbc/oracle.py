@@ -321,16 +321,16 @@ def random_verification_draws(rng: np.random.Generator, count: int) -> tuple:
     """``count`` random model draws as the arguments of ``verify_terms``:
     ``(g01, g02, g12, params, alpha, n_hat)``, one array entry per draw.
 
-    Power gains and n_hat are log-uniform over [1e-2, 1e2], alpha uniform
-    on [0, 1], p0 = p1 = 10 and n1 = n2 = 1; the two BS gains are swapped
-    where needed so the degraded ordering holds.  Each draw takes five
+    Power gains and n_hat are log-uniform over [1e-2, 1e2], each 10 to a
+    uniform exponent by numpy's array power, alpha uniform on [0, 1],
+    p0 = p1 = 10 and n1 = n2 = 1; the two BS gains are swapped where
+    needed so the degraded ordering holds.  Each draw takes five
     uniforms from ``rng`` in turn (three gains, alpha, n_hat), so a stream
     of draws does not depend on how it is split into calls.
     """
     u = rng.random((count, 5))
     g = 10.0 ** (-2.0 + 4.0 * u[:, :3])
-    # Python's scalar power: numpy's array power differs on some inputs
-    n_hat = np.array([10.0 ** x for x in (-2.0 + 4.0 * u[:, 4]).tolist()])
+    n_hat = 10.0 ** (-2.0 + 4.0 * u[:, 4])
     return (np.maximum(g[:, 0], g[:, 1]), np.minimum(g[:, 0], g[:, 1]), g[:, 2],
             ChannelParams(p0=10.0, p1=10.0), u[:, 3], n_hat)
 

@@ -44,8 +44,9 @@ and shared by the trial's lanes:
   so the values of one draw per interval; with ``fading: static`` one
   interval's draw per trial serves every interval;
 * inter-user fading: one (B, 2) draw per interval, real and imaginary part
-  block by block, the order of one scalar draw per served pair (none
-  when no scheme of the task uses the relay link).
+  block by block, drawn per trial as one (intervals, B, 2) draw (none
+  when no scheme of the task uses the relay link).  A served pair's
+  inter-user gain is its gain estimate times its block's fading.
 
 Any two runs with the same master seed therefore see identical topologies
 and fading regardless of scheme, pairing, relay power, chunking or
@@ -119,20 +120,8 @@ def positions_xy(polar: np.ndarray) -> np.ndarray:
                      polar[..., 0] * np.sin(polar[..., 1])], axis=-1)
 
 
-def mean_radius_analytic(config: SimConfig) -> float:
-    """Exact mean user distance of the area-uniform annular placement."""
-    r0, r1 = config.inner_radius_m, config.edge_radius_m
-    return (2.0 / 3.0) * (r1 ** 3 - r0 ** 3) / (r1 ** 2 - r0 ** 2)
-
-
-def rayleigh_power(rng: np.random.Generator, size=None):
-    """|f|^2 for f ~ CN(0, 1): real parts, then imaginary parts."""
-    return _fading_power(rng.standard_normal(size), rng.standard_normal(size))
-
-
 def _fading_power(re, im):
-    """|f|^2 for f = (re + j im) / sqrt(2); the complex factor exists only
-    here."""
+    """|f|^2 for f = (re + j im) / sqrt(2), the BS fading's expression."""
     return np.abs((re + 1j * im) / np.sqrt(2.0)) ** 2
 
 
@@ -147,7 +136,7 @@ def draw_bs_gains(radii: np.ndarray, config: SimConfig, rng: np.random.Generator
     Rayleigh power fading times the distance path gain, i.i.d. per
     (interval, user, block).  One (intervals, 2, K, B) standard-normal
     draw gives per interval the real parts, then the imaginary parts: the
-    stream order, and the values, of one ``rayleigh_power`` call per
+    stream order, and the values, of one (K, B) draw of each per
     interval."""
     pl = path_gain(radii, config)
     z = rng.standard_normal((intervals, 2, len(radii), config.blocks))
@@ -157,39 +146,10 @@ def draw_bs_gains(radii: np.ndarray, config: SimConfig, rng: np.random.Generator
 def pair_fading(rng: np.random.Generator, intervals: int, blocks: int) -> np.ndarray:
     """(intervals, blocks) Rayleigh power fading of the served pairs' inter-user
     links for one trial: per interval one (blocks, 2) standard-normal draw,
-    real part then imaginary part, block by block.  Each |f|^2 is squared
-    as a Python float, so that a seed gives the same gains as one scalar
-    draw per served pair did; numpy's array square rounds a few draws in
-    10^4 differently."""
+    real part then imaginary part, block by block, each part divided by
+    sqrt(2): ``_fading_power``'s complex division rounds 1 in 8 differently."""
     f = np.abs((rng.standard_normal((intervals, blocks, 2)) / np.sqrt(2.0)).view(complex))
-    return np.array([x ** 2 for x in f.ravel().tolist()]).reshape(intervals, blocks)
-
-
-class PairPathGains:
-    """Expected inter-user power gains (d / De)^(-gamma) for the (T, K, K)
-    distances of T trials, looked up as ``gains(trials, i, j)`` with
-    broadcastable index arrays.  A gain is computed at its first lookup, so
-    only the pairs ever served are, each as one scalar power of its
-    distance over De, like the per-pair path gains it replaces (numpy's
-    array power rounds some distances differently).  Symmetric distances
-    give (i, j) and (j, i) the same gain.  A user's gain to itself is 1."""
-
-    def __init__(self, dist: np.ndarray, config: SimConfig):
-        self.ratio, self.exponent = dist / config.edge_radius_m, -config.path_loss_exp
-        users = np.arange(dist.shape[-1])
-        self.table = np.full(dist.shape, np.nan)  # NaN: not computed yet
-        self.table[:, users, users] = 1.0
-
-    def __call__(self, trials, firsts, seconds) -> np.ndarray:
-        n_users = self.table.shape[-1]
-        flat = np.asarray((trials * n_users + firsts) * n_users + seconds)
-        gains = np.asarray(self.table.take(flat))
-        if np.isnan(gains.sum()):
-            new = np.isnan(gains)
-            at = flat[new]
-            gains[new] = [math.pow(x, self.exponent) for x in self.ratio.take(at).tolist()]
-            self.table.put(at, gains[new])
-        return gains
+    return f[..., 0] ** 2
 
 
 def _trial_streams(seed: int, trial: int):
@@ -259,7 +219,6 @@ def run_lanes(config: SimConfig, trials: range) -> LaneResult:
     eye = np.eye(config.users, dtype=bool)
     est_gain = np.where(eye, 0.0, path_gain(dist + eye, config))
     if has_relay_link:
-        path = PairPathGains(dist, config)
         fading = np.stack([pair_fading(rng_pair, config.intervals, config.blocks)
                            for _, _, rng_pair in streams])
     if not near_far:  # nearest pairing's stages, bound once for the task
@@ -268,7 +227,7 @@ def run_lanes(config: SimConfig, trials: range) -> LaneResult:
         stages = partial(NearestStages, order, trial_of, neighbor_of=neighbor_of)
 
     n_lanes = len(trial_of)
-    lane_trial = trial_of[:, None]
+    lane_gains = trial_of[:, None] * config.users ** 2  # each lane's est_gain table, flat
     avg = np.full((n_lanes, config.users), AVG_RATE_INIT)
     total = np.zeros(n_lanes)
     role_swaps = np.zeros(n_lanes, dtype=int)
@@ -291,7 +250,8 @@ def run_lanes(config: SimConfig, trials: range) -> LaneResult:
                     stages = partial(NearFarStages, tables[i][:, trial_of], trial_of)
 
             def pair_gains(relays, seconds):
-                return path(lane_trial, relays, seconds) * fading[trial_of, interval]
+                return (est_gain.take(lane_gains + relays * config.users + seconds)
+                        * fading[trial_of, interval])
 
             res = schedule_lanes(
                 segments=segments,

@@ -50,6 +50,18 @@ def rng_for(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def rayleigh_power(rng, size=None):
+    """|f|^2 for f ~ CN(0, 1): real parts, then imaginary parts."""
+    re, im = rng.standard_normal(size), rng.standard_normal(size)
+    return np.abs((re + 1j * im) / np.sqrt(2.0)) ** 2
+
+
+def mean_radius_analytic(config: SimConfig) -> float:
+    """Exact mean user distance of the area-uniform annular placement."""
+    r0, r1 = config.inner_radius_m, config.edge_radius_m
+    return (2.0 / 3.0) * (r1 ** 3 - r0 ** 3) / (r1 ** 2 - r0 ** 2)
+
+
 def stack_draws(draws):
     """Typed ``(gains, params, split, n_hat)`` draws that share one
     ``ChannelParams`` as the stacked arguments of ``verify_terms``: ``(g01,

@@ -19,11 +19,11 @@ from noma_rbc.core import (
 from noma_rbc.oracle import random_verification_draws, verify_terms
 from noma_rbc.rates import rate_kernel
 from noma_rbc.scheduling import pf_update
-from noma_rbc.simulation import SimConfig, generate_topology, mean_radius_analytic, rayleigh_power, run_experiment
+from noma_rbc.simulation import SimConfig, generate_topology, run_experiment
 
-from helpers import (grid_optimal_cf_r2, near_far_pair, nearest_neighbor_pair, nearest_remaining,
-                     random_ordered_setup, relay_rate_bits, rng_for, run_trial, second_rate_bits,
-                     split_groups)
+from helpers import (grid_optimal_cf_r2, mean_radius_analytic, near_far_pair, nearest_neighbor_pair,
+                     nearest_remaining, random_ordered_setup, rayleigh_power, relay_rate_bits,
+                     rng_for, run_trial, second_rate_bits, split_groups)
 
 SETTING_I = LinkGains(8.0, 1.0, 8.0)
 SETTING_II = LinkGains(1.0, 1.0 / 8.0, 1.0)

@@ -868,6 +868,28 @@ def test_simulate_run_too_large_for_memory_exits_2_naming_the_size_keys(tmp_path
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["region", "simulate"])
+@pytest.mark.parametrize("blocked", ["out", "csv"])
+def test_unusable_out_exits_2_with_the_os_reason(tmp_path, capsys, command, blocked):
+    # --out an existing file is refused before any work, an output path
+    # that is a directory when the outputs are written; neither raises
+    cfg = tmp_path / "sim.yaml"
+    cfg.write_text(SIM_CONFIG, encoding="utf-8")
+    flags = REGION_FLAGS if command == "region" else ["--config", str(cfg)]
+    out = tmp_path / "out"
+    if blocked == "out":
+        out.write_text("kept\n", encoding="utf-8")
+    else:
+        (out / ("rate_region.csv" if command == "region" else "sum_rate.csv")).mkdir(parents=True)
+    assert main([command, "--out", str(out)] + flags) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    reason = "Not a directory" if blocked == "out" else "Is a directory"
+    assert err.splitlines()[-1].startswith(f"error: --out {out}: ") and reason in err
+    if blocked == "out":
+        assert "running" not in err  # simulate does not start the run
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
+
 @pytest.mark.parametrize("line", ["schemes: [gbc, rbc-df]", "pairings: [near-far]",
                                   "p1_over_p0_db: [0]"])
 def test_simulate_empty_list_exits_2_naming_the_key(tmp_path, capsys, line):

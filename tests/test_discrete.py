@@ -144,6 +144,10 @@ def test_joint_validation():
         DiscreteJoint(names=("X",), pmf=np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="non-negative"):
         DiscreteJoint(names=("X",), pmf=np.array([1.5, -0.5]))
+    # a NaN entry passes a sum test, as every comparison with NaN is False
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteJoint(names=("X", "Y"), pmf=np.array([[0.5, bad], [0.25, 0.25]]))
     with pytest.raises(ValueError, match="axes"):
         DiscreteJoint(names=("X", "Y"), pmf=np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="duplicate"):
@@ -202,6 +206,8 @@ def test_load_discrete_joint_lexicographic_order(tmp_path):
     ("var X 2\n0.5\n0.5\n", "unknown directive"),
     ("probs\n1.0\n", "'probs' before any 'var'"),
     ("var X 2\nprobs\n0.5\noops\n", "bad probability"),
+    ("var X 2\nvar Y 2\nprobs\n0.5\nnan\n0.25\n0.25\n", ":5: probability 'nan' is not finite"),
+    ("var X 2\nprobs\n0.5\ninf\n", ":4: probability 'inf' is not finite"),
     ("var X 2\n", "missing 'probs'"),
 ])
 def test_load_discrete_joint_errors(tmp_path, content, message):

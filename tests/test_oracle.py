@@ -320,9 +320,9 @@ CHUNK_SIZES = (1, 7, cli.VERIFY_CHUNK_DRAWS, cli.VERIFY_CHUNK_DRAWS + 1)
 
 def per_draw_reference(rng, count):
     """The draw stream as one ``rng.uniform`` call per quantity and draw
-    (three gains, alpha, n_hat; the gains through numpy's power, n_hat
-    through Python's), as five value lists, and the generator's next value
-    after each of ``CHUNK_SIZES`` draws."""
+    (three gains, alpha, n_hat; the gains and n_hat through numpy's array
+    power), as five value lists, and the generator's next value after each
+    of ``CHUNK_SIZES`` draws."""
     uniform, rows, after = rng.uniform, [], {}
     for k in range(count + 1):
         if k in CHUNK_SIZES:
@@ -331,13 +331,13 @@ def per_draw_reference(rng, count):
             return [list(column) for column in zip(*rows)], after
         g = (10.0 ** uniform(-2.0, 2.0, size=3)).tolist()
         g01, g02 = (g[0], g[1]) if g[0] >= g[1] else (g[1], g[0])
-        rows.append((g01, g02, g[2], uniform(0.0, 1.0), 10.0 ** uniform(-2.0, 2.0)))
+        alpha = uniform(0.0, 1.0)
+        rows.append((g01, g02, g[2], alpha, (10.0 ** uniform(-2.0, 2.0, size=1)).item()))
 
 
 def test_chunk_draw_equals_one_draw_at_a_time():
-    # numpy's array power and Python's differ on some inputs, so this pins
-    # which one each quantity goes through, and that a chunk takes five
-    # uniforms per draw in draw order, for every chunk size verify uses
+    # a chunk takes five uniforms per draw in draw order, each power through
+    # numpy's array power, for every chunk size verify uses
     for seed in range(100):
         ref, after = per_draw_reference(rng_for(seed), max(CHUNK_SIZES))
         for count in CHUNK_SIZES:

@@ -20,16 +20,13 @@ from noma_rbc.simulation import (
     AVG_RATE_FLOOR,
     AVG_RATE_INIT,
     SECTOR_HALF_ANGLE,
-    PairPathGains,
     SimConfig,
     draw_bs_gains,
     generate_topology,
-    mean_radius_analytic,
     pair_fading,
     path_gain,
     plan_tasks,
     positions_xy,
-    rayleigh_power,
     run_experiment,
     run_lanes,
     schedule_lanes,
@@ -38,8 +35,8 @@ from noma_rbc.simulation import (
 )
 from noma_rbc.simulation import BS_CHUNK_INTERVALS
 
-from helpers import (BIT_EXACT, near_far_reference, nearest_reference, rng_for, run_lanes_recorded,
-                     run_trial, split_groups)
+from helpers import (BIT_EXACT, mean_radius_analytic, near_far_reference, nearest_reference,
+                     rayleigh_power, rng_for, run_lanes_recorded, run_trial, split_groups)
 
 SMALL = SimConfig(users=8, blocks=2, intervals=10, trials=2, seed=5)
 
@@ -103,8 +100,7 @@ def test_path_gain_anchors():
 
 def test_pair_gain_model():
     cfg = SimConfig()
-    dist = np.array([[0.0, 250.0], [250.0, 0.0]])
-    draws = PairPathGains(dist[None], cfg)(0, 0, 1) * pair_fading(rng_for(5), 25_000, 4).ravel()
+    draws = path_gain(250.0, cfg) * pair_fading(rng_for(5), 25_000, 4).ravel()
     # independent Rayleigh fading on top of the distance path gain
     assert abs(draws.mean() - 8.0) / 8.0 < 0.02
     assert np.array_equal(pair_fading(rng_for(3), 2, 4), pair_fading(rng_for(3), 2, 4))
@@ -112,47 +108,12 @@ def test_pair_gain_model():
 
 def test_pair_gains_equal_one_scalar_draw_per_served_pair():
     # the (intervals, blocks, 2) draw is the per-pair scalar draw order,
-    # real then imaginary part, block by block; values match bit for bit
-    # (numpy's array square differs from the scalar one on a few draws in
-    # 10^4, hence the count)
+    # real then imaginary part, block by block; through the same array
+    # expression the values match bit for bit
     rng = rng_for(8)
-    scalar = [np.abs((rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)) ** 2
-              for _ in range(12_500 * 4)]
-    assert pair_fading(rng_for(8), 12_500, 4).ravel().tolist() == scalar
-    cfg = replace(SimConfig(), path_loss_exp=3.7)
-    dist = np.triu(rng_for(9).uniform(1.0, 900.0, size=(30, 30)), 1)
-    dist += dist.T  # distances are symmetric
-    gains = PairPathGains(dist[None], cfg)
-    assert all(gains(0, i, j) == path_gain(dist[i, j], cfg)
-               for i in range(30) for j in range(30) if i != j)
-
-
-def test_symmetric_pair_path_gain_equals_the_per_element_table():
-    # each pair's gain is one scalar power per (i, j), as computed before,
-    # on distance matrices of drawn topologies, whichever of (i, j) and
-    # (j, i) is looked up first
-    users = np.arange(30)
-    for seed, gamma in ((1, 3.0), (2, 3.7), (3, 2.0), (4, 0.0)):
-        cfg = SimConfig(users=30, path_loss_exp=gamma)
-        xy = positions_xy(generate_topology(cfg, rng_for(seed)))
-        dist = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
-        d_safe = dist / cfg.edge_radius_m
-        np.fill_diagonal(d_safe, 1.0)
-        per_element = np.array([[x ** -gamma for x in row] for row in d_safe.tolist()])
-        lower_first = PairPathGains(np.stack((dist, dist)), cfg)
-        lower_first(1, users[:, None], users[:users.size // 2])
-        table = lower_first(np.array([[0], [1]])[:, :, None], users[:, None], users)
-        assert table.tolist() == [per_element.tolist()] * 2
-
-
-def test_pair_path_gains_are_computed_for_looked_up_pairs_only():
-    dist = np.triu(rng_for(11).uniform(1.0, 900.0, size=(2, 6, 6)), 1)
-    dist += dist.transpose(0, 2, 1)
-    gains = PairPathGains(dist, SimConfig())
-    assert np.isnan(gains.table).sum() == 2 * 6 * 5  # only the diagonal is known
-    gains(np.array([[0], [1]]), np.array([[1, 3], [2, 2]]), np.array([[4, 5], [0, 0]]))
-    known = [tuple(k) for k in np.argwhere(~np.isnan(gains.table)) if k[1] != k[2]]
-    assert known == [(0, 1, 4), (0, 3, 5), (1, 2, 0)]
+    z = np.array([(rng.standard_normal(), rng.standard_normal()) for _ in range(12_500 * 4)])
+    scalar = np.abs((z / np.sqrt(2.0)).view(complex))[:, 0] ** 2
+    assert pair_fading(rng_for(8), 12_500, 4).ravel().tolist() == scalar.tolist()
 
 
 @pytest.mark.parametrize("intervals", [1, BS_CHUNK_INTERVALS - 1, BS_CHUNK_INTERVALS,
@@ -241,7 +202,7 @@ def _trial_reference(config, t):
     a scheme uses the relay, the (B, 2) inter-user fading, real then
     imaginary part block by block.  Each interval pairs the users through
     the pairing's plain reference, serves each pair on its true gains, the
-    inter-user gain being the pair's path gain times its block's fading,
+    inter-user gain being the pair's estimate times its block's fading,
     sums r1 + r2 in block order and updates the PF ledger by (1 - tau) avg
     + tau served, floored at ``AVG_RATE_FLOOR``."""
     n_users, n_blocks = config.users, config.blocks
@@ -267,7 +228,7 @@ def _trial_reference(config, t):
         bs.append(gains)
         if uses_relay:
             f = np.abs((rng_pair.standard_normal((n_blocks, 2)) / np.sqrt(2.0)).view(complex))
-            pair.append([float(v) ** 2 for v in f[:, 0]])
+            pair.append((f[:, 0] ** 2).tolist())
 
     lanes, split = [], PowerSplit(config.alpha)
     for scheme, p1 in itertools.product(config.schemes, config.relay_powers):
@@ -285,8 +246,7 @@ def _trial_reference(config, t):
             pairs.append(served[0])
             rate, sum_rate = [0.0] * n_users, 0.0
             for b, (relay, second) in enumerate(served[0].tolist()):
-                g12 = math.pow(dist[relay, second] / edge, -gamma) * pair[interval][b] \
-                    if uses_relay else 0.0
+                g12 = est[relay, second] * pair[interval][b] if uses_relay else 0.0
                 r1, r2, _, clamped = rate_kernel(scheme, gains[relay, b], gains[second, b], g12,
                                                  params, config.alpha)
                 rate[relay], rate[second] = float(r1), float(r2)
