@@ -72,11 +72,17 @@ def _fail(*errors: str) -> int:
     return EXIT_CONFIG_ERROR
 
 
-def _out_errors(out: str) -> list[str]:
-    """The config error of an ``--out`` that exists and is not a
-    directory, found before any work is done."""
-    if os.path.exists(out) and not os.path.isdir(out):
+def _out_errors(out: str, stem: str) -> list[str]:
+    """The config error, found before any work, of an ``--out`` whose
+    nearest existing ancestor, itself included, is not a directory, or in
+    which an output, ``stem.csv`` or ``stem.manifest.json``, is one."""
+    path = Path(out)
+    nearest = next((p for p in (path, *path.parents) if os.path.exists(p)), None)
+    if nearest is not None and not os.path.isdir(nearest):
         return [f"--out {out}: {os.strerror(errno.ENOTDIR)}"]
+    for name in (f"{stem}.csv", f"{stem}.manifest.json"):
+        if os.path.isdir(path / name):
+            return [f"--out {out}: {path / name}: {os.strerror(errno.EISDIR)}"]
     return []
 
 
@@ -156,7 +162,7 @@ def cmd_region(args) -> int:
     started = time.monotonic()
     values, errors = config.read("region", args.config, args)
     checked, bad = config.check(config.TABLE["region"], values)
-    errors += bad + _out_errors(args.out)
+    errors += bad + _out_errors(args.out, "rate_region")
     if errors:
         return _fail(*errors)
     g01, g02, g12 = checked["g01"], checked["g02"], checked["g12"]
@@ -207,7 +213,7 @@ def cmd_simulate(args) -> int:
     values, errors = config.read("simulate", args.config, args)
     errors += config.check(config.OPTIONS, {"parallel": args.parallel})[1]
     sim = SimConfig(**values)
-    errors += sim.validate() + _out_errors(args.out)
+    errors += sim.validate() + _out_errors(args.out, "sum_rate")
     if errors:
         return _fail(*errors)
     # the manifest records the points as the CSV writes them

@@ -305,9 +305,11 @@ def verify_terms(g01, g02, g12, params: ChannelParams, alpha, n_hat,
     r1_schemes, formula_of = rates.relay_rate_formulas(schemes)
     bits = {("r1", k): rates.relay_rate(scheme, g01, params, alpha)
             for k, scheme in enumerate(r1_schemes)}
-    bits.update(direct=rates._forward_bound(g02, 0.0, params, alpha, params.p1),
-                forward=rates._forward_bound(g02, g12, params, alpha, params.p1),
-                decode=rates._decode_bound(g01, params, alpha), cutset=cutset, loss=loss)
+    log2_1p, forward = rates._log2_1p, rates._forward_ratio
+    bits.update(direct=log2_1p(forward(g02, 0.0, params, alpha, params.p1)),
+                forward=log2_1p(forward(g02, g12, params, alpha, params.p1)),
+                decode=log2_1p(rates._decode_ratio(g01, params, alpha)), cutset=cutset,
+                loss=loss)
     specs = {scheme: tuple((name, ("r1", k) if key == "r1" else key, sets)
                            for name, key, sets in _SCHEME_TERMS[scheme])
              for scheme, k in zip(schemes, formula_of)}

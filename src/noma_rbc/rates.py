@@ -14,29 +14,26 @@ power p1; noise powers n1, n2.
   RBC-CF+DPC  r1 as GBC (transmitter-side pre-cancellation of the second
               user's component), r2 as RBC-CF
 
-The CF second-user rate depends on the compression-noise variance n_hat:
-the cut-set bound decreases and the forwarding-minus-loss bound increases
-strictly in n_hat, so the max over n_hat of their min sits at their
-crossing whenever one exists.  Write s1 = g01*a*p0 and t1 = g01*ab*p0 for
-the two components at the relay user, t2 = g02*ab*p0, m2 = g02*a*p0 + n2,
-w = g12*p1 and dd = n1*m2 + n2*s1.  Inside its logarithm the cut-set bound
-is (c*(n_hat + n1) + t1) / (n_hat + n1), with c = 1 + t2/m2.  The
-compression loss is 1 + n1^2*m2 / (n_hat*dd + n1*n2*s1) = (n_hat + n1) /
-(n_hat + e), with e = n1*n2*s1/dd, so the forwarding-minus-loss bound is
-F*(n_hat + e) / (n_hat + n1), with F = 1 + (t2 + w)/m2.  Over the same
-denominator, the bounds are equal where c*(n_hat + n1) + t1 = F*(n_hat +
-e), a linear equation whose one root, as F - c = w/m2, is (n1*c + t1 -
-e*F) / (w/m2): the crossing, when that is finite and positive.  Without
-one the bounds never cross: one of them is the smaller for every n_hat,
-so their min is monotone and its best value over ``N_HAT_BRACKET`` (in
-units of n1) sits at an end of the bracket: the low end when the cut-set
-bound binds, the high end when the forwarding-minus-loss bound does.  The
-optimum is therefore the crossing or, failing it, the better bracket end;
-no search is needed, and the high end is evaluated only where the
-forwarding-minus-loss bound binds at the low end.  The optimum runs under
-one ``np.errstate`` and updates its single-use temporaries in place, with
-the operands in the same order, so every bit is that of the plain
-expressions.
+Each r2 is one ``log1p`` of a ratio, the smaller of its bounds' ratios:
+for RBC-DF that is the smaller log bit for bit, as ``np.log1p`` is monotone.
+The CF r2 depends on the compression-noise variance n_hat: the cut-set
+bound decreases and the forwarding-minus-loss bound increases strictly in
+n_hat, so the max over n_hat of their min sits at their crossing whenever
+one exists.  Write s1 = g01*a*p0 and t1 = g01*ab*p0 for the two components
+at the relay user, t2 = g02*ab*p0, m2 = g02*a*p0 + n2, w = g12*p1,
+dd = n1*m2 + n2*s1, c = 1 + t2/m2, F = 1 + (t2 + w)/m2, e = n1*n2*s1/dd and
+x = n_hat + n1.  Inside its logarithm the cut-set bound is c + t1/x; the
+compression loss is x/(n_hat + e), so the forwarding-minus-loss bound is
+F*(n_hat + e)/x = F - drop/x, with drop = F*n1^2*m2/dd.  The bounds are
+equal where c*x + t1 = F*(n_hat + e), a linear equation whose one root, as
+F - c = w/m2, is (n1*c + t1 - e*F) / (w/m2): the crossing, when that is
+finite and positive, where r2 is the log of the cut-set ratio alone, a sum
+of positive terms (F - 1 - drop/x cancels there).  Without one the bounds
+never cross, so their min is monotone in n_hat and its best value over
+``N_HAT_BRACKET`` (in units of n1) sits at the low end when the cut-set
+bound binds, at the high end when the forwarding-minus-loss bound does: no
+search is needed, and the high end is scored only where the latter binds
+at the low end.
 
 ``rate_kernel`` evaluates one scheme over broadcastable gain and
 power-split arrays, or over one pair of scalars.  This module is the only
@@ -122,32 +119,30 @@ def second_rate_runs(schemes: Sequence[Scheme]) -> list[tuple[Scheme, ...]]:
     return [tuple(s for s, k in zip(schemes, keys) if k == key) for key in dict.fromkeys(keys)]
 
 
-def _forward_bound(g02, g12, params: ChannelParams, alpha, p1):
-    """Second-user decoding bound with the relay user's help (bits)."""
-    return _log2_1p((g02 * (1.0 - alpha) * params.p0 + g12 * p1)
-                    / (g02 * alpha * params.p0 + params.n2))
+def _forward_ratio(g02, g12, params: ChannelParams, alpha, p1):
+    """Second-user decoding bound with the relay user's help, as the ratio
+    whose ``_log2_1p`` is the bound in bits."""
+    return ((g02 * (1.0 - alpha) * params.p0 + g12 * p1)
+            / (g02 * alpha * params.p0 + params.n2))
 
 
-def _decode_bound(g01, params: ChannelParams, alpha):
+def _decode_ratio(g01, params: ChannelParams, alpha):
     """RBC-DF bound from the relay user having to decode the second user's
-    message (bits)."""
-    return _log2_1p(g01 * (1.0 - alpha) * params.p0 / (g01 * alpha * params.p0 + params.n1))
+    message, as the ratio whose ``_log2_1p`` is the bound in bits."""
+    return g01 * (1.0 - alpha) * params.p0 / (g01 * alpha * params.p0 + params.n1)
 
 
 class _CFBounds:
-    """The two arguments of the CF second-user min for broadcastable pair
-    arrays, as functions of the compression noise n_hat, and the n_hat that
-    maximises their min.
-
-    ``terms`` and ``objective``, which the oracle and ``second_rate`` call
-    at a given n_hat, each enter their own ``np.errstate``; ``optimum``
-    enters one around the unguarded ``_crossing``, the root of the linear
-    crossing equation (not finite, or not positive, where the bounds never
-    cross), and ``_objective``.
-    A temporary that feeds only the next operation, as its left operand, is
-    updated in place where it already has the result's shape (``x = a * b;
-    x *= c`` for ``a * b * c``), which keeps every bit and never writes
-    into an input."""
+    """The CF bounds of broadcastable pair arrays as ratios of the
+    compression noise n_hat (``_ratios``, each bound the ``_log2_1p`` of
+    its ratio), r2 at a given n_hat (``objective``) and at the best one
+    (``optimum``), and the oracle's closed forms in bits (``terms``, under
+    its own ``np.errstate``).  ``optimum`` enters one around the unguarded
+    ``_crossing``, the root of the linear crossing equation, and
+    ``_ratios``.  A temporary that feeds only the next operation, as its
+    left operand, is updated in place where it already has the result's
+    shape (``x = a * b; x *= c`` for ``a * b * c``), which keeps every bit
+    and never writes into an input."""
 
     def __init__(self, g01, g02, g12, params: ChannelParams, alpha, p1):
         p0, n1, n2 = params.p0, params.n1, params.n2
@@ -169,51 +164,49 @@ class _CFBounds:
         self.loss_off = n1 * n2 * s1
         forward = t2 + self.w
         forward /= m2
-        self.forward_ratio, self.forward = forward, _log2_1p(forward)
-
-    def _terms(self, n_hat):
-        cutset = _log2_1p(self.t1 / (self.n1 + n_hat) + self.t2_m2)
-        den = n_hat * self.dd
-        den += self.loss_off
-        return cutset, _log2_1p(self.loss_num / den)
+        self.forward_ratio, self.f = forward, 1.0 + forward
+        self.drop = self.f * self.loss_num / self.dd    # F*n1^2*m2/dd
 
     def terms(self, n_hat):
         """(cut-set bound, compression loss) in bits; 0 loss where ``n_hat * dd`` overflows."""
         with np.errstate(over="ignore"):
-            return self._terms(n_hat)
+            den = n_hat * self.dd
+            den += self.loss_off
+            return (_log2_1p(self.t1 / (self.n1 + n_hat) + self.t2_m2),
+                    _log2_1p(self.loss_num / den))
 
-    def _objective(self, n_hat):
-        cutset, loss = self._terms(n_hat)
-        second = self.forward - loss
-        return np.maximum(0.0, np.minimum(cutset, second)), second, cutset
+    def _ratios(self, n_hat):
+        """(cut-set, forwarding-minus-loss) ratios over their shared
+        denominator x = n_hat + n1: c - 1 + t1/x and F - 1 - drop/x."""
+        x = n_hat + self.n1
+        return self.t1 / x + self.t2_m2, self.forward_ratio - self.drop / x
 
     def objective(self, n_hat):
-        """Clamped r2, the forwarding-minus-loss argument and the cut-set
-        bound."""
-        with np.errstate(over="ignore"):
-            return self._objective(n_hat)
+        """``(r2, n_hat, clamped)`` at the compression noise ``n_hat``."""
+        cut, fml = self._ratios(n_hat)
+        return _log2_1p(np.maximum(np.minimum(cut, fml), 0.0)), n_hat, fml < 0.0
 
     def _crossing(self):
         # (c*(x + n1) + t1) / (x + e) = F, with F - c = w/m2 (np.divide: the
         # inputs may be Python floats, and w may be 0)
         e = self.loss_off / self.dd
-        num = self.n1 * (1.0 + self.t2_m2) + self.t1 - e * (1.0 + self.forward_ratio)
+        num = self.n1 * (1.0 + self.t2_m2) + self.t1 - e * self.f
         return np.divide(num, self.w / self.m2)
 
     def optimum(self):
-        """(n_hat, clamped r2, forwarding-minus-loss argument) at the best
-        n_hat: the bounds' crossing, the root of the linear crossing
-        equation where it is finite and positive, or, without one, the
-        better end of ``N_HAT_BRACKET`` in units of n1 (the low end on
-        ties).  At alpha = 1, r2 is 0 for every n_hat, and n_hat = n1 is
-        reported.
+        """``(r2, n_hat, clamped)`` at the best n_hat: the bounds'
+        crossing, the root of the linear crossing equation where it is
+        finite and positive, or, without one, the better end of
+        ``N_HAT_BRACKET`` in units of n1 (the low end on ties).  At the
+        crossing r2 is the cut-set ratio's alone, a sum of positive terms,
+        where the forwarding-minus-loss ratio would cancel.  At alpha = 1,
+        r2 is 0 for every n_hat, and n_hat = n1 is reported.
 
-        The objective is evaluated a second time, at the high end, only
-        where there is no root and the forwarding-minus-loss bound binds at
-        the low end.  Elsewhere the low end's r2 is its clamped cut-set
-        bound, and the high end's r2 is at most its own, which is no larger:
-        the cut-set bound decreases in n_hat, in floating point too, as
-        ``np.log1p`` is monotone."""
+        The ratios are taken a second time, at the high end, only where
+        there is no root and the forwarding-minus-loss ratio binds at the
+        low end.  Elsewhere the low end's ratio is the cut-set ratio, and
+        the high end's is at most its own, which is no larger: the cut-set
+        ratio decreases in n_hat, in floating point too."""
         n1, alpha = self.n1, self.alpha
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             root = self._crossing()
@@ -224,33 +217,32 @@ class _CFBounds:
             if not isinstance(alpha, float) or alpha == 1.0:
                 at_one = alpha == 1.0
                 n_hat, has = np.where(at_one, n1, n_hat), has | at_one
-            r2, second, cutset = self._objective(n_hat)
-            rising = ~has
-            rising &= second < cutset
+            cut, fml = self._ratios(n_hat)
+            ratio = np.where(has, cut, np.maximum(np.minimum(cut, fml), 0.0))
+            rising = fml < cut
+            rising &= ~has
             if rising.any():
-                r2_hi, second_hi, _ = self._objective(hi)
-                take = rising & (r2_hi > r2)
-                n_hat, r2, second = (np.where(take, hi, n_hat), np.where(take, r2_hi, r2),
-                                     np.where(take, second_hi, second))
-        return n_hat, r2, second
+                cut_hi, fml_hi = self._ratios(hi)
+                ratio_hi = np.maximum(np.minimum(cut_hi, fml_hi), 0.0)
+                take = rising & (ratio_hi > ratio)
+                n_hat, ratio, fml = (np.where(take, hi, n_hat), np.where(take, ratio_hi, ratio),
+                                     np.where(take, fml_hi, fml))
+        return _log2_1p(ratio), n_hat, fml < 0.0
 
 
 def second_rate(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_hat=None,
                 p1=None):
     """``(r2, n_hat, clamped)`` of ``scheme``: the r2 part of
-    ``rate_kernel``, with its arguments and returns."""
+    ``rate_kernel``, with its arguments and returns.  Each r2 is one
+    ``_log2_1p`` of the smaller of its scheme's bound ratios."""
     p1 = params.p1 if p1 is None else p1
     if scheme is Scheme.GBC:  # the forwarding bound without the relay's help
-        return _forward_bound(g02, 0.0, params, alpha, p1), None, False
+        return _log2_1p(_forward_ratio(g02, 0.0, params, alpha, p1)), None, False
     if scheme is Scheme.RBC_DF:
-        return np.minimum(_forward_bound(g02, g12, params, alpha, p1),
-                          _decode_bound(g01, params, alpha)), None, False
+        return _log2_1p(np.minimum(_forward_ratio(g02, g12, params, alpha, p1),
+                                   _decode_ratio(g01, params, alpha))), None, False
     cf = _CFBounds(g01, g02, g12, params, alpha, p1)
-    if n_hat is None:
-        n_hat, r2, second = cf.optimum()
-    else:
-        r2, second, _ = cf.objective(n_hat)
-    return r2, n_hat, second < 0.0
+    return cf.optimum() if n_hat is None else cf.objective(n_hat)
 
 
 def rate_kernel(scheme: Scheme, g01, g02, g12, params: ChannelParams, alpha, n_hat=None,

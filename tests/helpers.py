@@ -24,7 +24,7 @@ import mpmath
 import numpy as np
 
 from noma_rbc import simulation
-from noma_rbc.core import ChannelParams, LinkGains, PowerSplit, Scheme
+from noma_rbc.core import LN2, ChannelParams, LinkGains, PowerSplit, Scheme
 from noma_rbc.rates import N_HAT_BRACKET, rate_kernel, relay_rate
 from noma_rbc.scheduling import (NearestStages, NearFarStages, distance_order, near_far_tables,
                                  schedule_lanes)
@@ -81,9 +81,11 @@ def random_ordered_setup(rng, p0=10.0, p1=10.0, n1=1.0, n2=1.0):
     return gains, params, split
 
 
-def cf_objective(gains, params, split, n_hat):
-    """Independent transcription of the CF second-user rate (bits) as a
-    function of the compression noise; accepts scalar or array n_hat."""
+def cf_bounds_bits(gains, params, split, n_hat):
+    """Independent transcription of the CF bounds (bits) as functions of
+    the compression noise: the cut-set bound, and the forwarding bound
+    minus the compression loss, which is below 0 where r2's clamp acts;
+    accepts scalar or array n_hat."""
     a, ab = split.alpha, split.alpha_bar
     n1, n2 = params.n1, params.n2
     s1 = gains.g01 * a * params.p0
@@ -97,8 +99,13 @@ def cf_objective(gains, params, split, n_hat):
     loss = np.log2(
         1.0 + n1 * n1 * m2 / (x * (n1 * n2 + n2 * s1 + n1 * s2) + n1 * n2 * s1)
     )
-    second = np.log2(1.0 + (t2 + w) / m2) - loss
-    return np.maximum(0.0, np.minimum(first, second))
+    return first, np.log2(1.0 + (t2 + w) / m2) - loss
+
+
+def cf_objective(gains, params, split, n_hat):
+    """The CF second-user rate (bits) as a function of the compression
+    noise, from ``cf_bounds_bits``; accepts scalar or array n_hat."""
+    return np.maximum(0.0, np.minimum(*cf_bounds_bits(gains, params, split, n_hat)))
 
 
 def grid_optimal_cf_r2(gains, params, split, grid=N_HAT_GRID):
@@ -143,24 +150,41 @@ def linear_root(cf):
 
 
 def both_ends_optimum(cf):
-    """(n_hat, clamped r2, forwarding-minus-loss argument) of a
-    ``rates._CFBounds`` by the rule that scored the high end of
-    ``N_HAT_BRACKET`` wherever the bounds do not cross: ``linear_root``
-    where it is finite and positive, else the better bracket end in units
-    of n1 (the low end on ties), n_hat = n1 at alpha = 1.  The reference
-    for ``_CFBounds.optimum``, which scores the high end only where the
-    forwarding-minus-loss bound binds at the low end."""
+    """(r2, n_hat, clamped) of a ``rates._CFBounds`` by the rule that
+    scored the high end of ``N_HAT_BRACKET`` wherever the bounds do not
+    cross, in ratio space: ``linear_root`` where it is finite and positive,
+    r2 there from the cut-set ratio alone, else the better bracket end in
+    units of n1 by the smaller ratio clamped at 0 (the low end on ties),
+    n_hat = n1 at alpha = 1; ``clamped`` where the forwarding-minus-loss
+    ratio is below 0.  The reference for ``_CFBounds.optimum``, which
+    scores the high end only where the forwarding-minus-loss ratio binds at
+    the low end."""
     root = linear_root(cf)
     has = np.isfinite(root) & (root > 0.0)
     lo, hi = (end * cf.n1 for end in N_HAT_BRACKET)
     n_hat = np.where(has, root, lo)
     at_one = np.asarray(cf.alpha) == 1.0
     n_hat, has = np.where(at_one, cf.n1, n_hat), has | at_one
-    r2, second, _ = cf.objective(n_hat)
-    r2_hi, second_hi, _ = cf.objective(hi)
-    take = ~has & (r2_hi > r2)
-    return (np.where(take, hi, n_hat), np.where(take, r2_hi, r2),
-            np.where(take, second_hi, second))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cut, fml = cf._ratios(n_hat)
+        cut_hi, fml_hi = cf._ratios(hi)
+    ratio = np.where(has, cut, np.maximum(np.minimum(cut, fml), 0.0))
+    ratio_hi = np.maximum(np.minimum(cut_hi, fml_hi), 0.0)
+    take = ~has & (ratio_hi > ratio)
+    return (np.log1p(np.where(take, ratio_hi, ratio)) / LN2, np.where(take, hi, n_hat),
+            np.where(take, fml_hi, fml) < 0.0)
+
+
+def two_log_second_rate(scheme, g01, g02, g12, params, alpha):
+    """GBC or RBC-DF r2 as the min of its bounds in bits, one ``log1p`` per
+    bound: the reference for the kernel's one log of the smaller ratio."""
+    relay = 0.0 if scheme is Scheme.GBC else g12 * params.p1
+    forward = np.log1p((g02 * (1.0 - alpha) * params.p0 + relay)
+                       / (g02 * alpha * params.p0 + params.n2)) / LN2
+    if scheme is Scheme.GBC:
+        return forward
+    decode = np.log1p(g01 * (1.0 - alpha) * params.p0 / (g01 * alpha * params.p0 + params.n1))
+    return np.minimum(forward, decode / LN2)
 
 
 def exact_cf_optimum(g01, g02, g12, p0, p1, alpha, n1=1.0, n2=1.0):

@@ -869,25 +869,29 @@ def test_simulate_run_too_large_for_memory_exits_2_naming_the_size_keys(tmp_path
 
 
 @pytest.mark.parametrize("command", ["region", "simulate"])
-@pytest.mark.parametrize("blocked", ["out", "csv"])
+@pytest.mark.parametrize("blocked", ["out", "csv", "ancestor", "manifest"])
 def test_unusable_out_exits_2_with_the_os_reason(tmp_path, capsys, command, blocked):
-    # --out an existing file is refused before any work, an output path
-    # that is a directory when the outputs are written; neither raises
+    # --out an existing file, or below one, and an output path (the CSV or
+    # the manifest) that is a directory are refused before any work; none
+    # raises
     cfg = tmp_path / "sim.yaml"
     cfg.write_text(SIM_CONFIG, encoding="utf-8")
     flags = REGION_FLAGS if command == "region" else ["--config", str(cfg)]
-    out = tmp_path / "out"
-    if blocked == "out":
-        out.write_text("kept\n", encoding="utf-8")
-    else:
-        (out / ("rate_region.csv" if command == "region" else "sum_rate.csv")).mkdir(parents=True)
+    stem = "rate_region" if command == "region" else "sum_rate"
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="utf-8")
+    out = {"out": afile, "ancestor": afile / "sub"}.get(blocked, tmp_path / "out")
+    if blocked in ("csv", "manifest"):
+        (out / (f"{stem}.csv" if blocked == "csv" else f"{stem}.manifest.json")).mkdir(parents=True)
     assert main([command, "--out", str(out)] + flags) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    reason = "Not a directory" if blocked == "out" else "Is a directory"
+    reason = "Is a directory" if blocked in ("csv", "manifest") else "Not a directory"
     assert err.splitlines()[-1].startswith(f"error: --out {out}: ") and reason in err
-    if blocked == "out":
-        assert "running" not in err  # simulate does not start the run
-        assert out.read_text(encoding="utf-8") == "kept\n"
+    assert "running" not in err  # simulate does not start the run
+    assert afile.read_text(encoding="utf-8") == "kept\n"
+    if blocked in ("csv", "manifest"):
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{stem}.csv" if blocked == "csv" else f"{stem}.manifest.json"]
 
 
 @pytest.mark.parametrize("line", ["schemes: [gbc, rbc-df]", "pairings: [near-far]",

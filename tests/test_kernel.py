@@ -1,8 +1,9 @@
 """Property tests of the array rate kernel over gains 1e-6..1e8 and powers
 1e-2..1e6: the compression-noise optimum against a dense grid, against a
 scalar transcription of its closed form and against a 50-digit reference,
-the one crossing of the CF bounds that the optimum assumes, and the
-batched candidate scoring against the scalar reference loops.  The
+the one crossing of the CF bounds that the optimum assumes, the GBC and
+RBC-DF r2 against the min of their bounds in bits, and the batched
+candidate scoring against the scalar reference loops.  The
 optimum is also held to a dense grid at powers up to 1e300, whose
 products overflow."""
 
@@ -19,7 +20,7 @@ from noma_rbc.rates import N_HAT_BRACKET, _CFBounds, rate_kernel
 
 from helpers import (both_ends_optimum, exact_cf_optimum, linear_root, near_far_pair,
                      nearest_neighbor_pair, nearest_remaining, relay_rate_bits, rng_for,
-                     second_rate_bits)
+                     second_rate_bits, two_log_second_rate)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 CF_SCHEMES = (Scheme.RBC_CF, Scheme.RBC_CF_DPC)
@@ -183,8 +184,9 @@ def no_crossing(cf):
 
 
 def same_bits(ours, reference):
-    """The optimum's (n_hat, r2, argument) equal the reference's bit for
-    bit, NaNs and signed zeros included."""
+    """The arrays of ``ours`` equal those of ``reference`` bit for bit, as
+    floats, NaNs and signed zeros included: the optimum's (r2, n_hat,
+    clamped), or one r2."""
     return all(np.array_equal(np.asarray(a, dtype=float).view(np.int64),
                               np.asarray(b, dtype=float).view(np.int64))
                for a, b in zip(ours, reference))
@@ -237,14 +239,14 @@ def test_the_cf_bounds_cross_at_most_once_on_random_batches():
 
 def assert_near_the_exact_optimum(n_hat, r2, g01, g02, g12, p0, p1, n1, n2, alpha):
     """n_hat within 1e-12 relative of the exact crossing, where one exists,
-    and r2 at most 1e-13 bits below the exact optimum.  Where the crossing
+    and r2 within 1e-13 bits of the exact optimum.  Where the crossing
     is far below the terms that cancel in its numerator, rounding those
     terms moves it by a few ulp of their size over the divisor,
     ``spread``, so n_hat may also be off by 1e-14 of that."""
     crossing, exact_r2, spread = exact_cf_optimum(g01, g02, g12, p0, p1, alpha, n1, n2)
     if crossing is not None:
         assert abs(n_hat - crossing) <= 1e-12 * crossing + 1e-14 * spread, crossing
-    assert r2 >= exact_r2 - 1e-13, exact_r2
+    assert abs(r2 - exact_r2) <= 1e-13, exact_r2
 
 
 @PROPERTY
@@ -257,7 +259,7 @@ def test_the_cf_optimum_is_within_rounding_of_a_50_digit_reference(g01, g02, g12
                                                                     n2, alpha, ordered):
     if ordered != (g01 * n2 >= g02 * n1):
         g01, g02 = g02, g01
-    n_hat, r2, _ = cf_bounds(g01, g02, g12, p0, p1, n1, n2, alpha).optimum()
+    r2, n_hat, _ = cf_bounds(g01, g02, g12, p0, p1, n1, n2, alpha).optimum()
     assert_near_the_exact_optimum(n_hat, r2, g01, g02, g12, p0, p1, n1, n2, alpha)
 
 
@@ -270,10 +272,65 @@ def test_the_cf_optimum_is_within_rounding_of_a_50_digit_reference_on_random_bat
         p1 = 10.0 ** rng.uniform(-2.0, 6.0, size=250)
         alpha = rng.uniform(size=250)
         for relay, second in ((g01, g02), (g02, g01)):
-            n_hats, r2s, _ = cf_bounds(relay, second, g12, p0, p1, n1, n2, alpha).optimum()
+            r2s, n_hats, _ = cf_bounds(relay, second, g12, p0, p1, n1, n2, alpha).optimum()
             for k in range(250):
                 assert_near_the_exact_optimum(n_hats[k], r2s[k], relay[k], second[k], g12[k],
                                               p0, p1[k], n1, n2, alpha[k])
+
+
+def test_the_cf_r2_is_within_1e_15_relative_of_a_50_digit_reference_on_wide_ranges():
+    # r2 is one log of a ratio: the cut-set ratio alone at the crossing, a
+    # sum of positive terms, and the smaller ratio at a bracket end.  The
+    # forwarding bound minus the compression loss, a difference of logs,
+    # cancels at the crossing: taken from it, r2 is up to 1.8e-8 relative
+    # off on these draws
+    rng = rng_for(2028)
+    g = 10.0 ** rng.uniform(-6.0, 8.0, size=(3, 1500))
+    p0, p1 = 10.0 ** rng.uniform(-2.0, 6.0, size=(2, 1500))
+    n1, n2 = 10.0 ** rng.uniform(-1.0, 1.0, size=(2, 1500))
+    alpha = rng.uniform(size=1500)
+    # no relay power reaching the second user: the bounds never cross, and
+    # r2 is the forwarding-minus-loss ratio's at the high bracket end
+    g[2, :150], p1[150:300] = 0.0, 0.0
+    off = []
+    for relay, second in ((g[0], g[1]), (g[1], g[0])):  # both role orders
+        for draw in zip(relay, second, g[2], p0, p1, alpha, n1, n2):
+            g01, g02, g12, p0_, p1_, alpha_, n1_, n2_ = map(float, draw)
+            params = ChannelParams(p0=p0_, p1=p1_, n1=n1_, n2=n2_)
+            r2 = float(rate_kernel(Scheme.RBC_CF, g01, g02, g12, params, alpha_)[1])
+            exact = exact_cf_optimum(*draw)[1]
+            if abs(r2 - exact) > 1e-15 * exact:
+                off.append((abs(r2 - exact) / exact if exact else r2, draw))
+    assert not off, (len(off), max(off))
+
+
+def assert_the_min_of_the_bounds_in_bits(scheme, g01, g02, g12, params, alpha):
+    r2, n_hat, clamped = rate_kernel(scheme, g01, g02, g12, params, alpha)[1:]
+    assert (n_hat, clamped) == (None, False)
+    assert same_bits((r2,), (two_log_second_rate(scheme, g01, g02, g12, params, alpha),))
+
+
+@PROPERTY
+@given(GAIN, GAIN, RELAY_GAIN, POWER, POWER, NOISE, NOISE, ALPHA,
+       st.sampled_from([Scheme.GBC, Scheme.RBC_DF]))
+def test_gbc_and_df_r2_are_the_min_of_their_bounds_in_bits_bit_for_bit(g01, g02, g12, p0, p1,
+                                                                      n1, n2, alpha, scheme):
+    # log1p is monotone, so the log of the smaller ratio is the smaller log
+    params = ChannelParams(p0=p0, p1=p1, n1=n1, n2=n2)
+    assert_the_min_of_the_bounds_in_bits(scheme, g01, g02, g12, params, alpha)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.GBC, Scheme.RBC_DF])
+def test_gbc_and_df_r2_are_the_min_of_their_bounds_in_bits_bit_for_bit_on_random_batches(scheme):
+    # numpy's vector log1p loops, over arrays in both role orders
+    rng = rng_for(2029)
+    for _ in range(5):
+        p0, p1, n1, n2 = 10.0 ** rng.uniform([-2.0, -2.0, -1.0, -1.0], [6.0, 6.0, 1.0, 1.0])
+        params = ChannelParams(p0=p0, p1=p1, n1=n1, n2=n2)
+        g01, g02, g12 = 10.0 ** rng.uniform(-6.0, 8.0, size=(3, 20_000))
+        alpha = np.concatenate([[0.0, 1.0], rng.uniform(size=19_998)])
+        for relay, second in ((g01, g02), (g02, g01)):
+            assert_the_min_of_the_bounds_in_bits(scheme, relay, second, g12, params, alpha)
 
 
 # p1 = 0 makes the crossing equation's divisor w/m2 zero: the bounds never cross

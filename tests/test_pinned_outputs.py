@@ -8,7 +8,10 @@ pointers walk far down each user's distance order, was printed by the
 lane-batched engine before its block stages moved to flat indices.  Three
 CF means were printed again when the compression-noise optimum took its
 crossing from a linear equation in place of a quadratic; each moved by
-under 3e-16 relative.
+under 3e-16 relative.  Three were printed again when each CF r2 became one
+log of the smaller bound ratio (iid rbc-cf near-far and nearest at -10 dB,
+static rbc-cf-dpc near-far at -10 dB); each moved by under 4e-16
+relative, in one trial's mean.
 
 numpy evaluates ``log1p`` with CPU-specific vector code, which may round
 differently in the last bit.  The values were printed with numpy 2.4 on
@@ -51,11 +54,11 @@ PINNED = {
         ('rbc-df', 'nearest', 0.0):
             ((21.067888461276183, 18.79582306625804), 14, 0),
         ('rbc-cf', 'near-far', -10.0):
-            ((8.906433746715436, 9.128959663413584), 0, 0),
+            ((8.906433746715436, 9.128959663413585), 0, 0),
         ('rbc-cf', 'near-far', 0.0):
             ((12.985272318668782, 13.745559732141727), 0, 0),
         ('rbc-cf', 'nearest', -10.0):
-            ((10.69181043480794, 10.64949355527809), 19, 0),
+            ((10.69181043480794, 10.649493555278093), 19, 0),
         ('rbc-cf', 'nearest', 0.0):
             ((14.81265722299363, 14.914496354799903), 14, 0),
         ('rbc-cf-dpc', 'near-far', -10.0):
@@ -93,7 +96,7 @@ PINNED = {
         ('rbc-cf', 'nearest', 0.0):
             ((10.81622703690403, 13.412615421289283), 36, 0),
         ('rbc-cf-dpc', 'near-far', -10.0):
-            ((19.114354002290476, 18.794815035081964), 0, 0),
+            ((19.11435400229048, 18.794815035081964), 0, 0),
         ('rbc-cf-dpc', 'near-far', 0.0):
             ((21.286896737682525, 22.35427161500206), 0, 0),
         ('rbc-cf-dpc', 'nearest', -10.0):

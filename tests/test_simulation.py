@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from noma_rbc import rates, simulation
-from noma_rbc.core import ChannelParams, PowerSplit, Scheme
+from noma_rbc.core import ChannelParams, LinkGains, PowerSplit, Scheme
 from noma_rbc.rates import rate_kernel
 from noma_rbc.simulation import (
     AVG_RATE_FLOOR,
@@ -35,8 +35,9 @@ from noma_rbc.simulation import (
 )
 from noma_rbc.simulation import BS_CHUNK_INTERVALS
 
-from helpers import (BIT_EXACT, mean_radius_analytic, near_far_reference, nearest_reference,
-                     rayleigh_power, rng_for, run_lanes_recorded, run_trial, split_groups)
+from helpers import (BIT_EXACT, cf_bounds_bits, mean_radius_analytic, near_far_reference,
+                     nearest_reference, rayleigh_power, rng_for, run_lanes_recorded, run_trial,
+                     split_groups)
 
 SMALL = SimConfig(users=8, blocks=2, intervals=10, trials=2, seed=5)
 
@@ -190,8 +191,9 @@ def _trial_reference(config, t):
     """Trial ``t`` of ``config``'s one pairing by the rules of the
     simulation module's docstring in plain Python, one lane and one BS draw
     at a time: per (scheme, relay-power point), in that order, the mean sum
-    rate, the role swaps, the r2 clamps and the (intervals, B, 2) served
-    (relay, second).
+    rate, the role swaps, the r2 clamps (the forwarding bound minus the
+    compression loss below 0 at the kernel's n_hat, written out apart from
+    the kernel) and the (intervals, B, 2) served (relay, second).
 
     The trial draws from the children (t, k), k = 0, 1, 2, of the master
     seed: the user positions, uniform by area over the 120-degree annular
@@ -247,11 +249,13 @@ def _trial_reference(config, t):
             rate, sum_rate = [0.0] * n_users, 0.0
             for b, (relay, second) in enumerate(served[0].tolist()):
                 g12 = est[relay, second] * pair[interval][b] if uses_relay else 0.0
-                r1, r2, _, clamped = rate_kernel(scheme, gains[relay, b], gains[second, b], g12,
-                                                 params, config.alpha)
+                r1, r2, n_hat, _ = rate_kernel(scheme, gains[relay, b], gains[second, b], g12,
+                                               params, config.alpha)
                 rate[relay], rate[second] = float(r1), float(r2)
                 sum_rate += rate[relay] + rate[second]
-                clamps += bool(clamped)
+                if scheme.uses_compression:  # the clamp, written out apart from the kernel
+                    link = LinkGains(float(gains[relay, b]), float(gains[second, b]), float(g12))
+                    clamps += bool(cf_bounds_bits(link, params, split, n_hat)[1] < 0.0)
             total += sum_rate
             avg = [max((1.0 - config.tau) * a + config.tau * r, AVG_RATE_FLOOR)
                    for a, r in zip(avg, rate)]
@@ -756,26 +760,28 @@ def test_the_cf_bounds_are_built_once_per_stage_for_adjacent_cf_schemes(monkeypa
 
 @pytest.mark.parametrize("pairing", ["near-far", "nearest"])
 def test_the_cf_optimum_evaluates_its_objective_once(monkeypatch, pairing):
-    # with a root or with the cut-set bound binding at the low bracket end,
+    # with a root or with the cut-set ratio binding at the low bracket end,
     # the high end is not scored; these runs never need it.  The optimum
-    # runs under its own guard and evaluates the unguarded ``_objective``
+    # takes the bound ratios from ``_ratios`` once, at its n_hat, and again
+    # at the high end only where some entry's forwarding-minus-loss ratio
+    # binds without a root
     calls = collections.Counter()
-    real_optimum, real_objective = rates._CFBounds.optimum, rates._CFBounds._objective
+    real_optimum, real_ratios = rates._CFBounds.optimum, rates._CFBounds._ratios
 
     def optimum(self):
         calls["optimum"] += 1
         return real_optimum(self)
 
-    def objective(self, n_hat):
-        calls["objective"] += 1
-        return real_objective(self, n_hat)
+    def ratios(self, n_hat):
+        calls["ratios"] += 1
+        return real_ratios(self, n_hat)
     monkeypatch.setattr(rates._CFBounds, "optimum", optimum)
-    monkeypatch.setattr(rates._CFBounds, "_objective", objective)
+    monkeypatch.setattr(rates._CFBounds, "_ratios", ratios)
     cfg = replace(SMALL, users=40, blocks=4, intervals=40, pairings=(pairing,),
                   p1_over_p0_db=(-10.0, 0.0), schemes=(Scheme.RBC_CF, Scheme.RBC_CF_DPC))
     run_lanes(cfg, range(4))
     assert calls["optimum"] == cfg.intervals * (cfg.blocks + 1)
-    assert calls["objective"] == calls["optimum"]
+    assert calls["ratios"] == calls["optimum"]
 
 
 @pytest.mark.parametrize("pairing", ["near-far", "nearest"])
